@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .equilibrium import MetricsWriter
 from .errors import FormatError
 from .hjb import hjb_diagnostics
 from .measures import lambda_q
@@ -139,22 +140,11 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
         )
     paths["diagnostics"] = write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, rows)
 
-    iteration_rows = [
-        [
-            entry.sweep,
-            repr(entry.theta),
-            repr(entry.delta),
-            repr(entry.u_change),
-            repr(entry.m_change),
-            repr(entry.duality),
-        ]
-        for entry in solution.history
-    ]
-    paths["iterations"] = write_csv(
-        outdir / "iterations.csv",
-        ["sweep", "theta", "delta", "u_change", "m_change", "duality"],
-        iteration_rows,
-    )
+    paths["iterations"] = outdir / "iterations.csv"
+    with open(paths["iterations"], "w", newline="") as fh:
+        sink = MetricsWriter(fh)
+        for entry in solution.history:
+            sink.write(entry)
 
     manifest_path = outdir / "manifest.cfg"
     manifest_path.write_text(manifest.to_text())

@@ -22,13 +22,14 @@ from .measures import (
     GridMeasure,
     JointControlMeasure,
     MeasurePath,
+    coordinate_marginals,
     lambda_q,
     monotonicity_pairing,
     wasserstein_1d,
 )
 from .models import coerce_theta
 from .mu_solver import MuSolveConfig, moment_certificate, solve_mu
-from .spectral import SpectralGrid, TimeGrid
+from .spectral import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -92,26 +93,8 @@ class EquilibriumSolution:
         return self.u_sol.time_grid
 
 
-def _density_w1(a: GridMeasure, b: GridMeasure) -> float:
-    """Loop metric between density slices.
-
-    True circle W1 in one dimension; in two dimensions the max over the
-    two coordinate-marginal distances (cheap, vanishes with the defect)."""
-    grid = a.grid
-    if grid.dim == 1:
-        return wasserstein_1d(a, b, r=1.0)
-    line = SpectralGrid(dim=1, n=grid.n, s=grid.s)
-    out = 0.0
-    for axis in range(2):
-        other = 1 - axis
-        ma = GridMeasure(line, np.sum(a.values, axis=other) * grid.dx)
-        mb = GridMeasure(line, np.sum(b.values, axis=other) * grid.dx)
-        out = max(out, wasserstein_1d(ma, mb, r=1.0))
-    return out
-
-
-def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid,
-                   theta: float = 0.0) -> EquilibriumSolution:
+def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
+                  tg: TimeGrid) -> EquilibriumSolution:
     """The scaling-zero solution: u = 0, m = fractional heat flow, alpha = 0."""
     grid = m0.grid
     zero_b = np.zeros((tg.n_steps + 1, grid.dim) + grid.shape)
@@ -122,7 +105,7 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid,
     )
     u_sol = solve_backward(model, mu_path, u_terminal, theta=0.0)
     return EquilibriumSolution(
-        theta=theta,
+        theta=0.0,
         u_sol=u_sol,
         m_sol=m_sol,
         m_path=list(m_sol.densities),
@@ -134,48 +117,51 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid,
     )
 
 
+def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> MeasurePath:
+    """Per-slice control fixed points against the state's value gradient,
+    each warm started from the state's current control."""
+    return MeasurePath(
+        state.time_grid,
+        [
+            solve_mu(m, du, scaled, cfg.mu_config, initial_alpha=mu.alpha)
+            for m, du, mu in zip(state.m_path, state.u_sol.du, state.mu_path)
+        ],
+    )
+
+
+def _drift_path(scaled, du: np.ndarray, mu_path: MeasurePath) -> np.ndarray:
+    """Optimal drift -D_pH(Du, mu) at every time level."""
+    return np.stack([-scaled.grad_p_field(d, mu) for d, mu in zip(du, mu_path)])
+
+
 def picard_iterate(
     state: EquilibriumSolution, model, cfg: LoopConfig, delta: float | None = None
 ) -> EquilibriumSolution:
     """One sweep: controls, backward value, forward density, damped merge."""
     delta = cfg.damping if delta is None else delta
     scaled = coerce_theta(model, state.theta)
-    tg = state.time_grid
-    grid = state.grid
-    n = tg.n_steps
     try:
-        mu_path = MeasurePath(
-            tg,
-            [
-                solve_mu(
-                    state.m_path[j],
-                    state.u_sol.du[j],
-                    scaled,
-                    cfg.mu_config,
-                    initial_alpha=state.mu_path[j].alpha,
-                )
-                for j in range(n + 1)
-            ],
-        )
+        mu_path = _control_path(state, scaled, cfg)
         u_new = solve_backward(scaled, mu_path, state.u_terminal)
-        b_path = np.stack(
-            [-scaled.grad_p_field(u_new.du[j], mu_path[j]) for j in range(n + 1)]
+        m_new = solve_forward(
+            _drift_path(scaled, u_new.du, mu_path), state.m_path[0], state.time_grid
         )
-        m_new = solve_forward(b_path, state.m_path[0], tg)
     except FmfgcError as err:
         err.sweep_index = state.sweeps
         raise
 
     u_change = float(np.max(np.abs(u_new.u - state.u_sol.u)))
     m_change = max(
-        _density_w1(state.m_path[j], m_new[j]) for j in range(n + 1)
+        wasserstein_1d(a, b, r=1.0)
+        for old, new in zip(state.m_path, m_new.densities)
+        for a, b in zip(coordinate_marginals(old), coordinate_marginals(new))
     )
     if delta == 1.0:
         merged = list(m_new.densities)
     else:
         merged = [
             GridMeasure(
-                grid,
+                state.grid,
                 (1.0 - delta) * old.values + delta * new.values,
             )
             for old, new in zip(state.m_path, m_new.densities)
@@ -189,22 +175,22 @@ def picard_iterate(
         m_change=m_change,
         duality=duality,
     )
-    return EquilibriumSolution(
-        theta=state.theta,
+    return replace(
+        state,
         u_sol=u_new,
         m_sol=m_new,
         m_path=merged,
         mu_path=mu_path,
-        u_terminal=state.u_terminal,
         history=state.history + [metrics],
         converged=metrics.defect <= cfg.tolerance,
         sweeps=state.sweeps + 1,
-        baseline_mu=state.baseline_mu,
     )
 
 
 class MetricsWriter:
-    """Streaming CSV sink for per-sweep metrics; flushes every row."""
+    """Streaming CSV sink for per-sweep metrics; flushes every row.
+
+    Floats are written as their repr, so a row reads back losslessly."""
 
     FIELDS = ("sweep", "theta", "delta", "u_change", "m_change", "duality")
 
@@ -216,14 +202,8 @@ class MetricsWriter:
 
     def write(self, metrics: SweepMetrics) -> None:
         self._writer.writerow(
-            [
-                metrics.sweep,
-                f"{metrics.theta:.6g}",
-                f"{metrics.delta:.6g}",
-                f"{metrics.u_change:.12e}",
-                f"{metrics.m_change:.12e}",
-                f"{metrics.duality:.12e}",
-            ]
+            [metrics.sweep]
+            + [repr(getattr(metrics, name)) for name in self.FIELDS[1:]]
         )
         self._stream.flush()
 
@@ -260,24 +240,10 @@ def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumS
     """Re-solve the control path against the final value gradient so the
     packaged triple satisfies the slice fixed point to the mu tolerance."""
     scaled = coerce_theta(model, state.theta)
-    tg = state.time_grid
-    n = tg.n_steps
-    mu_path = MeasurePath(
-        tg,
-        [
-            solve_mu(
-                state.m_path[j],
-                state.u_sol.du[j],
-                scaled,
-                cfg.mu_config,
-                initial_alpha=state.mu_path[j].alpha,
-            )
-            for j in range(n + 1)
-        ],
-    )
-    interim = replace(state, mu_path=mu_path)
-    m_sol = solve_forward(equilibrium_drift(interim, model), state.m_path[0], tg)
-    return replace(interim, m_sol=m_sol)
+    mu_path = _control_path(state, scaled, cfg)
+    b_path = _drift_path(scaled, state.u_sol.du, mu_path)
+    m_sol = solve_forward(b_path, state.m_path[0], state.time_grid)
+    return replace(state, mu_path=mu_path, m_sol=m_sol)
 
 
 def equilibrium_drift(state: EquilibriumSolution, model) -> np.ndarray:
@@ -286,14 +252,7 @@ def equilibrium_drift(state: EquilibriumSolution, model) -> np.ndarray:
     This is the vector field that both the forward density solve and the
     particle simulation advect by; shape (n_steps + 1, dim, *grid.shape).
     """
-    scaled = coerce_theta(model, state.theta)
-    n = state.time_grid.n_steps
-    return np.stack(
-        [
-            -scaled.grad_p_field(state.u_sol.du[j], state.mu_path[j])
-            for j in range(n + 1)
-        ]
-    )
+    return _drift_path(coerce_theta(model, state.theta), state.u_sol.du, state.mu_path)
 
 
 def solve_equilibrium(
@@ -363,17 +322,8 @@ def _continuation(
             finals.append(state)
 
     for theta in stages:
-        state = EquilibriumSolution(
-            theta=theta,
-            u_sol=state.u_sol,
-            m_sol=state.m_sol,
-            m_path=state.m_path,
-            mu_path=state.mu_path,
-            u_terminal=state.u_terminal,
-            history=state.history,
-            converged=False,
-            sweeps=state.sweeps,
-            baseline_mu=state.mu_path,
+        state = replace(
+            state, theta=theta, converged=False, baseline_mu=state.mu_path
         )
         state = _run_stage(state, model, cfg, sink)
         state = _package(state, model, cfg)

@@ -50,9 +50,6 @@ class LagrangianModel:
     def grad_alpha(self, x, alpha, mu) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_x(self, x, alpha, mu) -> np.ndarray:
-        raise NotImplementedError
-
     def hessian_alpha(self, x, alpha, mu) -> np.ndarray:
         """Control Hessian, shape (dim, dim, P); finite differences by default."""
         dim, npts = alpha.shape
@@ -176,27 +173,6 @@ class QuadraticModel(LagrangianModel):
             )
         return (phase @ coeff).real
 
-    def potential_gradient_at(self, m: GridMeasure, x: np.ndarray) -> np.ndarray:
-        grid = m.grid
-        x = _as_probes(x, grid.dim)
-        coeff = (
-            self.kernel_coefficients(grid) * np.fft.fftn(m.values) / grid.n**grid.dim
-        ).ravel()
-        k_axis = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-        k_axis[grid.n // 2] = 0.0
-        out = np.empty_like(x)
-        if grid.dim == 1:
-            phase = np.exp(2j * np.pi * np.outer(x[0], k_axis))
-            out[0] = (phase @ (2j * np.pi * k_axis * coeff)).real
-        else:
-            kx, ky = np.meshgrid(k_axis, k_axis, indexing="ij")
-            phase = np.exp(
-                2j * np.pi * (np.outer(x[0], kx.ravel()) + np.outer(x[1], ky.ravel()))
-            )
-            out[0] = (phase @ (2j * np.pi * kx.ravel() * coeff)).real
-            out[1] = (phase @ (2j * np.pi * ky.ravel() * coeff)).real
-        return out
-
     def mean_control(self, mu: JointControlMeasure) -> np.ndarray:
         return mu.mean_control()
 
@@ -218,9 +194,6 @@ class QuadraticModel(LagrangianModel):
         dim, npts = alpha.shape
         return np.broadcast_to(np.eye(dim)[:, :, None], (dim, dim, npts)).copy()
 
-    def grad_x(self, x, alpha, mu):
-        return self.potential_gradient_at(mu.m, x)
-
     def hamiltonian(self, x, p, mu):
         abar = self.mean_control(mu)
         x = _as_probes(x, self.dim)
@@ -235,9 +208,6 @@ class QuadraticModel(LagrangianModel):
         abar = self.mean_control(mu)
         p = _as_probes(p, self.dim)
         return p + self.coupling_beta * abar[:, None]
-
-    def optimal_control(self, x, p, mu):
-        return -self.grad_p(x, p, mu)
 
     # -- field forms -----------------------------------------------------
 
@@ -323,11 +293,6 @@ class ThetaScaledModel:
         return self.theta * self.base.lagrangian_field(
             np.asarray(alpha, dtype=float) / self.theta, self.scaled_measure(mu)
         )
-
-
-def theta_scale(model: LagrangianModel, theta: float) -> ThetaScaledModel:
-    """Wrap a base model at interpolation parameter theta in [0, 1]."""
-    return ThetaScaledModel(model, theta)
 
 
 def coerce_theta(model, theta: float | None) -> ThetaScaledModel:

@@ -2,7 +2,7 @@
 
 Given the state density m and the value gradient Du at one time, the
 equilibrium control solves alpha = -D_p H(x, Du(x), mu) with mu the joint
-measure (m, alpha) itself.  A damped Picard iteration from alpha = 0
+measure (m, alpha) itself.  A Picard iteration from alpha = 0
 contracts whenever the Hamiltonian's measure dependence is (its modulus
 for the quadratic model is exactly the coupling strength).
 """
@@ -21,15 +21,12 @@ from .measures import GridMeasure, JointControlMeasure, lambda_inf, lambda_q
 class MuSolveConfig:
     tolerance: float = 1e-10
     max_iterations: int = 200
-    relaxation: float = 1.0
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ValueError(f"relaxation must lie in (0, 1], got {self.relaxation}")
 
 
 @dataclass
@@ -66,7 +63,6 @@ def solve_mu_detailed(
         mu = JointControlMeasure(m, np.zeros_like(du))
         return MuSolveResult(mu=mu, iterations=0, residual=0.0, update_norms=())
 
-    omega = config.relaxation
     if initial_alpha is None:
         alpha = np.zeros_like(du)
     else:
@@ -81,8 +77,8 @@ def solve_mu_detailed(
             return MuSolveResult(
                 mu=mu, iterations=it, residual=residual, update_norms=tuple(updates)
             )
-        alpha = alpha - omega * defect
-        updates.append(float(np.max(np.abs(omega * defect))))
+        alpha = alpha - defect
+        updates.append(float(np.max(np.abs(defect))))
 
     ratios = [b / a for a, b in zip(updates, updates[1:]) if a > 0.0]
     ratio = float(ratios[-1]) if ratios else float("nan")

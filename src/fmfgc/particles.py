@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GridMeasure, wasserstein_1d
+from .measures import GridMeasure, coordinate_marginals, wasserstein_1d
 from .spectral import SpectralGrid, TimeGrid
 
 #: Everything below twice the Monte-Carlo floor is treated as noise when
@@ -126,24 +126,33 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _interp_periodic(field: np.ndarray, positions: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Multilinear periodic interpolation of a (ncomp, *shape) field.
+def _cic_corners(positions: np.ndarray, grid: SpectralGrid):
+    """Cloud-in-cell stencil: yields (index, weight) for each cell corner.
 
-    Returns (N, ncomp) samples at the particle positions.
-    """
+    index is a tuple of per-axis node arrays, weight the (N,) multilinear
+    weight of that corner for each position."""
     n = grid.n
     xi = positions * n
     base = np.floor(xi)
     frac = xi - base
     base = base.astype(np.intp) % n
-    ncomp = field.shape[0]
-    out = np.zeros((positions.shape[0], ncomp))
+    axis_weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(grid.dim)]
     for corner in itertools.product((0, 1), repeat=grid.dim):
         idx = tuple((base[:, ax] + off) % n for ax, off in enumerate(corner))
-        weight = np.ones(positions.shape[0])
-        for ax, off in enumerate(corner):
-            weight *= frac[:, ax] if off else 1.0 - frac[:, ax]
-        for c in range(ncomp):
+        weight = axis_weights[0][corner[0]]
+        for ax in range(1, grid.dim):
+            weight = weight * axis_weights[ax][corner[ax]]
+        yield idx, weight
+
+
+def _interp_periodic(field: np.ndarray, positions: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Multilinear periodic interpolation of a (ncomp, *shape) field.
+
+    Returns (N, ncomp) samples at the particle positions.
+    """
+    out = np.zeros((positions.shape[0], field.shape[0]))
+    for idx, weight in _cic_corners(positions, grid):
+        for c in range(field.shape[0]):
             out[:, c] += weight * field[c][idx]
     return out
 
@@ -238,34 +247,10 @@ def empirical_measure(ensemble: ParticleEnsemble | np.ndarray, grid: SpectralGri
         raise ValueError(f"positions must be (N, {grid.dim}), got {pts.shape}")
     if pts.shape[0] < 1:
         raise ValueError("need at least one particle")
-    n = grid.n
-    xi = pts * n
-    base = np.floor(xi)
-    frac = xi - base
-    base = base.astype(np.intp) % n
     weights = np.zeros(grid.shape)
-    for corner in itertools.product((0, 1), repeat=grid.dim):
-        idx = tuple((base[:, ax] + off) % n for ax, off in enumerate(corner))
-        w = np.ones(pts.shape[0])
-        for ax, off in enumerate(corner):
-            w *= frac[:, ax] if off else 1.0 - frac[:, ax]
+    for idx, w in _cic_corners(pts, grid):
         np.add.at(weights, idx, w)
     return GridMeasure.normalized(grid, weights / (pts.shape[0] * grid.dx**grid.dim))
-
-
-def _slice_w1(a: GridMeasure, b: GridMeasure) -> float:
-    """W1 for path snapshots: exact on the circle, marginal bound in d = 2."""
-    if a.grid.dim == 1:
-        return wasserstein_1d(a, b)
-    line = SpectralGrid(dim=1, n=a.grid.n, s=a.grid.s)
-    scale = a.grid.dx ** (a.grid.dim - 1)
-    worst = 0.0
-    for axis in range(a.grid.dim):
-        others = tuple(ax for ax in range(a.grid.dim) if ax != axis)
-        ma = GridMeasure.normalized(line, a.values.sum(axis=others) * scale)
-        mb = GridMeasure.normalized(line, b.values.sum(axis=others) * scale)
-        worst = max(worst, wasserstein_1d(ma, mb))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -309,9 +294,14 @@ def holder_wasserstein_check(path: ParticlePath, b_sup: float, slack: float = 2.
         raise ValueError("stored times must be uniformly spaced")
     snapshots = [empirical_measure(path.positions[j], path.grid) for j in range(n_gaps + 1)]
     gaps = stride * np.arange(1, n_gaps + 1)
+    marginals = [coordinate_marginals(snap) for snap in snapshots]
     distances = np.array(
         [
-            max(_slice_w1(snapshots[i], snapshots[i + k]) for i in range(n_gaps + 1 - k))
+            max(
+                wasserstein_1d(a, b)
+                for i in range(n_gaps + 1 - k)
+                for a, b in zip(marginals[i], marginals[i + k])
+            )
             for k in range(1, n_gaps + 1)
         ]
     )

@@ -236,7 +236,3 @@ def periodic_delta(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = np.abs(x - y) % 1.0
     return np.minimum(d, 1.0 - d)
 
-
-def periodic_distance(x: np.ndarray, y: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Euclidean torus distance, reducing the component axis."""
-    return np.sqrt(np.sum(periodic_delta(x, y) ** 2, axis=axis))

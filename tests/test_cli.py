@@ -81,11 +81,14 @@ def test_seed_override_lands_in_echo(tiny_config, tmp_path, capsys):
     assert parse_config((outdir / "manifest.cfg").read_text()).seed == 9
 
 
-def test_simulate_after_solve(tiny_config, tmp_path, capsys):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_simulate_after_solve(dim, tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG.replace("[grid]", f"[grid]\ndim = {dim}"))
     outdir = tmp_path / "run"
-    assert main(["solve", "--config", str(tiny_config), "--out", str(outdir)]) == 0
+    assert main(["solve", "--config", str(config), "--out", str(outdir)]) == 0
     capsys.readouterr()
-    code = main(["simulate", "--config", str(tiny_config), "--out", str(outdir)])
+    code = main(["simulate", "--config", str(config), "--out", str(outdir)])
     assert code == 0
     payload = summary_of(capsys)
     assert payload["command"] == "simulate"

@@ -19,6 +19,7 @@ from fmfgc.measures import (
     GridMeasure,
     JointControlMeasure,
     MeasurePath,
+    coordinate_marginals,
     joint_wasserstein,
     lambda_inf,
     lambda_q,
@@ -222,6 +223,22 @@ def test_wasserstein_1d_errors():
         wasserstein_1d(m, GridMeasure.uniform(g2))
     with pytest.raises(ValueError):
         wasserstein_1d(m, m, r=0.5)
+
+
+def test_coordinate_marginals():
+    rng = np.random.default_rng(4)
+    line = SpectralGrid(1, 32, 0.75)
+    m = GridMeasure(line, smooth_density(line, rng))
+    assert coordinate_marginals(m) == [m]
+    # A product density has its normalized factors as marginals.
+    f, g = smooth_density(line, rng), smooth_density(line, rng)
+    plane = SpectralGrid(2, 32, 0.75)
+    margs = coordinate_marginals(GridMeasure(plane, np.outer(f, g)))
+    assert len(margs) == 2
+    for marg, factor in zip(margs, (f, g)):
+        assert marg.grid.dim == 1 and marg.grid.n == 32
+        assert marg.mass == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(marg.values, factor, rtol=1e-12)
 
 
 def test_sinkhorn_matches_exact_1d():

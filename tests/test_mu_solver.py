@@ -3,7 +3,7 @@ import pytest
 
 from fmfgc.errors import NonContractionError
 from fmfgc.measures import GridMeasure, JointControlMeasure, lambda_inf, lambda_q
-from fmfgc.models import QuadraticModel, theta_scale
+from fmfgc.models import QuadraticModel, ThetaScaledModel
 from fmfgc.mu_solver import (
     MuSolveConfig,
     moment_certificate,
@@ -25,10 +25,6 @@ def test_config_validation():
         MuSolveConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         MuSolveConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        MuSolveConfig(relaxation=1.5)
-    with pytest.raises(ValueError):
-        MuSolveConfig(relaxation=0.0)
 
 
 def test_closed_form_mean_and_pointwise(grid):
@@ -72,7 +68,7 @@ def test_zero_gradient_zero_control(grid):
 
 
 def test_theta_zero_skips_iteration(grid):
-    model = theta_scale(QuadraticModel(coupling_beta=0.3), 0.0)
+    model = ThetaScaledModel(QuadraticModel(coupling_beta=0.3), 0.0)
     rng = np.random.default_rng(7)
     m = GridMeasure(grid, smooth_density(grid, rng))
     du = np.stack([np.cos(2 * np.pi * grid.nodes()[0])])
