@@ -113,12 +113,11 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     n = tg.n_steps
     times = tg.times()
 
-    m_stack = np.stack([solution.m_sol[j].values for j in range(n + 1)])
-    alpha_stack = np.stack([solution.mu_path[j].alpha for j in range(n + 1)])
+    alpha = solution.mu_path.alpha
     paths = {
         "u": write_field(outdir / "u.bin", solution.u_sol.u),
-        "m": write_field(outdir / "m.bin", m_stack),
-        "alpha": write_field(outdir / "alpha.bin", alpha_stack),
+        "m": write_field(outdir / "m.bin", solution.m_sol.m),
+        "alpha": write_field(outdir / "alpha.bin", alpha),
     }
 
     fp = solution.m_sol
@@ -134,7 +133,7 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
                 repr(float(fp.advect_drift_trace[j])),
                 repr(float(np.max(np.abs(solution.u_sol.u[j])))),
                 repr(float(np.max(np.abs(solution.u_sol.du[j])))),
-                repr(float(np.max(np.abs(alpha_stack[j])))),
+                repr(float(np.max(np.abs(alpha[j])))),
                 repr(lambda_q(solution.mu_path[j], 2.0)),
             ]
         )

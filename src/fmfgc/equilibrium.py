@@ -1,7 +1,8 @@
 """Outer equilibrium iteration.
 
-Damped Picard sweeps couple the three building blocks: per-slice control
-fixed points, the backward value solve, and the forward density solve.
+Damped Picard sweeps couple the three building blocks: the control fixed
+point on the whole path, the backward value solve, and the forward
+density solve.  Paths are stacked arrays with time as the leading axis.
 The loop runs through an ascending scaling schedule, each stage warm
 starting from the previous one; the zero stage is analytic (zero value
 function, pure fractional heat flow).  If fixed damping stops making
@@ -11,6 +12,7 @@ progress the loop falls back to fictitious-play averaging.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +22,6 @@ from .fokker_planck import FpSolution, duality_residual, solve_forward
 from .hjb import HjbSolution, solve_backward
 from .measures import (
     GridMeasure,
-    JointControlMeasure,
     MeasurePath,
     coordinate_marginals,
     lambda_q,
@@ -76,7 +77,7 @@ class EquilibriumSolution:
     theta: float
     u_sol: HjbSolution
     m_sol: FpSolution
-    m_path: list[GridMeasure] = field(repr=False)
+    m_path: np.ndarray = field(repr=False)  # the iterate, (n_steps + 1, *grid.shape)
     mu_path: MeasurePath = field(repr=False)
     u_terminal: np.ndarray = field(repr=False)
     history: list[SweepMetrics] = field(repr=False)
@@ -99,16 +100,13 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
     grid = m0.grid
     zero_b = np.zeros((tg.n_steps + 1, grid.dim) + grid.shape)
     m_sol = solve_forward(zero_b, m0, tg)
-    zero_alpha = np.zeros((grid.dim,) + grid.shape)
-    mu_path = MeasurePath(
-        tg, [JointControlMeasure(d, zero_alpha) for d in m_sol.densities]
-    )
+    mu_path = MeasurePath(tg, grid, m_sol.m, np.zeros_like(zero_b))
     u_sol = solve_backward(model, mu_path, u_terminal, theta=0.0)
     return EquilibriumSolution(
         theta=0.0,
         u_sol=u_sol,
         m_sol=m_sol,
-        m_path=list(m_sol.densities),
+        m_path=m_sol.m,
         mu_path=mu_path,
         u_terminal=np.asarray(u_terminal, dtype=float),
         history=[],
@@ -118,20 +116,10 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
 
 
 def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> MeasurePath:
-    """Per-slice control fixed points against the state's value gradient,
-    each warm started from the state's current control."""
-    return MeasurePath(
-        state.time_grid,
-        [
-            solve_mu(m, du, scaled, cfg.mu_config, initial_alpha=mu.alpha)
-            for m, du, mu in zip(state.m_path, state.u_sol.du, state.mu_path)
-        ],
-    )
-
-
-def _drift_path(scaled, du: np.ndarray, mu_path: MeasurePath) -> np.ndarray:
-    """Optimal drift -D_pH(Du, mu) at every time level."""
-    return np.stack([-scaled.grad_p_field(d, mu) for d, mu in zip(du, mu_path)])
+    """The control fixed point on the state's density path against its value
+    gradient, all slices at once, warm started from the state's controls."""
+    start = MeasurePath(state.time_grid, state.grid, state.m_path, state.mu_path.alpha)
+    return solve_mu(start, state.u_sol.du, scaled, cfg.mu_config)
 
 
 def picard_iterate(
@@ -143,8 +131,9 @@ def picard_iterate(
     try:
         mu_path = _control_path(state, scaled, cfg)
         u_new = solve_backward(scaled, mu_path, state.u_terminal)
+        # mu_path holds the iterate's density, so its slice 0 is m0
         m_new = solve_forward(
-            _drift_path(scaled, u_new.du, mu_path), state.m_path[0], state.time_grid
+            -scaled.grad_p_field(u_new.du, mu_path), mu_path[0].m, state.time_grid
         )
     except FmfgcError as err:
         err.sweep_index = state.sweeps
@@ -153,19 +142,16 @@ def picard_iterate(
     u_change = float(np.max(np.abs(u_new.u - state.u_sol.u)))
     m_change = max(
         wasserstein_1d(a, b, r=1.0)
-        for old, new in zip(state.m_path, m_new.densities)
-        for a, b in zip(coordinate_marginals(old), coordinate_marginals(new))
+        for j, old in enumerate(state.m_path)
+        for a, b in zip(
+            coordinate_marginals(GridMeasure.view(state.grid, old)),
+            coordinate_marginals(m_new[j]),
+        )
     )
     if delta == 1.0:
-        merged = list(m_new.densities)
+        merged = m_new.m
     else:
-        merged = [
-            GridMeasure(
-                state.grid,
-                (1.0 - delta) * old.values + delta * new.values,
-            )
-            for old, new in zip(state.m_path, m_new.densities)
-        ]
+        merged = (1.0 - delta) * state.m_path + delta * m_new.m
     duality = duality_residual(u_new, m_new, mu_path, scaled, None)
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
@@ -241,8 +227,9 @@ def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumS
     packaged triple satisfies the slice fixed point to the mu tolerance."""
     scaled = coerce_theta(model, state.theta)
     mu_path = _control_path(state, scaled, cfg)
-    b_path = _drift_path(scaled, state.u_sol.du, mu_path)
-    m_sol = solve_forward(b_path, state.m_path[0], state.time_grid)
+    m_sol = solve_forward(
+        -scaled.grad_p_field(state.u_sol.du, mu_path), mu_path[0].m, state.time_grid
+    )
     return replace(state, mu_path=mu_path, m_sol=m_sol)
 
 
@@ -252,7 +239,7 @@ def equilibrium_drift(state: EquilibriumSolution, model) -> np.ndarray:
     This is the vector field that both the forward density solve and the
     particle simulation advect by; shape (n_steps + 1, dim, *grid.shape).
     """
-    return _drift_path(coerce_theta(model, state.theta), state.u_sol.du, state.mu_path)
+    return -coerce_theta(model, state.theta).grad_p_field(state.u_sol.du, state.mu_path)
 
 
 def solve_equilibrium(
@@ -275,10 +262,12 @@ def solve_equilibrium(
     cfg = cfg or LoopConfig()
     if not 0.0 < theta_target <= 1.0:
         raise ValueError(f"theta_target must lie in (0, 1], got {theta_target}")
-    return _continuation(
+    for state in _continuation(
         model, m0, u_terminal, theta_target, cfg, metrics_stream, warm_start,
         time_grid,
-    )[-1]
+    ):
+        pass
+    return state
 
 
 def sweep_theta(
@@ -294,8 +283,8 @@ def sweep_theta(
     target = cfg.theta_schedule[-1] if cfg.theta_schedule else 1.0
     if target == 0.0:
         raise ValueError("scaling schedule must end above 0")
-    return _continuation(
-        model, m0, u_terminal, target, cfg, metrics_stream, None, time_grid
+    return list(
+        _continuation(model, m0, u_terminal, target, cfg, metrics_stream, None, time_grid)
     )
 
 
@@ -308,18 +297,19 @@ def _continuation(
     metrics_stream,
     warm_start: EquilibriumSolution | None,
     time_grid: TimeGrid,
-) -> list[EquilibriumSolution]:
+) -> Iterator[EquilibriumSolution]:
+    """Yield each stage's final state as soon as the stage ends, so a caller
+    that wants only the last one holds no earlier stage."""
     sink = MetricsWriter(metrics_stream) if metrics_stream is not None else None
     stages = [t for t in cfg.theta_schedule if 0.0 < t < theta_target]
     stages.append(theta_target)
 
-    finals: list[EquilibriumSolution] = []
     if warm_start is not None:
         state = warm_start
     else:
         state = analytic_base(model, m0, u_terminal, time_grid)
         if 0.0 in cfg.theta_schedule:
-            finals.append(state)
+            yield state
 
     for theta in stages:
         state = replace(
@@ -327,8 +317,7 @@ def _continuation(
         )
         state = _run_stage(state, model, cfg, sink)
         state = _package(state, model, cfg)
-        finals.append(state)
-    return finals
+        yield state
 
 
 @dataclass(frozen=True)
@@ -348,19 +337,15 @@ def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCerti
     """Post-solve checks: duality defect, control fixed-point residual,
     monotonicity pairings against the stage's starting path, moments."""
     scaled = coerce_theta(model, sol.theta)
-    tg = sol.time_grid
-    n = tg.n_steps
+    n = sol.time_grid.n_steps
 
     duality = duality_residual(sol.u_sol, sol.m_sol, sol.mu_path, scaled, None)
 
-    exploit = 0.0
+    defect = sol.mu_path.alpha + scaled.grad_p_field(sol.u_sol.du, sol.mu_path)
+    exploit = float(np.max(np.abs(defect)))
     lam_sup = 0.0
     moments_ok = True
-    for j in range(n + 1):
-        mu = sol.mu_path[j]
-        du = sol.u_sol.du[j]
-        defect = mu.alpha + scaled.grad_p_field(du, mu)
-        exploit = max(exploit, float(np.max(np.abs(defect))))
+    for mu, du in zip(sol.mu_path, sol.u_sol.du):
         lam_sup = max(lam_sup, lambda_q(mu, scaled.q_tilde))
         moments_ok = moments_ok and moment_certificate(mu, du, scaled).ok
 

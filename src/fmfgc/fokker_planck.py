@@ -27,7 +27,7 @@ BESSEL_SHIFT = 0.1  # reporting order for the initial density is s - 1 + 0.1
 class FpSolution:
     time_grid: TimeGrid
     grid: SpectralGrid
-    densities: list[GridMeasure] = field(repr=False)
+    m: np.ndarray = field(repr=False)  # (n_steps + 1, *grid.shape), read-only
     mass_trace: np.ndarray = field(repr=False)
     min_trace: np.ndarray = field(repr=False)
     preclip_min_trace: np.ndarray = field(repr=False)
@@ -38,10 +38,10 @@ class FpSolution:
     m0_bessel: float
 
     def __getitem__(self, j: int) -> GridMeasure:
-        return self.densities[j]
+        return GridMeasure.view(self.grid, self.m[j])
 
     def terminal(self) -> GridMeasure:
-        return self.densities[-1]
+        return self[-1]
 
 
 def _advect(values: np.ndarray, b: np.ndarray, dt: float, grid: SpectralGrid) -> np.ndarray:
@@ -59,17 +59,17 @@ def _advect(values: np.ndarray, b: np.ndarray, dt: float, grid: SpectralGrid) ->
 
 def fp_step(m: GridMeasure, b: np.ndarray, dt: float) -> GridMeasure:
     """Advance the density by one advection-diffusion step of size dt."""
-    return _fp_step_traced(m, b, dt)[0]
-
-
-def _fp_step_traced(
-    m: GridMeasure, b: np.ndarray, dt: float
-) -> tuple[GridMeasure, float, float]:
-    """fp_step plus the pre-clip minimum and advection mass drift traces."""
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    grid = m.grid
-    b = grid.check_vector(b)
+    b = m.grid.check_vector(b)
+    return GridMeasure(m.grid, _step(m.values, b, dt, m.grid)[0])
+
+
+def _step(
+    values: np.ndarray, b: np.ndarray, dt: float, grid: SpectralGrid
+) -> tuple[np.ndarray, float, float]:
+    """One step on arrays: the new density, its pre-clip minimum and the
+    advection mass drift.  The caller has checked values, b and dt."""
     speed = float(np.max(np.abs(b)))
     if speed * dt > grid.dx * (1.0 + 1e-12):
         factor = int(np.ceil(speed * dt / grid.dx))
@@ -79,7 +79,7 @@ def _fp_step_traced(
             required_steps=factor,
         )
 
-    advected = _advect(m.values, b, dt, grid)
+    advected = _advect(values, b, dt, grid)
     mass = float(np.sum(advected) * grid.dx**grid.dim)
     if abs(mass - 1.0) > STEP_MASS_TOL:
         raise ConservationError(
@@ -93,7 +93,7 @@ def _fp_step_traced(
             f"positivity clip removed {removed:.3e} mass (tolerance {CLIP_MASS_TOL})"
         )
     total = float(np.sum(clipped) * grid.dx**grid.dim)
-    return GridMeasure(grid, clipped / total), float(np.min(diffused)), abs(mass - 1.0)
+    return clipped / total, float(np.min(diffused)), abs(mass - 1.0)
 
 
 def solve_forward(
@@ -130,33 +130,26 @@ def solve_forward(
         div = grid.divergence(b_path[j])
         div_neg = max(div_neg, float(np.max(np.maximum(-div, 0.0))))
 
-    densities = [m0]
+    m = np.empty((n + 1,) + grid.shape)
+    m[0] = m0.values
     preclip = np.empty(n + 1)
     preclip[0] = float(np.min(m0.values))
     advect_drift = np.zeros(n + 1)
-    current = m0
     for j in range(n):
-        current, pre_min, drift = _fp_step_traced(current, b_path[j], dt)
-        densities.append(current)
-        preclip[j + 1] = pre_min
-        advect_drift[j + 1] = drift
+        m[j + 1], preclip[j + 1], advect_drift[j + 1] = _step(m[j], b_path[j], dt, grid)
+    m.setflags(write=False)
 
-    mass_trace = np.array([d.mass for d in densities])
-    min_trace = np.array([float(np.min(d.values)) for d in densities])
-    sup_trace = np.array([float(np.max(d.values)) for d in densities])
-    sup_bound = float(np.max(m0.values)) * float(
-        np.exp(div_neg * time_grid.horizon)
-    )
+    rows = m.reshape(n + 1, -1)
     return FpSolution(
         time_grid=time_grid,
         grid=grid,
-        densities=densities,
-        mass_trace=mass_trace,
-        min_trace=min_trace,
+        m=m,
+        mass_trace=np.sum(rows, axis=1) * grid.dx**grid.dim,
+        min_trace=np.min(rows, axis=1),
         preclip_min_trace=preclip,
         advect_drift_trace=advect_drift,
-        sup_trace=sup_trace,
-        sup_bound=sup_bound,
+        sup_trace=np.max(rows, axis=1),
+        sup_bound=float(np.max(m0.values)) * float(np.exp(div_neg * time_grid.horizon)),
         drift_div_neg=div_neg,
         m0_bessel=grid.bessel_norm(m0.values, grid.s - 1.0 + BESSEL_SHIFT),
     )
@@ -194,14 +187,10 @@ def duality_residual(u_sol, m_sol: FpSolution, mu_path, model, theta: float) -> 
     if u_sol.time_grid != tg or mu_path.time_grid != tg:
         raise ValueError("duality pairing needs a common time grid")
     scaled = coerce_theta(model, theta)
-    n = tg.n_steps
-    running = np.empty(n + 1)
-    for j in range(n + 1):
-        mu = mu_path[j]
-        du = u_sol.du[j]
-        integrand = np.sum(du * scaled.grad_p_field(du, mu), axis=0)
-        integrand -= scaled.hamiltonian_field(du, mu)
-        running[j] = m_sol[j].expectation(integrand)
+    du = u_sol.du
+    integrand = np.sum(du * scaled.grad_p_field(du, mu_path), axis=1)
+    integrand -= scaled.hamiltonian_field(du, mu_path)
+    running = np.sum((integrand * m_sol.m).reshape(tg.n_steps + 1, -1), axis=1) * grid.dx**grid.dim
     time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))
-    boundary = m_sol[0].expectation(u_sol.u[0]) - m_sol[n].expectation(u_sol.u[n])
+    boundary = m_sol[0].expectation(u_sol.u[0]) - m_sol[-1].expectation(u_sol.u[-1])
     return abs(boundary - time_integral)

@@ -4,7 +4,7 @@ Exponential Euler in time: the fractional diffusion is applied through the
 exact spectral semigroup, the Hamiltonian is explicit and evaluated at the
 later time level.  One step reads
 
-    u(t) = T(dt) u_next - dt * T(dt) H(x, Du_next, mu_next)
+    u(t) = T(dt) (u_next - dt * H(x, Du_next, mu_next))
 
 which is first order in time and unconditionally stable in the diffusion
 part; the explicit transport term carries the usual advective restriction
@@ -41,9 +41,6 @@ class HjbSolution:
     du: np.ndarray  # (n_steps + 1, dim, *grid.shape)
     diagnostics: HjbDiagnostics | None = None
 
-    def level(self, j: int) -> np.ndarray:
-        return self.u[j]
-
 
 def hjb_step(
     u_next: np.ndarray,
@@ -67,7 +64,8 @@ def hjb_step(
             + ("" if time_index is None else f" at time level {time_index}"),
             time_index=time_index,
         )
-    return grid.semigroup_apply(u_next, dt) - dt * grid.semigroup_apply(h, dt)
+    # T is linear, so T(dt) u - dt T(dt) H is one semigroup application.
+    return grid.semigroup_apply(u_next - dt * h, dt)
 
 
 def solve_backward(
@@ -94,7 +92,7 @@ def solve_backward(
     u[n] = scaled.theta * u_terminal
     du[n] = grid.gradient(u[n])
     for j in range(n - 1, -1, -1):
-        mu_next = mu_path.slices[j + 1]
+        mu_next = mu_path[j + 1]
         speed = float(np.max(np.abs(scaled.grad_p_field(du[j + 1], mu_next))))
         if speed * dt > dx * (1.0 + 1e-12):
             required = int(np.ceil(speed * tg.horizon / dx))

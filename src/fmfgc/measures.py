@@ -9,7 +9,7 @@ entropy-debiased Sinkhorn solver for everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,28 +28,52 @@ MASS_TOL = 1e-10
 CLIP_FLOOR = 1e-15
 
 
+def _checked_density(grid: SpectralGrid, values, lead: tuple[int, ...]) -> np.ndarray:
+    """Read-only copy of values, shape lead + grid.shape, once every slice
+    is checked finite, nonnegative and of unit mass."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != lead + grid.shape:
+        raise GridMismatchError(
+            f"density shape {values.shape} does not match {lead + grid.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise InvalidMeasureError("density contains non-finite values")
+    if np.any(values < 0.0):
+        raise InvalidMeasureError(
+            f"density has negative entries (min {values.min():.3e})"
+        )
+    mass = np.sum(values.reshape(lead + (-1,)), axis=-1) * grid.dx**grid.dim
+    off = np.abs(mass - 1.0) > MASS_TOL
+    if np.any(off):
+        where = f"{mass[off].flat[0]} (slice {np.argmax(off)})"
+        raise InvalidMeasureError(f"total mass {where} deviates from 1 beyond {MASS_TOL}")
+    values = values.copy()
+    values.setflags(write=False)
+    return values
+
+
+def _checked_control(grid: SpectralGrid, density: np.ndarray, alpha) -> np.ndarray:
+    """Read-only copy of alpha, shape (*lead, dim, *grid.shape) for a density
+    of shape (*lead, *grid.shape), once it is checked finite on the support."""
+    alpha = np.asarray(alpha, dtype=float)
+    expected = density.shape[: density.ndim - grid.dim] + (grid.dim,) + grid.shape
+    if alpha.shape != expected:
+        raise GridMismatchError(
+            f"control field shape {alpha.shape} does not match {expected}"
+        )
+    if not np.all(np.all(np.isfinite(alpha), axis=-(grid.dim + 1)) | (density <= 0.0)):
+        raise InvalidMeasureError("control field is non-finite on the support")
+    alpha = alpha.copy()
+    alpha.setflags(write=False)
+    return alpha
+
+
 class GridMeasure:
     """Nonnegative density on a spectral grid with unit total mass."""
 
     def __init__(self, grid: SpectralGrid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise GridMismatchError(
-                f"density shape {values.shape} does not match grid shape {grid.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidMeasureError("density contains non-finite values")
-        if np.any(values < 0.0):
-            raise InvalidMeasureError(
-                f"density has negative entries (min {values.min():.3e})"
-            )
-        mass = float(np.sum(values) * grid.dx**grid.dim)
-        if abs(mass - 1.0) > MASS_TOL:
-            raise InvalidMeasureError(f"total mass {mass} deviates from 1 beyond {MASS_TOL}")
-        values = values.copy()
-        values.setflags(write=False)
+        self.values = _checked_density(grid, values, ())
         self.grid = grid
-        self.values = values
 
     @classmethod
     def uniform(cls, grid: SpectralGrid) -> "GridMeasure":
@@ -65,6 +89,14 @@ class GridMeasure:
             raise InvalidMeasureError("cannot normalize a density with no positive part")
         return cls(grid, clipped / mass)
 
+    @classmethod
+    def view(cls, grid: SpectralGrid, row: np.ndarray) -> "GridMeasure":
+        """Read-only view of a row of a checked (or solver-built) stack; not checked again."""
+        m = object.__new__(cls)
+        m.grid, m.values = grid, np.asarray(row).view()
+        m.values.setflags(write=False)
+        return m
+
     @property
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.dx**self.grid.dim)
@@ -77,7 +109,24 @@ class GridMeasure:
         return float(np.sum(f * self.values) * self.grid.dx**self.grid.dim)
 
 
-class JointControlMeasure:
+class _JointFields:
+    """What a model's field forms read of a joint measure, one slice or a
+    path: grid, density, alpha, mean_control() and with_alpha()."""
+
+    def mean_control(self) -> np.ndarray:
+        """int alpha dmu, shape (dim,) per slice."""
+        grid = self.grid
+        w = np.expand_dims(self.density * grid.dx**grid.dim, -(grid.dim + 1))
+        return np.sum((self.alpha * w).reshape(self.alpha.shape[: -grid.dim] + (-1,)), axis=-1)
+
+    def with_alpha(self, alpha: np.ndarray):
+        """The same density with another control; only the control is checked."""
+        joint = copy.copy(self)
+        joint.alpha = _checked_control(self.grid, self.density, alpha)
+        return joint
+
+
+class JointControlMeasure(_JointFields):
     """Joint state-control measure in graph form (density, control field).
 
     Represents (id, alpha)#m: the state marginal is ``m`` and the control
@@ -86,57 +135,35 @@ class JointControlMeasure:
     """
 
     def __init__(self, m: GridMeasure, alpha: np.ndarray):
-        grid = m.grid
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != (grid.dim,) + grid.shape:
-            raise GridMismatchError(
-                f"control field shape {alpha.shape} does not match {(grid.dim,) + grid.shape}"
-            )
-        support = m.values > 0.0
-        if not np.all(np.isfinite(alpha[:, support])):
-            raise InvalidMeasureError("control field is non-finite on the support")
-        alpha = alpha.copy()
-        alpha.setflags(write=False)
-        self.m = m
-        self.alpha = alpha
+        self.alpha = _checked_control(m.grid, m.values, alpha)
+        self.grid, self.density = m.grid, m.values
 
     @property
-    def grid(self) -> SpectralGrid:
-        return self.m.grid
+    def m(self) -> GridMeasure:
+        return GridMeasure.view(self.grid, self.density)
 
     def control_magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.alpha**2, axis=0))
 
-    def mean_control(self) -> np.ndarray:
-        """int alpha dmu, shape (dim,)."""
-        w = self.m.node_weights()
-        return np.array([float(np.sum(a * w)) for a in self.alpha])
 
+class MeasurePath(_JointFields):
+    """Joint measures at every time node as stacks: ``density`` (n_steps + 1,
+    *grid.shape) and ``alpha`` (n_steps + 1, dim, *grid.shape), checked once
+    with the per-slice rules of GridMeasure and JointControlMeasure."""
 
-class MeasurePath:
-    """Time-indexed sequence of joint measures on a common grid."""
-
-    def __init__(self, time_grid: TimeGrid, slices: list[JointControlMeasure]):
-        if len(slices) != time_grid.n_steps + 1:
-            raise ValueError(
-                f"path has {len(slices)} slices, expected {time_grid.n_steps + 1}"
-            )
-        grid = slices[0].grid
-        for sl in slices:
-            if sl.grid is not grid:
-                raise GridMismatchError("path slices live on different grids")
+    def __init__(
+        self, time_grid: TimeGrid, grid: SpectralGrid, density: np.ndarray, alpha: np.ndarray
+    ):
         self.time_grid = time_grid
-        self.slices = list(slices)
         self.grid = grid
+        self.density = _checked_density(grid, density, (time_grid.n_steps + 1,))
+        self.alpha = _checked_control(grid, self.density, alpha)
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return self.density.shape[0]
 
     def __getitem__(self, j: int) -> JointControlMeasure:
-        return self.slices[j]
-
-    def __iter__(self):
-        return iter(self.slices)
+        return JointControlMeasure(GridMeasure.view(self.grid, self.density[j]), self.alpha[j])
 
 
 # -- moments ---------------------------------------------------------------

@@ -4,6 +4,9 @@ A model exposes two evaluation surfaces: probe form, where states,
 controls and momenta are loose arrays of shape (dim, P), and field form,
 where they are fields on a spectral grid.  Solvers use the field form;
 verification probes (convex conjugacy, growth constants) use probe form.
+A field form takes one time slice (mu a JointControlMeasure) or a whole
+path (mu a MeasurePath, a leading time axis on p); the component axis is
+-(dim + 1), and mu is read through grid, density, alpha, mean_control().
 
 The concrete model is quadratic: running cost
 |alpha + beta int gamma dmu|^2 / 2 + V(x, mu) with V a positive-definite
@@ -63,15 +66,6 @@ class LagrangianModel:
             hess[:, i, :] = (gp - gm) / (2.0 * h[i])
         return 0.5 * (hess + np.swapaxes(hess, 0, 1))
 
-    # -- field forms, default via probes --------------------------------
-
-    def lagrangian_field(self, alpha: np.ndarray, mu: JointControlMeasure) -> np.ndarray:
-        grid = mu.grid
-        flat = self.lagrangian(
-            grid.nodes().reshape(grid.dim, -1), alpha.reshape(grid.dim, -1), mu
-        )
-        return flat.reshape(grid.shape)
-
     def hamiltonian(self, x, p, mu) -> np.ndarray:
         val, _ = legendre_transform(self, x, p, mu)
         return val
@@ -80,20 +74,6 @@ class LagrangianModel:
         # Envelope identity: D_p H = -alpha^* at the conjugacy optimum.
         _, alpha_star = legendre_transform(self, x, p, mu)
         return -alpha_star
-
-    def hamiltonian_field(self, p: np.ndarray, mu: JointControlMeasure) -> np.ndarray:
-        grid = mu.grid
-        flat = self.hamiltonian(
-            grid.nodes().reshape(grid.dim, -1), p.reshape(grid.dim, -1), mu
-        )
-        return flat.reshape(grid.shape)
-
-    def grad_p_field(self, p: np.ndarray, mu: JointControlMeasure) -> np.ndarray:
-        grid = mu.grid
-        flat = self.grad_p(
-            grid.nodes().reshape(grid.dim, -1), p.reshape(grid.dim, -1), mu
-        )
-        return flat.reshape((grid.dim,) + grid.shape)
 
 
 def _geometric_tail(rho: float) -> float:
@@ -153,8 +133,13 @@ class QuadraticModel(LagrangianModel):
 
     def potential_field(self, m: GridMeasure) -> np.ndarray:
         """(kernel * m) on the nodes, exact in the discrete spectrum."""
-        grid = m.grid
-        return np.fft.ifftn(self.kernel_coefficients(grid) * np.fft.fftn(m.values)).real
+        return self._potential(m.grid, m.values)
+
+    def _potential(self, grid: SpectralGrid, density: np.ndarray) -> np.ndarray:
+        """potential_field of one density or of a stack over leading axes."""
+        axes = tuple(range(-grid.dim, 0))
+        fhat = np.fft.fftn(density, axes=axes)
+        return np.fft.ifftn(self.kernel_coefficients(grid) * fhat, axes=axes).real
 
     def potential_at(self, m: GridMeasure, x: np.ndarray) -> np.ndarray:
         """(kernel * m)(x) at arbitrary probe points, shape (P,)."""
@@ -173,20 +158,17 @@ class QuadraticModel(LagrangianModel):
             )
         return (phase @ coeff).real
 
-    def mean_control(self, mu: JointControlMeasure) -> np.ndarray:
-        return mu.mean_control()
-
     # -- probe forms -----------------------------------------------------
 
     def lagrangian(self, x, alpha, mu):
-        abar = self.mean_control(mu)
+        abar = mu.mean_control()
         x = _as_probes(x, self.dim)
         alpha = _as_probes(alpha, self.dim)
         shifted = alpha + self.coupling_beta * abar[:, None]
         return 0.5 * np.sum(shifted**2, axis=0) + self.potential_at(mu.m, x)
 
     def grad_alpha(self, x, alpha, mu):
-        abar = self.mean_control(mu)
+        abar = mu.mean_control()
         alpha = _as_probes(alpha, self.dim)
         return alpha + self.coupling_beta * abar[:, None]
 
@@ -195,7 +177,7 @@ class QuadraticModel(LagrangianModel):
         return np.broadcast_to(np.eye(dim)[:, :, None], (dim, dim, npts)).copy()
 
     def hamiltonian(self, x, p, mu):
-        abar = self.mean_control(mu)
+        abar = mu.mean_control()
         x = _as_probes(x, self.dim)
         p = _as_probes(p, self.dim)
         return (
@@ -205,29 +187,34 @@ class QuadraticModel(LagrangianModel):
         )
 
     def grad_p(self, x, p, mu):
-        abar = self.mean_control(mu)
+        abar = mu.mean_control()
         p = _as_probes(p, self.dim)
         return p + self.coupling_beta * abar[:, None]
 
     # -- field forms -----------------------------------------------------
 
+    def _broadcast_mean(self, mu) -> np.ndarray:
+        """Mean control shaped to broadcast against (..., dim, *grid.shape)."""
+        abar = mu.mean_control()
+        return abar.reshape(abar.shape + (1,) * mu.grid.dim)
+
     def lagrangian_field(self, alpha, mu):
-        abar = self.mean_control(mu)
-        shifted = alpha + abar.reshape((-1,) + (1,) * mu.grid.dim) * self.coupling_beta
-        return 0.5 * np.sum(shifted**2, axis=0) + self.potential_field(mu.m)
+        shifted = alpha + self._broadcast_mean(mu) * self.coupling_beta
+        return (
+            0.5 * np.sum(shifted**2, axis=-(mu.grid.dim + 1))
+            + self._potential(mu.grid, mu.density)
+        )
 
     def hamiltonian_field(self, p, mu):
-        grid = mu.grid
-        abar = self.mean_control(mu).reshape((-1,) + (1,) * grid.dim)
+        axis = -(mu.grid.dim + 1)
         return (
-            0.5 * np.sum(p**2, axis=0)
-            + self.coupling_beta * np.sum(p * abar, axis=0)
-            - self.potential_field(mu.m)
+            0.5 * np.sum(p**2, axis=axis)
+            + self.coupling_beta * np.sum(p * self._broadcast_mean(mu), axis=axis)
+            - self._potential(mu.grid, mu.density)
         )
 
     def grad_p_field(self, p, mu):
-        abar = self.mean_control(mu).reshape((-1,) + (1,) * mu.grid.dim)
-        return p + self.coupling_beta * abar
+        return p + self.coupling_beta * self._broadcast_mean(mu)
 
 
 class ThetaScaledModel:
@@ -248,10 +235,11 @@ class ThetaScaledModel:
         self.q = base.q
         self.q_tilde = base.q_tilde
 
-    def scaled_measure(self, mu: JointControlMeasure) -> JointControlMeasure:
+    def scaled_measure(self, mu):
+        """mu with its control pushed forward by 1/theta; mu is one slice or a path."""
         if self.theta == 1.0:
             return mu
-        return JointControlMeasure(mu.m, mu.alpha / self.theta)
+        return mu.with_alpha(mu.alpha / self.theta)
 
     # -- probe forms -----------------------------------------------------
 
@@ -278,7 +266,7 @@ class ThetaScaledModel:
 
     def hamiltonian_field(self, p, mu):
         if self.theta == 0.0:
-            return np.zeros(mu.grid.shape)
+            return np.zeros(mu.density.shape)
         return self.theta * self.base.hamiltonian_field(p, self.scaled_measure(mu))
 
     def grad_p_field(self, p, mu):

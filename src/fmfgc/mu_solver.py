@@ -1,10 +1,11 @@
-"""Per-time-slice fixed point for the joint state-control measure.
+"""Fixed point for the joint state-control measure.
 
 Given the state density m and the value gradient Du at one time, the
 equilibrium control solves alpha = -D_p H(x, Du(x), mu) with mu the joint
 measure (m, alpha) itself.  A Picard iteration from alpha = 0
 contracts whenever the Hamiltonian's measure dependence is (its modulus
-for the quadratic model is exactly the coupling strength).
+for the quadratic model is exactly the coupling strength).  The slices of
+a path are independent, so a MeasurePath is solved in one stacked loop.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonContractionError
-from .measures import GridMeasure, JointControlMeasure, lambda_inf, lambda_q
+from .errors import GridMismatchError, InvalidFieldError, NonContractionError
+from .measures import GridMeasure, JointControlMeasure, MeasurePath, lambda_inf, lambda_q
 
 
 @dataclass(frozen=True)
@@ -47,38 +48,48 @@ class MuSolveResult:
 
 
 def solve_mu_detailed(
-    m: GridMeasure,
+    m: GridMeasure | MeasurePath,
     du: np.ndarray,
     model,
     config: MuSolveConfig | None = None,
     initial_alpha: np.ndarray | None = None,
 ) -> MuSolveResult:
-    """Fixed-point solve returning the measure plus convergence data."""
+    """Fixed-point solve returning the measure plus convergence data.
+
+    m is one slice (a GridMeasure, started from zero) or a MeasurePath
+    (started from its own controls), unless initial_alpha is given.  A slice
+    stops once it meets the tolerance, so each ends where its own solve
+    would; ``iterations`` is the largest per-slice count."""
     config = config or MuSolveConfig()
     grid = m.grid
-    du = grid.check_vector(du)
+    if not isinstance(m, MeasurePath):
+        m = JointControlMeasure(m, np.zeros((grid.dim,) + grid.shape))
+    mu = m if initial_alpha is None else m.with_alpha(initial_alpha)
+    du = np.asarray(du, dtype=float)
+    if du.shape != mu.alpha.shape:
+        raise GridMismatchError(f"gradient shape {du.shape} does not match {mu.alpha.shape}")
+    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(mu.alpha))):
+        raise InvalidFieldError("gradient or starting control contains non-finite values")
 
     if getattr(model, "theta", 1.0) == 0.0:
         # Trivial scaling limit: zero control, no iteration.
-        mu = JointControlMeasure(m, np.zeros_like(du))
+        mu = mu.with_alpha(np.zeros_like(du))
         return MuSolveResult(mu=mu, iterations=0, residual=0.0, update_norms=())
 
-    if initial_alpha is None:
-        alpha = np.zeros_like(du)
-    else:
-        alpha = grid.check_vector(initial_alpha).astype(float, copy=True)
+    lead = du.shape[: du.ndim - grid.dim - 1]
     updates: list[float] = []
     residual = np.inf
     for it in range(config.max_iterations):
-        mu = JointControlMeasure(m, alpha)
-        defect = alpha + model.grad_p_field(du, mu)
-        residual = float(np.max(np.abs(defect)))
+        defect = mu.alpha + model.grad_p_field(du, mu)
+        per_slice = np.max(np.abs(defect).reshape(lead + (-1,)), axis=-1)
+        residual = float(np.max(per_slice))
         if residual <= config.tolerance:
             return MuSolveResult(
                 mu=mu, iterations=it, residual=residual, update_norms=tuple(updates)
             )
-        alpha = alpha - defect
-        updates.append(float(np.max(np.abs(defect))))
+        active = (per_slice > config.tolerance).reshape(lead + (1,) * (grid.dim + 1))
+        mu = mu.with_alpha(np.where(active, mu.alpha - defect, mu.alpha))
+        updates.append(residual)
 
     ratios = [b / a for a, b in zip(updates, updates[1:]) if a > 0.0]
     ratio = float(ratios[-1]) if ratios else float("nan")
@@ -91,12 +102,12 @@ def solve_mu_detailed(
 
 
 def solve_mu(
-    m: GridMeasure,
+    m: GridMeasure | MeasurePath,
     du: np.ndarray,
     model,
     config: MuSolveConfig | None = None,
     initial_alpha: np.ndarray | None = None,
-) -> JointControlMeasure:
+) -> JointControlMeasure | MeasurePath:
     """The fixed-point measure itself; see solve_mu_detailed for metrics."""
     return solve_mu_detailed(m, du, model, config, initial_alpha).mu
 

@@ -8,6 +8,13 @@ catches that without running a workload.
 
 from pathlib import Path
 
+import numpy as np
+
+from fmfgc import equilibrium
+from fmfgc.fokker_planck import initial_density
+from fmfgc.models import QuadraticModel
+from fmfgc.spectral import SpectralGrid, TimeGrid
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -21,3 +28,37 @@ def test_tracer_resolves_every_wrapped_name(monkeypatch):
     for owner, attr, original, replacement in tracer._patches:
         assert getattr(owner, attr) is original
         assert replacement is not original
+
+
+def test_traced_solve_reaches_every_solver_layer(monkeypatch):
+    # A layer that the solver reaches around a wrapped name would read zero
+    # calls in the traced benchmark; one tiny solve shows each layer is seen.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    grid = SpectralGrid(dim=1, n=16, s=0.75)
+    tg = TimeGrid(horizon=1.0, n_steps=20)
+    model = QuadraticModel(coupling_beta=0.3)
+    m0 = initial_density(grid, "vonmises")
+    u_t = 0.15 * np.cos(2 * np.pi * grid.nodes()[0])
+
+    def solve_and_certify():
+        sol = equilibrium.solve_equilibrium(model, m0, u_t, tg)
+        return equilibrium.equilibrium_certificate(sol, model)
+
+    tracer = tracing.Tracer()
+    tracer.enable()
+    try:
+        tracer.span(solve_and_certify)
+    finally:
+        tracer.disable()
+    calls = tracer.per_trace()[0]["calls"]
+    for name in (
+        "mu_solver.solve_mu",
+        "hjb.solve_backward",
+        "fokker_planck.solve_forward",
+        "fokker_planck.duality_residual",
+        "models.grad_p_field",
+        "measures.w1",
+    ):
+        assert calls.get(name, 0) > 0, name

@@ -26,14 +26,17 @@ class NoCoupling:
     q = 2.0
     q_tilde = 2.0
 
+    # Field forms take one slice (dim, *shape) or a path with a leading
+    # time axis, so components are summed over axis -(dim + 1).
+
     def hamiltonian_field(self, p, mu):
-        return 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=0)
+        return 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=-(mu.grid.dim + 1))
 
     def grad_p_field(self, p, mu):
         return np.asarray(p, dtype=float)
 
     def lagrangian_field(self, alpha, mu):
-        return 0.5 * np.sum(np.asarray(alpha, dtype=float) ** 2, axis=0)
+        return 0.5 * np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-(mu.grid.dim + 1))
 
 
 def small_scenario(n=32, n_steps=50, horizon=0.5):
@@ -79,7 +82,7 @@ def test_theta_zero_base_is_fixed_point():
     assert np.all(base.u_sol.u == 0.0)
     assert all(np.all(mu.alpha == 0.0) for mu in base.mu_path)
     exact = grid.semigroup_apply(m0.values, tg.horizon)
-    assert np.max(np.abs(base.m_path[-1].values - exact)) < 1e-10
+    assert np.max(np.abs(base.m_path[-1] - exact)) < 1e-10
 
     swept = picard_iterate(base, model, LoopConfig())
     assert swept.history[-1].u_change == 0.0
@@ -105,9 +108,9 @@ def test_damping_is_pointwise_convex_combination():
     full = picard_iterate(state, model, cfg, delta=1.0)
     half = picard_iterate(state, model, cfg, delta=0.5)
     for j in (0, tg.n_steps // 2, tg.n_steps):
-        blend = 0.5 * (state.m_path[j].values + full.m_path[j].values)
-        assert np.max(np.abs(half.m_path[j].values - blend)) < 1e-14
-        assert abs(half.m_path[j].mass - 1.0) < 1e-12
+        blend = 0.5 * (state.m_path[j] + full.m_path[j])
+        assert np.max(np.abs(half.m_path[j] - blend)) < 1e-14
+        assert abs(np.sum(half.m_path[j]) * grid.dx - 1.0) < 1e-12
 
 
 def test_decoupled_model_control_is_minus_gradient():

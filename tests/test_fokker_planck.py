@@ -9,7 +9,7 @@ from fmfgc.fokker_planck import (
     solve_forward,
 )
 from fmfgc.hjb import solve_backward
-from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
+from fmfgc.measures import GridMeasure, MeasurePath
 from fmfgc.models import QuadraticModel, coerce_theta
 from fmfgc.mu_solver import solve_mu
 from fmfgc.spectral import SpectralGrid, TimeGrid
@@ -91,7 +91,7 @@ def test_solve_forward_traces_random_drift(grid):
     assert np.all(sol.preclip_min_trace >= -1e-12)
     assert np.max(sol.advect_drift_trace) <= 1e-12
     assert np.sum(sol.advect_drift_trace) <= 1e-10
-    assert len(sol.densities) == 101
+    assert sol.m.shape == (101, grid.n)
 
 
 def test_pure_diffusion_matches_semigroup(grid):
@@ -115,8 +115,7 @@ def test_divergence_free_2d_uniform_invariant():
     tg = TimeGrid(horizon=0.05, n_steps=20)
     b_path = np.broadcast_to(b, (21,) + b.shape).copy()
     sol = solve_forward(b_path, GridMeasure.uniform(grid), tg)
-    for d in sol.densities:
-        assert np.max(np.abs(d.values - 1.0)) < 1e-10
+    assert np.max(np.abs(sol.m - 1.0)) < 1e-10
 
 
 def test_sup_norm_comparison_bound(grid):
@@ -134,7 +133,7 @@ def test_l2_dissipation_zero_drift(grid):
     sol = solve_forward(
         np.zeros((41, 1, grid.n)), initial_density(grid, "twobump"), tg
     )
-    norms = [np.sqrt(np.sum(d.values**2) * grid.dx) for d in sol.densities]
+    norms = [np.sqrt(np.sum(d**2) * grid.dx) for d in sol.m]
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
 
@@ -185,17 +184,18 @@ class ConstH:
         self.c = c
 
     def hamiltonian_field(self, p, mu):
-        return np.full(mu.grid.shape, self.c)
+        return np.full(mu.density.shape, self.c)
 
     def grad_p_field(self, p, mu):
         return np.zeros_like(np.asarray(p, dtype=float))
 
 
-def frozen_path(grid, tg, m, alpha=None):
-    if alpha is None:
-        alpha = np.zeros((grid.dim,) + grid.shape)
-    mu = JointControlMeasure(m, alpha)
-    return MeasurePath(tg, [mu] * (tg.n_steps + 1))
+def frozen_path(grid, tg, m):
+    n = tg.n_steps + 1
+    return MeasurePath(
+        tg, grid, np.broadcast_to(m.values, (n,) + grid.shape),
+        np.zeros((n, grid.dim) + grid.shape),
+    )
 
 
 def test_duality_theta_zero_exact(grid):
@@ -230,7 +230,10 @@ def test_duality_frozen_mu_smoke(grid):
     u_t = 0.1 * np.cos(2 * np.pi * x)
     du_t = np.stack([-0.2 * np.pi * np.sin(2 * np.pi * x)])
     mu = solve_mu(m0, du_t, model)
-    mu_path = MeasurePath(tg, [mu] * 101)
+    mu_path = MeasurePath(
+        tg, grid, np.broadcast_to(mu.density, (101, grid.n)),
+        np.broadcast_to(mu.alpha, (101, 1, grid.n)),
+    )
     u_sol = solve_backward(model, mu_path, u_t, theta=1.0)
     scaled = coerce_theta(model, 1.0)
     b_path = np.stack(

@@ -45,7 +45,11 @@ def uniform_mu(grid):
 
 
 def constant_path(time_grid, mu):
-    return MeasurePath(time_grid, [mu] * (time_grid.n_steps + 1))
+    n = time_grid.n_steps + 1
+    return MeasurePath(
+        time_grid, mu.grid, np.broadcast_to(mu.density, (n,) + mu.grid.shape),
+        np.broadcast_to(mu.alpha, (n,) + mu.alpha.shape),
+    )
 
 
 @pytest.fixture

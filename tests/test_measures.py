@@ -100,11 +100,65 @@ def test_joint_measure_validation():
 def test_measure_path_shape_checks():
     g = SpectralGrid(1, 16, 0.75)
     tg = TimeGrid(1.0, 3)
-    mu = JointControlMeasure(GridMeasure.uniform(g), np.zeros((1, 16)))
-    with pytest.raises(ValueError):
-        MeasurePath(tg, [mu, mu])
-    path = MeasurePath(tg, [mu] * 4)
+    with pytest.raises(GridMismatchError):
+        MeasurePath(tg, g, np.ones((2, 16)), np.zeros((2, 1, 16)))
+    with pytest.raises(GridMismatchError):
+        MeasurePath(tg, g, np.ones((4, 16)), np.zeros((4, 16)))
+    path = MeasurePath(tg, g, np.ones((4, 16)), np.zeros((4, 1, 16)))
     assert len(path) == 4
+    sl = path[2]
+    assert isinstance(sl, JointControlMeasure)
+    assert sl.grid is g and sl.m.mass == pytest.approx(1.0)
+    assert not sl.alpha.flags.writeable and not sl.density.flags.writeable
+    assert path.mean_control().shape == (4, 1)
+
+
+def _one_bad_slice(g, n_slices, j, edit):
+    rng = np.random.default_rng(41)
+    density = np.stack([smooth_density(g, rng) for _ in range(n_slices)])
+    alpha = rng.uniform(-1.0, 1.0, (n_slices, g.dim) + g.shape)
+    edit(density[j], alpha[j])
+    return density, alpha
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_measure_path_rejects_one_bad_slice(dim):
+    # The stack check applies the per-slice rules of GridMeasure and
+    # JointControlMeasure to every slice, so one bad slice is enough.
+    g = SpectralGrid(dim, 16, 0.75)
+    tg = TimeGrid(1.0, 4)
+
+    def negative(m, a):
+        m.flat[3] = -1e-3
+
+    def mass_off(m, a):
+        m *= 1.0 + 1e-6
+
+    def control_nan_on_support(m, a):
+        a.flat[5] = np.nan
+
+    for edit, message in (
+        (negative, "negative"),
+        (mass_off, "mass .*slice 3"),
+        (control_nan_on_support, "non-finite on the support"),
+    ):
+        density, alpha = _one_bad_slice(g, 5, 3, edit)
+        with pytest.raises(InvalidMeasureError, match=message):
+            MeasurePath(tg, g, density, alpha)
+
+    def control_inf_off_support(m, a):
+        m.flat[7] = 0.0
+        m /= np.sum(m) * g.dx**dim
+        a[(0,) + np.unravel_index(7, g.shape)] = np.inf
+
+    density, alpha = _one_bad_slice(g, 5, 3, control_inf_off_support)
+    path = MeasurePath(tg, g, density, alpha)
+    # the same rules as one slice at a time
+    for j in range(5):
+        JointControlMeasure(GridMeasure(g, density[j]), alpha[j])
+    assert np.isinf(path.alpha).sum() == 1
+    with pytest.raises(InvalidMeasureError):
+        path.with_alpha(np.full_like(alpha, np.nan))
 
 
 def test_lambda_moments():

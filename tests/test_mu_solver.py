@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from fmfgc.errors import NonContractionError
-from fmfgc.measures import GridMeasure, JointControlMeasure, lambda_inf, lambda_q
+from fmfgc.measures import (
+    GridMeasure,
+    JointControlMeasure,
+    MeasurePath,
+    lambda_inf,
+    lambda_q,
+)
 from fmfgc.models import QuadraticModel, ThetaScaledModel
 from fmfgc.mu_solver import (
     MuSolveConfig,
@@ -10,7 +16,7 @@ from fmfgc.mu_solver import (
     solve_mu,
     solve_mu_detailed,
 )
-from fmfgc.spectral import SpectralGrid
+from fmfgc.spectral import SpectralGrid, TimeGrid
 
 from helpers import smooth_density
 
@@ -105,6 +111,38 @@ def test_uniqueness_from_two_starts(grid):
         m, du, model, cfg, initial_alpha=rng.uniform(-1.0, 1.0, size=(1, grid.n))
     )
     assert np.max(np.abs(mu_zero.alpha - mu_rand.alpha)) <= 2 * cfg.tolerance
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_path_solve_matches_slice_solves(grid, theta):
+    # One path solve iterates every slice together from the path's own
+    # controls; each slice must land where its own solve lands.
+    model = ThetaScaledModel(QuadraticModel(coupling_beta=0.45), theta)
+    rng = np.random.default_rng(37)
+    tg = TimeGrid(horizon=1.0, n_steps=5)
+    x = grid.nodes()[0]
+    density = np.stack([smooth_density(grid, rng) for _ in range(6)])
+    du = np.stack(
+        [[rng.uniform(-1, 1) + np.sin(2 * np.pi * (x + rng.random()))] for _ in range(6)]
+    )
+    alpha0 = rng.uniform(-1.0, 1.0, (6, 1, grid.n))
+    alpha0[2] = -theta * du[2]  # near its fixed point: fewer iterations
+    cfg = MuSolveConfig(tolerance=1e-11)
+
+    path = solve_mu_detailed(MeasurePath(tg, grid, density, alpha0), du, model, cfg)
+    singles = [
+        solve_mu_detailed(GridMeasure(grid, density[j]), du[j], model, cfg, alpha0[j])
+        for j in range(6)
+    ]
+    assert isinstance(path.mu, MeasurePath)
+    for j, one in enumerate(singles):
+        assert np.max(np.abs(path.mu.alpha[j] - one.mu.alpha)) <= cfg.tolerance
+    counts = [one.iterations for one in singles]
+    assert len(set(counts)) > 1
+    assert path.iterations == max(counts)
+    assert path.residual <= cfg.tolerance
+    defect = path.mu.alpha + model.grad_p_field(du, path.mu)
+    assert np.max(np.abs(defect)) <= cfg.tolerance
 
 
 class _Expanding:
