@@ -26,7 +26,6 @@ from .measures import (
     GridMeasure,
     JointControlMeasure,
     MeasurePath,
-    joint_wasserstein,
     lambda_inf,
     lambda_q,
     wasserstein_1d,
@@ -74,7 +73,6 @@ __all__ = [
     "hjb_diagnostics",
     "holder_wasserstein_check",
     "initial_density",
-    "joint_wasserstein",
     "lambda_inf",
     "lambda_q",
     "parse_config",

@@ -121,6 +121,7 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     }
 
     fp = solution.m_sol
+    lam = lambda_q(solution.mu_path, 2.0)
     rows = []
     for j in range(n + 1):
         rows.append(
@@ -134,7 +135,7 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
                 repr(float(np.max(np.abs(solution.u_sol.u[j])))),
                 repr(float(np.max(np.abs(solution.u_sol.du[j])))),
                 repr(float(np.max(np.abs(alpha[j])))),
-                repr(lambda_q(solution.mu_path[j], 2.0)),
+                repr(float(lam[j])),
             ]
         )
     paths["diagnostics"] = write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, rows)
@@ -158,7 +159,7 @@ def emit_theta_table(stages, outdir: str | Path) -> Path:
     rows = []
     for stage in stages:
         diag = hjb_diagnostics(stage.u_sol)
-        lam = max(lambda_q(mu, 2.0) for mu in stage.mu_path)
+        lam = float(np.max(lambda_q(stage.mu_path, 2.0)))
         rows.append(
             [
                 repr(stage.theta),

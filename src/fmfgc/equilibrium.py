@@ -24,7 +24,6 @@ from .measures import (
     GridMeasure,
     MeasurePath,
     coordinate_marginals,
-    lambda_q,
     monotonicity_pairing,
     wasserstein_1d,
 )
@@ -141,11 +140,10 @@ def picard_iterate(
 
     u_change = float(np.max(np.abs(u_new.u - state.u_sol.u)))
     m_change = max(
-        wasserstein_1d(a, b, r=1.0)
-        for j, old in enumerate(state.m_path)
+        float(np.max(wasserstein_1d(a, b)))
         for a, b in zip(
-            coordinate_marginals(GridMeasure.view(state.grid, old)),
-            coordinate_marginals(m_new[j]),
+            coordinate_marginals(GridMeasure.view(state.grid, state.m_path)),
+            coordinate_marginals(GridMeasure.view(state.grid, m_new.m)),
         )
     )
     if delta == 1.0:
@@ -343,11 +341,7 @@ def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCerti
 
     defect = sol.mu_path.alpha + scaled.grad_p_field(sol.u_sol.du, sol.mu_path)
     exploit = float(np.max(np.abs(defect)))
-    lam_sup = 0.0
-    moments_ok = True
-    for mu, du in zip(sol.mu_path, sol.u_sol.du):
-        lam_sup = max(lam_sup, lambda_q(mu, scaled.q_tilde))
-        moments_ok = moments_ok and moment_certificate(mu, du, scaled).ok
+    moments = moment_certificate(sol.mu_path, sol.u_sol.du, scaled)
 
     mono_min = np.inf
     if sol.baseline_mu is not None and sol.theta > 0.0:
@@ -364,6 +358,6 @@ def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCerti
         duality=duality,
         exploitability=exploit,
         monotonicity_min=float(mono_min),
-        lambda_sup=lam_sup,
-        moments_ok=moments_ok,
+        lambda_sup=float(np.max(moments.lambda_qt)),
+        moments_ok=moments.ok,
     )

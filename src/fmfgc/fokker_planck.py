@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CflError, ConservationError
+from .errors import CflError, ConservationError, GridMismatchError
 from .measures import GridMeasure
 from .models import coerce_theta
 from .spectral import SpectralGrid, TimeGrid
@@ -62,6 +62,8 @@ def fp_step(m: GridMeasure, b: np.ndarray, dt: float) -> GridMeasure:
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     b = m.grid.check_vector(b)
+    if b.ndim != m.grid.dim + 1:
+        raise GridMismatchError(f"one step takes one drift field, got shape {b.shape}")
     return GridMeasure(m.grid, _step(m.values, b, dt, m.grid)[0])
 
 
@@ -125,10 +127,7 @@ def solve_forward(
             required_steps=required,
         )
 
-    div_neg = 0.0
-    for j in range(n + 1):
-        div = grid.divergence(b_path[j])
-        div_neg = max(div_neg, float(np.max(np.maximum(-div, 0.0))))
+    div_neg = float(np.max(np.maximum(-grid.divergence(b_path), 0.0)))
 
     m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
@@ -144,7 +143,7 @@ def solve_forward(
         time_grid=time_grid,
         grid=grid,
         m=m,
-        mass_trace=np.sum(rows, axis=1) * grid.dx**grid.dim,
+        mass_trace=grid.integrate(m),
         min_trace=np.min(rows, axis=1),
         preclip_min_trace=preclip,
         advect_drift_trace=advect_drift,
@@ -190,7 +189,7 @@ def duality_residual(u_sol, m_sol: FpSolution, mu_path, model, theta: float) -> 
     du = u_sol.du
     integrand = np.sum(du * scaled.grad_p_field(du, mu_path), axis=1)
     integrand -= scaled.hamiltonian_field(du, mu_path)
-    running = np.sum((integrand * m_sol.m).reshape(tg.n_steps + 1, -1), axis=1) * grid.dx**grid.dim
+    running = grid.integrate(integrand * m_sol.m)
     time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))
     boundary = m_sol[0].expectation(u_sol.u[0]) - m_sol[-1].expectation(u_sol.u[-1])
     return abs(boundary - time_integral)

@@ -1,10 +1,15 @@
-"""Probability measures on the grid and transport distances between them.
+"""Probability measures on the grid and the transport distance between them.
 
 Two measure types appear throughout: plain densities on the spatial grid,
 and joint state-control measures stored in graph form (a density together
-with the control field on its support).  Distances: exact Wasserstein on
-the circle via the cumulative-distribution offset formula, and an
-entropy-debiased Sinkhorn solver for everything else.
+with the control field on its support).  A MeasurePath holds a whole path
+as stacks with time as the leading axis.  The constructors check what
+callers pass in; what the solver derives from checked data (the slices of
+a path, the rows of a density stack, the coordinate marginals) comes back
+as read-only views that are not checked again.  The moments and W1 take
+one slice or a stack and return a float or one value per slice.  The
+distance is exact W1 on the circle via the cumulative-distribution offset
+formula; in d = 2 it is taken per coordinate marginal.
 """
 
 from __future__ import annotations
@@ -12,20 +17,16 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 from .errors import (
-    ConvergenceError,
     DegenerateMeasureError,
     GridMismatchError,
     InvalidMeasureError,
     MassMismatchError,
 )
-from .spectral import SpectralGrid, TimeGrid, periodic_delta
+from .spectral import SpectralGrid, TimeGrid
 
 MASS_TOL = 1e-10
-CLIP_FLOOR = 1e-15
 
 
 def _checked_density(grid: SpectralGrid, values, lead: tuple[int, ...]) -> np.ndarray:
@@ -42,7 +43,7 @@ def _checked_density(grid: SpectralGrid, values, lead: tuple[int, ...]) -> np.nd
         raise InvalidMeasureError(
             f"density has negative entries (min {values.min():.3e})"
         )
-    mass = np.sum(values.reshape(lead + (-1,)), axis=-1) * grid.dx**grid.dim
+    mass = np.asarray(grid.integrate(values))
     off = np.abs(mass - 1.0) > MASS_TOL
     if np.any(off):
         where = f"{mass[off].flat[0]} (slice {np.argmax(off)})"
@@ -90,28 +91,34 @@ class GridMeasure:
         return cls(grid, clipped / mass)
 
     @classmethod
-    def view(cls, grid: SpectralGrid, row: np.ndarray) -> "GridMeasure":
-        """Read-only view of a row of a checked (or solver-built) stack; not checked again."""
+    def view(cls, grid: SpectralGrid, values: np.ndarray) -> "GridMeasure":
+        """Read-only view of a checked (or solver-built) density or stack of
+        densities, such as one row of a path or the whole path; not checked again."""
         m = object.__new__(cls)
-        m.grid, m.values = grid, np.asarray(row).view()
+        m.grid, m.values = grid, np.asarray(values).view()
         m.values.setflags(write=False)
         return m
 
     @property
     def mass(self) -> float:
-        return float(np.sum(self.values) * self.grid.dx**self.grid.dim)
+        return self.grid.integrate(self.values)
 
     def node_weights(self) -> np.ndarray:
         """Probability weight carried by each node."""
         return self.values * self.grid.dx**self.grid.dim
 
     def expectation(self, f: np.ndarray) -> float:
-        return float(np.sum(f * self.values) * self.grid.dx**self.grid.dim)
+        return self.grid.integrate(f * self.values)
 
 
 class _JointFields:
-    """What a model's field forms read of a joint measure, one slice or a
-    path: grid, density, alpha, mean_control() and with_alpha()."""
+    """What the moments and a model's field forms read of a joint measure,
+    one slice or a path: grid, density, alpha, control_magnitude() and
+    mean_control(); with_alpha() swaps in another, checked control."""
+
+    def control_magnitude(self) -> np.ndarray:
+        """|alpha| at every node, per slice."""
+        return np.sqrt(np.sum(self.alpha**2, axis=-(self.grid.dim + 1)))
 
     def mean_control(self) -> np.ndarray:
         """int alpha dmu, shape (dim,) per slice."""
@@ -142,9 +149,6 @@ class JointControlMeasure(_JointFields):
     def m(self) -> GridMeasure:
         return GridMeasure.view(self.grid, self.density)
 
-    def control_magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.alpha**2, axis=0))
-
 
 class MeasurePath(_JointFields):
     """Joint measures at every time node as stacks: ``density`` (n_steps + 1,
@@ -163,28 +167,34 @@ class MeasurePath(_JointFields):
         return self.density.shape[0]
 
     def __getitem__(self, j: int) -> JointControlMeasure:
-        return JointControlMeasure(GridMeasure.view(self.grid, self.density[j]), self.alpha[j])
+        """Read-only view of slice j; not checked again."""
+        mu = object.__new__(JointControlMeasure)
+        mu.grid, mu.density, mu.alpha = self.grid, self.density[j], self.alpha[j]
+        return mu
 
 
 # -- moments ---------------------------------------------------------------
 
 
-def lambda_q(mu: JointControlMeasure, q_tilde: float) -> float:
-    """Control moment ( int |alpha|^{q_tilde} dmu )^{1/q_tilde}."""
+def lambda_q(mu: JointControlMeasure | MeasurePath, q_tilde: float):
+    """Control moment ( int |alpha|^{q_tilde} dmu )^{1/q_tilde}: a float for
+    one slice, one value per slice for a path."""
     if q_tilde < 1.0:
         raise ValueError(f"moment exponent must be >= 1, got {q_tilde}")
-    mag = mu.control_magnitude()
-    return float(mu.m.expectation(mag**q_tilde) ** (1.0 / q_tilde))
+    moment = mu.grid.integrate(mu.control_magnitude() ** q_tilde * mu.density)
+    return moment ** (1.0 / q_tilde)
 
 
-def lambda_inf(mu: JointControlMeasure, support_threshold: float = 0.0) -> float:
-    """Largest control magnitude on the thresholded support of the density."""
-    mask = mu.m.values > support_threshold
-    if not np.any(mask):
+def lambda_inf(mu: JointControlMeasure | MeasurePath, support_threshold: float = 0.0):
+    """Largest control magnitude on the thresholded support of the density,
+    per slice; every slice needs a node above the threshold."""
+    axes = tuple(range(-mu.grid.dim, 0))
+    mask = mu.density > support_threshold
+    if not np.all(np.any(mask, axis=axes)):
         raise DegenerateMeasureError(
             f"no nodes with density above threshold {support_threshold}"
         )
-    return float(np.max(mu.control_magnitude()[mask]))
+    return np.max(np.where(mask, mu.control_magnitude(), -np.inf), axis=axes)
 
 
 # -- exact transport on the circle ----------------------------------------
@@ -193,199 +203,39 @@ def lambda_inf(mu: JointControlMeasure, support_threshold: float = 0.0) -> float
 def coordinate_marginals(m: GridMeasure) -> list[GridMeasure]:
     """The one-dimensional marginals of m, one per axis; [m] itself in d = 1.
 
-    The max of exact W1 over these is the W1 figure used in d = 2; it is
-    a lower bound on the true W1 there."""
+    m holds one density or a stack; the marginals are views on the grid's
+    line grid.  The max of exact W1 over these is the W1 figure used in
+    d = 2; it is a lower bound on the true W1 there."""
     grid = m.grid
     if grid.dim == 1:
         return [m]
-    line = SpectralGrid(dim=1, n=grid.n, s=grid.s)
     return [
-        GridMeasure(line, np.sum(m.values, axis=1 - axis) * grid.dx)
+        GridMeasure.view(grid.line, np.sum(m.values, axis=-1 - axis) * grid.dx)
         for axis in range(2)
     ]
 
 
-def wasserstein_1d(m1: GridMeasure, m2: GridMeasure, r: float = 1.0) -> float:
-    """Exact W_r between densities on the 1-D torus.
+def wasserstein_1d(m1: GridMeasure, m2: GridMeasure):
+    """Exact W1 between densities on the 1-D torus, along the last axis.
 
-    Uses the circle formula W_r^r = min_c int_0^1 |F1 - F2 - c|^r dx with
-    F the cumulative distributions; for r = 1 the optimal offset is the
-    median of F1 - F2.
+    Uses the circle formula W1 = min_c int_0^1 |F1 - F2 - c| dx with F the
+    cumulative distributions; the optimal offset is the median of F1 - F2.
+    Returns a float for one pair of densities and one value per slice for
+    stacks; the masses must agree slice by slice.
     """
     if m1.grid.dim != 1 or m2.grid.dim != 1:
         raise GridMismatchError("exact transport requires one-dimensional grids")
     if m1.grid.shape != m2.grid.shape:
         raise GridMismatchError("measures live on different grids")
-    if r < 1.0:
-        raise ValueError(f"transport exponent must be >= 1, got {r}")
     w1 = m1.node_weights()
     w2 = m2.node_weights()
-    if abs(w1.sum() - w2.sum()) > 1e-8:
-        raise MassMismatchError(
-            f"mass mismatch {abs(w1.sum() - w2.sum()):.3e} exceeds 1e-8"
-        )
-    diff = np.cumsum(w1 - w2)
-    if r == 1.0:
-        c = float(np.median(diff))
-        return float(np.sum(np.abs(diff - c)) * m1.grid.dx)
-
-    def cost(c: float) -> float:
-        return float(np.sum(np.abs(diff - c) ** r))
-
-    res = minimize_scalar(
-        cost, bounds=(float(diff.min()), float(diff.max())), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float((res.fun * m1.grid.dx) ** (1.0 / r))
-
-
-# -- entropic transport ----------------------------------------------------
-
-
-def _sinkhorn_log(
-    a: np.ndarray,
-    b: np.ndarray,
-    cost: np.ndarray,
-    eps: float,
-    max_iterations: int,
-    marginal_tol: float,
-) -> float:
-    """Log-domain Sinkhorn; returns the transport cost <pi, C>.
-
-    Converged when the L1 defect of the row marginal drops below
-    ``marginal_tol``; raises otherwise with the defect attached.
-    Symmetric problems (equal weights, symmetric cost) take the averaged
-    update f <- (f + T f)/2: the plain alternating iteration oscillates
-    there and stalls orders of magnitude above the tolerance.
-    """
-    log_a = np.log(a)
-    log_b = np.log(b)
-    symmetric = (
-        a.shape == b.shape
-        and np.array_equal(a, b)
-        and np.array_equal(cost, cost.T)
-    )
-    f = np.zeros_like(a)
-    g = np.zeros_like(b)
-    residual = np.inf
-    for it in range(1, max_iterations + 1):
-        if symmetric:
-            upd = -eps * logsumexp((f[None, :] - cost) / eps + log_a[None, :], axis=1)
-            f = 0.5 * (f + upd)
-            g = f
-        else:
-            f = -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
-            g = -eps * logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
-        if it % 5 == 0 or it == max_iterations:
-            log_pi = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
-            row = np.exp(logsumexp(log_pi, axis=1))
-            residual = float(np.sum(np.abs(row - a)))
-            if residual < marginal_tol:
-                pi = np.exp(log_pi)
-                return float(np.sum(pi * cost))
-    raise ConvergenceError(
-        f"Sinkhorn did not reach marginal defect {marginal_tol} in "
-        f"{max_iterations} iterations (residual {residual:.3e})",
-        residual=residual,
-    )
-
-
-def _support_weights(m: GridMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Node weights with sub-threshold mass removed, plus support indices."""
-    w = m.node_weights().ravel()
-    w = np.where(w < CLIP_FLOOR, 0.0, w)
-    total = w.sum()
-    if total <= 0.0:
-        raise DegenerateMeasureError("measure has no mass above the clip floor")
-    w = w / total
-    idx = np.nonzero(w)[0]
-    return w[idx], idx
-
-
-def _node_coordinates(grid: SpectralGrid) -> np.ndarray:
-    return grid.nodes().reshape(grid.dim, -1).T  # (n^d, dim)
-
-
-def wasserstein_sinkhorn(
-    m1: GridMeasure,
-    m2: GridMeasure,
-    r: float = 1.0,
-    eps: float | None = None,
-    max_iterations: int = 10_000,
-    marginal_tol: float = 1e-9,
-) -> float:
-    """Debiased entropic W_r estimate between grid densities.
-
-    The Sinkhorn divergence S = OT(a,b) - (OT(a,a) + OT(b,b))/2 removes
-    the leading entropic bias; the result is clipped at zero before the
-    1/r root.  Default regularization is 1e-2 times diameter^r.
-    """
-    if m1.grid.shape != m2.grid.shape or m1.grid.dim != m2.grid.dim:
-        raise GridMismatchError("measures live on different grids")
-    if r < 1.0:
-        raise ValueError(f"transport exponent must be >= 1, got {r}")
-    grid = m1.grid
-    if eps is None:
-        eps = 1e-2 * (np.sqrt(grid.dim) / 2.0) ** r
-
-    a, ia = _support_weights(m1)
-    b, ib = _support_weights(m2)
-    xs = _node_coordinates(grid)
-    x1, x2 = xs[ia], xs[ib]
-
-    def ground(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        delta = periodic_delta(u[:, None, :], v[None, :, :])
-        return np.sqrt(np.sum(delta**2, axis=2)) ** r
-
-    ot_ab = _sinkhorn_log(a, b, ground(x1, x2), eps, max_iterations, marginal_tol)
-    ot_aa = _sinkhorn_log(a, a, ground(x1, x1), eps, max_iterations, marginal_tol)
-    ot_bb = _sinkhorn_log(b, b, ground(x2, x2), eps, max_iterations, marginal_tol)
-    val = max(ot_ab - 0.5 * (ot_aa + ot_bb), 0.0)
-    return float(val ** (1.0 / r))
-
-
-def joint_wasserstein(
-    mu1: JointControlMeasure,
-    mu2: JointControlMeasure,
-    r: float = 1.0,
-    eps: float | None = None,
-    max_iterations: int = 10_000,
-    marginal_tol: float = 1e-9,
-) -> float:
-    """Debiased entropic W_r between joint state-control measures.
-
-    Ground cost dist_torus(x, y)^r + |alpha1(x) - alpha2(y)|^r on the
-    product of the supports.
-    """
-    if mu1.grid.shape != mu2.grid.shape or mu1.grid.dim != mu2.grid.dim:
-        raise GridMismatchError("measures live on different grids")
-    if r < 1.0:
-        raise ValueError(f"transport exponent must be >= 1, got {r}")
-    grid = mu1.grid
-
-    a, ia = _support_weights(mu1.m)
-    b, ib = _support_weights(mu2.m)
-    xs = _node_coordinates(grid)
-    al1 = mu1.alpha.reshape(grid.dim, -1).T[ia]
-    al2 = mu2.alpha.reshape(grid.dim, -1).T[ib]
-    x1, x2 = xs[ia], xs[ib]
-
-    if eps is None:
-        spread = float(np.max(np.linalg.norm(al1, axis=1), initial=0.0)
-                       + np.max(np.linalg.norm(al2, axis=1), initial=0.0))
-        eps = 1e-2 * (np.sqrt(grid.dim) / 2.0 + spread) ** r
-
-    def joint_cost(u, cu, v, cv):
-        delta = periodic_delta(u[:, None, :], v[None, :, :])
-        dx = np.sqrt(np.sum(delta**2, axis=2))
-        da = np.sqrt(np.sum((cu[:, None, :] - cv[None, :, :]) ** 2, axis=2))
-        return dx**r + da**r
-
-    ot_ab = _sinkhorn_log(a, b, joint_cost(x1, al1, x2, al2), eps, max_iterations, marginal_tol)
-    ot_aa = _sinkhorn_log(a, a, joint_cost(x1, al1, x1, al1), eps, max_iterations, marginal_tol)
-    ot_bb = _sinkhorn_log(b, b, joint_cost(x2, al2, x2, al2), eps, max_iterations, marginal_tol)
-    val = max(ot_ab - 0.5 * (ot_aa + ot_bb), 0.0)
-    return float(val ** (1.0 / r))
+    gap = np.abs(w1.sum(axis=-1) - w2.sum(axis=-1))
+    if np.any(gap > 1e-8):
+        raise MassMismatchError(f"mass mismatch {np.max(gap):.3e} exceeds 1e-8")
+    diff = np.cumsum(w1 - w2, axis=-1)
+    c = np.median(diff, axis=-1, keepdims=True)
+    w = np.sum(np.abs(diff - c), axis=-1) * m1.grid.dx
+    return float(w) if w.ndim == 0 else w
 
 
 # -- structural pairing ----------------------------------------------------

@@ -17,6 +17,7 @@ against.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,10 +237,16 @@ class ThetaScaledModel:
         self.q_tilde = base.q_tilde
 
     def scaled_measure(self, mu):
-        """mu with its control pushed forward by 1/theta; mu is one slice or a path."""
+        """mu with its control pushed forward by 1/theta; mu is one slice or a path.
+
+        Not checked again: a control finite on the support stays finite
+        there when divided by theta in (0, 1]."""
         if self.theta == 1.0:
             return mu
-        return mu.with_alpha(mu.alpha / self.theta)
+        scaled = copy.copy(mu)
+        scaled.alpha = mu.alpha / self.theta
+        scaled.alpha.setflags(write=False)
+        return scaled
 
     # -- probe forms -----------------------------------------------------
 
@@ -276,7 +283,7 @@ class ThetaScaledModel:
 
     def lagrangian_field(self, alpha, mu):
         if self.theta == 0.0:
-            mag = np.sum(np.asarray(alpha, dtype=float) ** 2, axis=0)
+            mag = np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-(mu.grid.dim + 1))
             return np.where(mag == 0.0, 0.0, np.inf)
         return self.theta * self.base.lagrangian_field(
             np.asarray(alpha, dtype=float) / self.theta, self.scaled_measure(mu)

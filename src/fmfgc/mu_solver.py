@@ -118,7 +118,9 @@ class MomentCertificate:
 
     ``bound_q`` is 4 C0^2 + qt^{q-1} (2 C0)^q / q * ||Du||_{L^q(m)}^q for
     Lambda_qt^qt, ``bound_inf`` is C0 (1 + ||Du||_inf + Lambda_qt) for
-    Lambda_inf; report-only, callers decide how to act.
+    Lambda_inf; report-only, callers decide how to act.  For a path every
+    field holds one value per slice, and the checks hold when every slice
+    passes.
     """
 
     lambda_qt: float
@@ -130,11 +132,11 @@ class MomentCertificate:
 
     @property
     def q_ok(self) -> bool:
-        return self.lambda_qt ** self._qt <= self.bound_q * (1.0 + 1e-12)
+        return bool(np.all(self.lambda_qt ** self._qt <= self.bound_q * (1.0 + 1e-12)))
 
     @property
     def inf_ok(self) -> bool:
-        return self.lambda_inf <= self.bound_inf * (1.0 + 1e-12)
+        return bool(np.all(self.lambda_inf <= self.bound_inf * (1.0 + 1e-12)))
 
     @property
     def ok(self) -> bool:
@@ -144,15 +146,17 @@ class MomentCertificate:
 
 
 def moment_certificate(
-    mu: JointControlMeasure, du: np.ndarray, model
+    mu: JointControlMeasure | MeasurePath, du: np.ndarray, model
 ) -> MomentCertificate:
-    """Evaluate the slice moment bounds for a solved joint measure."""
+    """Evaluate the moment bounds of a solved joint measure, per slice of a path."""
     grid = mu.grid
     du = grid.check_vector(du)
+    if du.shape != mu.alpha.shape:
+        raise GridMismatchError(f"gradient shape {du.shape} does not match {mu.alpha.shape}")
     q, qt, c0 = model.q, model.q_tilde, model.C0
-    du_mag = np.sqrt(np.sum(du**2, axis=0))
-    du_sup = float(np.max(du_mag))
-    du_lq = float(mu.m.expectation(du_mag**q) ** (1.0 / q))
+    du_mag = np.sqrt(np.sum(du**2, axis=-(grid.dim + 1)))
+    du_sup = np.max(du_mag, axis=tuple(range(-grid.dim, 0)))
+    du_lq = grid.integrate(du_mag**q * mu.density) ** (1.0 / q)
     lam_qt = lambda_q(mu, qt)
     lam_inf = lambda_inf(mu)
     bound_q = 4.0 * c0**2 + qt ** (q - 1.0) * (2.0 * c0) ** q / q * du_lq**q

@@ -292,19 +292,22 @@ def holder_wasserstein_check(path: ParticlePath, b_sup: float, slack: float = 2.
     stride = float(spacings[0])
     if np.max(np.abs(spacings - stride)) > 1e-12 * path.times[-1]:
         raise ValueError("stored times must be uniformly spaced")
-    snapshots = [empirical_measure(path.positions[j], path.grid) for j in range(n_gaps + 1)]
-    gaps = stride * np.arange(1, n_gaps + 1)
-    marginals = [coordinate_marginals(snap) for snap in snapshots]
-    distances = np.array(
-        [
-            max(
-                wasserstein_1d(a, b)
-                for i in range(n_gaps + 1 - k)
-                for a, b in zip(marginals[i], marginals[i + k])
-            )
-            for k in range(1, n_gaps + 1)
-        ]
+    snapshots = np.stack(
+        [empirical_measure(path.positions[j], path.grid).values for j in range(n_gaps + 1)]
     )
+    gaps = stride * np.arange(1, n_gaps + 1)
+    marginals = coordinate_marginals(GridMeasure.view(path.grid, snapshots))
+
+    def gap_w1(k: int) -> float:
+        """Worst W1 over the stored pairs k strides apart, one call per marginal."""
+        return max(
+            float(np.max(wasserstein_1d(
+                GridMeasure.view(m.grid, m.values[:-k]), GridMeasure.view(m.grid, m.values[k:])
+            )))
+            for m in marginals
+        )
+
+    distances = np.array([gap_w1(k) for k in range(1, n_gaps + 1)])
     floor = 2.0 / math.sqrt(path.n_particles)
     coarse = gaps >= gaps[n_gaps // 2]
     fitted = max(

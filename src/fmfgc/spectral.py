@@ -86,6 +86,8 @@ class SpectralGrid:
             nodes = np.stack([xg, yg])
         nodes.setflags(write=False)
         self._nodes = nodes
+        # the grid of the coordinate marginals
+        self.line = self if dim == 1 else SpectralGrid(1, n, s)
 
     # -- field validation --------------------------------------------------
 
@@ -100,10 +102,11 @@ class SpectralGrid:
         return f
 
     def check_vector(self, v: np.ndarray) -> np.ndarray:
+        """A vector field, or a stack of them over leading axes."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,) + self.shape:
+        if v.shape[max(v.ndim - self.dim - 1, 0):] != (self.dim,) + self.shape:
             raise GridMismatchError(
-                f"vector field shape {v.shape} does not match {(self.dim,) + self.shape}"
+                f"vector field shape {v.shape} does not end in {(self.dim,) + self.shape}"
             )
         if not np.all(np.isfinite(v)):
             raise InvalidFieldError("vector field contains non-finite values")
@@ -158,16 +161,23 @@ class SpectralGrid:
         return out
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
-        """Spectral divergence of a vector field; adjoint of -gradient."""
+        """Spectral divergence of a vector field, or of each field of a stack
+        shaped (..., dim, *grid.shape); adjoint of -gradient."""
         v = self.check_vector(v)
-        out = np.zeros(self.shape, dtype=complex)
+        axes = tuple(range(-self.dim, 0))
+        components = np.moveaxis(v, -(self.dim + 1), 0)
+        out = np.zeros(components.shape[1:], dtype=complex)
         for axis in range(self.dim):
-            out += self._deriv[axis] * np.fft.fftn(v[axis])
-        return np.fft.ifftn(out).real
+            out += self._deriv[axis] * np.fft.fftn(components[axis], axes=axes)
+        return np.fft.ifftn(out, axes=axes).real
 
-    def integrate(self, f: np.ndarray) -> float:
-        """Trapezoidal (here: exact midpoint) integral over the torus."""
-        return float(np.sum(f) * self.dx**self.dim)
+    def integrate(self, f: np.ndarray):
+        """Trapezoidal (here: exact midpoint) integral over the torus: a
+        float for one field, one value per slice for a stack."""
+        f = np.asarray(f)
+        total = np.sum(f.reshape(f.shape[: f.ndim - self.dim] + (-1,)), axis=-1)
+        total = total * self.dx**self.dim
+        return float(total) if total.ndim == 0 else total
 
     def bessel_norm(self, f: np.ndarray, order: float) -> float:
         """L^2 Bessel potential norm of a field.

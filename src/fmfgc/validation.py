@@ -291,9 +291,9 @@ def _criterion_uniqueness(ctx: AcceptanceContext):
     )
     tol = 2.0 * cfg.tolerance
     u_gap = float(np.max(np.abs(other.u_sol.u - base.u_sol.u)))
-    m_gap = max(
-        wasserstein_1d(other.m_sol[j], base.m_sol[j]) for j in range(tg.n_steps + 1)
-    )
+    m_gap = float(np.max(wasserstein_1d(
+        GridMeasure.view(grid, other.m_sol.m), GridMeasure.view(grid, base.m_sol.m)
+    )))
     ok = other.converged and u_gap <= tol and m_gap <= tol
     return ok, f"u gap {u_gap:.2e}, W1 gap {m_gap:.2e} (tol {tol:.0e})"
 
@@ -303,7 +303,7 @@ def _criterion_theta_envelopes(ctx: AcceptanceContext):
 
     def stats(stage):
         diag = hjb_diagnostics(stage.u_sol)
-        lam = max(lambda_q(mu, 2.0) for mu in stage.mu_path)
+        lam = float(np.max(lambda_q(stage.mu_path, 2.0)))
         return np.array([diag.sup_u, diag.sup_du, lam, diag.semiconcavity])
 
     ref = stats(by_theta[1.0])

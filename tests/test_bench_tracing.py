@@ -62,3 +62,10 @@ def test_traced_solve_reaches_every_solver_layer(monkeypatch):
         "measures.w1",
     ):
         assert calls.get(name, 0) > 0, name
+    # The solver derives its measures from checked stacks and builds none
+    # per slice, and the loop metric is one W1 call per sweep (d = 1).
+    counts = tracer.per_trace()[0]["counts"]
+    assert counts.get("measures.joint_measure_inits", 0) == 0
+    assert counts.get("measures.grid_measure_inits", 0) == 0
+    sweeps = counts["equilibrium.sweeps"]
+    assert sweeps > 0 and calls["measures.w1"] == sweeps

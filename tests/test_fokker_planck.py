@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmfgc.errors import CflError, ConservationError
+from fmfgc.errors import CflError, ConservationError, GridMismatchError
 from fmfgc.fokker_planck import (
     duality_residual,
     fp_step,
@@ -30,6 +30,9 @@ def test_uniform_fixed_point_zero_drift(grid):
     m = GridMeasure.uniform(grid)
     out = fp_step(m, zero_b(grid), 0.02)
     assert np.max(np.abs(out.values - 1.0)) < 1e-14
+    # one step takes one drift field, not a stack of them
+    with pytest.raises(GridMismatchError):
+        fp_step(m, zero_b(grid)[None], 0.02)
 
 
 def test_uniform_constant_drift(grid):

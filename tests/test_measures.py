@@ -20,12 +20,10 @@ from fmfgc.measures import (
     JointControlMeasure,
     MeasurePath,
     coordinate_marginals,
-    joint_wasserstein,
     lambda_inf,
     lambda_q,
     monotonicity_pairing,
     wasserstein_1d,
-    wasserstein_sinkhorn,
 )
 from fmfgc.models import QuadraticModel
 from fmfgc.spectral import SpectralGrid, TimeGrid, periodic_delta
@@ -178,6 +176,19 @@ def test_lambda_moments():
     mu_c = JointControlMeasure(m, np.full((1, 64), -3.0))
     assert lambda_q(mu_c, 2.0) == pytest.approx(3.0, abs=1e-12)
     assert lambda_q(mu_c, 5.0) == pytest.approx(3.0, abs=1e-12)
+    # a path gives one value per slice, bit for bit the slice values
+    rng = np.random.default_rng(8)
+    density = np.stack([smooth_density(g, rng) for _ in range(4)] + [np.ones(64)])
+    path = MeasurePath(TimeGrid(1.0, 4), g, density, rng.standard_normal((5, 1, 64)))
+    for moment, args in ((lambda_q, (2.0,)), (lambda_q, (3.0,)), (lambda_inf, ())):
+        values = moment(path, *args)
+        assert values.shape == (5,)
+        assert np.array_equal(values, [moment(path[j], *args) for j in range(5)])
+    # a threshold just above the uniform density leaves only slice 4 without support
+    threshold = 1.0 + 1e-9
+    assert all(lambda_inf(path[j], threshold) > 0.0 for j in range(4))
+    with pytest.raises(DegenerateMeasureError):
+        lambda_inf(path, threshold)
 
 
 def test_wasserstein_1d_point_masses():
@@ -188,7 +199,7 @@ def test_wasserstein_1d_point_masses():
     w1[8] = 64.0
     w2[24] = 64.0
     m1, m2 = GridMeasure(g, w1), GridMeasure(g, w2)
-    assert wasserstein_1d(m1, m2, 1.0) == pytest.approx(0.25, abs=1e-9)
+    assert wasserstein_1d(m1, m2) == pytest.approx(0.25, abs=1e-9)
     # wrap-around: spikes at nodes 3/64 and 60/64 are 7/64 apart going
     # through zero, against 57/64 the long way.
     w3 = np.zeros(64)
@@ -197,23 +208,9 @@ def test_wasserstein_1d_point_masses():
     w4[60] = 64.0
     d = periodic_delta(np.array(3 / 64), np.array(60 / 64))
     assert float(d) == pytest.approx(7 / 64)
-    assert wasserstein_1d(GridMeasure(g, w3), GridMeasure(g, w4), 1.0) == pytest.approx(
+    assert wasserstein_1d(GridMeasure(g, w3), GridMeasure(g, w4)) == pytest.approx(
         float(d), abs=1e-9
     )
-
-
-def test_wasserstein_1d_r2_offset_functional():
-    # For r > 1 the contract is the offset functional itself; compare the
-    # bounded minimizer against a brute-force scan over the offset.
-    rng = np.random.default_rng(3)
-    g = SpectralGrid(1, 64, 0.75)
-    m1 = GridMeasure(g, smooth_density(g, rng))
-    m2 = GridMeasure(g, smooth_density(g, rng))
-    got = wasserstein_1d(m1, m2, 2.0)
-    diff = np.cumsum(m1.node_weights() - m2.node_weights())
-    grid_c = np.linspace(diff.min(), diff.max(), 20001)
-    brute = np.min(np.sum((diff[None, :] - grid_c[:, None]) ** 2, axis=1))
-    assert got == pytest.approx((brute * g.dx) ** 0.5, abs=1e-8)
 
 
 def test_wasserstein_1d_shifted_uniform_blocks():
@@ -225,7 +222,7 @@ def test_wasserstein_1d_shifted_uniform_blocks():
     v1[:16] = 4.0
     v2[16:32] = 4.0
     m1, m2 = GridMeasure(g, v1), GridMeasure(g, v2)
-    got = wasserstein_1d(m1, m2, 1.0)
+    got = wasserstein_1d(m1, m2)
     assert got == pytest.approx(0.25, abs=1e-9)
     lp = ot_linprog(m1.node_weights(), m2.node_weights(), torus_cost(64, 1.0))
     assert got == pytest.approx(lp, abs=1e-7)
@@ -237,7 +234,7 @@ def test_wasserstein_1d_shifted_uniform_blocks():
     w1[:32] = 2.0
     w2[16:48] = 2.0
     n1, n2 = GridMeasure(g, w1), GridMeasure(g, w2)
-    got = wasserstein_1d(n1, n2, 1.0)
+    got = wasserstein_1d(n1, n2)
     assert got == pytest.approx(0.1875, abs=1e-9)
     lp = ot_linprog(n1.node_weights(), n2.node_weights(), torus_cost(64, 1.0))
     assert got == pytest.approx(lp, abs=1e-7)
@@ -246,12 +243,18 @@ def test_wasserstein_1d_shifted_uniform_blocks():
 def test_wasserstein_1d_against_linprog():
     rng = np.random.default_rng(5)
     g = SpectralGrid(1, 32, 0.75)
+    pairs = []
     for _ in range(4):
         m1 = GridMeasure(g, smooth_density(g, rng))
         m2 = GridMeasure(g, smooth_density(g, rng))
-        exact = wasserstein_1d(m1, m2, 1.0)
+        exact = wasserstein_1d(m1, m2)
         lp = ot_linprog(m1.node_weights(), m2.node_weights(), torus_cost(32, 1.0))
         assert exact == pytest.approx(lp, abs=1e-7)
+        pairs.append((m1.values, m2.values, exact))
+    # stacks give one value per slice, bit for bit the slice values
+    s1, s2, per_slice = (np.stack(part) for part in zip(*pairs))
+    stacked = wasserstein_1d(GridMeasure.view(g, s1), GridMeasure.view(g, s2))
+    assert stacked.shape == (4,) and np.array_equal(stacked, per_slice)
 
 
 def test_wasserstein_1d_triangle_and_duality():
@@ -275,8 +278,6 @@ def test_wasserstein_1d_errors():
     m = GridMeasure.uniform(g)
     with pytest.raises(GridMismatchError):
         wasserstein_1d(m, GridMeasure.uniform(g2))
-    with pytest.raises(ValueError):
-        wasserstein_1d(m, m, r=0.5)
 
 
 def test_coordinate_marginals():
@@ -293,54 +294,6 @@ def test_coordinate_marginals():
         assert marg.grid.dim == 1 and marg.grid.n == 32
         assert marg.mass == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(marg.values, factor, rtol=1e-12)
-
-
-def test_sinkhorn_matches_exact_1d():
-    rng = np.random.default_rng(21)
-    g = SpectralGrid(1, 64, 0.75)
-    eps = 1e-2 * 0.5  # default regularization at d = 1, r = 1
-    for _ in range(3):
-        m1 = GridMeasure(g, smooth_density(g, rng))
-        m2 = GridMeasure(g, smooth_density(g, rng))
-        exact = wasserstein_1d(m1, m2, 1.0)
-        ent = wasserstein_sinkhorn(m1, m2, 1.0)
-        assert abs(ent - exact) <= 3.0 * eps + 1e-6
-
-
-def test_sinkhorn_2d_spikes():
-    # Closed form: two point masses at periodic distance rho.
-    g = SpectralGrid(2, 16, 0.75)
-    v1 = np.zeros((16, 16))
-    v2 = np.zeros((16, 16))
-    v1[2, 2] = 16.0**2
-    v2[6, 10] = 16.0**2
-    rho = np.sqrt((4 / 16) ** 2 + (8 / 16) ** 2)
-    m1, m2 = GridMeasure(g, v1), GridMeasure(g, v2)
-    est = wasserstein_sinkhorn(m1, m2, 1.0)
-    assert est == pytest.approx(rho, abs=1e-3)
-
-
-def test_sinkhorn_identical_measures_near_zero():
-    rng = np.random.default_rng(33)
-    g = SpectralGrid(1, 64, 0.75)
-    m = GridMeasure(g, smooth_density(g, rng))
-    assert wasserstein_sinkhorn(m, m, 1.0) <= 1e-6
-
-
-def test_joint_wasserstein_spikes():
-    # Same spatial spike, controls differing by 2: joint W_1 = 2.
-    g = SpectralGrid(1, 32, 0.75)
-    w = np.zeros(32)
-    w[5] = 32.0
-    m = GridMeasure(g, w)
-    a1 = np.zeros((1, 32))
-    a2 = np.full((1, 32), 2.0)
-    mu1 = JointControlMeasure(m, a1)
-    mu2 = JointControlMeasure(m, a2)
-    est = joint_wasserstein(mu1, mu2, 1.0)
-    assert est == pytest.approx(2.0, abs=5e-2)
-    # and zero against itself
-    assert joint_wasserstein(mu1, mu1, 1.0) <= 1e-6
 
 
 def test_monotonicity_pairing_nonnegative_and_spectral_identity():
@@ -384,3 +337,10 @@ def test_mass_mismatch_detection():
         m_bad = GridMeasure.uniform(g)
         m_bad.values = np.ones(32) * 1.001
         wasserstein_1d(m1, m_bad)
+    # stacks are checked slice by slice, even when the total masses agree
+    stack = np.ones((3, 32))
+    assert np.all(wasserstein_1d(GridMeasure.view(g, stack), GridMeasure.view(g, stack)) == 0.0)
+    stack[1] *= 1.001
+    stack[2] *= 0.999
+    with pytest.raises(MassMismatchError):
+        wasserstein_1d(GridMeasure.view(g, np.ones((3, 32))), GridMeasure.view(g, stack))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmfgc.errors import OptimizationError
-from fmfgc.measures import GridMeasure, JointControlMeasure, lambda_q
+from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath, lambda_q
 from fmfgc.models import (
     LagrangianModel,
     QuadraticModel,
@@ -13,7 +13,7 @@ from fmfgc.models import (
     growth_check,
     legendre_transform,
 )
-from fmfgc.spectral import SpectralGrid
+from fmfgc.spectral import SpectralGrid, TimeGrid
 
 from helpers import smooth_density
 
@@ -214,6 +214,20 @@ def test_theta_scale_validation_and_endpoints():
     assert np.all(zero.hamiltonian(x, p, mu) == 0.0)
     assert np.all(zero.grad_p(x, p, mu) == 0.0)
     assert np.all(zero.hamiltonian_field(np.zeros((1, 64)), mu) == 0.0)
+    # on a path every field form keeps the time axis: one value per slice
+    path = MeasurePath(
+        TimeGrid(1.0, 4), g, np.stack([mu.density] * 5), np.stack([mu.alpha] * 5)
+    )
+    p_path = rng.uniform(-3, 3, (5, 1, 64))
+    h = zero.hamiltonian_field(p_path, path)
+    assert h.shape == (5, 64) and np.all(h == 0.0)
+    dp = zero.grad_p_field(p_path, path)
+    assert dp.shape == (5, 1, 64) and np.all(dp == 0.0)
+    assert np.all(zero.lagrangian_field(path.alpha, path) == np.inf)
+    alpha = np.zeros((5, 1, 64))
+    alpha[2, 0, 7] = 1.0
+    lag = zero.lagrangian_field(alpha, path)
+    assert lag.shape == (5, 64) and np.count_nonzero(lag) == 1 and lag[2, 7] == np.inf
 
 
 def test_theta_scale_expression_tree():

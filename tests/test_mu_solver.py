@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmfgc.errors import NonContractionError
+from fmfgc.errors import GridMismatchError, InvalidFieldError, NonContractionError
 from fmfgc.measures import (
     GridMeasure,
     JointControlMeasure,
@@ -177,6 +177,24 @@ def test_moment_certificate_sine_gradient(grid):
     assert abs(cert.lambda_qt - np.sqrt(0.5)) < 1e-10
     assert abs(cert.lambda_inf - 1.0) < 1e-10
     assert cert.ok
+    # on a path every field is the per-slice value, bit for bit
+    rng = np.random.default_rng(12)
+    density = np.stack([smooth_density(grid, rng) for _ in range(3)])
+    du_path = np.stack([du * k for k in (0.5, 1.0, 2.0)])
+    path = solve_mu(
+        MeasurePath(TimeGrid(1.0, 2), grid, density, np.zeros_like(du_path)),
+        du_path, model, MuSolveConfig(tolerance=1e-12),
+    )
+    whole = moment_certificate(path, du_path, model)
+    slices = [moment_certificate(path[j], du_path[j], model) for j in range(3)]
+    for name in ("lambda_qt", "lambda_inf", "bound_q", "bound_inf", "du_sup", "du_lq"):
+        assert np.array_equal(getattr(whole, name), [getattr(c, name) for c in slices]), name
+    assert whole.ok and all(c.ok for c in slices)
+    with pytest.raises(GridMismatchError):
+        moment_certificate(path, du_path[:2], model)
+    du_path[1, 0, 3] = np.nan
+    with pytest.raises(InvalidFieldError):
+        moment_certificate(path, du_path, model)
 
 
 def test_moment_certificate_zero_control(grid):

@@ -138,6 +138,20 @@ def test_gradient_divergence_single_modes():
     v = np.stack([np.sin(2 * np.pi * yy), np.cos(2 * np.pi * xx)])
     # div of this shear pair vanishes identically
     assert np.max(np.abs(g2.divergence(v))) <= 1e-12
+    # a stack (..., dim, *shape) gives each field's divergence, bit for bit
+    rng = np.random.default_rng(19)
+    for grid in (g, g2):
+        stack = rng.standard_normal((3, 2, grid.dim) + grid.shape)
+        div = grid.divergence(stack)
+        assert div.shape == (3, 2) + grid.shape
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(div[i, j], grid.divergence(stack[i, j]))
+        with pytest.raises(GridMismatchError):
+            grid.divergence(stack[..., :-1])
+        stack[1, 0].flat[5] = np.nan
+        with pytest.raises(InvalidFieldError):
+            grid.divergence(stack)
 
 
 def test_gradient_real_output_with_nyquist_energy():
