@@ -61,17 +61,10 @@ def fp_step(m: GridMeasure, b: np.ndarray, dt: float) -> GridMeasure:
     """Advance the density by one advection-diffusion step of size dt."""
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    b = m.grid.check_vector(b)
-    if b.ndim != m.grid.dim + 1:
+    grid = m.grid
+    b = grid.check_vector(b)
+    if b.ndim != grid.dim + 1:
         raise GridMismatchError(f"one step takes one drift field, got shape {b.shape}")
-    return GridMeasure(m.grid, _step(m.values, b, dt, m.grid)[0])
-
-
-def _step(
-    values: np.ndarray, b: np.ndarray, dt: float, grid: SpectralGrid
-) -> tuple[np.ndarray, float, float]:
-    """One step on arrays: the new density, its pre-clip minimum and the
-    advection mass drift.  The caller has checked values, b and dt."""
     speed = float(np.max(np.abs(b)))
     if speed * dt > grid.dx * (1.0 + 1e-12):
         factor = int(np.ceil(speed * dt / grid.dx))
@@ -80,21 +73,29 @@ def _step(
             f"shrink by a factor of {factor}",
             required_steps=factor,
         )
+    return GridMeasure(grid, _step(m.values, b, dt, grid)[0])
 
+
+def _step(
+    values: np.ndarray, b: np.ndarray, dt: float, grid: SpectralGrid
+) -> tuple[np.ndarray, float, float]:
+    """One step on arrays: the new density, its pre-clip minimum and the
+    advection mass drift.  The caller has checked values, b, dt and the
+    advective restriction |b| dt <= dx."""
     advected = _advect(values, b, dt, grid)
-    mass = float(np.sum(advected) * grid.dx**grid.dim)
+    mass = grid.integrate(advected)
     if abs(mass - 1.0) > STEP_MASS_TOL:
         raise ConservationError(
             f"advection stage drifted mass to {mass!r} (tolerance {STEP_MASS_TOL})"
         )
     diffused = grid.semigroup_apply(advected, dt)
     clipped = np.maximum(diffused, 0.0)
-    removed = float(np.sum(clipped - diffused) * grid.dx**grid.dim)
+    removed = grid.integrate(clipped - diffused)
     if removed > CLIP_MASS_TOL:
         raise ConservationError(
             f"positivity clip removed {removed:.3e} mass (tolerance {CLIP_MASS_TOL})"
         )
-    total = float(np.sum(clipped) * grid.dx**grid.dim)
+    total = grid.integrate(clipped)
     return clipped / total, float(np.min(diffused)), abs(mass - 1.0)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, CflError
+from .errors import BlowUpError, CflError, GridMismatchError
 from .measures import JointControlMeasure, MeasurePath
 from .models import coerce_theta
 from .spectral import SpectralGrid, TimeGrid
@@ -42,6 +42,13 @@ class HjbSolution:
     diagnostics: HjbDiagnostics | None = None
 
 
+def _one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+    f = grid.check_scalar(f)
+    if f.shape != grid.shape:
+        raise GridMismatchError(f"a value field has shape {grid.shape}, got {f.shape}")
+    return f
+
+
 def hjb_step(
     u_next: np.ndarray,
     mu_next: JointControlMeasure,
@@ -54,7 +61,7 @@ def hjb_step(
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     grid = mu_next.grid
-    u_next = grid.check_scalar(u_next)
+    u_next = _one_field(grid, u_next)
     if du_next is None:
         du_next = grid.gradient(u_next)
     h = model.hamiltonian_field(du_next, mu_next)
@@ -84,7 +91,7 @@ def solve_backward(
     grid = mu_path.grid
     tg = mu_path.time_grid
     dt, dx = tg.dt, grid.dx
-    u_terminal = grid.check_scalar(u_terminal)
+    u_terminal = _one_field(grid, u_terminal)
 
     n = tg.n_steps
     u = np.empty((n + 1,) + grid.shape)
@@ -111,12 +118,16 @@ def solve_backward(
 
 
 def centered_curvature(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Per-axis centered second difference over dx^2, shape (dim, *shape)."""
+    """Per-axis centered second difference over dx^2 of a field or a stack,
+    shape (..., dim, *shape)."""
     f = grid.check_scalar(f)
-    out = np.empty((grid.dim,) + grid.shape)
-    for axis in range(grid.dim):
-        out[axis] = (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / grid.dx**2
-    return out
+    return np.stack(
+        [
+            (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / grid.dx**2
+            for axis in range(f.ndim - grid.dim, f.ndim)
+        ],
+        axis=-(grid.dim + 1),
+    )
 
 
 HOLDER_EXPONENT = 0.3
@@ -130,15 +141,9 @@ def hjb_diagnostics(sol: HjbSolution) -> HjbDiagnostics:
     grid = sol.grid
     sup_u = float(np.max(np.abs(sol.u)))
     sup_du = float(np.max(np.abs(sol.du)))
-    semiconcavity = max(
-        float(np.max(centered_curvature(sol.u[j], grid)))
-        for j in range(sol.u.shape[0])
-    )
+    semiconcavity = float(np.max(centered_curvature(sol.u, grid)))
     stride = max(1, sol.time_grid.n_steps // 8)
-    holder = 0.0
-    for j in range(0, sol.u.shape[0], stride):
-        for axis in range(grid.dim):
-            holder = max(holder, grid.holder_seminorm(sol.du[j, axis], HOLDER_EXPONENT))
+    holder = float(np.max(grid.holder_seminorm(sol.du[::stride], HOLDER_EXPONENT)))
     sol.diagnostics = HjbDiagnostics(
         sup_u=sup_u,
         sup_du=sup_du,

@@ -85,7 +85,7 @@ class GridMeasure:
         """Clip tiny negative noise, then rescale to unit mass."""
         raw = np.asarray(raw, dtype=float)
         clipped = np.clip(raw, 0.0, None)
-        mass = np.sum(clipped) * grid.dx**grid.dim
+        mass = grid.integrate(clipped)
         if mass <= 0.0:
             raise InvalidMeasureError("cannot normalize a density with no positive part")
         return cls(grid, clipped / mass)
@@ -241,20 +241,18 @@ def wasserstein_1d(m1: GridMeasure, m2: GridMeasure):
 # -- structural pairing ----------------------------------------------------
 
 
-def monotonicity_pairing(model, mu1: JointControlMeasure, mu2: JointControlMeasure) -> float:
+def monotonicity_pairing(model, mu1, mu2):
     """Lasry-Lions pairing int (L(x,a,mu1) - L(x,a,mu2)) d(mu1 - mu2).
 
-    Evaluated on the grid as
-    sum_x [L(x,alpha1,mu1) - L(x,alpha1,mu2)] m1 dx^d
-    - sum_x [L(x,alpha2,mu1) - L(x,alpha2,mu2)] m2 dx^d.
+    mu1 and mu2 are two JointControlMeasure slices or two MeasurePaths,
+    paired slice by slice.  Evaluated on the grid as
+    int [L(x,alpha1,mu1) - L(x,alpha1,mu2)] m1 dx
+    - int [L(x,alpha2,mu1) - L(x,alpha2,mu2)] m2 dx:
+    a float for two slices, one value per slice for two paths.
     Nonnegative for monotone running costs.
     """
     if mu1.grid is not mu2.grid:
         raise GridMismatchError("pairing requires measures on the same grid object")
-    w1 = mu1.m.node_weights()
-    w2 = mu2.m.node_weights()
-    l1_at1 = model.lagrangian_field(mu1.alpha, mu1)
-    l1_at2 = model.lagrangian_field(mu1.alpha, mu2)
-    l2_at1 = model.lagrangian_field(mu2.alpha, mu1)
-    l2_at2 = model.lagrangian_field(mu2.alpha, mu2)
-    return float(np.sum((l1_at1 - l1_at2) * w1) - np.sum((l2_at1 - l2_at2) * w2))
+    gap1 = model.lagrangian_field(mu1.alpha, mu1) - model.lagrangian_field(mu1.alpha, mu2)
+    gap2 = model.lagrangian_field(mu2.alpha, mu1) - model.lagrangian_field(mu2.alpha, mu2)
+    return mu1.grid.integrate(gap1 * mu1.density) - mu1.grid.integrate(gap2 * mu2.density)

@@ -102,7 +102,10 @@ class QuadraticModel(LagrangianModel):
 
     L(x, a, mu) = |a + beta int gamma dmu|^2 / 2 + (kernel * m)(x), with
     kernel coefficients khat(k) = exp(-decay |k|) > 0, so the cost is
-    Lasry-Lions monotone.  Closed forms:
+    Lasry-Lions monotone.  That symbol is the Poisson kernel: the potential
+    V(x, mu) = (kernel * m)(x) is the fractional heat semigroup at s = 1/2
+    and time decay / (2 pi) applied to m, one transform for a slice or a
+    whole density path.  Closed forms:
 
         H(x, p, mu)  = |p|^2 / 2 + beta p . abar - V(x, mu)
         D_p H        = p + beta abar
@@ -129,35 +132,20 @@ class QuadraticModel(LagrangianModel):
 
     # -- coupling ingredients -------------------------------------------
 
-    def kernel_coefficients(self, grid: SpectralGrid) -> np.ndarray:
-        return np.exp(-self.kernel_decay * np.sqrt(grid._ksq))
-
     def potential_field(self, m: GridMeasure) -> np.ndarray:
         """(kernel * m) on the nodes, exact in the discrete spectrum."""
         return self._potential(m.grid, m.values)
 
     def _potential(self, grid: SpectralGrid, density: np.ndarray) -> np.ndarray:
-        """potential_field of one density or of a stack over leading axes."""
-        axes = tuple(range(-grid.dim, 0))
-        fhat = np.fft.fftn(density, axes=axes)
-        return np.fft.ifftn(self.kernel_coefficients(grid) * fhat, axes=axes).real
+        """potential_field of one density or of a stack over leading axes:
+        the symbol exp(-decay |k|) is the s = 1/2 (Poisson) semigroup at
+        time decay / (2 pi)."""
+        return grid.semigroup_apply(density, self.kernel_decay / (2.0 * np.pi), s=0.5)
 
     def potential_at(self, m: GridMeasure, x: np.ndarray) -> np.ndarray:
-        """(kernel * m)(x) at arbitrary probe points, shape (P,)."""
-        grid = m.grid
-        x = _as_probes(x, grid.dim)
-        coeff = (
-            self.kernel_coefficients(grid) * np.fft.fftn(m.values) / grid.n**grid.dim
-        ).ravel()
-        k_axis = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-        if grid.dim == 1:
-            phase = np.exp(2j * np.pi * np.outer(x[0], k_axis))
-        else:
-            kx, ky = np.meshgrid(k_axis, k_axis, indexing="ij")
-            phase = np.exp(
-                2j * np.pi * (np.outer(x[0], kx.ravel()) + np.outer(x[1], ky.ravel()))
-            )
-        return (phase @ coeff).real
+        """(kernel * m)(x) at arbitrary probe points, shape (P,): the
+        trigonometric interpolant of potential_field(m)."""
+        return m.grid.interpolate(self.potential_field(m), _as_probes(x, m.grid.dim))
 
     # -- probe forms -----------------------------------------------------
 

@@ -48,23 +48,23 @@ class MuSolveResult:
 
 
 def solve_mu_detailed(
-    m: GridMeasure | MeasurePath,
+    m: GridMeasure | JointControlMeasure | MeasurePath,
     du: np.ndarray,
     model,
     config: MuSolveConfig | None = None,
-    initial_alpha: np.ndarray | None = None,
 ) -> MuSolveResult:
     """Fixed-point solve returning the measure plus convergence data.
 
-    m is one slice (a GridMeasure, started from zero) or a MeasurePath
-    (started from its own controls), unless initial_alpha is given.  A slice
-    stops once it meets the tolerance, so each ends where its own solve
-    would; ``iterations`` is the largest per-slice count."""
+    m is one slice or a MeasurePath.  A GridMeasure slice starts from the
+    zero control; a JointControlMeasure or a MeasurePath starts from its
+    own controls.  A slice stops once it meets the tolerance, so each ends
+    where its own solve would; ``iterations`` is the largest per-slice
+    count."""
     config = config or MuSolveConfig()
     grid = m.grid
-    if not isinstance(m, MeasurePath):
-        m = JointControlMeasure(m, np.zeros((grid.dim,) + grid.shape))
-    mu = m if initial_alpha is None else m.with_alpha(initial_alpha)
+    mu = m
+    if isinstance(m, GridMeasure):
+        mu = JointControlMeasure(m, np.zeros((grid.dim,) + grid.shape))
     du = np.asarray(du, dtype=float)
     if du.shape != mu.alpha.shape:
         raise GridMismatchError(f"gradient shape {du.shape} does not match {mu.alpha.shape}")
@@ -102,14 +102,13 @@ def solve_mu_detailed(
 
 
 def solve_mu(
-    m: GridMeasure | MeasurePath,
+    m: GridMeasure | JointControlMeasure | MeasurePath,
     du: np.ndarray,
     model,
     config: MuSolveConfig | None = None,
-    initial_alpha: np.ndarray | None = None,
 ) -> JointControlMeasure | MeasurePath:
     """The fixed-point measure itself; see solve_mu_detailed for metrics."""
-    return solve_mu_detailed(m, du, model, config, initial_alpha).mu
+    return solve_mu_detailed(m, du, model, config).mu
 
 
 @dataclass

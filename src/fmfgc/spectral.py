@@ -4,7 +4,9 @@ All fields live on a uniform n^d grid over [0,1)^d with d in {1, 2} and n a
 power of two.  Spatial derivatives, the fractional Laplacian and its heat
 semigroup are diagonal in the discrete Fourier basis e^{2 pi i k.x} with
 integer wavenumbers k in {-n/2, ..., n/2 - 1} per axis, so every operator
-here is an FFT, a multiplier, and an inverse FFT.
+here is one real FFT over the trailing grid axes, a multiplier on the half
+spectrum, and the inverse real FFT.  Every operator takes one field or a
+stack of fields over leading axes (a path, say), transformed in one call.
 
 Conventions that matter:
 
@@ -58,25 +60,20 @@ class SpectralGrid:
         self.dx = 1.0 / n
         self.shape: tuple[int, ...] = (n,) * dim
 
-        k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers as floats
-        if dim == 1:
-            self._ksq = k**2
-        else:
-            kx, ky = np.meshgrid(k, k, indexing="ij")
-            self._ksq = kx**2 + ky**2
+        # Multiplier tables live on the real-transform half spectrum: every
+        # integer wavenumber on the leading axis, k = 0 .. n/2 on the last.
+        full = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers as floats
+        half = np.fft.rfftfreq(n, d=1.0 / n)
+        waves = np.meshgrid(*([full] * (dim - 1) + [half]), indexing="ij")
+        self._ksq = sum(k**2 for k in waves)
         self._ksq.setflags(write=False)
-
         # Odd multipliers drop the Nyquist mode: for even n the mode has no
         # conjugate partner and an imaginary multiplier would make the
         # output complex.
-        k_odd = k.copy()
-        k_odd[n // 2] = 0.0
-        deriv = []
-        for axis in range(dim):
-            shape = [1] * dim
-            shape[axis] = n
-            deriv.append((2.0j * np.pi * k_odd).reshape(shape))
-        self._deriv = tuple(deriv)
+        self._deriv = np.stack(
+            [2.0j * np.pi * np.where(np.abs(k) == n // 2, 0.0, k) for k in waves]
+        )
+        self._deriv.setflags(write=False)
 
         axes = np.arange(n) * self.dx
         if dim == 1:
@@ -92,10 +89,11 @@ class SpectralGrid:
     # -- field validation --------------------------------------------------
 
     def check_scalar(self, f: np.ndarray) -> np.ndarray:
+        """A scalar field, or a stack of them over leading axes."""
         f = np.asarray(f, dtype=float)
-        if f.shape != self.shape:
+        if f.shape[max(f.ndim - self.dim, 0):] != self.shape:
             raise GridMismatchError(
-                f"scalar field shape {f.shape} does not match grid shape {self.shape}"
+                f"scalar field shape {f.shape} does not end in {self.shape}"
             )
         if not np.all(np.isfinite(f)):
             raise InvalidFieldError("scalar field contains non-finite values")
@@ -127,6 +125,14 @@ class SpectralGrid:
         mult.setflags(write=False)
         return mult
 
+    def _multiply(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """irfft(mult * rfft(f)) over the trailing grid axes: the one
+        transform behind every operator.  f is one field or a stack; mult,
+        a half-spectrum table, broadcasts against its transform."""
+        if self.dim == 1:
+            return np.fft.irfft(mult * np.fft.rfft(f), n=self.n)
+        return np.fft.irfft2(mult * np.fft.rfft2(f), s=self.shape)
+
     # -- operators ---------------------------------------------------------
 
     def frac_laplacian(self, f: np.ndarray, s: float | None = None) -> np.ndarray:
@@ -135,13 +141,14 @@ class SpectralGrid:
         s = self.s if s is None else float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
-        return np.fft.ifftn(self._symbol(s) * np.fft.fftn(f)).real
+        return self._multiply(f, self._symbol(s))
 
     def semigroup_apply(self, f: np.ndarray, t: float, s: float | None = None) -> np.ndarray:
         """Apply the fractional heat semigroup exp(-t (-Delta)^s).
 
         Exact in space: each mode is damped by exp(-t (2 pi |k|)^{2s}).
-        The mean (k = 0) is preserved to the last bit.
+        The mean (k = 0) is preserved to the last bit.  At s = 1/2 this is
+        the Poisson kernel, the convolution with symbol exp(-2 pi t |k|).
         """
         f = self.check_scalar(f)
         if t < 0.0:
@@ -149,27 +156,18 @@ class SpectralGrid:
         s = self.s if s is None else float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
-        return np.fft.ifftn(self._heat_multiplier(s, float(t)) * np.fft.fftn(f)).real
+        return self._multiply(f, self._heat_multiplier(s, float(t)))
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
-        """Spectral gradient, shape (dim,) + grid shape."""
+        """Spectral gradient, shape (..., dim, *grid.shape)."""
         f = self.check_scalar(f)
-        fhat = np.fft.fftn(f)
-        out = np.empty((self.dim,) + self.shape)
-        for axis in range(self.dim):
-            out[axis] = np.fft.ifftn(self._deriv[axis] * fhat).real
-        return out
+        return self._multiply(np.expand_dims(f, -(self.dim + 1)), self._deriv)
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
         """Spectral divergence of a vector field, or of each field of a stack
         shaped (..., dim, *grid.shape); adjoint of -gradient."""
         v = self.check_vector(v)
-        axes = tuple(range(-self.dim, 0))
-        components = np.moveaxis(v, -(self.dim + 1), 0)
-        out = np.zeros(components.shape[1:], dtype=complex)
-        for axis in range(self.dim):
-            out += self._deriv[axis] * np.fft.fftn(components[axis], axes=axes)
-        return np.fft.ifftn(out, axes=axes).real
+        return np.sum(self._multiply(v, self._deriv), axis=-(self.dim + 1))
 
     def integrate(self, f: np.ndarray):
         """Trapezoidal (here: exact midpoint) integral over the torus: a
@@ -179,20 +177,33 @@ class SpectralGrid:
         total = total * self.dx**self.dim
         return float(total) if total.ndim == 0 else total
 
-    def bessel_norm(self, f: np.ndarray, order: float) -> float:
-        """L^2 Bessel potential norm of a field.
+    def bessel_norm(self, f: np.ndarray, order: float):
+        """L^2 Bessel potential norm: a float for one field, one value per
+        slice for a stack.
 
-        Computed as ( sum_k (1 + 4 pi^2 |k|^2)^order |fhat(k)|^2 )^{1/2}
-        with fhat the integral-normalized DFT coefficients, which at
-        order = 0 reproduces the discrete L^2 norm exactly.
+        ( sum_k (1 + 4 pi^2 |k|^2)^order |fhat(k)|^2 )^{1/2} with fhat the
+        integral-normalized DFT coefficients; by discrete Parseval that is
+        the integral of f times the multiplier applied to f, which at
+        order = 0 is the discrete L^2 norm.
         """
         f = self.check_scalar(f)
-        coeff = np.fft.fftn(f) / self.n**self.dim
         weight = (1.0 + 4.0 * np.pi**2 * self._ksq) ** order
-        return float(np.sqrt(np.sum(weight * np.abs(coeff) ** 2)))
+        return np.sqrt(self.integrate(f * self._multiply(f, weight)))
 
-    def holder_seminorm(self, f: np.ndarray, beta: float) -> float:
-        """Discrete Holder seminorm sup |f(x)-f(y)| / dist(x,y)^beta.
+    def interpolate(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The trigonometric interpolant of a nodal field at probe points x,
+        shape (dim, P), by a dense DFT; exact at the nodes.  Shape (..., P)."""
+        f = self.check_scalar(f)
+        coeff = np.fft.fftn(f, axes=tuple(range(-self.dim, 0))) / self.n**self.dim
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        waves = np.meshgrid(*([k] * self.dim), indexing="ij")
+        phase = sum(np.outer(waves[axis].ravel(), x[axis]) for axis in range(self.dim))
+        lead = f.shape[: f.ndim - self.dim]
+        return (coeff.reshape(lead + (-1,)) @ np.exp(2j * np.pi * phase)).real
+
+    def holder_seminorm(self, f: np.ndarray, beta: float):
+        """Discrete Holder seminorm sup |f(x)-f(y)| / dist(x,y)^beta: a float
+        for one field, one value per slice for a stack.
 
         Brute force over all node pairs whose offset lies within n/4 nodes
         per axis; at that range the periodic per-axis distance is just the
@@ -202,22 +213,23 @@ class SpectralGrid:
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"Holder exponent must lie in (0, 1], got {beta}")
         w = self.n // 4
-        best = 0.0
         if self.dim == 1:
-            for h in range(1, w + 1):
-                diff = np.max(np.abs(f - np.roll(f, h)))
-                best = max(best, diff / (h * self.dx) ** beta)
+            offsets = [((h,), h * self.dx) for h in range(1, w + 1)]
         else:
             # Half-plane of offsets covers every unordered pair once.
-            for h1 in range(0, w + 1):
-                h2_start = 1 if h1 == 0 else -w
-                for h2 in range(h2_start, w + 1):
-                    if h1 == 0 and h2 <= 0:
-                        continue
-                    diff = np.max(np.abs(f - np.roll(f, (h1, h2), axis=(0, 1))))
-                    dist = self.dx * np.hypot(h1, h2)
-                    best = max(best, diff / dist**beta)
-        return float(best)
+            offsets = [
+                ((h1, h2), self.dx * np.hypot(h1, h2))
+                for h1 in range(0, w + 1)
+                for h2 in range(-w, w + 1)
+                if h1 > 0 or h2 > 0
+            ]
+        lead = f.shape[: f.ndim - self.dim]
+        axes = tuple(range(-self.dim, 0))
+        best = np.zeros(lead)
+        for shift, dist in offsets:
+            diff = np.abs(f - np.roll(f, shift, axis=axes)).reshape(lead + (-1,))
+            best = np.maximum(best, np.max(diff, axis=-1) / dist**beta)
+        return float(best) if best.ndim == 0 else best
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,7 @@ def _criterion_uniqueness(ctx: AcceptanceContext):
     grid, tg, m0, u_t = ctx.scenario(64, 100)
     bump = 0.05 * np.cos(2.0 * np.pi * grid.nodes()[0])
     perturbed_u = base.u_sol.u + bump
-    du = np.stack([grid.gradient(level) for level in perturbed_u])
+    du = grid.gradient(perturbed_u)
     from dataclasses import replace as _replace
 
     seeded = _replace(

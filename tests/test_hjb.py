@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmfgc.errors import BlowUpError, CflError
+from fmfgc.errors import BlowUpError, CflError, GridMismatchError
 from fmfgc.hjb import centered_curvature, hjb_diagnostics, hjb_step, solve_backward
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
 from fmfgc.models import QuadraticModel
@@ -95,6 +95,9 @@ def test_step_richardson_second_order_local(grid):
 def test_step_rejects_bad_dt(grid):
     with pytest.raises(ValueError):
         hjb_step(np.zeros(grid.shape), uniform_mu(grid), ZeroH(), dt=0.0)
+    # one step takes one field, not a stack
+    with pytest.raises(GridMismatchError):
+        hjb_step(np.zeros((2,) + grid.shape), uniform_mu(grid), ZeroH(), dt=0.01)
 
 
 def test_solve_terminal_exact(grid):
@@ -109,6 +112,8 @@ def test_solve_terminal_exact(grid):
     assert sol.u.shape == (81, 64)
     assert sol.du.shape == (81, 1, 64)
     assert np.all(np.isfinite(sol.u))
+    with pytest.raises(GridMismatchError):
+        solve_backward(model, constant_path(tg, mu), np.stack([u_t, u_t]))
 
 
 def test_solve_theta_zero_identically_zero(grid):
@@ -204,6 +209,12 @@ def test_curvature_matches_analytic(grid):
     exact = -4 * np.pi**2 * np.cos(2 * np.pi * x)
     assert np.max(np.abs(curv[0] - exact)) < 0.05
     assert curv[0, 0] < 0.0  # negative curvature at the crest
+    # a stack gives each field's curvature, bit for bit
+    stack = np.stack([u, 2.0 * u, u**2])
+    curvs = centered_curvature(stack, grid)
+    assert curvs.shape == (3, 1) + grid.shape
+    for i in range(3):
+        assert np.array_equal(curvs[i], centered_curvature(stack[i], grid))
 
 
 def test_diagnostics_zero_h_solution(grid):
@@ -217,4 +228,11 @@ def test_diagnostics_zero_h_solution(grid):
     assert diag.sup_du == pytest.approx(0.4 * np.pi, rel=1e-10)
     assert diag.semiconcavity == pytest.approx(0.2 * 4 * np.pi**2, rel=0.02)
     assert 0.0 < diag.holder_du < np.inf
+    # the stacked statistics equal the per-level maxima bit for bit
+    assert diag.semiconcavity == max(
+        float(np.max(centered_curvature(level, grid))) for level in sol.u
+    )
+    assert diag.holder_du == max(
+        grid.holder_seminorm(field, diag.holder_exponent) for field in sol.du[::5, 0]
+    )
     assert hjb_diagnostics(sol) is diag

@@ -312,7 +312,7 @@ def test_monotonicity_pairing_nonnegative_and_spectral_identity():
         # independent spectral evaluation of the same pairing
         beta = model.coupling_beta
         abar_gap = mu1.mean_control() - mu2.mean_control()
-        khat = model.kernel_coefficients(g)
+        khat = np.exp(-model.kernel_decay * np.abs(np.fft.fftfreq(g.n, d=1.0 / g.n)))
         dm_hat = np.fft.fftn(m1.values - m2.values) / g.n
         expected = beta * np.sum(abar_gap**2) + float(
             np.sum(khat * np.abs(dm_hat) ** 2)
@@ -322,6 +322,17 @@ def test_monotonicity_pairing_nonnegative_and_spectral_identity():
     m = GridMeasure(g, smooth_density(g, rng))
     mu = JointControlMeasure(m, np.zeros((1, 64)))
     assert abs(monotonicity_pairing(model, mu, mu)) <= 1e-14
+    # two paths pair slice by slice
+    tg = TimeGrid(horizon=1.0, n_steps=3)
+    paths = [
+        MeasurePath(
+            tg, g, np.stack([smooth_density(g, rng) for _ in range(4)]),
+            rng.uniform(-2, 2, (4, 1, 64)),
+        )
+        for _ in range(2)
+    ]
+    per_slice = [monotonicity_pairing(model, paths[0][j], paths[1][j]) for j in range(4)]
+    assert np.array_equal(monotonicity_pairing(model, *paths), per_slice)
 
 
 def test_mass_mismatch_detection():

@@ -70,12 +70,19 @@ def test_quadratic_model_validation():
     assert model.q_tilde == pytest.approx(model.q / (model.q - 1.0))
 
 
-def test_kernel_coefficients_nonnegative():
-    g = SpectralGrid(2, 16, 0.75)
-    model = QuadraticModel(0.5, dim=2)
-    khat = model.kernel_coefficients(g)
-    assert np.all(khat >= 0.0)
-    assert khat.reshape(16, 16)[0, 0] == pytest.approx(1.0)
+def test_potential_single_mode():
+    # The kernel symbol exp(-decay |k|) is positive with unit mean: the
+    # potential of 1 + eps cos(2 pi k.x) is 1 + eps exp(-decay |k|) cos(2 pi k.x),
+    # Nyquist modes included.
+    eps = 0.4
+    for dim, modes in ((1, [(1,), (3,), (8,)]), (2, [(1, 0), (2, -3), (8, 5)])):
+        g = SpectralGrid(dim, 16, 0.75)
+        model = QuadraticModel(0.5, kernel_decay=0.7, dim=dim)
+        for k in modes:
+            wave = np.cos(2 * np.pi * sum(ki * xi for ki, xi in zip(k, g.nodes())))
+            damp = np.exp(-model.kernel_decay * np.linalg.norm(k))
+            field = model.potential_field(GridMeasure(g, 1.0 + eps * wave))
+            assert np.max(np.abs(field - (1.0 + eps * damp * wave))) <= 1e-13
 
 
 def test_potential_field_vs_probes():

@@ -108,7 +108,7 @@ def test_uniqueness_from_two_starts(grid):
     cfg = MuSolveConfig(tolerance=1e-11)
     mu_zero = solve_mu(m, du, model, cfg)
     mu_rand = solve_mu(
-        m, du, model, cfg, initial_alpha=rng.uniform(-1.0, 1.0, size=(1, grid.n))
+        JointControlMeasure(m, rng.uniform(-1.0, 1.0, size=(1, grid.n))), du, model, cfg
     )
     assert np.max(np.abs(mu_zero.alpha - mu_rand.alpha)) <= 2 * cfg.tolerance
 
@@ -131,7 +131,9 @@ def test_path_solve_matches_slice_solves(grid, theta):
 
     path = solve_mu_detailed(MeasurePath(tg, grid, density, alpha0), du, model, cfg)
     singles = [
-        solve_mu_detailed(GridMeasure(grid, density[j]), du[j], model, cfg, alpha0[j])
+        solve_mu_detailed(
+            JointControlMeasure(GridMeasure(grid, density[j]), alpha0[j]), du[j], model, cfg
+        )
         for j in range(6)
     ]
     assert isinstance(path.mu, MeasurePath)

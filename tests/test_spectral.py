@@ -5,9 +5,12 @@ Expected values for single modes come from the closed-form symbols:
 exp(-t (-Delta)^s) damps the same mode by exp(-t (2 pi |k|)^{2s}).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fmfgc
 from fmfgc.errors import GridMismatchError, InvalidFieldError
 from fmfgc.spectral import SpectralGrid, TimeGrid, periodic_delta
 
@@ -138,8 +141,14 @@ def test_gradient_divergence_single_modes():
     v = np.stack([np.sin(2 * np.pi * yy), np.cos(2 * np.pi * xx)])
     # div of this shear pair vanishes identically
     assert np.max(np.abs(g2.divergence(v))) <= 1e-12
-    # a stack (..., dim, *shape) gives each field's divergence, bit for bit
+    # a stack (..., dim, *shape) gives each field's divergence, bit for bit;
+    # likewise every operator on a stack of scalar fields (..., *shape)
     rng = np.random.default_rng(19)
+    scalar_ops = {
+        "frac_laplacian": lambda grid, f: grid.frac_laplacian(f, s=0.6),
+        "semigroup_apply": lambda grid, f: grid.semigroup_apply(f, 0.01),
+        "gradient": lambda grid, f: grid.gradient(f),
+    }
     for grid in (g, g2):
         stack = rng.standard_normal((3, 2, grid.dim) + grid.shape)
         div = grid.divergence(stack)
@@ -152,6 +161,19 @@ def test_gradient_divergence_single_modes():
         stack[1, 0].flat[5] = np.nan
         with pytest.raises(InvalidFieldError):
             grid.divergence(stack)
+        fields = rng.standard_normal((3, 2) + grid.shape)
+        for name, op in scalar_ops.items():
+            out = op(grid, fields)
+            assert out.shape[:2] == (3, 2), name
+            for i in range(3):
+                for j in range(2):
+                    assert np.array_equal(out[i, j], op(grid, fields[i, j])), name
+            with pytest.raises(GridMismatchError):
+                op(grid, fields[..., :-1])
+            bad = fields.copy()
+            bad[2, 1].flat[3] = np.nan
+            with pytest.raises(InvalidFieldError):
+                op(grid, bad)
 
 
 def test_gradient_real_output_with_nyquist_energy():
@@ -203,6 +225,11 @@ def test_holder_seminorm_against_brute_force():
             j = (i + h) % 32
             best = max(best, abs(f[i] - f[j]) / (h * g.dx) ** beta)
     assert g.holder_seminorm(f, beta) == pytest.approx(best, rel=1e-12)
+    # a stack gives one value per field, each equal to its own call
+    stack = np.stack([f, 2.0 * f, band_limited_field(g, rng)])
+    per_field = g.holder_seminorm(stack, beta)
+    assert per_field.shape == (3,)
+    assert np.array_equal(per_field, [g.holder_seminorm(h, beta) for h in stack])
     with pytest.raises(ValueError):
         g.holder_seminorm(f, 0.0)
     with pytest.raises(ValueError):
@@ -213,10 +240,15 @@ def test_holder_seminorm_2d_linear_scaling():
     # For f = sin(2 pi x), the beta = 1 seminorm approximates the Lipschitz
     # constant 2 pi from below.
     g = SpectralGrid(2, 32, 0.75)
-    xx, _ = g.nodes()
+    xx, yy = g.nodes()
     f = np.sin(2 * np.pi * xx)
     val = g.holder_seminorm(f, 1.0)
     assert 0.8 * 2 * np.pi <= val <= 2 * np.pi + 1e-9
+    # stacks roll along the grid axes only
+    h = np.sin(2 * np.pi * yy)
+    stack = np.stack([f, 0.5 * f, h])
+    expected = [val, 0.5 * val, g.holder_seminorm(h, 1.0)]
+    assert np.array_equal(g.holder_seminorm(stack, 1.0), expected)
 
 
 def test_time_grid():
@@ -232,3 +264,17 @@ def test_time_grid():
 def test_periodic_delta():
     assert periodic_delta(np.array(0.1), np.array(0.9)) == pytest.approx(0.2)
     assert periodic_delta(np.array(0.25), np.array(0.75)) == pytest.approx(0.5)
+
+
+def test_fourier_code_lives_in_spectral():
+    # Every Fourier multiplier goes through SpectralGrid: no other module
+    # calls numpy's FFT or reads the grid's wavenumber table.
+    package = Path(fmfgc.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "spectral.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.fft" in line or "_ksq" in line
+    ]
+    assert offenders == []
