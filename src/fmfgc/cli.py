@@ -55,17 +55,19 @@ def _load_manifest(args) -> RunManifest:
     return manifest.with_overrides(outdir=args.out, seed=args.seed, theta=args.theta)
 
 
+def _problem(mf: RunManifest):
+    """The time grid, model, initial measure and terminal value of a run."""
+    grid = mf.spatial_grid()
+    return mf.time_grid(), mf.model(), mf.initial_measure(grid), mf.terminal_condition(grid)
+
+
 def _summary(payload: dict, ok: bool = True) -> None:
     print(json.dumps(payload), file=sys.stdout if ok else sys.stderr, flush=True)
 
 
 def _cmd_solve(args) -> int:
     mf = _load_manifest(args)
-    grid = mf.spatial_grid()
-    tg = mf.time_grid()
-    model = mf.model()
-    m0 = mf.initial_measure(grid)
-    u_t = mf.terminal_condition(grid)
+    tg, model, m0, u_t = _problem(mf)
     if mf.theta == 0.0:
         sol = analytic_base(model, m0, u_t, tg)
     else:
@@ -167,11 +169,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sweep_theta(args) -> int:
     mf = _load_manifest(args)
-    grid = mf.spatial_grid()
-    tg = mf.time_grid()
-    model = mf.model()
-    m0 = mf.initial_measure(grid)
-    u_t = mf.terminal_condition(grid)
+    tg, model, m0, u_t = _problem(mf)
     stages = sweep_theta(model, m0, u_t, tg, cfg=mf.loop_config())
     outdir = Path(mf.outdir)
     emit_theta_table(stages, outdir)
@@ -228,17 +226,7 @@ def main(argv=None) -> int:
     try:
         _apply_thread_hint(args.threads)
         return _COMMANDS[args.command](args)
-    except FmfgcError as exc:
-        _summary(
-            {
-                "command": args.command,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            },
-            ok=False,
-        )
-        return 1
-    except OSError as exc:
+    except (FmfgcError, OSError) as exc:
         _summary(
             {
                 "command": args.command,

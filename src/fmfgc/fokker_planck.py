@@ -155,6 +155,9 @@ def solve_forward(
     )
 
 
+DENSITY_PRESETS = ("uniform", "vonmises", "twobump")
+
+
 def initial_density(grid: SpectralGrid, preset: str = "vonmises") -> GridMeasure:
     """Built-in starting densities: a von Mises style bump, the uniform
     density, and an asymmetric two-bump mixture."""
@@ -170,7 +173,7 @@ def initial_density(grid: SpectralGrid, preset: str = "vonmises") -> GridMeasure
         for x in nodes[1:]:
             profile = profile * np.exp(np.cos(2 * np.pi * x) - 1.0)
         return GridMeasure.normalized(grid, profile)
-    raise ValueError(f"unknown density preset {preset!r}")
+    raise ValueError(f"density must be one of {DENSITY_PRESETS}, got {preset!r}")
 
 
 def duality_residual(u_sol, m_sol: FpSolution, mu_path, model, theta: float) -> float:

@@ -1,10 +1,11 @@
 """Run configuration: parsing, validation, and the resolved manifest.
 
-Configs are sectioned INI-style text.  Parsing is strict: unknown sections
-or keys are errors, duplicates are errors, and every range violation names
-the offending key.  A parsed manifest is fully resolved (all defaults
-filled in) and serializes back to text losslessly, so the copy echoed into
-an output directory reproduces the run byte for byte.
+Configs are sectioned INI-style text, read and echoed through one field
+table.  Parsing is strict: unknown sections or keys are errors, duplicates
+are errors, and every range violation names the offending key; each range
+is checked by the object it guards.  A parsed manifest is fully resolved
+(all defaults filled in) and serializes back to text losslessly, so the
+copy echoed into an output directory reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -12,42 +13,87 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .equilibrium import LoopConfig
 from .errors import ConfigError
-from .fokker_planck import initial_density
+from .fokker_planck import DENSITY_PRESETS, initial_density  # noqa: F401 (re-exported)
 from .measures import GridMeasure
 from .models import QuadraticModel
 from .spectral import SpectralGrid, TimeGrid
 
-#: Section -> key -> default (as text).  ``None`` marks a value that is
-#: derived from other keys when absent; the echoed manifest always records
-#: the resolved number.
-SCHEMA: dict[str, dict[str, str | None]] = {
-    "scenario": {"name": "benchmark", "outdir": "runs/benchmark", "seed": "1234"},
-    "grid": {"dim": "1", "n": "128", "n_t": "200", "s": "0.75", "horizon": "1.0"},
-    "model": {
-        "coupling_beta": "0.3",
-        "kernel_decay": "1.0",
-        "c0": None,
-        "q": None,
-    },
-    "initial": {"density": "vonmises", "terminal_amplitude": "0.15"},
-    "particles": {"count": "100000", "store_stride": "0"},
-    "loop": {
-        "tolerance": "1e-6",
-        "max_sweeps": "80",
-        "damping": "1.0",
-        "stall_window": "10",
-        "theta": "1.0",
-        "theta_schedule": "0.0, 0.25, 0.5, 0.75, 1.0",
-    },
-}
 
-DENSITY_PRESETS = ("uniform", "vonmises", "twobump")
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+_KIND = {int: "an integer", float: "a number", _floats: "comma-separated numbers"}
+
+
+def _parse(name: str, parse: Callable[[str], object], raw: str):
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be {_KIND[parse]}, got {raw!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {raw!r}")
+    return value
+
+
+def _echo(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class _Derived(NamedTuple):
+    """A key read off the model: echoed, and accepted only when it matches."""
+
+    attribute: str
+    reason: str
+
+
+class ConfigKey(NamedTuple):
+    section: str
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    default: str | _Derived
+
+
+#: Every config key, in echo order; the text defaults are the benchmark scenario.
+FIELDS = (
+    ConfigKey("scenario", "name", "name", str, "benchmark"),
+    ConfigKey("scenario", "outdir", "outdir", str, "runs/benchmark"),
+    ConfigKey("scenario", "seed", "seed", int, "1234"),
+    ConfigKey("grid", "dim", "dim", int, "1"),
+    ConfigKey("grid", "n", "n", int, "128"),
+    ConfigKey("grid", "n_t", "n_t", int, "200"),
+    ConfigKey("grid", "s", "s", float, "0.75"),
+    ConfigKey("grid", "horizon", "horizon", float, "1.0"),
+    ConfigKey("model", "coupling_beta", "coupling_beta", float, "0.3"),
+    ConfigKey("model", "kernel_decay", "kernel_decay", float, "1.0"),
+    ConfigKey("model", "c0", "c0", float,
+              _Derived("C0", "is derived from coupling_beta and kernel_decay")),
+    ConfigKey("model", "q", "q", float, _Derived("q", "is fixed by the quadratic cost")),
+    ConfigKey("initial", "density", "density", str, "vonmises"),
+    ConfigKey("initial", "terminal_amplitude", "terminal_amplitude", float, "0.15"),
+    ConfigKey("particles", "count", "particle_count", int, "100000"),
+    ConfigKey("particles", "store_stride", "store_stride", int, "0"),
+    ConfigKey("loop", "tolerance", "tolerance", float, "1e-6"),
+    ConfigKey("loop", "max_sweeps", "max_sweeps", int, "80"),
+    ConfigKey("loop", "damping", "damping", float, "1.0"),
+    ConfigKey("loop", "stall_window", "stall_window", int, "10"),
+    ConfigKey("loop", "theta", "theta", float, "1.0"),
+    ConfigKey("loop", "theta_schedule", "theta_schedule", _floats, "0.0, 0.25, 0.5, 0.75, 1.0"),
+)
+
+#: Constructor parameter -> config key, to name the key in a builder's error.
+_KEY_OF = {f.field: f"{f.section}.{f.key}" for f in FIELDS} | {"n_steps": "grid.n_t"}
 
 
 @dataclass(frozen=True)
@@ -140,102 +186,34 @@ class RunManifest:
     # -- serialization --------------------------------------------------
 
     def to_text(self) -> str:
+        sections: dict[str, dict[str, str]] = {}
+        for f in FIELDS:
+            sections.setdefault(f.section, {})[f.key] = _echo(getattr(self, f.field))
         parser = configparser.ConfigParser(interpolation=None)
-        parser["scenario"] = {
-            "name": self.name,
-            "outdir": self.outdir,
-            "seed": str(self.seed),
-        }
-        parser["grid"] = {
-            "dim": str(self.dim),
-            "n": str(self.n),
-            "n_t": str(self.n_t),
-            "s": repr(self.s),
-            "horizon": repr(self.horizon),
-        }
-        parser["model"] = {
-            "coupling_beta": repr(self.coupling_beta),
-            "kernel_decay": repr(self.kernel_decay),
-            "c0": repr(self.c0),
-            "q": repr(self.q),
-        }
-        parser["initial"] = {
-            "density": self.density,
-            "terminal_amplitude": repr(self.terminal_amplitude),
-        }
-        parser["particles"] = {
-            "count": str(self.particle_count),
-            "store_stride": str(self.store_stride),
-        }
-        parser["loop"] = {
-            "tolerance": repr(self.tolerance),
-            "max_sweeps": str(self.max_sweeps),
-            "damping": repr(self.damping),
-            "stall_window": str(self.stall_window),
-            "theta": repr(self.theta),
-            "theta_schedule": ", ".join(repr(t) for t in self.theta_schedule),
-        }
+        parser.read_dict(sections)
         out = io.StringIO()
         parser.write(out)
         return out.getvalue()
 
 
-def _to_int(section: str, key: str, raw: str) -> int:
+def _validate(mf: RunManifest) -> QuadraticModel:
+    """Build the objects that guard the ranges, then check the rest; returns the model."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from None
+        grid = mf.spatial_grid()
+        mf.time_grid()
+        model = mf.model()
+        mf.loop_config()
+        mf.initial_measure(grid)
+    except ValueError as exc:
+        parameter, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_KEY_OF.get(parameter, parameter)} {rest}") from None
 
-
-def _to_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
-    return value
-
-
-def _validate(mf: RunManifest) -> None:
     if not mf.name:
         raise ConfigError("scenario.name must be nonempty")
     if not mf.outdir:
         raise ConfigError("scenario.outdir must be nonempty")
     if not 0 <= mf.seed < 2**64:
         raise ConfigError(f"scenario.seed must fit in u64, got {mf.seed}")
-    if mf.dim not in (1, 2):
-        raise ConfigError(f"grid.dim must be 1 or 2, got {mf.dim}")
-    if mf.n < 8 or mf.n & (mf.n - 1):
-        raise ConfigError(f"grid.n must be a power of two >= 8, got {mf.n}")
-    if mf.n_t < 1:
-        raise ConfigError(f"grid.n_t must be at least 1, got {mf.n_t}")
-    if not 0.5 < mf.s < 1.0:
-        raise ConfigError(f"grid.s out of range: s ∈ (1/2, 1) required, got {mf.s}")
-    if not mf.horizon > 0.0:
-        raise ConfigError(f"grid.horizon must be positive, got {mf.horizon}")
-    if not 0.0 < mf.coupling_beta < 1.0:
-        raise ConfigError(
-            f"model.coupling_beta must lie in (0, 1), got {mf.coupling_beta}"
-        )
-    if not mf.kernel_decay > 0.0:
-        raise ConfigError(f"model.kernel_decay must be positive, got {mf.kernel_decay}")
-    derived = QuadraticModel(
-        coupling_beta=mf.coupling_beta, kernel_decay=mf.kernel_decay, dim=mf.dim
-    )
-    if abs(mf.c0 - derived.C0) > 1e-9 * max(1.0, derived.C0):
-        raise ConfigError(
-            f"model.c0 is derived from coupling_beta and kernel_decay "
-            f"({derived.C0!r}); remove it or match, got {mf.c0!r}"
-        )
-    if mf.q != derived.q:
-        raise ConfigError(
-            f"model.q is fixed by the quadratic cost ({derived.q!r}), got {mf.q!r}"
-        )
-    if mf.density not in DENSITY_PRESETS:
-        raise ConfigError(
-            f"initial.density must be one of {DENSITY_PRESETS}, got {mf.density!r}"
-        )
     if abs(mf.terminal_amplitude) > 100.0:
         raise ConfigError(
             f"initial.terminal_amplitude out of range [-100, 100], "
@@ -250,23 +228,11 @@ def _validate(mf: RunManifest) -> None:
             f"particles.store_stride must be 0 (auto) or a divisor of grid.n_t, "
             f"got {mf.store_stride}"
         )
-    if not mf.tolerance > 0.0:
-        raise ConfigError(f"loop.tolerance must be positive, got {mf.tolerance}")
-    if mf.max_sweeps < 1:
-        raise ConfigError(f"loop.max_sweeps must be at least 1, got {mf.max_sweeps}")
-    if not 0.0 < mf.damping <= 1.0:
-        raise ConfigError(f"loop.damping must lie in (0, 1], got {mf.damping}")
-    if mf.stall_window < 2:
-        raise ConfigError(f"loop.stall_window must be at least 2, got {mf.stall_window}")
     if not 0.0 <= mf.theta <= 1.0:
         raise ConfigError(f"loop.theta must lie in [0, 1], got {mf.theta}")
-    schedule = mf.theta_schedule
-    if not schedule:
+    if not mf.theta_schedule:
         raise ConfigError("loop.theta_schedule must be nonempty")
-    if any(not 0.0 <= t <= 1.0 for t in schedule):
-        raise ConfigError(f"loop.theta_schedule entries must lie in [0, 1], got {schedule}")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError(f"loop.theta_schedule must be strictly increasing, got {schedule}")
+    return model
 
 
 def parse_config(text: str) -> RunManifest:
@@ -277,67 +243,32 @@ def parse_config(text: str) -> RunManifest:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
 
+    known = {(f.section, f.key) for f in FIELDS}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in SCHEMA[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"unknown key {section}.{key}")
 
-    def fetch(section: str, key: str) -> str | None:
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return SCHEMA[section][key]
-
-    raw_schedule = fetch("loop", "theta_schedule")
-    try:
-        schedule = tuple(float(tok) for tok in raw_schedule.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(
-            f"loop.theta_schedule must be comma-separated numbers, got {raw_schedule!r}"
-        ) from None
-
-    beta = _to_float("model", "coupling_beta", fetch("model", "coupling_beta"))
-    decay = _to_float("model", "kernel_decay", fetch("model", "kernel_decay"))
-    dim = _to_int("grid", "dim", fetch("grid", "dim"))
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"model.coupling_beta must lie in (0, 1), got {beta}")
-    if not decay > 0.0:
-        raise ConfigError(f"model.kernel_decay must be positive, got {decay}")
-    if dim not in (1, 2):
-        raise ConfigError(f"grid.dim must be 1 or 2, got {dim}")
-    derived = QuadraticModel(coupling_beta=beta, kernel_decay=decay, dim=dim)
-    raw_c0 = fetch("model", "c0")
-    raw_q = fetch("model", "q")
-
-    mf = RunManifest(
-        name=fetch("scenario", "name"),
-        outdir=fetch("scenario", "outdir"),
-        seed=_to_int("scenario", "seed", fetch("scenario", "seed")),
-        dim=dim,
-        n=_to_int("grid", "n", fetch("grid", "n")),
-        n_t=_to_int("grid", "n_t", fetch("grid", "n_t")),
-        s=_to_float("grid", "s", fetch("grid", "s")),
-        horizon=_to_float("grid", "horizon", fetch("grid", "horizon")),
-        coupling_beta=beta,
-        kernel_decay=decay,
-        c0=derived.C0 if raw_c0 is None else _to_float("model", "c0", raw_c0),
-        q=derived.q if raw_q is None else _to_float("model", "q", raw_q),
-        density=fetch("initial", "density"),
-        terminal_amplitude=_to_float(
-            "initial", "terminal_amplitude", fetch("initial", "terminal_amplitude")
-        ),
-        particle_count=_to_int("particles", "count", fetch("particles", "count")),
-        store_stride=_to_int("particles", "store_stride", fetch("particles", "store_stride")),
-        tolerance=_to_float("loop", "tolerance", fetch("loop", "tolerance")),
-        max_sweeps=_to_int("loop", "max_sweeps", fetch("loop", "max_sweeps")),
-        damping=_to_float("loop", "damping", fetch("loop", "damping")),
-        stall_window=_to_int("loop", "stall_window", fetch("loop", "stall_window")),
-        theta=_to_float("loop", "theta", fetch("loop", "theta")),
-        theta_schedule=schedule,
-    )
-    _validate(mf)
-    return mf
+    values = {}
+    for f in FIELDS:
+        raw = parser.get(f.section, f.key, fallback=None)
+        if raw is None and isinstance(f.default, str):
+            raw = f.default
+        values[f.field] = None if raw is None else _parse(f"{f.section}.{f.key}", f.parse, raw)
+    model = _validate(RunManifest(**values))
+    for f in FIELDS:
+        if isinstance(f.default, _Derived):
+            expected = getattr(model, f.default.attribute)
+            if values[f.field] is None:
+                values[f.field] = expected
+            elif not math.isclose(values[f.field], expected, rel_tol=1e-9):
+                raise ConfigError(
+                    f"{f.section}.{f.key} {f.default.reason} ({expected!r}); "
+                    f"remove it or match, got {values[f.field]!r}"
+                )
+    return RunManifest(**values)
 
 
 def default_manifest() -> RunManifest:

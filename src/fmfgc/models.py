@@ -116,15 +116,18 @@ class QuadraticModel(LagrangianModel):
 
     def __init__(self, coupling_beta: float, kernel_decay: float = 1.0, dim: int = 1):
         if not 0.0 < coupling_beta < 1.0:
-            raise ValueError(f"coupling strength must lie in (0, 1), got {coupling_beta}")
-        if kernel_decay <= 0.0:
-            raise ValueError(f"kernel decay must be positive, got {kernel_decay}")
+            raise ValueError(f"coupling_beta must lie in (0, 1), got {coupling_beta}")
+        if not kernel_decay > 0.0:
+            raise ValueError(f"kernel_decay must be positive, got {kernel_decay}")
         self.coupling_beta = float(coupling_beta)
         self.kernel_decay = float(kernel_decay)
         self.dim = int(dim)
         self.q = 2.0
         self.q_tilde = 2.0
-        s0, s1 = _kernel_sums(self.kernel_decay, self.dim)
+        with np.errstate(divide="ignore"):
+            s0, s1 = _kernel_sums(self.kernel_decay, self.dim)
+        if not np.isfinite(s1):
+            raise ValueError(f"kernel_decay too small for finite kernel sums, got {kernel_decay}")
         self.potential_sup = s0
         self.potential_lip = s1
         # One constant serving coercivity, boundedness and x-regularity.
@@ -212,7 +215,8 @@ class ThetaScaledModel:
     At parameter theta the running cost is theta L(x, alpha/theta, Smu)
     where S pushes the control marginal forward by 1/theta; the
     Hamiltonian is theta H(x, p, Smu).  At theta = 0 the Hamiltonian and
-    its momentum gradient vanish identically (no limits are taken).
+    its momentum gradient vanish identically (no limits are taken).  Only
+    the field forms exist: they are the surface the solver calls.
     """
 
     def __init__(self, base: LagrangianModel, theta: float):
@@ -235,27 +239,6 @@ class ThetaScaledModel:
         scaled.alpha = mu.alpha / self.theta
         scaled.alpha.setflags(write=False)
         return scaled
-
-    # -- probe forms -----------------------------------------------------
-
-    def hamiltonian(self, x, p, mu):
-        if self.theta == 0.0:
-            p = np.asarray(p, dtype=float)
-            return np.zeros(p.shape[-1] if p.ndim > 1 else 1)
-        return self.theta * self.base.hamiltonian(x, p, self.scaled_measure(mu))
-
-    def grad_p(self, x, p, mu):
-        p = np.asarray(p, dtype=float)
-        if self.theta == 0.0:
-            return np.zeros_like(p)
-        return self.theta * self.base.grad_p(x, p, self.scaled_measure(mu))
-
-    def lagrangian(self, x, alpha, mu):
-        alpha = np.asarray(alpha, dtype=float)
-        if self.theta == 0.0:
-            mag = np.sum(alpha**2, axis=0)
-            return np.where(mag == 0.0, 0.0, np.inf)
-        return self.theta * self.base.lagrangian(x, alpha / self.theta, self.scaled_measure(mu))
 
     # -- field forms -----------------------------------------------------
 

@@ -10,6 +10,7 @@ a path are independent, so a MeasurePath is solved in one stacked loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .measures import GridMeasure, JointControlMeasure, MeasurePath, lambda_inf,
 @dataclass(frozen=True)
 class MuSolveConfig:
     tolerance: float = 1e-10
-    max_iterations: int = 200
+    max_iterations: int = 1000
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
@@ -59,7 +60,9 @@ def solve_mu_detailed(
     zero control; a JointControlMeasure or a MeasurePath starts from its
     own controls.  A slice stops once it meets the tolerance, so each ends
     where its own solve would; ``iterations`` is the largest per-slice
-    count."""
+    count.  NonContractionError is raised once the measured update ratio
+    stops shrinking the update, or predicts more than
+    ``config.max_iterations`` iterations to the tolerance."""
     config = config or MuSolveConfig()
     grid = m.grid
     mu = m
@@ -78,7 +81,6 @@ def solve_mu_detailed(
 
     lead = du.shape[: du.ndim - grid.dim - 1]
     updates: list[float] = []
-    residual = np.inf
     for it in range(config.max_iterations):
         defect = mu.alpha + model.grad_p_field(du, mu)
         per_slice = np.max(np.abs(defect).reshape(lead + (-1,)), axis=-1)
@@ -87,18 +89,31 @@ def solve_mu_detailed(
             return MuSolveResult(
                 mu=mu, iterations=it, residual=residual, update_norms=tuple(updates)
             )
+        updates.append(residual)
+        if _predicted_iterations(updates, config.tolerance) > config.max_iterations:
+            break
         active = (per_slice > config.tolerance).reshape(lead + (1,) * (grid.dim + 1))
         mu = mu.with_alpha(np.where(active, mu.alpha - defect, mu.alpha))
-        updates.append(residual)
 
-    ratios = [b / a for a, b in zip(updates, updates[1:]) if a > 0.0]
-    ratio = float(ratios[-1]) if ratios else float("nan")
+    ratio = updates[-1] / updates[-2] if len(updates) > 1 else float("nan")
     raise NonContractionError(
-        f"control fixed point not below tolerance {config.tolerance} after "
-        f"{config.max_iterations} iterations (last update ratio {ratio:.3f})",
+        f"control fixed point cannot reach tolerance {config.tolerance} within "
+        f"{config.max_iterations} iterations (update ratio {ratio:.3f} after "
+        f"{len(updates)})",
         ratio=ratio,
-        residual=residual,
+        residual=updates[-1],
     )
+
+
+def _predicted_iterations(updates: list[float], tolerance: float) -> float:
+    """Iterations to tolerance at the better of the last two update ratios, so
+    one ratio at or above one (a roundoff blip) is not yet a verdict."""
+    if len(updates) < 3:
+        return len(updates)
+    rate = min(updates[-1] / updates[-2], updates[-2] / updates[-3])
+    if not rate < 1.0:
+        return math.inf
+    return len(updates) + math.log(tolerance / updates[-1]) / math.log(rate)
 
 
 def solve_mu(

@@ -53,7 +53,7 @@ class SpectralGrid:
         if not _is_power_of_two(n) or n < 8:
             raise ValueError(f"n must be a power of two >= 8, got {n}")
         if not 0.5 < s < 1.0:
-            raise ValueError(f"fractional order must satisfy s ∈ (1/2, 1), got {s}")
+            raise ValueError(f"s out of range: s ∈ (1/2, 1) required, got {s}")
         self.dim = int(dim)
         self.n = int(n)
         self.s = float(s)

@@ -16,7 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,9 @@ from .equilibrium import (
     solve_equilibrium,
     sweep_theta,
 )
-from .fokker_planck import initial_density, solve_forward
+from .fokker_planck import solve_forward
 from .hjb import hjb_diagnostics
+from .manifest import default_manifest
 from .measures import (
     GridMeasure,
     JointControlMeasure,
@@ -68,19 +69,16 @@ class AcceptanceContext:
     def __init__(self):
         self._cache: dict[str, object] = {}
 
-    # benchmark scenario: d = 1, n = 128, n_t = 200, s = 0.75, T = 1,
-    # coupling 0.3, unit kernel decay, vonmises start, cosine terminal.
     def scenario(self, n: int, n_t: int):
-        grid = SpectralGrid(dim=1, n=n, s=0.75)
-        tg = TimeGrid(horizon=1.0, n_steps=n_t)
-        m0 = initial_density(grid, "vonmises")
-        u_t = 0.15 * np.cos(2.0 * np.pi * grid.nodes()[0])
-        return grid, tg, m0, u_t
+        """The benchmark scenario, default_manifest(), at n nodes and n_t steps."""
+        mf = replace(default_manifest(), n=n, n_t=n_t)
+        grid = mf.spatial_grid()
+        return grid, mf.time_grid(), mf.initial_measure(grid), mf.terminal_condition(grid)
 
     @property
     def model(self) -> QuadraticModel:
         if "model" not in self._cache:
-            self._cache["model"] = QuadraticModel(coupling_beta=0.3)
+            self._cache["model"] = default_manifest().model()
         return self._cache["model"]
 
     @property
@@ -278,11 +276,9 @@ def _criterion_uniqueness(ctx: AcceptanceContext):
     bump = 0.05 * np.cos(2.0 * np.pi * grid.nodes()[0])
     perturbed_u = base.u_sol.u + bump
     du = grid.gradient(perturbed_u)
-    from dataclasses import replace as _replace
-
-    seeded = _replace(
+    seeded = replace(
         base,
-        u_sol=_replace(base.u_sol, u=perturbed_u, du=du, diagnostics=None),
+        u_sol=replace(base.u_sol, u=perturbed_u, du=du, diagnostics=None),
         converged=False,
     )
     cfg = LoopConfig(theta_schedule=(1.0,))

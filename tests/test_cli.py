@@ -100,6 +100,22 @@ def test_simulate_after_solve(dim, tmp_path, capsys):
     assert (outdir / "holder.csv").exists()
 
 
+def test_strong_coupling_short_horizon_solves(tmp_path, capsys):
+    # coupling_beta = 0.9 contracts slowly: from the zero control the
+    # control fixed point needs about 260 iterations to its 1e-12
+    # tolerance, so a fixed budget of 200 made this solve exit 1.
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text(
+        "[grid]\nhorizon = 0.1\n[model]\ncoupling_beta = 0.9\n"
+        "[initial]\ndensity = twobump\n"
+    )
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 0
+    payload = summary_of(capsys)
+    assert payload["converged"] is True
+    assert payload["exploitability"] <= 1e-10
+
+
 def test_simulate_without_artifacts_fails(tiny_config, tmp_path, capsys):
     code = main(
         ["simulate", "--config", str(tiny_config), "--out", str(tmp_path / "empty")]

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+import fmfgc.equilibrium as equilibrium
 from fmfgc.equilibrium import (
     EquilibriumSolution,
     LoopConfig,
@@ -222,6 +223,19 @@ def test_sweep_theta_stages():
     sups = [float(np.max(np.abs(s.u_sol.u))) for s in stages]
     assert sups[0] == 0.0
     assert all(a < b for a, b in zip(sups, sups[1:]))
+
+
+def test_certificate_pairing_minimum_covers_every_row(benchmark_solution, monkeypatch):
+    # A negative or NaN pairing on any slice, not only on every
+    # (n_t // 8)-th one, must fail the monotonicity check.
+    grid, tg, model, m0, u_t, sol = benchmark_solution
+    assert sol.baseline_mu is not None
+    assert equilibrium_certificate(sol, model).monotone_ok
+    for bad in (-1e-3, np.nan):
+        pairing = np.zeros(tg.n_steps + 1)
+        pairing[5] = bad
+        monkeypatch.setattr(equilibrium, "monotonicity_pairing", lambda *_, p=pairing: p)
+        assert not equilibrium_certificate(sol, model).monotone_ok
 
 
 def test_certificate_theta_zero_trivial():

@@ -1,11 +1,19 @@
 """Config parsing, validation messages, and lossless manifest echo."""
 
+import configparser
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmfgc.errors import ConfigError
-from fmfgc.manifest import DENSITY_PRESETS, default_manifest, parse_config
+from fmfgc.manifest import DENSITY_PRESETS, FIELDS, default_manifest, parse_config
 from fmfgc.models import QuadraticModel
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_minimal_config_fills_documented_defaults():
@@ -211,3 +219,79 @@ def test_loop_config_passthrough():
     assert cfg.max_sweeps == 7
     assert cfg.stall_window == 3
     assert cfg.theta_schedule == mf.theta_schedule
+
+
+def test_kernel_decay_too_small_for_finite_constant():
+    # exp(-decay) rounds to one, so the structure constant c0 would be
+    # infinite and its echo could not be read back.
+    with pytest.raises(ConfigError, match="model.kernel_decay"):
+        parse_config("[model]\nkernel_decay = 1e-20\n")
+
+
+def test_readme_config_matches_schema():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    parse_config(block)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    keys = {(section, key) for section in parser.sections() for key in parser.options(section)}
+    assert keys == {(f.section, f.key) for f in FIELDS if isinstance(f.default, str)}
+
+
+_WORD = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=16
+).filter(lambda t: t == t.strip())
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def config_values(draw):
+    """(section, key) -> value text for a valid config, some keys left out."""
+    n_t = draw(st.integers(1, 400))
+    schedule = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True))
+    values = {
+        ("scenario", "name"): draw(_WORD),
+        ("scenario", "outdir"): draw(_WORD),
+        ("scenario", "seed"): str(draw(st.integers(0, 2**64 - 1))),
+        ("grid", "dim"): str(draw(st.sampled_from([1, 2]))),
+        ("grid", "n"): str(draw(st.sampled_from([8, 16, 32]))),
+        ("grid", "n_t"): str(n_t),
+        ("grid", "s"): repr(draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))),
+        ("grid", "horizon"): repr(draw(st.floats(0.0, 1e6, exclude_min=True))),
+        ("model", "coupling_beta"): repr(draw(_OPEN_UNIT)),
+        ("model", "kernel_decay"): repr(draw(st.floats(1e-15, 1e6))),
+        ("initial", "density"): draw(st.sampled_from(DENSITY_PRESETS)),
+        ("initial", "terminal_amplitude"): repr(draw(st.floats(-100.0, 100.0))),
+        ("particles", "count"): str(draw(st.integers(1, 10**9))),
+        ("particles", "store_stride"): str(
+            draw(st.sampled_from([0] + [k for k in range(1, n_t + 1) if n_t % k == 0]))
+        ),
+        ("loop", "tolerance"): repr(draw(st.floats(0.0, 1e3, exclude_min=True))),
+        ("loop", "max_sweeps"): str(draw(st.integers(1, 10**6))),
+        ("loop", "damping"): repr(draw(st.floats(0.0, 1.0, exclude_min=True))),
+        ("loop", "stall_window"): str(draw(st.integers(2, 10**6))),
+        ("loop", "theta"): repr(draw(st.floats(0.0, 1.0))),
+        ("loop", "theta_schedule"): ", ".join(repr(t) for t in sorted(schedule)),
+    }
+    kept = draw(st.sets(st.sampled_from(sorted(values))))
+    if ("particles", "store_stride") in kept:  # a divisor of this n_t only
+        kept.add(("grid", "n_t"))
+    return {k: v for k, v in values.items() if k in kept}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(config_values())
+def test_echo_round_trip_property(values):
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+    mf = parse_config(text)
+    echo = mf.to_text()
+    again = parse_config(echo)
+    assert again == mf
+    assert again.to_text() == echo
+    # every value the config gave comes back verbatim in the echo
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(echo)
+    for (section, key), value in values.items():
+        assert parser.get(section, key) == value

@@ -211,15 +211,15 @@ def test_theta_scale_validation_and_endpoints():
     rng = np.random.default_rng(23)
     g = SpectralGrid(1, 64, 0.75)
     mu = random_mu(g, rng)
-    x = rng.random((1, 40))
-    p = rng.uniform(-3, 3, (1, 40))
-    # theta = 1: identity on probes (scaled measure is the same object)
+    p = rng.uniform(-3, 3, (1, 64))
+    # theta = 1: the identity (scaled measure is the same object)
     one = ThetaScaledModel(model, 1.0)
-    assert np.array_equal(one.hamiltonian(x, p, mu), model.hamiltonian(x, p, mu))
+    assert np.array_equal(one.hamiltonian_field(p, mu), model.hamiltonian_field(p, mu))
+    assert np.array_equal(one.grad_p_field(p, mu), model.grad_p_field(p, mu))
     # theta = 0: exactly zero, no limits taken
     zero = ThetaScaledModel(model, 0.0)
-    assert np.all(zero.hamiltonian(x, p, mu) == 0.0)
-    assert np.all(zero.grad_p(x, p, mu) == 0.0)
+    assert np.all(zero.hamiltonian_field(p, mu) == 0.0)
+    assert np.all(zero.grad_p_field(p, mu) == 0.0)
     assert np.all(zero.hamiltonian_field(np.zeros((1, 64)), mu) == 0.0)
     # on a path every field form keeps the time axis: one value per slice
     path = MeasurePath(
@@ -243,15 +243,14 @@ def test_theta_scale_expression_tree():
     g = SpectralGrid(1, 64, 0.75)
     model = QuadraticModel(0.35)
     mu = random_mu(g, rng)
-    x = rng.random((1, 30))
-    p = rng.uniform(-2, 2, (1, 30))
+    p = rng.uniform(-2, 2, (1, 64))
     for theta in (0.25, 0.5, 0.75):
         scaled = ThetaScaledModel(model, theta)
         mu_scaled = JointControlMeasure(mu.m, mu.alpha / theta)
-        direct = theta * model.hamiltonian(x, p, mu_scaled)
-        assert np.array_equal(scaled.hamiltonian(x, p, mu), direct)
+        direct = theta * model.hamiltonian_field(p, mu_scaled)
+        assert np.array_equal(scaled.hamiltonian_field(p, mu), direct)
         assert np.array_equal(
-            scaled.grad_p(x, p, mu), theta * model.grad_p(x, p, mu_scaled)
+            scaled.grad_p_field(p, mu), theta * model.grad_p_field(p, mu_scaled)
         )
 
 
@@ -261,12 +260,11 @@ def test_theta_half_constant_control():
     model = QuadraticModel(0.4)
     a = 0.7
     mu = JointControlMeasure(GridMeasure.uniform(g), np.full((1, 64), a))
-    x = np.array([[0.3]])
-    p = np.array([[1.2]])
-    h_half = ThetaScaledModel(model, 0.5).hamiltonian(x, p, mu)
-    v = model.potential_at(mu.m, x)
+    p = np.full((1, 64), 1.2)
+    h_half = ThetaScaledModel(model, 0.5).hamiltonian_field(p, mu)
+    v = model.potential_field(mu.m)
     expected = 0.5 * (0.5 * 1.2**2 + 0.4 * 1.2 * (2 * a) - v)
-    assert h_half[0] == pytest.approx(expected[0], abs=1e-12)
+    assert np.max(np.abs(h_half - expected)) <= 1e-12
 
 
 def test_theta_lagrangian_coercivity_probes():
@@ -277,11 +275,10 @@ def test_theta_lagrangian_coercivity_probes():
     c0, qt = model.C0, model.q_tilde
     mu = random_mu(g, rng)
     lam = lambda_q(mu, qt)
-    x = rng.random((1, 60))
-    alpha = 4.0 * rng.uniform(-1, 1, (1, 60))
+    alpha = 4.0 * rng.uniform(-1, 1, (1, 64))
     for theta in (0.25, 0.5, 1.0):
         scaled = ThetaScaledModel(model, theta)
-        lval = scaled.lagrangian(x, alpha, mu)
+        lval = scaled.lagrangian_field(alpha, mu)
         amag = np.abs(alpha[0])
         floor = (
             theta ** (1.0 - qt) * amag**qt / c0
@@ -302,10 +299,23 @@ def test_growth_check_quadratic_feasible():
     assert report.c0_tilde <= 10.0 * model.C0
 
 
+class ZeroHamiltonian:
+    """H = 0 and D_p H = 0 on probes, the theta = 0 end of the scaling."""
+
+    C0 = 2.0
+    q = 2.0
+    q_tilde = 2.0
+
+    def hamiltonian(self, x, p, mu):
+        return np.zeros(np.shape(p)[-1])
+
+    def grad_p(self, x, p, mu):
+        return np.zeros_like(np.asarray(p, dtype=float))
+
+
 def test_growth_check_zero_hamiltonian():
     g = SpectralGrid(1, 64, 0.75)
-    zero = ThetaScaledModel(QuadraticModel(0.5), 0.0)
-    report = growth_check(zero, g, n_samples=200, seed=1)
+    report = growth_check(ZeroHamiltonian(), g, n_samples=200, seed=1)
     assert np.isfinite(report.c0_tilde)
     # H = 0, D_p H = 0: only coercivity needs a constant, sqrt(|p|^q / b)
     assert report.gradient_bound == 0.0

@@ -168,6 +168,59 @@ def test_non_contraction_error(grid):
     assert info.value.residual > cfg.tolerance
 
 
+class _Counting:
+    """Delegates to a model and counts the fixed-point evaluations."""
+
+    theta = 1.0
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def grad_p_field(self, p, mu):
+        self.calls += 1
+        return self.model.grad_p_field(p, mu)
+
+
+def test_budget_follows_measured_contraction(grid):
+    # beta = 0.9 from alpha = 0 needs more than 200 iterations to 1e-12:
+    # the default budget lets it finish, and a budget of 100 stops it as
+    # soon as the measured ratio predicts the overrun, not after 100.
+    rng = np.random.default_rng(21)
+    m = GridMeasure(grid, smooth_density(grid, rng))
+    du = np.stack([0.5 + 0.1 * np.cos(2 * np.pi * grid.nodes()[0])])
+    model = QuadraticModel(coupling_beta=0.9)
+    result = solve_mu_detailed(m, du, model, MuSolveConfig(tolerance=1e-12))
+    assert 200 < result.iterations < MuSolveConfig().max_iterations
+    assert result.residual <= 1e-12
+    counting = _Counting(model)
+    with pytest.raises(NonContractionError) as info:
+        solve_mu(m, du, counting, MuSolveConfig(tolerance=1e-12, max_iterations=100))
+    assert abs(info.value.ratio - 0.9) < 1e-6
+    assert counting.calls <= 5
+
+
+def test_single_ratio_blip_is_not_a_verdict(grid):
+    # One update ratio above one (a roundoff blip) does not stop an
+    # iteration whose next ratio contracts again.
+    class _Blip:
+        theta = 1.0
+
+        def __init__(self):
+            self.calls = 0
+
+        def grad_p_field(self, p, mu):
+            # residual sequence 1, 0.5, 0.6, 0.06, 0.006, ... down to tolerance
+            self.calls += 1
+            scale = {1: 1.0, 2: 0.5, 3: 0.6}.get(self.calls, 0.6 * 0.1 ** (self.calls - 3))
+            return scale * np.ones_like(p) - mu.alpha
+
+    mu = solve_mu_detailed(GridMeasure.uniform(grid), np.zeros((1, 64)), _Blip(),
+                           MuSolveConfig(tolerance=1e-9))
+    assert mu.residual <= 1e-9
+    assert mu.contraction_ratios()[1] > 1.0
+
+
 def test_moment_certificate_sine_gradient(grid):
     # Uniform m kills the mean, so alpha = -sin(2pi x) and the grid sum of
     # sin^2 is exactly 1/2.
