@@ -3,16 +3,17 @@
 Damped Picard sweeps couple the three building blocks: the control fixed
 point on the whole path, the backward value solve, and the forward
 density solve.  Paths are stacked arrays with time as the leading axis.
-The loop runs through an ascending scaling schedule, each stage warm
-starting from the previous one; the zero stage is analytic (zero value
-function, pure fractional heat flow).  If fixed damping stops making
-progress the loop falls back to fictitious-play averaging.
+A solve runs one stage at the target scaling, started from the analytic
+zero-scaling solution (zero value function, pure fractional heat flow)
+or from a given state.  The ascending scaling schedule, each stage warm
+starting from the previous one, is the homotopy of ``sweep_theta``
+only.  If fixed damping stops making progress the loop falls back to
+fictitious-play averaging.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -194,11 +195,14 @@ class MetricsWriter:
 
 def _run_stage(
     state: EquilibriumSolution,
+    theta: float,
     model,
     cfg: LoopConfig,
     sink: MetricsWriter | None,
 ) -> EquilibriumSolution:
-    """Iterate one scaling stage to tolerance or sweep budget."""
+    """Run one scaling stage from ``state``: iterate at ``theta`` to tolerance
+    or sweep budget, then package; the start's controls are the baseline."""
+    state = replace(state, theta=theta, converged=False, baseline_mu=state.mu_path)
     fictitious_from: int | None = None
     for k in range(cfg.max_sweeps):
         if fictitious_from is None:
@@ -209,7 +213,7 @@ def _run_stage(
         if sink is not None:
             sink.write(state.history[-1])
         if state.converged:
-            return state
+            break
         stage = [m for m in state.history if m.theta == state.theta]
         if (
             fictitious_from is None
@@ -217,7 +221,7 @@ def _run_stage(
             and stage[-1].defect >= stage[-cfg.stall_window].defect
         ):
             fictitious_from = k + 1
-    return state
+    return _package(state, model, cfg)
 
 
 def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
@@ -250,22 +254,20 @@ def solve_equilibrium(
     metrics_stream=None,
     warm_start: EquilibriumSolution | None = None,
 ) -> EquilibriumSolution:
-    """Continuation solve up to theta_target.
+    """Direct solve at theta_target: one stage, no continuation.
 
-    Returns the final state; on non-convergence the state comes back with
-    ``converged`` false and the full history intact rather than raising.
-    With ``warm_start`` the first stage begins from that state instead of
-    the analytic zero-scaling base.
+    The stage starts from the analytic zero-scaling base, or from
+    ``warm_start`` when given; ``cfg.theta_schedule`` is not read.  On
+    non-convergence the state comes back with ``converged`` false and the
+    full history intact rather than raising.
     """
     cfg = cfg or LoopConfig()
     if not 0.0 < theta_target <= 1.0:
         raise ValueError(f"theta_target must lie in (0, 1], got {theta_target}")
-    for state in _continuation(
-        model, m0, u_terminal, theta_target, cfg, metrics_stream, warm_start,
-        time_grid,
-    ):
-        pass
-    return state
+    sink = MetricsWriter(metrics_stream) if metrics_stream is not None else None
+    if warm_start is None:
+        warm_start = analytic_base(model, m0, u_terminal, time_grid)
+    return _run_stage(warm_start, theta_target, model, cfg, sink)
 
 
 def sweep_theta(
@@ -276,46 +278,26 @@ def sweep_theta(
     cfg: LoopConfig | None = None,
     metrics_stream=None,
 ) -> list[EquilibriumSolution]:
-    """Run the whole schedule and keep every stage's final state."""
+    """Run the continuation through ``cfg.theta_schedule`` and keep every
+    stage's final state, each stage warm starting from the previous one.
+
+    A zero entry keeps the analytic base as a stage.  The sweep stops at the
+    first stage that ends unconverged, so no stage starts from one that did
+    not converge; that stage comes back last, with ``converged`` false.
+    """
     cfg = cfg or LoopConfig()
-    target = cfg.theta_schedule[-1] if cfg.theta_schedule else 1.0
-    if target == 0.0:
+    schedule = cfg.theta_schedule or (1.0,)
+    if schedule[-1] == 0.0:
         raise ValueError("scaling schedule must end above 0")
-    return list(
-        _continuation(model, m0, u_terminal, target, cfg, metrics_stream, None, time_grid)
-    )
-
-
-def _continuation(
-    model,
-    m0: GridMeasure,
-    u_terminal: np.ndarray,
-    theta_target: float,
-    cfg: LoopConfig,
-    metrics_stream,
-    warm_start: EquilibriumSolution | None,
-    time_grid: TimeGrid,
-) -> Iterator[EquilibriumSolution]:
-    """Yield each stage's final state as soon as the stage ends, so a caller
-    that wants only the last one holds no earlier stage."""
     sink = MetricsWriter(metrics_stream) if metrics_stream is not None else None
-    stages = [t for t in cfg.theta_schedule if 0.0 < t < theta_target]
-    stages.append(theta_target)
-
-    if warm_start is not None:
-        state = warm_start
-    else:
-        state = analytic_base(model, m0, u_terminal, time_grid)
-        if 0.0 in cfg.theta_schedule:
-            yield state
-
-    for theta in stages:
-        state = replace(
-            state, theta=theta, converged=False, baseline_mu=state.mu_path
-        )
-        state = _run_stage(state, model, cfg, sink)
-        state = _package(state, model, cfg)
-        yield state
+    state = analytic_base(model, m0, u_terminal, time_grid)
+    stages = [state] if schedule[0] == 0.0 else []  # a zero entry is the base itself
+    for theta in schedule[len(stages):]:
+        state = _run_stage(state, theta, model, cfg, sink)
+        stages.append(state)
+        if not state.converged:
+            break
+    return stages
 
 
 @dataclass(frozen=True)

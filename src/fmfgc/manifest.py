@@ -180,7 +180,7 @@ class RunManifest:
             seed=self.seed if seed is None else seed,
             theta=self.theta if theta is None else theta,
         )
-        _validate(updated)
+        _check_overridable(updated)
         return updated
 
     # -- serialization --------------------------------------------------
@@ -194,6 +194,16 @@ class RunManifest:
         out = io.StringIO()
         parser.write(out)
         return out.getvalue()
+
+
+def _check_overridable(mf: RunManifest) -> None:
+    """The checks of the fields ``with_overrides`` may change, which no built object guards."""
+    if not mf.outdir:
+        raise ConfigError("scenario.outdir must be nonempty")
+    if not 0 <= mf.seed < 2**64:
+        raise ConfigError(f"scenario.seed must fit in u64, got {mf.seed}")
+    if not 0.0 <= mf.theta <= 1.0:
+        raise ConfigError(f"loop.theta must lie in [0, 1], got {mf.theta}")
 
 
 def _validate(mf: RunManifest) -> QuadraticModel:
@@ -210,10 +220,7 @@ def _validate(mf: RunManifest) -> QuadraticModel:
 
     if not mf.name:
         raise ConfigError("scenario.name must be nonempty")
-    if not mf.outdir:
-        raise ConfigError("scenario.outdir must be nonempty")
-    if not 0 <= mf.seed < 2**64:
-        raise ConfigError(f"scenario.seed must fit in u64, got {mf.seed}")
+    _check_overridable(mf)
     if abs(mf.terminal_amplitude) > 100.0:
         raise ConfigError(
             f"initial.terminal_amplitude out of range [-100, 100], "
@@ -228,8 +235,6 @@ def _validate(mf: RunManifest) -> QuadraticModel:
             f"particles.store_stride must be 0 (auto) or a divisor of grid.n_t, "
             f"got {mf.store_stride}"
         )
-    if not 0.0 <= mf.theta <= 1.0:
-        raise ConfigError(f"loop.theta must lie in [0, 1], got {mf.theta}")
     if not mf.theta_schedule:
         raise ConfigError("loop.theta_schedule must be nonempty")
     return model

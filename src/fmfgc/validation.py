@@ -281,7 +281,7 @@ def _criterion_uniqueness(ctx: AcceptanceContext):
         u_sol=replace(base.u_sol, u=perturbed_u, du=du, diagnostics=None),
         converged=False,
     )
-    cfg = LoopConfig(theta_schedule=(1.0,))
+    cfg = LoopConfig()
     other = solve_equilibrium(
         ctx.model, m0, u_t, tg, theta_target=1.0, cfg=cfg, warm_start=seeded
     )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fmfgc.cli as cli
+import fmfgc.manifest as manifest
 from fmfgc.artifacts import read_csv, read_field
 from fmfgc.cli import main
 from fmfgc.manifest import parse_config
@@ -146,6 +147,33 @@ def test_sweep_theta_emits_table(tiny_config, tmp_path, capsys):
     header, rows = read_csv(outdir / "theta_table.csv")
     assert header[0] == "theta"
     assert len(rows) == 5
+
+
+def test_sweep_theta_stops_at_unconverged_stage(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(
+        "[scenario]\nname = short\n[grid]\nn = 32\nn_t = 50\nhorizon = 0.5\n"
+        "[loop]\nmax_sweeps = 3\n"
+    )
+    outdir = tmp_path / "sweep"
+    code = main(["sweep-theta", "--config", str(cfg), "--out", str(outdir)])
+    assert code == 2
+    payload = summary_of(capsys, "err")
+    assert payload["thetas"] == [0.0, 0.25, 0.5, 0.75]
+    assert payload["converged"] is False
+    header, rows = read_csv(outdir / "theta_table.csv")
+    assert len(rows) == 4
+    assert [row[header.index("converged")] for row in rows] == ["1", "1", "1", "0"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-theta"])
+def test_command_validates_manifest_once(command, tiny_config, tmp_path, capsys, monkeypatch):
+    calls = []
+    validate = manifest._validate
+    monkeypatch.setattr(manifest, "_validate", lambda mf: calls.append(mf) or validate(mf))
+    code = main([command, "--config", str(tiny_config), "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_unconverged_solve_exits_two(tmp_path, capsys):

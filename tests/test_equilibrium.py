@@ -59,6 +59,12 @@ def benchmark_solution():
     return grid, tg, model, m0, u_t, sol
 
 
+@pytest.fixture(scope="module")
+def benchmark_stages(benchmark_solution):
+    grid, tg, model, m0, u_t, sol = benchmark_solution
+    return sweep_theta(model, m0, u_t, tg)
+
+
 def test_loop_config_validation():
     with pytest.raises(ValueError):
         LoopConfig(tolerance=0.0)
@@ -117,8 +123,7 @@ def test_damping_is_pointwise_convex_combination():
 def test_decoupled_model_control_is_minus_gradient():
     grid, tg, m0, u_t = small_scenario()
     model = NoCoupling()
-    cfg = LoopConfig(theta_schedule=(1.0,))
-    sol = solve_equilibrium(model, m0, u_t, tg, cfg=cfg)
+    sol = solve_equilibrium(model, m0, u_t, tg)
     assert sol.converged
     for j in (0, tg.n_steps // 2, tg.n_steps):
         defect = sol.mu_path[j].alpha + sol.u_sol.du[j]
@@ -159,25 +164,35 @@ def test_uniqueness_from_perturbed_start(benchmark_solution):
         u_terminal=sol.u_terminal,
         history=[],
     )
-    cfg = LoopConfig(theta_schedule=(1.0,))
-    again = solve_equilibrium(
-        model, m0, u_t, tg, cfg=cfg, warm_start=start
-    )
+    again = solve_equilibrium(model, m0, u_t, tg, warm_start=start)
     assert again.converged
     assert np.max(np.abs(again.u_sol.u - sol.u_sol.u)) <= 2e-6
 
 
-def test_schedule_path_independence(benchmark_solution):
-    grid, tg, model, m0, u_t, sol = benchmark_solution
-    cold = solve_equilibrium(
-        model, m0, u_t, tg, cfg=LoopConfig(theta_schedule=(1.0,))
-    )
+def test_schedule_path_independence(benchmark_solution, benchmark_stages):
+    grid, tg, model, m0, u_t, cold = benchmark_solution
+    continued = benchmark_stages[-1]
     assert cold.converged
-    assert np.max(np.abs(cold.u_sol.u - sol.u_sol.u)) <= 2e-6
+    assert continued.converged
+    assert np.max(np.abs(cold.u_sol.u - continued.u_sol.u)) <= 2e-6
     # warm-start dominance: the final stage of the continuation run needs
-    # no more sweeps than the cold start spent in total
-    warm_final = sum(1 for m in sol.history if m.theta == 1.0)
+    # no more sweeps than the direct solve spent in total
+    warm_final = sum(1 for m in continued.history if m.theta == 1.0)
     assert warm_final <= cold.sweeps
+
+
+def test_solve_runs_one_stage_at_target(benchmark_solution, benchmark_stages):
+    grid, tg, model, m0, u_t, sol = benchmark_solution
+    direct = solve_equilibrium(model, m0, u_t, tg, cfg=LoopConfig(theta_schedule=(1.0,)))
+    for got in (sol, direct):
+        assert got.theta == 1.0
+        assert got.history
+        assert all(m.theta == 1.0 for m in got.history)
+    # the schedule is the continuation's only; the direct solve ignores it
+    assert np.array_equal(direct.u_sol.u, sol.u_sol.u)
+    assert np.array_equal(direct.m_sol.m, sol.m_sol.m)
+    assert np.array_equal(direct.mu_path.alpha, sol.mu_path.alpha)
+    assert np.max(np.abs(sol.u_sol.u - benchmark_stages[-1].u_sol.u)) <= 2e-6
 
 
 def test_nonconvergence_returns_flagged_state_with_fictitious_play():
@@ -189,7 +204,6 @@ def test_nonconvergence_returns_flagged_state_with_fictitious_play():
         tolerance=1e-300,
         max_sweeps=20,
         stall_window=2,
-        theta_schedule=(1.0,),
     )
     sol = solve_equilibrium(model, m0, u_t, tg, cfg=cfg)
     assert not sol.converged
@@ -223,6 +237,17 @@ def test_sweep_theta_stages():
     sups = [float(np.max(np.abs(s.u_sol.u))) for s in stages]
     assert sups[0] == 0.0
     assert all(a < b for a, b in zip(sups, sups[1:]))
+
+
+def test_sweep_theta_stops_at_unconverged_stage():
+    grid, tg, m0, u_t = small_scenario()
+    model = QuadraticModel(coupling_beta=0.3)
+    # three sweeps carry theta = 0.25 and 0.5 to tolerance but not 0.75,
+    # so theta = 1 must not start from the unconverged 0.75 state
+    stages = sweep_theta(model, m0, u_t, tg, cfg=LoopConfig(max_sweeps=3))
+    assert [s.theta for s in stages] == [0.0, 0.25, 0.5, 0.75]
+    assert [s.converged for s in stages] == [True, True, True, False]
+    assert stages[-1].sweeps == 9
 
 
 def test_certificate_pairing_minimum_covers_every_row(benchmark_solution, monkeypatch):

@@ -191,6 +191,16 @@ def test_with_overrides_replaces_and_revalidates():
         mf.with_overrides(theta=2.0)
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [({"theta": 1.5}, "loop.theta"), ({"seed": -1}, "scenario.seed"),
+     ({"outdir": ""}, "scenario.outdir")],
+)
+def test_with_overrides_rejection_names_key(override, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        default_manifest().with_overrides(**override)
+
+
 def test_terminal_condition_product_form():
     mf = parse_config("[grid]\nn = 16\n[initial]\nterminal_amplitude = 0.5\n")
     grid = mf.spatial_grid()
