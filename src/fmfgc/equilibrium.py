@@ -1,14 +1,14 @@
 """Outer equilibrium iteration.
 
-Damped Picard sweeps couple the three building blocks: the control fixed
+Plain Picard sweeps couple the three building blocks: the control fixed
 point on the whole path, the backward value solve, and the forward
-density solve.  Paths are stacked arrays with time as the leading axis.
-A solve runs one stage at the target scaling, started from the analytic
-zero-scaling solution (zero value function, pure fractional heat flow)
-or from a given state.  The ascending scaling schedule, each stage warm
-starting from the previous one, is the homotopy of ``sweep_theta``
-only.  If fixed damping stops making progress the loop falls back to
-fictitious-play averaging.
+density solve.  Each sweep repeats the same update on the last iterate,
+with no averaging, so the state holds one density path.  Paths are
+stacked arrays with time as the leading axis.  A solve runs one stage at
+the target scaling, started from the exact zero-scaling solution (zero
+value function, pure fractional heat flow) or from a given state.  The
+ascending scaling schedule, each stage warm starting from the previous
+one, is the homotopy of ``sweep_theta`` only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FmfgcError
 from .fokker_planck import FpSolution, duality_residual, solve_forward
-from .hjb import HjbSolution, solve_backward
+from .hjb import HjbSolution, one_field, solve_backward
 from .measures import (
     GridMeasure,
     MeasurePath,
@@ -37,9 +37,7 @@ from .spectral import TimeGrid
 class LoopConfig:
     tolerance: float = 1e-6
     max_sweeps: int = 80
-    damping: float = 1.0
     theta_schedule: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    stall_window: int = 10
     mu_config: MuSolveConfig = field(default_factory=lambda: MuSolveConfig(1e-12))
 
     def __post_init__(self):
@@ -47,22 +45,20 @@ class LoopConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         sched = tuple(self.theta_schedule)
         if any(not 0.0 <= t <= 1.0 for t in sched):
             raise ValueError(f"theta_schedule entries must lie in [0, 1], got {sched}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError(f"theta_schedule must be strictly increasing, got {sched}")
-        if self.stall_window < 2:
-            raise ValueError(f"stall_window must be at least 2, got {self.stall_window}")
+        if not sched or sched[-1] <= 0.0:
+            raise ValueError(f"theta_schedule must be nonempty and end above 0, got {sched}")
 
 
 @dataclass(frozen=True)
 class SweepMetrics:
     sweep: int
     theta: float
-    delta: float
+    delta: float  # the weight of the new iterate; plain Picard, so always 1.0
     u_change: float
     m_change: float
     duality: float
@@ -77,7 +73,6 @@ class EquilibriumSolution:
     theta: float
     u_sol: HjbSolution
     m_sol: FpSolution
-    m_path: np.ndarray = field(repr=False)  # the iterate, (n_steps + 1, *grid.shape)
     mu_path: MeasurePath = field(repr=False)
     u_terminal: np.ndarray = field(repr=False)
     history: list[SweepMetrics] = field(repr=False)
@@ -96,19 +91,19 @@ class EquilibriumSolution:
 
 def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
                   tg: TimeGrid) -> EquilibriumSolution:
-    """The scaling-zero solution: u = 0, m = fractional heat flow, alpha = 0."""
+    """The scaling-zero solution: u = 0, m = fractional heat flow, alpha = 0.
+
+    Every model gives this solution at zero scaling, so ``model`` is not read.
+    """
     grid = m0.grid
     zero_b = np.zeros((tg.n_steps + 1, grid.dim) + grid.shape)
     m_sol = solve_forward(zero_b, m0, tg)
-    mu_path = MeasurePath(tg, grid, m_sol.m, np.zeros_like(zero_b))
-    u_sol = solve_backward(model, mu_path, u_terminal, theta=0.0)
     return EquilibriumSolution(
         theta=0.0,
-        u_sol=u_sol,
+        u_sol=HjbSolution(tg, grid, 0.0, u=np.zeros(m_sol.m.shape), du=np.zeros_like(zero_b)),
         m_sol=m_sol,
-        m_path=m_sol.m,
-        mu_path=mu_path,
-        u_terminal=np.asarray(u_terminal, dtype=float),
+        mu_path=MeasurePath(tg, grid, m_sol.m, zero_b),
+        u_terminal=one_field(grid, u_terminal),
         history=[],
         converged=True,
         sweeps=0,
@@ -118,15 +113,12 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
 def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> MeasurePath:
     """The control fixed point on the state's density path against its value
     gradient, all slices at once, warm started from the state's controls."""
-    start = MeasurePath(state.time_grid, state.grid, state.m_path, state.mu_path.alpha)
+    start = MeasurePath(state.time_grid, state.grid, state.m_sol.m, state.mu_path.alpha)
     return solve_mu(start, state.u_sol.du, scaled, cfg.mu_config)
 
 
-def picard_iterate(
-    state: EquilibriumSolution, model, cfg: LoopConfig, delta: float | None = None
-) -> EquilibriumSolution:
-    """One sweep: controls, backward value, forward density, damped merge."""
-    delta = cfg.damping if delta is None else delta
+def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
+    """One sweep: controls, backward value, forward density."""
     scaled = coerce_theta(model, state.theta)
     try:
         mu_path = _control_path(state, scaled, cfg)
@@ -143,19 +135,15 @@ def picard_iterate(
     m_change = max(
         float(np.max(wasserstein_1d(a, b)))
         for a, b in zip(
-            coordinate_marginals(GridMeasure.view(state.grid, state.m_path)),
+            coordinate_marginals(GridMeasure.view(state.grid, state.m_sol.m)),
             coordinate_marginals(GridMeasure.view(state.grid, m_new.m)),
         )
     )
-    if delta == 1.0:
-        merged = m_new.m
-    else:
-        merged = (1.0 - delta) * state.m_path + delta * m_new.m
     duality = duality_residual(u_new, m_new, mu_path, scaled, None)
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,
-        delta=delta,
+        delta=1.0,
         u_change=u_change,
         m_change=m_change,
         duality=duality,
@@ -164,7 +152,6 @@ def picard_iterate(
         state,
         u_sol=u_new,
         m_sol=m_new,
-        m_path=merged,
         mu_path=mu_path,
         history=state.history + [metrics],
         converged=metrics.defect <= cfg.tolerance,
@@ -203,24 +190,12 @@ def _run_stage(
     """Run one scaling stage from ``state``: iterate at ``theta`` to tolerance
     or sweep budget, then package; the start's controls are the baseline."""
     state = replace(state, theta=theta, converged=False, baseline_mu=state.mu_path)
-    fictitious_from: int | None = None
-    for k in range(cfg.max_sweeps):
-        if fictitious_from is None:
-            delta = cfg.damping
-        else:
-            delta = 1.0 / (k - fictitious_from + 2.0)
-        state = picard_iterate(state, model, cfg, delta)
+    for _ in range(cfg.max_sweeps):
+        state = picard_iterate(state, model, cfg)
         if sink is not None:
             sink.write(state.history[-1])
         if state.converged:
             break
-        stage = [m for m in state.history if m.theta == state.theta]
-        if (
-            fictitious_from is None
-            and len(stage) >= cfg.stall_window
-            and stage[-1].defect >= stage[-cfg.stall_window].defect
-        ):
-            fictitious_from = k + 1
     return _package(state, model, cfg)
 
 
@@ -286,9 +261,7 @@ def sweep_theta(
     not converge; that stage comes back last, with ``converged`` false.
     """
     cfg = cfg or LoopConfig()
-    schedule = cfg.theta_schedule or (1.0,)
-    if schedule[-1] == 0.0:
-        raise ValueError("scaling schedule must end above 0")
+    schedule = cfg.theta_schedule
     sink = MetricsWriter(metrics_stream) if metrics_stream is not None else None
     state = analytic_base(model, m0, u_terminal, time_grid)
     stages = [state] if schedule[0] == 0.0 else []  # a zero entry is the base itself

@@ -42,7 +42,7 @@ class HjbSolution:
     diagnostics: HjbDiagnostics | None = None
 
 
-def _one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
     f = grid.check_scalar(f)
     if f.shape != grid.shape:
         raise GridMismatchError(f"a value field has shape {grid.shape}, got {f.shape}")
@@ -61,7 +61,7 @@ def hjb_step(
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     grid = mu_next.grid
-    u_next = _one_field(grid, u_next)
+    u_next = one_field(grid, u_next)
     if du_next is None:
         du_next = grid.gradient(u_next)
     h = model.hamiltonian_field(du_next, mu_next)
@@ -91,7 +91,7 @@ def solve_backward(
     grid = mu_path.grid
     tg = mu_path.time_grid
     dt, dx = tg.dt, grid.dx
-    u_terminal = _one_field(grid, u_terminal)
+    u_terminal = one_field(grid, u_terminal)
 
     n = tg.n_steps
     u = np.empty((n + 1,) + grid.shape)

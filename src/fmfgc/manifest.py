@@ -86,8 +86,6 @@ FIELDS = (
     ConfigKey("particles", "store_stride", "store_stride", int, "0"),
     ConfigKey("loop", "tolerance", "tolerance", float, "1e-6"),
     ConfigKey("loop", "max_sweeps", "max_sweeps", int, "80"),
-    ConfigKey("loop", "damping", "damping", float, "1.0"),
-    ConfigKey("loop", "stall_window", "stall_window", int, "10"),
     ConfigKey("loop", "theta", "theta", float, "1.0"),
     ConfigKey("loop", "theta_schedule", "theta_schedule", _floats, "0.0, 0.25, 0.5, 0.75, 1.0"),
 )
@@ -118,8 +116,6 @@ class RunManifest:
     store_stride: int
     tolerance: float
     max_sweeps: int
-    damping: float
-    stall_window: int
     theta: float
     theta_schedule: tuple[float, ...]
 
@@ -154,9 +150,7 @@ class RunManifest:
         return LoopConfig(
             tolerance=self.tolerance,
             max_sweeps=self.max_sweeps,
-            damping=self.damping,
             theta_schedule=self.theta_schedule,
-            stall_window=self.stall_window,
         )
 
     def resolved_stride(self) -> int:
@@ -235,8 +229,6 @@ def _validate(mf: RunManifest) -> QuadraticModel:
             f"particles.store_stride must be 0 (auto) or a divisor of grid.n_t, "
             f"got {mf.store_stride}"
         )
-    if not mf.theta_schedule:
-        raise ConfigError("loop.theta_schedule must be nonempty")
     return model
 
 

@@ -74,6 +74,8 @@ class SpectralGrid:
             [2.0j * np.pi * np.where(np.abs(k) == n // 2, 0.0, k) for k in waves]
         )
         self._deriv.setflags(write=False)
+        # Bounded and per grid, so a dropped grid takes its tables with it.
+        self._heat_multiplier = lru_cache(maxsize=128)(self._heat_table)
 
         axes = np.arange(n) * self.dx
         if dim == 1:
@@ -119,8 +121,7 @@ class SpectralGrid:
     def _symbol(self, s: float) -> np.ndarray:
         return (4.0 * np.pi**2 * self._ksq) ** s
 
-    @lru_cache(maxsize=128)
-    def _heat_multiplier(self, s: float, t: float) -> np.ndarray:
+    def _heat_table(self, s: float, t: float) -> np.ndarray:
         mult = np.exp(-self._symbol(s) * t)
         mult.setflags(write=False)
         return mult

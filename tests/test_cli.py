@@ -197,6 +197,18 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "s ∈ (1/2, 1)" in payload["message"]
 
 
+def test_schedule_ending_at_zero_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(TINY_CONFIG + "[loop]\ntheta_schedule = 0.0\n")
+    code = main(["sweep-theta", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+    assert code == 1
+    payload = summary_of(capsys, "err")
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(
+        "loop.theta_schedule must be nonempty and end above 0"
+    )
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     code = main(["solve", "--config", str(tmp_path / "absent.cfg")])
     assert code == 1

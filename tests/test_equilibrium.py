@@ -69,15 +69,12 @@ def test_loop_config_validation():
     with pytest.raises(ValueError):
         LoopConfig(tolerance=0.0)
     with pytest.raises(ValueError):
-        LoopConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        LoopConfig(damping=1.1)
-    with pytest.raises(ValueError):
         LoopConfig(theta_schedule=(0.5, 0.25))
     with pytest.raises(ValueError):
         LoopConfig(theta_schedule=(0.0, 1.5))
-    with pytest.raises(ValueError):
-        LoopConfig(stall_window=1)
+    for schedule in ((), (0.0,)):
+        with pytest.raises(ValueError, match="theta_schedule must be nonempty and end above 0"):
+            LoopConfig(theta_schedule=schedule)
     with pytest.raises(ValueError):
         LoopConfig(max_sweeps=0)
 
@@ -89,35 +86,13 @@ def test_theta_zero_base_is_fixed_point():
     assert np.all(base.u_sol.u == 0.0)
     assert all(np.all(mu.alpha == 0.0) for mu in base.mu_path)
     exact = grid.semigroup_apply(m0.values, tg.horizon)
-    assert np.max(np.abs(base.m_path[-1] - exact)) < 1e-10
+    assert np.max(np.abs(base.m_sol.m[-1] - exact)) < 1e-10
 
     swept = picard_iterate(base, model, LoopConfig())
     assert swept.history[-1].u_change == 0.0
     assert swept.history[-1].m_change == 0.0
     assert swept.history[-1].duality == 0.0
     assert swept.converged
-
-
-def test_damping_is_pointwise_convex_combination():
-    grid, tg, m0, u_t = small_scenario()
-    model = QuadraticModel(coupling_beta=0.3)
-    base = analytic_base(model, m0, u_t, tg)
-    state = EquilibriumSolution(
-        theta=0.5,
-        u_sol=base.u_sol,
-        m_sol=base.m_sol,
-        m_path=base.m_path,
-        mu_path=base.mu_path,
-        u_terminal=base.u_terminal,
-        history=[],
-    )
-    cfg = LoopConfig()
-    full = picard_iterate(state, model, cfg, delta=1.0)
-    half = picard_iterate(state, model, cfg, delta=0.5)
-    for j in (0, tg.n_steps // 2, tg.n_steps):
-        blend = 0.5 * (state.m_path[j] + full.m_path[j])
-        assert np.max(np.abs(half.m_path[j] - blend)) < 1e-14
-        assert abs(np.sum(half.m_path[j]) * grid.dx - 1.0) < 1e-12
 
 
 def test_decoupled_model_control_is_minus_gradient():
@@ -159,7 +134,6 @@ def test_uniqueness_from_perturbed_start(benchmark_solution):
         theta=1.0,
         u_sol=pert_u_sol,
         m_sol=sol.m_sol,
-        m_path=sol.m_path,
         mu_path=sol.mu_path,
         u_terminal=sol.u_terminal,
         history=[],
@@ -195,24 +169,15 @@ def test_solve_runs_one_stage_at_target(benchmark_solution, benchmark_stages):
     assert np.max(np.abs(sol.u_sol.u - benchmark_stages[-1].u_sol.u)) <= 2e-6
 
 
-def test_nonconvergence_returns_flagged_state_with_fictitious_play():
+def test_nonconvergence_returns_flagged_state():
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
-    # An unreachable tolerance parks the defect on the roundoff plateau,
-    # which the stall detector treats as no progress.
-    cfg = LoopConfig(
-        tolerance=1e-300,
-        max_sweeps=20,
-        stall_window=2,
-    )
+    # An unreachable tolerance parks the defect on the roundoff plateau.
+    cfg = LoopConfig(tolerance=1e-300, max_sweeps=20)
     sol = solve_equilibrium(model, m0, u_t, tg, cfg=cfg)
     assert not sol.converged
-    assert len(sol.history) == 20
-    deltas = [m.delta for m in sol.history]
-    assert deltas[0] == 1.0
-    assert any(d < 1.0 for d in deltas)  # fictitious-play fallback engaged
-    fict = [d for d in deltas if d < 1.0]
-    assert fict[0] == pytest.approx(0.5)
+    assert len(sol.history) == cfg.max_sweeps
+    assert all(m.delta == 1.0 for m in sol.history)  # plain Picard: no averaging
     assert np.all(np.isfinite(sol.u_sol.u))
 
 

@@ -27,7 +27,7 @@ def test_minimal_config_fills_documented_defaults():
     assert mf.density == "vonmises"
     assert mf.terminal_amplitude == 0.15
     assert (mf.particle_count, mf.store_stride) == (100000, 0)
-    assert (mf.tolerance, mf.max_sweeps, mf.damping) == (1e-6, 80, 1.0)
+    assert (mf.tolerance, mf.max_sweeps) == (1e-6, 80)
     assert mf.theta == 1.0
     assert mf.theta_schedule == (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -145,8 +145,11 @@ def test_schedule_validation():
         parse_config("[loop]\ntheta_schedule = 0.5, 0.5\n")
     with pytest.raises(ConfigError, match=r"entries must lie in \[0, 1\]"):
         parse_config("[loop]\ntheta_schedule = 0.5, 1.5\n")
-    with pytest.raises(ConfigError, match="nonempty"):
-        parse_config("[loop]\ntheta_schedule = ,\n")
+    for schedule in (",", "0.0"):
+        with pytest.raises(
+            ConfigError, match="loop.theta_schedule must be nonempty and end above 0"
+        ):
+            parse_config(f"[loop]\ntheta_schedule = {schedule}\n")
 
 
 def test_theta_accepts_endpoints():
@@ -156,11 +159,11 @@ def test_theta_accepts_endpoints():
         parse_config("[loop]\ntheta = 1.1\n")
 
 
-def test_damping_range():
-    with pytest.raises(ConfigError, match="damping"):
-        parse_config("[loop]\ndamping = 0.0\n")
-    with pytest.raises(ConfigError, match="damping"):
-        parse_config("[loop]\ndamping = 1.5\n")
+@pytest.mark.parametrize("key", ["damping", "stall_window"])
+def test_removed_loop_keys_are_unknown(key):
+    # the outer loop is plain Picard: no damping, no stall window
+    with pytest.raises(ConfigError, match=f"unknown key loop.{key}"):
+        parse_config(f"[loop]\n{key} = 1.0\n")
 
 
 def test_negative_seed_rejected():
@@ -223,11 +226,10 @@ def test_initial_measure_is_normalized():
 
 
 def test_loop_config_passthrough():
-    mf = parse_config("[loop]\ntolerance = 1e-5\nmax_sweeps = 7\nstall_window = 3\n")
+    mf = parse_config("[loop]\ntolerance = 1e-5\nmax_sweeps = 7\n")
     cfg = mf.loop_config()
     assert cfg.tolerance == 1e-5
     assert cfg.max_sweeps == 7
-    assert cfg.stall_window == 3
     assert cfg.theta_schedule == mf.theta_schedule
 
 
@@ -257,7 +259,11 @@ _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 def config_values(draw):
     """(section, key) -> value text for a valid config, some keys left out."""
     n_t = draw(st.integers(1, 400))
-    schedule = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True))
+    schedule = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True).filter(
+            lambda ts: max(ts) > 0.0  # a schedule must end above 0
+        )
+    )
     values = {
         ("scenario", "name"): draw(_WORD),
         ("scenario", "outdir"): draw(_WORD),
@@ -277,8 +283,6 @@ def config_values(draw):
         ),
         ("loop", "tolerance"): repr(draw(st.floats(0.0, 1e3, exclude_min=True))),
         ("loop", "max_sweeps"): str(draw(st.integers(1, 10**6))),
-        ("loop", "damping"): repr(draw(st.floats(0.0, 1.0, exclude_min=True))),
-        ("loop", "stall_window"): str(draw(st.integers(2, 10**6))),
         ("loop", "theta"): repr(draw(st.floats(0.0, 1.0))),
         ("loop", "theta_schedule"): ", ".join(repr(t) for t in sorted(schedule)),
     }

@@ -5,6 +5,8 @@ Expected values for single modes come from the closed-form symbols:
 exp(-t (-Delta)^s) damps the same mode by exp(-t (2 pi |k|)^{2s}).
 """
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,16 @@ def test_semigroup_group_law_and_identity():
     assert np.max(np.abs(g.semigroup_apply(f, 0.0) - f)) <= 1e-13
     with pytest.raises(ValueError):
         g.semigroup_apply(f, -0.1)
+
+
+def test_dropped_grid_is_freed():
+    # The heat tables are cached per grid, so the cache keeps no grid alive.
+    g = SpectralGrid(2, 32, 0.75)
+    g.semigroup_apply(np.ones(g.shape), 0.1)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_semigroup_contraction_and_mean():
