@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,8 @@ _THREAD_HINTS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _apply_thread_hint(threads: int | None) -> None:
-    # Hints for any pools spawned later; results never depend on them.
+    # Sizes the BLAS/FFT pools and the particle pool (OMP_NUM_THREADS caps
+    # it); results never depend on them.
     if threads is not None:
         if threads < 1:
             raise FmfgcError(f"--threads must be at least 1, got {threads}")
@@ -106,6 +108,8 @@ def _cmd_simulate(args) -> int:
             f"run solve with this config first"
         )
     m_path = read_field(outdir / "m.bin")
+    clock = time.perf_counter
+    t0 = clock()
     path = simulate_sde(
         drift,
         m0,
@@ -114,17 +118,21 @@ def _cmd_simulate(args) -> int:
         seed=mf.seed,
         store_stride=mf.resolved_stride(),
     )
+    t1 = clock()
     emp = empirical_measure(path.terminal(), grid)
     terminal = GridMeasure(grid, m_path[-1])
     w1 = max(
         wasserstein_1d(a, b)
         for a, b in zip(coordinate_marginals(emp), coordinate_marginals(terminal))
     )
+    t2 = clock()
     report = None
     if len(path.times) >= 8:
         report = holder_wasserstein_check(path, b_sup=float(np.max(np.abs(drift))))
+    t3 = clock()
     emit_simulation(path, report, outdir)
     (outdir / "manifest.cfg").write_text(mf.to_text())
+    t4 = clock()
     exponent = None
     if report is not None and not np.isnan(report.exponent):
         exponent = report.exponent
@@ -135,6 +143,12 @@ def _cmd_simulate(args) -> int:
         "w1_terminal": w1,
         "holder_passed": None if report is None else report.passed,
         "holder_exponent": exponent,
+        "timings": {
+            "simulate_s": t1 - t0,
+            "crosscheck_s": t2 - t1,
+            "holder_s": t3 - t2,
+            "write_s": t4 - t3,
+        },
     }
     _summary(payload)
     return 0

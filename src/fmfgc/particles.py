@@ -9,12 +9,19 @@ a single scalar draw per step.  The ensemble cross-validates the density
 pipeline: depositing particles and comparing against the PDE solution is
 the end-to-end consistency check, and the time-indexed path feeds the
 Hoelder-in-time Wasserstein certificate.
+
+Each step draws its random numbers on the calling thread; the arithmetic
+after the draws is element-wise and runs over contiguous particle blocks
+on a thread pool, so positions are the same bits at any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +32,45 @@ from .spectral import SpectralGrid, TimeGrid
 #: Everything below twice the Monte-Carlo floor is treated as noise when
 #: fitting the jump-regime scaling exponent.
 NOISE_FLOOR_SCALE = 2.0
+
+#: Smallest particle block worth a worker thread; smaller ensembles run inline.
+MIN_BLOCK = 8192
+
+
+def _worker_count() -> int:
+    """Usable CPUs, capped by the OMP_NUM_THREADS hint that --threads sets."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    hint = os.environ.get("OMP_NUM_THREADS", "")
+    return max(1, min(cpus, int(hint))) if hint.isdigit() else cpus
+
+
+@functools.lru_cache(maxsize=1)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    # One pool at a time; a new worker count drops the old pool, whose idle
+    # threads exit once it is collected.
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fmfgc-particles")
+
+
+def _map_blocks(kernel, count: int) -> None:
+    """Run kernel(block) over contiguous slices covering range(count).
+
+    The kernels are element-wise numpy code, which releases the GIL, so the
+    blocks overlap and the result is the same bits at any block count.
+    """
+    workers = _worker_count()
+    blocks = min(workers, count // MIN_BLOCK)
+    if blocks < 2:
+        kernel(slice(0, count))
+        return
+    bounds = [count * k // blocks for k in range(blocks + 1)]
+    pool = _pool(workers)
+    futures = [pool.submit(kernel, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)  # no block may still write when an error propagates
+    for future in futures:
+        future.result()
 
 
 @dataclass(frozen=True)
@@ -106,22 +152,44 @@ def sample_stable_increment(
     count = 1 if size is None else int(size)
     if count < 1:
         raise ValueError(f"size must be at least 1, got {size}")
+    # Draw on the calling thread, in this order, so the stream is the same
+    # at any worker count; the transform below is element-wise.
+    u = rng.random(count)
+    w = rng.standard_exponential(count)
+    z = rng.standard_normal((count, dim))
+    _map_blocks(functools.partial(_cms_block, u, w, z, s, dt), count)
+    return z[0] if size is None else z
+
+
+def _cms_block(u, w, z, s: float, dt: float, blk: slice) -> None:
+    """Chambers-Mallows-Stuck on one block: scales z[blk] in place by sqrt(2 S).
+
+    u holds uniform [0, 1) draws and is overwritten; w is read only."""
+    u, w, z = u[blk], w[blk], z[blk]
     # u in (0, pi]: the left endpoint would make a(u) a 0/0, while sin(pi)
     # is merely tiny in floats, so the formula stays finite without rejection.
-    u = math.pi * (1.0 - rng.random(count))
-    w = rng.standard_exponential(count)
-    a = (
-        np.sin(s * u) ** s * np.sin((1.0 - s) * u) ** (1.0 - s) / np.sin(u)
-    ) ** (1.0 / (1.0 - s))
-    subordinator = dt ** (1.0 / s) * (a / w) ** ((1.0 - s) / s)
-    z = rng.standard_normal((count, dim))
-    jumps = np.sqrt(2.0 * subordinator)[:, None] * z
-    return jumps[0] if size is None else jumps
+    np.subtract(1.0, u, out=u)
+    u *= math.pi
+    a = s * u
+    np.sin(a, out=a)
+    a **= s
+    b = (1.0 - s) * u
+    np.sin(b, out=b)
+    b **= 1.0 - s
+    a *= b
+    a /= np.sin(u, out=u)
+    a **= 1.0 / (1.0 - s)
+    a /= w
+    a **= (1.0 - s) / s
+    a *= dt ** (1.0 / s)
+    a *= 2.0
+    z *= np.sqrt(a, out=a)[:, None]
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
-    x %= 1.0
-    # r % 1.0 rounds up to 1.0 for r just below zero; keep [0, 1) half-open.
+    """Reduce x into [0, 1) in place; bit for bit x %= 1.0."""
+    x -= np.floor(x)
+    # r - floor(r) rounds up to 1.0 for r just below zero; keep [0, 1) half-open.
     x[x >= 1.0] -= 1.0
     return x
 
@@ -136,9 +204,12 @@ def _cic_corners(positions: np.ndarray, grid: SpectralGrid):
     base = np.floor(xi)
     frac = xi - base
     base = base.astype(np.intp) % n
+    nxt = base + 1
+    nxt[nxt == n] = 0
+    nodes = (base, nxt)
     axis_weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(grid.dim)]
     for corner in itertools.product((0, 1), repeat=grid.dim):
-        idx = tuple((base[:, ax] + off) % n for ax, off in enumerate(corner))
+        idx = tuple(nodes[off][:, ax] for ax, off in enumerate(corner))
         weight = axis_weights[0][corner[0]]
         for ax in range(1, grid.dim):
             weight = weight * axis_weights[ax][corner[ax]]
@@ -155,6 +226,17 @@ def _interp_periodic(field: np.ndarray, positions: np.ndarray, grid: SpectralGri
         for c in range(field.shape[0]):
             out[:, c] += weight * field[c][idx]
     return out
+
+
+def _step_block(x, field, jump, dt: float, grid: SpectralGrid, blk: slice) -> None:
+    """One Euler step of x[blk] in place: add b dt, then the jump, then wrap."""
+    xb = x[blk]
+    drift = _interp_periodic(field, xb, grid)
+    drift *= dt
+    xb += drift
+    if jump is not None:
+        xb += jump[blk]
+    _wrap(xb)
 
 
 def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,10 +312,10 @@ def simulate_sde(
     stored = [x.copy()]
     dt = time_grid.dt
     for j in range(n_steps):
-        x = x + _interp_periodic(b_path[j], x, grid) * dt
+        jump = None
         if jumps:
-            x = x + sample_stable_increment(grid.s, dt, grid.dim, rng, size=n_particles)
-        x = _wrap(x)
+            jump = sample_stable_increment(grid.s, dt, grid.dim, rng, size=n_particles)
+        _map_blocks(functools.partial(_step_block, x, b_path[j], jump, dt, grid), n_particles)
         if (j + 1) % store_stride == 0:
             stored.append(x.copy())
     times = time_grid.times()[::store_stride]

@@ -6,11 +6,13 @@ tracer is built, so renaming or deleting one of those names would crash
 catches that without running a workload.
 """
 
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from fmfgc import equilibrium
+from fmfgc import equilibrium, particles
 from fmfgc.fokker_planck import initial_density
 from fmfgc.models import QuadraticModel
 from fmfgc.spectral import SpectralGrid, TimeGrid
@@ -69,3 +71,33 @@ def test_traced_solve_reaches_every_solver_layer(monkeypatch):
     assert counts.get("measures.grid_measure_inits", 0) == 0
     sweeps = counts["equilibrium.sweeps"]
     assert sweeps > 0 and calls["measures.w1"] == sweeps
+
+
+def test_traced_simulation_spans_stay_on_the_main_thread(monkeypatch):
+    # The particle step splits its arithmetic over worker threads; the
+    # tracer keeps one span stack, so no wrapped name may run on a worker.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 2)
+    grid = SpectralGrid(dim=1, n=16, s=0.75)
+    tg = TimeGrid(horizon=0.1, n_steps=10)
+    m0 = initial_density(grid, "vonmises")
+
+    tracer = tracing.Tracer()
+    callers = []
+    tracer.enable()
+    try:
+        with pytest.MonkeyPatch.context() as spies:
+            for owner, attr, _, replacement in tracer._patches:
+                def spy(*args, _fn=replacement, **kwargs):
+                    callers.append(threading.get_ident())
+                    return _fn(*args, **kwargs)
+
+                spies.setattr(owner, attr, spy)
+            tracer.span(lambda: particles.simulate_sde(None, m0, 1000, tg, seed=1))
+    finally:
+        tracer.disable()
+    assert tracer.per_trace()[0]["calls"]["particles.increment"] == tg.n_steps
+    assert callers and set(callers) == {threading.get_ident()}

@@ -14,6 +14,7 @@ import pytest
 
 import fmfgc.cli as cli
 import fmfgc.manifest as manifest
+import fmfgc.particles as particles
 from fmfgc.artifacts import read_csv, read_field
 from fmfgc.cli import main
 from fmfgc.manifest import parse_config
@@ -99,6 +100,9 @@ def test_simulate_after_solve(dim, tmp_path, capsys):
     assert payload["holder_passed"] is True
     assert (outdir / "positions.bin").exists()
     assert (outdir / "holder.csv").exists()
+    timings = payload["timings"]
+    assert set(timings) == {"simulate_s", "crosscheck_s", "holder_s", "write_s"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
 
 
 def test_strong_coupling_short_horizon_solves(tmp_path, capsys):
@@ -236,6 +240,25 @@ def test_threads_hint_sets_env(tiny_config, tmp_path, capsys, monkeypatch):
         ]
     ) == 0
     assert all(os.environ[var] == "2" for var in cli._THREAD_HINTS)
+
+
+def test_simulate_bytes_independent_of_threads(tmp_path, capsys, monkeypatch):
+    # Two particle blocks, so --threads 2 splits each step over two workers
+    # (given two usable CPUs) while --threads 1 runs it inline.
+    config = tmp_path / "blocks.cfg"
+    count = 2 * particles.MIN_BLOCK
+    config.write_text(TINY_CONFIG.replace("count = 200", f"count = {count}"))
+    outdir = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(outdir)]) == 0
+    names = ("positions.bin", "sample_times.bin", "holder.csv", "holder_summary.csv")
+    written = {}
+    for threads in ("1", "2"):
+        for var in cli._THREAD_HINTS:
+            monkeypatch.delenv(var, raising=False)
+        args = ["simulate", "--config", str(config), "--out", str(outdir), "--threads", threads]
+        assert main(args) == 0
+        written[threads] = [(outdir / name).read_bytes() for name in names]
+    assert written["1"] == written["2"]
 
 
 def _fake_results(fail_index=None):

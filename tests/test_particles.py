@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fmfgc import particles
 from fmfgc.equilibrium import equilibrium_drift, solve_equilibrium
 from fmfgc.fokker_planck import initial_density
 from fmfgc.measures import GridMeasure, wasserstein_1d
@@ -186,6 +187,43 @@ def test_same_seed_is_bitwise_identical():
     other = simulate_sde(None, m0, 1000, tg, seed=6)
     assert np.array_equal(first.positions, second.positions)
     assert not np.array_equal(first.positions, other.positions)
+
+
+@pytest.mark.parametrize(
+    "dim, jumps, store_stride", [(1, True, 1), (1, False, 2), (2, True, 2), (2, False, 1)]
+)
+def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch):
+    # Three workers over 1000 particles make uneven blocks (333/333/334).
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    grid = SpectralGrid(dim=dim, n=16, s=0.7)
+    m0 = initial_density(grid, "vonmises")
+    tg = TimeGrid(horizon=0.2, n_steps=6)
+    b = np.random.default_rng(3).normal(size=(7, dim) + grid.shape)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(particles, "_worker_count", lambda w=workers: w)
+        path = simulate_sde(b, m0, 1000, tg, seed=4, jumps=jumps, store_stride=store_stride)
+        increments = [
+            sample_stable_increment(0.7, 0.01, dim, np.random.default_rng(8), size=size)
+            for size in (None, 1000)
+        ]
+        runs.append([path.positions] + increments)
+    for other in runs[1:]:
+        for want, got in zip(runs[0], other):
+            assert np.array_equal(want.view(np.int64), got.view(np.int64))
+
+
+def test_wrap_matches_remainder():
+    # Negative, tiny, signed-zero, just-below-one and large inputs: x - floor(x)
+    # with the fix-up must be x % 1.0 with the fix-up, bit for bit.
+    edge = [-5e-324, 5e-324, -1e-17, 1e-17, -0.0, 0.0, np.nextafter(1.0, 0.0),
+            -np.nextafter(1.0, 0.0), 1.0, -1.0, -2.5, 1e300, -1e300, 2.0**53 + 2.0]
+    x = np.concatenate([edge, np.random.default_rng(0).standard_cauchy(10**4)])
+    want = np.remainder(x, 1.0)
+    want[want >= 1.0] -= 1.0
+    got = particles._wrap(x.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got.min() >= 0.0 and got.max() < 1.0
 
 
 def test_ensemble_validation_and_lineage():
