@@ -139,7 +139,7 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
             coordinate_marginals(GridMeasure.view(state.grid, m_new.m)),
         )
     )
-    duality = duality_residual(u_new, m_new, mu_path, scaled, None)
+    duality = duality_residual(u_new, m_new, mu_path, scaled)
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,
@@ -291,7 +291,7 @@ def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCerti
     monotonicity pairings against the stage's starting path, moments."""
     scaled = coerce_theta(model, sol.theta)
 
-    duality = duality_residual(sol.u_sol, sol.m_sol, sol.mu_path, scaled, None)
+    duality = duality_residual(sol.u_sol, sol.m_sol, sol.mu_path, scaled)
 
     defect = sol.mu_path.alpha + scaled.grad_p_field(sol.u_sol.du, sol.mu_path)
     exploit = float(np.max(np.abs(defect)))

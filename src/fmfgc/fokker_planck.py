@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import CflError, ConservationError, GridMismatchError
 from .measures import GridMeasure
-from .models import coerce_theta
 from .spectral import SpectralGrid, TimeGrid
 
 STEP_MASS_TOL = 1e-12
@@ -176,12 +175,13 @@ def initial_density(grid: SpectralGrid, preset: str = "vonmises") -> GridMeasure
     raise ValueError(f"density must be one of {DENSITY_PRESETS}, got {preset!r}")
 
 
-def duality_residual(u_sol, m_sol: FpSolution, mu_path, model, theta: float) -> float:
+def duality_residual(u_sol, m_sol: FpSolution, mu_path, model) -> float:
     """Cross-pairing defect between the two solved equations.
 
     |int u(0) m0 - int u(T) m(T) - int_0^T int (Du . D_p H - H) m dx dt|
     with u(T) = theta u_T as stored; trapezoidal in time.  Zero for the
     exact continuum pair, so its size measures joint discretization error.
+    model is the one the pair was solved with, scaled if theta < 1.
     """
     grid = m_sol.grid
     if u_sol.grid is not grid or mu_path.grid is not grid:
@@ -189,10 +189,9 @@ def duality_residual(u_sol, m_sol: FpSolution, mu_path, model, theta: float) -> 
     tg = m_sol.time_grid
     if u_sol.time_grid != tg or mu_path.time_grid != tg:
         raise ValueError("duality pairing needs a common time grid")
-    scaled = coerce_theta(model, theta)
     du = u_sol.du
-    integrand = np.sum(du * scaled.grad_p_field(du, mu_path), axis=1)
-    integrand -= scaled.hamiltonian_field(du, mu_path)
+    integrand = np.sum(du * model.grad_p_field(du, mu_path), axis=1)
+    integrand -= model.hamiltonian_field(du, mu_path)
     running = grid.integrate(integrand * m_sol.m)
     time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))
     boundary = m_sol[0].expectation(u_sol.u[0]) - m_sol[-1].expectation(u_sol.u[-1])

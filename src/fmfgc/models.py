@@ -1,12 +1,12 @@
 """Running costs, Hamiltonians, and the interpolation scaling between them.
 
-A model exposes two evaluation surfaces: probe form, where states,
-controls and momenta are loose arrays of shape (dim, P), and field form,
-where they are fields on a spectral grid.  Solvers use the field form;
-verification probes (convex conjugacy, growth constants) use probe form.
-A field form takes one time slice (mu a JointControlMeasure) or a whole
-path (mu a MeasurePath, a leading time axis on p); the component axis is
--(dim + 1), and mu is read through grid, density, alpha, mean_control().
+A model has one evaluation surface, the field form: controls and momenta
+are fields at the nodes of a spectral grid.  A field form takes one time
+slice (mu a JointControlMeasure, p one field or a stack of fields over
+leading axes) or a whole path (mu a MeasurePath, a leading time axis on
+p); the component axis is -(dim + 1), and mu is read through grid,
+density, alpha, mean_control().  The solvers call these forms, and the
+conjugacy and growth checks below certify the same ones.
 
 The concrete model is quadratic: running cost
 |alpha + beta int gamma dmu|^2 / 2 + V(x, mu) with V a positive-definite
@@ -21,24 +21,15 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import OptimizationError
 from .measures import GridMeasure, JointControlMeasure, lambda_q
 from .spectral import SpectralGrid
 
 
-def _as_probes(arr: np.ndarray, dim: int) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(dim, -1) if dim > 1 else arr.reshape(1, -1)
-    if arr.shape[0] != dim:
-        raise ValueError(f"probe array must have leading dimension {dim}")
-    return arr
-
-
 class LagrangianModel:
-    """Base class: subclasses provide the running cost and its derivatives.
+    """Base class: subclasses provide the field forms ``lagrangian_field``,
+    ``grad_alpha_field``, ``hamiltonian_field`` and ``grad_p_field``.
 
     Attributes ``C0`` (structure constant), ``q`` (momentum growth) and
     ``q_tilde`` (conjugate exponent, q/(q-1)) describe the growth class.
@@ -47,34 +38,6 @@ class LagrangianModel:
     C0: float
     q: float
     q_tilde: float
-
-    def lagrangian(self, x, alpha, mu) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_alpha(self, x, alpha, mu) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian_alpha(self, x, alpha, mu) -> np.ndarray:
-        """Control Hessian, shape (dim, dim, P); finite differences by default."""
-        dim, npts = alpha.shape
-        h = 1e-6 * (1.0 + np.abs(alpha))
-        hess = np.empty((dim, dim, npts))
-        for i in range(dim):
-            da = np.zeros_like(alpha)
-            da[i] = h[i]
-            gp = self.grad_alpha(x, alpha + da, mu)
-            gm = self.grad_alpha(x, alpha - da, mu)
-            hess[:, i, :] = (gp - gm) / (2.0 * h[i])
-        return 0.5 * (hess + np.swapaxes(hess, 0, 1))
-
-    def hamiltonian(self, x, p, mu) -> np.ndarray:
-        val, _ = legendre_transform(self, x, p, mu)
-        return val
-
-    def grad_p(self, x, p, mu) -> np.ndarray:
-        # Envelope identity: D_p H = -alpha^* at the conjugacy optimum.
-        _, alpha_star = legendre_transform(self, x, p, mu)
-        return -alpha_star
 
 
 def _geometric_tail(rho: float) -> float:
@@ -145,44 +108,6 @@ class QuadraticModel(LagrangianModel):
         time decay / (2 pi)."""
         return grid.semigroup_apply(density, self.kernel_decay / (2.0 * np.pi), s=0.5)
 
-    def potential_at(self, m: GridMeasure, x: np.ndarray) -> np.ndarray:
-        """(kernel * m)(x) at arbitrary probe points, shape (P,): the
-        trigonometric interpolant of potential_field(m)."""
-        return m.grid.interpolate(self.potential_field(m), _as_probes(x, m.grid.dim))
-
-    # -- probe forms -----------------------------------------------------
-
-    def lagrangian(self, x, alpha, mu):
-        abar = mu.mean_control()
-        x = _as_probes(x, self.dim)
-        alpha = _as_probes(alpha, self.dim)
-        shifted = alpha + self.coupling_beta * abar[:, None]
-        return 0.5 * np.sum(shifted**2, axis=0) + self.potential_at(mu.m, x)
-
-    def grad_alpha(self, x, alpha, mu):
-        abar = mu.mean_control()
-        alpha = _as_probes(alpha, self.dim)
-        return alpha + self.coupling_beta * abar[:, None]
-
-    def hessian_alpha(self, x, alpha, mu):
-        dim, npts = alpha.shape
-        return np.broadcast_to(np.eye(dim)[:, :, None], (dim, dim, npts)).copy()
-
-    def hamiltonian(self, x, p, mu):
-        abar = mu.mean_control()
-        x = _as_probes(x, self.dim)
-        p = _as_probes(p, self.dim)
-        return (
-            0.5 * np.sum(p**2, axis=0)
-            + self.coupling_beta * np.sum(p * abar[:, None], axis=0)
-            - self.potential_at(mu.m, x)
-        )
-
-    def grad_p(self, x, p, mu):
-        abar = mu.mean_control()
-        p = _as_probes(p, self.dim)
-        return p + self.coupling_beta * abar[:, None]
-
     # -- field forms -----------------------------------------------------
 
     def _broadcast_mean(self, mu) -> np.ndarray:
@@ -191,11 +116,13 @@ class QuadraticModel(LagrangianModel):
         return abar.reshape(abar.shape + (1,) * mu.grid.dim)
 
     def lagrangian_field(self, alpha, mu):
-        shifted = alpha + self._broadcast_mean(mu) * self.coupling_beta
         return (
-            0.5 * np.sum(shifted**2, axis=-(mu.grid.dim + 1))
+            0.5 * np.sum(self.grad_alpha_field(alpha, mu) ** 2, axis=-(mu.grid.dim + 1))
             + self._potential(mu.grid, mu.density)
         )
+
+    def grad_alpha_field(self, alpha, mu):
+        return alpha + self.coupling_beta * self._broadcast_mean(mu)
 
     def hamiltonian_field(self, p, mu):
         axis = -(mu.grid.dim + 1)
@@ -275,113 +202,79 @@ def coerce_theta(model, theta: float | None) -> ThetaScaledModel:
 # -- convex conjugacy ------------------------------------------------------
 
 
-def _solve_newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Per-point solve of hess @ delta = grad for dim in {1, 2}."""
-    dim = grad.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if dim == 1:
-            return grad / hess[0, 0]
-        a, b = hess[0, 0], hess[0, 1]
-        c, d = hess[1, 0], hess[1, 1]
-        det = a * d - b * c
-        out = np.empty_like(grad)
-        out[0] = (d * grad[0] - b * grad[1]) / det
-        out[1] = (-c * grad[0] + a * grad[1]) / det
-        return out
+def _fd_hessian(model, alpha: np.ndarray, mu) -> np.ndarray:
+    """Control Hessian by central differences of grad_alpha_field,
+    symmetrized; the component axis of alpha becomes the trailing
+    (dim, dim) pair, so the shape is (..., *grid.shape, dim, dim)."""
+    axis = -(mu.grid.dim + 1)
+    step = 1e-6 * (1.0 + np.abs(alpha))
+    cols = []
+    for i in range(alpha.shape[axis]):
+        comp = (..., slice(i, i + 1)) + (slice(None),) * mu.grid.dim
+        da = np.zeros_like(alpha)
+        da[comp] = step[comp]
+        diff = model.grad_alpha_field(alpha + da, mu) - model.grad_alpha_field(alpha - da, mu)
+        cols.append(np.moveaxis(diff / (2.0 * step[comp]), axis, -1))
+    hess = np.stack(cols, axis=-1)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 def legendre_transform(
     model: LagrangianModel,
-    x: np.ndarray,
     p: np.ndarray,
     mu: JointControlMeasure,
     tol: float = 1e-10,
     max_newton: int = 100,
     max_halvings: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """H(x, p, mu) = sup_a { -p.a - L(x, a, mu) } and its maximizer.
+    """H(x, p, mu) = sup_a { -p.a - L(x, a, mu) } and its maximizer at every node.
 
-    Damped Newton from a = 0 on the strictly concave objective; stops when
-    the stationarity defect |p + D_a L| falls below ``tol`` at every
-    point.  Points that resist Newton fall back to coordinatewise
-    golden-section search on a box whose radius is the structural control
-    bound C0 (1 + |p|^{q-1} + Lambda_qtilde(mu)).
+    p is a momentum field on mu's grid, or a stack of them over leading
+    axes.  Damped Newton from a = 0 on the strictly concave objective,
+    with a finite-difference Hessian of grad_alpha_field; stops when the
+    stationarity defect |p + D_a L| falls below ``tol`` at every point and
+    raises OptimizationError if some point is still above it after
+    ``max_newton`` steps.
     """
-    dim = getattr(model, "dim", None) or mu.grid.dim
-    x = _as_probes(x, dim)
-    p = _as_probes(p, dim)
+    axis = -(mu.grid.dim + 1)
+    p = np.asarray(p, dtype=float)
     alpha = np.zeros_like(p)
 
     def objective(a):
-        return -np.sum(p * a, axis=0) - model.lagrangian(x, a, mu)
+        return -np.sum(p * a, axis=axis) - model.lagrangian_field(a, mu)
+
+    def ascent(a):
+        grad = -(p + model.grad_alpha_field(a, mu))
+        return grad, np.sqrt(np.sum(grad**2, axis=axis))
 
     value = objective(alpha)
     for _ in range(max_newton):
-        grad = -(p + model.grad_alpha(x, alpha, mu))
-        defect = np.sqrt(np.sum(grad**2, axis=0))
+        grad, defect = ascent(alpha)
         active = defect >= tol
         if not np.any(active):
             break
-        hess = model.hessian_alpha(x, alpha, mu)
-        delta = _solve_newton_direction(hess, grad)
-        # singular Hessians leave the point to the fallback pass
-        delta = np.where(np.isfinite(delta), delta, 0.0)
+        hess = _fd_hessian(model, alpha, mu)
+        # the pseudo-inverse leaves a point with a singular Hessian in place
+        step = np.linalg.pinv(hess) @ np.moveaxis(grad, axis, -1)[..., None]
+        delta = np.moveaxis(step[..., 0], -1, axis)
         lam = np.where(active, 1.0, 0.0)
         for _ in range(max_halvings):
-            trial = alpha + lam * delta
-            tval = objective(trial)
+            tval = objective(alpha + np.expand_dims(lam, axis) * delta)
             bad = active & (tval < value - 1e-14 * (1.0 + np.abs(value)))
             if not np.any(bad):
                 break
             lam[bad] *= 0.5
-        alpha = alpha + lam * delta
+        alpha = alpha + np.expand_dims(lam, axis) * delta
         value = objective(alpha)
 
-    grad = -(p + model.grad_alpha(x, alpha, mu))
-    defect = np.sqrt(np.sum(grad**2, axis=0))
-    stuck = np.nonzero(defect >= tol)[0]
-    if stuck.size:
-        radius = model.C0 * (
-            1.0 + np.sum(p**2, axis=0) ** ((model.q - 1.0) / 2.0)
-            + lambda_q(mu, model.q_tilde)
+    _, defect = ascent(alpha)
+    if np.any(defect >= tol):
+        raise OptimizationError(
+            f"conjugacy optimizer left {int(np.sum(defect >= tol))} points above "
+            f"tolerance {tol}",
+            residual=float(defect.max()),
         )
-        for j in stuck:
-            alpha[:, j] = _golden_fallback(model, x[:, j], p[:, j], mu, radius[j], tol)
-        value = objective(alpha)
-        grad = -(p + model.grad_alpha(x, alpha, mu))
-        defect = np.sqrt(np.sum(grad**2, axis=0))
-        if np.any(defect >= tol):
-            raise OptimizationError(
-                f"conjugacy optimizer left {int(np.sum(defect >= tol))} points above "
-                f"tolerance {tol}",
-                residual=float(defect.max()),
-            )
     return value, alpha
-
-
-def _golden_fallback(model, xj, pj, mu, radius, tol, sweeps=40):
-    dim = xj.shape[0]
-    a = np.zeros(dim)
-    for _ in range(sweeps):
-        moved = 0.0
-        for i in range(dim):
-            def neg_obj(t):
-                trial = a.copy()
-                trial[i] = t
-                return float(
-                    np.sum(pj * trial) + model.lagrangian(
-                        xj[:, None], trial[:, None], mu
-                    )[0]
-                )
-            res = minimize_scalar(
-                neg_obj, bounds=(-radius, radius), method="bounded",
-                options={"xatol": 1e-13},
-            )
-            moved = max(moved, abs(res.x - a[i]))
-            a[i] = res.x
-        if moved < 1e-13:
-            break
-    return a
 
 
 # -- growth diagnostics ----------------------------------------------------
@@ -419,17 +312,19 @@ def growth_check(
 
     Checks |D_p H| <= C (1 + |p|^{q-1} + Lambda), |H| <= C (1 + |p|^q +
     Lambda^qt) and the coercivity p . D_p H - H >= |p|^q / C - C (1 +
-    Lambda^qt), and returns the smallest C making every sampled probe
-    pass.  Violations of a caller-chosen constant are counted, not
+    Lambda^qt) on momentum fields at the grid nodes, a stack of them per
+    sampled measure, and returns the smallest C making every sampled
+    probe pass.  Violations of a caller-chosen constant are counted, not
     raised.
     """
     rng = np.random.default_rng(seed)
     dim = grid.dim
+    axis = -(dim + 1)
     q, qt = model.q, model.q_tilde
-    per_measure = max(1, n_samples // n_measures)
+    # enough momentum fields per measure to reach n_samples node probes
+    depth = -(-max(1, n_samples // n_measures) // grid.n**dim)
     reqs = []
     grad_req = val_req = coer_req = 0.0
-    count = 0
     for _ in range(n_measures):
         raw = np.exp(
             sum(
@@ -449,18 +344,17 @@ def growth_check(
         mu = JointControlMeasure(m, alpha)
         lam = lambda_q(mu, qt)
 
-        x = rng.random((dim, per_measure))
-        p = p_scale * rng.standard_normal((dim, per_measure))
-        p *= np.exp(rng.uniform(-2.0, 1.0, per_measure))  # vary magnitudes
+        p = p_scale * rng.standard_normal((depth, dim) + grid.shape)
+        p *= np.exp(rng.uniform(-2.0, 1.0, (depth, 1) + grid.shape))  # vary magnitudes
 
-        h = np.asarray(model.hamiltonian(x, p, mu))
-        dp = np.asarray(model.grad_p(x, p, mu))
-        pnorm = np.sqrt(np.sum(p**2, axis=0))
-        dpnorm = np.sqrt(np.sum(dp**2, axis=0))
+        h = model.hamiltonian_field(p, mu)
+        dp = model.grad_p_field(p, mu)
+        pnorm = np.sqrt(np.sum(p**2, axis=axis))
+        dpnorm = np.sqrt(np.sum(dp**2, axis=axis))
 
         r1 = dpnorm / (1.0 + pnorm ** (q - 1.0) + lam)
         r2 = np.abs(h) / (1.0 + pnorm**q + lam**qt)
-        ell = np.sum(p * dp, axis=0) - h
+        ell = np.sum(p * dp, axis=axis) - h
         bb = 1.0 + lam**qt
         cc = pnorm**q
         r3 = (-ell + np.sqrt(ell**2 + 4.0 * bb * cc)) / (2.0 * bb)
@@ -468,14 +362,14 @@ def growth_check(
         grad_req = max(grad_req, float(r1.max()))
         val_req = max(val_req, float(r2.max()))
         coer_req = max(coer_req, float(r3.max()))
-        reqs.append(np.maximum(np.maximum(r1, r2), r3))
-        count += per_measure
+        reqs.append(np.maximum(np.maximum(r1, r2), r3).ravel())
 
+    requirements = np.concatenate(reqs)
     return GrowthReport(
         c0_tilde=max(grad_req, val_req, coer_req),
         gradient_bound=grad_req,
         value_bound=val_req,
         coercivity_bound=coer_req,
-        n_samples=count,
-        requirements=np.concatenate(reqs),
+        n_samples=requirements.size,
+        requirements=requirements,
     )

@@ -178,9 +178,10 @@ def _cms_block(u, w, z, s: float, dt: float, blk: slice) -> None:
     b **= 1.0 - s
     a *= b
     a /= np.sin(u, out=u)
-    a **= 1.0 / (1.0 - s)
-    a /= w
-    a **= (1.0 - s) / s
+    # S = a^(1/s) w^(-(1-s)/s) dt^(1/s): the textbook (a^(1/(1-s)) / w)^((1-s)/s)
+    # without its intermediate, which overflows near s = 1 (exponent 1/(1-s)).
+    a **= 1.0 / s
+    a /= np.power(w, (1.0 - s) / s, out=u)
     a *= dt ** (1.0 / s)
     a *= 2.0
     z *= np.sqrt(a, out=a)[:, None]

@@ -191,17 +191,6 @@ class SpectralGrid:
         weight = (1.0 + 4.0 * np.pi**2 * self._ksq) ** order
         return np.sqrt(self.integrate(f * self._multiply(f, weight)))
 
-    def interpolate(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The trigonometric interpolant of a nodal field at probe points x,
-        shape (dim, P), by a dense DFT; exact at the nodes.  Shape (..., P)."""
-        f = self.check_scalar(f)
-        coeff = np.fft.fftn(f, axes=tuple(range(-self.dim, 0))) / self.n**self.dim
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        waves = np.meshgrid(*([k] * self.dim), indexing="ij")
-        phase = sum(np.outer(waves[axis].ravel(), x[axis]) for axis in range(self.dim))
-        lead = f.shape[: f.ndim - self.dim]
-        return (coeff.reshape(lead + (-1,)) @ np.exp(2j * np.pi * phase)).real
-
     def holder_seminorm(self, f: np.ndarray, beta: float):
         """Discrete Holder seminorm sup |f(x)-f(y)| / dist(x,y)^beta: a float
         for one field, one value per slice for a stack.

@@ -242,11 +242,11 @@ def _criterion_legendre(ctx: AcceptanceContext):
     rng = np.random.default_rng(60)
     m = GridMeasure.normalized(grid, np.abs(1.0 + 0.4 * rng.standard_normal(grid.n)))
     mu = JointControlMeasure(m, np.stack([0.5 * np.sin(2.0 * np.pi * grid.nodes()[0])]))
-    x = rng.random(1000)
-    p = rng.uniform(-2.0, 2.0, size=1000)
-    value, alpha_star = legendre_transform(model, x, p, mu)
-    closed = model.hamiltonian(x, p, mu)
-    best = -model.grad_p(x, p, mu)
+    # 16 momentum fields at the 64 nodes: 1024 probes of the field forms
+    p = rng.uniform(-2.0, 2.0, size=(16, 1, grid.n))
+    value, alpha_star = legendre_transform(model, p, mu)
+    closed = model.hamiltonian_field(p, mu)
+    best = -model.grad_p_field(p, mu)
     worst_h = float(np.max(np.abs(value - closed)))
     worst_a = float(np.max(np.abs(alpha_star - best)))
     ok = worst_h <= 1e-8 and worst_a <= 1e-8

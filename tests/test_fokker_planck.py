@@ -10,7 +10,7 @@ from fmfgc.fokker_planck import (
 )
 from fmfgc.hjb import solve_backward
 from fmfgc.measures import GridMeasure, MeasurePath
-from fmfgc.models import QuadraticModel, coerce_theta
+from fmfgc.models import QuadraticModel, ThetaScaledModel, coerce_theta
 from fmfgc.mu_solver import solve_mu
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
@@ -209,7 +209,7 @@ def test_duality_theta_zero_exact(grid):
     u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
     u_sol = solve_backward(model, mu_path, u_t, theta=0.0)
     m_sol = solve_forward(np.zeros((41, 1, grid.n)), m0, tg)
-    assert duality_residual(u_sol, m_sol, mu_path, model, 0.0) == 0.0
+    assert duality_residual(u_sol, m_sol, mu_path, ThetaScaledModel(model, 0.0)) == 0.0
 
 
 def test_duality_constant_hamiltonian(grid):
@@ -222,7 +222,7 @@ def test_duality_constant_hamiltonian(grid):
     u_t = 0.2 * np.cos(2 * np.pi * grid.nodes()[0])
     u_sol = solve_backward(model, mu_path, u_t, theta=1.0)
     m_sol = solve_forward(np.zeros((51, 1, grid.n)), m0, tg)
-    assert duality_residual(u_sol, m_sol, mu_path, model, 1.0) < 1e-10
+    assert duality_residual(u_sol, m_sol, mu_path, model) < 1e-10
 
 
 def test_duality_frozen_mu_smoke(grid):
@@ -243,7 +243,7 @@ def test_duality_frozen_mu_smoke(grid):
         [-scaled.grad_p_field(u_sol.du[j], mu_path[j]) for j in range(101)]
     )
     m_sol = solve_forward(b_path, m0, tg)
-    assert duality_residual(u_sol, m_sol, mu_path, model, 1.0) < 0.05
+    assert duality_residual(u_sol, m_sol, mu_path, model) < 0.05
 
 
 def test_duality_mismatch_errors(grid):
@@ -257,7 +257,7 @@ def test_duality_mismatch_errors(grid):
         np.zeros((11, 1, 32)), GridMeasure.uniform(other), tg
     )
     with pytest.raises(ValueError):
-        duality_residual(u_sol, m_other, mu_path, model, 1.0)
+        duality_residual(u_sol, m_other, mu_path, model)
 
 
 def test_bessel_report_positive(grid):

@@ -9,7 +9,7 @@ from fmfgc.models import (
     LagrangianModel,
     QuadraticModel,
     ThetaScaledModel,
-    _golden_fallback,
+    _fd_hessian,
     growth_check,
     legendre_transform,
 )
@@ -21,33 +21,25 @@ from helpers import smooth_density
 class PlainQuadratic(LagrangianModel):
     """L = |alpha|^2 / 2, no coupling; conjugate is |p|^2 / 2 at -p."""
 
-    def __init__(self, dim=1):
-        self.dim = dim
-        self.C0 = 2.0
-        self.q = 2.0
-        self.q_tilde = 2.0
+    C0, q, q_tilde = 2.0, 2.0, 2.0
 
-    def lagrangian(self, x, alpha, mu):
-        return 0.5 * np.sum(np.asarray(alpha, dtype=float) ** 2, axis=0)
+    def lagrangian_field(self, alpha, mu):
+        return 0.5 * np.sum(alpha**2, axis=-(mu.grid.dim + 1))
 
-    def grad_alpha(self, x, alpha, mu):
-        return np.asarray(alpha, dtype=float)
+    def grad_alpha_field(self, alpha, mu):
+        return alpha
 
 
 class CoshModel(LagrangianModel):
     """L = sum_i (cosh(alpha_i) - 1); conjugate maximizer -asinh(p)."""
 
-    def __init__(self, dim=1):
-        self.dim = dim
-        self.C0 = 8.0
-        self.q = 2.0
-        self.q_tilde = 2.0
+    C0, q, q_tilde = 8.0, 2.0, 2.0
 
-    def lagrangian(self, x, alpha, mu):
-        return np.sum(np.cosh(np.asarray(alpha, dtype=float)) - 1.0, axis=0)
+    def lagrangian_field(self, alpha, mu):
+        return np.sum(np.cosh(alpha) - 1.0, axis=-(mu.grid.dim + 1))
 
-    def grad_alpha(self, x, alpha, mu):
-        return np.sinh(np.asarray(alpha, dtype=float))
+    def grad_alpha_field(self, alpha, mu):
+        return np.sinh(alpha)
 
 
 def random_mu(grid, rng, alpha_scale=1.5):
@@ -85,45 +77,35 @@ def test_potential_single_mode():
             assert np.max(np.abs(field - (1.0 + eps * damp * wave))) <= 1e-13
 
 
-def test_potential_field_vs_probes():
-    rng = np.random.default_rng(2)
-    g = SpectralGrid(1, 64, 0.75)
-    model = QuadraticModel(0.4)
-    m = GridMeasure(g, smooth_density(g, rng))
-    field = model.potential_field(m)
-    probes = model.potential_at(m, g.nodes().reshape(1, -1))
-    assert np.max(np.abs(field - probes.reshape(g.shape))) <= 1e-10
-
-
-def test_conjugacy_round_trip_thousand_probes():
-    # Numeric Legendre path must match the closed-form Hamiltonian to 1e-8.
+@pytest.mark.parametrize("dim", [1, 2])
+def test_conjugacy_round_trip_thousand_probes(dim):
+    # Numeric Legendre path must match the closed-form Hamiltonian to 1e-8,
+    # through the field forms the solver calls: 5 measures x 4 momentum
+    # fields x (64 or 16^2) nodes = 1280 probes.
     rng = np.random.default_rng(7)
-    g = SpectralGrid(1, 64, 0.75)
-    model = QuadraticModel(0.6)
+    g = SpectralGrid(dim, 64 if dim == 1 else 16, 0.75)
+    model = QuadraticModel(0.6, dim=dim)
     worst = 0.0
     for _ in range(5):
         mu = random_mu(g, rng)
-        x = rng.random((1, 200))
-        p = 5.0 * rng.uniform(-1, 1, (1, 200))
-        closed = model.hamiltonian(x, p, mu)
-        value, alpha_star = legendre_transform(model, x, p, mu)
+        p = 5.0 * rng.uniform(-1, 1, (4, dim) + g.shape)
+        closed = model.hamiltonian_field(p, mu)
+        value, alpha_star = legendre_transform(model, p, mu)
         worst = max(worst, float(np.max(np.abs(value - closed))))
         # envelope identity: maximizer equals -D_p H
-        envelope = np.max(np.abs(alpha_star + model.grad_p(x, p, mu)))
+        envelope = np.max(np.abs(alpha_star + model.grad_p_field(p, mu)))
         assert envelope <= 1e-8
     assert worst <= 1e-8
 
 
 def test_legendre_zero_momentum():
-    # p = 0: value -V(x, mu), maximizer -beta abar.
+    # p = 0: value -V(x, mu) at every node, maximizer -beta abar.
     rng = np.random.default_rng(11)
     g = SpectralGrid(1, 64, 0.75)
     model = QuadraticModel(0.45)
     mu = random_mu(g, rng)
-    x = rng.random((1, 50))
-    p = np.zeros((1, 50))
-    value, alpha_star = legendre_transform(model, x, p, mu)
-    v = model.potential_at(mu.m, x)
+    value, alpha_star = legendre_transform(model, np.zeros((1, 64)), mu)
+    v = model.potential_field(mu.m)
     abar = mu.mean_control()
     assert np.max(np.abs(value + v)) <= 1e-10
     assert np.max(np.abs(alpha_star + 0.45 * abar[:, None])) <= 1e-10
@@ -132,42 +114,31 @@ def test_legendre_zero_momentum():
 def test_legendre_plain_quadratic():
     g = SpectralGrid(1, 16, 0.75)
     mu = JointControlMeasure(GridMeasure.uniform(g), np.zeros((1, 16)))
-    model = PlainQuadratic()
-    value, alpha_star = legendre_transform(model, np.zeros((1, 1)), np.ones((1, 1)), mu)
-    assert value[0] == pytest.approx(0.5, abs=1e-10)
-    assert alpha_star[0, 0] == pytest.approx(-1.0, abs=1e-10)
+    value, alpha_star = legendre_transform(PlainQuadratic(), np.ones((1, 16)), mu)
+    assert np.max(np.abs(value - 0.5)) <= 1e-10
+    assert np.max(np.abs(alpha_star + 1.0)) <= 1e-10
 
 
 def test_legendre_nonquadratic_newton():
     # cosh conjugate: alpha* = -asinh(p), H = p asinh(p) - sqrt(1+p^2) + 1.
     g = SpectralGrid(1, 16, 0.75)
     mu = JointControlMeasure(GridMeasure.uniform(g), np.zeros((1, 16)))
-    model = CoshModel()
-    p = np.linspace(-4.0, 4.0, 33)[None, :]
-    x = np.zeros_like(p)
-    value, alpha_star = legendre_transform(model, x, p, mu)
+    # a stack of 33 constant momentum fields
+    p = np.linspace(-4.0, 4.0, 33)[:, None, None] * np.ones((1, 1, 16))
+    value, alpha_star = legendre_transform(CoshModel(), p, mu)
     expected_alpha = -np.arcsinh(p)
     expected_value = p * np.arcsinh(p) - np.sqrt(1.0 + p**2) + 1.0
     assert np.max(np.abs(alpha_star - expected_alpha)) <= 1e-9
-    assert np.max(np.abs(value - expected_value[0])) <= 1e-9
+    assert np.max(np.abs(value - expected_value[:, 0])) <= 1e-9
 
 
 def test_legendre_2d_batch():
     g = SpectralGrid(2, 16, 0.75)
     mu = JointControlMeasure(GridMeasure.uniform(g), np.zeros((2, 16, 16)))
-    model = CoshModel(dim=2)
     rng = np.random.default_rng(13)
-    p = rng.uniform(-3, 3, (2, 40))
-    value, alpha_star = legendre_transform(model, np.zeros_like(p), p, mu)
+    p = rng.uniform(-3, 3, (2, 16, 16))
+    value, alpha_star = legendre_transform(CoshModel(), p, mu)
     assert np.max(np.abs(alpha_star + np.arcsinh(p))) <= 1e-9
-
-
-def test_golden_fallback_matches_newton_target():
-    g = SpectralGrid(1, 16, 0.75)
-    mu = JointControlMeasure(GridMeasure.uniform(g), np.zeros((1, 16)))
-    model = CoshModel()
-    a = _golden_fallback(model, np.zeros(1), np.array([2.0]), mu, radius=8.0, tol=1e-10)
-    assert a[0] == pytest.approx(-np.arcsinh(2.0), abs=1e-8)
 
 
 def test_legendre_inequality_sampled():
@@ -176,30 +147,27 @@ def test_legendre_inequality_sampled():
     g = SpectralGrid(1, 64, 0.75)
     model = QuadraticModel(0.5)
     mu = random_mu(g, rng)
-    x = rng.random((1, 100))
-    p = 4.0 * rng.uniform(-1, 1, (1, 100))
-    h = model.hamiltonian(x, p, mu)
+    p = 4.0 * rng.uniform(-1, 1, (1, 64))
+    h = model.hamiltonian_field(p, mu)
     for _ in range(10):
-        alpha = 5.0 * rng.uniform(-1, 1, (1, 100))
-        lower = -np.sum(p * alpha, axis=0) - model.lagrangian(x, alpha, mu)
+        alpha = 5.0 * rng.uniform(-1, 1, (1, 64))
+        lower = -np.sum(p * alpha, axis=0) - model.lagrangian_field(alpha, mu)
         assert np.all(h >= lower - 1e-10)
 
 
 def test_finite_difference_hessian_positive_definite():
-    # Strict convexity probes through the generic finite-difference path.
+    # Strict convexity probes through the finite-difference Hessian that
+    # the Newton steps of legendre_transform use.
     rng = np.random.default_rng(19)
     g = SpectralGrid(2, 16, 0.75)
-    model = CoshModel(dim=2)
     mu = JointControlMeasure(GridMeasure.uniform(g), np.zeros((2, 16, 16)))
-    alpha = rng.uniform(-2, 2, (2, 30))
-    hess = LagrangianModel.hessian_alpha(model, np.zeros_like(alpha), alpha, mu)
-    for j in range(30):
-        eig = np.linalg.eigvalsh(hess[:, :, j])
-        assert np.all(eig > 0.0)
-    # quadratic example: exact identity Hessian
-    qm = QuadraticModel(0.5, dim=2)
-    hq = qm.hessian_alpha(None, alpha, mu)
-    assert np.max(np.abs(hq - np.eye(2)[:, :, None])) <= 1e-12
+    alpha = rng.uniform(-2, 2, (2, 16, 16))
+    hess = _fd_hessian(CoshModel(), alpha, mu)
+    assert hess.shape == (16, 16, 2, 2)
+    assert np.all(np.linalg.eigvalsh(hess) > 0.0)
+    # quadratic example: the identity, up to the difference quotient's roundoff
+    hq = _fd_hessian(QuadraticModel(0.5, dim=2), alpha, random_mu(g, rng))
+    assert np.max(np.abs(hq - np.eye(2))) <= 1e-8
 
 
 def test_theta_scale_validation_and_endpoints():
@@ -299,23 +267,11 @@ def test_growth_check_quadratic_feasible():
     assert report.c0_tilde <= 10.0 * model.C0
 
 
-class ZeroHamiltonian:
-    """H = 0 and D_p H = 0 on probes, the theta = 0 end of the scaling."""
-
-    C0 = 2.0
-    q = 2.0
-    q_tilde = 2.0
-
-    def hamiltonian(self, x, p, mu):
-        return np.zeros(np.shape(p)[-1])
-
-    def grad_p(self, x, p, mu):
-        return np.zeros_like(np.asarray(p, dtype=float))
-
-
 def test_growth_check_zero_hamiltonian():
+    # the theta = 0 end of the scaling: H = 0 and D_p H = 0
     g = SpectralGrid(1, 64, 0.75)
-    report = growth_check(ZeroHamiltonian(), g, n_samples=200, seed=1)
+    zero = ThetaScaledModel(QuadraticModel(0.5), 0.0)
+    report = growth_check(zero, g, n_samples=200, seed=1)
     assert np.isfinite(report.c0_tilde)
     # H = 0, D_p H = 0: only coercivity needs a constant, sqrt(|p|^q / b)
     assert report.gradient_bound == 0.0
@@ -334,10 +290,9 @@ def test_coercivity_identity_centered_control():
     centered = alpha - mu0.mean_control().reshape(1, 1) * np.ones_like(alpha)
     mu = JointControlMeasure(m, centered)
     assert np.max(np.abs(mu.mean_control())) <= 1e-14
-    x = rng.random((1, 40))
-    p = rng.uniform(-3, 3, (1, 40))
-    lhs = np.sum(p * model.grad_p(x, p, mu), axis=0) - model.hamiltonian(x, p, mu)
-    rhs = 0.5 * np.sum(p**2, axis=0) + model.potential_at(mu.m, x)
+    p = rng.uniform(-3, 3, (1, 64))
+    lhs = np.sum(p * model.grad_p_field(p, mu), axis=0) - model.hamiltonian_field(p, mu)
+    rhs = 0.5 * np.sum(p**2, axis=0) + model.potential_field(mu.m)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -368,16 +323,13 @@ def test_h1_lipschitz_probe():
     beta = 0.55
     model = QuadraticModel(beta)
     m = GridMeasure(g, smooth_density(g, rng))
-    x = rng.random((1, 20))
-    p = rng.uniform(-2, 2, (1, 20))
+    p = rng.uniform(-2, 2, (1, 64))
     # constant shift: control marginal moves rigidly, W1 = |shift|
     base = np.sin(2 * np.pi * g.nodes())
     for shift in (0.3, -1.1):
         mu = JointControlMeasure(m, base)
         nu = JointControlMeasure(m, base + shift)
-        gap = np.max(
-            np.abs(model.grad_p(x, p, mu) - model.grad_p(x, p, nu))
-        )
+        gap = np.max(np.abs(model.grad_p_field(p, mu) - model.grad_p_field(p, nu)))
         assert gap <= beta * abs(shift) + 1e-8
     # generic pair: oracle W1 of the control pushforwards on the line
     a1 = np.sin(2 * np.pi * g.nodes()[0])
@@ -385,24 +337,23 @@ def test_h1_lipschitz_probe():
     mu = JointControlMeasure(m, a1[None])
     nu = JointControlMeasure(m, a2[None])
     w1 = weighted_line_w1(a1, a2, m.node_weights())
-    gap = np.max(np.abs(model.grad_p(x, p, mu) - model.grad_p(x, p, nu)))
+    gap = np.max(np.abs(model.grad_p_field(p, mu) - model.grad_p_field(p, nu)))
     assert gap <= beta * w1 + 1e-8
 
 
 def test_optimization_error_signals():
     # An inconsistent "model" whose gradient never matches its value
-    # drives both Newton and the fallback to failure.
+    # drives Newton to failure.
     class Broken(LagrangianModel):
-        dim = 1
         C0, q, q_tilde = 1.0, 2.0, 2.0
 
-        def lagrangian(self, x, alpha, mu):
-            return np.sum(alpha**2, axis=0)
+        def lagrangian_field(self, alpha, mu):
+            return np.sum(alpha**2, axis=-2)
 
-        def grad_alpha(self, x, alpha, mu):
+        def grad_alpha_field(self, alpha, mu):
             return np.full_like(alpha, 7.0)  # constant, never stationary
 
     g = SpectralGrid(1, 16, 0.75)
     mu = JointControlMeasure(GridMeasure.uniform(g), np.zeros((1, 16)))
     with pytest.raises(OptimizationError):
-        legendre_transform(Broken(), np.zeros((1, 3)), np.zeros((1, 3)), mu)
+        legendre_transform(Broken(), np.zeros((1, 16)), mu)

@@ -1,6 +1,7 @@
 """Particle sampler, SDE stepper, deposition, and the path-regularity check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ def test_characteristic_function_matches_semigroup_multiplier():
         target = math.exp(-dt * (2.0 * math.pi * k) ** (2.0 * s))
         observed = float(np.mean(np.cos(2.0 * math.pi * k * jumps)))
         assert abs(observed - target) <= tol
+
+
+def test_increment_finite_near_s_one():
+    # At s = 0.99 the textbook CMS intermediate a^(1/(1-s)) has exponent 100
+    # and overflows for small sin(u); the increments must stay finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        jumps = sample_stable_increment(0.99, 0.005, 1, np.random.default_rng(0), size=10**5)
+    assert np.all(np.isfinite(jumps))
 
 
 def test_increment_median_scaling():

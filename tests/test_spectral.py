@@ -290,3 +290,15 @@ def test_fourier_code_lives_in_spectral():
         if "np.fft" in line or "_ksq" in line
     ]
     assert offenders == []
+
+
+def test_package_does_not_import_scipy():
+    # The runtime needs only numpy; scipy is a test-only dependency.
+    package = Path(fmfgc.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if line.lstrip().startswith(("import scipy", "from scipy"))
+    ]
+    assert offenders == []
