@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FmfgcError
-from .fokker_planck import FpSolution, duality_residual, solve_forward
+from .fokker_planck import FpSolution, duality_residual, heat_flow, solve_forward
 from .hjb import HjbSolution, one_field, solve_backward
 from .measures import (
     GridMeasure,
@@ -94,10 +94,11 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
     """The scaling-zero solution: u = 0, m = fractional heat flow, alpha = 0.
 
     Every model gives this solution at zero scaling, so ``model`` is not read.
+    The heat flow is one batched semigroup call, checked as a density path.
     """
     grid = m0.grid
     zero_b = np.zeros((tg.n_steps + 1, grid.dim) + grid.shape)
-    m_sol = solve_forward(zero_b, m0, tg)
+    m_sol = heat_flow(m0, tg)
     return EquilibriumSolution(
         theta=0.0,
         u_sol=HjbSolution(tg, grid, 0.0, u=np.zeros(m_sol.m.shape), du=np.zeros_like(zero_b)),
@@ -123,9 +124,12 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
     try:
         mu_path = _control_path(state, scaled, cfg)
         u_new = solve_backward(scaled, mu_path, state.u_terminal)
-        # mu_path holds the iterate's density, so its slice 0 is m0
-        m_new = solve_forward(
-            -scaled.grad_p_field(u_new.du, mu_path), mu_path[0].m, state.time_grid
+        # mu_path holds the iterate's density, so its slice 0 is m0; at zero
+        # scaling the drift vanishes and the density is the base's heat flow
+        m0, tg = mu_path[0].m, state.time_grid
+        m_new = (
+            heat_flow(m0, tg) if scaled.theta == 0.0
+            else solve_forward(-scaled.grad_p_field(u_new.du, mu_path), m0, tg)
         )
     except FmfgcError as err:
         err.sweep_index = state.sweeps

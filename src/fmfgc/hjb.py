@@ -9,6 +9,15 @@ later time level.  One step reads
 which is first order in time and unconditionally stable in the diffusion
 part; the explicit transport term carries the usual advective restriction
 |D_p H| dt <= dx.
+
+A march fixes the measure path once: ``model.hamiltonian_at(mu_path)``
+computes the measure-only parts of H for every level in one batched call,
+and each level then evaluates H at its momentum, checks the result finite,
+and takes one forward and one batched inverse real transform for the new
+value and its gradient (``SpectralGrid.semigroup_gradient``).  The
+advective restriction is checked once per march, on the whole gradient
+path, and reported at the first violating level in march order, ahead of
+any non-finite level below it.
 """
 
 from __future__ import annotations
@@ -49,6 +58,22 @@ def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
     return f
 
 
+def _level(
+    grid: SpectralGrid, u_next: np.ndarray, h: np.ndarray, dt: float, time_index: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One backward level: the new value and its gradient from the later
+    value and its Hamiltonian field h; the level's one finiteness check."""
+    # T is linear, so T(dt) u - dt T(dt) H is one semigroup application.
+    w = u_next - dt * h
+    if not np.isfinite(w).all():
+        raise BlowUpError(
+            "Hamiltonian step produced a non-finite value"
+            + ("" if time_index is None else f" at time level {time_index}"),
+            time_index=time_index,
+        )
+    return grid.semigroup_gradient(w, dt)
+
+
 def hjb_step(
     u_next: np.ndarray,
     mu_next: JointControlMeasure,
@@ -57,22 +82,33 @@ def hjb_step(
     du_next: np.ndarray | None = None,
     time_index: int | None = None,
 ) -> np.ndarray:
-    """One backward step; model must provide hamiltonian_field."""
+    """One backward step; model must provide hamiltonian_at."""
     if not dt > 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     grid = mu_next.grid
     u_next = one_field(grid, u_next)
     if du_next is None:
         du_next = grid.gradient(u_next)
-    h = model.hamiltonian_field(du_next, mu_next)
-    if not np.all(np.isfinite(h)):
-        raise BlowUpError(
-            "Hamiltonian evaluation produced a non-finite value"
-            + ("" if time_index is None else f" at time level {time_index}"),
-            time_index=time_index,
+    h = model.hamiltonian_at(mu_next)(du_next)
+    return _level(grid, u_next, h, dt, time_index)[0]
+
+
+def _check_cfl(scaled, du: np.ndarray, mu_path: MeasurePath, lowest: int) -> None:
+    """The advective restriction at levels lowest..n of the gradient path,
+    where a level j means the step from j to j - 1.  The first violation in
+    march order (the highest level) reports the step count that would
+    satisfy it."""
+    tg, dx = mu_path.time_grid, mu_path.grid.dx
+    speed = np.max(np.abs(scaled.grad_p_field(du, mu_path)).reshape(len(du), -1), axis=1)
+    (bad,) = np.nonzero(speed[lowest:] * tg.dt > dx * (1.0 + 1e-12))
+    if bad.size:
+        top = float(speed[lowest + bad[-1]])
+        required = int(np.ceil(top * tg.horizon / dx))
+        raise CflError(
+            f"advective speed {top:.3g} violates |D_p H| dt <= dx; "
+            f"need at least n_t = {required} time steps",
+            required_steps=required,
         )
-    # T is linear, so T(dt) u - dt T(dt) H is one semigroup application.
-    return grid.semigroup_apply(u_next - dt * h, dt)
 
 
 def solve_backward(
@@ -84,36 +120,30 @@ def solve_backward(
     """March u from the terminal condition theta * u_terminal down to t = 0.
 
     mu_path supplies the joint measure at every time node; the advective
-    speed is checked against dx at each level and a violation reports the
+    speed is checked against dx at every level and a violation reports the
     number of time steps that would satisfy the restriction.
     """
     scaled = coerce_theta(model, theta)
     grid = mu_path.grid
     tg = mu_path.time_grid
-    dt, dx = tg.dt, grid.dx
+    dt = tg.dt
     u_terminal = one_field(grid, u_terminal)
 
     n = tg.n_steps
     u = np.empty((n + 1,) + grid.shape)
-    du = np.empty((n + 1, grid.dim) + grid.shape)
+    # zeros: the guard reads the whole path, also below a level that blew up
+    du = np.zeros((n + 1, grid.dim) + grid.shape)
     u[n] = scaled.theta * u_terminal
     du[n] = grid.gradient(u[n])
-    for j in range(n - 1, -1, -1):
-        mu_next = mu_path[j + 1]
-        speed = float(np.max(np.abs(scaled.grad_p_field(du[j + 1], mu_next))))
-        if speed * dt > dx * (1.0 + 1e-12):
-            required = int(np.ceil(speed * tg.horizon / dx))
-            raise CflError(
-                f"advective speed {speed:.3g} violates |D_p H| dt <= dx; "
-                f"need at least n_t = {required} time steps",
-                required_steps=required,
-            )
-        u[j] = hjb_step(u[j + 1], mu_next, scaled, dt, du_next=du[j + 1], time_index=j)
-        if not np.all(np.isfinite(u[j])):
-            raise BlowUpError(
-                f"value function lost finiteness at time level {j}", time_index=j
-            )
-        du[j] = grid.gradient(u[j])
+    hamiltonian = scaled.hamiltonian_at(mu_path)
+    try:
+        for j in range(n - 1, -1, -1):
+            u[j], du[j] = _level(grid, u[j + 1], hamiltonian(du[j + 1], j + 1), dt, j)
+    except BlowUpError as err:
+        # the levels the march passed keep their order ahead of the blow-up
+        _check_cfl(scaled, du, mu_path, err.time_index + 1)
+        raise
+    _check_cfl(scaled, du, mu_path, 1)
     return HjbSolution(time_grid=tg, grid=grid, theta=scaled.theta, u=u, du=du)
 
 

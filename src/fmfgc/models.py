@@ -8,6 +8,14 @@ p); the component axis is -(dim + 1), and mu is read through grid,
 density, alpha, mean_control().  The solvers call these forms, and the
 conjugacy and growth checks below certify the same ones.
 
+The Hamiltonian is written once per model, as ``hamiltonian_at(mu)``: it
+reads the measure once (for the quadratic model, the mean control and
+the potential, batched over a path) and returns H as a function
+``h(p, j=None)`` of the momentum.  For a path, ``h(p, j)`` is H at level j
+with p one field, and ``h(p)`` the whole path; the HJB march fixes the
+measure path once and calls ``h`` per level.  ``hamiltonian_field(p, mu)``
+is ``hamiltonian_at(mu)(p)``.
+
 The concrete model is quadratic: running cost
 |alpha + beta int gamma dmu|^2 / 2 + V(x, mu) with V a positive-definite
 convolution against the state marginal.  Its Hamiltonian and optimal
@@ -29,7 +37,8 @@ from .spectral import SpectralGrid
 
 class LagrangianModel:
     """Base class: subclasses provide the field forms ``lagrangian_field``,
-    ``grad_alpha_field``, ``hamiltonian_field`` and ``grad_p_field``.
+    ``grad_alpha_field``, ``hamiltonian_at`` (with ``hamiltonian_field``
+    through it) and ``grad_p_field``.
 
     Attributes ``C0`` (structure constant), ``q`` (momentum growth) and
     ``q_tilde`` (conjugate exponent, q/(q-1)) describe the growth class.
@@ -124,13 +133,23 @@ class QuadraticModel(LagrangianModel):
     def grad_alpha_field(self, alpha, mu):
         return alpha + self.coupling_beta * self._broadcast_mean(mu)
 
-    def hamiltonian_field(self, p, mu):
+    def hamiltonian_at(self, mu):
         axis = -(mu.grid.dim + 1)
-        return (
-            0.5 * np.sum(p**2, axis=axis)
-            + self.coupling_beta * np.sum(p * self._broadcast_mean(mu), axis=axis)
-            - self._potential(mu.grid, mu.density)
-        )
+        abar = self._broadcast_mean(mu)
+        potential = self._potential(mu.grid, mu.density)
+
+        def hamiltonian(p, j=None):
+            a, v = (abar, potential) if j is None else (abar[j], potential[j])
+            return (
+                0.5 * (p**2).sum(axis=axis)
+                + self.coupling_beta * (p * a).sum(axis=axis)
+                - v
+            )
+
+        return hamiltonian
+
+    def hamiltonian_field(self, p, mu):
+        return self.hamiltonian_at(mu)(p)
 
     def grad_p_field(self, p, mu):
         return p + self.coupling_beta * self._broadcast_mean(mu)
@@ -142,8 +161,9 @@ class ThetaScaledModel:
     At parameter theta the running cost is theta L(x, alpha/theta, Smu)
     where S pushes the control marginal forward by 1/theta; the
     Hamiltonian is theta H(x, p, Smu).  At theta = 0 the Hamiltonian and
-    its momentum gradient vanish identically (no limits are taken).  Only
-    the field forms exist: they are the surface the solver calls.
+    its momentum gradient vanish identically (no limits are taken), with
+    the shape of p less its component axis.  Only the field forms exist:
+    they are the surface the solver calls.
     """
 
     def __init__(self, base: LagrangianModel, theta: float):
@@ -169,10 +189,15 @@ class ThetaScaledModel:
 
     # -- field forms -----------------------------------------------------
 
-    def hamiltonian_field(self, p, mu):
+    def hamiltonian_at(self, mu):
         if self.theta == 0.0:
-            return np.zeros(mu.density.shape)
-        return self.theta * self.base.hamiltonian_field(p, self.scaled_measure(mu))
+            axis = -(mu.grid.dim + 1)
+            return lambda p, j=None: np.zeros(np.delete(np.shape(p), axis))
+        base = self.base.hamiltonian_at(self.scaled_measure(mu))
+        return lambda p, j=None: self.theta * base(p, j)
+
+    def hamiltonian_field(self, p, mu):
+        return self.hamiltonian_at(mu)(p)
 
     def grad_p_field(self, p, mu):
         if self.theta == 0.0:

@@ -126,13 +126,19 @@ class SpectralGrid:
         mult.setflags(write=False)
         return mult
 
+    def _forward(self, f: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(f) if self.dim == 1 else np.fft.rfft2(f)
+
+    def _inverse(self, fhat: np.ndarray) -> np.ndarray:
+        if self.dim == 1:
+            return np.fft.irfft(fhat, n=self.n)
+        return np.fft.irfft2(fhat, s=self.shape)
+
     def _multiply(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """irfft(mult * rfft(f)) over the trailing grid axes: the one
         transform behind every operator.  f is one field or a stack; mult,
         a half-spectrum table, broadcasts against its transform."""
-        if self.dim == 1:
-            return np.fft.irfft(mult * np.fft.rfft(f), n=self.n)
-        return np.fft.irfft2(mult * np.fft.rfft2(f), s=self.shape)
+        return self._inverse(mult * self._forward(f))
 
     # -- operators ---------------------------------------------------------
 
@@ -144,20 +150,45 @@ class SpectralGrid:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
         return self._multiply(f, self._symbol(s))
 
-    def semigroup_apply(self, f: np.ndarray, t: float, s: float | None = None) -> np.ndarray:
+    def semigroup_apply(self, f: np.ndarray, t, s: float | None = None) -> np.ndarray:
         """Apply the fractional heat semigroup exp(-t (-Delta)^s).
 
         Exact in space: each mode is damped by exp(-t (2 pi |k|)^{2s}).
         The mean (k = 0) is preserved to the last bit.  At s = 1/2 this is
         the Poisson kernel, the convolution with symbol exp(-2 pi t |k|).
+        t may also be a numpy array of times, which broadcasts against the
+        leading axes of f: one field and an array of times t_j give the flow
+        T(t_j) f as a stack, all from one transform of f; row j equals
+        semigroup_apply(f, t_j) to the bit.
         """
         f = self.check_scalar(f)
-        if t < 0.0:
+        flow = isinstance(t, np.ndarray) and t.ndim > 0
+        if (np.any(t < 0.0) if flow else t < 0.0):
             raise ValueError(f"semigroup time must be nonnegative, got {t}")
         s = self.s if s is None else float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
-        return self._multiply(f, self._heat_multiplier(s, float(t)))
+        if not flow:
+            return self._multiply(f, self._heat_multiplier(s, float(t)))
+        times = t.astype(float).reshape(t.shape + (1,) * self.dim)
+        return self._multiply(f, np.exp(-self._symbol(s) * times))
+
+    def semigroup_gradient(self, f: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(T(t) f, grad T(t) f) for one field f, at the grid's s, from one
+        forward transform and one inverse over the stacked spectra.
+
+        The value is what semigroup_apply(f, t) returns, to the bit; the
+        gradient is the derivative multiplier on the value's own spectrum,
+        so it matches gradient(semigroup_apply(f, t)) to rounding.  f is
+        not checked here: the HJB march calls this once per time level and
+        checks each level's input itself.
+        """
+        spec = self._forward(f)
+        both = np.empty((1 + self.dim,) + spec.shape, dtype=spec.dtype)
+        np.multiply(self._heat_multiplier(self.s, float(t)), spec, out=both[0])
+        np.multiply(self._deriv, both[0], out=both[1:])
+        out = self._inverse(both)
+        return out[0], out[1:]
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """Spectral gradient, shape (..., dim, *grid.shape)."""

@@ -30,8 +30,12 @@ class NoCoupling:
     # Field forms take one slice (dim, *shape) or a path with a leading
     # time axis, so components are summed over axis -(dim + 1).
 
+    def hamiltonian_at(self, mu):
+        axis = -(mu.grid.dim + 1)
+        return lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis)
+
     def hamiltonian_field(self, p, mu):
-        return 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=-(mu.grid.dim + 1))
+        return self.hamiltonian_at(mu)(p)
 
     def grad_p_field(self, p, mu):
         return np.asarray(p, dtype=float)
@@ -87,6 +91,9 @@ def test_theta_zero_base_is_fixed_point():
     assert all(np.all(mu.alpha == 0.0) for mu in base.mu_path)
     exact = grid.semigroup_apply(m0.values, tg.horizon)
     assert np.max(np.abs(base.m_sol.m[-1] - exact)) < 1e-10
+    for j, t in enumerate(tg.times()):
+        flow = grid.semigroup_apply(m0.values, t)
+        assert np.max(np.abs(base.mu_path.density[j] - flow)) <= 1e-14
 
     swept = picard_iterate(base, model, LoopConfig())
     assert swept.history[-1].u_change == 0.0

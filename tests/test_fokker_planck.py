@@ -5,6 +5,7 @@ from fmfgc.errors import CflError, ConservationError, GridMismatchError
 from fmfgc.fokker_planck import (
     duality_residual,
     fp_step,
+    heat_flow,
     initial_density,
     solve_forward,
 )
@@ -97,6 +98,43 @@ def test_solve_forward_traces_random_drift(grid):
     assert sol.m.shape == (101, grid.n)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_forward_is_repeated_fp_step_bitwise(dim):
+    # The march splits the face velocities of the whole path once; each of
+    # its steps is the one-step solve on the same drift, to the bit.
+    grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=0.75)
+    tg = TimeGrid(horizon=0.2, n_steps=20)
+    rng = np.random.default_rng(47)
+    limit = 0.9 * grid.dx / tg.dt
+    b_path = limit * rng.uniform(-1, 1, (tg.n_steps + 1, dim) + grid.shape)
+    m0 = initial_density(grid, "twobump")
+    sol = solve_forward(b_path, m0, tg)
+    m = m0
+    for j in range(tg.n_steps):
+        m = fp_step(m, b_path[j], tg.dt)
+        assert m.values.tobytes() == sol.m[j + 1].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_heat_flow_is_the_semigroup_at_each_node(dim):
+    grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=0.75)
+    tg = TimeGrid(horizon=0.5, n_steps=25)
+    m0 = initial_density(grid, "vonmises")
+    sol = heat_flow(m0, tg)
+    assert sol.m.shape == (tg.n_steps + 1,) + grid.shape
+    assert not sol.m.flags.writeable
+    assert sol.m[0].tobytes() == m0.values.tobytes()
+    for j, t in enumerate(tg.times()):
+        assert np.max(np.abs(sol.m[j] - grid.semigroup_apply(m0.values, t))) <= 1e-14
+    assert np.max(np.abs(sol.mass_trace - 1.0)) <= 1e-14
+    assert np.array_equal(sol.preclip_min_trace, sol.min_trace)
+    assert np.all(sol.advect_drift_trace == 0.0)
+    assert sol.drift_div_neg == 0.0 and sol.sup_bound == np.max(m0.values)
+    # the march over a zero drift path is the same flow up to roundoff
+    zero = solve_forward(np.zeros((tg.n_steps + 1, dim) + grid.shape), m0, tg)
+    assert np.max(np.abs(zero.m - sol.m)) <= 1e-13
+
+
 def test_pure_diffusion_matches_semigroup(grid):
     m0 = initial_density(grid, "vonmises")
     tg = TimeGrid(horizon=0.5, n_steps=50)
@@ -186,8 +224,13 @@ class ConstH:
     def __init__(self, c):
         self.c = c
 
+    def hamiltonian_at(self, mu):
+        return lambda p, j=None: np.full(
+            mu.density.shape if j is None else mu.grid.shape, self.c
+        )
+
     def hamiltonian_field(self, p, mu):
-        return np.full(mu.density.shape, self.c)
+        return self.hamiltonian_at(mu)(p)
 
     def grad_p_field(self, p, mu):
         return np.zeros_like(np.asarray(p, dtype=float))

@@ -3,8 +3,9 @@ import pytest
 
 from fmfgc.errors import BlowUpError, CflError, GridMismatchError
 from fmfgc.hjb import centered_curvature, hjb_diagnostics, hjb_step, solve_backward
+from fmfgc import measures
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
-from fmfgc.models import QuadraticModel
+from fmfgc.models import QuadraticModel, ThetaScaledModel
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 from helpers import band_limited_field, smooth_density
@@ -17,26 +18,33 @@ class PlainH:
     q = 2.0
     q_tilde = 2.0
 
+    def hamiltonian_at(self, mu):
+        axis = -(mu.grid.dim + 1)
+        return lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis)
+
     def hamiltonian_field(self, p, mu):
-        return 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=0)
+        return self.hamiltonian_at(mu)(p)
 
     def grad_p_field(self, p, mu):
         return np.asarray(p, dtype=float)
 
 
 class ZeroH(PlainH):
-    def hamiltonian_field(self, p, mu):
-        return np.zeros(mu.grid.shape)
+    def hamiltonian_at(self, mu):
+        return lambda p, j=None: np.zeros(mu.grid.shape)
 
     def grad_p_field(self, p, mu):
         return np.zeros_like(np.asarray(p, dtype=float))
 
 
 class NonFiniteH(ZeroH):
-    def hamiltonian_field(self, p, mu):
-        out = np.zeros(mu.grid.shape)
-        out.flat[0] = np.inf
-        return out
+    def hamiltonian_at(self, mu):
+        def hamiltonian(p, j=None):
+            out = np.zeros(mu.grid.shape)
+            out.flat[0] = np.inf
+            return out
+
+        return hamiltonian
 
 
 def uniform_mu(grid):
@@ -188,6 +196,131 @@ def test_solve_blowup_error(grid):
     with pytest.raises(BlowUpError) as info:
         solve_backward(NonFiniteH(), constant_path(tg, mu), u_t)
     assert info.value.time_index == 9
+
+
+class SpeedH:
+    """Reads the level off the control path: D_p H is the control, and H is
+    non-finite wherever the control is negative."""
+
+    C0 = q = q_tilde = 2.0
+
+    def hamiltonian_at(self, mu):
+        def hamiltonian(p, j=None):
+            alpha = mu.alpha if j is None else mu.alpha[j]
+            return np.where(alpha[0] < 0.0, np.inf, 0.0)
+
+        return hamiltonian
+
+    def hamiltonian_field(self, p, mu):
+        return self.hamiltonian_at(mu)(p)
+
+    def grad_p_field(self, p, mu):
+        return np.broadcast_to(mu.alpha, np.shape(p))
+
+
+def speed_path(grid, tg, speeds):
+    n = tg.n_steps + 1
+    alpha = np.zeros((n, 1) + grid.shape)
+    for level, speed in speeds.items():
+        alpha[level] = speed
+    return MeasurePath(tg, grid, np.ones((n,) + grid.shape), alpha)
+
+
+def test_cfl_error_ahead_of_blowup_below(grid):
+    # Level 8 violates |D_p H| dt <= dx (dx = 1/64, dt = 0.05), level 5
+    # violates it more, and H is non-finite at level 3.  The march meets
+    # level 8 first, so the error is its CflError, with the step count that
+    # level needs, as a level-by-level march reports it.
+    tg = TimeGrid(horizon=0.5, n_steps=10)
+    u_t = np.zeros(grid.shape)
+    path = speed_path(grid, tg, {8: 0.5, 5: 2.0, 3: -1e-3})
+    with pytest.raises(CflError) as info:
+        solve_backward(SpeedH(), path, u_t)
+    assert info.value.required_steps == int(np.ceil(0.5 * tg.horizon / grid.dx)) == 16
+    # Without the violations the same path blows up at level 3, in the
+    # step to time index 2.
+    with pytest.raises(BlowUpError) as info:
+        solve_backward(SpeedH(), speed_path(grid, tg, {3: -1e-3}), u_t)
+    assert info.value.time_index == 2
+    # A violation below the blow-up is never reached.
+    with pytest.raises(BlowUpError):
+        solve_backward(SpeedH(), speed_path(grid, tg, {5: -1e-3, 2: 2.0}), u_t)
+    # A violation at t = 0 alone is never stepped from.
+    solve_backward(SpeedH(), speed_path(grid, tg, {0: 2.0}), u_t)
+
+
+def reference_march(scaled, mu_path, u_terminal):
+    """The march level by level from the public field form and operators."""
+    grid, tg = mu_path.grid, mu_path.time_grid
+    u = [scaled.theta * u_terminal]
+    du = [grid.gradient(u[0])]
+    for j in range(tg.n_steps - 1, -1, -1):
+        h = scaled.hamiltonian_field(du[-1], mu_path[j + 1])
+        u.append(grid.semigroup_apply(u[-1] - tg.dt * h, tg.dt))
+        du.append(grid.gradient(u[-1]))
+    return np.stack(u[::-1]), np.stack(du[::-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_march_matches_level_by_level_reference(dim, theta):
+    grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=0.75)
+    tg = TimeGrid(horizon=0.5, n_steps=40)
+    rng = np.random.default_rng(41)
+    density = np.stack([smooth_density(grid, rng) for _ in range(tg.n_steps + 1)])
+    alpha = 0.3 * np.stack(
+        [
+            np.stack([band_limited_field(grid, rng, max_mode=3) for _ in range(dim)])
+            for _ in range(tg.n_steps + 1)
+        ]
+    )
+    path = MeasurePath(tg, grid, density, alpha)
+    u_t = 0.1 * band_limited_field(grid, rng, max_mode=3)
+    scaled = ThetaScaledModel(QuadraticModel(coupling_beta=0.3, dim=dim), theta)
+    sol = solve_backward(scaled, path, u_t)
+    u_ref, du_ref = reference_march(scaled, path, u_t)
+    assert np.max(np.abs(sol.u - u_ref)) <= 1e-13
+    assert np.max(np.abs(sol.du - du_ref)) <= 1e-13
+    assert theta > 0.0 or (np.all(sol.u[:-1] == 0.0) and np.all(sol.du == 0.0))
+
+
+def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
+    # The potential and the mean control come from batched calls on the
+    # whole path: the potential once, the mean control once for H and once
+    # for the advective guard's D_p H; no level reads its slice.
+    calls = []
+    potential, mean = QuadraticModel._potential, measures._JointFields.mean_control
+
+    def counted_potential(self, grid, density):
+        calls.append(("potential", density.ndim))
+        return potential(self, grid, density)
+
+    def counted_mean(self):
+        calls.append(("mean", self.density.ndim))
+        return mean(self)
+
+    monkeypatch.setattr(QuadraticModel, "_potential", counted_potential)
+    monkeypatch.setattr(measures._JointFields, "mean_control", counted_mean)
+    rng = np.random.default_rng(53)
+    mu = JointControlMeasure(
+        GridMeasure(grid, smooth_density(grid, rng)), 0.2 * band_limited_field(grid, rng)[None]
+    )
+    tg = TimeGrid(horizon=0.5, n_steps=50)
+    u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
+    solve_backward(QuadraticModel(0.3), constant_path(tg, mu), u_t, theta=0.5)
+    assert sorted(calls) == [("mean", 2), ("mean", 2), ("potential", 2)]
+
+
+def test_step_is_one_level_of_the_march(grid):
+    model = QuadraticModel(coupling_beta=0.3)
+    rng = np.random.default_rng(43)
+    mu = JointControlMeasure(
+        GridMeasure(grid, smooth_density(grid, rng)), 0.2 * band_limited_field(grid, rng)[None]
+    )
+    tg = TimeGrid(horizon=0.01, n_steps=1)
+    u_t = 0.02 * band_limited_field(grid, rng, max_mode=4)
+    sol = solve_backward(model, constant_path(tg, mu), u_t)
+    assert np.array_equal(hjb_step(u_t, mu, ThetaScaledModel(model, 1.0), tg.dt), sol.u[0])
 
 
 def test_comparison_envelope_zero_hamiltonian(grid):

@@ -205,6 +205,37 @@ def test_theta_scale_validation_and_endpoints():
     assert lag.shape == (5, 64) and np.count_nonzero(lag) == 1 and lag[2, 7] == np.inf
 
 
+def test_theta_zero_hamiltonian_keeps_stack_axes():
+    # A stack of momentum fields over one slice: at theta = 0 the zero
+    # Hamiltonian has the stack's shape less its component axis, as at 0.5.
+    rng = np.random.default_rng(31)
+    g = SpectralGrid(1, 64, 0.75)
+    mu = random_mu(g, rng)
+    p = rng.uniform(-2, 2, (16, 1, 64))
+    half = ThetaScaledModel(QuadraticModel(0.3), 0.5).hamiltonian_field(p, mu)
+    zero = ThetaScaledModel(QuadraticModel(0.3), 0.0).hamiltonian_field(p, mu)
+    assert half.shape == zero.shape == (16, 64)
+    assert np.all(zero == 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_hamiltonian_at_levels_match_slices(theta):
+    # The form fixed on a path gives, level by level, what the field form
+    # gives on that slice, and on the whole path what it gives on the path.
+    rng = np.random.default_rng(37)
+    g = SpectralGrid(1, 32, 0.75)
+    tg = TimeGrid(1.0, 4)
+    density = np.stack([smooth_density(g, rng) for _ in range(5)])
+    alpha = rng.uniform(-1, 1, (5, 1, 32))
+    path = MeasurePath(tg, g, density, alpha)
+    p = rng.uniform(-2, 2, (5, 1, 32))
+    scaled = ThetaScaledModel(QuadraticModel(0.3), theta)
+    h = scaled.hamiltonian_at(path)
+    assert np.array_equal(h(p), scaled.hamiltonian_field(p, path))
+    for j in range(5):
+        assert np.array_equal(h(p[j], j), scaled.hamiltonian_field(p[j], path[j]))
+
+
 def test_theta_scale_expression_tree():
     # H^theta must be computed literally as theta * H(x, p, scaled mu).
     rng = np.random.default_rng(29)

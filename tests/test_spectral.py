@@ -105,6 +105,31 @@ def test_semigroup_group_law_and_identity():
         g.semigroup_apply(f, -0.1)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_semigroup_over_an_array_of_times(dim):
+    rng = np.random.default_rng(11)
+    g = SpectralGrid(dim, 32 if dim == 1 else 16, 0.75)
+    f = rng.standard_normal(g.shape)
+    times = np.array([0.0, 0.01, 0.1, 0.7])
+    flow = g.semigroup_apply(f, times)
+    assert flow.shape == (4,) + g.shape
+    for row, t in zip(flow, times):
+        assert row.tobytes() == g.semigroup_apply(f, t).tobytes()
+    with pytest.raises(ValueError):
+        g.semigroup_apply(f, np.array([0.1, -0.1]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_semigroup_gradient_pair(dim):
+    rng = np.random.default_rng(13)
+    g = SpectralGrid(dim, 32 if dim == 1 else 16, 0.75)
+    f = rng.standard_normal(g.shape)
+    value, grad = g.semigroup_gradient(f, 0.05)
+    assert value.shape == g.shape and grad.shape == (dim,) + g.shape
+    assert value.tobytes() == g.semigroup_apply(f, 0.05).tobytes()
+    assert np.max(np.abs(grad - g.gradient(value))) <= 1e-13
+
+
 def test_dropped_grid_is_freed():
     # The heat tables are cached per grid, so the cache keeps no grid alive.
     g = SpectralGrid(2, 32, 0.75)
