@@ -9,6 +9,11 @@ the target scaling, started from the exact zero-scaling solution (zero
 value function, pure fractional heat flow) or from a given state.  The
 ascending scaling schedule, each stage warm starting from the previous
 one, is the homotopy of ``sweep_theta`` only.
+
+A sweep reads each measure-only quantity once: the backward march fixes
+the control path, evaluates H and the drift -D_p H there on the new value
+gradient and keeps both on its solution; the CFL guard, the forward march
+and the duality pairing all read those arrays.
 """
 
 from __future__ import annotations
@@ -97,13 +102,20 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
     The heat flow is one batched semigroup call, checked as a density path.
     """
     grid = m0.grid
-    zero_b = np.zeros((tg.n_steps + 1, grid.dim) + grid.shape)
     m_sol = heat_flow(m0, tg)
+    # one read-only zero path per shape serves u and H, Du, the drift and
+    # the control
+    scalar = np.zeros(m_sol.m.shape)
+    vector = np.zeros((tg.n_steps + 1, grid.dim) + grid.shape)
+    scalar.setflags(write=False)
+    vector.setflags(write=False)
     return EquilibriumSolution(
         theta=0.0,
-        u_sol=HjbSolution(tg, grid, 0.0, u=np.zeros(m_sol.m.shape), du=np.zeros_like(zero_b)),
+        u_sol=HjbSolution(
+            tg, grid, 0.0, u=scalar, du=vector, hamiltonian=scalar, drift=vector
+        ),
         m_sol=m_sol,
-        mu_path=MeasurePath(tg, grid, m_sol.m, zero_b),
+        mu_path=MeasurePath(tg, grid, m_sol.m, vector),
         u_terminal=one_field(grid, u_terminal),
         history=[],
         converged=True,
@@ -129,12 +141,16 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
         m0, tg = mu_path[0].m, state.time_grid
         m_new = (
             heat_flow(m0, tg) if scaled.theta == 0.0
-            else solve_forward(-scaled.grad_p_field(u_new.du, mu_path), m0, tg)
+            else solve_forward(u_new.drift, m0, tg)
         )
     except FmfgcError as err:
         err.sweep_index = state.sweeps
         raise
 
+    duality = duality_residual(u_new, m_new)
+    # the next sweep marches again, so a state between sweeps keeps u and
+    # Du only: the march's H and drift go as soon as the pairing has read them
+    u_new = replace(u_new, hamiltonian=None, drift=None)
     u_change = float(np.max(np.abs(u_new.u - state.u_sol.u)))
     m_change = max(
         float(np.max(wasserstein_1d(a, b)))
@@ -143,7 +159,6 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
             coordinate_marginals(GridMeasure.view(state.grid, m_new.m)),
         )
     )
-    duality = duality_residual(u_new, m_new, mu_path, scaled)
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,
@@ -205,13 +220,15 @@ def _run_stage(
 
 def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
     """Re-solve the control path against the final value gradient so the
-    packaged triple satisfies the slice fixed point to the mu tolerance."""
+    packaged triple satisfies the slice fixed point to the mu tolerance;
+    the value solution then carries H and the drift at the packaged path."""
     scaled = coerce_theta(model, state.theta)
     mu_path = _control_path(state, scaled, cfg)
-    m_sol = solve_forward(
-        -scaled.grad_p_field(state.u_sol.du, mu_path), mu_path[0].m, state.time_grid
-    )
-    return replace(state, mu_path=mu_path, m_sol=m_sol)
+    hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
+    du = state.u_sol.du
+    u_sol = replace(state.u_sol, hamiltonian=hamiltonian(du), drift=-grad_p(du))
+    m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid)
+    return replace(state, u_sol=u_sol, mu_path=mu_path, m_sol=m_sol)
 
 
 def equilibrium_drift(state: EquilibriumSolution, model) -> np.ndarray:
@@ -295,9 +312,9 @@ def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCerti
     monotonicity pairings against the stage's starting path, moments."""
     scaled = coerce_theta(model, sol.theta)
 
-    duality = duality_residual(sol.u_sol, sol.m_sol, sol.mu_path, scaled)
+    duality = duality_residual(sol.u_sol, sol.m_sol)
 
-    defect = sol.mu_path.alpha + scaled.grad_p_field(sol.u_sol.du, sol.mu_path)
+    defect = sol.mu_path.alpha - sol.u_sol.drift
     exploit = float(np.max(np.abs(defect)))
     moments = moment_certificate(sol.mu_path, sol.u_sol.du, scaled)
 

@@ -12,6 +12,18 @@ and keeps its mass guard, its clip guard and one finiteness check (the
 semigroup's, on the advected density).  With zero drift the solution is
 the exact fractional heat flow, built by ``heat_flow`` from one transform
 of m0 over the stack of heat multipliers at every time node.
+
+The comparison bound comes from the same face velocities, with no
+transform.  The donor-cell coefficients of a step sum to 1 - dt div_h f
+at each node, div_h f the face difference of the face velocities f.  The
+neighbour coefficients are nonnegative, so wherever a node's own
+coefficient is too, its new value is at most (1 + dt K) sup m_j, with
+K = max(-div_h f)^+ over the slices that step; hence sup m_j <= sup m0
+prod (1 + dt K_i) <= sup m0 e^{K t_j}.  In d = 1 the guard |b| dt <= dx
+covers the other case: a node whose own coefficient is negative loses
+mass through both faces, receives none and goes nonpositive.  The
+semigroup, the clip and the renormalization leave the sup alone up to
+the semigroup's discrete ringing and roundoff.
 """
 
 from __future__ import annotations
@@ -26,7 +38,6 @@ from .spectral import SpectralGrid, TimeGrid
 
 STEP_MASS_TOL = 1e-12
 CLIP_MASS_TOL = 1e-10
-BESSEL_SHIFT = 0.1  # reporting order for the initial density is s - 1 + 0.1
 
 
 @dataclass
@@ -41,7 +52,6 @@ class FpSolution:
     sup_trace: np.ndarray = field(repr=False)
     sup_bound: float
     drift_div_neg: float
-    m0_bessel: float
 
     def __getitem__(self, j: int) -> GridMeasure:
         return GridMeasure.view(self.grid, self.m[j])
@@ -50,18 +60,39 @@ class FpSolution:
         return self[-1]
 
 
-def _face_parts(b: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+def _face_parts(
+    b: np.ndarray, grid: SpectralGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive and negative parts of the face-averaged velocity, per axis,
-    for one drift field or a path, shaped like b."""
+    for one drift field or a path, shaped like b, and per field the
+    compression K = max(-div_h f)^+ of the face velocities f.
+
+    Face i of an axis sits between nodes i and i + 1, and the wrap-around
+    face is its own slice, so nothing is rolled; the two outputs are the
+    only new arrays (fresh pages are costly to touch), with the negative
+    part's buffer holding -dx div_h f until it is filled."""
     comp = -(grid.dim + 1)
-    faces = np.stack(
-        [
-            0.5 * (v + np.roll(v, -1, axis - grid.dim))
-            for axis, v in enumerate(np.moveaxis(b, comp, 0))
-        ],
-        axis=comp,
-    )
-    return np.maximum(faces, 0.0), np.minimum(faces, 0.0)
+    pos, neg = np.empty_like(b), np.empty_like(b)
+    inflow = np.moveaxis(neg, comp, 0)[0]
+    for axis, (f, v) in enumerate(zip(np.moveaxis(pos, comp, 0), np.moveaxis(b, comp, 0))):
+        head, tail, first, last = (
+            (Ellipsis, part) + (slice(None),) * (grid.dim - 1 - axis)
+            for part in (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None))
+        )
+        np.add(v[head], v[tail], out=f[head])
+        np.add(v[last], v[first], out=f[last])
+        f *= 0.5
+        if axis == 0:  # node i gains face i - 1 and loses face i
+            np.subtract(f[head], f[tail], out=inflow[tail])
+            np.subtract(f[last], f[first], out=inflow[first])
+        else:
+            inflow -= f
+            inflow[tail] += f[head]
+            inflow[first] += f[last]
+    rows = inflow.reshape(inflow.shape[: inflow.ndim - grid.dim] + (-1,))
+    compression = np.maximum(np.max(rows, axis=-1) / grid.dx, 0.0)
+    np.minimum(pos, 0.0, out=neg)
+    return np.maximum(pos, 0.0, out=pos), neg, compression
 
 
 def _roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
@@ -101,7 +132,8 @@ def fp_step(m: GridMeasure, b: np.ndarray, dt: float) -> GridMeasure:
             f"shrink by a factor of {factor}",
             required_steps=factor,
         )
-    return GridMeasure(grid, _step(m.values, *_face_parts(b, grid), dt, grid)[0])
+    pos, neg, _ = _face_parts(b, grid)
+    return GridMeasure(grid, _step(m.values, pos, neg, dt, grid)[0])
 
 
 def _step(
@@ -153,7 +185,6 @@ def _solution(
         sup_trace=np.max(rows, axis=1),
         sup_bound=float(np.max(m0.values)) * float(np.exp(div_neg * time_grid.horizon)),
         drift_div_neg=div_neg,
-        m0_bessel=grid.bessel_norm(m0.values, grid.s - 1.0 + BESSEL_SHIFT),
     )
 
 
@@ -178,8 +209,8 @@ def solve_forward(
 
     b_path has shape (n_steps + 1, dim, *grid.shape); the step from t^j
     uses b at t^j.  Traces and the comparison bound sup m <= sup m0 e^{KT}
-    with K the sup of the negative part of div b are recorded for
-    diagnostics.
+    are recorded for diagnostics, with K = max(-div_h f)^+ over the face
+    velocities f of the n slices that step (see the module docstring).
     """
     grid = m0.grid
     n = time_grid.n_steps
@@ -187,10 +218,12 @@ def solve_forward(
     expected = (n + 1, grid.dim) + grid.shape
     if b_path.shape != expected:
         raise ValueError(f"drift path shape {b_path.shape}, expected {expected}")
-    if not np.all(np.isfinite(b_path)):
+    # a NaN or an infinity reaches the extremes, so they check finiteness too
+    high, low = float(np.max(b_path)), float(np.min(b_path))
+    if not (np.isfinite(high) and np.isfinite(low)):
         raise ValueError("drift path contains non-finite values")
 
-    speed = float(np.max(np.abs(b_path)))
+    speed = max(high, -low)
     dt, dx = time_grid.dt, grid.dx
     if speed * dt > dx * (1.0 + 1e-12):
         required = int(np.ceil(speed * time_grid.horizon / dx))
@@ -200,17 +233,15 @@ def solve_forward(
             required_steps=required,
         )
 
-    div_neg = float(np.max(np.maximum(-grid.divergence(b_path), 0.0)))
-
     m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)
     preclip[0] = float(np.min(m0.values))
     advect_drift = np.zeros(n + 1)
-    pos, neg = _face_parts(b_path[:n], grid)
+    pos, neg, compression = _face_parts(b_path[:n], grid)
     for j in range(n):
         m[j + 1], preclip[j + 1], advect_drift[j + 1] = _step(m[j], pos[j], neg[j], dt, grid)
-    return _solution(m, m0, time_grid, preclip, advect_drift, div_neg)
+    return _solution(m, m0, time_grid, preclip, advect_drift, float(np.max(compression)))
 
 
 DENSITY_PRESETS = ("uniform", "vonmises", "twobump")
@@ -234,23 +265,26 @@ def initial_density(grid: SpectralGrid, preset: str = "vonmises") -> GridMeasure
     raise ValueError(f"density must be one of {DENSITY_PRESETS}, got {preset!r}")
 
 
-def duality_residual(u_sol, m_sol: FpSolution, mu_path, model) -> float:
+def duality_residual(u_sol, m_sol: FpSolution) -> float:
     """Cross-pairing defect between the two solved equations.
 
     |int u(0) m0 - int u(T) m(T) - int_0^T int (Du . D_p H - H) m dx dt|
     with u(T) = theta u_T as stored; trapezoidal in time.  Zero for the
     exact continuum pair, so its size measures joint discretization error.
-    model is the one the pair was solved with, scaled if theta < 1.
+    H and D_p H = -drift are the ones u_sol carries, at the measure path it
+    is paired with: the march's own, or a packaged equilibrium's.
     """
     grid = m_sol.grid
-    if u_sol.grid is not grid or mu_path.grid is not grid:
+    if u_sol.grid is not grid:
         raise ValueError("duality pairing needs all parts on one grid")
     tg = m_sol.time_grid
-    if u_sol.time_grid != tg or mu_path.time_grid != tg:
+    if u_sol.time_grid != tg:
         raise ValueError("duality pairing needs a common time grid")
-    du = u_sol.du
-    integrand = np.sum(du * model.grad_p_field(du, mu_path), axis=1)
-    integrand -= model.hamiltonian_field(du, mu_path)
+    if u_sol.hamiltonian is None or u_sol.drift is None:
+        raise ValueError("duality pairing needs H and the drift on the value solution")
+    # Du . D_p H - H, with D_p H = -drift
+    integrand = -np.sum(u_sol.du * u_sol.drift, axis=1)
+    integrand -= u_sol.hamiltonian
     running = grid.integrate(integrand * m_sol.m)
     time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))
     boundary = m_sol[0].expectation(u_sol.u[0]) - m_sol[-1].expectation(u_sol.u[-1])

@@ -11,18 +11,21 @@ part; the explicit transport term carries the usual advective restriction
 |D_p H| dt <= dx.
 
 A march fixes the measure path once: ``model.hamiltonian_at(mu_path)``
-computes the measure-only parts of H for every level in one batched call,
-and each level then evaluates H at its momentum, checks the result finite,
-and takes one forward and one batched inverse real transform for the new
-value and its gradient (``SpectralGrid.semigroup_gradient``).  The
-advective restriction is checked once per march, on the whole gradient
-path, and reported at the first violating level in march order, ahead of
-any non-finite level below it.
+computes the measure-only parts of H and D_p H for every level in one
+batched call, and each level then evaluates H at its momentum, checks the
+result finite, and takes one forward and one batched inverse real
+transform for the new value and its gradient
+(``SpectralGrid.semigroup_gradient``).  D_p H is evaluated once per
+march, on the whole gradient path; the advective restriction is checked
+on it and reported at the first violating level in march order, ahead of
+any non-finite level below it.  The solution keeps H and the drift
+-D_p H at every level, so a sweep's forward march and duality pairing
+read them instead of evaluating the model again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +46,19 @@ class HjbDiagnostics:
 
 @dataclass
 class HjbSolution:
+    """The value path and its gradient; ``hamiltonian`` is H(x, Du, mu) and
+    ``drift`` the feedback drift -D_p H(x, Du, mu) on every level, for the
+    measure path mu the value is paired with.  Both are None on a solution
+    built by hand and on an equilibrium state between sweeps."""
+
     time_grid: TimeGrid
     grid: SpectralGrid
     theta: float
     u: np.ndarray  # (n_steps + 1, *grid.shape)
     du: np.ndarray  # (n_steps + 1, dim, *grid.shape)
     diagnostics: HjbDiagnostics | None = None
+    hamiltonian: np.ndarray | None = field(default=None, repr=False)  # like u
+    drift: np.ndarray | None = field(default=None, repr=False)  # like du
 
 
 def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
@@ -89,17 +99,17 @@ def hjb_step(
     u_next = one_field(grid, u_next)
     if du_next is None:
         du_next = grid.gradient(u_next)
-    h = model.hamiltonian_at(mu_next)(du_next)
+    h = model.hamiltonian_at(mu_next)[0](du_next)
     return _level(grid, u_next, h, dt, time_index)[0]
 
 
-def _check_cfl(scaled, du: np.ndarray, mu_path: MeasurePath, lowest: int) -> None:
-    """The advective restriction at levels lowest..n of the gradient path,
+def _check_cfl(drift: np.ndarray, tg: TimeGrid, dx: float, lowest: int) -> None:
+    """The advective restriction at levels lowest..n of the drift path,
     where a level j means the step from j to j - 1.  The first violation in
     march order (the highest level) reports the step count that would
     satisfy it."""
-    tg, dx = mu_path.time_grid, mu_path.grid.dx
-    speed = np.max(np.abs(scaled.grad_p_field(du, mu_path)).reshape(len(du), -1), axis=1)
+    rows = drift.reshape(len(drift), -1)
+    speed = np.maximum(np.max(rows, axis=1), -np.min(rows, axis=1))
     (bad,) = np.nonzero(speed[lowest:] * tg.dt > dx * (1.0 + 1e-12))
     if bad.size:
         top = float(speed[lowest + bad[-1]])
@@ -121,7 +131,8 @@ def solve_backward(
 
     mu_path supplies the joint measure at every time node; the advective
     speed is checked against dx at every level and a violation reports the
-    number of time steps that would satisfy the restriction.
+    number of time steps that would satisfy the restriction.  The solution
+    carries H and the drift -D_p H at (Du, mu_path) on every level.
     """
     scaled = coerce_theta(model, theta)
     grid = mu_path.grid
@@ -133,18 +144,24 @@ def solve_backward(
     u = np.empty((n + 1,) + grid.shape)
     # zeros: the guard reads the whole path, also below a level that blew up
     du = np.zeros((n + 1, grid.dim) + grid.shape)
+    h = np.empty_like(u)
     u[n] = scaled.theta * u_terminal
     du[n] = grid.gradient(u[n])
-    hamiltonian = scaled.hamiltonian_at(mu_path)
+    hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
     try:
         for j in range(n - 1, -1, -1):
-            u[j], du[j] = _level(grid, u[j + 1], hamiltonian(du[j + 1], j + 1), dt, j)
+            h[j + 1] = hamiltonian(du[j + 1], j + 1)
+            u[j], du[j] = _level(grid, u[j + 1], h[j + 1], dt, j)
     except BlowUpError as err:
         # the levels the march passed keep their order ahead of the blow-up
-        _check_cfl(scaled, du, mu_path, err.time_index + 1)
+        _check_cfl(grad_p(du), tg, grid.dx, err.time_index + 1)
         raise
-    _check_cfl(scaled, du, mu_path, 1)
-    return HjbSolution(time_grid=tg, grid=grid, theta=scaled.theta, u=u, du=du)
+    drift = -grad_p(du)
+    _check_cfl(drift, tg, grid.dx, 1)
+    h[0] = hamiltonian(du[0], 0)
+    return HjbSolution(
+        time_grid=tg, grid=grid, theta=scaled.theta, u=u, du=du, hamiltonian=h, drift=drift
+    )
 
 
 def centered_curvature(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:

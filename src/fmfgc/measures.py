@@ -121,10 +121,14 @@ class _JointFields:
         return np.sqrt(np.sum(self.alpha**2, axis=-(self.grid.dim + 1)))
 
     def mean_control(self) -> np.ndarray:
-        """int alpha dmu, shape (dim,) per slice."""
+        """int alpha dmu, shape (dim,) per slice: one batched contraction of
+        the controls with the density over the nodes.  einsum contracts
+        without BLAS, so the sum order cannot depend on a BLAS thread count."""
         grid = self.grid
-        w = np.expand_dims(self.density * grid.dx**grid.dim, -(grid.dim + 1))
-        return np.sum((self.alpha * w).reshape(self.alpha.shape[: -grid.dim] + (-1,)), axis=-1)
+        lead = self.density.shape[: self.density.ndim - grid.dim]
+        alpha = self.alpha.reshape(lead + (grid.dim, -1))
+        density = self.density.reshape(lead + (-1,))
+        return np.einsum("...cn,...n->...c", alpha, density) * grid.dx**grid.dim
 
     def with_alpha(self, alpha: np.ndarray):
         """The same density with another control; only the control is checked."""

@@ -10,11 +10,15 @@ conjugacy and growth checks below certify the same ones.
 
 The Hamiltonian is written once per model, as ``hamiltonian_at(mu)``: it
 reads the measure once (for the quadratic model, the mean control and
-the potential, batched over a path) and returns H as a function
-``h(p, j=None)`` of the momentum.  For a path, ``h(p, j)`` is H at level j
-with p one field, and ``h(p)`` the whole path; the HJB march fixes the
-measure path once and calls ``h`` per level.  ``hamiltonian_field(p, mu)``
-is ``hamiltonian_at(mu)(p)``.
+the potential, batched over a path) and returns the pair ``(h, grad_p)``,
+H and D_p H as functions ``f(p, j=None)`` of the momentum.  For a path,
+``f(p, j)`` is the value at level j with p one field, and ``f(p)`` the
+whole path.  The HJB march fixes the measure path once, calls ``h`` per
+level and ``grad_p`` once on the gradient path; a sweep's drift and
+duality pairing read those same arrays.  ``hamiltonian_field(p, mu)`` is
+``hamiltonian_at(mu)[0](p)``; ``grad_p_field(p, mu)`` reads the mean
+control only, for the control fixed point, which never needs the
+potential.
 
 The concrete model is quadratic: running cost
 |alpha + beta int gamma dmu|^2 / 2 + V(x, mu) with V a positive-definite
@@ -37,8 +41,9 @@ from .spectral import SpectralGrid
 
 class LagrangianModel:
     """Base class: subclasses provide the field forms ``lagrangian_field``,
-    ``grad_alpha_field``, ``hamiltonian_at`` (with ``hamiltonian_field``
-    through it) and ``grad_p_field``.
+    ``grad_alpha_field``, ``hamiltonian_at`` (the pair of H and D_p H at a
+    fixed measure, with ``hamiltonian_field`` through it) and
+    ``grad_p_field``.
 
     Attributes ``C0`` (structure constant), ``q`` (momentum growth) and
     ``q_tilde`` (conjugate exponent, q/(q-1)) describe the growth class.
@@ -146,10 +151,13 @@ class QuadraticModel(LagrangianModel):
                 - v
             )
 
-        return hamiltonian
+        def grad_p(p, j=None):
+            return p + self.coupling_beta * (abar if j is None else abar[j])
+
+        return hamiltonian, grad_p
 
     def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)(p)
+        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         return p + self.coupling_beta * self._broadcast_mean(mu)
@@ -192,12 +200,20 @@ class ThetaScaledModel:
     def hamiltonian_at(self, mu):
         if self.theta == 0.0:
             axis = -(mu.grid.dim + 1)
-            return lambda p, j=None: np.zeros(np.delete(np.shape(p), axis))
-        base = self.base.hamiltonian_at(self.scaled_measure(mu))
-        return lambda p, j=None: self.theta * base(p, j)
+            return (
+                lambda p, j=None: np.zeros(np.delete(np.shape(p), axis)),
+                lambda p, j=None: np.zeros(np.shape(p)),
+            )
+        if self.theta == 1.0:
+            return self.base.hamiltonian_at(mu)
+        h, grad_p = self.base.hamiltonian_at(self.scaled_measure(mu))
+        return (
+            lambda p, j=None: self.theta * h(p, j),
+            lambda p, j=None: self.theta * grad_p(p, j),
+        )
 
     def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)(p)
+        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         if self.theta == 0.0:

@@ -209,19 +209,6 @@ class SpectralGrid:
         total = total * self.dx**self.dim
         return float(total) if total.ndim == 0 else total
 
-    def bessel_norm(self, f: np.ndarray, order: float):
-        """L^2 Bessel potential norm: a float for one field, one value per
-        slice for a stack.
-
-        ( sum_k (1 + 4 pi^2 |k|^2)^order |fhat(k)|^2 )^{1/2} with fhat the
-        integral-normalized DFT coefficients; by discrete Parseval that is
-        the integral of f times the multiplier applied to f, which at
-        order = 0 is the discrete L^2 norm.
-        """
-        f = self.check_scalar(f)
-        weight = (1.0 + 4.0 * np.pi**2 * self._ksq) ** order
-        return np.sqrt(self.integrate(f * self._multiply(f, weight)))
-
     def holder_seminorm(self, f: np.ndarray, beta: float):
         """Discrete Holder seminorm sup |f(x)-f(y)| / dist(x,y)^beta: a float
         for one field, one value per slice for a stack.

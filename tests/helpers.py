@@ -36,3 +36,16 @@ def smooth_density(grid, rng, roughness=3):
     f = band_limited_field(grid, rng, max_mode=roughness, scale=1.0)
     raw = np.exp(f - f.max())
     return raw / (np.sum(raw) * grid.dx**grid.dim)
+
+
+def bessel_norm(grid, f, order):
+    """L^2 Bessel potential norm of a field on grid, or one value per slice
+    of a stack: ( sum_k (1 + 4 pi^2 |k|^2)^order |fhat(k)|^2 )^{1/2} with
+    fhat the integral-normalized DFT coefficients, so order = 0 gives the
+    discrete L^2 norm."""
+    axes = tuple(range(-grid.dim, 0))
+    fhat = np.fft.fftn(f, axes=axes) / grid.n**grid.dim
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    ksq = sum(kk**2 for kk in np.meshgrid(*([k] * grid.dim), indexing="ij"))
+    weight = (1.0 + 4.0 * np.pi**2 * ksq) ** order
+    return np.sqrt(np.sum(weight * np.abs(fhat) ** 2, axis=axes))

@@ -1,10 +1,12 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fmfgc.equilibrium as equilibrium
+from fmfgc import measures
 from fmfgc.equilibrium import (
     EquilibriumSolution,
     LoopConfig,
@@ -32,10 +34,13 @@ class NoCoupling:
 
     def hamiltonian_at(self, mu):
         axis = -(mu.grid.dim + 1)
-        return lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis)
+        return (
+            lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis),
+            lambda p, j=None: np.asarray(p, dtype=float),
+        )
 
     def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)(p)
+        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         return np.asarray(p, dtype=float)
@@ -179,13 +184,69 @@ def test_solve_runs_one_stage_at_target(benchmark_solution, benchmark_stages):
 def test_nonconvergence_returns_flagged_state():
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
-    # An unreachable tolerance parks the defect on the roundoff plateau.
-    cfg = LoopConfig(tolerance=1e-300, max_sweeps=20)
+    # Three sweeps cannot meet the tolerance: Picard here gains about a
+    # factor 30 per sweep, so the third defect (about 3e-5) is far above
+    # roundoff, and no rounding change can land the iterate on a fixed point.
+    cfg = LoopConfig(tolerance=1e-300, max_sweeps=3)
     sol = solve_equilibrium(model, m0, u_t, tg, cfg=cfg)
     assert not sol.converged
+    assert sol.history[-1].defect > 1e-8
     assert len(sol.history) == cfg.max_sweeps
     assert all(m.delta == 1.0 for m in sol.history)  # plain Picard: no averaging
     assert np.all(np.isfinite(sol.u_sol.u))
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_sweep_reads_each_path_quantity_once(theta, monkeypatch):
+    # Past the control fixed point, one sweep reads the potential and the
+    # mean control once, on the whole path, and evaluates D_p H once: the
+    # CFL guard, the forward drift and the duality pairing share it.
+    calls = []
+    solve_mu = equilibrium.solve_mu
+    potential = QuadraticModel._potential
+    mean = measures._JointFields.mean_control
+    field, at = QuadraticModel.grad_p_field, QuadraticModel.hamiltonian_at
+
+    def fixed_point_then_count(*args, **kwargs):
+        out = solve_mu(*args, **kwargs)
+        calls.clear()  # the fixed point's own reads are its iterations
+        return out
+
+    def counted_potential(self, grid, density):
+        calls.append(("potential", density.ndim))
+        return potential(self, grid, density)
+
+    def counted_mean(self):
+        calls.append(("mean", self.density.ndim))
+        return mean(self)
+
+    def counted_field(self, p, mu):
+        calls.append(("grad_p", np.ndim(p)))
+        return field(self, p, mu)
+
+    def counted_at(self, mu):
+        form = at(self, mu)
+        if not isinstance(form, tuple):
+            return form
+        h, grad_p = form
+
+        def counted_grad_p(p, j=None):
+            calls.append(("grad_p", np.ndim(p)))
+            return grad_p(p, j)
+
+        return h, counted_grad_p
+
+    monkeypatch.setattr(equilibrium, "solve_mu", fixed_point_then_count)
+    monkeypatch.setattr(QuadraticModel, "_potential", counted_potential)
+    monkeypatch.setattr(measures._JointFields, "mean_control", counted_mean)
+    monkeypatch.setattr(QuadraticModel, "grad_p_field", counted_field)
+    monkeypatch.setattr(QuadraticModel, "hamiltonian_at", counted_at)
+    grid, tg, m0, u_t = small_scenario()
+    model = QuadraticModel(coupling_beta=0.3)
+    base = replace(analytic_base(model, m0, u_t, tg), theta=theta)
+    state = picard_iterate(base, model, LoopConfig())
+    assert sorted(calls) == [("grad_p", 3), ("mean", 2), ("potential", 2)]
+    assert np.isfinite(state.history[-1].duality)
 
 
 def test_metrics_stream_csv():

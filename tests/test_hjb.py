@@ -20,10 +20,13 @@ class PlainH:
 
     def hamiltonian_at(self, mu):
         axis = -(mu.grid.dim + 1)
-        return lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis)
+        return (
+            lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis),
+            lambda p, j=None: np.asarray(p, dtype=float),
+        )
 
     def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)(p)
+        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         return np.asarray(p, dtype=float)
@@ -31,10 +34,14 @@ class PlainH:
 
 class ZeroH(PlainH):
     def hamiltonian_at(self, mu):
-        return lambda p, j=None: np.zeros(mu.grid.shape)
+        return lambda p, j=None: np.zeros(mu.grid.shape), self._zero_grad
+
+    @staticmethod
+    def _zero_grad(p, j=None):
+        return np.zeros_like(np.asarray(p, dtype=float))
 
     def grad_p_field(self, p, mu):
-        return np.zeros_like(np.asarray(p, dtype=float))
+        return self._zero_grad(p)
 
 
 class NonFiniteH(ZeroH):
@@ -44,7 +51,7 @@ class NonFiniteH(ZeroH):
             out.flat[0] = np.inf
             return out
 
-        return hamiltonian
+        return hamiltonian, self._zero_grad
 
 
 def uniform_mu(grid):
@@ -209,10 +216,10 @@ class SpeedH:
             alpha = mu.alpha if j is None else mu.alpha[j]
             return np.where(alpha[0] < 0.0, np.inf, 0.0)
 
-        return hamiltonian
+        return hamiltonian, lambda p, j=None: self.grad_p_field(p, mu)
 
     def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)(p)
+        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         return np.broadcast_to(mu.alpha, np.shape(p))
@@ -286,8 +293,8 @@ def test_march_matches_level_by_level_reference(dim, theta):
 
 def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
     # The potential and the mean control come from batched calls on the
-    # whole path: the potential once, the mean control once for H and once
-    # for the advective guard's D_p H; no level reads its slice.
+    # whole path, once each: H and the advective guard's D_p H share the
+    # mean control; no level reads its slice.
     calls = []
     potential, mean = QuadraticModel._potential, measures._JointFields.mean_control
 
@@ -308,7 +315,7 @@ def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
     tg = TimeGrid(horizon=0.5, n_steps=50)
     u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
     solve_backward(QuadraticModel(0.3), constant_path(tg, mu), u_t, theta=0.5)
-    assert sorted(calls) == [("mean", 2), ("mean", 2), ("potential", 2)]
+    assert sorted(calls) == [("mean", 2), ("potential", 2)]
 
 
 def test_step_is_one_level_of_the_march(grid):

@@ -111,6 +111,27 @@ def test_measure_path_shape_checks():
     assert path.mean_control().shape == (4, 1)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mean_control_is_the_control_integral(dim):
+    # The batched contraction against int alpha_c dm, slice by slice, for
+    # one slice and for every slice of a path.
+    rng = np.random.default_rng(61 + dim)
+    g = SpectralGrid(dim, 32 if dim == 1 else 16, 0.75)
+    tg = TimeGrid(1.0, 6)
+    raw = rng.uniform(0.1, 2.0, (7,) + g.shape)
+    density = raw / g.integrate(raw).reshape((7,) + (1,) * dim)
+    alpha = rng.uniform(-1.5, 1.5, (7, dim) + g.shape)
+    path = MeasurePath(tg, g, density, alpha)
+    explicit = np.array(
+        [[g.integrate(alpha[j, c] * density[j]) for c in range(dim)] for j in range(7)]
+    )
+    assert path.mean_control().shape == (7, dim)
+    assert np.max(np.abs(path.mean_control() - explicit)) <= 1e-15
+    one = JointControlMeasure(GridMeasure(g, density[3]), alpha[3])
+    assert one.mean_control().shape == (dim,)
+    assert np.max(np.abs(one.mean_control() - explicit[3])) <= 1e-15
+
+
 def _one_bad_slice(g, n_slices, j, edit):
     rng = np.random.default_rng(41)
     density = np.stack([smooth_density(g, rng) for _ in range(n_slices)])

@@ -220,8 +220,8 @@ def test_theta_zero_hamiltonian_keeps_stack_axes():
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 def test_hamiltonian_at_levels_match_slices(theta):
-    # The form fixed on a path gives, level by level, what the field form
-    # gives on that slice, and on the whole path what it gives on the path.
+    # The pair fixed on a path gives, level by level, what the field forms
+    # give on that slice, and on the whole path what they give on the path.
     rng = np.random.default_rng(37)
     g = SpectralGrid(1, 32, 0.75)
     tg = TimeGrid(1.0, 4)
@@ -230,10 +230,12 @@ def test_hamiltonian_at_levels_match_slices(theta):
     path = MeasurePath(tg, g, density, alpha)
     p = rng.uniform(-2, 2, (5, 1, 32))
     scaled = ThetaScaledModel(QuadraticModel(0.3), theta)
-    h = scaled.hamiltonian_at(path)
+    h, grad_p = scaled.hamiltonian_at(path)
     assert np.array_equal(h(p), scaled.hamiltonian_field(p, path))
+    assert np.array_equal(grad_p(p), scaled.grad_p_field(p, path))
     for j in range(5):
         assert np.array_equal(h(p[j], j), scaled.hamiltonian_field(p[j], path[j]))
+        assert np.array_equal(grad_p(p[j], j), scaled.grad_p_field(p[j], path[j]))
 
 
 def test_theta_scale_expression_tree():
