@@ -10,9 +10,11 @@ pipeline: depositing particles and comparing against the PDE solution is
 the end-to-end consistency check, and the time-indexed path feeds the
 Hoelder-in-time Wasserstein certificate.
 
-Each step draws its random numbers on the calling thread; the arithmetic
-after the draws is element-wise and runs over contiguous particle blocks
-on a thread pool, so positions are the same bits at any worker count.
+The particles never interact, so the ensemble is cut into fixed blocks of
+MIN_BLOCK particles, a partition that depends only on the particle count.
+Each block draws from its own child stream, spawned from the run's seed,
+and one pool task marches it through the whole horizon, so positions are
+the same bits at any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .spectral import SpectralGrid, TimeGrid
 #: fitting the jump-regime scaling exponent.
 NOISE_FLOOR_SCALE = 2.0
 
-#: Smallest particle block worth a worker thread; smaller ensembles run inline.
+#: Particles per block: the unit of work and of random streams in the march.
+#: An ensemble of one block runs on the calling thread.
 MIN_BLOCK = 8192
 
 
@@ -54,31 +57,11 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fmfgc-particles")
 
 
-def _map_blocks(kernel, count: int) -> None:
-    """Run kernel(block) over contiguous slices covering range(count).
-
-    The kernels are element-wise numpy code, which releases the GIL, so the
-    blocks overlap and the result is the same bits at any block count.
-    """
-    workers = _worker_count()
-    blocks = min(workers, count // MIN_BLOCK)
-    if blocks < 2:
-        kernel(slice(0, count))
-        return
-    bounds = [count * k // blocks for k in range(blocks + 1)]
-    pool = _pool(workers)
-    futures = [pool.submit(kernel, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    wait(futures)  # no block may still write when an error propagates
-    for future in futures:
-        future.result()
-
-
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions of one ensemble snapshot, with the RNG lineage that made it."""
+    """Positions of one ensemble snapshot."""
 
     positions: np.ndarray
-    lineage: tuple[int, ...] = ()
 
     def __post_init__(self):
         pts = np.asarray(self.positions, dtype=float)
@@ -122,7 +105,7 @@ class ParticlePath:
         return self.positions.shape[2]
 
     def ensemble(self, j: int) -> ParticleEnsemble:
-        return ParticleEnsemble(self.positions[j], lineage=(self.seed, j))
+        return ParticleEnsemble(self.positions[j])
 
     def terminal(self) -> ParticleEnsemble:
         return self.ensemble(len(self.times) - 1)
@@ -152,39 +135,41 @@ def sample_stable_increment(
     count = 1 if size is None else int(size)
     if count < 1:
         raise ValueError(f"size must be at least 1, got {size}")
-    # Draw on the calling thread, in this order, so the stream is the same
-    # at any worker count; the transform below is element-wise.
     u = rng.random(count)
     w = rng.standard_exponential(count)
     z = rng.standard_normal((count, dim))
-    _map_blocks(functools.partial(_cms_block, u, w, z, s, dt), count)
+    _cms_block(u, w, z, s, dt)
     return z[0] if size is None else z
 
 
-def _cms_block(u, w, z, s: float, dt: float, blk: slice) -> None:
-    """Chambers-Mallows-Stuck on one block: scales z[blk] in place by sqrt(2 S).
+def _cms_block(u, w, z, s: float, dt: float) -> None:
+    """Chambers-Mallows-Stuck: scales z (count, dim) in place by sqrt(2 S).
 
-    u holds uniform [0, 1) draws and is overwritten; w is read only."""
-    u, w, z = u[blk], w[blk], z[blk]
-    # u in (0, pi]: the left endpoint would make a(u) a 0/0, while sin(pi)
-    # is merely tiny in floats, so the formula stays finite without rejection.
+    u holds uniform [0, 1) draws and w standard exponential ones; both are
+    overwritten.  With the angle v = pi (1 - u) and r = (1 - s)/s, the
+    scaling is taken in log form,
+    log(2 S) = log sin(s v) + r log(sin((1 - s) v) / w) - log(sin v) / s
+    + log(2 dt^(1/s)),
+    so no power of a small base can overflow near s = 1, as the textbook
+    a^(1/(1-s)) does.
+    """
+    # v in (0, pi]: the left endpoint would make sin(s v)/sin(v) a 0/0, while
+    # sin(pi) is merely tiny in floats, so the logs stay finite without rejection.
     np.subtract(1.0, u, out=u)
     u *= math.pi
-    a = s * u
-    np.sin(a, out=a)
-    a **= s
-    b = (1.0 - s) * u
-    np.sin(b, out=b)
-    b **= 1.0 - s
-    a *= b
-    a /= np.sin(u, out=u)
-    # S = a^(1/s) w^(-(1-s)/s) dt^(1/s): the textbook (a^(1/(1-s)) / w)^((1-s)/s)
-    # without its intermediate, which overflows near s = 1 (exponent 1/(1-s)).
-    a **= 1.0 / s
-    a /= np.power(w, (1.0 - s) / s, out=u)
-    a *= dt ** (1.0 / s)
-    a *= 2.0
-    z *= np.sqrt(a, out=a)[:, None]
+    a = np.multiply(u, s)
+    np.log(np.sin(a, out=a), out=a)
+    b = np.multiply(u, 1.0 - s)
+    np.log(np.sin(b, out=b), out=b)
+    b -= np.log(w, out=w)
+    b *= (1.0 - s) / s
+    a += b
+    np.log(np.sin(u, out=u), out=u)
+    u *= 1.0 / s
+    a -= u
+    a += math.log(2.0) + math.log(dt) / s
+    a *= 0.5
+    z *= np.exp(a, out=a)[:, None]
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -227,17 +212,6 @@ def _interp_periodic(field: np.ndarray, positions: np.ndarray, grid: SpectralGri
         for c in range(field.shape[0]):
             out[:, c] += weight * field[c][idx]
     return out
-
-
-def _step_block(x, field, jump, dt: float, grid: SpectralGrid, blk: slice) -> None:
-    """One Euler step of x[blk] in place: add b dt, then the jump, then wrap."""
-    xb = x[blk]
-    drift = _interp_periodic(field, xb, grid)
-    drift *= dt
-    xb += drift
-    if jump is not None:
-        xb += jump[blk]
-    _wrap(xb)
 
 
 def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -290,8 +264,15 @@ def simulate_sde(
 
     b_path is the nodal drift at every time level, shape
     (n_steps + 1, dim, *grid.shape); None means zero drift.  Initial
-    positions are drawn from m0.  store_stride keeps every k-th level
-    (it must divide n_steps) to bound memory on long runs.
+    positions are drawn from m0 by default_rng(seed).  store_stride keeps
+    every k-th level (it must divide n_steps) to bound memory on long runs.
+
+    The ensemble is cut into blocks of MIN_BLOCK particles (the last one
+    takes the rest).  Block k draws its increments from the k-th child of
+    SeedSequence(seed).spawn(n_blocks), step after step exactly as
+    sample_stable_increment(s, dt, dim, default_rng(child), size=block)
+    would.  Each block marches through the whole horizon in one pool task,
+    so the result does not depend on the worker count.
     """
     grid = m0.grid
     n_steps = time_grid.n_steps
@@ -308,19 +289,43 @@ def simulate_sde(
             raise ValueError(f"drift path shape {b_path.shape}, expected {expected}")
         if not np.all(np.isfinite(b_path)):
             raise ValueError("drift path contains non-finite values")
-    rng = np.random.default_rng(seed)
-    x = sample_positions(m0, n_particles, rng)
-    stored = [x.copy()]
+    positions = np.empty((n_steps // store_stride + 1, n_particles, grid.dim))
+    positions[0] = sample_positions(m0, n_particles, np.random.default_rng(seed))
     dt = time_grid.dt
-    for j in range(n_steps):
-        jump = None
-        if jumps:
-            jump = sample_stable_increment(grid.s, dt, grid.dim, rng, size=n_particles)
-        _map_blocks(functools.partial(_step_block, x, b_path[j], jump, dt, grid), n_particles)
-        if (j + 1) % store_stride == 0:
-            stored.append(x.copy())
+
+    def march(lo: int, hi: int, stream: np.random.SeedSequence) -> None:
+        # The block owns its positions and draw buffers; it draws in the
+        # order sample_stable_increment does.
+        rng = np.random.default_rng(stream)
+        x = positions[0, lo:hi].copy()
+        u, w, z = np.empty(hi - lo), np.empty(hi - lo), np.empty(x.shape)
+        for j in range(n_steps):
+            drift = _interp_periodic(b_path[j], x, grid)
+            drift *= dt
+            x += drift
+            if jumps:
+                rng.random(out=u)
+                rng.standard_exponential(out=w)
+                rng.standard_normal(out=z)
+                _cms_block(u, w, z, grid.s, dt)
+                x += z
+            _wrap(x)
+            if (j + 1) % store_stride == 0:
+                positions[(j + 1) // store_stride, lo:hi] = x
+
+    bounds = list(range(0, n_particles, MIN_BLOCK)) + [n_particles]
+    blocks = list(zip(bounds, bounds[1:], np.random.SeedSequence(seed).spawn(len(bounds) - 1)))
+    workers = _worker_count()
+    if workers < 2 or len(blocks) < 2:
+        for block in blocks:
+            march(*block)
+    else:
+        futures = [_pool(workers).submit(march, *block) for block in blocks]
+        wait(futures)  # no block may still write when an error propagates
+        for future in futures:
+            future.result()
     times = time_grid.times()[::store_stride]
-    return ParticlePath(times=times, positions=np.stack(stored), grid=grid, seed=seed)
+    return ParticlePath(times=times, positions=positions, grid=grid, seed=seed)
 
 
 def empirical_measure(ensemble: ParticleEnsemble | np.ndarray, grid: SpectralGrid) -> GridMeasure:

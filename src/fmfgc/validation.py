@@ -42,6 +42,7 @@ from .measures import (
 from .models import QuadraticModel, legendre_transform
 from .mu_solver import solve_mu_detailed
 from .particles import (
+    MIN_BLOCK,
     empirical_measure,
     holder_wasserstein_check,
     sample_stable_increment,
@@ -367,7 +368,13 @@ seed = 7
 [grid]
 n = 64
 n_t = 100
+
+[particles]
+count = {count}
 """
+
+#: Four particle blocks, the last one short, so simulate runs the pool.
+_REPRO_PARTICLES = 3 * MIN_BLOCK + MIN_BLOCK // 2
 
 
 def _criterion_reproducibility(ctx: AcceptanceContext):
@@ -376,39 +383,40 @@ def _criterion_reproducibility(ctx: AcceptanceContext):
         for threads in (1, 2, 8):
             outdir = Path(tmp) / f"run-t{threads}"
             config = Path(tmp) / f"config-t{threads}.cfg"
-            config.write_text(_REPRO_CONFIG.format(outdir=outdir))
+            config.write_text(_REPRO_CONFIG.format(outdir=outdir, count=_REPRO_PARTICLES))
             env = dict(os.environ)
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 env[var] = str(threads)
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "fmfgc",
-                    "solve",
-                    "--config",
-                    str(config),
-                    "--threads",
-                    str(threads),
-                ],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            if proc.returncode != 0:
-                return False, (
-                    f"solve exited {proc.returncode} at {threads} threads: "
-                    f"{proc.stderr.strip()[-200:]}"
+            for command in ("solve", "simulate"):
+                proc = subprocess.run(
+                    [
+                        sys.executable,
+                        "-m",
+                        "fmfgc",
+                        command,
+                        "--config",
+                        str(config),
+                        "--threads",
+                        str(threads),
+                    ],
+                    env=env,
+                    capture_output=True,
+                    text=True,
                 )
+                if proc.returncode != 0:
+                    return False, (
+                        f"{command} exited {proc.returncode} at {threads} threads: "
+                        f"{proc.stderr.strip()[-200:]}"
+                    )
             digests.append(
                 tuple(
                     (outdir / name).read_bytes()
-                    for name in ("u.bin", "m.bin", "alpha.bin")
+                    for name in ("u.bin", "m.bin", "alpha.bin", "positions.bin", "holder.csv")
                 )
             )
     identical = all(d == digests[0] for d in digests[1:])
     return identical, (
-        "binary artifacts bit-identical at 1/2/8 threads"
+        "solve and simulate artifacts bit-identical at 1/2/8 threads"
         if identical
         else "artifacts differ across thread counts"
     )

@@ -74,8 +74,8 @@ def test_traced_solve_reaches_every_solver_layer(monkeypatch):
 
 
 def test_traced_simulation_spans_stay_on_the_main_thread(monkeypatch):
-    # The particle step splits its arithmetic over worker threads; the
-    # tracer keeps one span stack, so no wrapped name may run on a worker.
+    # The particle march runs its blocks on worker threads; the tracer
+    # keeps one span stack, so no wrapped name may run on a worker.
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
@@ -99,5 +99,8 @@ def test_traced_simulation_spans_stay_on_the_main_thread(monkeypatch):
             tracer.span(lambda: particles.simulate_sde(None, m0, 1000, tg, seed=1))
     finally:
         tracer.disable()
-    assert tracer.per_trace()[0]["calls"]["particles.increment"] == tg.n_steps
+    # The march draws inside its blocks and never calls the wrapped sampler.
+    calls = tracer.per_trace()[0]["calls"]
+    assert calls["particles.simulate_sde"] == 1
+    assert calls["particles.increment"] == 0
     assert callers and set(callers) == {threading.get_ident()}

@@ -243,8 +243,8 @@ def test_threads_hint_sets_env(tiny_config, tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_bytes_independent_of_threads(tmp_path, capsys, monkeypatch):
-    # Two particle blocks, so --threads 2 splits each step over two workers
-    # (given two usable CPUs) while --threads 1 runs it inline.
+    # Two particle blocks, so --threads 2 marches them on two workers
+    # (given two usable CPUs) while --threads 1 runs them inline.
     config = tmp_path / "blocks.cfg"
     count = 2 * particles.MIN_BLOCK
     config.write_text(TINY_CONFIG.replace("count = 200", f"count = {count}"))

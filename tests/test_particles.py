@@ -74,6 +74,26 @@ def test_increment_finite_near_s_one():
     assert np.all(np.isfinite(jumps))
 
 
+def _cms_power_form(u, w, z, s, dt):
+    """The Chambers-Mallows-Stuck scaling in power form, the log form's oracle."""
+    u = math.pi * (1.0 - u)
+    a = np.sin(s * u) ** s * np.sin((1.0 - s) * u) ** (1.0 - s) / np.sin(u)
+    scale = a ** (1.0 / s) / w ** ((1.0 - s) / s) * dt ** (1.0 / s)
+    return z * np.sqrt(2.0 * scale)[:, None]
+
+
+@pytest.mark.parametrize("s", [0.51, 0.6, 0.75, 0.9, 0.99])
+def test_log_form_transform_matches_power_form(s):
+    rng = np.random.default_rng(21)
+    count = 10**5
+    u, w, z = rng.random(count), rng.standard_exponential(count), rng.standard_normal((count, 2))
+    want = _cms_power_form(u, w, z, s, 0.01)
+    got = z.copy()
+    particles._cms_block(u.copy(), w.copy(), got, s, 0.01)
+    assert np.all(np.isfinite(want))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
 def test_increment_median_scaling():
     # |J| shrinks like dt^(1/2s); the log-log slope of the sample median
     # over two decades pins the subordinator's dt scaling.
@@ -203,7 +223,7 @@ def test_same_seed_is_bitwise_identical():
     "dim, jumps, store_stride", [(1, True, 1), (1, False, 2), (2, True, 2), (2, False, 1)]
 )
 def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch):
-    # Three workers over 1000 particles make uneven blocks (333/333/334).
+    # Ten blocks of 100 particles, marched on one, two or three workers.
     monkeypatch.setattr(particles, "MIN_BLOCK", 100)
     grid = SpectralGrid(dim=dim, n=16, s=0.7)
     m0 = initial_density(grid, "vonmises")
@@ -221,6 +241,49 @@ def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch
     for other in runs[1:]:
         for want, got in zip(runs[0], other):
             assert np.array_equal(want.view(np.int64), got.view(np.int64))
+
+
+def _reference_simulation(b, m0, count, tg, seed, jumps, store_stride, block):
+    """The march as a plain loop over steps, then blocks.
+
+    Block k of `block` particles (the last takes the rest) draws its
+    increments with the public sample_stable_increment from the k-th child
+    stream of the seed; the initial positions come from the seed's own
+    generator, and the drift from the module's one interpolation stencil.
+    """
+    grid = m0.grid
+    x = sample_positions(m0, count, np.random.default_rng(seed))
+    bounds = list(range(0, count, block)) + [count]
+    streams = np.random.SeedSequence(seed).spawn(len(bounds) - 1)
+    children = [np.random.default_rng(stream) for stream in streams]
+    stored = [x.copy()]
+    for j in range(tg.n_steps):
+        for child, lo, hi in zip(children, bounds, bounds[1:]):
+            xb = x[lo:hi]
+            xb += particles._interp_periodic(b[j], xb, grid) * tg.dt
+            if jumps:
+                xb += sample_stable_increment(grid.s, tg.dt, grid.dim, child, size=hi - lo)
+            xb %= 1.0
+            xb[xb >= 1.0] -= 1.0
+        if (j + 1) % store_stride == 0:
+            stored.append(x.copy())
+    return np.stack(stored)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("jumps", [True, False])
+@pytest.mark.parametrize("store_stride", [1, 2])
+def test_block_streams_match_reference_loop(dim, jumps, store_stride, monkeypatch):
+    # 1050 particles in blocks of 100: ten full blocks and one of 50.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 2)
+    grid = SpectralGrid(dim=dim, n=16, s=0.7)
+    m0 = initial_density(grid, "vonmises")
+    tg = TimeGrid(horizon=0.2, n_steps=6)
+    b = np.random.default_rng(3).normal(size=(7, dim) + grid.shape)
+    path = simulate_sde(b, m0, 1050, tg, seed=4, jumps=jumps, store_stride=store_stride)
+    want = _reference_simulation(b, m0, 1050, tg, 4, jumps, store_stride, 100)
+    assert np.array_equal(path.positions.view(np.int64), want.view(np.int64))
 
 
 def test_wrap_matches_remainder():
@@ -248,7 +311,6 @@ def test_ensemble_validation_and_lineage():
     ens = path.ensemble(2)
     assert ens.count == 10
     assert ens.dim == 1
-    assert ens.lineage == (3, 2)
 
 
 def test_empirical_spike_at_node():
