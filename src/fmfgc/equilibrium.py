@@ -126,7 +126,7 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
 def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> MeasurePath:
     """The control fixed point on the state's density path against its value
     gradient, all slices at once, warm started from the state's controls."""
-    start = MeasurePath(state.time_grid, state.grid, state.m_sol.m, state.mu_path.alpha)
+    start = MeasurePath.view(state.time_grid, state.grid, state.m_sol.m, state.mu_path.alpha)
     return solve_mu(start, state.u_sol.du, scaled, cfg.mu_config)
 
 

@@ -29,6 +29,12 @@ from .spectral import SpectralGrid, TimeGrid
 MASS_TOL = 1e-10
 
 
+def _read_only_view(values) -> np.ndarray:
+    view = np.asarray(values).view()
+    view.setflags(write=False)
+    return view
+
+
 def _checked_density(grid: SpectralGrid, values, lead: tuple[int, ...]) -> np.ndarray:
     """Read-only copy of values, shape lead + grid.shape, once every slice
     is checked finite, nonnegative and of unit mass."""
@@ -95,8 +101,7 @@ class GridMeasure:
         """Read-only view of a checked (or solver-built) density or stack of
         densities, such as one row of a path or the whole path; not checked again."""
         m = object.__new__(cls)
-        m.grid, m.values = grid, np.asarray(values).view()
-        m.values.setflags(write=False)
+        m.grid, m.values = grid, _read_only_view(values)
         return m
 
     @property
@@ -114,7 +119,8 @@ class GridMeasure:
 class _JointFields:
     """What the moments and a model's field forms read of a joint measure,
     one slice or a path: grid, density, alpha, control_magnitude() and
-    mean_control(); with_alpha() swaps in another, checked control."""
+    mean_control(); with_alpha() swaps in another, checked control, and
+    with_alpha_view() one the solver built."""
 
     def control_magnitude(self) -> np.ndarray:
         """|alpha| at every node, per slice."""
@@ -132,8 +138,13 @@ class _JointFields:
 
     def with_alpha(self, alpha: np.ndarray):
         """The same density with another control; only the control is checked."""
+        return self.with_alpha_view(_checked_control(self.grid, self.density, alpha))
+
+    def with_alpha_view(self, alpha: np.ndarray):
+        """The same density with a solver-built control, such as a fixed-point
+        iterate, as a read-only view; not checked again."""
         joint = copy.copy(self)
-        joint.alpha = _checked_control(self.grid, self.density, alpha)
+        joint.alpha = _read_only_view(alpha)
         return joint
 
 
@@ -166,6 +177,17 @@ class MeasurePath(_JointFields):
         self.grid = grid
         self.density = _checked_density(grid, density, (time_grid.n_steps + 1,))
         self.alpha = _checked_control(grid, self.density, alpha)
+
+    @classmethod
+    def view(
+        cls, time_grid: TimeGrid, grid: SpectralGrid, density: np.ndarray, alpha: np.ndarray
+    ) -> "MeasurePath":
+        """Read-only view of solver-built stacks, such as a march's density
+        path paired with the last sweep's controls; not checked again."""
+        path = object.__new__(cls)
+        path.time_grid, path.grid = time_grid, grid
+        path.density, path.alpha = _read_only_view(density), _read_only_view(alpha)
+        return path
 
     def __len__(self) -> int:
         return self.density.shape[0]

@@ -76,7 +76,7 @@ def solve_mu_detailed(
 
     if getattr(model, "theta", 1.0) == 0.0:
         # Trivial scaling limit: zero control, no iteration.
-        mu = mu.with_alpha(np.zeros_like(du))
+        mu = mu.with_alpha_view(np.zeros_like(du))
         return MuSolveResult(mu=mu, iterations=0, residual=0.0, update_norms=())
 
     lead = du.shape[: du.ndim - grid.dim - 1]
@@ -93,7 +93,7 @@ def solve_mu_detailed(
         if _predicted_iterations(updates, config.tolerance) > config.max_iterations:
             break
         active = (per_slice > config.tolerance).reshape(lead + (1,) * (grid.dim + 1))
-        mu = mu.with_alpha(np.where(active, mu.alpha - defect, mu.alpha))
+        mu = mu.with_alpha_view(np.where(active, mu.alpha - defect, mu.alpha))
 
     ratio = updates[-1] / updates[-2] if len(updates) > 1 else float("nan")
     raise NonContractionError(

@@ -13,8 +13,8 @@ Hoelder-in-time Wasserstein certificate.
 The particles never interact, so the ensemble is cut into fixed blocks of
 MIN_BLOCK particles, a partition that depends only on the particle count.
 Each block draws from its own child stream, spawned from the run's seed,
-and one pool task marches it through the whole horizon, so positions are
-the same bits at any worker count.
+and one pool task marches it through the whole horizon in buffers it
+allocates once, so positions are the same bits at any worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ NOISE_FLOOR_SCALE = 2.0
 
 #: Particles per block: the unit of work and of random streams in the march.
 #: An ensemble of one block runs on the calling thread.
-MIN_BLOCK = 8192
+MIN_BLOCK = 16384
 
 
 def _worker_count() -> int:
@@ -94,7 +94,6 @@ class ParticlePath:
     times: np.ndarray
     positions: np.ndarray
     grid: SpectralGrid
-    seed: int
 
     @property
     def n_particles(self) -> int:
@@ -138,68 +137,129 @@ def sample_stable_increment(
     u = rng.random(count)
     w = rng.standard_exponential(count)
     z = rng.standard_normal((count, dim))
-    _cms_block(u, w, z, s, dt)
+    _cms_block(u, w, z, s, dt, np.empty((3, count)))
     return z[0] if size is None else z
 
 
-def _cms_block(u, w, z, s: float, dt: float) -> None:
+def _cms_block(u, w, z, s: float, dt: float, work) -> None:
     """Chambers-Mallows-Stuck: scales z (count, dim) in place by sqrt(2 S).
 
     u holds uniform [0, 1) draws and w standard exponential ones; both are
-    overwritten.  With the angle v = pi (1 - u) and r = (1 - s)/s, the
-    scaling is taken in log form,
-    log(2 S) = log sin(s v) + r log(sin((1 - s) v) / w) - log(sin v) / s
-    + log(2 dt^(1/s)),
+    overwritten, as is the (3, count) scratch buffer work, so a call makes
+    no new array.  With the angle v = pi (1 - u), the textbook scaling
+    log(2 S) = log sin(s v) + (1/s - 1) log(sin((1 - s) v) / w)
+    - log(sin v) / s + log(2 dt^(1/s)) is regrouped into two logs of ratios,
+    log(2 S) = log(sin((1 - s) v) / (w sin v)) / s
+    + log(w sin(s v) / sin((1 - s) v)) + log(2 dt^(1/s)),
     so no power of a small base can overflow near s = 1, as the textbook
-    a^(1/(1-s)) does.
+    a^(1/(1-s)) does.  Each sine comes from the tangent of its half angle,
+    sin x = 2 t / (1 + t^2) with t = tan(x / 2), because numpy (2.4, on
+    AVX-512) vectorises float64 tan but evaluates sin element by element;
+    the factors 2 cancel within each ratio.
     """
-    # v in (0, pi]: the left endpoint would make sin(s v)/sin(v) a 0/0, while
-    # sin(pi) is merely tiny in floats, so the logs stay finite without rejection.
+    a, b, scratch = work
+    # v / 2 in (0, pi/2]: the left endpoint would make sin(s v)/sin(v) a 0/0,
+    # while float pi/2 falls short of the pole, tan(pi/2) = 1.6e16, so the
+    # ratios stay finite and positive without rejection.
     np.subtract(1.0, u, out=u)
-    u *= math.pi
-    a = np.multiply(u, s)
-    np.log(np.sin(a, out=a), out=a)
-    b = np.multiply(u, 1.0 - s)
-    np.log(np.sin(b, out=b), out=b)
-    b -= np.log(w, out=w)
-    b *= (1.0 - s) / s
+    u *= 0.5 * math.pi
+    np.multiply(u, 1.0 - s, out=a)
+    _half_sine(np.tan(a, out=a), scratch)
+    np.multiply(u, s, out=b)
+    _half_sine(np.tan(b, out=b), scratch)
+    b *= w
+    b /= a
+    _half_sine(np.tan(u, out=u), scratch)
+    u *= w
+    a /= u
+    np.log(a, out=a)
+    a *= 0.5 / s
+    np.log(b, out=b)
+    b *= 0.5
     a += b
-    np.log(np.sin(u, out=u), out=u)
-    u *= 1.0 / s
-    a -= u
-    a += math.log(2.0) + math.log(dt) / s
-    a *= 0.5
+    a += 0.5 * (math.log(2.0) + math.log(dt) / s)
     z *= np.exp(a, out=a)[:, None]
 
 
-def _wrap(x: np.ndarray) -> np.ndarray:
-    """Reduce x into [0, 1) in place; bit for bit x %= 1.0."""
-    x -= np.floor(x)
+def _half_sine(t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sin(x) / 2 = t / (1 + t^2) from t = tan(x / 2), in place.
+
+    t lies in (0, 1.7e16] for x / 2 in (0, pi/2], so t^2 stays finite."""
+    np.multiply(t, t, out=scratch)
+    scratch += 1.0
+    t /= scratch
+    return t
+
+
+def _wrap(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Reduce x into [0, 1) in place; bit for bit x %= 1.0.  scratch, if
+    given, is a buffer shaped like x that takes floor(x)."""
+    x -= np.floor(x, out=scratch)
     # r - floor(r) rounds up to 1.0 for r just below zero; keep [0, 1) half-open.
     x[x >= 1.0] -= 1.0
     return x
 
 
-def _cic_corners(positions: np.ndarray, grid: SpectralGrid):
-    """Cloud-in-cell stencil: yields (index, weight) for each cell corner.
+class _Stencil:
+    """Cloud-in-cell stencil for `count` positions on a grid, in buffers it owns.
 
-    index is a tuple of per-axis node arrays, weight the (N,) multilinear
-    weight of that corner for each position."""
-    n = grid.n
-    xi = positions * n
-    base = np.floor(xi)
-    frac = xi - base
-    base = base.astype(np.intp) % n
-    nxt = base + 1
-    nxt[nxt == n] = 0
-    nodes = (base, nxt)
-    axis_weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(grid.dim)]
-    for corner in itertools.product((0, 1), repeat=grid.dim):
-        idx = tuple(nodes[off][:, ax] for ax, off in enumerate(corner))
-        weight = axis_weights[0][corner[0]]
-        for ax in range(1, grid.dim):
-            weight = weight * axis_weights[ax][corner[ax]]
-        yield idx, weight
+    A march keeps one per block, so its steps make no new arrays: a block's
+    arrays are 128 KiB (16,384 floats), glibc's default mmap threshold, and
+    at that size fresh arrays on every step cost more in page faults than
+    the stencil's arithmetic.
+    """
+
+    def __init__(self, grid: SpectralGrid, count: int):
+        self.grid = grid
+        dim, n_corners = grid.dim, 2**grid.dim
+        self._nodes = np.empty((2, count, dim), dtype=np.intp)
+        self._axis_weights = np.empty((2, count, dim))
+        self._index = np.empty((n_corners, count), dtype=np.intp)
+        self._weight = np.empty((n_corners, count))
+        self._sample = np.empty(count)
+
+    def corners(self, positions: np.ndarray) -> list:
+        """(index, weight) for each cell corner, as views of the buffers.
+
+        index is the (N,) flat C-order node number of the corner and weight
+        its (N,) multilinear weight, for each position; corners come in
+        itertools.product((0, 1), repeat=dim) order.  Per axis there is one
+        floor and one fraction, and as n is a power of two, & (n - 1) wraps
+        a node index onto the torus (floor(x n) = n included)."""
+        n = self.grid.n
+        (lo, hi), (w_lo, frac) = self._nodes, self._axis_weights
+        np.multiply(positions, n, out=frac)
+        np.floor(frac, out=lo, casting="unsafe")
+        frac -= lo
+        np.subtract(1.0, frac, out=w_lo)
+        lo &= n - 1
+        np.add(lo, 1, out=hi)
+        hi &= n - 1
+        out = []
+        for k, corner in enumerate(itertools.product((0, 1), repeat=self.grid.dim)):
+            index, weight = self._nodes[corner[0], :, 0], self._axis_weights[corner[0], :, 0]
+            for ax in range(1, self.grid.dim):
+                index = np.multiply(index, n, out=self._index[k])
+                index += self._nodes[corner[ax], :, ax]
+                weight = np.multiply(weight, self._axis_weights[corner[ax], :, ax], out=self._weight[k])
+            out.append((index, weight))
+        return out
+
+    def interpolate(self, field: np.ndarray, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Multilinear periodic interpolation of a (ncomp, *shape) field into
+        out (N, ncomp), gathered from the flattened field."""
+        corners = self.corners(positions)
+        sample = self._sample
+        for c, values in enumerate(field.reshape(field.shape[0], -1)):
+            (index, weight), *rest = corners
+            # the indices are in range by construction; mode "raise" would
+            # gather through a temporary before filling out
+            np.multiply(weight, values.take(index, out=sample, mode="clip"), out=out[:, c])
+            for index, weight in rest:
+                values.take(index, out=sample, mode="clip")
+                sample *= weight
+                out[:, c] += sample
+        return out
 
 
 def _interp_periodic(field: np.ndarray, positions: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -207,11 +267,8 @@ def _interp_periodic(field: np.ndarray, positions: np.ndarray, grid: SpectralGri
 
     Returns (N, ncomp) samples at the particle positions.
     """
-    out = np.zeros((positions.shape[0], field.shape[0]))
-    for idx, weight in _cic_corners(positions, grid):
-        for c in range(field.shape[0]):
-            out[:, c] += weight * field[c][idx]
-    return out
+    count = positions.shape[0]
+    return _Stencil(grid, count).interpolate(field, positions, np.empty((count, field.shape[0])))
 
 
 def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -263,9 +320,10 @@ def simulate_sde(
     """Euler-Maruyama with exact stable jumps: X += b(X, t) dt + J, wrapped.
 
     b_path is the nodal drift at every time level, shape
-    (n_steps + 1, dim, *grid.shape); None means zero drift.  Initial
-    positions are drawn from m0 by default_rng(seed).  store_stride keeps
-    every k-th level (it must divide n_steps) to bound memory on long runs.
+    (n_steps + 1, dim, *grid.shape); None means zero drift, and the march
+    skips the drift step.  Initial positions are drawn from m0 by
+    default_rng(seed).  store_stride keeps every k-th level (it must divide
+    n_steps) to bound memory on long runs.
 
     The ensemble is cut into blocks of MIN_BLOCK particles (the last one
     takes the rest).  Block k draws its increments from the k-th child of
@@ -280,9 +338,7 @@ def simulate_sde(
         raise ValueError(
             f"store_stride must divide n_steps, got {store_stride} for {n_steps}"
         )
-    if b_path is None:
-        b_path = np.zeros((n_steps + 1, grid.dim) + grid.shape)
-    else:
+    if b_path is not None:
         b_path = np.asarray(b_path, dtype=float)
         expected = (n_steps + 1, grid.dim) + grid.shape
         if b_path.shape != expected:
@@ -298,18 +354,21 @@ def simulate_sde(
         # order sample_stable_increment does.
         rng = np.random.default_rng(stream)
         x = positions[0, lo:hi].copy()
-        u, w, z = np.empty(hi - lo), np.empty(hi - lo), np.empty(x.shape)
+        u, w, *work = np.empty((5, hi - lo))
+        z = np.empty(x.shape)  # the drift step, then the jump, then floor(x)
+        stencil = _Stencil(grid, hi - lo)
         for j in range(n_steps):
-            drift = _interp_periodic(b_path[j], x, grid)
-            drift *= dt
-            x += drift
+            if b_path is not None:
+                stencil.interpolate(b_path[j], x, z)
+                z *= dt
+                x += z
             if jumps:
                 rng.random(out=u)
                 rng.standard_exponential(out=w)
                 rng.standard_normal(out=z)
-                _cms_block(u, w, z, grid.s, dt)
+                _cms_block(u, w, z, grid.s, dt, work)
                 x += z
-            _wrap(x)
+            _wrap(x, z)
             if (j + 1) % store_stride == 0:
                 positions[(j + 1) // store_stride, lo:hi] = x
 
@@ -325,7 +384,7 @@ def simulate_sde(
         for future in futures:
             future.result()
     times = time_grid.times()[::store_stride]
-    return ParticlePath(times=times, positions=positions, grid=grid, seed=seed)
+    return ParticlePath(times=times, positions=positions, grid=grid)
 
 
 def empirical_measure(ensemble: ParticleEnsemble | np.ndarray, grid: SpectralGrid) -> GridMeasure:
@@ -335,9 +394,11 @@ def empirical_measure(ensemble: ParticleEnsemble | np.ndarray, grid: SpectralGri
         raise ValueError(f"positions must be (N, {grid.dim}), got {pts.shape}")
     if pts.shape[0] < 1:
         raise ValueError("need at least one particle")
-    weights = np.zeros(grid.shape)
-    for idx, w in _cic_corners(pts, grid):
-        np.add.at(weights, idx, w)
+    corners = _Stencil(grid, pts.shape[0]).corners(pts)
+    index, weight = (np.concatenate(part) for part in zip(*corners))
+    # bincount adds in input order, corner after corner, so the sums are
+    # those of an in-order scatter-add
+    weights = np.bincount(index, weight, minlength=grid.n**grid.dim).reshape(grid.shape)
     return GridMeasure.normalized(grid, weights / (pts.shape[0] * grid.dx**grid.dim))
 
 

@@ -109,6 +109,14 @@ def test_measure_path_shape_checks():
     assert sl.grid is g and sl.m.mass == pytest.approx(1.0)
     assert not sl.alpha.flags.writeable and not sl.density.flags.writeable
     assert path.mean_control().shape == (4, 1)
+    # solver-built stacks: shared, read-only, not checked
+    density, alpha = np.ones((4, 16)), np.zeros((4, 1, 16))
+    view = MeasurePath.view(tg, g, density, alpha)
+    assert np.shares_memory(view.density, density) and np.shares_memory(view.alpha, alpha)
+    assert not view.density.flags.writeable and not view.alpha.flags.writeable
+    assert view.time_grid is tg and np.array_equal(view.mean_control(), path.mean_control())
+    nan = view.with_alpha_view(np.full_like(alpha, np.nan))
+    assert np.isnan(nan.alpha).all() and nan.density is view.density
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,5 +1,6 @@
 """Particle sampler, SDE stepper, deposition, and the path-regularity check."""
 
+import itertools
 import math
 import warnings
 
@@ -87,9 +88,12 @@ def test_log_form_transform_matches_power_form(s):
     rng = np.random.default_rng(21)
     count = 10**5
     u, w, z = rng.random(count), rng.standard_exponential(count), rng.standard_normal((count, 2))
+    # the ends of [0, 1): v = pi, where tan(v / 2) is taken at float pi/2,
+    # and the smallest v, where every sine is its own argument
+    u[:2] = 0.0, np.nextafter(1.0, 0.0)
     want = _cms_power_form(u, w, z, s, 0.01)
     got = z.copy()
-    particles._cms_block(u.copy(), w.copy(), got, s, 0.01)
+    particles._cms_block(u.copy(), w.copy(), got, s, 0.01, np.empty((3, count)))
     assert np.all(np.isfinite(want))
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
@@ -197,6 +201,47 @@ def test_drift_path_shape_and_finiteness_checked():
     bad[3, 0, 5] = np.inf
     with pytest.raises(ValueError):
         simulate_sde(bad, m0, 10, tg)
+
+
+def test_zero_drift_path_matches_none():
+    # None skips the drift step; an explicit zero path adds +0.0, which
+    # leaves every position in [0, 1) unchanged, so the bits agree.
+    grid, m0 = vonmises_setup(n=32)
+    tg = TimeGrid(horizon=0.1, n_steps=10)
+    zero = np.zeros((11, 1, grid.n))
+    for jumps in (True, False):
+        want = simulate_sde(zero, m0, 1000, tg, seed=5, jumps=jumps).positions
+        got = simulate_sde(None, m0, 1000, tg, seed=5, jumps=jumps).positions
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _hat_weights(x, grid):
+    """Explicit multilinear weights of every node for one position: the
+    product over axes of max(0, 1 - periodic distance to the node in cells)."""
+    weight = np.ones(grid.shape)
+    for ax, coord in enumerate(x):
+        gap = (coord * grid.n - np.arange(grid.n)) % grid.n
+        hat = np.maximum(0.0, 1.0 - np.minimum(gap, grid.n - gap))
+        weight = weight * hat.reshape([-1 if a == ax else 1 for a in range(grid.dim)])
+    return weight
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_matches_multilinear_formula_at_edges(dim):
+    # 0, exact nodes, mid-cell, the largest float below 1, and 1 itself: for
+    # a power-of-two n, x n is exact, so 1 is where x n reaches n and the
+    # stencil must wrap onto node 0.
+    grid = SpectralGrid(dim=dim, n=16, s=0.75)
+    edges = [0.0, 1.0 / 16, 15.0 / 16, 0.53125, np.nextafter(1.0, 0.0), 1.0, 0.3]
+    pts = np.array(list(itertools.product(edges, repeat=dim)))
+    field = np.random.default_rng(6).normal(size=(dim,) + grid.shape)
+    hats = np.stack([_hat_weights(x, grid) for x in pts])
+    want = np.einsum("pn,cn->pc", hats.reshape(len(pts), -1), field.reshape(dim, -1))
+    got = particles._interp_periodic(field, pts, grid)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    emp = empirical_measure(pts, grid)
+    mass = hats.sum(axis=0) / (len(pts) * grid.dx**dim)
+    assert np.max(np.abs(emp.values - mass)) <= 1e-12 * mass.max()
 
 
 def test_store_stride():
@@ -394,12 +439,7 @@ def test_holder_check_validation():
     path = simulate_sde(None, m0, 100, TimeGrid(horizon=0.1, n_steps=8), seed=0)
     with pytest.raises(ValueError):
         holder_wasserstein_check(path, b_sup=-1.0)
-    warped = ParticlePath(
-        times=path.times**2,
-        positions=path.positions,
-        grid=grid,
-        seed=0,
-    )
+    warped = ParticlePath(times=path.times**2, positions=path.positions, grid=grid)
     with pytest.raises(ValueError):
         holder_wasserstein_check(warped, b_sup=0.0)
 
