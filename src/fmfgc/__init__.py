@@ -14,7 +14,6 @@ from .equilibrium import (
     LoopConfig,
     analytic_base,
     equilibrium_certificate,
-    equilibrium_drift,
     solve_equilibrium,
     sweep_theta,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "default_manifest",
     "empirical_measure",
     "equilibrium_certificate",
-    "equilibrium_drift",
     "hjb_diagnostics",
     "holder_wasserstein_check",
     "initial_density",

@@ -221,7 +221,8 @@ def _run_stage(
 def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
     """Re-solve the control path against the final value gradient so the
     packaged triple satisfies the slice fixed point to the mu tolerance;
-    the value solution then carries H and the drift at the packaged path."""
+    the value solution then carries H and the drift at the packaged path,
+    the drift that the density march and a particle simulation advect by."""
     scaled = coerce_theta(model, state.theta)
     mu_path = _control_path(state, scaled, cfg)
     hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
@@ -229,15 +230,6 @@ def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumS
     u_sol = replace(state.u_sol, hamiltonian=hamiltonian(du), drift=-grad_p(du))
     m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid)
     return replace(state, u_sol=u_sol, mu_path=mu_path, m_sol=m_sol)
-
-
-def equilibrium_drift(state: EquilibriumSolution, model) -> np.ndarray:
-    """Optimal drift path -D_pH(Du, mu) on the state's time grid.
-
-    This is the vector field that both the forward density solve and the
-    particle simulation advect by; shape (n_steps + 1, dim, *grid.shape).
-    """
-    return -coerce_theta(model, state.theta).grad_p_field(state.u_sol.du, state.mu_path)
 
 
 def solve_equilibrium(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CflError, ConservationError, GridMismatchError
+from .errors import CflError, ConservationError, InvalidFieldError
 from .measures import GridMeasure
 from .spectral import SpectralGrid, TimeGrid
 
@@ -58,6 +58,21 @@ class FpSolution:
 
     def terminal(self) -> GridMeasure:
         return self[-1]
+
+
+def check_cfl(speed: float, time_grid: TimeGrid, dx: float) -> None:
+    """The advective restriction |b| dt <= dx at ``speed``, the largest
+    drift speed over the levels a march checks; a violation reports the
+    step count that satisfies it at that speed.  Both marches call it: the
+    forward march on its whole drift path, the backward march on -D_p H at
+    the levels it steps from."""
+    if speed * time_grid.dt > dx * (1.0 + 1e-12):
+        required = int(np.ceil(speed * time_grid.horizon / dx))
+        raise CflError(
+            f"advective speed {speed:.3g} violates |b| dt <= dx; need at least "
+            f"n_t = {required} time steps",
+            required_steps=required,
+        )
 
 
 def _face_parts(
@@ -114,26 +129,6 @@ def _advect(
         flux = pos[axis] * values + neg[axis] * _roll(values, -1, axis)
         out -= dt / dx * (flux - _roll(flux, 1, axis))
     return out
-
-
-def fp_step(m: GridMeasure, b: np.ndarray, dt: float) -> GridMeasure:
-    """Advance the density by one advection-diffusion step of size dt."""
-    if not dt > 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    grid = m.grid
-    b = grid.check_vector(b)
-    if b.ndim != grid.dim + 1:
-        raise GridMismatchError(f"one step takes one drift field, got shape {b.shape}")
-    speed = float(np.max(np.abs(b)))
-    if speed * dt > grid.dx * (1.0 + 1e-12):
-        factor = int(np.ceil(speed * dt / grid.dx))
-        raise CflError(
-            f"drift speed {speed:.3g} violates |b| dt <= dx; the step must "
-            f"shrink by a factor of {factor}",
-            required_steps=factor,
-        )
-    pos, neg, _ = _face_parts(b, grid)
-    return GridMeasure(grid, _step(m.values, pos, neg, dt, grid)[0])
 
 
 def _step(
@@ -221,18 +216,10 @@ def solve_forward(
     # a NaN or an infinity reaches the extremes, so they check finiteness too
     high, low = float(np.max(b_path)), float(np.min(b_path))
     if not (np.isfinite(high) and np.isfinite(low)):
-        raise ValueError("drift path contains non-finite values")
+        raise InvalidFieldError("drift path contains non-finite values")
+    check_cfl(max(high, -low), time_grid, grid.dx)
 
-    speed = max(high, -low)
-    dt, dx = time_grid.dt, grid.dx
-    if speed * dt > dx * (1.0 + 1e-12):
-        required = int(np.ceil(speed * time_grid.horizon / dx))
-        raise CflError(
-            f"drift speed {speed:.3g} violates |b| dt <= dx; need at least "
-            f"n_t = {required} time steps",
-            required_steps=required,
-        )
-
+    dt = time_grid.dt
     m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)

@@ -17,10 +17,12 @@ result finite, and takes one forward and one batched inverse real
 transform for the new value and its gradient
 (``SpectralGrid.semigroup_gradient``).  D_p H is evaluated once per
 march, on the whole gradient path; the advective restriction is checked
-on it and reported at the first violating level in march order, ahead of
-any non-finite level below it.  The solution keeps H and the drift
--D_p H at every level, so a sweep's forward march and duality pairing
-read them instead of evaluating the model again.
+on it by the rule the forward march shares (``fokker_planck.check_cfl``),
+at the largest speed over the levels the march stepped from, so a
+violation is reported ahead of any non-finite level below it.  The
+solution keeps H and the drift -D_p H at every level, so a sweep's
+forward march and duality pairing read them instead of evaluating the
+model again.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, CflError, GridMismatchError
-from .measures import JointControlMeasure, MeasurePath
+from .errors import BlowUpError, GridMismatchError
+from .fokker_planck import check_cfl
+from .measures import MeasurePath
 from .models import coerce_theta
 from .spectral import SpectralGrid, TimeGrid
 
@@ -69,7 +72,7 @@ def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
 
 
 def _level(
-    grid: SpectralGrid, u_next: np.ndarray, h: np.ndarray, dt: float, time_index: int | None
+    grid: SpectralGrid, u_next: np.ndarray, h: np.ndarray, dt: float, time_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One backward level: the new value and its gradient from the later
     value and its Hamiltonian field h; the level's one finiteness check."""
@@ -77,48 +80,17 @@ def _level(
     w = u_next - dt * h
     if not np.isfinite(w).all():
         raise BlowUpError(
-            "Hamiltonian step produced a non-finite value"
-            + ("" if time_index is None else f" at time level {time_index}"),
+            f"Hamiltonian step produced a non-finite value at time level {time_index}",
             time_index=time_index,
         )
     return grid.semigroup_gradient(w, dt)
 
 
-def hjb_step(
-    u_next: np.ndarray,
-    mu_next: JointControlMeasure,
-    model,
-    dt: float,
-    du_next: np.ndarray | None = None,
-    time_index: int | None = None,
-) -> np.ndarray:
-    """One backward step; model must provide hamiltonian_at."""
-    if not dt > 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    grid = mu_next.grid
-    u_next = one_field(grid, u_next)
-    if du_next is None:
-        du_next = grid.gradient(u_next)
-    h = model.hamiltonian_at(mu_next)[0](du_next)
-    return _level(grid, u_next, h, dt, time_index)[0]
-
-
 def _check_cfl(drift: np.ndarray, tg: TimeGrid, dx: float, lowest: int) -> None:
     """The advective restriction at levels lowest..n of the drift path,
-    where a level j means the step from j to j - 1.  The first violation in
-    march order (the highest level) reports the step count that would
-    satisfy it."""
-    rows = drift.reshape(len(drift), -1)
-    speed = np.maximum(np.max(rows, axis=1), -np.min(rows, axis=1))
-    (bad,) = np.nonzero(speed[lowest:] * tg.dt > dx * (1.0 + 1e-12))
-    if bad.size:
-        top = float(speed[lowest + bad[-1]])
-        required = int(np.ceil(top * tg.horizon / dx))
-        raise CflError(
-            f"advective speed {top:.3g} violates |D_p H| dt <= dx; "
-            f"need at least n_t = {required} time steps",
-            required_steps=required,
-        )
+    where a level j means the step from j to j - 1."""
+    rest = drift[lowest:]
+    check_cfl(max(float(np.max(rest)), -float(np.min(rest))), tg, dx)
 
 
 def solve_backward(
@@ -130,9 +102,10 @@ def solve_backward(
     """March u from the terminal condition theta * u_terminal down to t = 0.
 
     mu_path supplies the joint measure at every time node; the advective
-    speed is checked against dx at every level and a violation reports the
-    number of time steps that would satisfy the restriction.  The solution
-    carries H and the drift -D_p H at (Du, mu_path) on every level.
+    speed is checked against dx at every level stepped from, and a
+    violation reports the number of time steps that would satisfy the
+    restriction at the largest speed.  The solution carries H and the
+    drift -D_p H at (Du, mu_path) on every level.
     """
     scaled = coerce_theta(model, theta)
     grid = mu_path.grid
@@ -153,8 +126,10 @@ def solve_backward(
             h[j + 1] = hamiltonian(du[j + 1], j + 1)
             u[j], du[j] = _level(grid, u[j + 1], h[j + 1], dt, j)
     except BlowUpError as err:
-        # the levels the march passed keep their order ahead of the blow-up
-        _check_cfl(grad_p(du), tg, grid.dx, err.time_index + 1)
+        # the levels the march passed keep their order ahead of the blow-up;
+        # a gradient that overflowed on the way there is part of the blow-up
+        passed = grad_p(du)
+        _check_cfl(np.where(np.isfinite(passed), passed, 0.0), tg, grid.dx, err.time_index + 1)
         raise
     drift = -grad_p(du)
     _check_cfl(drift, tg, grid.dx, 1)

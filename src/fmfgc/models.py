@@ -20,6 +20,13 @@ duality pairing read those same arrays.  ``hamiltonian_field(p, mu)`` is
 control only, for the control fixed point, which never needs the
 potential.
 
+A model is any object with the field forms ``hamiltonian_at``,
+``hamiltonian_field``, ``grad_p_field`` and ``lagrangian_field`` (and
+``grad_alpha_field`` for the numeric Legendre transform) and the
+attributes of its growth class: ``C0`` (the structure constant), ``q``
+(the momentum growth) and ``q_tilde`` (its conjugate exponent
+q/(q-1)); there is no base class.
+
 The concrete model is quadratic: running cost
 |alpha + beta int gamma dmu|^2 / 2 + V(x, mu) with V a positive-definite
 convolution against the state marginal.  Its Hamiltonian and optimal
@@ -37,21 +44,6 @@ import numpy as np
 from .errors import OptimizationError
 from .measures import GridMeasure, JointControlMeasure, lambda_q
 from .spectral import SpectralGrid
-
-
-class LagrangianModel:
-    """Base class: subclasses provide the field forms ``lagrangian_field``,
-    ``grad_alpha_field``, ``hamiltonian_at`` (the pair of H and D_p H at a
-    fixed measure, with ``hamiltonian_field`` through it) and
-    ``grad_p_field``.
-
-    Attributes ``C0`` (structure constant), ``q`` (momentum growth) and
-    ``q_tilde`` (conjugate exponent, q/(q-1)) describe the growth class.
-    """
-
-    C0: float
-    q: float
-    q_tilde: float
 
 
 def _geometric_tail(rho: float) -> float:
@@ -74,7 +66,7 @@ def _kernel_sums(decay: float, dim: int) -> tuple[float, float]:
     return float(s0), float(s1)
 
 
-class QuadraticModel(LagrangianModel):
+class QuadraticModel:
     """Quadratic running cost with mean-control and convolution coupling.
 
     L(x, a, mu) = |a + beta int gamma dmu|^2 / 2 + (kernel * m)(x), with
@@ -174,7 +166,7 @@ class ThetaScaledModel:
     they are the surface the solver calls.
     """
 
-    def __init__(self, base: LagrangianModel, theta: float):
+    def __init__(self, base, theta: float):
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"scaling parameter must lie in [0, 1], got {theta}")
         self.base = base
@@ -261,7 +253,7 @@ def _fd_hessian(model, alpha: np.ndarray, mu) -> np.ndarray:
 
 
 def legendre_transform(
-    model: LagrangianModel,
+    model,
     p: np.ndarray,
     mu: JointControlMeasure,
     tol: float = 1e-10,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidFieldError
 from .measures import GridMeasure, coordinate_marginals, wasserstein_1d
 from .spectral import SpectralGrid, TimeGrid
 
@@ -262,15 +263,6 @@ class _Stencil:
         return out
 
 
-def _interp_periodic(field: np.ndarray, positions: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Multilinear periodic interpolation of a (ncomp, *shape) field.
-
-    Returns (N, ncomp) samples at the particle positions.
-    """
-    count = positions.shape[0]
-    return _Stencil(grid, count).interpolate(field, positions, np.empty((count, field.shape[0])))
-
-
 def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw count positions from a grid density.
 
@@ -300,7 +292,8 @@ def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> n
     while filled < count:
         batch = 2 * (count - filled) + 16
         candidates = rng.random((batch, grid.dim))
-        local = _interp_periodic(density, candidates, grid)[:, 0]
+        stencil = _Stencil(grid, batch)
+        local = stencil.interpolate(density, candidates, np.empty((batch, 1)))[:, 0]
         keep = candidates[rng.random(batch) * envelope <= local]
         take = keep[: count - filled]
         out[filled : filled + take.shape[0]] = take
@@ -344,7 +337,7 @@ def simulate_sde(
         if b_path.shape != expected:
             raise ValueError(f"drift path shape {b_path.shape}, expected {expected}")
         if not np.all(np.isfinite(b_path)):
-            raise ValueError("drift path contains non-finite values")
+            raise InvalidFieldError("drift path contains non-finite values")
     positions = np.empty((n_steps // store_stride + 1, n_particles, grid.dim))
     positions[0] = sample_positions(m0, n_particles, np.random.default_rng(seed))
     dt = time_grid.dt

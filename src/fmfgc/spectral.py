@@ -259,10 +259,3 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-
-def periodic_delta(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Componentwise periodic distance |x - y| on the unit torus."""
-    d = np.abs(x - y) % 1.0
-    return np.minimum(d, 1.0 - d)
-

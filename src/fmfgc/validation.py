@@ -25,7 +25,6 @@ from .equilibrium import (
     EquilibriumSolution,
     LoopConfig,
     equilibrium_certificate,
-    equilibrium_drift,
     solve_equilibrium,
     sweep_theta,
 )
@@ -39,7 +38,7 @@ from .measures import (
     monotonicity_pairing,
     wasserstein_1d,
 )
-from .models import QuadraticModel, legendre_transform
+from .models import QuadraticModel, growth_check, legendre_transform
 from .mu_solver import solve_mu_detailed
 from .particles import (
     MIN_BLOCK,
@@ -250,8 +249,16 @@ def _criterion_legendre(ctx: AcceptanceContext):
     best = -model.grad_p_field(p, mu)
     worst_h = float(np.max(np.abs(value - closed)))
     worst_a = float(np.max(np.abs(alpha_star - best)))
-    ok = worst_h <= 1e-8 and worst_a <= 1e-8
-    return ok, f"H defect {worst_h:.2e}, maximizer defect {worst_a:.2e} (tol 1e-8)"
+    # the growth class that moment_certificate's bounds assume, probed on
+    # the same field forms: C0 must leave no sampled inequality violated
+    growth = growth_check(model, grid)
+    violations = growth.violations(model.C0)
+    ok = worst_h <= 1e-8 and worst_a <= 1e-8 and violations == 0
+    return ok, (
+        f"H defect {worst_h:.2e}, maximizer defect {worst_a:.2e} (tol 1e-8), "
+        f"growth c0_tilde {growth.c0_tilde:.2f} against C0 {model.C0:.1f}, "
+        f"{violations} violations (tol 0)"
+    )
 
 
 def _criterion_benchmark(ctx: AcceptanceContext):
@@ -341,8 +348,7 @@ def _criterion_sampler_consistency(ctx: AcceptanceContext):
 def _criterion_particle_pde_cross_check(ctx: AcceptanceContext):
     sol = ctx.benchmark
     grid, tg, m0, _ = ctx.scenario(128, 200)
-    drift = equilibrium_drift(sol, ctx.model)
-    path = simulate_sde(drift, m0, 10**5, tg, seed=77, store_stride=200)
+    path = simulate_sde(sol.u_sol.drift, m0, 10**5, tg, seed=77, store_stride=200)
     emp = empirical_measure(path.terminal(), grid)
     w1 = wasserstein_1d(emp, sol.m_sol.terminal())
     return w1 <= 0.05, f"W1(empirical, PDE) {w1:.2e} (tol 5e-2)"

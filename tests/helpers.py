@@ -49,3 +49,9 @@ def bessel_norm(grid, f, order):
     ksq = sum(kk**2 for kk in np.meshgrid(*([k] * grid.dim), indexing="ij"))
     weight = (1.0 + 4.0 * np.pi**2 * ksq) ** order
     return np.sqrt(np.sum(weight * np.abs(fhat) ** 2, axis=axes))
+
+
+def periodic_delta(x, y):
+    """Componentwise periodic distance |x - y| on the unit torus."""
+    d = np.abs(x - y) % 1.0
+    return np.minimum(d, 1.0 - d)

@@ -15,7 +15,7 @@ import pytest
 import fmfgc.cli as cli
 import fmfgc.manifest as manifest
 import fmfgc.particles as particles
-from fmfgc.artifacts import read_csv, read_field
+from fmfgc.artifacts import read_csv, read_field, write_field
 from fmfgc.cli import main
 from fmfgc.manifest import parse_config
 from fmfgc.validation import CriterionResult
@@ -140,6 +140,21 @@ def test_simulate_rejects_mismatched_grid(tiny_config, tmp_path, capsys):
     assert code == 1
     payload = summary_of(capsys, "err")
     assert "run solve with this config first" in payload["message"]
+
+
+def test_simulate_rejects_non_finite_control(tiny_config, tmp_path, capsys):
+    outdir = tmp_path / "run"
+    assert main(["solve", "--config", str(tiny_config), "--out", str(outdir)]) == 0
+    alpha = read_field(outdir / "alpha.bin")
+    alpha[3, 0, 5] = np.nan
+    write_field(outdir / "alpha.bin", alpha)
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(tiny_config), "--out", str(outdir)])
+    assert code == 1
+    payload = summary_of(capsys, "err")
+    assert payload["command"] == "simulate"
+    assert payload["error"] == "InvalidFieldError"
+    assert "non-finite" in payload["message"]
 
 
 def test_sweep_theta_emits_table(tiny_config, tmp_path, capsys):

@@ -18,7 +18,7 @@ from fmfgc.equilibrium import (
 )
 from fmfgc.fokker_planck import initial_density
 from fmfgc.hjb import HjbSolution
-from fmfgc.models import QuadraticModel
+from fmfgc.models import QuadraticModel, coerce_theta
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 
@@ -270,6 +270,16 @@ def test_sweep_theta_stages():
     sups = [float(np.max(np.abs(s.u_sol.u))) for s in stages]
     assert sups[0] == 0.0
     assert all(a < b for a, b in zip(sups, sups[1:]))
+
+
+def test_packaged_drift_is_feedback_drift_at_every_stage(benchmark_solution, benchmark_stages):
+    # the drift a solution carries, which the particles advect by, is
+    # -D_p H at the packaged control path and the value gradient, to the bit
+    model = benchmark_solution[2]
+    for stage in benchmark_stages:
+        scaled = coerce_theta(model, stage.theta)
+        want = -scaled.grad_p_field(stage.u_sol.du, stage.mu_path)
+        assert np.array_equal(stage.u_sol.drift, want)
 
 
 def test_sweep_theta_stops_at_unconverged_stage():

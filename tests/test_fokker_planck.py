@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fmfgc.errors import CflError, ConservationError, GridMismatchError
+from fmfgc.errors import CflError, ConservationError, InvalidFieldError
 from fmfgc.fokker_planck import (
     duality_residual,
-    fp_step,
     heat_flow,
     initial_density,
     solve_forward,
@@ -27,19 +26,25 @@ def zero_b(grid):
     return np.zeros((grid.dim,) + grid.shape)
 
 
+def one_step(m, b, dt):
+    """The density after a one-step march at the constant drift field b."""
+    tg = TimeGrid(horizon=dt, n_steps=1)
+    return solve_forward(np.stack([b, b]), m, tg).terminal()
+
+
 def test_uniform_fixed_point_zero_drift(grid):
     m = GridMeasure.uniform(grid)
-    out = fp_step(m, zero_b(grid), 0.02)
+    out = one_step(m, zero_b(grid), 0.02)
     assert np.max(np.abs(out.values - 1.0)) < 1e-14
-    # one step takes one drift field, not a stack of them
-    with pytest.raises(GridMismatchError):
-        fp_step(m, zero_b(grid)[None], 0.02)
+    # a march takes a drift path, not one drift field
+    with pytest.raises(ValueError, match="drift path shape"):
+        solve_forward(zero_b(grid), m, TimeGrid(horizon=0.02, n_steps=1))
 
 
 def test_uniform_constant_drift(grid):
     m = GridMeasure.uniform(grid)
     b = np.full((1, grid.n), 0.4)
-    out = fp_step(m, b, 0.01)
+    out = one_step(m, b, 0.01)
     assert np.max(np.abs(out.values - 1.0)) < 1e-14
 
 
@@ -51,10 +56,8 @@ def test_one_step_matches_fine_reference(grid):
     m0 = GridMeasure.uniform(grid)
 
     def advance(dt_total, steps):
-        m = m0
-        for _ in range(steps):
-            m = fp_step(m, b, dt_total / steps)
-        return m.values
+        tg = TimeGrid(horizon=dt_total, n_steps=steps)
+        return solve_forward(np.broadcast_to(b, (steps + 1,) + b.shape), m0, tg).m[-1]
 
     def defect(dt):
         return np.max(np.abs(advance(dt, 1) - advance(dt, 100)))
@@ -64,10 +67,11 @@ def test_one_step_matches_fine_reference(grid):
 
 
 def test_step_cfl_error(grid):
+    # one step of 0.05 at speed 2 on dx = 1/64 needs ceil(6.4) = 7 steps
     m = GridMeasure.uniform(grid)
     b = np.full((1, grid.n), 2.0)
     with pytest.raises(CflError) as info:
-        fp_step(m, b, 0.05)
+        one_step(m, b, 0.05)
     assert info.value.required_steps == 7
 
 
@@ -76,7 +80,7 @@ def test_spike_clip_conservation_error(grid):
     spike[10] = float(grid.n)
     m = GridMeasure(grid, spike)
     with pytest.raises(ConservationError):
-        fp_step(m, zero_b(grid), 1e-3)
+        one_step(m, zero_b(grid), 1e-3)
 
 
 def test_solve_forward_traces_random_drift(grid):
@@ -99,9 +103,9 @@ def test_solve_forward_traces_random_drift(grid):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_solve_forward_is_repeated_fp_step_bitwise(dim):
+def test_solve_forward_is_chained_one_step_marches_bitwise(dim):
     # The march splits the face velocities of the whole path once; each of
-    # its steps is the one-step solve on the same drift, to the bit.
+    # its steps is a one-step march on the same drift, to the bit.
     grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=0.75)
     tg = TimeGrid(horizon=0.2, n_steps=20)
     rng = np.random.default_rng(47)
@@ -109,9 +113,11 @@ def test_solve_forward_is_repeated_fp_step_bitwise(dim):
     b_path = limit * rng.uniform(-1, 1, (tg.n_steps + 1, dim) + grid.shape)
     m0 = initial_density(grid, "twobump")
     sol = solve_forward(b_path, m0, tg)
+    step = TimeGrid(horizon=tg.dt, n_steps=1)
+    assert step.dt == tg.dt
     m = m0
     for j in range(tg.n_steps):
-        m = fp_step(m, b_path[j], tg.dt)
+        m = solve_forward(b_path[j : j + 2], m, step).terminal()
         assert m.values.tobytes() == sol.m[j + 1].tobytes()
 
 
@@ -230,7 +236,8 @@ def test_solve_forward_rejects_non_finite_drift(grid, bad):
     tg = TimeGrid(horizon=1.0, n_steps=10)
     b_path = np.zeros((11, 1, grid.n))
     b_path[7, 0, 5] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    # a package error that is also a ValueError
+    with pytest.raises(InvalidFieldError, match="non-finite"):
         solve_forward(b_path, GridMeasure.uniform(grid), tg)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fmfgc.errors import BlowUpError, CflError, GridMismatchError
-from fmfgc.hjb import centered_curvature, hjb_diagnostics, hjb_step, solve_backward
+from fmfgc.hjb import centered_curvature, hjb_diagnostics, solve_backward
 from fmfgc import measures
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
 from fmfgc.models import QuadraticModel, ThetaScaledModel
@@ -72,11 +72,16 @@ def grid():
     return SpectralGrid(dim=1, n=64, s=0.75)
 
 
+def one_step(model, mu, u_next, dt):
+    """u at t = 0 of a one-level march over a constant measure path."""
+    tg = TimeGrid(horizon=dt, n_steps=1)
+    return solve_backward(model, constant_path(tg, mu), u_next).u[0]
+
+
 def test_step_zero_hamiltonian_is_semigroup(grid):
     rng = np.random.default_rng(0)
     u_next = band_limited_field(grid, rng)
-    mu = uniform_mu(grid)
-    out = hjb_step(u_next, mu, ZeroH(), dt=0.02)
+    out = one_step(ZeroH(), uniform_mu(grid), u_next, 0.02)
     assert np.array_equal(out, grid.semigroup_apply(u_next, 0.02))
 
 
@@ -84,9 +89,8 @@ def test_step_constant_state(grid):
     # Uniform m makes the convolution potential the constant kernel mean 1,
     # so H(x, 0, mu) = -1 and constants shift by +dt.
     model = QuadraticModel(coupling_beta=0.4)
-    mu = uniform_mu(grid)
     u_next = np.full(grid.shape, 1.7)
-    out = hjb_step(u_next, mu, model, dt=0.03)
+    out = one_step(model, uniform_mu(grid), u_next, 0.03)
     assert np.max(np.abs(out - (1.7 + 0.03))) < 1e-13
 
 
@@ -99,8 +103,8 @@ def test_step_richardson_second_order_local(grid):
     model = PlainH()
 
     def defect(dt):
-        one = hjb_step(u_next, mu, model, dt)
-        half = hjb_step(hjb_step(u_next, mu, model, dt / 2), mu, model, dt / 2)
+        one = one_step(model, mu, u_next, dt)
+        half = solve_backward(model, constant_path(TimeGrid(dt, 2), mu), u_next).u[0]
         return np.max(np.abs(one - half))
 
     ratio = defect(1e-3) / defect(5e-4)
@@ -108,11 +112,15 @@ def test_step_richardson_second_order_local(grid):
 
 
 def test_step_rejects_bad_dt(grid):
+    # a march steps by horizon / n_steps, and a time grid takes neither a
+    # zero horizon nor zero steps
     with pytest.raises(ValueError):
-        hjb_step(np.zeros(grid.shape), uniform_mu(grid), ZeroH(), dt=0.0)
-    # one step takes one field, not a stack
+        TimeGrid(horizon=0.0, n_steps=1)
+    with pytest.raises(ValueError):
+        TimeGrid(horizon=0.01, n_steps=0)
+    # one march takes one terminal field, not a stack
     with pytest.raises(GridMismatchError):
-        hjb_step(np.zeros((2,) + grid.shape), uniform_mu(grid), ZeroH(), dt=0.01)
+        one_step(ZeroH(), uniform_mu(grid), np.zeros((2,) + grid.shape), 0.01)
 
 
 def test_solve_terminal_exact(grid):
@@ -235,15 +243,18 @@ def speed_path(grid, tg, speeds):
 
 def test_cfl_error_ahead_of_blowup_below(grid):
     # Level 8 violates |D_p H| dt <= dx (dx = 1/64, dt = 0.05), level 5
-    # violates it more, and H is non-finite at level 3.  The march meets
-    # level 8 first, so the error is its CflError, with the step count that
-    # level needs, as a level-by-level march reports it.
+    # violates it more, and H is non-finite at level 3.  The violations sit
+    # above the blow-up, so the error is a CflError, with the step count
+    # that the largest speed over the levels stepped from needs: level 5's.
     tg = TimeGrid(horizon=0.5, n_steps=10)
     u_t = np.zeros(grid.shape)
     path = speed_path(grid, tg, {8: 0.5, 5: 2.0, 3: -1e-3})
     with pytest.raises(CflError) as info:
         solve_backward(SpeedH(), path, u_t)
-    assert info.value.required_steps == int(np.ceil(0.5 * tg.horizon / grid.dx)) == 16
+    assert info.value.required_steps == int(np.ceil(2.0 * tg.horizon / grid.dx)) == 64
+    # that many steps satisfy the rule at every level
+    fine = TimeGrid(horizon=0.5, n_steps=info.value.required_steps)
+    assert 2.0 * fine.dt <= grid.dx
     # Without the violations the same path blows up at level 3, in the
     # step to time index 2.
     with pytest.raises(BlowUpError) as info:
@@ -254,6 +265,15 @@ def test_cfl_error_ahead_of_blowup_below(grid):
         solve_backward(SpeedH(), speed_path(grid, tg, {5: -1e-3, 2: 2.0}), u_t)
     # A violation at t = 0 alone is never stepped from.
     solve_backward(SpeedH(), speed_path(grid, tg, {0: 2.0}), u_t)
+    # A gradient that overflowed above the blow-up is part of it: the
+    # finite violations above it still set the step count.
+    path = speed_path(grid, tg, {8: 0.5, 3: -1e-3})
+    alpha = path.alpha.copy()
+    alpha[5] = np.inf
+    overflowed = MeasurePath.view(tg, grid, path.density, alpha)
+    with pytest.raises(CflError) as info:
+        solve_backward(SpeedH(), overflowed, u_t)
+    assert info.value.required_steps == 16
 
 
 def reference_march(scaled, mu_path, u_terminal):
@@ -319,15 +339,17 @@ def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
 
 
 def test_step_is_one_level_of_the_march(grid):
+    # a one-level march is the exponential Euler step from the public
+    # field form and operators, to the bit
     model = QuadraticModel(coupling_beta=0.3)
     rng = np.random.default_rng(43)
     mu = JointControlMeasure(
         GridMeasure(grid, smooth_density(grid, rng)), 0.2 * band_limited_field(grid, rng)[None]
     )
-    tg = TimeGrid(horizon=0.01, n_steps=1)
+    dt = 0.01
     u_t = 0.02 * band_limited_field(grid, rng, max_mode=4)
-    sol = solve_backward(model, constant_path(tg, mu), u_t)
-    assert np.array_equal(hjb_step(u_t, mu, ThetaScaledModel(model, 1.0), tg.dt), sol.u[0])
+    h = model.hamiltonian_field(grid.gradient(u_t), mu)
+    assert np.array_equal(one_step(model, mu, u_t, dt), grid.semigroup_apply(u_t - dt * h, dt))
 
 
 def test_comparison_envelope_zero_hamiltonian(grid):

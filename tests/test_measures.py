@@ -26,9 +26,9 @@ from fmfgc.measures import (
     wasserstein_1d,
 )
 from fmfgc.models import QuadraticModel
-from fmfgc.spectral import SpectralGrid, TimeGrid, periodic_delta
+from fmfgc.spectral import SpectralGrid, TimeGrid
 
-from helpers import smooth_density
+from helpers import periodic_delta, smooth_density
 
 
 def ot_linprog(w1, w2, cost):

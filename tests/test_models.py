@@ -6,7 +6,6 @@ import pytest
 from fmfgc.errors import OptimizationError
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath, lambda_q
 from fmfgc.models import (
-    LagrangianModel,
     QuadraticModel,
     ThetaScaledModel,
     _fd_hessian,
@@ -18,7 +17,7 @@ from fmfgc.spectral import SpectralGrid, TimeGrid
 from helpers import smooth_density
 
 
-class PlainQuadratic(LagrangianModel):
+class PlainQuadratic:
     """L = |alpha|^2 / 2, no coupling; conjugate is |p|^2 / 2 at -p."""
 
     C0, q, q_tilde = 2.0, 2.0, 2.0
@@ -30,7 +29,7 @@ class PlainQuadratic(LagrangianModel):
         return alpha
 
 
-class CoshModel(LagrangianModel):
+class CoshModel:
     """L = sum_i (cosh(alpha_i) - 1); conjugate maximizer -asinh(p)."""
 
     C0, q, q_tilde = 8.0, 2.0, 2.0
@@ -300,6 +299,16 @@ def test_growth_check_quadratic_feasible():
     assert report.c0_tilde <= 10.0 * model.C0
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+def test_growth_check_passes_at_model_constant(beta, dim):
+    # criterion 6 asserts this for the benchmark model; C0 is the constant
+    # moment_certificate's bounds are built on
+    model = QuadraticModel(beta, dim=dim)
+    report = growth_check(model, SpectralGrid(dim, 64 if dim == 1 else 16, 0.75))
+    assert report.violations(model.C0) == 0
+
+
 def test_growth_check_zero_hamiltonian():
     # the theta = 0 end of the scaling: H = 0 and D_p H = 0
     g = SpectralGrid(1, 64, 0.75)
@@ -377,7 +386,7 @@ def test_h1_lipschitz_probe():
 def test_optimization_error_signals():
     # An inconsistent "model" whose gradient never matches its value
     # drives Newton to failure.
-    class Broken(LagrangianModel):
+    class Broken:
         C0, q, q_tilde = 1.0, 2.0, 2.0
 
         def lagrangian_field(self, alpha, mu):

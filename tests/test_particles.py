@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fmfgc import particles
-from fmfgc.equilibrium import equilibrium_drift, solve_equilibrium
+from fmfgc.equilibrium import solve_equilibrium
+from fmfgc.errors import InvalidFieldError
 from fmfgc.fokker_planck import initial_density
 from fmfgc.measures import GridMeasure, wasserstein_1d
 from fmfgc.models import QuadraticModel
@@ -22,7 +23,9 @@ from fmfgc.particles import (
     sample_stable_increment,
     simulate_sde,
 )
-from fmfgc.spectral import SpectralGrid, TimeGrid, periodic_delta
+from fmfgc.spectral import SpectralGrid, TimeGrid
+
+from helpers import periodic_delta
 
 
 def vonmises_setup(n=64, s=0.75):
@@ -199,7 +202,8 @@ def test_drift_path_shape_and_finiteness_checked():
         simulate_sde(np.zeros((10, 1, 32)), m0, 10, tg)
     bad = np.zeros((11, 1, 32))
     bad[3, 0, 5] = np.inf
-    with pytest.raises(ValueError):
+    # a package error, so `fmfgc simulate` reports it as one
+    with pytest.raises(InvalidFieldError, match="non-finite"):
         simulate_sde(bad, m0, 10, tg)
 
 
@@ -226,6 +230,14 @@ def _hat_weights(x, grid):
     return weight
 
 
+def interpolate(field, positions, grid):
+    """The module's one stencil, interpolating a (ncomp, *shape) field at
+    (N, dim) positions into a new (N, ncomp) array."""
+    count = len(positions)
+    out = np.empty((count, field.shape[0]))
+    return particles._Stencil(grid, count).interpolate(field, positions, out)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stencil_matches_multilinear_formula_at_edges(dim):
     # 0, exact nodes, mid-cell, the largest float below 1, and 1 itself: for
@@ -237,7 +249,7 @@ def test_stencil_matches_multilinear_formula_at_edges(dim):
     field = np.random.default_rng(6).normal(size=(dim,) + grid.shape)
     hats = np.stack([_hat_weights(x, grid) for x in pts])
     want = np.einsum("pn,cn->pc", hats.reshape(len(pts), -1), field.reshape(dim, -1))
-    got = particles._interp_periodic(field, pts, grid)
+    got = interpolate(field, pts, grid)
     assert np.max(np.abs(got - want)) <= 1e-14
     emp = empirical_measure(pts, grid)
     mass = hats.sum(axis=0) / (len(pts) * grid.dx**dim)
@@ -305,7 +317,7 @@ def _reference_simulation(b, m0, count, tg, seed, jumps, store_stride, block):
     for j in range(tg.n_steps):
         for child, lo, hi in zip(children, bounds, bounds[1:]):
             xb = x[lo:hi]
-            xb += particles._interp_periodic(b[j], xb, grid) * tg.dt
+            xb += interpolate(b[j], xb, grid) * tg.dt
             if jumps:
                 xb += sample_stable_increment(grid.s, tg.dt, grid.dim, child, size=hi - lo)
             xb %= 1.0
@@ -453,7 +465,6 @@ def test_equilibrium_drift_cross_check_reduced():
     u_t = 0.15 * np.cos(2.0 * np.pi * grid.nodes()[0])
     sol = solve_equilibrium(model, m0, u_t, tg, theta_target=1.0)
     assert sol.converged
-    b = equilibrium_drift(sol, model)
-    path = simulate_sde(b, m0, 2 * 10**4, tg, seed=77, store_stride=100)
+    path = simulate_sde(sol.u_sol.drift, m0, 2 * 10**4, tg, seed=77, store_stride=100)
     emp = empirical_measure(path.terminal(), grid)
     assert wasserstein_1d(emp, sol.m_sol.terminal()) <= 0.05

@@ -1,0 +1,17 @@
+"""The README's Python API example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_api_block_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Python API") :]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    # the block ends with the particle/PDE gap of criterion 11
+    assert namespace["sol"].converged
+    assert namespace["gap"] <= 5e-2

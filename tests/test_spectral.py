@@ -14,9 +14,9 @@ import pytest
 
 import fmfgc
 from fmfgc.errors import GridMismatchError, InvalidFieldError
-from fmfgc.spectral import SpectralGrid, TimeGrid, periodic_delta
+from fmfgc.spectral import SpectralGrid, TimeGrid
 
-from helpers import band_limited_field, bessel_norm
+from helpers import band_limited_field, bessel_norm, periodic_delta
 
 
 def test_grid_validation():
