@@ -101,6 +101,11 @@ DIAGNOSTICS_HEADER = [
 ]
 
 
+def _row_sup(path: np.ndarray) -> np.ndarray:
+    """sup |f| of every time row of a path, in one reduction."""
+    return np.max(np.abs(path.reshape(len(path), -1)), axis=1)
+
+
 def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     """Write a converged (or final) equilibrium state to an output directory.
 
@@ -110,7 +115,6 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tg = solution.time_grid
-    n = tg.n_steps
     times = tg.times()
 
     alpha = solution.mu_path.alpha
@@ -121,23 +125,21 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     }
 
     fp = solution.m_sol
-    lam = lambda_q(solution.mu_path, 2.0)
-    rows = []
-    for j in range(n + 1):
-        rows.append(
-            [
-                j,
-                repr(float(times[j])),
-                repr(float(fp.mass_trace[j])),
-                repr(float(fp.min_trace[j])),
-                repr(float(fp.sup_trace[j])),
-                repr(float(fp.advect_drift_trace[j])),
-                repr(float(np.max(np.abs(solution.u_sol.u[j])))),
-                repr(float(np.max(np.abs(solution.u_sol.du[j])))),
-                repr(float(np.max(np.abs(alpha[j])))),
-                repr(float(lam[j])),
-            ]
-        )
+    columns = (
+        times,
+        fp.mass_trace,
+        fp.min_trace,
+        fp.sup_trace,
+        fp.advect_drift_trace,
+        _row_sup(solution.u_sol.u),
+        _row_sup(solution.u_sol.du),
+        _row_sup(alpha),
+        lambda_q(solution.mu_path, 2.0),
+    )
+    rows = [
+        [j] + [repr(value) for value in row]
+        for j, row in enumerate(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
+    ]
     paths["diagnostics"] = write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, rows)
 
     paths["iterations"] = outdir / "iterations.csv"

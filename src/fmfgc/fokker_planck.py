@@ -7,11 +7,15 @@ preserves the mean by construction but can ring slightly negative on sharp
 data, which is clipped and renormalized under a hard mass-drift guard.
 
 A march splits the face velocities of the whole drift path into their
-positive and negative parts once; each step then shifts only the density,
-and keeps its mass guard, its clip guard and one finiteness check (the
-semigroup's, on the advected density).  With zero drift the solution is
-the exact fractional heat flow, built by ``heat_flow`` from one transform
-of m0 over the stack of heat multipliers at every time node.
+positive and negative parts once, and builds the heat table of its step
+once.  Each step is then one pass: the donor-cell shift of the density,
+one sum of the advected density (a non-finite sum is a non-finite field,
+a sum off 1 is a mass drift), one transform pair with the march's table,
+the minimum, the clip and its mass guard only where that minimum is not
+positive, and the normalization written into the path.  With zero drift
+the solution is the exact fractional heat flow, built by ``heat_flow``
+from one transform of m0 over the stack of heat multipliers at every time
+node.
 
 The comparison bound comes from the same face velocities, with no
 transform.  The donor-cell coefficients of a step sum to 1 - dt div_h f
@@ -28,6 +32,7 @@ the semigroup's discrete ringing and roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,41 +125,60 @@ def _roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
 
 
 def _advect(
-    values: np.ndarray, pos: np.ndarray, neg: np.ndarray, dt: float, grid: SpectralGrid
+    values: np.ndarray, pos: np.ndarray, neg: np.ndarray, rate: float, grid: SpectralGrid
 ) -> np.ndarray:
-    """One explicit donor-cell sweep, flux form, from the face velocity parts."""
-    dx = grid.dx
-    out = values.copy()
+    """One explicit donor-cell sweep, flux form, from the face velocity
+    parts, at rate = dt / dx."""
+    out = values
     for axis in range(grid.dim):
-        flux = pos[axis] * values + neg[axis] * _roll(values, -1, axis)
-        out -= dt / dx * (flux - _roll(flux, 1, axis))
+        flux = pos[axis] * values
+        flux += neg[axis] * _roll(values, -1, axis)
+        flux -= _roll(flux, 1, axis)
+        flux *= rate
+        out = out - flux
     return out
 
 
 def _step(
-    values: np.ndarray, pos: np.ndarray, neg: np.ndarray, dt: float, grid: SpectralGrid
-) -> tuple[np.ndarray, float, float]:
-    """One step on arrays: the new density, its pre-clip minimum and the
-    advection mass drift.  The caller has checked values, the drift behind
-    the face parts pos and neg, dt and the advective restriction
-    |b| dt <= dx."""
-    advected = _advect(values, pos, neg, dt, grid)
-    mass = grid.integrate(advected)
-    if abs(mass - 1.0) > STEP_MASS_TOL:
+    values: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    rate: float,
+    heat: np.ndarray,
+    grid: SpectralGrid,
+    out: np.ndarray,
+) -> tuple[float, float]:
+    """One step on arrays: writes the new density into out and returns its
+    pre-clip minimum and the advection mass drift.  The caller has checked
+    values, the drift behind the face parts pos and neg, the step's
+    rate = dt / dx and the advective restriction |b| dt <= dx, and built
+    heat, the heat table of dt."""
+    cell = grid.dx**grid.dim
+    advected = _advect(values, pos, neg, rate, grid)
+    # one sum: a non-finite entry makes it non-finite
+    mass = float(advected.sum()) * cell
+    if not math.isfinite(mass):
+        raise InvalidFieldError("scalar field contains non-finite values")
+    drift = abs(mass - 1.0)
+    if drift > STEP_MASS_TOL:
         raise ConservationError(
             f"advection stage drifted mass to {mass!r} (tolerance {STEP_MASS_TOL})"
         )
-    diffused = grid.semigroup_apply(advected, dt)
+    diffused = grid.semigroup_value(advected, heat)
     preclip = float(diffused.min())
-    clipped = np.maximum(diffused, 0.0)
-    if preclip < 0.0:
-        removed = grid.integrate(clipped - diffused)
-        if removed > CLIP_MASS_TOL:
-            raise ConservationError(
-                f"positivity clip removed {removed:.3e} mass (tolerance {CLIP_MASS_TOL})"
-            )
-    total = grid.integrate(clipped)
-    return clipped / total, preclip, abs(mass - 1.0)
+    # a positive minimum leaves nothing to clip; a zero, signed or not, is
+    # clipped as a negative value is
+    if preclip <= 0.0:
+        clipped = np.maximum(diffused, 0.0)
+        if preclip < 0.0:
+            removed = float((clipped - diffused).sum()) * cell
+            if removed > CLIP_MASS_TOL:
+                raise ConservationError(
+                    f"positivity clip removed {removed:.3e} mass (tolerance {CLIP_MASS_TOL})"
+                )
+        diffused = clipped
+    np.divide(diffused, float(diffused.sum()) * cell, out=out)
+    return preclip, drift
 
 
 def _solution(
@@ -220,6 +244,7 @@ def solve_forward(
     check_cfl(max(high, -low), time_grid, grid.dx)
 
     dt = time_grid.dt
+    heat, rate = grid.heat_table(dt), dt / grid.dx
     m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)
@@ -227,7 +252,9 @@ def solve_forward(
     advect_drift = np.zeros(n + 1)
     pos, neg, compression = _face_parts(b_path[:n], grid)
     for j in range(n):
-        m[j + 1], preclip[j + 1], advect_drift[j + 1] = _step(m[j], pos[j], neg[j], dt, grid)
+        preclip[j + 1], advect_drift[j + 1] = _step(
+            m[j], pos[j], neg[j], rate, heat, grid, m[j + 1]
+        )
     return _solution(m, m0, time_grid, preclip, advect_drift, float(np.max(compression)))
 
 

@@ -12,9 +12,10 @@ part; the explicit transport term carries the usual advective restriction
 
 A march fixes the measure path once: ``model.hamiltonian_at(mu_path)``
 computes the measure-only parts of H and D_p H for every level in one
-batched call, and each level then evaluates H at its momentum, checks the
-result finite, and takes one forward and one batched inverse real
-transform for the new value and its gradient
+batched call, and the march builds the heat table of its step once
+(``SpectralGrid.heat_table``).  Each level then evaluates H at its
+momentum, checks the result finite, and takes one forward and one batched
+inverse real transform with that table for the new value and its gradient
 (``SpectralGrid.semigroup_gradient``).  D_p H is evaluated once per
 march, on the whole gradient path; the advective restriction is checked
 on it by the rule the forward march shares (``fokker_planck.check_cfl``),
@@ -72,10 +73,16 @@ def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
 
 
 def _level(
-    grid: SpectralGrid, u_next: np.ndarray, h: np.ndarray, dt: float, time_index: int
+    grid: SpectralGrid,
+    u_next: np.ndarray,
+    h: np.ndarray,
+    dt: float,
+    heat: np.ndarray,
+    time_index: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One backward level: the new value and its gradient from the later
-    value and its Hamiltonian field h; the level's one finiteness check."""
+    value and its Hamiltonian field h, with heat the heat table of dt; the
+    level's one finiteness check."""
     # T is linear, so T(dt) u - dt T(dt) H is one semigroup application.
     w = u_next - dt * h
     if not np.isfinite(w).all():
@@ -83,7 +90,7 @@ def _level(
             f"Hamiltonian step produced a non-finite value at time level {time_index}",
             time_index=time_index,
         )
-    return grid.semigroup_gradient(w, dt)
+    return grid.semigroup_gradient(w, heat)
 
 
 def _check_cfl(drift: np.ndarray, tg: TimeGrid, dx: float, lowest: int) -> None:
@@ -121,10 +128,11 @@ def solve_backward(
     u[n] = scaled.theta * u_terminal
     du[n] = grid.gradient(u[n])
     hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
+    heat = grid.heat_table(dt)
     try:
         for j in range(n - 1, -1, -1):
             h[j + 1] = hamiltonian(du[j + 1], j + 1)
-            u[j], du[j] = _level(grid, u[j + 1], h[j + 1], dt, j)
+            u[j], du[j] = _level(grid, u[j + 1], h[j + 1], dt, heat, j)
     except BlowUpError as err:
         # the levels the march passed keep their order ahead of the blow-up;
         # a gradient that overflowed on the way there is part of the blow-up

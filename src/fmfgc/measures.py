@@ -275,10 +275,11 @@ def monotonicity_pairing(model, mu1, mu2):
     int [L(x,alpha1,mu1) - L(x,alpha1,mu2)] m1 dx
     - int [L(x,alpha2,mu1) - L(x,alpha2,mu2)] m2 dx:
     a float for two slices, one value per slice for two paths.
-    Nonnegative for monotone running costs.
+    Nonnegative for monotone running costs.  Each measure is read once:
+    L is evaluated at mu1 and at mu2 on the two controls stacked.
     """
     if mu1.grid is not mu2.grid:
         raise GridMismatchError("pairing requires measures on the same grid object")
-    gap1 = model.lagrangian_field(mu1.alpha, mu1) - model.lagrangian_field(mu1.alpha, mu2)
-    gap2 = model.lagrangian_field(mu2.alpha, mu1) - model.lagrangian_field(mu2.alpha, mu2)
+    controls = np.stack([mu1.alpha, mu2.alpha])
+    gap1, gap2 = model.lagrangian_field(controls, mu1) - model.lagrangian_field(controls, mu2)
     return mu1.grid.integrate(gap1 * mu1.density) - mu1.grid.integrate(gap2 * mu2.density)

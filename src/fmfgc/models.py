@@ -162,8 +162,9 @@ class ThetaScaledModel:
     where S pushes the control marginal forward by 1/theta; the
     Hamiltonian is theta H(x, p, Smu).  At theta = 0 the Hamiltonian and
     its momentum gradient vanish identically (no limits are taken), with
-    the shape of p less its component axis.  Only the field forms exist:
-    they are the surface the solver calls.
+    the shape of p less its component axis; at theta = 1 every form is the
+    base model's own, with no scaling pass over its fields.  Only the field
+    forms exist: they are the surface the solver calls.
     """
 
     def __init__(self, base, theta: float):
@@ -210,12 +211,16 @@ class ThetaScaledModel:
     def grad_p_field(self, p, mu):
         if self.theta == 0.0:
             return np.zeros_like(np.asarray(p, dtype=float))
+        if self.theta == 1.0:
+            return self.base.grad_p_field(p, mu)
         return self.theta * self.base.grad_p_field(p, self.scaled_measure(mu))
 
     def lagrangian_field(self, alpha, mu):
         if self.theta == 0.0:
             mag = np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-(mu.grid.dim + 1))
             return np.where(mag == 0.0, 0.0, np.inf)
+        if self.theta == 1.0:
+            return self.base.lagrangian_field(alpha, mu)
         return self.theta * self.base.lagrangian_field(
             np.asarray(alpha, dtype=float) / self.theta, self.scaled_measure(mu)
         )

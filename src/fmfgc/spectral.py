@@ -7,6 +7,9 @@ integer wavenumbers k in {-n/2, ..., n/2 - 1} per axis, so every operator
 here is one real FFT over the trailing grid axes, a multiplier on the half
 spectrum, and the inverse real FFT.  Every operator takes one field or a
 stack of fields over leading axes (a path, say), transformed in one call.
+A march builds its heat table once (``heat_table``) and hands it to the
+unchecked per-step transforms ``semigroup_value`` and
+``semigroup_gradient``, so a step pays for its transform pair alone.
 
 Conventions that matter:
 
@@ -22,7 +25,6 @@ Conventions that matter:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +36,7 @@ def _is_power_of_two(n: int) -> bool:
 
 
 class SpectralGrid:
-    """Uniform periodic grid together with cached multiplier tables.
+    """Uniform periodic grid together with its Fourier multiplier tables.
 
     Parameters
     ----------
@@ -74,8 +76,6 @@ class SpectralGrid:
             [2.0j * np.pi * np.where(np.abs(k) == n // 2, 0.0, k) for k in waves]
         )
         self._deriv.setflags(write=False)
-        # Bounded and per grid, so a dropped grid takes its tables with it.
-        self._heat_multiplier = lru_cache(maxsize=128)(self._heat_table)
 
         axes = np.arange(n) * self.dx
         if dim == 1:
@@ -121,10 +121,20 @@ class SpectralGrid:
     def _symbol(self, s: float) -> np.ndarray:
         return (4.0 * np.pi**2 * self._ksq) ** s
 
-    def _heat_table(self, s: float, t: float) -> np.ndarray:
-        mult = np.exp(-self._symbol(s) * t)
-        mult.setflags(write=False)
-        return mult
+    def heat_table(self, t, s: float | None = None) -> np.ndarray:
+        """The half-spectrum multiplier exp(-t (2 pi |k|)^{2s}) of the heat
+        semigroup at time t, at the grid's s unless given.
+
+        t is one time or a numpy array of times; an array gives one table
+        per time, shaped t.shape + the half spectrum, so it broadcasts
+        against the transform of a stack whose leading axes match t.  A
+        march builds its table once and passes it to every step."""
+        s = self.s if s is None else float(s)
+        if isinstance(t, np.ndarray) and t.ndim > 0:
+            t = t.astype(float).reshape(t.shape + (1,) * self.dim)
+        else:
+            t = float(t)
+        return np.exp(-self._symbol(s) * t)
 
     def _forward(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfft(f) if self.dim == 1 else np.fft.rfft2(f)
@@ -168,24 +178,32 @@ class SpectralGrid:
         s = self.s if s is None else float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
-        if not flow:
-            return self._multiply(f, self._heat_multiplier(s, float(t)))
-        times = t.astype(float).reshape(t.shape + (1,) * self.dim)
-        return self._multiply(f, np.exp(-self._symbol(s) * times))
+        return self._multiply(f, self.heat_table(t, s))
 
-    def semigroup_gradient(self, f: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(T(t) f, grad T(t) f) for one field f, at the grid's s, from one
-        forward transform and one inverse over the stacked spectra.
+    def semigroup_value(self, f: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """T(t) f for one field f and the heat table of t: one transform
+        pair, what semigroup_apply(f, t) returns, to the bit.
+
+        Neither f nor the table is checked here: the forward march calls
+        this once per step, with the table it built, and checks each
+        step's input itself."""
+        return self._multiply(f, table)
+
+    def semigroup_gradient(
+        self, f: np.ndarray, table: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(T(t) f, grad T(t) f) for one field f and the heat table of t,
+        from one forward transform and one inverse over the stacked spectra.
 
         The value is what semigroup_apply(f, t) returns, to the bit; the
         gradient is the derivative multiplier on the value's own spectrum,
         so it matches gradient(semigroup_apply(f, t)) to rounding.  f is
-        not checked here: the HJB march calls this once per time level and
-        checks each level's input itself.
+        not checked here: the HJB march calls this once per time level,
+        with the table it built, and checks each level's input itself.
         """
         spec = self._forward(f)
         both = np.empty((1 + self.dim,) + spec.shape, dtype=spec.dtype)
-        np.multiply(self._heat_multiplier(self.s, float(t)), spec, out=both[0])
+        np.multiply(table, spec, out=both[0])
         np.multiply(self._deriv, both[0], out=both[1:])
         out = self._inverse(both)
         return out[0], out[1:]

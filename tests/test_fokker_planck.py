@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmfgc.errors import CflError, ConservationError, InvalidFieldError
 from fmfgc.fokker_planck import (
+    CLIP_MASS_TOL,
+    STEP_MASS_TOL,
     duality_residual,
     heat_flow,
     initial_density,
@@ -14,7 +18,7 @@ from fmfgc.models import QuadraticModel, coerce_theta
 from fmfgc.mu_solver import solve_mu
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
-from helpers import band_limited_field
+from helpers import band_limited_field, smooth_density
 
 
 @pytest.fixture
@@ -119,6 +123,97 @@ def test_solve_forward_is_chained_one_step_marches_bitwise(dim):
     for j in range(tg.n_steps):
         m = solve_forward(b_path[j : j + 2], m, step).terminal()
         assert m.values.tobytes() == sol.m[j + 1].tobytes()
+
+
+def reference_march(b_path, m0, tg):
+    """The forward march step by step through public operators: donor-cell
+    advection from the face-averaged drift, the mass check, semigroup_apply,
+    an unconditional clip and the renormalization; returns the path, the
+    pre-clip minima and the advection mass drifts."""
+    grid, dt = m0.grid, tg.dt
+    path, preclip, drift = [m0.values], [float(np.min(m0.values))], [0.0]
+    for j in range(tg.n_steps):
+        values = path[-1]
+        advected = values.copy()
+        for axis in range(grid.dim):
+            b = b_path[j, axis]
+            face = (b + np.roll(b, -1, axis)) * 0.5
+            flux = np.maximum(face, 0.0) * values + np.minimum(face, 0.0) * np.roll(
+                values, -1, axis
+            )
+            advected -= dt / grid.dx * (flux - np.roll(flux, 1, axis))
+        mass = grid.integrate(advected)
+        assert abs(mass - 1.0) <= STEP_MASS_TOL
+        diffused = grid.semigroup_apply(advected, dt)
+        clipped = np.maximum(diffused, 0.0)
+        assert grid.integrate(clipped - diffused) <= CLIP_MASS_TOL
+        path.append(clipped / grid.integrate(clipped))
+        preclip.append(float(diffused.min()))
+        drift.append(abs(mass - 1.0))
+    return np.stack(path), np.array(preclip), np.array(drift)
+
+
+@st.composite
+def smooth_marches(draw):
+    """A smooth density and a band-limited drift path at up to 0.95 of the
+    CFL limit, in d = 1 or 2.  In d = 2 each component peaks at half the
+    speed: the donor-cell coefficients stay nonnegative only while
+    (|b_1| + |b_2|) dt <= dx, which the CFL rule max |b| dt <= dx does not
+    ensure."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=draw(st.floats(0.55, 0.95)))
+    tg = TimeGrid(horizon=draw(st.floats(1e-3, 0.2)), n_steps=draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    speed = draw(st.floats(0.0, 0.95)) * grid.dx / tg.dt
+    modes = draw(st.integers(1, 3))
+    b_path = np.stack(
+        [
+            [band_limited_field(grid, rng, max_mode=modes, scale=speed / dim) for _ in range(dim)]
+            for _ in range(tg.n_steps + 1)
+        ]
+    )
+    m0 = GridMeasure(grid, smooth_density(grid, rng, roughness=draw(st.integers(1, 4))))
+    return b_path, m0, tg
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(smooth_marches())
+def test_forward_steps_conserve_mass_and_sign(march):
+    b_path, m0, tg = march
+    sol = solve_forward(b_path, m0, tg)
+    assert np.all(sol.advect_drift_trace <= STEP_MASS_TOL)
+    assert np.all(np.abs(sol.mass_trace - 1.0) <= STEP_MASS_TOL)
+    assert np.min(sol.m) >= 0.0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(smooth_marches())
+def test_solve_forward_is_the_reference_march_bitwise(march):
+    b_path, m0, tg = march
+    sol = solve_forward(b_path, m0, tg)
+    path, preclip, drift = reference_march(b_path, m0, tg)
+    assert sol.m.tobytes() == path.tobytes()
+    assert sol.preclip_min_trace.tobytes() == preclip.tobytes()
+    assert sol.advect_drift_trace.tobytes() == drift.tobytes()
+
+
+def test_clip_below_its_tolerance_is_the_reference_march_bitwise(grid):
+    # A spike on a uniform floor: the semigroup rings below zero at one
+    # node by about 1e-9, so the clip fires and removes about 1e-11 of
+    # mass, under CLIP_MASS_TOL.
+    tg = TimeGrid(horizon=1e-3, n_steps=1)
+    spike = np.zeros(grid.n)
+    spike[21] = float(grid.n)
+    ring = float(grid.semigroup_apply(spike, tg.dt).min())
+    assert ring < -1e-6
+    floor = (-1e-9 - ring) / (1.0 - ring)
+    m0 = GridMeasure(grid, (1.0 - floor) * spike + floor)
+    sol = solve_forward(np.zeros((2, 1, grid.n)), m0, tg)
+    assert -1e-8 < sol.preclip_min_trace[1] < 0.0
+    assert sol.min_trace[1] == 0.0
+    path, preclip, drift = reference_march(np.zeros((2, 1, grid.n)), m0, tg)
+    assert sol.m.tobytes() == path.tobytes()
+    assert sol.preclip_min_trace.tobytes() == preclip.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

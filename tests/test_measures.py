@@ -25,7 +25,7 @@ from fmfgc.measures import (
     monotonicity_pairing,
     wasserstein_1d,
 )
-from fmfgc.models import QuadraticModel
+from fmfgc.models import QuadraticModel, ThetaScaledModel
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 from helpers import periodic_delta, smooth_density
@@ -362,6 +362,37 @@ def test_monotonicity_pairing_nonnegative_and_spectral_identity():
     ]
     per_slice = [monotonicity_pairing(model, paths[0][j], paths[1][j]) for j in range(4)]
     assert np.array_equal(monotonicity_pairing(model, *paths), per_slice)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_monotonicity_pairing_is_the_four_call_form_bitwise(theta, dim):
+    # Stacking the two controls reads each measure once; the pairing is
+    # what four separate Lagrangian evaluations give, to the bit.
+    rng = np.random.default_rng(43)
+    g = SpectralGrid(dim, 32 if dim == 1 else 16, 0.75)
+    model = ThetaScaledModel(QuadraticModel(0.3, dim=dim), theta)
+
+    def four_calls(mu1, mu2):
+        gap1 = model.lagrangian_field(mu1.alpha, mu1) - model.lagrangian_field(mu1.alpha, mu2)
+        gap2 = model.lagrangian_field(mu2.alpha, mu1) - model.lagrangian_field(mu2.alpha, mu2)
+        return g.integrate(gap1 * mu1.density) - g.integrate(gap2 * mu2.density)
+
+    tg = TimeGrid(horizon=1.0, n_steps=3)
+    paths = [
+        MeasurePath(
+            tg, g, np.stack([smooth_density(g, rng) for _ in range(4)]),
+            rng.uniform(-2, 2, (4, dim) + g.shape),
+        )
+        for _ in range(2)
+    ]
+    pairing = monotonicity_pairing(model, *paths)
+    assert pairing.shape == (4,)
+    assert pairing.tobytes() == four_calls(*paths).tobytes()
+    for j in range(4):
+        one = monotonicity_pairing(model, paths[0][j], paths[1][j])
+        assert isinstance(one, float)
+        assert repr(one) == repr(four_calls(paths[0][j], paths[1][j]))
 
 
 def test_mass_mismatch_detection():

@@ -183,6 +183,11 @@ def test_theta_scale_validation_and_endpoints():
     one = ThetaScaledModel(model, 1.0)
     assert np.array_equal(one.hamiltonian_field(p, mu), model.hamiltonian_field(p, mu))
     assert np.array_equal(one.grad_p_field(p, mu), model.grad_p_field(p, mu))
+    # ... whose forms are the scaled expressions at theta = 1, to the bit
+    assert one.grad_p_field(p, mu).tobytes() == (1.0 * model.grad_p_field(p, mu)).tobytes()
+    assert one.lagrangian_field(mu.alpha, mu).tobytes() == (
+        1.0 * model.lagrangian_field(mu.alpha / 1.0, mu)
+    ).tobytes()
     # theta = 0: exactly zero, no limits taken
     zero = ThetaScaledModel(model, 0.0)
     assert np.all(zero.hamiltonian_field(p, mu) == 0.0)

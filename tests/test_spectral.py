@@ -124,14 +124,14 @@ def test_semigroup_gradient_pair(dim):
     rng = np.random.default_rng(13)
     g = SpectralGrid(dim, 32 if dim == 1 else 16, 0.75)
     f = rng.standard_normal(g.shape)
-    value, grad = g.semigroup_gradient(f, 0.05)
+    value, grad = g.semigroup_gradient(f, g.heat_table(0.05))
     assert value.shape == g.shape and grad.shape == (dim,) + g.shape
     assert value.tobytes() == g.semigroup_apply(f, 0.05).tobytes()
     assert np.max(np.abs(grad - g.gradient(value))) <= 1e-13
 
 
 def test_dropped_grid_is_freed():
-    # The heat tables are cached per grid, so the cache keeps no grid alive.
+    # A grid keeps no reference to itself through its tables.
     g = SpectralGrid(2, 32, 0.75)
     g.semigroup_apply(np.ones(g.shape), 0.1)
     ref = weakref.ref(g)
