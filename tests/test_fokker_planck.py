@@ -87,6 +87,14 @@ def test_spike_clip_conservation_error(grid):
         one_step(m, zero_b(grid), 1e-3)
 
 
+def test_step_mass_drift_error(grid):
+    # GridMeasure accepts a mass within 1e-10 of 1, the step's own guard
+    # only within STEP_MASS_TOL, so the first step reports the drift.
+    m = GridMeasure(grid, np.full(grid.n, 1.0 + 5e-11))
+    with pytest.raises(ConservationError, match="advection stage drifted mass"):
+        one_step(m, zero_b(grid), 0.01)
+
+
 def test_solve_forward_traces_random_drift(grid):
     rng = np.random.default_rng(0)
     tg = TimeGrid(horizon=0.5, n_steps=100)
