@@ -10,7 +10,6 @@ human-facing time series and iteration logs only.
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 
 import numpy as np
@@ -196,19 +195,10 @@ def emit_simulation(path_obj, report, outdir: str | Path) -> dict[str, Path]:
         for g, d in zip(report.gaps, report.distances)
     ]
     paths["holder"] = write_csv(outdir / "holder.csv", ["gap", "w1"], rows)
-    summary = io.StringIO()
-    writer = csv.writer(summary)
-    writer.writerow(["noise_floor", "fitted_constant", "slack", "exponent", "passed"])
-    writer.writerow(
-        [
-            repr(report.noise_floor),
-            repr(report.fitted_constant),
-            repr(report.slack),
-            repr(report.exponent),
-            int(report.passed),
-        ]
+    fit = (report.noise_floor, report.fitted_constant, report.slack, report.exponent)
+    paths["holder_summary"] = write_csv(
+        outdir / "holder_summary.csv",
+        ["noise_floor", "fitted_constant", "slack", "exponent", "passed"],
+        [[repr(value) for value in fit] + [int(report.passed)]],
     )
-    holder_summary = outdir / "holder_summary.csv"
-    holder_summary.write_text(summary.getvalue())
-    paths["holder_summary"] = holder_summary
     return paths

@@ -5,10 +5,12 @@ point on the whole path, the backward value solve, and the forward
 density solve.  Each sweep repeats the same update on the last iterate,
 with no averaging, so the state holds one density path.  Paths are
 stacked arrays with time as the leading axis.  A solve runs one stage at
-the target scaling, started from the exact zero-scaling solution (zero
-value function, pure fractional heat flow) or from a given state.  The
-ascending scaling schedule, each stage warm starting from the previous
-one, is the homotopy of ``sweep_theta`` only.
+the target scaling theta in (0, 1], started from the exact zero-scaling
+solution or from a given state.  At theta = 0 the problem decouples:
+``analytic_base`` builds its solution in closed form (zero value
+function, zero control, pure fractional heat flow), and no sweep runs
+there.  The ascending scaling schedule, each stage warm starting from the
+previous one, is the homotopy of ``sweep_theta`` only.
 
 A sweep reads each measure-only quantity once: the backward march fixes
 the control path, evaluates H and the drift -D_p H there on the new value
@@ -111,9 +113,7 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
     vector.setflags(write=False)
     return EquilibriumSolution(
         theta=0.0,
-        u_sol=HjbSolution(
-            tg, grid, 0.0, u=scalar, du=vector, hamiltonian=scalar, drift=vector
-        ),
+        u_sol=HjbSolution(tg, grid, u=scalar, du=vector, hamiltonian=scalar, drift=vector),
         m_sol=m_sol,
         mu_path=MeasurePath(tg, grid, m_sol.m, vector),
         u_terminal=one_field(grid, u_terminal),
@@ -131,18 +131,14 @@ def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> Measur
 
 
 def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
-    """One sweep: controls, backward value, forward density."""
+    """One sweep at the state's theta in (0, 1]: controls, backward value,
+    forward density."""
     scaled = coerce_theta(model, state.theta)
     try:
         mu_path = _control_path(state, scaled, cfg)
         u_new = solve_backward(scaled, mu_path, state.u_terminal)
-        # mu_path holds the iterate's density, so its slice 0 is m0; at zero
-        # scaling the drift vanishes and the density is the base's heat flow
-        m0, tg = mu_path[0].m, state.time_grid
-        m_new = (
-            heat_flow(m0, tg) if scaled.theta == 0.0
-            else solve_forward(u_new.drift, m0, tg)
-        )
+        # mu_path holds the iterate's density, so its slice 0 is m0
+        m_new = solve_forward(u_new.drift, mu_path[0].m, state.time_grid)
     except FmfgcError as err:
         err.sweep_index = state.sweeps
         raise
@@ -301,19 +297,22 @@ class EquilibriumCertificate:
 
 def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCertificate:
     """Post-solve checks: duality defect, control fixed-point residual,
-    monotonicity pairings against the stage's starting path, moments."""
-    scaled = coerce_theta(model, sol.theta)
+    monotonicity pairings against the stage's starting path, moments.
 
+    The moment bounds read ``C0``, ``q`` and ``q_tilde``, which scaling
+    leaves alone, from ``model`` itself; the scaled model is built for the
+    pairing of a stage at theta > 0 only, so the analytic base at theta = 0
+    is certified too."""
     duality = duality_residual(sol.u_sol, sol.m_sol)
 
     defect = sol.mu_path.alpha - sol.u_sol.drift
     exploit = float(np.max(np.abs(defect)))
-    moments = moment_certificate(sol.mu_path, sol.u_sol.du, scaled)
+    moments = moment_certificate(sol.mu_path, sol.u_sol.du, model)
 
     mono_min = 0.0
     if sol.baseline_mu is not None and sol.theta > 0.0:
-        pairing = monotonicity_pairing(scaled, sol.mu_path, sol.baseline_mu)
-        mono_min = np.min(pairing)
+        scaled = coerce_theta(model, sol.theta)
+        mono_min = np.min(monotonicity_pairing(scaled, sol.mu_path, sol.baseline_mu))
 
     return EquilibriumCertificate(
         duality=duality,

@@ -10,9 +10,11 @@ A march splits the face velocities of the whole drift path into their
 positive and negative parts once, and builds the heat table of its step
 once.  Each step is then one pass: the donor-cell shift of the density,
 one sum of the advected density (a non-finite sum is a non-finite field,
-a sum off 1 is a mass drift), one transform pair with the march's table,
-the minimum, the clip and its mass guard only where that minimum is not
-positive, and the normalization written into the path.  With zero drift
+a sum off the mass the step started from is a mass drift: m0's, which
+``GridMeasure`` holds within MASS_TOL of 1, then the 1 that every step
+normalizes to), one transform pair with the march's table, the minimum,
+the clip and its mass guard only where that minimum is not positive, and
+the normalization written into the path.  With zero drift
 the solution is the exact fractional heat flow, built by ``heat_flow``
 from one transform of m0 over the stack of heat multipliers at every time
 node.
@@ -147,19 +149,21 @@ def _step(
     heat: np.ndarray,
     grid: SpectralGrid,
     out: np.ndarray,
+    mass_in: float,
 ) -> tuple[float, float]:
     """One step on arrays: writes the new density into out and returns its
-    pre-clip minimum and the advection mass drift.  The caller has checked
-    values, the drift behind the face parts pos and neg, the step's
-    rate = dt / dx and the advective restriction |b| dt <= dx, and built
-    heat, the heat table of dt."""
+    pre-clip minimum and the advection mass drift, the advected mass less
+    mass_in, the mass of values.  The caller has checked values, the drift
+    behind the face parts pos and neg, the step's rate = dt / dx and the
+    advective restriction |b| dt <= dx, and built heat, the heat table of
+    dt."""
     cell = grid.dx**grid.dim
     advected = _advect(values, pos, neg, rate, grid)
     # one sum: a non-finite entry makes it non-finite
     mass = float(advected.sum()) * cell
     if not math.isfinite(mass):
         raise InvalidFieldError("scalar field contains non-finite values")
-    drift = abs(mass - 1.0)
+    drift = abs(mass - mass_in)
     if drift > STEP_MASS_TOL:
         raise ConservationError(
             f"advection stage drifted mass to {mass!r} (tolerance {STEP_MASS_TOL})"
@@ -251,10 +255,12 @@ def solve_forward(
     preclip[0] = float(np.min(m0.values))
     advect_drift = np.zeros(n + 1)
     pos, neg, compression = _face_parts(b_path[:n], grid)
+    mass = m0.mass  # each later step starts at the unit mass the last one left
     for j in range(n):
         preclip[j + 1], advect_drift[j + 1] = _step(
-            m[j], pos[j], neg[j], rate, heat, grid, m[j + 1]
+            m[j], pos[j], neg[j], rate, heat, grid, m[j + 1], mass
         )
+        mass = 1.0
     return _solution(m, m0, time_grid, preclip, advect_drift, float(np.max(compression)))
 
 

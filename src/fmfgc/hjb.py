@@ -57,10 +57,8 @@ class HjbSolution:
 
     time_grid: TimeGrid
     grid: SpectralGrid
-    theta: float
     u: np.ndarray  # (n_steps + 1, *grid.shape)
     du: np.ndarray  # (n_steps + 1, dim, *grid.shape)
-    diagnostics: HjbDiagnostics | None = None
     hamiltonian: np.ndarray | None = field(default=None, repr=False)  # like u
     drift: np.ndarray | None = field(default=None, repr=False)  # like du
 
@@ -100,13 +98,9 @@ def _check_cfl(drift: np.ndarray, tg: TimeGrid, dx: float, lowest: int) -> None:
     check_cfl(max(float(np.max(rest)), -float(np.min(rest))), tg, dx)
 
 
-def solve_backward(
-    model,
-    mu_path: MeasurePath,
-    u_terminal: np.ndarray,
-    theta: float | None = None,
-) -> HjbSolution:
-    """March u from the terminal condition theta * u_terminal down to t = 0.
+def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSolution:
+    """March u from the terminal condition theta * u_terminal down to t = 0,
+    theta the scaling of a ThetaScaledModel and 1 for any other model.
 
     mu_path supplies the joint measure at every time node; the advective
     speed is checked against dx at every level stepped from, and a
@@ -114,7 +108,7 @@ def solve_backward(
     restriction at the largest speed.  The solution carries H and the
     drift -D_p H at (Du, mu_path) on every level.
     """
-    scaled = coerce_theta(model, theta)
+    scaled = coerce_theta(model)
     grid = mu_path.grid
     tg = mu_path.time_grid
     dt = tg.dt
@@ -142,9 +136,7 @@ def solve_backward(
     drift = -grad_p(du)
     _check_cfl(drift, tg, grid.dx, 1)
     h[0] = hamiltonian(du[0], 0)
-    return HjbSolution(
-        time_grid=tg, grid=grid, theta=scaled.theta, u=u, du=du, hamiltonian=h, drift=drift
-    )
+    return HjbSolution(time_grid=tg, grid=grid, u=u, du=du, hamiltonian=h, drift=drift)
 
 
 def centered_curvature(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -165,20 +157,17 @@ HOLDER_EXPONENT = 0.3
 
 def hjb_diagnostics(sol: HjbSolution) -> HjbDiagnostics:
     """Sup norms, the one-scale semiconcavity statistic, and a sampled
-    Hoelder seminorm of the gradient; cached on the solution."""
-    if sol.diagnostics is not None:
-        return sol.diagnostics
+    Hoelder seminorm of the gradient."""
     grid = sol.grid
     sup_u = float(np.max(np.abs(sol.u)))
     sup_du = float(np.max(np.abs(sol.du)))
     semiconcavity = float(np.max(centered_curvature(sol.u, grid)))
     stride = max(1, sol.time_grid.n_steps // 8)
     holder = float(np.max(grid.holder_seminorm(sol.du[::stride], HOLDER_EXPONENT)))
-    sol.diagnostics = HjbDiagnostics(
+    return HjbDiagnostics(
         sup_u=sup_u,
         sup_du=sup_du,
         semiconcavity=semiconcavity,
         holder_du=holder,
         holder_exponent=HOLDER_EXPONENT,
     )
-    return sol.diagnostics

@@ -15,23 +15,24 @@ H and D_p H as functions ``f(p, j=None)`` of the momentum.  For a path,
 ``f(p, j)`` is the value at level j with p one field, and ``f(p)`` the
 whole path.  The HJB march fixes the measure path once, calls ``h`` per
 level and ``grad_p`` once on the gradient path; a sweep's drift and
-duality pairing read those same arrays.  ``hamiltonian_field(p, mu)`` is
-``hamiltonian_at(mu)[0](p)``; ``grad_p_field(p, mu)`` reads the mean
+duality pairing read those same arrays, and the growth check reads
+``hamiltonian_at(mu)[0]``.  ``grad_p_field(p, mu)`` reads the mean
 control only, for the control fixed point, which never needs the
 potential.
 
-A model is any object with the field forms ``hamiltonian_at``,
-``hamiltonian_field``, ``grad_p_field`` and ``lagrangian_field`` (and
-``grad_alpha_field`` for the numeric Legendre transform) and the
-attributes of its growth class: ``C0`` (the structure constant), ``q``
-(the momentum growth) and ``q_tilde`` (its conjugate exponent
-q/(q-1)); there is no base class.
+A model is any object with the three field forms ``hamiltonian_at``,
+``grad_p_field`` and ``lagrangian_field`` (and ``grad_alpha_field`` for
+the numeric Legendre transform) and the attributes of its growth class:
+``C0`` (the structure constant), ``q`` (the momentum growth) and
+``q_tilde`` (its conjugate exponent q/(q-1)); there is no base class.
 
 The concrete model is quadratic: running cost
 |alpha + beta int gamma dmu|^2 / 2 + V(x, mu) with V a positive-definite
 convolution against the state marginal.  Its Hamiltonian and optimal
 control are closed-form, which the generic Legendre path is tested
-against.
+against.  ``ThetaScaledModel`` scales a model by theta in (0, 1]; the
+decoupled theta = 0 problem has no model, because its solution is the
+closed form that ``equilibrium.analytic_base`` builds.
 """
 
 from __future__ import annotations
@@ -148,28 +149,25 @@ class QuadraticModel:
 
         return hamiltonian, grad_p
 
-    def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)[0](p)
-
     def grad_p_field(self, p, mu):
         return p + self.coupling_beta * self._broadcast_mean(mu)
 
 
 class ThetaScaledModel:
-    """Interpolation family between the trivial model and a base model.
+    """Interpolation family between the decoupled problem and a base model.
 
-    At parameter theta the running cost is theta L(x, alpha/theta, Smu)
-    where S pushes the control marginal forward by 1/theta; the
-    Hamiltonian is theta H(x, p, Smu).  At theta = 0 the Hamiltonian and
-    its momentum gradient vanish identically (no limits are taken), with
-    the shape of p less its component axis; at theta = 1 every form is the
-    base model's own, with no scaling pass over its fields.  Only the field
-    forms exist: they are the surface the solver calls.
+    At parameter theta in (0, 1] the running cost is theta L(x, alpha/theta,
+    Smu) where S pushes the control marginal forward by 1/theta; the
+    Hamiltonian is theta H(x, p, Smu).  At theta = 1 every form is the base
+    model's own, with no scaling pass over its fields.  The theta = 0 end
+    of the family is the analytic base of ``equilibrium``, not a model.
+    ``hamiltonian_field(p, mu)`` is ``hamiltonian_at(mu)[0](p)``: no solver
+    calls it, but it is a name a profiler wraps.
     """
 
     def __init__(self, base, theta: float):
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError(f"scaling parameter must lie in [0, 1], got {theta}")
+        if not 0.0 < theta <= 1.0:
+            raise ValueError(f"scaling parameter must lie in (0, 1], got {theta}")
         self.base = base
         self.theta = float(theta)
         self.C0 = base.C0
@@ -191,12 +189,6 @@ class ThetaScaledModel:
     # -- field forms -----------------------------------------------------
 
     def hamiltonian_at(self, mu):
-        if self.theta == 0.0:
-            axis = -(mu.grid.dim + 1)
-            return (
-                lambda p, j=None: np.zeros(np.delete(np.shape(p), axis)),
-                lambda p, j=None: np.zeros(np.shape(p)),
-            )
         if self.theta == 1.0:
             return self.base.hamiltonian_at(mu)
         h, grad_p = self.base.hamiltonian_at(self.scaled_measure(mu))
@@ -209,16 +201,11 @@ class ThetaScaledModel:
         return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
-        if self.theta == 0.0:
-            return np.zeros_like(np.asarray(p, dtype=float))
         if self.theta == 1.0:
             return self.base.grad_p_field(p, mu)
         return self.theta * self.base.grad_p_field(p, self.scaled_measure(mu))
 
     def lagrangian_field(self, alpha, mu):
-        if self.theta == 0.0:
-            mag = np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-(mu.grid.dim + 1))
-            return np.where(mag == 0.0, 0.0, np.inf)
         if self.theta == 1.0:
             return self.base.lagrangian_field(alpha, mu)
         return self.theta * self.base.lagrangian_field(
@@ -226,7 +213,7 @@ class ThetaScaledModel:
         )
 
 
-def coerce_theta(model, theta: float | None) -> ThetaScaledModel:
+def coerce_theta(model, theta: float | None = None) -> ThetaScaledModel:
     """Accept a base model plus theta, or a model that is already scaled."""
     if isinstance(model, ThetaScaledModel):
         if theta is not None and theta != model.theta:
@@ -385,7 +372,7 @@ def growth_check(
         p = p_scale * rng.standard_normal((depth, dim) + grid.shape)
         p *= np.exp(rng.uniform(-2.0, 1.0, (depth, 1) + grid.shape))  # vary magnitudes
 
-        h = model.hamiltonian_field(p, mu)
+        h = model.hamiltonian_at(mu)[0](p)
         dp = model.grad_p_field(p, mu)
         pnorm = np.sqrt(np.sum(p**2, axis=axis))
         dpnorm = np.sqrt(np.sum(dp**2, axis=axis))

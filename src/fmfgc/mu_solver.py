@@ -6,6 +6,8 @@ measure (m, alpha) itself.  A Picard iteration from alpha = 0
 contracts whenever the Hamiltonian's measure dependence is (its modulus
 for the quadratic model is exactly the coupling strength).  The slices of
 a path are independent, so a MeasurePath is solved in one stacked loop.
+Every model is iterated: the zero control of the decoupled theta = 0
+problem is part of ``equilibrium.analytic_base``, which needs no solve.
 """
 
 from __future__ import annotations
@@ -73,11 +75,6 @@ def solve_mu_detailed(
         raise GridMismatchError(f"gradient shape {du.shape} does not match {mu.alpha.shape}")
     if not (np.all(np.isfinite(du)) and np.all(np.isfinite(mu.alpha))):
         raise InvalidFieldError("gradient or starting control contains non-finite values")
-
-    if getattr(model, "theta", 1.0) == 0.0:
-        # Trivial scaling limit: zero control, no iteration.
-        mu = mu.with_alpha_view(np.zeros_like(du))
-        return MuSolveResult(mu=mu, iterations=0, residual=0.0, update_norms=())
 
     lead = du.shape[: du.ndim - grid.dim - 1]
     updates: list[float] = []

@@ -245,7 +245,7 @@ def _criterion_legendre(ctx: AcceptanceContext):
     # 16 momentum fields at the 64 nodes: 1024 probes of the field forms
     p = rng.uniform(-2.0, 2.0, size=(16, 1, grid.n))
     value, alpha_star = legendre_transform(model, p, mu)
-    closed = model.hamiltonian_field(p, mu)
+    closed = model.hamiltonian_at(mu)[0](p)
     best = -model.grad_p_field(p, mu)
     worst_h = float(np.max(np.abs(value - closed)))
     worst_a = float(np.max(np.abs(alpha_star - best)))
@@ -286,7 +286,7 @@ def _criterion_uniqueness(ctx: AcceptanceContext):
     du = grid.gradient(perturbed_u)
     seeded = replace(
         base,
-        u_sol=replace(base.u_sol, u=perturbed_u, du=du, diagnostics=None),
+        u_sol=replace(base.u_sol, u=perturbed_u, du=du),
         converged=False,
     )
     cfg = LoopConfig()

@@ -71,6 +71,10 @@ def test_solve_zero_theta_is_exact(tiny_config, tmp_path, capsys):
     payload = summary_of(capsys)
     assert payload["theta"] == 0.0
     assert payload["converged"] is True
+    # the analytic base is certified exactly: no pairing defect, no
+    # control off the feedback drift
+    assert payload["duality"] == 0.0
+    assert payload["exploitability"] == 0.0
     # no coupling: the stored control path is identically zero
     assert np.all(read_field(outdir / "alpha.bin") == 0.0)
 

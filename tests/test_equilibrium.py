@@ -18,12 +18,13 @@ from fmfgc.equilibrium import (
 )
 from fmfgc.fokker_planck import initial_density
 from fmfgc.hjb import HjbSolution
-from fmfgc.models import QuadraticModel, coerce_theta
+from fmfgc.models import QuadraticModel, coerce_theta, growth_check
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 
 class NoCoupling:
-    """Plain |alpha|^2/2 running cost: no mean term, no potential."""
+    """Plain |alpha|^2/2 running cost: no mean term, no potential.  It has
+    the three field forms of a model and nothing more."""
 
     C0 = 2.0
     q = 2.0
@@ -38,9 +39,6 @@ class NoCoupling:
             lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis),
             lambda p, j=None: np.asarray(p, dtype=float),
         )
-
-    def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         return np.asarray(p, dtype=float)
@@ -88,6 +86,18 @@ def test_loop_config_validation():
         LoopConfig(max_sweeps=0)
 
 
+def test_no_sweep_runs_at_theta_zero():
+    # the analytic base is the one theta = 0 solution: a sweep, like a
+    # direct solve, needs a scaling in (0, 1]
+    grid, tg, m0, u_t = small_scenario()
+    model = QuadraticModel(coupling_beta=0.3)
+    base = analytic_base(model, m0, u_t, tg)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        picard_iterate(base, model, LoopConfig())
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        solve_equilibrium(model, m0, u_t, tg, theta_target=0.0)
+
+
 def test_theta_zero_base_is_fixed_point():
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
@@ -100,12 +110,6 @@ def test_theta_zero_base_is_fixed_point():
         flow = grid.semigroup_apply(m0.values, t)
         assert np.max(np.abs(base.mu_path.density[j] - flow)) <= 1e-14
 
-    swept = picard_iterate(base, model, LoopConfig())
-    assert swept.history[-1].u_change == 0.0
-    assert swept.history[-1].m_change == 0.0
-    assert swept.history[-1].duality == 0.0
-    assert swept.converged
-
 
 def test_decoupled_model_control_is_minus_gradient():
     grid, tg, m0, u_t = small_scenario()
@@ -117,6 +121,20 @@ def test_decoupled_model_control_is_minus_gradient():
         assert np.max(np.abs(defect)) < 1e-11
     cert = equilibrium_certificate(sol, model)
     assert cert.monotonicity_min >= -1e-10
+
+
+def test_duck_typed_model_with_three_forms():
+    # hamiltonian_at, grad_p_field, lagrangian_field and the growth class
+    # are the whole model surface: the solve, its certificate and the
+    # growth check need nothing else
+    grid, tg, m0, u_t = small_scenario()
+    model = NoCoupling()
+    assert not hasattr(model, "hamiltonian_field")
+    sol = solve_equilibrium(model, m0, u_t, tg, theta_target=0.5)
+    assert sol.converged
+    cert = equilibrium_certificate(sol, model)
+    assert cert.duality < 1e-2 and cert.moments_ok and cert.monotone_ok
+    assert growth_check(model, grid, n_samples=200).violations(model.C0) == 0
 
 
 def test_benchmark_converges(benchmark_solution):
@@ -139,9 +157,7 @@ def test_uniqueness_from_perturbed_start(benchmark_solution):
     bump = 0.05 * np.cos(2 * np.pi * x)
     u_pert = sol.u_sol.u + bump
     du_pert = np.stack([grid.gradient(u_pert[j]) for j in range(tg.n_steps + 1)])
-    pert_u_sol = HjbSolution(
-        time_grid=tg, grid=grid, theta=1.0, u=u_pert, du=du_pert
-    )
+    pert_u_sol = HjbSolution(time_grid=tg, grid=grid, u=u_pert, du=du_pert)
     start = EquilibriumSolution(
         theta=1.0,
         u_sol=pert_u_sol,
@@ -274,9 +290,11 @@ def test_sweep_theta_stages():
 
 def test_packaged_drift_is_feedback_drift_at_every_stage(benchmark_solution, benchmark_stages):
     # the drift a solution carries, which the particles advect by, is
-    # -D_p H at the packaged control path and the value gradient, to the bit
+    # -D_p H at the packaged control path and the value gradient, to the bit;
+    # stage 0 is the analytic base, whose drift is zero with no model
     model = benchmark_solution[2]
-    for stage in benchmark_stages:
+    assert benchmark_stages[0].theta == 0.0
+    for stage in benchmark_stages[1:]:
         scaled = coerce_theta(model, stage.theta)
         want = -scaled.grad_p_field(stage.u_sol.du, stage.mu_path)
         assert np.array_equal(stage.u_sol.drift, want)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmfgc import fokker_planck
+from fmfgc.equilibrium import analytic_base
 from fmfgc.errors import CflError, ConservationError, InvalidFieldError
 from fmfgc.fokker_planck import (
     CLIP_MASS_TOL,
@@ -87,12 +89,39 @@ def test_spike_clip_conservation_error(grid):
         one_step(m, zero_b(grid), 1e-3)
 
 
-def test_step_mass_drift_error(grid):
-    # GridMeasure accepts a mass within 1e-10 of 1, the step's own guard
-    # only within STEP_MASS_TOL, so the first step reports the drift.
-    m = GridMeasure(grid, np.full(grid.n, 1.0 + 5e-11))
-    with pytest.raises(ConservationError, match="advection stage drifted mass"):
-        one_step(m, zero_b(grid), 0.01)
+def test_step_mass_drift_error(grid, monkeypatch):
+    # An advection stage that leaks mass trips the step's guard; a leak
+    # under STEP_MASS_TOL marches and is the drift the step records.
+    advect = fokker_planck._advect
+    m = GridMeasure.uniform(grid)
+    tg = TimeGrid(horizon=0.01, n_steps=1)
+    b_path = np.zeros((2, 1, grid.n))
+    for leak in (1e-9, 1e-13):
+        monkeypatch.setattr(
+            fokker_planck, "_advect", lambda *args, leak=leak: advect(*args) * (1.0 + leak)
+        )
+        if leak > STEP_MASS_TOL:
+            with pytest.raises(ConservationError, match="advection stage drifted mass"):
+                solve_forward(b_path, m, tg)
+        else:
+            drift = solve_forward(b_path, m, tg).advect_drift_trace[1]
+            assert drift == pytest.approx(leak, rel=1e-2)
+
+
+@pytest.mark.parametrize("offset", [5e-11, -5e-11])
+def test_march_starts_from_any_checked_m0(grid, offset):
+    # GridMeasure accepts a mass within MASS_TOL = 1e-10 of 1, above the
+    # step's STEP_MASS_TOL: the first step measures advection against m0's
+    # own mass, and the march is the march of m0 at unit mass.
+    x = grid.nodes()[0]
+    b_path = np.broadcast_to(0.3 * np.sin(2 * np.pi * x), (11, 1, grid.n))
+    tg = TimeGrid(horizon=0.1, n_steps=10)
+    unit = initial_density(grid, "vonmises")
+    off = GridMeasure(grid, unit.values * (1.0 + offset))
+    sol, ref = solve_forward(b_path, off, tg), solve_forward(b_path, unit, tg)
+    assert np.all(sol.advect_drift_trace <= STEP_MASS_TOL)
+    assert np.max(np.abs(sol.mass_trace[1:] - 1.0)) <= STEP_MASS_TOL
+    assert np.max(np.abs(sol.m[1:] - ref.m[1:])) <= 1e-13
 
 
 def test_solve_forward_traces_random_drift(grid):
@@ -135,11 +164,13 @@ def test_solve_forward_is_chained_one_step_marches_bitwise(dim):
 
 def reference_march(b_path, m0, tg):
     """The forward march step by step through public operators: donor-cell
-    advection from the face-averaged drift, the mass check, semigroup_apply,
-    an unconditional clip and the renormalization; returns the path, the
-    pre-clip minima and the advection mass drifts."""
+    advection from the face-averaged drift, the mass check against the mass
+    the step starts from (m0's, then 1), semigroup_apply, an unconditional
+    clip and the renormalization; returns the path, the pre-clip minima and
+    the advection mass drifts."""
     grid, dt = m0.grid, tg.dt
     path, preclip, drift = [m0.values], [float(np.min(m0.values))], [0.0]
+    mass_in = m0.mass
     for j in range(tg.n_steps):
         values = path[-1]
         advected = values.copy()
@@ -151,13 +182,14 @@ def reference_march(b_path, m0, tg):
             )
             advected -= dt / grid.dx * (flux - np.roll(flux, 1, axis))
         mass = grid.integrate(advected)
-        assert abs(mass - 1.0) <= STEP_MASS_TOL
+        assert abs(mass - mass_in) <= STEP_MASS_TOL
         diffused = grid.semigroup_apply(advected, dt)
         clipped = np.maximum(diffused, 0.0)
         assert grid.integrate(clipped - diffused) <= CLIP_MASS_TOL
         path.append(clipped / grid.integrate(clipped))
         preclip.append(float(diffused.min()))
-        drift.append(abs(mass - 1.0))
+        drift.append(abs(mass - mass_in))
+        mass_in = 1.0
     return np.stack(path), np.array(preclip), np.array(drift)
 
 
@@ -380,9 +412,6 @@ class ConstH:
             lambda p, j=None: self.grad_p_field(p, mu),
         )
 
-    def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)[0](p)
-
     def grad_p_field(self, p, mu):
         return np.zeros_like(np.asarray(p, dtype=float))
 
@@ -396,12 +425,13 @@ def frozen_path(grid, tg, m):
 
 
 def test_duality_theta_zero_exact(grid):
+    # the theta = 0 value (the analytic base's: u, H and the drift zero)
+    # against the march of m0 at zero drift
     model = QuadraticModel(coupling_beta=0.3)
     tg = TimeGrid(horizon=0.5, n_steps=40)
     m0 = initial_density(grid, "vonmises")
-    mu_path = frozen_path(grid, tg, m0)
     u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
-    u_sol = solve_backward(model, mu_path, u_t, theta=0.0)
+    u_sol = analytic_base(model, m0, u_t, tg).u_sol
     m_sol = solve_forward(np.zeros((41, 1, grid.n)), m0, tg)
     assert duality_residual(u_sol, m_sol) == 0.0
 
@@ -414,7 +444,7 @@ def test_duality_constant_hamiltonian(grid):
     m0 = initial_density(grid, "vonmises")
     mu_path = frozen_path(grid, tg, m0)
     u_t = 0.2 * np.cos(2 * np.pi * grid.nodes()[0])
-    u_sol = solve_backward(model, mu_path, u_t, theta=1.0)
+    u_sol = solve_backward(model, mu_path, u_t)
     m_sol = solve_forward(np.zeros((51, 1, grid.n)), m0, tg)
     assert duality_residual(u_sol, m_sol) < 1e-10
 
@@ -431,7 +461,7 @@ def test_duality_frozen_mu_smoke(grid):
         tg, grid, np.broadcast_to(mu.density, (101, grid.n)),
         np.broadcast_to(mu.alpha, (101, 1, grid.n)),
     )
-    u_sol = solve_backward(model, mu_path, u_t, theta=1.0)
+    u_sol = solve_backward(model, mu_path, u_t)
     scaled = coerce_theta(model, 1.0)
     b_path = np.stack(
         [-scaled.grad_p_field(u_sol.du[j], mu_path[j]) for j in range(101)]
@@ -446,7 +476,7 @@ def test_duality_mismatch_errors(grid):
     other = SpectralGrid(dim=1, n=32, s=0.75)
     m0 = initial_density(grid, "vonmises")
     mu_path = frozen_path(grid, tg, m0)
-    u_sol = solve_backward(model, mu_path, np.zeros(grid.shape), theta=1.0)
+    u_sol = solve_backward(model, mu_path, np.zeros(grid.shape))
     m_other = solve_forward(
         np.zeros((11, 1, 32)), GridMeasure.uniform(other), tg
     )

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fmfgc.equilibrium import analytic_base
 from fmfgc.errors import BlowUpError, CflError, GridMismatchError
 from fmfgc.hjb import centered_curvature, hjb_diagnostics, solve_backward
 from fmfgc import measures
@@ -24,9 +27,6 @@ class PlainH:
             lambda p, j=None: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=axis),
             lambda p, j=None: np.asarray(p, dtype=float),
         )
-
-    def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         return np.asarray(p, dtype=float)
@@ -130,7 +130,7 @@ def test_solve_terminal_exact(grid):
     mu = JointControlMeasure(m, np.zeros((1, grid.n)))
     tg = TimeGrid(horizon=0.5, n_steps=80)
     u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
-    sol = solve_backward(model, constant_path(tg, mu), u_t, theta=0.7)
+    sol = solve_backward(ThetaScaledModel(model, 0.7), constant_path(tg, mu), u_t)
     assert np.array_equal(sol.u[-1], 0.7 * u_t)
     assert sol.u.shape == (81, 64)
     assert sol.du.shape == (81, 1, 64)
@@ -140,11 +140,11 @@ def test_solve_terminal_exact(grid):
 
 
 def test_solve_theta_zero_identically_zero(grid):
+    # the theta = 0 value is the analytic base's, zero at every level
     model = QuadraticModel(coupling_beta=0.3)
-    mu = uniform_mu(grid)
     tg = TimeGrid(horizon=1.0, n_steps=50)
     u_t = 0.3 * np.cos(2 * np.pi * grid.nodes()[0])
-    sol = solve_backward(model, constant_path(tg, mu), u_t, theta=0.0)
+    sol = analytic_base(model, GridMeasure.uniform(grid), u_t, tg).u_sol
     assert np.all(sol.u == 0.0)
     diag = hjb_diagnostics(sol)
     assert diag.sup_u == 0.0
@@ -164,7 +164,7 @@ def test_solve_self_convergence_first_order():
 
     def at_zero(n_steps):
         tg = TimeGrid(horizon=0.5, n_steps=n_steps)
-        return solve_backward(model, constant_path(tg, mu), u_t, theta=1.0).u[0]
+        return solve_backward(model, constant_path(tg, mu), u_t).u[0]
 
     coarse, mid, fine = at_zero(50), at_zero(100), at_zero(200)
     d1 = np.max(np.abs(coarse - mid))
@@ -199,7 +199,7 @@ def test_solve_cfl_error(grid):
     tg = TimeGrid(horizon=1.0, n_steps=20)
     u_t = 5.0 * np.cos(2 * np.pi * grid.nodes()[0])
     with pytest.raises(CflError) as info:
-        solve_backward(model, constant_path(tg, mu), u_t, theta=1.0)
+        solve_backward(model, constant_path(tg, mu), u_t)
     assert info.value.required_steps > 1000
     assert "n_t" in str(info.value)
 
@@ -225,9 +225,6 @@ class SpeedH:
             return np.where(alpha[0] < 0.0, np.inf, 0.0)
 
         return hamiltonian, lambda p, j=None: self.grad_p_field(p, mu)
-
-    def hamiltonian_field(self, p, mu):
-        return self.hamiltonian_at(mu)[0](p)
 
     def grad_p_field(self, p, mu):
         return np.broadcast_to(mu.alpha, np.shape(p))
@@ -282,14 +279,14 @@ def reference_march(scaled, mu_path, u_terminal):
     u = [scaled.theta * u_terminal]
     du = [grid.gradient(u[0])]
     for j in range(tg.n_steps - 1, -1, -1):
-        h = scaled.hamiltonian_field(du[-1], mu_path[j + 1])
+        h = scaled.hamiltonian_at(mu_path[j + 1])[0](du[-1])
         u.append(grid.semigroup_apply(u[-1] - tg.dt * h, tg.dt))
         du.append(grid.gradient(u[-1]))
     return np.stack(u[::-1]), np.stack(du[::-1])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_march_matches_level_by_level_reference(dim, theta):
     grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=0.75)
     tg = TimeGrid(horizon=0.5, n_steps=40)
@@ -308,7 +305,6 @@ def test_march_matches_level_by_level_reference(dim, theta):
     u_ref, du_ref = reference_march(scaled, path, u_t)
     assert np.max(np.abs(sol.u - u_ref)) <= 1e-13
     assert np.max(np.abs(sol.du - du_ref)) <= 1e-13
-    assert theta > 0.0 or (np.all(sol.u[:-1] == 0.0) and np.all(sol.du == 0.0))
 
 
 def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
@@ -334,7 +330,7 @@ def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
     )
     tg = TimeGrid(horizon=0.5, n_steps=50)
     u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
-    solve_backward(QuadraticModel(0.3), constant_path(tg, mu), u_t, theta=0.5)
+    solve_backward(ThetaScaledModel(QuadraticModel(0.3), 0.5), constant_path(tg, mu), u_t)
     assert sorted(calls) == [("mean", 2), ("potential", 2)]
 
 
@@ -348,7 +344,7 @@ def test_step_is_one_level_of_the_march(grid):
     )
     dt = 0.01
     u_t = 0.02 * band_limited_field(grid, rng, max_mode=4)
-    h = model.hamiltonian_field(grid.gradient(u_t), mu)
+    h = model.hamiltonian_at(mu)[0](grid.gradient(u_t))
     assert np.array_equal(one_step(model, mu, u_t, dt), grid.semigroup_apply(u_t - dt * h, dt))
 
 
@@ -397,4 +393,19 @@ def test_diagnostics_zero_h_solution(grid):
     assert diag.holder_du == max(
         grid.holder_seminorm(field, diag.holder_exponent) for field in sol.du[::5, 0]
     )
-    assert hjb_diagnostics(sol) is diag
+    # each call computes the statistics afresh, to the same values
+    assert hjb_diagnostics(sol) == diag
+
+
+def test_diagnostics_follow_a_replaced_value(grid):
+    # a solution copied with a new value path reports that path's
+    # statistics: nothing from the original's evaluation is carried over
+    x = grid.nodes()[0]
+    tg = TimeGrid(horizon=0.5, n_steps=40)
+    sol = solve_backward(ZeroH(), constant_path(tg, uniform_mu(grid)), 0.2 * np.cos(2 * np.pi * x))
+    diag = hjb_diagnostics(sol)
+    doubled = hjb_diagnostics(replace(sol, u=2.0 * sol.u, du=2.0 * sol.du))
+    assert doubled.sup_u == 2.0 * diag.sup_u
+    assert doubled.sup_du == 2.0 * diag.sup_du
+    assert doubled.semiconcavity == 2.0 * diag.semiconcavity
+    assert doubled.holder_du == pytest.approx(2.0 * diag.holder_du, rel=1e-12)

@@ -73,17 +73,6 @@ def test_zero_gradient_zero_control(grid):
     assert np.all(result.mu.alpha == 0.0)
 
 
-def test_theta_zero_skips_iteration(grid):
-    model = ThetaScaledModel(QuadraticModel(coupling_beta=0.3), 0.0)
-    rng = np.random.default_rng(7)
-    m = GridMeasure(grid, smooth_density(grid, rng))
-    du = np.stack([np.cos(2 * np.pi * grid.nodes()[0])])
-    result = solve_mu_detailed(m, du, model)
-    assert result.iterations == 0
-    assert result.update_norms == ()
-    assert np.all(result.mu.alpha == 0.0)
-
-
 def test_contraction_ratio_equals_beta(grid):
     # The mean-control recursion is linear with factor exactly beta, so the
     # update norms shrink geometrically once the pointwise part has cancelled.
