@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,7 +46,8 @@ class LoopConfig:
     tolerance: float = 1e-6
     max_sweeps: int = 80
     theta_schedule: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    mu_config: MuSolveConfig = field(default_factory=lambda: MuSolveConfig(1e-12))
+    #: the control fixed point's settings, the same for every solve
+    mu_config: ClassVar[MuSolveConfig] = MuSolveConfig(1e-12)
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
@@ -84,8 +86,12 @@ class EquilibriumSolution:
     u_terminal: np.ndarray = field(repr=False)
     history: list[SweepMetrics] = field(repr=False)
     converged: bool = False
-    sweeps: int = 0
     baseline_mu: MeasurePath | None = field(default=None, repr=False)
+
+    @property
+    def sweeps(self) -> int:
+        """Sweeps run so far, over every stage: one history row each."""
+        return len(self.history)
 
     @property
     def grid(self):
@@ -119,7 +125,6 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
         u_terminal=one_field(grid, u_terminal),
         history=[],
         converged=True,
-        sweeps=0,
     )
 
 
@@ -136,7 +141,7 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
     scaled = coerce_theta(model, state.theta)
     try:
         mu_path = _control_path(state, scaled, cfg)
-        u_new = solve_backward(scaled, mu_path, state.u_terminal)
+        u_new = solve_backward(scaled, mu_path, state.theta * state.u_terminal)
         # mu_path holds the iterate's density, so its slice 0 is m0
         m_new = solve_forward(u_new.drift, mu_path[0].m, state.time_grid)
     except FmfgcError as err:
@@ -170,7 +175,6 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
         mu_path=mu_path,
         history=state.history + [metrics],
         converged=metrics.defect <= cfg.tolerance,
-        sweeps=state.sweeps + 1,
     )
 
 

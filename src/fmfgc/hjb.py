@@ -7,8 +7,8 @@ later time level.  One step reads
     u(t) = T(dt) (u_next - dt * H(x, Du_next, mu_next))
 
 which is first order in time and unconditionally stable in the diffusion
-part; the explicit transport term carries the usual advective restriction
-|D_p H| dt <= dx.
+part; the explicit transport term carries the usual advective restriction,
+sum_i |D_{p_i} H| dt <= dx at every node.
 
 A march fixes the measure path once: ``model.hamiltonian_at(mu_path)``
 computes the measure-only parts of H and D_p H for every level in one
@@ -23,7 +23,8 @@ at the largest speed over the levels the march stepped from, so a
 violation is reported ahead of any non-finite level below it.  The
 solution keeps H and the drift -D_p H at every level, so a sweep's
 forward march and duality pairing read them instead of evaluating the
-model again.
+model again.  The march starts from the terminal value it is given: a
+caller that scales the problem by theta scales that value too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import BlowUpError, GridMismatchError
 from .fokker_planck import check_cfl
 from .measures import MeasurePath
-from .models import coerce_theta
 from .spectral import SpectralGrid, TimeGrid
 
 
@@ -44,8 +44,6 @@ class HjbDiagnostics:
     sup_u: float
     sup_du: float
     semiconcavity: float
-    holder_du: float
-    holder_exponent: float
 
 
 @dataclass
@@ -91,16 +89,8 @@ def _level(
     return grid.semigroup_gradient(w, heat)
 
 
-def _check_cfl(drift: np.ndarray, tg: TimeGrid, dx: float, lowest: int) -> None:
-    """The advective restriction at levels lowest..n of the drift path,
-    where a level j means the step from j to j - 1."""
-    rest = drift[lowest:]
-    check_cfl(max(float(np.max(rest)), -float(np.min(rest))), tg, dx)
-
-
 def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSolution:
-    """March u from the terminal condition theta * u_terminal down to t = 0,
-    theta the scaling of a ThetaScaledModel and 1 for any other model.
+    """March u from the terminal value u_terminal down to t = 0.
 
     mu_path supplies the joint measure at every time node; the advective
     speed is checked against dx at every level stepped from, and a
@@ -108,7 +98,6 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     restriction at the largest speed.  The solution carries H and the
     drift -D_p H at (Du, mu_path) on every level.
     """
-    scaled = coerce_theta(model)
     grid = mu_path.grid
     tg = mu_path.time_grid
     dt = tg.dt
@@ -119,9 +108,9 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     # zeros: the guard reads the whole path, also below a level that blew up
     du = np.zeros((n + 1, grid.dim) + grid.shape)
     h = np.empty_like(u)
-    u[n] = scaled.theta * u_terminal
+    u[n] = u_terminal
     du[n] = grid.gradient(u[n])
-    hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
+    hamiltonian, grad_p = model.hamiltonian_at(mu_path)
     heat = grid.heat_table(dt)
     try:
         for j in range(n - 1, -1, -1):
@@ -129,12 +118,13 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
             u[j], du[j] = _level(grid, u[j + 1], h[j + 1], dt, heat, j)
     except BlowUpError as err:
         # the levels the march passed keep their order ahead of the blow-up;
-        # a gradient that overflowed on the way there is part of the blow-up
-        passed = grad_p(du)
-        _check_cfl(np.where(np.isfinite(passed), passed, 0.0), tg, grid.dx, err.time_index + 1)
+        # a gradient that overflowed on the way there is part of the blow-up.
+        # Level j of the path is the step from j to j - 1.
+        passed = grad_p(du)[err.time_index + 1:]
+        check_cfl(np.where(np.isfinite(passed), passed, 0.0), tg, grid)
         raise
     drift = -grad_p(du)
-    _check_cfl(drift, tg, grid.dx, 1)
+    check_cfl(drift[1:], tg, grid)
     h[0] = hamiltonian(du[0], 0)
     return HjbSolution(time_grid=tg, grid=grid, u=u, du=du, hamiltonian=h, drift=drift)
 
@@ -152,22 +142,10 @@ def centered_curvature(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     )
 
 
-HOLDER_EXPONENT = 0.3
-
-
 def hjb_diagnostics(sol: HjbSolution) -> HjbDiagnostics:
-    """Sup norms, the one-scale semiconcavity statistic, and a sampled
-    Hoelder seminorm of the gradient."""
-    grid = sol.grid
+    """Sup norms of the value and its gradient, and the one-scale
+    semiconcavity statistic."""
     sup_u = float(np.max(np.abs(sol.u)))
     sup_du = float(np.max(np.abs(sol.du)))
-    semiconcavity = float(np.max(centered_curvature(sol.u, grid)))
-    stride = max(1, sol.time_grid.n_steps // 8)
-    holder = float(np.max(grid.holder_seminorm(sol.du[::stride], HOLDER_EXPONENT)))
-    return HjbDiagnostics(
-        sup_u=sup_u,
-        sup_du=sup_du,
-        semiconcavity=semiconcavity,
-        holder_du=holder,
-        holder_exponent=HOLDER_EXPONENT,
-    )
+    semiconcavity = float(np.max(centered_curvature(sol.u, sol.grid)))
+    return HjbDiagnostics(sup_u=sup_u, sup_du=sup_du, semiconcavity=semiconcavity)

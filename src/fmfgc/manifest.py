@@ -3,9 +3,11 @@
 Configs are sectioned INI-style text, read and echoed through one field
 table.  Parsing is strict: unknown sections or keys are errors, duplicates
 are errors, and every range violation names the offending key; each range
-is checked by the object it guards.  A parsed manifest is fully resolved
-(all defaults filled in) and serializes back to text losslessly, so the
-copy echoed into an output directory reproduces the run byte for byte.
+is checked by the object it guards.  Every key is a setting of the run:
+what the model derives from them (its structure constant C0, its growth
+q) is no key.  A parsed manifest is fully resolved (all defaults filled
+in) and serializes back to text losslessly, so the copy echoed into an
+output directory reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -50,19 +52,12 @@ def _echo(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-class _Derived(NamedTuple):
-    """A key read off the model: echoed, and accepted only when it matches."""
-
-    attribute: str
-    reason: str
-
-
 class ConfigKey(NamedTuple):
     section: str
     key: str
     field: str
     parse: Callable[[str], object]
-    default: str | _Derived
+    default: str
 
 
 #: Every config key, in echo order; the text defaults are the benchmark scenario.
@@ -77,9 +72,6 @@ FIELDS = (
     ConfigKey("grid", "horizon", "horizon", float, "1.0"),
     ConfigKey("model", "coupling_beta", "coupling_beta", float, "0.3"),
     ConfigKey("model", "kernel_decay", "kernel_decay", float, "1.0"),
-    ConfigKey("model", "c0", "c0", float,
-              _Derived("C0", "is derived from coupling_beta and kernel_decay")),
-    ConfigKey("model", "q", "q", float, _Derived("q", "is fixed by the quadratic cost")),
     ConfigKey("initial", "density", "density", str, "vonmises"),
     ConfigKey("initial", "terminal_amplitude", "terminal_amplitude", float, "0.15"),
     ConfigKey("particles", "count", "particle_count", int, "100000"),
@@ -108,8 +100,6 @@ class RunManifest:
     horizon: float
     coupling_beta: float
     kernel_decay: float
-    c0: float
-    q: float
     density: str
     terminal_amplitude: float
     particle_count: int
@@ -200,12 +190,12 @@ def _check_overridable(mf: RunManifest) -> None:
         raise ConfigError(f"loop.theta must lie in [0, 1], got {mf.theta}")
 
 
-def _validate(mf: RunManifest) -> QuadraticModel:
-    """Build the objects that guard the ranges, then check the rest; returns the model."""
+def _validate(mf: RunManifest) -> None:
+    """Build the objects that guard the ranges, then check the rest."""
     try:
         grid = mf.spatial_grid()
         mf.time_grid()
-        model = mf.model()
+        mf.model()
         mf.loop_config()
         mf.initial_measure(grid)
     except ValueError as exc:
@@ -229,7 +219,6 @@ def _validate(mf: RunManifest) -> QuadraticModel:
             f"particles.store_stride must be 0 (auto) or a divisor of grid.n_t, "
             f"got {mf.store_stride}"
         )
-    return model
 
 
 def parse_config(text: str) -> RunManifest:
@@ -248,24 +237,13 @@ def parse_config(text: str) -> RunManifest:
             if (section, key) not in known:
                 raise ConfigError(f"unknown key {section}.{key}")
 
-    values = {}
-    for f in FIELDS:
-        raw = parser.get(f.section, f.key, fallback=None)
-        if raw is None and isinstance(f.default, str):
-            raw = f.default
-        values[f.field] = None if raw is None else _parse(f"{f.section}.{f.key}", f.parse, raw)
-    model = _validate(RunManifest(**values))
-    for f in FIELDS:
-        if isinstance(f.default, _Derived):
-            expected = getattr(model, f.default.attribute)
-            if values[f.field] is None:
-                values[f.field] = expected
-            elif not math.isclose(values[f.field], expected, rel_tol=1e-9):
-                raise ConfigError(
-                    f"{f.section}.{f.key} {f.default.reason} ({expected!r}); "
-                    f"remove it or match, got {values[f.field]!r}"
-                )
-    return RunManifest(**values)
+    mf = RunManifest(**{
+        f.field: _parse(f"{f.section}.{f.key}", f.parse,
+                        parser.get(f.section, f.key, fallback=f.default))
+        for f in FIELDS
+    })
+    _validate(mf)
+    return mf
 
 
 def default_manifest() -> RunManifest:

@@ -119,8 +119,7 @@ class GridMeasure:
 class _JointFields:
     """What the moments and a model's field forms read of a joint measure,
     one slice or a path: grid, density, alpha, control_magnitude() and
-    mean_control(); with_alpha() swaps in another, checked control, and
-    with_alpha_view() one the solver built."""
+    mean_control(); with_alpha_view() swaps in a control the solver built."""
 
     def control_magnitude(self) -> np.ndarray:
         """|alpha| at every node, per slice."""
@@ -135,10 +134,6 @@ class _JointFields:
         alpha = self.alpha.reshape(lead + (grid.dim, -1))
         density = self.density.reshape(lead + (-1,))
         return np.einsum("...cn,...n->...c", alpha, density) * grid.dx**grid.dim
-
-    def with_alpha(self, alpha: np.ndarray):
-        """The same density with another control; only the control is checked."""
-        return self.with_alpha_view(_checked_control(self.grid, self.density, alpha))
 
     def with_alpha_view(self, alpha: np.ndarray):
         """The same density with a solver-built control, such as a fixed-point
@@ -211,15 +206,14 @@ def lambda_q(mu: JointControlMeasure | MeasurePath, q_tilde: float):
     return moment ** (1.0 / q_tilde)
 
 
-def lambda_inf(mu: JointControlMeasure | MeasurePath, support_threshold: float = 0.0):
-    """Largest control magnitude on the thresholded support of the density,
-    per slice; every slice needs a node above the threshold."""
+def lambda_inf(mu: JointControlMeasure | MeasurePath):
+    """Largest control magnitude on the support of the density, where it is
+    positive, per slice.  A checked slice has mass 1 and so a support; an
+    unchecked view may hold an all-zero slice, which raises."""
     axes = tuple(range(-mu.grid.dim, 0))
-    mask = mu.density > support_threshold
+    mask = mu.density > 0.0
     if not np.all(np.any(mask, axis=axes)):
-        raise DegenerateMeasureError(
-            f"no nodes with density above threshold {support_threshold}"
-        )
+        raise DegenerateMeasureError("a slice has no node with positive density")
     return np.max(np.where(mask, mu.control_magnitude(), -np.inf), axis=axes)
 
 

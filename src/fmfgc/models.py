@@ -98,8 +98,6 @@ class QuadraticModel:
             s0, s1 = _kernel_sums(self.kernel_decay, self.dim)
         if not np.isfinite(s1):
             raise ValueError(f"kernel_decay too small for finite kernel sums, got {kernel_decay}")
-        self.potential_sup = s0
-        self.potential_lip = s1
         # One constant serving coercivity, boundedness and x-regularity.
         self.C0 = max(2.0 / (1.0 - coupling_beta**2), 1.0 + s0 + s1)
 
@@ -244,22 +242,24 @@ def _fd_hessian(model, alpha: np.ndarray, mu) -> np.ndarray:
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
+#: stationarity tolerance, Newton steps and step halvings per Newton step
+#: of the numeric Legendre transform
+LEGENDRE_TOL = 1e-10
+LEGENDRE_MAX_NEWTON = 100
+LEGENDRE_MAX_HALVINGS = 60
+
+
 def legendre_transform(
-    model,
-    p: np.ndarray,
-    mu: JointControlMeasure,
-    tol: float = 1e-10,
-    max_newton: int = 100,
-    max_halvings: int = 60,
+    model, p: np.ndarray, mu: JointControlMeasure
 ) -> tuple[np.ndarray, np.ndarray]:
     """H(x, p, mu) = sup_a { -p.a - L(x, a, mu) } and its maximizer at every node.
 
     p is a momentum field on mu's grid, or a stack of them over leading
     axes.  Damped Newton from a = 0 on the strictly concave objective,
     with a finite-difference Hessian of grad_alpha_field; stops when the
-    stationarity defect |p + D_a L| falls below ``tol`` at every point and
-    raises OptimizationError if some point is still above it after
-    ``max_newton`` steps.
+    stationarity defect |p + D_a L| falls below LEGENDRE_TOL at every
+    point and raises OptimizationError if some point is still above it
+    after LEGENDRE_MAX_NEWTON steps.
     """
     axis = -(mu.grid.dim + 1)
     p = np.asarray(p, dtype=float)
@@ -273,9 +273,9 @@ def legendre_transform(
         return grad, np.sqrt(np.sum(grad**2, axis=axis))
 
     value = objective(alpha)
-    for _ in range(max_newton):
+    for _ in range(LEGENDRE_MAX_NEWTON):
         grad, defect = ascent(alpha)
-        active = defect >= tol
+        active = defect >= LEGENDRE_TOL
         if not np.any(active):
             break
         hess = _fd_hessian(model, alpha, mu)
@@ -283,7 +283,7 @@ def legendre_transform(
         step = np.linalg.pinv(hess) @ np.moveaxis(grad, axis, -1)[..., None]
         delta = np.moveaxis(step[..., 0], -1, axis)
         lam = np.where(active, 1.0, 0.0)
-        for _ in range(max_halvings):
+        for _ in range(LEGENDRE_MAX_HALVINGS):
             tval = objective(alpha + np.expand_dims(lam, axis) * delta)
             bad = active & (tval < value - 1e-14 * (1.0 + np.abs(value)))
             if not np.any(bad):
@@ -293,10 +293,10 @@ def legendre_transform(
         value = objective(alpha)
 
     _, defect = ascent(alpha)
-    if np.any(defect >= tol):
+    if np.any(defect >= LEGENDRE_TOL):
         raise OptimizationError(
-            f"conjugacy optimizer left {int(np.sum(defect >= tol))} points above "
-            f"tolerance {tol}",
+            f"conjugacy optimizer left {int(np.sum(defect >= LEGENDRE_TOL))} points above "
+            f"tolerance {LEGENDRE_TOL}",
             residual=float(defect.max()),
         )
     return value, alpha

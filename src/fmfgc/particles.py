@@ -36,6 +36,9 @@ from .spectral import SpectralGrid, TimeGrid
 #: fitting the jump-regime scaling exponent.
 NOISE_FLOOR_SCALE = 2.0
 
+#: The Hoelder check's factor on the fitted square-root term.
+HOLDER_SLACK = 2.0
+
 #: Particles per block: the unit of work and of random streams in the march.
 #: An ensemble of one block runs on the calling thread.
 MIN_BLOCK = 16384
@@ -417,13 +420,13 @@ class HolderReport:
     passed: bool
 
 
-def holder_wasserstein_check(path: ParticlePath, b_sup: float, slack: float = 2.0) -> HolderReport:
+def holder_wasserstein_check(path: ParticlePath, b_sup: float) -> HolderReport:
     """Measure W1 regularity in time of the empirical flow.
 
-    Checks W1(m(t0), m(t1)) <= b_sup |t1 - t0| + slack * C sqrt(|t1 - t0|)
-    + floor at every stored gap whose distance exceeds the Monte-Carlo
-    noise floor 2/sqrt(N), with C fitted on the coarsest half of the gaps
-    so the fine half genuinely tests the square-root scaling.
+    Checks W1(m(t0), m(t1)) <= b_sup |t1 - t0| + HOLDER_SLACK * C
+    sqrt(|t1 - t0|) + floor at every stored gap whose distance exceeds the
+    Monte-Carlo noise floor 2/sqrt(N), with C fitted on the coarsest half
+    of the gaps so the fine half genuinely tests the square-root scaling.
     """
     if b_sup < 0.0:
         raise ValueError(f"b_sup must be nonnegative, got {b_sup}")
@@ -456,7 +459,7 @@ def holder_wasserstein_check(path: ParticlePath, b_sup: float, slack: float = 2.
         float(np.max((distances[coarse] - b_sup * gaps[coarse] - floor) / np.sqrt(gaps[coarse]))),
         0.0,
     )
-    bound = b_sup * gaps + slack * fitted * np.sqrt(gaps) + floor
+    bound = b_sup * gaps + HOLDER_SLACK * fitted * np.sqrt(gaps) + floor
     active = distances > floor
     passed = bool(np.all(distances[active] <= bound[active] * (1.0 + 1e-12)))
     regime = (distances >= NOISE_FLOOR_SCALE * floor) & (b_sup * gaps <= 0.5 * distances)
@@ -471,7 +474,7 @@ def holder_wasserstein_check(path: ParticlePath, b_sup: float, slack: float = 2.
         noise_floor=floor,
         drift_bound=float(b_sup),
         fitted_constant=fitted,
-        slack=float(slack),
+        slack=HOLDER_SLACK,
         exponent=exponent,
         exponent_points=points,
         passed=passed,

@@ -227,36 +227,6 @@ class SpectralGrid:
         total = total * self.dx**self.dim
         return float(total) if total.ndim == 0 else total
 
-    def holder_seminorm(self, f: np.ndarray, beta: float):
-        """Discrete Holder seminorm sup |f(x)-f(y)| / dist(x,y)^beta: a float
-        for one field, one value per slice for a stack.
-
-        Brute force over all node pairs whose offset lies within n/4 nodes
-        per axis; at that range the periodic per-axis distance is just the
-        offset times dx.
-        """
-        f = self.check_scalar(f)
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"Holder exponent must lie in (0, 1], got {beta}")
-        w = self.n // 4
-        if self.dim == 1:
-            offsets = [((h,), h * self.dx) for h in range(1, w + 1)]
-        else:
-            # Half-plane of offsets covers every unordered pair once.
-            offsets = [
-                ((h1, h2), self.dx * np.hypot(h1, h2))
-                for h1 in range(0, w + 1)
-                for h2 in range(-w, w + 1)
-                if h1 > 0 or h2 > 0
-            ]
-        lead = f.shape[: f.ndim - self.dim]
-        axes = tuple(range(-self.dim, 0))
-        best = np.zeros(lead)
-        for shift, dist in offsets:
-            diff = np.abs(f - np.roll(f, shift, axis=axes)).reshape(lead + (-1,))
-            best = np.maximum(best, np.max(diff, axis=-1) / dist**beta)
-        return float(best) if best.ndim == 0 else best
-
 
 @dataclass(frozen=True)
 class TimeGrid:

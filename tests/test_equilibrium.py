@@ -171,6 +171,25 @@ def test_uniqueness_from_perturbed_start(benchmark_solution):
     assert np.max(np.abs(again.u_sol.u - sol.u_sol.u)) <= 2e-6
 
 
+def test_sweeps_count_the_history_of_a_hand_built_warm_start(benchmark_solution):
+    # a state built by hand with earlier sweeps in its history counts them,
+    # and the solve started from it counts on from there
+    grid, tg, model, m0, u_t, sol = benchmark_solution
+    start = EquilibriumSolution(
+        theta=1.0,
+        u_sol=replace(sol.u_sol, hamiltonian=None, drift=None),
+        m_sol=sol.m_sol,
+        mu_path=sol.mu_path,
+        u_terminal=sol.u_terminal,
+        history=list(sol.history),
+    )
+    assert start.sweeps == len(sol.history) > 0
+    again = solve_equilibrium(model, m0, u_t, tg, warm_start=start)
+    assert again.converged
+    assert again.sweeps == len(again.history) > start.sweeps
+    assert [m.sweep for m in again.history] == list(range(1, again.sweeps + 1))
+
+
 def test_schedule_path_independence(benchmark_solution, benchmark_stages):
     grid, tg, model, m0, u_t, cold = benchmark_solution
     continued = benchmark_stages[-1]

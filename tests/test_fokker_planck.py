@@ -150,7 +150,8 @@ def test_solve_forward_is_chained_one_step_marches_bitwise(dim):
     grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=0.75)
     tg = TimeGrid(horizon=0.2, n_steps=20)
     rng = np.random.default_rng(47)
-    limit = 0.9 * grid.dx / tg.dt
+    # each component at 0.9 / dim of the CFL limit: the summed speed at 0.9
+    limit = 0.9 * grid.dx / tg.dt / dim
     b_path = limit * rng.uniform(-1, 1, (tg.n_steps + 1, dim) + grid.shape)
     m0 = initial_density(grid, "twobump")
     sol = solve_forward(b_path, m0, tg)
@@ -197,9 +198,8 @@ def reference_march(b_path, m0, tg):
 def smooth_marches(draw):
     """A smooth density and a band-limited drift path at up to 0.95 of the
     CFL limit, in d = 1 or 2.  In d = 2 each component peaks at half the
-    speed: the donor-cell coefficients stay nonnegative only while
-    (|b_1| + |b_2|) dt <= dx, which the CFL rule max |b| dt <= dx does not
-    ensure."""
+    speed, so the summed speed |b_1| + |b_2| that the CFL rule bounds stays
+    under the limit too."""
     dim = draw(st.sampled_from([1, 2]))
     grid = SpectralGrid(dim=dim, n=32 if dim == 1 else 16, s=draw(st.floats(0.55, 0.95)))
     tg = TimeGrid(horizon=draw(st.floats(1e-3, 0.2)), n_steps=draw(st.integers(1, 6)))
@@ -329,7 +329,8 @@ def test_sup_under_the_stepwise_face_bound(dim):
     tg = TimeGrid(horizon=0.2, n_steps=40)
     rng = np.random.default_rng(59 + dim)
     b_path = rng.uniform(-1, 1, (tg.n_steps + 1, dim) + grid.shape)
-    b_path *= 0.95 * grid.dx / tg.dt / np.max(np.abs(b_path))
+    # 0.95 of the limit on the summed speed sum_i |b_i|, which is |b| in d = 1
+    b_path *= 0.95 * grid.dx / tg.dt / np.max(np.abs(b_path).sum(axis=1))
     m0 = initial_density(grid, "twobump")
     sol = solve_forward(b_path, m0, tg)
     k = face_compression(b_path, grid)[: tg.n_steps]  # the slices that step
@@ -358,6 +359,30 @@ def test_solve_forward_cfl_error(grid):
         solve_forward(b_path, GridMeasure.uniform(grid), tg)
     assert info.value.required_steps == 320
     assert "n_t" in str(info.value)
+
+
+def test_solve_forward_cfl_bounds_the_summed_speed_in_2d():
+    # Each component of the drift (c, c) is within the limit, c dt < dx, but
+    # the donor-cell step loses mass through both axes' faces at once: at
+    # 2 c dt > dx the clip would remove mass, so the guard must stop it first.
+    grid = SpectralGrid(dim=2, n=16, s=0.75)
+    tg = TimeGrid(horizon=1e-3, n_steps=1)
+    x, y = grid.nodes()
+    m0 = GridMeasure.normalized(grid, np.exp(3.0 * (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y))))
+    b_path = np.full((2, 2) + grid.shape, 0.95 * grid.dx / tg.dt)
+    with pytest.raises(CflError) as info:
+        solve_forward(b_path, m0, tg)
+    assert info.value.required_steps == 2
+    # the check reads the path a block of levels at a time; the largest
+    # summed speed counts wherever it sits
+    grid = SpectralGrid(dim=2, n=64, s=0.75)
+    tg = TimeGrid(horizon=0.2, n_steps=20)
+    rng = np.random.default_rng(61)
+    b_path = rng.uniform(-1, 1, (tg.n_steps + 1, 2) + grid.shape)
+    b_path[17, :, 5, 9] = (30.0, -40.0)
+    with pytest.raises(CflError) as info:
+        solve_forward(b_path, GridMeasure.uniform(grid), tg)
+    assert info.value.required_steps == int(np.ceil(70.0 * tg.horizon / grid.dx)) == 896
 
 
 def test_solve_forward_shape_error(grid):

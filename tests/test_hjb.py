@@ -130,7 +130,9 @@ def test_solve_terminal_exact(grid):
     mu = JointControlMeasure(m, np.zeros((1, grid.n)))
     tg = TimeGrid(horizon=0.5, n_steps=80)
     u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
-    sol = solve_backward(ThetaScaledModel(model, 0.7), constant_path(tg, mu), u_t)
+    # the march starts from the terminal value it is given; a caller that
+    # scales the problem by theta scales that value
+    sol = solve_backward(ThetaScaledModel(model, 0.7), constant_path(tg, mu), 0.7 * u_t)
     assert np.array_equal(sol.u[-1], 0.7 * u_t)
     assert sol.u.shape == (81, 64)
     assert sol.du.shape == (81, 1, 64)
@@ -150,7 +152,6 @@ def test_solve_theta_zero_identically_zero(grid):
     assert diag.sup_u == 0.0
     assert diag.sup_du == 0.0
     assert diag.semiconcavity == 0.0
-    assert diag.holder_du == 0.0
 
 
 def test_solve_self_convergence_first_order():
@@ -276,7 +277,7 @@ def test_cfl_error_ahead_of_blowup_below(grid):
 def reference_march(scaled, mu_path, u_terminal):
     """The march level by level from the public field form and operators."""
     grid, tg = mu_path.grid, mu_path.time_grid
-    u = [scaled.theta * u_terminal]
+    u = [u_terminal]
     du = [grid.gradient(u[0])]
     for j in range(tg.n_steps - 1, -1, -1):
         h = scaled.hamiltonian_at(mu_path[j + 1])[0](du[-1])
@@ -299,7 +300,7 @@ def test_march_matches_level_by_level_reference(dim, theta):
         ]
     )
     path = MeasurePath(tg, grid, density, alpha)
-    u_t = 0.1 * band_limited_field(grid, rng, max_mode=3)
+    u_t = theta * 0.1 * band_limited_field(grid, rng, max_mode=3)
     scaled = ThetaScaledModel(QuadraticModel(coupling_beta=0.3, dim=dim), theta)
     sol = solve_backward(scaled, path, u_t)
     u_ref, du_ref = reference_march(scaled, path, u_t)
@@ -385,13 +386,9 @@ def test_diagnostics_zero_h_solution(grid):
     assert diag.sup_u == pytest.approx(0.2, abs=1e-12)
     assert diag.sup_du == pytest.approx(0.4 * np.pi, rel=1e-10)
     assert diag.semiconcavity == pytest.approx(0.2 * 4 * np.pi**2, rel=0.02)
-    assert 0.0 < diag.holder_du < np.inf
     # the stacked statistics equal the per-level maxima bit for bit
     assert diag.semiconcavity == max(
         float(np.max(centered_curvature(level, grid))) for level in sol.u
-    )
-    assert diag.holder_du == max(
-        grid.holder_seminorm(field, diag.holder_exponent) for field in sol.du[::5, 0]
     )
     # each call computes the statistics afresh, to the same values
     assert hjb_diagnostics(sol) == diag
@@ -408,4 +405,3 @@ def test_diagnostics_follow_a_replaced_value(grid):
     assert doubled.sup_u == 2.0 * diag.sup_u
     assert doubled.sup_du == 2.0 * diag.sup_du
     assert doubled.semiconcavity == 2.0 * diag.semiconcavity
-    assert doubled.holder_du == pytest.approx(2.0 * diag.holder_du, rel=1e-12)

@@ -36,27 +36,14 @@ def test_default_manifest_is_benchmark():
     assert default_manifest() == parse_config("[scenario]\nname = benchmark\n")
 
 
-def test_derived_model_constants_resolved():
-    mf = default_manifest()
+def test_derived_model_constants_are_unknown_keys():
+    # C0 and q are read off the model; naming either fails as any unknown
+    # key does, even at the value the model derives
     derived = QuadraticModel(coupling_beta=0.3, kernel_decay=1.0, dim=1)
-    assert mf.c0 == derived.C0
-    assert mf.q == derived.q == 2.0
-
-
-def test_explicit_matching_constants_accepted():
-    derived = QuadraticModel(coupling_beta=0.3, kernel_decay=1.0, dim=1)
-    text = f"[model]\nc0 = {derived.C0!r}\nq = 2.0\n"
-    assert parse_config(text).c0 == derived.C0
-
-
-def test_conflicting_c0_rejected():
-    with pytest.raises(ConfigError, match="model.c0 is derived"):
-        parse_config("[model]\nc0 = 3.14\n")
-
-
-def test_conflicting_q_rejected():
-    with pytest.raises(ConfigError, match="model.q is fixed"):
-        parse_config("[model]\nq = 3.0\n")
+    for key, value in (("c0", derived.C0), ("q", derived.q)):
+        with pytest.raises(ConfigError, match=f"unknown key model.{key}"):
+            parse_config(f"[model]\n{key} = {value!r}\n")
+    assert "c0" not in default_manifest().to_text()
 
 
 def test_round_trip_is_lossless():

@@ -250,44 +250,6 @@ def test_bessel_norm_values():
     assert bessel_norm(g, h, 0.0) == pytest.approx(np.sqrt(np.sum(h**2) * g.dx), abs=1e-12)
 
 
-def test_holder_seminorm_against_brute_force():
-    rng = np.random.default_rng(29)
-    g = SpectralGrid(1, 32, 0.75)
-    f = band_limited_field(g, rng)
-    beta = 0.3
-    # independent brute force over all in-window pairs
-    best = 0.0
-    for i in range(32):
-        for h in range(1, 9):
-            j = (i + h) % 32
-            best = max(best, abs(f[i] - f[j]) / (h * g.dx) ** beta)
-    assert g.holder_seminorm(f, beta) == pytest.approx(best, rel=1e-12)
-    # a stack gives one value per field, each equal to its own call
-    stack = np.stack([f, 2.0 * f, band_limited_field(g, rng)])
-    per_field = g.holder_seminorm(stack, beta)
-    assert per_field.shape == (3,)
-    assert np.array_equal(per_field, [g.holder_seminorm(h, beta) for h in stack])
-    with pytest.raises(ValueError):
-        g.holder_seminorm(f, 0.0)
-    with pytest.raises(ValueError):
-        g.holder_seminorm(f, 1.5)
-
-
-def test_holder_seminorm_2d_linear_scaling():
-    # For f = sin(2 pi x), the beta = 1 seminorm approximates the Lipschitz
-    # constant 2 pi from below.
-    g = SpectralGrid(2, 32, 0.75)
-    xx, yy = g.nodes()
-    f = np.sin(2 * np.pi * xx)
-    val = g.holder_seminorm(f, 1.0)
-    assert 0.8 * 2 * np.pi <= val <= 2 * np.pi + 1e-9
-    # stacks roll along the grid axes only
-    h = np.sin(2 * np.pi * yy)
-    stack = np.stack([f, 0.5 * f, h])
-    expected = [val, 0.5 * val, g.holder_seminorm(h, 1.0)]
-    assert np.array_equal(g.holder_seminorm(stack, 1.0), expected)
-
-
 def test_time_grid():
     tg = TimeGrid(1.0, 200)
     assert tg.dt == pytest.approx(0.005)
