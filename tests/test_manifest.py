@@ -36,14 +36,35 @@ def test_default_manifest_is_benchmark():
     assert default_manifest() == parse_config("[scenario]\nname = benchmark\n")
 
 
-def test_derived_model_constants_are_unknown_keys():
-    # C0 and q are read off the model; naming either fails as any unknown
-    # key does, even at the value the model derives
+def test_derived_model_constants_resolved():
+    # C0 and q are read off the model the manifest builds; neither is echoed
+    mf = default_manifest()
     derived = QuadraticModel(coupling_beta=0.3, kernel_decay=1.0, dim=1)
-    for key, value in (("c0", derived.C0), ("q", derived.q)):
-        with pytest.raises(ConfigError, match=f"unknown key model.{key}"):
-            parse_config(f"[model]\n{key} = {value!r}\n")
-    assert "c0" not in default_manifest().to_text()
+    assert mf.model().C0 == derived.C0
+    assert mf.model().q == derived.q == 2.0
+    assert "c0" not in mf.to_text()
+
+
+def test_explicit_matching_constants_accepted():
+    # the settings C0 and q derive from, stated explicitly at their defaults,
+    # resolve the same constants; naming C0 itself, even at the value the
+    # model derives, is an unknown key
+    derived = QuadraticModel(coupling_beta=0.3, kernel_decay=1.0, dim=1)
+    mf = parse_config("[model]\ncoupling_beta = 0.3\nkernel_decay = 1.0\n")
+    assert mf == default_manifest()
+    assert (mf.model().C0, mf.model().q) == (derived.C0, derived.q)
+    with pytest.raises(ConfigError, match="unknown key model.c0"):
+        parse_config(f"[model]\nc0 = {derived.C0!r}\n")
+
+
+def test_conflicting_c0_rejected():
+    with pytest.raises(ConfigError, match="unknown key model.c0"):
+        parse_config("[model]\nc0 = 3.14\n")
+
+
+def test_conflicting_q_rejected():
+    with pytest.raises(ConfigError, match="unknown key model.q"):
+        parse_config("[model]\nq = 3.0\n")
 
 
 def test_round_trip_is_lossless():
