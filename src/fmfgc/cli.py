@@ -4,6 +4,11 @@ Every command reads one config file, resolves it to a manifest, and
 echoes that manifest into the output directory so the run is
 reproducible from its artifacts alone.  Failures exit nonzero with a
 JSON summary on stderr; successful runs print a JSON summary on stdout.
+A package error's summary is a typed failure record: it also carries the
+error's sweep index, time level and required step count where it has
+them, and ``solve`` writes it to ``failure.json`` in its output
+directory.  The summaries of ``solve``, ``simulate`` and ``sweep-theta``
+carry the wall time of each phase under ``timings``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .particles import empirical_measure, holder_wasserstein_check, simulate_sde
 from .validation import AcceptanceContext, run_all
 
 _THREAD_HINTS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+#: where a failed run stops: the attributes a package error may carry
+_FAILURE_FIELDS = ("sweep_index", "time_index", "required_steps")
 
 
 def _apply_thread_hint(threads: int | None) -> None:
@@ -67,17 +74,40 @@ def _summary(payload: dict, ok: bool = True) -> None:
     print(json.dumps(payload), file=sys.stdout if ok else sys.stderr, flush=True)
 
 
+def _failure(command: str, exc: Exception) -> dict:
+    """The failure record of a command: the error's type and message, and
+    where the run stopped, as far as the error says."""
+    record = {"command": command, "error": type(exc).__name__, "message": str(exc)}
+    for name in _FAILURE_FIELDS:
+        if getattr(exc, name, None) is not None:
+            record[name] = getattr(exc, name)
+    return record
+
+
 def _cmd_solve(args) -> int:
     mf = _load_manifest(args)
-    tg, model, m0, u_t = _problem(mf)
-    if mf.theta == 0.0:
-        sol = analytic_base(model, m0, u_t, tg)
-    else:
-        sol = solve_equilibrium(
-            model, m0, u_t, tg, theta_target=mf.theta, cfg=mf.loop_config()
-        )
-    emit_artifacts(sol, mf, mf.outdir)
-    cert = equilibrium_certificate(sol, model)
+    outdir = Path(mf.outdir)
+    failure = outdir / "failure.json"
+    failure.unlink(missing_ok=True)  # a record left by an earlier run
+    clock = time.perf_counter
+    t0 = clock()
+    try:
+        tg, model, m0, u_t = _problem(mf)
+        if mf.theta == 0.0:
+            sol = analytic_base(model, m0, u_t, tg)
+        else:
+            sol = solve_equilibrium(
+                model, m0, u_t, tg, theta_target=mf.theta, cfg=mf.loop_config()
+            )
+        t1 = clock()
+        emit_artifacts(sol, mf, outdir)
+        t2 = clock()
+        cert = equilibrium_certificate(sol, model)
+        t3 = clock()
+    except FmfgcError as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+        failure.write_text(json.dumps(_failure("solve", exc)) + "\n")
+        raise
     payload = {
         "command": "solve",
         "outdir": mf.outdir,
@@ -86,6 +116,7 @@ def _cmd_solve(args) -> int:
         "sweeps": sol.sweeps,
         "duality": cert.duality,
         "exploitability": cert.exploitability,
+        "timings": {"solve_s": t1 - t0, "certificate_s": t3 - t2, "write_s": t2 - t1},
     }
     if not sol.converged:
         _summary(payload, ok=False)
@@ -184,16 +215,26 @@ def _cmd_validate(args) -> int:
 def _cmd_sweep_theta(args) -> int:
     mf = _load_manifest(args)
     tg, model, m0, u_t = _problem(mf)
+    clock = time.perf_counter
+    t0 = clock()
     stages = sweep_theta(model, m0, u_t, tg, cfg=mf.loop_config())
+    t1 = clock()
     outdir = Path(mf.outdir)
     emit_theta_table(stages, outdir)
     (outdir / "manifest.cfg").write_text(mf.to_text())
+    t2 = clock()
+    # the last stage is the target game, or the stage the sweep stopped at
+    cert = equilibrium_certificate(stages[-1], model)
+    t3 = clock()
     all_converged = all(stage.converged for stage in stages)
     payload = {
         "command": "sweep-theta",
         "outdir": mf.outdir,
         "thetas": [stage.theta for stage in stages],
         "converged": all_converged,
+        "duality": cert.duality,
+        "exploitability": cert.exploitability,
+        "timings": {"solve_s": t1 - t0, "certificate_s": t3 - t2, "write_s": t2 - t1},
     }
     if not all_converged:
         _summary(payload, ok=False)
@@ -241,14 +282,7 @@ def main(argv=None) -> int:
         _apply_thread_hint(args.threads)
         return _COMMANDS[args.command](args)
     except (FmfgcError, OSError) as exc:
-        _summary(
-            {
-                "command": args.command,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            },
-            ok=False,
-        )
+        _summary(_failure(args.command, exc), ok=False)
         return 1
 
 

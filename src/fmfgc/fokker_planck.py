@@ -7,14 +7,16 @@ preserves the mean by construction but can ring slightly negative on sharp
 data, which is clipped and renormalized under a hard mass-drift guard.
 
 A march splits the face velocities of the whole drift path into their
-positive and negative parts once, and builds the heat table of its step
-once.  Each step is then one pass: the donor-cell shift of the density,
-one sum of the advected density (a non-finite sum is a non-finite field,
-a sum off the mass the step started from is a mass drift: m0's, which
-``GridMeasure`` holds within MASS_TOL of 1, then the 1 that every step
-normalizes to), one transform pair with the march's table, the minimum,
-the clip and its mass guard only where that minimum is not positive, and
-the normalization written into the path.  With zero drift
+positive and negative parts once, and builds the operator of its step
+once (``SpectralGrid.value_step``).  Each step is then one pass: the
+donor-cell shift of the density, one sum of the advected density (a
+non-finite sum is a non-finite field, a sum off the mass the step started
+from is a mass drift: m0's, which ``GridMeasure`` holds within MASS_TOL
+of 1, then the 1 that every step normalizes to), the semigroup with the
+march's operator (on a 1-D grid of at most ``DENSE_STEP_MAX_N`` nodes one
+product with the real kernel of T(dt), else one transform pair), the
+minimum, the clip and its mass guard only where that minimum is not
+positive, and the normalization written into the path.  With zero drift
 the solution is the exact fractional heat flow, built by ``heat_flow``
 from one transform of m0 over the stack of heat multipliers at every time
 node.
@@ -171,8 +173,8 @@ def _step(
     pre-clip minimum and the advection mass drift, the advected mass less
     mass_in, the mass of values.  The caller has checked values, the drift
     behind the face parts pos and neg, the step's rate = dt / dx and the
-    advective restriction sum_i |b_i| dt <= dx, and built heat, the heat
-    table of dt."""
+    advective restriction sum_i |b_i| dt <= dx, and built heat, the
+    value_step of dt."""
     cell = grid.dx**grid.dim
     advected = _advect(values, pos, neg, rate, grid)
     # one sum: a non-finite entry makes it non-finite
@@ -264,7 +266,7 @@ def solve_forward(
     check_cfl(b_path, time_grid, grid)
 
     dt = time_grid.dt
-    heat, rate = grid.heat_table(dt), dt / grid.dx
+    heat, rate = grid.value_step(dt), dt / grid.dx
     m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)

@@ -12,11 +12,13 @@ sum_i |D_{p_i} H| dt <= dx at every node.
 
 A march fixes the measure path once: ``model.hamiltonian_at(mu_path)``
 computes the measure-only parts of H and D_p H for every level in one
-batched call, and the march builds the heat table of its step once
-(``SpectralGrid.heat_table``).  Each level then evaluates H at its
-momentum, checks the result finite, and takes one forward and one batched
-inverse real transform with that table for the new value and its gradient
-(``SpectralGrid.semigroup_gradient``).  D_p H is evaluated once per
+batched call, and the march builds the operator of its step once
+(``SpectralGrid.gradient_step``).  Each level then evaluates H at its
+momentum, checks the result finite, and applies that operator for the new
+value and its gradient together (``SpectralGrid.semigroup_gradient``):
+one product with the stacked real kernel [T(dt); D T(dt)] on a 1-D grid
+of at most ``DENSE_STEP_MAX_N`` nodes, else one forward and one batched
+inverse real transform.  D_p H is evaluated once per
 march, on the whole gradient path; the advective restriction is checked
 on it by the rule the forward march shares (``fokker_planck.check_cfl``),
 at the largest speed over the levels the march stepped from, so a
@@ -77,8 +79,8 @@ def _level(
     time_index: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One backward level: the new value and its gradient from the later
-    value and its Hamiltonian field h, with heat the heat table of dt; the
-    level's one finiteness check."""
+    value and its Hamiltonian field h, with heat the gradient_step of dt;
+    the level's one finiteness check."""
     # T is linear, so T(dt) u - dt T(dt) H is one semigroup application.
     w = u_next - dt * h
     if not np.isfinite(w).all():
@@ -111,7 +113,7 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     u[n] = u_terminal
     du[n] = grid.gradient(u[n])
     hamiltonian, grad_p = model.hamiltonian_at(mu_path)
-    heat = grid.heat_table(dt)
+    heat = grid.gradient_step(dt)
     try:
         for j in range(n - 1, -1, -1):
             h[j + 1] = hamiltonian(du[j + 1], j + 1)

@@ -7,9 +7,13 @@ integer wavenumbers k in {-n/2, ..., n/2 - 1} per axis, so every operator
 here is one real FFT over the trailing grid axes, a multiplier on the half
 spectrum, and the inverse real FFT.  Every operator takes one field or a
 stack of fields over leading axes (a path, say), transformed in one call.
-A march builds its heat table once (``heat_table``) and hands it to the
-unchecked per-step transforms ``semigroup_value`` and
-``semigroup_gradient``, so a step pays for its transform pair alone.
+A march builds its step operator once (``value_step`` or
+``gradient_step``) and hands it to the unchecked per-step transforms
+``semigroup_value`` and ``semigroup_gradient``.  On a 1-D grid of at most
+``DENSE_STEP_MAX_N`` nodes that operator is the real circulant kernel of
+the heat multiplier, built by the same transform applied to the identity,
+so a step is one matrix-vector product; on larger and 2-D grids it is the
+heat table, and a step is one transform pair.
 
 Conventions that matter:
 
@@ -29,6 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InvalidFieldError
+
+#: the largest 1-D grid whose march steps are dense kernel products: at
+#: n = 256 the stacked product [T; D T] costs no more than the transform
+#: pair it replaces, at n = 512 two to four times as much
+DENSE_STEP_MAX_N = 256
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -61,6 +70,7 @@ class SpectralGrid:
         self.s = float(s)
         self.dx = 1.0 / n
         self.shape: tuple[int, ...] = (n,) * dim
+        self._dense_steps = dim == 1 and n <= DENSE_STEP_MAX_N
 
         # Multiplier tables live on the real-transform half spectrum: every
         # integer wavenumber on the leading axis, k = 0 .. n/2 on the last.
@@ -128,7 +138,7 @@ class SpectralGrid:
         t is one time or a numpy array of times; an array gives one table
         per time, shaped t.shape + the half spectrum, so it broadcasts
         against the transform of a stack whose leading axes match t.  A
-        march builds its table once and passes it to every step."""
+        march's step operator comes from the table of its step."""
         s = self.s if s is None else float(s)
         if isinstance(t, np.ndarray) and t.ndim > 0:
             t = t.astype(float).reshape(t.shape + (1,) * self.dim)
@@ -180,30 +190,64 @@ class SpectralGrid:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
         return self._multiply(f, self.heat_table(t, s))
 
-    def semigroup_value(self, f: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """T(t) f for one field f and the heat table of t: one transform
-        pair, what semigroup_apply(f, t) returns, to the bit.
+    def _kernel(self, mults: np.ndarray) -> np.ndarray:
+        """The real kernel of a stack of half-spectrum multipliers on a 1-D
+        grid: the multipliers applied to the unit fields, shaped
+        (len(mults) n, n), so that kernel @ f stacks each multiplier's
+        output on f."""
+        unit = np.eye(self.n)[:, np.newaxis, :]
+        return self._multiply(unit, mults).reshape(self.n, -1).T
 
-        Neither f nor the table is checked here: the forward march calls
-        this once per step, with the table it built, and checks each
+    def value_step(self, t) -> np.ndarray:
+        """The step operator of T(t) that semigroup_value takes: the n x n
+        kernel S on a 1-D grid of at most DENSE_STEP_MAX_N nodes, else the
+        heat table of t."""
+        table = self.heat_table(t)
+        return self._kernel(table[np.newaxis]) if self._dense_steps else table
+
+    def gradient_step(self, t) -> np.ndarray:
+        """The step operator of (T(t), grad T(t)) that semigroup_gradient
+        takes: the (1 + d) n x n kernel K = [T(t); D T(t)] on a 1-D grid of
+        at most DENSE_STEP_MAX_N nodes, else the heat table of t."""
+        table = self.heat_table(t)
+        if not self._dense_steps:
+            return table
+        return self._kernel(np.concatenate([table[np.newaxis], table * self._deriv]))
+
+    def semigroup_value(self, f: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """T(t) f for one field f and the value_step of t.  On a 1-D grid of
+        at most DENSE_STEP_MAX_N nodes this is one product with the kernel,
+        semigroup_apply(f, t) to rounding; elsewhere it is one transform
+        pair, semigroup_apply(f, t) to the bit.
+
+        Neither f nor the operator is checked here: the forward march calls
+        this once per step, with the operator it built, and checks each
         step's input itself."""
-        return self._multiply(f, table)
+        if self._dense_steps:
+            return step @ f
+        return self._multiply(f, step)
 
     def semigroup_gradient(
-        self, f: np.ndarray, table: np.ndarray
+        self, f: np.ndarray, step: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(T(t) f, grad T(t) f) for one field f and the heat table of t,
-        from one forward transform and one inverse over the stacked spectra.
+        """(T(t) f, grad T(t) f) for one field f and the gradient_step of t.
 
-        The value is what semigroup_apply(f, t) returns, to the bit; the
-        gradient is the derivative multiplier on the value's own spectrum,
-        so it matches gradient(semigroup_apply(f, t)) to rounding.  f is
-        not checked here: the HJB march calls this once per time level,
-        with the table it built, and checks each level's input itself.
+        On a 1-D grid of at most DENSE_STEP_MAX_N nodes this is one product
+        with the stacked kernel.
+        Elsewhere it is one forward transform and one inverse over the
+        stacked spectra: the value is what semigroup_apply(f, t) returns,
+        to the bit, and the gradient the derivative multiplier on the
+        value's own spectrum.  Either way the pair matches
+        (semigroup_apply(f, t), gradient of it) to rounding.  f is not
+        checked here: the HJB march calls this once per time level, with
+        the operator it built, and checks each level's input itself.
         """
+        if self._dense_steps:
+            out = (step @ f).reshape(1 + self.dim, self.n)
+            return out[0], out[1:]
         spec = self._forward(f)
         both = np.empty((1 + self.dim,) + spec.shape, dtype=spec.dtype)
-        np.multiply(table, spec, out=both[0])
+        np.multiply(step, spec, out=both[0])
         np.multiply(self._deriv, both[0], out=both[1:])
         out = self._inverse(both)
         return out[0], out[1:]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from fmfgc.spectral import DENSE_STEP_MAX_N
+
 
 def band_limited_field(grid, rng, max_mode=None, scale=1.0):
     """Real random field with spectrum supported on |k_axis| <= max_mode."""
@@ -29,6 +31,16 @@ def band_limited_field(grid, rng, max_mode=None, scale=1.0):
     f = np.fft.ifftn(coeff).real * n**grid.dim
     peak = np.max(np.abs(f))
     return f * (scale / peak) if peak > 0 else f
+
+
+def step_semigroup(grid, f, dt):
+    """T(dt) f from the public operator, as a march step applies it: on a
+    1-D grid of at most DENSE_STEP_MAX_N nodes as a product with its real
+    kernel S, whose columns semigroup_apply gives on the unit fields;
+    elsewhere as semigroup_apply itself."""
+    if grid.dim == 1 and grid.n <= DENSE_STEP_MAX_N:
+        return grid.semigroup_apply(np.eye(grid.n), dt).T @ f
+    return grid.semigroup_apply(f, dt)
 
 
 def smooth_density(grid, rng, roughness=3):

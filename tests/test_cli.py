@@ -8,10 +8,14 @@ stubbed when only the validate command's plumbing is under test.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmfgc
 import fmfgc.cli as cli
 import fmfgc.manifest as manifest
 import fmfgc.particles as particles
@@ -304,3 +308,61 @@ def test_validate_failure_lists_indices(capsys, monkeypatch):
     code = main(["validate"])
     assert code == 2
     assert summary_of(capsys, "err")["failed"] == [2]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-theta"])
+def test_solve_summaries_carry_timings(command, tiny_config, tmp_path, capsys):
+    assert main([command, "--config", str(tiny_config), "--out", str(tmp_path / "run")]) == 0
+    payload = summary_of(capsys)
+    timings = payload["timings"]
+    assert set(timings) == {"solve_s", "certificate_s", "write_s"}
+    assert all(isinstance(v, float) and v > 0.0 for v in timings.values())
+    assert payload["duality"] < 1.0
+    assert not (tmp_path / "run" / "failure.json").exists()
+
+
+def test_failed_solve_leaves_a_typed_failure_record(tmp_path, capsys):
+    # n_t = 8 at n = 64 breaks the CFL guard in the first sweep's backward
+    # march, which names the step count that passes it
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("[grid]\nn = 64\nn_t = 8\n")
+    outdir = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(outdir)]) == 1
+    printed = summary_of(capsys, "err")
+    record = json.loads((outdir / "failure.json").read_text())
+    assert record == printed
+    assert record["error"] == "CflError"
+    assert record["sweep_index"] == 0
+    assert record["required_steps"] > 8
+    assert "time_index" not in record
+    # the step count it names solves, and the stale record goes
+    cfg.write_text(f"[grid]\nn = 64\nn_t = {record['required_steps']}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(outdir)]) == 0
+    assert not (outdir / "failure.json").exists()
+
+
+@pytest.mark.parametrize("n, horizon", [(128, 0.1), (256, 0.05)])
+def test_solve_bytes_independent_of_blas_threads(n, horizon, tmp_path):
+    # The 1-D march steps are BLAS products with kernels of up to 512 x 256
+    # entries.  OpenBLAS builds differ in the size above which a product
+    # runs over more than one thread; whatever the build does, the
+    # artifacts must not change.  Each run is its own process, since BLAS
+    # sizes its pool once.
+    config = tmp_path / "short.cfg"
+    config.write_text(f"[grid]\nn = {n}\nn_t = 20\nhorizon = {horizon}\n")
+    src = str(Path(fmfgc.__file__).resolve().parents[1])
+    names = ("u.bin", "m.bin", "alpha.bin")
+    written = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outdir = tmp_path / f"run-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmfgc", "solve", "--config", str(config), "--out", str(outdir)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = [(outdir / name).read_bytes() for name in names]
+    assert written["1"] == written["2"]

@@ -20,7 +20,7 @@ from fmfgc.models import QuadraticModel, coerce_theta
 from fmfgc.mu_solver import solve_mu
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
-from helpers import band_limited_field, smooth_density
+from helpers import band_limited_field, smooth_density, step_semigroup
 
 
 @pytest.fixture
@@ -166,9 +166,10 @@ def test_solve_forward_is_chained_one_step_marches_bitwise(dim):
 def reference_march(b_path, m0, tg):
     """The forward march step by step through public operators: donor-cell
     advection from the face-averaged drift, the mass check against the mass
-    the step starts from (m0's, then 1), semigroup_apply, an unconditional
-    clip and the renormalization; returns the path, the pre-clip minima and
-    the advection mass drifts."""
+    the step starts from (m0's, then 1), the semigroup as a step applies it
+    (the real kernel of semigroup_apply on a small 1-D grid, semigroup_apply
+    in d = 2), an unconditional clip and the renormalization; returns the
+    path, the pre-clip minima and the advection mass drifts."""
     grid, dt = m0.grid, tg.dt
     path, preclip, drift = [m0.values], [float(np.min(m0.values))], [0.0]
     mass_in = m0.mass
@@ -184,7 +185,7 @@ def reference_march(b_path, m0, tg):
             advected -= dt / grid.dx * (flux - np.roll(flux, 1, axis))
         mass = grid.integrate(advected)
         assert abs(mass - mass_in) <= STEP_MASS_TOL
-        diffused = grid.semigroup_apply(advected, dt)
+        diffused = step_semigroup(grid, advected, dt)
         clipped = np.maximum(diffused, 0.0)
         assert grid.integrate(clipped - diffused) <= CLIP_MASS_TOL
         path.append(clipped / grid.integrate(clipped))

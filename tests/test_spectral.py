@@ -14,9 +14,9 @@ import pytest
 
 import fmfgc
 from fmfgc.errors import GridMismatchError, InvalidFieldError
-from fmfgc.spectral import SpectralGrid, TimeGrid
+from fmfgc.spectral import DENSE_STEP_MAX_N, SpectralGrid, TimeGrid
 
-from helpers import band_limited_field, bessel_norm, periodic_delta
+from helpers import band_limited_field, bessel_norm, periodic_delta, step_semigroup
 
 
 def test_grid_validation():
@@ -124,9 +124,11 @@ def test_semigroup_gradient_pair(dim):
     rng = np.random.default_rng(13)
     g = SpectralGrid(dim, 32 if dim == 1 else 16, 0.75)
     f = rng.standard_normal(g.shape)
-    value, grad = g.semigroup_gradient(f, g.heat_table(0.05))
+    value, grad = g.semigroup_gradient(f, g.gradient_step(0.05))
     assert value.shape == g.shape and grad.shape == (dim,) + g.shape
-    assert value.tobytes() == g.semigroup_apply(f, 0.05).tobytes()
+    # in d = 1 the value is the product with the real kernel, in d = 2 the
+    # transform pair of semigroup_apply
+    assert value.tobytes() == step_semigroup(g, f, 0.05).tobytes()
     assert np.max(np.abs(grad - g.gradient(value))) <= 1e-13
 
 
@@ -289,3 +291,63 @@ def test_package_does_not_import_scipy():
         if line.lstrip().startswith(("import scipy", "from scipy"))
     ]
     assert offenders == []
+
+
+def extended_heat_pair(g, f, dt):
+    """(T(dt) f, D T(dt) f) on a 1-D grid from the grid's own heat table,
+    transformed in long double: a reference whose rounding sits far below
+    that of either double-precision path."""
+    k = np.fft.rfftfreq(g.n, d=1.0 / g.n).astype(np.longdouble)
+    deriv = 2 * np.arccos(np.longdouble(-1)) * np.where(k == g.n // 2, 0, k)
+    spec = g.heat_table(dt).astype(np.longdouble) * np.fft.rfft(f.astype(np.longdouble))
+    return np.fft.irfft(spec, n=g.n), np.fft.irfft(1j * deriv * spec, n=g.n)
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+@pytest.mark.parametrize("s", [0.55, 0.95])
+def test_small_1d_steps_are_the_real_kernel(n, s):
+    # Up to DENSE_STEP_MAX_N nodes a 1-D step is one product with the real
+    # kernel of the heat multiplier.  Its value is semigroup_apply's to
+    # rounding.  Its gradient is checked against long double transforms:
+    # the transform path's own gradient rounds worse, to 5e-14 of the
+    # gradient's size on these draws (the heat table damps the gradient
+    # far below the field), so it is no reference at 1e-14.
+    wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
+    if not wide or np.fft.rfft(np.ones(8, dtype=np.longdouble)).dtype != np.clongdouble:
+        pytest.skip("no long double wider than double, or no long double transforms")
+    assert n <= DENSE_STEP_MAX_N
+    rng = np.random.default_rng(17)
+    g = SpectralGrid(1, n, s)
+    f = rng.standard_normal(n)
+    for dt in (1e-3, 5e-3, 0.05):
+        kernel, stacked = g.value_step(dt), g.gradient_step(dt)
+        assert kernel.shape == (n, n) and stacked.shape == (2 * n, n)
+        exact = g.semigroup_apply(f, dt)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(g.semigroup_value(f, kernel) - exact)) <= 1e-14 * scale
+        value, grad = g.semigroup_gradient(f, stacked)
+        assert grad.shape == (1, n)
+        assert np.max(np.abs(value - exact)) <= 1e-14 * scale
+        fine_value, fine_grad = extended_heat_pair(g, f, dt)
+        assert np.max(np.abs(value - fine_value)) <= 1e-14 * scale
+        grad_scale = np.max(np.abs(fine_grad))
+        assert np.max(np.abs(grad[0] - fine_grad)) <= 1e-14 * grad_scale
+        # T(dt) preserves the mean, so each column, the image of a unit
+        # field, sums to 1
+        assert np.max(np.abs(kernel.sum(axis=0) - 1.0)) <= 1e-14
+        assert np.max(np.abs(stacked[:n].sum(axis=0) - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2 * DENSE_STEP_MAX_N), (2, 16), (2, 64)])
+def test_large_and_2d_steps_keep_the_transform(dim, n):
+    rng = np.random.default_rng(19)
+    g = SpectralGrid(dim, n, 0.75)
+    f = rng.standard_normal(g.shape)
+    dt = 5e-3
+    assert np.array_equal(g.value_step(dt), g.heat_table(dt))
+    assert np.array_equal(g.gradient_step(dt), g.heat_table(dt))
+    exact = g.semigroup_apply(f, dt)
+    assert g.semigroup_value(f, g.value_step(dt)).tobytes() == exact.tobytes()
+    value, grad = g.semigroup_gradient(f, g.gradient_step(dt))
+    assert value.tobytes() == exact.tobytes()
+    assert np.max(np.abs(grad - g.gradient(exact))) <= 1e-13 * np.max(np.abs(grad))
