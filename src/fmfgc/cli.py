@@ -6,9 +6,14 @@ reproducible from its artifacts alone.  Failures exit nonzero with a
 JSON summary on stderr; successful runs print a JSON summary on stdout.
 A package error's summary is a typed failure record: it also carries the
 error's sweep index, time level and required step count where it has
-them, and ``solve`` writes it to ``failure.json`` in its output
-directory.  The summaries of ``solve``, ``simulate`` and ``sweep-theta``
-carry the wall time of each phase under ``timings``.
+them, and ``solve`` and ``sweep-theta`` write it to ``failure.json`` in
+their output directory, where a record of an earlier run is removed when
+they start.  Both stream ``iterations.csv`` into the output directory
+while they solve, one flushed row per sweep, so a run that fails or is
+killed still leaves its per-sweep trace.  The summaries of ``solve``,
+``simulate`` and ``sweep-theta`` carry the wall time of each phase under
+``timings``; ``validate``'s carries the seconds of each criterion and of
+the whole suite.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -84,30 +90,46 @@ def _failure(command: str, exc: Exception) -> dict:
     return record
 
 
+@contextmanager
+def _failure_record(command: str, outdir: Path):
+    """Remove the failure.json an earlier run left in outdir, and write this
+    run's failure record there if a package error ends the block."""
+    failure = outdir / "failure.json"
+    failure.unlink(missing_ok=True)
+    try:
+        yield
+    except FmfgcError as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+        failure.write_text(json.dumps(_failure(command, exc)) + "\n")
+        raise
+
+
+def _iterations_stream(outdir: Path):
+    """outdir/iterations.csv, opened for the rows a solve streams per sweep."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return open(outdir / "iterations.csv", "w", newline="")
+
+
 def _cmd_solve(args) -> int:
     mf = _load_manifest(args)
     outdir = Path(mf.outdir)
-    failure = outdir / "failure.json"
-    failure.unlink(missing_ok=True)  # a record left by an earlier run
     clock = time.perf_counter
     t0 = clock()
-    try:
+    with _failure_record("solve", outdir):
         tg, model, m0, u_t = _problem(mf)
         if mf.theta == 0.0:
             sol = analytic_base(model, m0, u_t, tg)
         else:
-            sol = solve_equilibrium(
-                model, m0, u_t, tg, theta_target=mf.theta, cfg=mf.loop_config()
-            )
+            with _iterations_stream(outdir) as stream:
+                sol = solve_equilibrium(
+                    model, m0, u_t, tg, theta_target=mf.theta, cfg=mf.loop_config(),
+                    metrics_stream=stream,
+                )
         t1 = clock()
         emit_artifacts(sol, mf, outdir)
         t2 = clock()
         cert = equilibrium_certificate(sol, model)
         t3 = clock()
-    except FmfgcError as exc:
-        outdir.mkdir(parents=True, exist_ok=True)
-        failure.write_text(json.dumps(_failure("solve", exc)) + "\n")
-        raise
     payload = {
         "command": "solve",
         "outdir": mf.outdir,
@@ -187,7 +209,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     ctx = AcceptanceContext()
+    t0 = time.perf_counter()
     results = run_all(ctx, stream=sys.stdout)
+    total = time.perf_counter() - t0
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -204,6 +228,10 @@ def _cmd_validate(args) -> int:
         "command": "validate",
         "total": len(results),
         "failed": failed,
+        "timings": {
+            "criterion_s": {str(r.index): r.seconds for r in results},
+            "total_s": total,
+        },
     }
     if failed:
         _summary(payload, ok=False)
@@ -214,18 +242,20 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sweep_theta(args) -> int:
     mf = _load_manifest(args)
-    tg, model, m0, u_t = _problem(mf)
-    clock = time.perf_counter
-    t0 = clock()
-    stages = sweep_theta(model, m0, u_t, tg, cfg=mf.loop_config())
-    t1 = clock()
     outdir = Path(mf.outdir)
-    emit_theta_table(stages, outdir)
-    (outdir / "manifest.cfg").write_text(mf.to_text())
-    t2 = clock()
-    # the last stage is the target game, or the stage the sweep stopped at
-    cert = equilibrium_certificate(stages[-1], model)
-    t3 = clock()
+    clock = time.perf_counter
+    with _failure_record("sweep-theta", outdir):
+        tg, model, m0, u_t = _problem(mf)
+        t0 = clock()
+        with _iterations_stream(outdir) as stream:
+            stages = sweep_theta(model, m0, u_t, tg, cfg=mf.loop_config(), metrics_stream=stream)
+        t1 = clock()
+        emit_theta_table(stages, outdir)
+        (outdir / "manifest.cfg").write_text(mf.to_text())
+        t2 = clock()
+        # the last stage is the target game, or the stage the sweep stopped at
+        cert = equilibrium_certificate(stages[-1], model)
+        t3 = clock()
     all_converged = all(stage.converged for stage in stages)
     payload = {
         "command": "sweep-theta",

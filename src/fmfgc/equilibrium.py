@@ -16,6 +16,17 @@ A sweep reads each measure-only quantity once: the backward march fixes
 the control path, evaluates H and the drift -D_p H there on the new value
 gradient and keeps both on its solution; the CFL guard, the forward march
 and the duality pairing all read those arrays.
+
+The working set is whole paths, so none is held twice.  The analytic
+base holds one density path, the heat flow checked once as a density
+path; its zero value, H, gradient, drift and control paths are read-only
+broadcast views with no memory behind them, and its control path, which
+a stage keeps as the certificate's baseline, is a view of that density.
+Path work that needs path-sized temporaries (the CFL rule, the forward
+march's face velocities, the duality pairing and the certificate's
+monotonicity pairing) runs one block of levels at a time
+(``SpectralGrid.level_blocks``), with every level's arithmetic the one a
+whole-path pass gives.
 """
 
 from __future__ import annotations
@@ -28,10 +39,11 @@ import numpy as np
 
 from .errors import FmfgcError
 from .fokker_planck import FpSolution, duality_residual, heat_flow, solve_forward
-from .hjb import HjbSolution, one_field, solve_backward
+from .hjb import HjbSolution, feedback_drift, one_field, solve_backward
 from .measures import (
     GridMeasure,
     MeasurePath,
+    checked_density_path,
     coordinate_marginals,
     monotonicity_pairing,
     wasserstein_1d,
@@ -107,21 +119,22 @@ def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
     """The scaling-zero solution: u = 0, m = fractional heat flow, alpha = 0.
 
     Every model gives this solution at zero scaling, so ``model`` is not read.
-    The heat flow is one batched semigroup call, checked as a density path.
+    The heat flow is one batched semigroup call, checked as a density path;
+    that checked copy is the one density path the base holds, and every
+    other path is a view.
     """
     grid = m0.grid
-    m_sol = heat_flow(m0, tg)
-    # one read-only zero path per shape serves u and H, Du, the drift and
-    # the control
-    scalar = np.zeros(m_sol.m.shape)
-    vector = np.zeros((tg.n_steps + 1, grid.dim) + grid.shape)
-    scalar.setflags(write=False)
-    vector.setflags(write=False)
+    flow = heat_flow(m0, tg)
+    m_sol = replace(flow, m=checked_density_path(tg, grid, flow.m))
+    # one read-only zero view per shape serves u and H, Du, the drift and
+    # the control, with no memory behind it
+    scalar = np.broadcast_to(0.0, m_sol.m.shape)
+    vector = np.broadcast_to(0.0, (tg.n_steps + 1, grid.dim) + grid.shape)
     return EquilibriumSolution(
         theta=0.0,
         u_sol=HjbSolution(tg, grid, u=scalar, du=vector, hamiltonian=scalar, drift=vector),
         m_sol=m_sol,
-        mu_path=MeasurePath(tg, grid, m_sol.m, vector),
+        mu_path=MeasurePath.view(tg, grid, m_sol.m, vector),
         u_terminal=one_field(grid, u_terminal),
         history=[],
         converged=True,
@@ -227,7 +240,7 @@ def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumS
     mu_path = _control_path(state, scaled, cfg)
     hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
     du = state.u_sol.du
-    u_sol = replace(state.u_sol, hamiltonian=hamiltonian(du), drift=-grad_p(du))
+    u_sol = replace(state.u_sol, hamiltonian=hamiltonian(du), drift=feedback_drift(grad_p, du))
     m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid)
     return replace(state, u_sol=u_sol, mu_path=mu_path, m_sol=m_sol)
 

@@ -6,9 +6,11 @@ flux form telescopes to exact discrete mass conservation; the semigroup
 preserves the mean by construction but can ring slightly negative on sharp
 data, which is clipped and renormalized under a hard mass-drift guard.
 
-A march splits the face velocities of the whole drift path into their
-positive and negative parts once, and builds the operator of its step
-once (``SpectralGrid.value_step``).  Each step is then one pass: the
+A march builds the operator of its step once
+(``SpectralGrid.value_step``) and splits the face velocities of its drift
+path into their positive and negative parts one block of levels at a time
+(``SpectralGrid.level_blocks``), so the parts of one block are live at
+once, never those of the whole path.  Each step is then one pass: the
 donor-cell shift of the density, one sum of the advected density (a
 non-finite sum is a non-finite field, a sum off the mass the step started
 from is a mass drift: m0's, which ``GridMeasure`` holds within MASS_TOL
@@ -34,6 +36,10 @@ there it covers the other case: a node whose own coefficient is negative
 loses mass through both faces, receives none and goes nonpositive.  The
 semigroup, the clip and the renormalization leave the sup alone up to
 the semigroup's discrete ringing and roundoff.
+
+The CFL rule and the duality pairing also read their paths a block of
+levels at a time.  Every level's arithmetic is the one the whole path
+would get, so the results do not depend on the block size, to the bit.
 """
 
 from __future__ import annotations
@@ -49,8 +55,6 @@ from .spectral import SpectralGrid, TimeGrid
 
 STEP_MASS_TOL = 1e-12
 CLIP_MASS_TOL = 1e-10
-#: nodes per block of levels in the CFL check's summed speed
-CFL_BLOCK_NODES = 16384
 
 
 @dataclass
@@ -81,15 +85,12 @@ def check_cfl(drift: np.ndarray, time_grid: TimeGrid, grid: SpectralGrid) -> Non
     reports the step count that satisfies it at the largest summed speed.
     Both marches call it: the forward march on its whole drift path, the
     backward march on -D_p H at the levels it steps from."""
-    # a block of levels at a time: no temporary spans the whole path
     levels = drift.reshape((-1, grid.dim) + grid.shape)
-    step = max(1, CFL_BLOCK_NODES // grid.n**grid.dim)
     speed = 0.0
-    for start in range(0, len(levels), step):
-        block = levels[start : start + step]
-        summed = np.abs(block[:, 0])
+    for block in grid.level_blocks(len(levels)):
+        summed = np.abs(levels[block, 0])
         for axis in range(1, grid.dim):
-            summed += np.abs(block[:, axis])
+            summed += np.abs(levels[block, axis])
         speed = max(speed, float(np.max(summed)))
     if speed * time_grid.dt > grid.dx * (1.0 + 1e-12):
         required = int(np.ceil(speed * time_grid.horizon / grid.dx))
@@ -272,14 +273,17 @@ def solve_forward(
     preclip = np.empty(n + 1)
     preclip[0] = float(np.min(m0.values))
     advect_drift = np.zeros(n + 1)
-    pos, neg, compression = _face_parts(b_path[:n], grid)
     mass = m0.mass  # each later step starts at the unit mass the last one left
-    for j in range(n):
-        preclip[j + 1], advect_drift[j + 1] = _step(
-            m[j], pos[j], neg[j], rate, heat, grid, m[j + 1], mass
-        )
-        mass = 1.0
-    return _solution(m, m0, time_grid, preclip, advect_drift, float(np.max(compression)))
+    compression = 0.0
+    for block in grid.level_blocks(n):
+        pos, neg, block_compression = _face_parts(b_path[block], grid)
+        compression = max(compression, float(np.max(block_compression)))
+        for j, pos_j, neg_j in zip(range(block.start, block.stop), pos, neg):
+            preclip[j + 1], advect_drift[j + 1] = _step(
+                m[j], pos_j, neg_j, rate, heat, grid, m[j + 1], mass
+            )
+            mass = 1.0
+    return _solution(m, m0, time_grid, preclip, advect_drift, compression)
 
 
 DENSITY_PRESETS = ("uniform", "vonmises", "twobump")
@@ -320,10 +324,12 @@ def duality_residual(u_sol, m_sol: FpSolution) -> float:
         raise ValueError("duality pairing needs a common time grid")
     if u_sol.hamiltonian is None or u_sol.drift is None:
         raise ValueError("duality pairing needs H and the drift on the value solution")
-    # Du . D_p H - H, with D_p H = -drift
-    integrand = -np.sum(u_sol.du * u_sol.drift, axis=1)
-    integrand -= u_sol.hamiltonian
-    running = grid.integrate(integrand * m_sol.m)
+    running = np.empty(tg.n_steps + 1)
+    for block in grid.level_blocks(len(running)):
+        # Du . D_p H - H, with D_p H = -drift
+        integrand = -np.sum(u_sol.du[block] * u_sol.drift[block], axis=1)
+        integrand -= u_sol.hamiltonian[block]
+        running[block] = grid.integrate(integrand * m_sol.m[block])
     time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))
     boundary = m_sol[0].expectation(u_sol.u[0]) - m_sol[-1].expectation(u_sol.u[-1])
     return abs(boundary - time_integral)

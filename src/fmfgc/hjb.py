@@ -18,11 +18,13 @@ momentum, checks the result finite, and applies that operator for the new
 value and its gradient together (``SpectralGrid.semigroup_gradient``):
 one product with the stacked real kernel [T(dt); D T(dt)] on a 1-D grid
 of at most ``DENSE_STEP_MAX_N`` nodes, else one forward and one batched
-inverse real transform.  D_p H is evaluated once per
-march, on the whole gradient path; the advective restriction is checked
-on it by the rule the forward march shares (``fokker_planck.check_cfl``),
-at the largest speed over the levels the march stepped from, so a
-violation is reported ahead of any non-finite level below it.  The
+inverse real transform.  D_p H is evaluated once per march, on the
+whole gradient path, and negated into the drift in place where the
+model's array allows (``feedback_drift``); the advective restriction is
+checked on it by the rule the forward march shares
+(``fokker_planck.check_cfl``), at the largest speed over the levels the
+march stepped from, so a violation is reported ahead of any non-finite
+level below it.  The
 solution keeps H and the drift -D_p H at every level, so a sweep's
 forward march and duality pairing read them instead of evaluating the
 model again.  The march starts from the terminal value it is given: a
@@ -68,6 +70,17 @@ def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
     if f.shape != grid.shape:
         raise GridMismatchError(f"a value field has shape {grid.shape}, got {f.shape}")
     return f
+
+
+def feedback_drift(grad_p, du: np.ndarray) -> np.ndarray:
+    """The drift -D_p H on a gradient path du, from the grad_p of a model's
+    hamiltonian_at.  The negation is written over grad_p's array when that
+    array is writable, owns its memory and shares none with du, so most
+    models' drift costs one vector path, not two."""
+    drift = np.asarray(grad_p(du))
+    if drift.flags.writeable and drift.base is None and not np.may_share_memory(drift, du):
+        return np.negative(drift, out=drift)
+    return -drift
 
 
 def _level(
@@ -125,7 +138,7 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
         passed = grad_p(du)[err.time_index + 1:]
         check_cfl(np.where(np.isfinite(passed), passed, 0.0), tg, grid)
         raise
-    drift = -grad_p(du)
+    drift = feedback_drift(grad_p, du)
     check_cfl(drift[1:], tg, grid)
     h[0] = hamiltonian(du[0], 0)
     return HjbSolution(time_grid=tg, grid=grid, u=u, du=du, hamiltonian=h, drift=drift)

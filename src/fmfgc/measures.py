@@ -6,10 +6,15 @@ with the control field on its support).  A MeasurePath holds a whole path
 as stacks with time as the leading axis.  The constructors check what
 callers pass in; what the solver derives from checked data (the slices of
 a path, the rows of a density stack, the coordinate marginals) comes back
-as read-only views that are not checked again.  The moments and W1 take
-one slice or a stack and return a float or one value per slice.  The
-distance is exact W1 on the circle via the cumulative-distribution offset
-formula; in d = 2 it is taken per coordinate marginal.
+as read-only views that are not checked again; a view's stacks may be
+broadcasts, such as the zero controls of the analytic base.  The moments
+and W1 take one slice or a stack and return a float or one value per
+slice.  The distance is exact W1 on the circle via the
+cumulative-distribution offset formula; in d = 2 it is taken per
+coordinate marginal.  The path form of the monotonicity pairing runs
+over blocks of levels (``SpectralGrid.level_blocks``), so its stacked
+controls and L fields never span the whole path; each level's value is
+the one a whole-path pass gives, to the bit.
 """
 
 from __future__ import annotations
@@ -73,6 +78,12 @@ def _checked_control(grid: SpectralGrid, density: np.ndarray, alpha) -> np.ndarr
     alpha = alpha.copy()
     alpha.setflags(write=False)
     return alpha
+
+
+def checked_density_path(time_grid: TimeGrid, grid: SpectralGrid, density) -> np.ndarray:
+    """Read-only copy of a density path, shape (n_steps + 1, *grid.shape),
+    once every slice is checked as a GridMeasure's values are."""
+    return _checked_density(grid, density, (time_grid.n_steps + 1,))
 
 
 class GridMeasure:
@@ -170,7 +181,7 @@ class MeasurePath(_JointFields):
     ):
         self.time_grid = time_grid
         self.grid = grid
-        self.density = _checked_density(grid, density, (time_grid.n_steps + 1,))
+        self.density = checked_density_path(time_grid, grid, density)
         self.alpha = _checked_control(grid, self.density, alpha)
 
     @classmethod
@@ -183,6 +194,14 @@ class MeasurePath(_JointFields):
         path.time_grid, path.grid = time_grid, grid
         path.density, path.alpha = _read_only_view(density), _read_only_view(alpha)
         return path
+
+    def levels(self, block: slice) -> "MeasurePath":
+        """Read-only view of the levels in ``block``, a slice of time levels,
+        for work that runs a block of levels at a time; it keeps the whole
+        path's time grid.  Not checked again."""
+        return MeasurePath.view(
+            self.time_grid, self.grid, self.density[block], self.alpha[block]
+        )
 
     def __len__(self) -> int:
         return self.density.shape[0]
@@ -269,11 +288,22 @@ def monotonicity_pairing(model, mu1, mu2):
     int [L(x,alpha1,mu1) - L(x,alpha1,mu2)] m1 dx
     - int [L(x,alpha2,mu1) - L(x,alpha2,mu2)] m2 dx:
     a float for two slices, one value per slice for two paths.
-    Nonnegative for monotone running costs.  Each measure is read once:
-    L is evaluated at mu1 and at mu2 on the two controls stacked.
+    Nonnegative for monotone running costs.  Each measure is read once
+    (for paths, once per block of levels): L is evaluated at mu1 and at mu2
+    on the two controls stacked.
     """
     if mu1.grid is not mu2.grid:
         raise GridMismatchError("pairing requires measures on the same grid object")
+    if isinstance(mu1, MeasurePath):
+        blocks = mu1.grid.level_blocks(len(mu1))
+        return np.concatenate(
+            [_pairing(model, mu1.levels(b), mu2.levels(b)) for b in blocks]
+        )
+    return _pairing(model, mu1, mu2)
+
+
+def _pairing(model, mu1, mu2):
+    """monotonicity_pairing of two slices, or of two paths in one pass."""
     controls = np.stack([mu1.alpha, mu2.alpha])
     gap1, gap2 = model.lagrangian_field(controls, mu1) - model.lagrangian_field(controls, mu2)
     return mu1.grid.integrate(gap1 * mu1.density) - mu1.grid.integrate(gap2 * mu2.density)

@@ -18,7 +18,10 @@ level and ``grad_p`` once on the gradient path; a sweep's drift and
 duality pairing read those same arrays, and the growth check reads
 ``hamiltonian_at(mu)[0]``.  ``grad_p_field(p, mu)`` reads the mean
 control only, for the control fixed point, which never needs the
-potential.
+potential.  The march negates ``grad_p``'s gradient-path array into the
+drift in place when that array is writable, owns its memory and shares
+none with p (``hjb.feedback_drift``), so ``grad_p`` hands out no array it
+keeps.
 
 A model is any object with the three field forms ``hamiltonian_at``,
 ``grad_p_field`` and ``lagrangian_field`` (and ``grad_alpha_field`` for

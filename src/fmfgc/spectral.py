@@ -13,7 +13,10 @@ A march builds its step operator once (``value_step`` or
 ``DENSE_STEP_MAX_N`` nodes that operator is the real circulant kernel of
 the heat multiplier, built by the same transform applied to the identity,
 so a step is one matrix-vector product; on larger and 2-D grids it is the
-heat table, and a step is one transform pair.
+heat table, and a step is one transform pair.  Work over a whole path of
+time levels that needs path-sized temporaries runs over the blocks of
+levels that ``SpectralGrid.level_blocks`` gives, ``BLOCK_NODES`` grid
+nodes' worth each, so no temporary spans the path.
 
 Conventions that matter:
 
@@ -28,6 +31,7 @@ Conventions that matter:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,11 @@ from .errors import GridMismatchError, InvalidFieldError
 #: n = 256 the stacked product [T; D T] costs no more than the transform
 #: pair it replaces, at n = 512 two to four times as much
 DENSE_STEP_MAX_N = 256
+#: grid nodes per block of time levels in path-level work: the CFL rule's
+#: summed speed, the forward march's face velocities, the duality pairing
+#: and the path form of the monotonicity pairing; 128 KB per scalar field
+#: of a block, 4 levels in d = 2 at n = 64, 128 in d = 1 at n = 128
+BLOCK_NODES = 16384
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -125,6 +134,13 @@ class SpectralGrid:
     def nodes(self) -> np.ndarray:
         """Node coordinates, shape (dim, n, ..., n)."""
         return self._nodes
+
+    def level_blocks(self, n_levels: int) -> Iterator[slice]:
+        """Slices of consecutive levels that cover range(n_levels) in order,
+        BLOCK_NODES grid nodes' worth each and one level at least."""
+        step = max(1, BLOCK_NODES // self.n**self.dim)
+        for start in range(0, n_levels, step):
+            yield slice(start, min(start + step, n_levels))
 
     # -- multipliers -------------------------------------------------------
 

@@ -17,10 +17,12 @@ import pytest
 
 import fmfgc
 import fmfgc.cli as cli
+import fmfgc.equilibrium as equilibrium
 import fmfgc.manifest as manifest
 import fmfgc.particles as particles
 from fmfgc.artifacts import read_csv, read_field, write_field
 from fmfgc.cli import main
+from fmfgc.errors import CflError
 from fmfgc.manifest import parse_config
 from fmfgc.validation import CriterionResult
 
@@ -297,6 +299,7 @@ def test_validate_reports_and_exits_zero(tmp_path, capsys, monkeypatch):
     code = main(["validate", "--out", str(tmp_path)])
     assert code == 0
     payload = summary_of(capsys)
+    payload.pop("timings")
     assert payload == {"command": "validate", "total": 2, "failed": []}
     header, rows = read_csv(tmp_path / "validation.csv")
     assert header == ["index", "name", "passed", "detail", "seconds"]
@@ -339,6 +342,77 @@ def test_failed_solve_leaves_a_typed_failure_record(tmp_path, capsys):
     cfg.write_text(f"[grid]\nn = 64\nn_t = {record['required_steps']}\n")
     assert main(["solve", "--config", str(cfg), "--out", str(outdir)]) == 0
     assert not (outdir / "failure.json").exists()
+
+
+def test_validate_summary_carries_timings(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_all", lambda ctx, stream: _fake_results(fail_index=1))
+    assert main(["validate"]) == 2
+    timings = summary_of(capsys, "err")["timings"]
+    assert timings["criterion_s"] == {"1": 0.01, "2": 0.01}
+    assert isinstance(timings["total_s"], float) and timings["total_s"] >= 0.0
+
+
+def test_failed_sweep_theta_leaves_a_typed_failure_record(tmp_path, capsys):
+    # a stage's backward march breaks the CFL guard, as in the failed solve
+    # above; the sweeps before it are streamed, and a stale record goes
+    # when the next run starts
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("[grid]\nn = 64\nn_t = 8\n")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep-theta", "--config", str(cfg), "--out", str(outdir)]) == 1
+    printed = summary_of(capsys, "err")
+    record = json.loads((outdir / "failure.json").read_text())
+    assert record == printed
+    assert record["command"] == "sweep-theta"
+    assert record["error"] == "CflError"
+    assert record["required_steps"] > 8
+    _, rows = read_csv(outdir / "iterations.csv")
+    assert record["sweep_index"] == len(rows) > 0
+    cfg.write_text("[grid]\nn = 16\nn_t = 32\n")
+    assert main(["sweep-theta", "--config", str(cfg), "--out", str(outdir)]) == 0
+    assert not (outdir / "failure.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-theta"])
+def test_iterations_stream_while_solving(command, tiny_config, tmp_path, capsys, monkeypatch):
+    # The second sweep raises: the first sweep's row is already on disk,
+    # next to the failure record.
+    outdir = tmp_path / "run"
+    picard = equilibrium.picard_iterate
+    calls = []
+
+    def second_sweep_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise CflError("injected", required_steps=99)
+        return picard(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "picard_iterate", second_sweep_fails)
+    assert main([command, "--config", str(tiny_config), "--out", str(outdir)]) == 1
+    header, rows = read_csv(outdir / "iterations.csv")
+    assert header == list(equilibrium.MetricsWriter.FIELDS)
+    assert len(rows) == 1 and rows[0][0] == "1"
+    record = json.loads((outdir / "failure.json").read_text())
+    assert record == summary_of(capsys, "err")
+    assert (record["error"], record["required_steps"]) == ("CflError", 99)
+
+
+def test_streamed_iterations_are_the_emitted_file(tiny_config, tmp_path, capsys, monkeypatch):
+    # emit_artifacts writes iterations.csv again from the history; on a
+    # successful solve the streamed file already holds those bytes
+    streamed = []
+    emit = cli.emit_artifacts
+
+    def read_then_emit(sol, mf, outdir):
+        streamed.append((outdir / "iterations.csv").read_bytes())
+        return emit(sol, mf, outdir)
+
+    monkeypatch.setattr(cli, "emit_artifacts", read_then_emit)
+    outdir = tmp_path / "run"
+    assert main(["solve", "--config", str(tiny_config), "--out", str(outdir)]) == 0
+    final = (outdir / "iterations.csv").read_bytes()
+    assert streamed == [final]
+    assert final.count(b"\r\n") == 1 + summary_of(capsys)["sweeps"]
 
 
 @pytest.mark.parametrize("n, horizon", [(128, 0.1), (256, 0.05)])

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,47 @@ def test_theta_zero_base_is_fixed_point():
     for j, t in enumerate(tg.times()):
         flow = grid.semigroup_apply(m0.values, t)
         assert np.max(np.abs(base.mu_path.density[j] - flow)) <= 1e-14
+
+
+def test_theta_zero_base_holds_one_density_path():
+    # the checked heat flow is the one path with memory behind it; the
+    # control path views it, and every zero path is a read-only broadcast
+    grid, tg, m0, u_t = small_scenario()
+    base = analytic_base(QuadraticModel(coupling_beta=0.3), m0, u_t, tg)
+    assert np.shares_memory(base.mu_path.density, base.m_sol.m)
+    assert not base.m_sol.m.flags.writeable
+    zeros = (base.u_sol.u, base.u_sol.hamiltonian, base.u_sol.du, base.u_sol.drift,
+             base.mu_path.alpha)
+    for path in zeros:
+        assert not path.flags.writeable
+        assert set(path.strides) == {0}
+    assert base.u_sol.u.shape == base.m_sol.m.shape == (tg.n_steps + 1,) + grid.shape
+    assert base.mu_path.alpha.shape == base.u_sol.du.shape == (tg.n_steps + 1, 1) + grid.shape
+
+
+def test_solve_and_certificate_working_set_stays_under_twelve_vector_paths():
+    # A certified 2-D solve whose 25 levels span 7 blocks of path work
+    # (4 levels a block at n = 64).  What a solve must hold is about ten
+    # vector paths: the analytic base's density, the last state and the
+    # sweep's new one (value, gradient, H, drift, control and density
+    # paths); path-wide temporaries and copies of the base took it to 14.
+    grid = SpectralGrid(dim=2, n=64, s=0.75)
+    tg = TimeGrid(horizon=0.25, n_steps=24)
+    assert len(list(grid.level_blocks(tg.n_steps + 1))) == 7
+    model = QuadraticModel(coupling_beta=0.3, dim=2)
+    m0 = initial_density(grid, "vonmises")
+    x, y = grid.nodes()
+    u_t = 0.15 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    vector_path = (tg.n_steps + 1) * grid.dim * grid.n**grid.dim * 8
+    tracemalloc.start()
+    try:
+        sol = solve_equilibrium(model, m0, u_t, tg)
+        cert = equilibrium_certificate(sol, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.converged and cert.moments_ok and cert.monotone_ok
+    assert peak < 12 * vector_path, f"traced peak {peak / vector_path:.2f} vector paths"
 
 
 def test_decoupled_model_control_is_minus_gradient():

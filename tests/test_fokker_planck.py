@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmfgc import fokker_planck
+from fmfgc import fokker_planck, spectral
 from fmfgc.equilibrium import analytic_base
 from fmfgc.errors import CflError, ConservationError, InvalidFieldError
 from fmfgc.fokker_planck import (
     CLIP_MASS_TOL,
     STEP_MASS_TOL,
+    check_cfl,
     duality_residual,
     heat_flow,
     initial_density,
@@ -509,3 +510,97 @@ def test_duality_mismatch_errors(grid):
     with pytest.raises(ValueError):
         duality_residual(u_sol, m_other)
 
+
+
+# -- paths that span several blocks of levels -------------------------------
+
+
+def multi_block_scenario(dim):
+    """A grid, time grid, density and rough drift path at 0.9 of the CFL
+    limit whose steps span at least three blocks of path work: a block is
+    64 levels at n = 256 in d = 1 and 4 levels at n = 64 in d = 2.  The
+    drift fades over the path, so its largest speed and compression sit
+    in the first block, not the last."""
+    grid = SpectralGrid(dim=dim, n=256 if dim == 1 else 64, s=0.75)
+    tg = TimeGrid(horizon=0.5 if dim == 1 else 0.1, n_steps=140 if dim == 1 else 13)
+    assert len(list(grid.level_blocks(tg.n_steps))) >= 3
+    rng = np.random.default_rng(67 + dim)
+    b_path = rng.uniform(-1, 1, (tg.n_steps + 1, dim) + grid.shape)
+    b_path *= np.linspace(1.0, 0.5, tg.n_steps + 1).reshape((-1,) + (1,) * (dim + 1))
+    b_path *= 0.9 * grid.dx / tg.dt / np.max(np.abs(b_path).sum(axis=1))
+    return grid, tg, initial_density(grid, "twobump"), b_path
+
+
+def one_block(monkeypatch, tg, grid):
+    """Make one block of levels span every path on tg, as if path work ran
+    over the whole path at once."""
+    monkeypatch.setattr(spectral, "BLOCK_NODES", (tg.n_steps + 1) * grid.n**grid.dim)
+    assert len(list(grid.level_blocks(tg.n_steps + 1))) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_forward_across_level_blocks_is_the_whole_path_march_bitwise(dim, monkeypatch):
+    # The face velocities are split a block of levels at a time; the path,
+    # every trace and the comparison bound are what one block over the
+    # whole path gives, to the bit.
+    grid, tg, m0, b_path = multi_block_scenario(dim)
+    sol = solve_forward(b_path, m0, tg)
+    path, preclip, drift = reference_march(b_path, m0, tg)
+    assert sol.m.tobytes() == path.tobytes()
+    assert sol.preclip_min_trace.tobytes() == preclip.tobytes()
+    assert sol.advect_drift_trace.tobytes() == drift.tobytes()
+    one_block(monkeypatch, tg, grid)
+    whole = solve_forward(b_path, m0, tg)
+    for name in ("m", "mass_trace", "min_trace", "preclip_min_trace", "advect_drift_trace",
+                 "sup_trace"):
+        assert getattr(sol, name).tobytes() == getattr(whole, name).tobytes()
+    assert sol.drift_div_neg > 0.0
+    assert repr(sol.drift_div_neg) == repr(whole.drift_div_neg)
+    assert repr(sol.sup_bound) == repr(whole.sup_bound)
+
+
+def whole_path_duality(u_sol, m_sol):
+    """duality_residual's formula on the whole path at once."""
+    grid, tg = m_sol.grid, m_sol.time_grid
+    integrand = -np.sum(u_sol.du * u_sol.drift, axis=1)
+    integrand -= u_sol.hamiltonian
+    running = grid.integrate(integrand * m_sol.m)
+    time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))
+    boundary = m_sol[0].expectation(u_sol.u[0]) - m_sol[-1].expectation(u_sol.u[-1])
+    return abs(boundary - time_integral)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_duality_across_level_blocks_is_the_whole_path_sum_bitwise(dim):
+    grid, tg, m0, _ = multi_block_scenario(dim)
+    assert len(list(grid.level_blocks(tg.n_steps + 1))) >= 3
+    rng = np.random.default_rng(73 + dim)
+    model = coerce_theta(QuadraticModel(coupling_beta=0.3, dim=dim), 0.5)
+    density = heat_flow(m0, tg).m
+    mu_path = MeasurePath(tg, grid, density, rng.uniform(-0.5, 0.5, (len(density), dim) + grid.shape))
+    u_t = 0.1 * np.sum([np.cos(2 * np.pi * x) for x in grid.nodes()], axis=0)
+    u_sol = solve_backward(model, mu_path, u_t)
+    m_sol = solve_forward(u_sol.drift, m0, tg)
+    duality = duality_residual(u_sol, m_sol)
+    assert duality > 0.0
+    assert repr(duality) == repr(whole_path_duality(u_sol, m_sol))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_check_cfl_across_level_blocks_is_the_whole_path_rule(dim):
+    # The summed speed is read a block of levels at a time; wherever the
+    # largest one sits, at a block's first or last level, the verdict and
+    # the step count are the whole path's.
+    grid, tg, _, b_path = multi_block_scenario(dim)
+    blocks = list(grid.level_blocks(len(b_path)))
+    assert len(blocks) >= 3
+    check_cfl(b_path, tg, grid)  # 0.9 of the limit passes
+    for level in sorted({j for b in blocks for j in (b.start, b.stop - 1)}):
+        hot = b_path.copy()
+        hot[level] *= 1.5 + level / len(b_path)
+        speed = float(np.max(np.sum(np.abs(hot), axis=1)))
+        required = int(np.ceil(speed * tg.horizon / grid.dx))
+        assert speed * tg.dt > grid.dx
+        with pytest.raises(CflError) as info:
+            check_cfl(hot, tg, grid)
+        assert info.value.required_steps == required

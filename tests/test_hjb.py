@@ -5,7 +5,7 @@ import pytest
 
 from fmfgc.equilibrium import analytic_base
 from fmfgc.errors import BlowUpError, CflError, GridMismatchError
-from fmfgc.hjb import centered_curvature, hjb_diagnostics, solve_backward
+from fmfgc.hjb import centered_curvature, feedback_drift, hjb_diagnostics, solve_backward
 from fmfgc import measures
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
 from fmfgc.models import QuadraticModel, ThetaScaledModel
@@ -406,3 +406,23 @@ def test_diagnostics_follow_a_replaced_value(grid):
     assert doubled.sup_u == 2.0 * diag.sup_u
     assert doubled.sup_du == 2.0 * diag.sup_du
     assert doubled.semiconcavity == 2.0 * diag.semiconcavity
+
+
+def test_feedback_drift_negates_in_place_only_an_array_of_its_own():
+    rng = np.random.default_rng(5)
+    du = rng.standard_normal((4, 1, 16))
+    before = du.copy()
+    fresh = []
+
+    def grad_p(p):
+        fresh.append(p + 0.25)
+        return fresh[-1]
+
+    drift = feedback_drift(grad_p, du)
+    assert drift is fresh[0]  # written over, no second path
+    assert drift.tobytes() == (-(before + 0.25)).tobytes()
+    # D_p H that is the gradient itself, a view of it, or read-only stays
+    for same in (lambda p: p, lambda p: p[:], lambda p: np.broadcast_to(p, p.shape)):
+        drift = feedback_drift(same, du)
+        assert drift.tobytes() == (-before).tobytes()
+        assert du.tobytes() == before.tobytes()

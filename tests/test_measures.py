@@ -395,6 +395,32 @@ def test_monotonicity_pairing_is_the_four_call_form_bitwise(theta, dim):
         assert repr(one) == repr(four_calls(paths[0][j], paths[1][j]))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_monotonicity_pairing_across_level_blocks_is_the_whole_path_form_bitwise(dim):
+    # The path form runs a block of levels at a time (64 levels at n = 256
+    # in d = 1, 4 at n = 64 in d = 2); over paths that span at least three
+    # blocks it is the stacked form on the whole path at once, to the bit.
+    rng = np.random.default_rng(71)
+    g = SpectralGrid(dim, 256 if dim == 1 else 64, 0.75)
+    model = ThetaScaledModel(QuadraticModel(0.3, dim=dim), 0.5)
+    tg = TimeGrid(horizon=1.0, n_steps=140 if dim == 1 else 13)
+    levels = tg.n_steps + 1
+    assert len(list(g.level_blocks(levels))) >= 3
+    mu1, mu2 = (
+        MeasurePath(
+            tg, g, np.stack([smooth_density(g, rng) for _ in range(levels)]),
+            rng.uniform(-2, 2, (levels, dim) + g.shape),
+        )
+        for _ in range(2)
+    )
+    controls = np.stack([mu1.alpha, mu2.alpha])
+    gap1, gap2 = model.lagrangian_field(controls, mu1) - model.lagrangian_field(controls, mu2)
+    whole = g.integrate(gap1 * mu1.density) - g.integrate(gap2 * mu2.density)
+    pairing = monotonicity_pairing(model, mu1, mu2)
+    assert pairing.shape == (levels,)
+    assert pairing.tobytes() == whole.tobytes()
+
+
 def test_mass_mismatch_detection():
     g = SpectralGrid(1, 32, 0.75)
     m1 = GridMeasure.uniform(g)
