@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import MetricsWriter
 from .errors import FormatError
 from .hjb import hjb_diagnostics
 from .measures import lambda_q
@@ -26,15 +25,16 @@ _HEADER_BYTES = len(MAGIC) + 4
 def write_field(path: str | Path, array: np.ndarray) -> Path:
     """Write an array in the package binary format."""
     path = Path(path)
-    arr = np.asarray(array, dtype=np.float64)
+    arr = np.asarray(array, dtype="<f8")
     # capture the shape first: ascontiguousarray promotes rank 0 to rank 1
     shape = arr.shape
-    arr = np.ascontiguousarray(arr)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array([len(shape)], dtype="<u4").tobytes())
         fh.write(np.array(shape, dtype="<u4").tobytes())
-        fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+        # the float64 buffer goes to the file as it is; only an array that is
+        # not C-contiguous (a transpose, a broadcast) is copied first
+        np.ascontiguousarray(arr).tofile(fh)
     return path
 
 
@@ -109,7 +109,8 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     """Write a converged (or final) equilibrium state to an output directory.
 
     Produces u.bin / m.bin / alpha.bin, the per-time diagnostics.csv with
-    n_t + 1 rows, the per-sweep iterations.csv, and the echoed manifest.
+    n_t + 1 rows, and the echoed manifest.  The per-sweep iterations.csv is
+    the one the solve streamed (``equilibrium.MetricsWriter``).
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -140,12 +141,6 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
         for j, row in enumerate(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
     ]
     paths["diagnostics"] = write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, rows)
-
-    paths["iterations"] = outdir / "iterations.csv"
-    with open(paths["iterations"], "w", newline="") as fh:
-        sink = MetricsWriter(fh)
-        for entry in solution.history:
-            sink.write(entry)
 
     manifest_path = outdir / "manifest.cfg"
     manifest_path.write_text(manifest.to_text())

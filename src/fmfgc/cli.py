@@ -10,10 +10,11 @@ them, and ``solve`` and ``sweep-theta`` write it to ``failure.json`` in
 their output directory, where a record of an earlier run is removed when
 they start.  Both stream ``iterations.csv`` into the output directory
 while they solve, one flushed row per sweep, so a run that fails or is
-killed still leaves its per-sweep trace.  The summaries of ``solve``,
-``simulate`` and ``sweep-theta`` carry the wall time of each phase under
-``timings``; ``validate``'s carries the seconds of each criterion and of
-the whole suite.
+killed still leaves its per-sweep trace; that stream is the file's only
+writer, and ``solve`` at theta = 0 writes its header alone.  The
+summaries of ``solve``, ``simulate`` and ``sweep-theta`` carry the wall
+time of each phase under ``timings``; ``validate``'s carries the seconds
+of each criterion and of the whole suite.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .artifacts import (
     write_csv,
 )
 from .equilibrium import (
+    MetricsWriter,
     analytic_base,
     equilibrium_certificate,
     solve_equilibrium,
@@ -80,6 +82,13 @@ def _summary(payload: dict, ok: bool = True) -> None:
     print(json.dumps(payload), file=sys.stdout if ok else sys.stderr, flush=True)
 
 
+def _finish(payload: dict, ok: bool) -> int:
+    """Print a command's summary and return its exit code: 0 on stdout when
+    ok, else 2 on stderr (a run that finished short of its target)."""
+    _summary(payload, ok)
+    return 0 if ok else 2
+
+
 def _failure(command: str, exc: Exception) -> dict:
     """The failure record of a command: the error's type and message, and
     where the run stopped, as far as the error says."""
@@ -105,7 +114,8 @@ def _failure_record(command: str, outdir: Path):
 
 
 def _iterations_stream(outdir: Path):
-    """outdir/iterations.csv, opened for the rows a solve streams per sweep."""
+    """outdir/iterations.csv, opened for the rows a solve streams per sweep;
+    the only writer of that file."""
     outdir.mkdir(parents=True, exist_ok=True)
     return open(outdir / "iterations.csv", "w", newline="")
 
@@ -117,10 +127,11 @@ def _cmd_solve(args) -> int:
     t0 = clock()
     with _failure_record("solve", outdir):
         tg, model, m0, u_t = _problem(mf)
-        if mf.theta == 0.0:
-            sol = analytic_base(model, m0, u_t, tg)
-        else:
-            with _iterations_stream(outdir) as stream:
+        with _iterations_stream(outdir) as stream:
+            if mf.theta == 0.0:
+                MetricsWriter(stream)  # the base runs no sweep: a header only
+                sol = analytic_base(model, m0, u_t, tg)
+            else:
                 sol = solve_equilibrium(
                     model, m0, u_t, tg, theta_target=mf.theta, cfg=mf.loop_config(),
                     metrics_stream=stream,
@@ -140,11 +151,7 @@ def _cmd_solve(args) -> int:
         "exploitability": cert.exploitability,
         "timings": {"solve_s": t1 - t0, "certificate_s": t3 - t2, "write_s": t2 - t1},
     }
-    if not sol.converged:
-        _summary(payload, ok=False)
-        return 2
-    _summary(payload)
-    return 0
+    return _finish(payload, sol.converged)
 
 
 def _cmd_simulate(args) -> int:
@@ -174,10 +181,7 @@ def _cmd_simulate(args) -> int:
     t1 = clock()
     emp = empirical_measure(path.terminal(), grid)
     terminal = GridMeasure(grid, m_path[-1])
-    w1 = max(
-        wasserstein_1d(a, b)
-        for a, b in zip(coordinate_marginals(emp), coordinate_marginals(terminal))
-    )
+    w1 = float(np.max(wasserstein_1d(coordinate_marginals(emp), coordinate_marginals(terminal))))
     t2 = clock()
     report = None
     if len(path.times) >= 8:
@@ -203,8 +207,7 @@ def _cmd_simulate(args) -> int:
             "write_s": t4 - t3,
         },
     }
-    _summary(payload)
-    return 0
+    return _finish(payload, True)
 
 
 def _cmd_validate(args) -> int:
@@ -233,11 +236,7 @@ def _cmd_validate(args) -> int:
             "total_s": total,
         },
     }
-    if failed:
-        _summary(payload, ok=False)
-        return 2
-    _summary(payload)
-    return 0
+    return _finish(payload, not failed)
 
 
 def _cmd_sweep_theta(args) -> int:
@@ -266,11 +265,7 @@ def _cmd_sweep_theta(args) -> int:
         "exploitability": cert.exploitability,
         "timings": {"solve_s": t1 - t0, "certificate_s": t3 - t2, "write_s": t2 - t1},
     }
-    if not all_converged:
-        _summary(payload, ok=False)
-        return 2
-    _summary(payload)
-    return 0
+    return _finish(payload, all_converged)
 
 
 _COMMANDS = {

@@ -166,13 +166,10 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
     # Du only: the march's H and drift go as soon as the pairing has read them
     u_new = replace(u_new, hamiltonian=None, drift=None)
     u_change = float(np.max(np.abs(u_new.u - state.u_sol.u)))
-    m_change = max(
-        float(np.max(wasserstein_1d(a, b)))
-        for a, b in zip(
-            coordinate_marginals(GridMeasure.view(state.grid, state.m_sol.m)),
-            coordinate_marginals(GridMeasure.view(state.grid, m_new.m)),
-        )
-    )
+    m_change = float(np.max(wasserstein_1d(
+        coordinate_marginals(GridMeasure.view(state.grid, state.m_sol.m)),
+        coordinate_marginals(GridMeasure.view(state.grid, m_new.m)),
+    )))
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,

@@ -37,9 +37,12 @@ loses mass through both faces, receives none and goes nonpositive.  The
 semigroup, the clip and the renormalization leave the sup alone up to
 the semigroup's discrete ringing and roundoff.
 
-The CFL rule and the duality pairing also read their paths a block of
-levels at a time.  Every level's arithmetic is the one the whole path
-would get, so the results do not depend on the block size, to the bit.
+A drift path is checked once, by ``checked_drift_path`` (shape and
+finiteness), the check the particle march makes too; the CFL rule then
+reads the levels 0..n-1 that the steps read.  The CFL rule and the
+duality pairing also read their paths a block of levels at a time.
+Every level's arithmetic is the one the whole path would get, so the
+results do not depend on the block size, to the bit.
 """
 
 from __future__ import annotations
@@ -83,8 +86,9 @@ def check_cfl(drift: np.ndarray, time_grid: TimeGrid, grid: SpectralGrid) -> Non
     levels a march steps from.  The summed speed is what keeps a donor-cell
     node's own coefficient nonnegative; in d = 1 it is |b|.  A violation
     reports the step count that satisfies it at the largest summed speed.
-    Both marches call it: the forward march on its whole drift path, the
-    backward march on -D_p H at the levels it steps from."""
+    Both marches call it at the levels they step from: the forward march
+    on levels 0..n-1 of its drift path, the backward march on -D_p H at
+    levels 1..n."""
     levels = drift.reshape((-1, grid.dim) + grid.shape)
     speed = 0.0
     for block in grid.level_blocks(len(levels)):
@@ -244,6 +248,20 @@ def heat_flow(m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     return _solution(m, m0, time_grid, np.min(rows, axis=1), np.zeros(len(m)), 0.0)
 
 
+def checked_drift_path(b_path, time_grid: TimeGrid, grid: SpectralGrid) -> np.ndarray:
+    """b_path as a float array, once it is checked to have the shape
+    (n_steps + 1, dim, *grid.shape) and only finite values; the drift path
+    that the density march and the particle march step through."""
+    b_path = np.asarray(b_path, dtype=float)
+    expected = (time_grid.n_steps + 1, grid.dim) + grid.shape
+    if b_path.shape != expected:
+        raise ValueError(f"drift path shape {b_path.shape}, expected {expected}")
+    # a NaN or an infinity reaches the extremes
+    if not (np.isfinite(np.max(b_path)) and np.isfinite(np.min(b_path))):
+        raise InvalidFieldError("drift path contains non-finite values")
+    return b_path
+
+
 def solve_forward(
     b_path: np.ndarray, m0: GridMeasure, time_grid: TimeGrid
 ) -> FpSolution:
@@ -256,15 +274,10 @@ def solve_forward(
     """
     grid = m0.grid
     n = time_grid.n_steps
-    b_path = np.asarray(b_path, dtype=float)
-    expected = (n + 1, grid.dim) + grid.shape
-    if b_path.shape != expected:
-        raise ValueError(f"drift path shape {b_path.shape}, expected {expected}")
-    # a NaN or an infinity reaches the extremes; the finiteness check comes
-    # first, because a NaN speed passes the CFL comparison
-    if not (np.isfinite(np.max(b_path)) and np.isfinite(np.min(b_path))):
-        raise InvalidFieldError("drift path contains non-finite values")
-    check_cfl(b_path, time_grid, grid)
+    b_path = checked_drift_path(b_path, time_grid, grid)
+    # the finiteness check comes first, because a NaN speed passes the CFL
+    # comparison; level n is checked finite but steps nowhere
+    check_cfl(b_path[:-1], time_grid, grid)
 
     dt = time_grid.dt
     heat, rate = grid.value_step(dt), dt / grid.dx

@@ -10,11 +10,12 @@ as read-only views that are not checked again; a view's stacks may be
 broadcasts, such as the zero controls of the analytic base.  The moments
 and W1 take one slice or a stack and return a float or one value per
 slice.  The distance is exact W1 on the circle via the
-cumulative-distribution offset formula; in d = 2 it is taken per
-coordinate marginal.  The path form of the monotonicity pairing runs
-over blocks of levels (``SpectralGrid.level_blocks``), so its stacked
-controls and L fields never span the whole path; each level's value is
-the one a whole-path pass gives, to the bit.
+cumulative-distribution offset formula; in d = 2 it is taken on the
+coordinate marginals, stacked so that one call covers both.  The path
+form of the monotonicity pairing runs over blocks of levels
+(``SpectralGrid.level_blocks``), so its stacked controls and L fields
+never span the whole path; each level's value is the one a whole-path
+pass gives, to the bit.
 """
 
 from __future__ import annotations
@@ -239,19 +240,21 @@ def lambda_inf(mu: JointControlMeasure | MeasurePath):
 # -- exact transport on the circle ----------------------------------------
 
 
-def coordinate_marginals(m: GridMeasure) -> list[GridMeasure]:
-    """The one-dimensional marginals of m, one per axis; [m] itself in d = 1.
+def coordinate_marginals(m: GridMeasure) -> GridMeasure:
+    """The one-dimensional marginals of m, stacked on a new leading axis,
+    one row per coordinate axis, as a view on the grid's line grid; m
+    itself in d = 1.
 
-    m holds one density or a stack; the marginals are views on the grid's
-    line grid.  The max of exact W1 over these is the W1 figure used in
-    d = 2; it is a lower bound on the true W1 there."""
+    m holds one density or a stack.  The W1 figure of two measures is the
+    max of one ``wasserstein_1d`` call on their marginals: exact W1 in
+    d = 1, and in d = 2 the max over the two coordinate marginals, a lower
+    bound on the true W1."""
     grid = m.grid
     if grid.dim == 1:
-        return [m]
-    return [
-        GridMeasure.view(grid.line, np.sum(m.values, axis=-1 - axis) * grid.dx)
-        for axis in range(2)
-    ]
+        return m
+    return GridMeasure.view(
+        grid.line, np.stack([np.sum(m.values, axis=-1 - axis) for axis in range(2)]) * grid.dx
+    )
 
 
 def wasserstein_1d(m1: GridMeasure, m2: GridMeasure):

@@ -17,6 +17,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,49 +67,34 @@ class CriterionResult:
 class AcceptanceContext:
     """Shared scenario definitions and cached solves."""
 
-    def __init__(self):
-        self._cache: dict[str, object] = {}
-
     def scenario(self, n: int, n_t: int):
         """The benchmark scenario, default_manifest(), at n nodes and n_t steps."""
         mf = replace(default_manifest(), n=n, n_t=n_t)
         grid = mf.spatial_grid()
         return grid, mf.time_grid(), mf.initial_measure(grid), mf.terminal_condition(grid)
 
-    @property
+    @cached_property
     def model(self) -> QuadraticModel:
-        if "model" not in self._cache:
-            self._cache["model"] = default_manifest().model()
-        return self._cache["model"]
+        return default_manifest().model()
 
-    @property
+    @cached_property
     def stages(self) -> list[EquilibriumSolution]:
-        if "stages" not in self._cache:
-            _, tg, m0, u_t = self.scenario(128, 200)
-            self._cache["stages"] = sweep_theta(self.model, m0, u_t, tg)
-        return self._cache["stages"]
+        _, tg, m0, u_t = self.scenario(128, 200)
+        return sweep_theta(self.model, m0, u_t, tg)
 
     @property
     def benchmark(self) -> EquilibriumSolution:
         return self.stages[-1]
 
-    @property
+    @cached_property
     def refined(self) -> EquilibriumSolution:
-        if "refined" not in self._cache:
-            _, tg, m0, u_t = self.scenario(256, 400)
-            self._cache["refined"] = solve_equilibrium(
-                self.model, m0, u_t, tg, theta_target=1.0
-            )
-        return self._cache["refined"]
+        _, tg, m0, u_t = self.scenario(256, 400)
+        return solve_equilibrium(self.model, m0, u_t, tg, theta_target=1.0)
 
-    @property
+    @cached_property
     def reduced(self) -> EquilibriumSolution:
-        if "reduced" not in self._cache:
-            _, tg, m0, u_t = self.scenario(64, 100)
-            self._cache["reduced"] = solve_equilibrium(
-                self.model, m0, u_t, tg, theta_target=1.0
-            )
-        return self._cache["reduced"]
+        _, tg, m0, u_t = self.scenario(64, 100)
+        return solve_equilibrium(self.model, m0, u_t, tg, theta_target=1.0)
 
 
 def _criterion_spectral_exactness(ctx: AcceptanceContext):

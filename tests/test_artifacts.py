@@ -1,7 +1,12 @@
 """Binary field format, CSV traces, and run output emission."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fmfgc.artifacts import (
     DIAGNOSTICS_HEADER,
@@ -76,6 +81,59 @@ def test_field_layout(tmp_path):
     assert np.frombuffer(data, dtype="<u4", count=1, offset=len(MAGIC))[0] == 2
 
 
+def layout_bytes(arr) -> bytes:
+    """The field format spelled out: magic, u32 rank and shape, then the
+    float64 values in row-major order, all little-endian."""
+    arr = np.asarray(arr, dtype=np.float64)
+    header = np.array([arr.ndim] + list(arr.shape), dtype="<u4").tobytes()
+    return MAGIC + header + arr.astype("<f8").tobytes(order="C")
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.float64(-2.5),
+        np.array(1.0 / 3.0),
+        np.arange(12.0).reshape(3, 4).T,
+        np.arange(24.0).reshape(2, 3, 4)[:, ::2, 1:],
+        np.broadcast_to(np.arange(3.0), (4, 2, 3)),
+        (np.arange(6.0) / 7.0).reshape(2, 3).astype(">f8"),
+    ],
+    ids=["scalar", "rank0", "transposed", "strided", "broadcast", "big-endian"],
+)
+def test_field_bytes_are_the_layout(tmp_path, arr):
+    # the buffer goes to the file as it is; an array that is not C-contiguous
+    # or not little-endian is laid out exactly as a contiguous copy would be
+    assert write_field(tmp_path / "f.bin", arr).read_bytes() == layout_bytes(arr)
+
+
+def test_write_field_makes_no_copy_of_a_contiguous_array(tmp_path):
+    arr = np.random.default_rng(3).standard_normal((64, 2, 32, 32))  # 1 MiB
+    tracemalloc.start()
+    try:
+        write_field(tmp_path / "f.bin", arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.nbytes // 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arr=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+        elements=st.floats(width=64),
+    )
+)
+def test_field_round_trip_any_rank(tmp_path_factory, arr):
+    path = write_field(tmp_path_factory.mktemp("field") / "f.bin", arr)
+    assert path.read_bytes() == layout_bytes(arr)
+    back = read_field(path)
+    assert back.shape == arr.shape and back.dtype == np.float64
+    assert back.tobytes() == arr.tobytes()
+
+
 def test_read_rejects_short_header(tmp_path):
     p = tmp_path / "f.bin"
     p.write_bytes(MAGIC[:5])
@@ -133,7 +191,9 @@ def test_read_csv_rejects_empty(tmp_path):
 def test_emit_artifacts_file_set(tmp_path, tiny_solution):
     mf, sol = tiny_solution
     paths = emit_artifacts(sol, mf, tmp_path)
-    assert sorted(paths) == ["alpha", "diagnostics", "iterations", "m", "manifest", "u"]
+    # iterations.csv is the solve's own stream, not an artifact written here
+    assert sorted(paths) == ["alpha", "diagnostics", "m", "manifest", "u"]
+    assert not (tmp_path / "iterations.csv").exists()
 
     u = read_field(paths["u"])
     m = read_field(paths["m"])
@@ -156,10 +216,6 @@ def test_emit_artifacts_diagnostics_rows(tmp_path, tiny_solution):
     assert [r[0] for r in rows] == [str(j) for j in range(mf.n_t + 1)]
     # mass column round trips through repr at full precision
     assert all(abs(float(r[2]) - 1.0) < 1e-12 for r in rows)
-
-    header, rows = read_csv(paths["iterations"])
-    assert header == ["sweep", "theta", "delta", "u_change", "m_change", "duality"]
-    assert len(rows) == len(sol.history)
 
 
 def test_emit_theta_table(tmp_path):

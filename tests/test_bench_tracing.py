@@ -34,43 +34,46 @@ def test_tracer_resolves_every_wrapped_name(monkeypatch):
 
 def test_traced_solve_reaches_every_solver_layer(monkeypatch):
     # A layer that the solver reaches around a wrapped name would read zero
-    # calls in the traced benchmark; one tiny solve shows each layer is seen.
+    # calls in the traced benchmark; one tiny solve per dimension shows each
+    # layer is seen.
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
-    grid = SpectralGrid(dim=1, n=16, s=0.75)
-    tg = TimeGrid(horizon=1.0, n_steps=20)
-    model = QuadraticModel(coupling_beta=0.3)
-    m0 = initial_density(grid, "vonmises")
-    u_t = 0.15 * np.cos(2 * np.pi * grid.nodes()[0])
+    for dim in (1, 2):
+        grid = SpectralGrid(dim=dim, n=16, s=0.75)
+        tg = TimeGrid(horizon=1.0, n_steps=20)
+        model = QuadraticModel(coupling_beta=0.3, dim=dim)
+        m0 = initial_density(grid, "vonmises")
+        u_t = 0.15 * np.cos(2 * np.pi * grid.nodes()[0])
 
-    def solve_and_certify():
-        sol = equilibrium.solve_equilibrium(model, m0, u_t, tg)
-        return equilibrium.equilibrium_certificate(sol, model)
+        def solve_and_certify():
+            sol = equilibrium.solve_equilibrium(model, m0, u_t, tg)
+            return equilibrium.equilibrium_certificate(sol, model)
 
-    tracer = tracing.Tracer()
-    tracer.enable()
-    try:
-        tracer.span(solve_and_certify)
-    finally:
-        tracer.disable()
-    calls = tracer.per_trace()[0]["calls"]
-    for name in (
-        "mu_solver.solve_mu",
-        "hjb.solve_backward",
-        "fokker_planck.solve_forward",
-        "fokker_planck.duality_residual",
-        "models.grad_p_field",
-        "measures.w1",
-    ):
-        assert calls.get(name, 0) > 0, name
-    # The solver derives its measures from checked stacks and builds none
-    # per slice, and the loop metric is one W1 call per sweep (d = 1).
-    counts = tracer.per_trace()[0]["counts"]
-    assert counts.get("measures.joint_measure_inits", 0) == 0
-    assert counts.get("measures.grid_measure_inits", 0) == 0
-    sweeps = counts["equilibrium.sweeps"]
-    assert sweeps > 0 and calls["measures.w1"] == sweeps
+        tracer = tracing.Tracer()
+        tracer.enable()
+        try:
+            tracer.span(solve_and_certify)
+        finally:
+            tracer.disable()
+        calls = tracer.per_trace()[0]["calls"]
+        for name in (
+            "mu_solver.solve_mu",
+            "hjb.solve_backward",
+            "fokker_planck.solve_forward",
+            "fokker_planck.duality_residual",
+            "models.grad_p_field",
+            "measures.w1",
+        ):
+            assert calls.get(name, 0) > 0, (dim, name)
+        # The solver derives its measures from checked stacks and builds
+        # none per slice, and the loop metric is one W1 call per sweep, on
+        # the stacked coordinate marginals in d = 2.
+        counts = tracer.per_trace()[0]["counts"]
+        assert counts.get("measures.joint_measure_inits", 0) == 0, dim
+        assert counts.get("measures.grid_measure_inits", 0) == 0, dim
+        sweeps = counts["equilibrium.sweeps"]
+        assert sweeps > 0 and calls["measures.w1"] == sweeps, dim
 
 
 def test_traced_simulation_spans_stay_on_the_main_thread(monkeypatch):

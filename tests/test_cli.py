@@ -83,6 +83,15 @@ def test_solve_zero_theta_is_exact(tiny_config, tmp_path, capsys):
     assert payload["exploitability"] == 0.0
     # no coupling: the stored control path is identically zero
     assert np.all(read_field(outdir / "alpha.bin") == 0.0)
+    # no sweep runs, so iterations.csv is its header alone, and it replaces
+    # the file an earlier run left
+    header, rows = read_csv(outdir / "iterations.csv")
+    assert header == list(equilibrium.MetricsWriter.FIELDS) and rows == []
+    (outdir / "iterations.csv").write_text("stale\n1,2,3\n")
+    assert main(
+        ["solve", "--config", str(tiny_config), "--out", str(outdir), "--theta", "0.0"]
+    ) == 0
+    assert read_csv(outdir / "iterations.csv") == (header, [])
 
 
 def test_seed_override_lands_in_echo(tiny_config, tmp_path, capsys):
@@ -398,21 +407,25 @@ def test_iterations_stream_while_solving(command, tiny_config, tmp_path, capsys,
 
 
 def test_streamed_iterations_are_the_emitted_file(tiny_config, tmp_path, capsys, monkeypatch):
-    # emit_artifacts writes iterations.csv again from the history; on a
-    # successful solve the streamed file already holds those bytes
-    streamed = []
-    emit = cli.emit_artifacts
+    # The stream solve opens is the only writer of iterations.csv: after a
+    # successful solve it holds the header and one row per history entry.
+    solved = []
+    solve = cli.solve_equilibrium
 
-    def read_then_emit(sol, mf, outdir):
-        streamed.append((outdir / "iterations.csv").read_bytes())
-        return emit(sol, mf, outdir)
+    def keep_solution(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
 
-    monkeypatch.setattr(cli, "emit_artifacts", read_then_emit)
+    monkeypatch.setattr(cli, "solve_equilibrium", keep_solution)
     outdir = tmp_path / "run"
     assert main(["solve", "--config", str(tiny_config), "--out", str(outdir)]) == 0
-    final = (outdir / "iterations.csv").read_bytes()
-    assert streamed == [final]
-    assert final.count(b"\r\n") == 1 + summary_of(capsys)["sweeps"]
+    history = solved[0].history
+    assert len(history) == summary_of(capsys)["sweeps"] > 0
+    header, rows = read_csv(outdir / "iterations.csv")
+    assert header == list(equilibrium.MetricsWriter.FIELDS)
+    assert rows == [
+        [str(h.sweep)] + [repr(getattr(h, name)) for name in header[1:]] for h in history
+    ]
 
 
 @pytest.mark.parametrize("n, horizon", [(128, 0.1), (256, 0.05)])

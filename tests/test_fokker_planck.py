@@ -363,6 +363,29 @@ def test_solve_forward_cfl_error(grid):
     assert "n_t" in str(info.value)
 
 
+def test_solve_forward_cfl_guards_only_the_levels_it_steps_from(grid):
+    # The step from t^j reads b at t^j, so level n steps nowhere: a speed
+    # there past the limit marches, and the density is the one of the path
+    # with level n zeroed.  Level n is still checked finite.
+    tg = TimeGrid(horizon=1.0, n_steps=20)
+    m0 = initial_density(grid, "vonmises")
+    x = grid.nodes()[0]
+    b_path = np.broadcast_to(0.2 * np.cos(2 * np.pi * x), (21, 1, grid.n)).copy()
+    b_path[-1] = 2.0
+    zeroed = b_path.copy()
+    zeroed[-1] = 0.0
+    marched = solve_forward(b_path, m0, tg)
+    assert marched.m.tobytes() == solve_forward(zeroed, m0, tg).m.tobytes()
+    # the same speed at level n - 1 steps, and is stopped
+    b_path[-2] = 2.0
+    with pytest.raises(CflError) as info:
+        solve_forward(b_path, m0, tg)
+    assert info.value.required_steps == 128
+    zeroed[-1, 0, 3] = np.nan
+    with pytest.raises(InvalidFieldError, match="non-finite"):
+        solve_forward(zeroed, m0, tg)
+
+
 def test_solve_forward_cfl_bounds_the_summed_speed_in_2d():
     # Each component of the drift (c, c) is within the limit, c dt < dx, but
     # the donor-cell step loses mass through both axes' faces at once: at

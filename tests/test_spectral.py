@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmfgc
 from fmfgc.errors import GridMismatchError, InvalidFieldError
@@ -103,6 +105,27 @@ def test_semigroup_group_law_and_identity():
     assert np.max(np.abs(g.semigroup_apply(f, 0.0) - f)) <= 1e-13
     with pytest.raises(ValueError):
         g.semigroup_apply(f, -0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 32), (1, DENSE_STEP_MAX_N), (1, 2 * DENSE_STEP_MAX_N), (2, 16)]),
+    s=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    t1=st.floats(1e-4, 0.1),
+    t2=st.floats(1e-4, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_march_steps_obey_the_group_law(shape, s, t1, t2, seed):
+    # Two march steps T(t2) T(t1) are T(t1 + t2): through the dense kernel
+    # (1-D, at most DENSE_STEP_MAX_N nodes) and through the transform pair
+    # (larger 1-D grids, every 2-D grid).  Each operator rounds relative to
+    # the field it is applied to, so the tolerance is too.
+    dim, n = shape
+    g = SpectralGrid(dim, n, s)
+    f = np.random.default_rng(seed).standard_normal(g.shape)
+    twice = g.semigroup_value(g.semigroup_value(f, g.value_step(t1)), g.value_step(t2))
+    once = g.semigroup_apply(f, t1 + t2)
+    assert np.max(np.abs(twice - once)) <= 1e-14 * np.max(np.abs(f))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
