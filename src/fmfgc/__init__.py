@@ -33,7 +33,6 @@ from .models import QuadraticModel
 from .mu_solver import MuSolveConfig, solve_mu
 from .particles import (
     HolderReport,
-    ParticleEnsemble,
     ParticlePath,
     empirical_measure,
     holder_wasserstein_check,
@@ -58,7 +57,6 @@ __all__ = [
     "LoopConfig",
     "MeasurePath",
     "MuSolveConfig",
-    "ParticleEnsemble",
     "ParticlePath",
     "QuadraticModel",
     "RunManifest",

@@ -148,25 +148,23 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     return paths
 
 
+def stage_envelope(stage) -> tuple[float, float, float, float]:
+    """sup |u|, sup |Du|, sup lambda_2 and the semiconcavity of a stage: the
+    a priori bounds the theta table reports and criterion 9 compares."""
+    diag = hjb_diagnostics(stage.u_sol)
+    lam = float(np.max(lambda_q(stage.mu_path, 2.0)))
+    return diag.sup_u, diag.sup_du, lam, diag.semiconcavity
+
+
 def emit_theta_table(stages, outdir: str | Path) -> Path:
     """Scaling table for the homotopy sweep: one row per stage."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for stage in stages:
-        diag = hjb_diagnostics(stage.u_sol)
-        lam = float(np.max(lambda_q(stage.mu_path, 2.0)))
-        rows.append(
-            [
-                repr(stage.theta),
-                repr(diag.sup_u),
-                repr(diag.sup_du),
-                repr(lam),
-                repr(diag.semiconcavity),
-                int(stage.converged),
-                stage.sweeps,
-            ]
-        )
+    rows = [
+        [repr(value) for value in (stage.theta, *stage_envelope(stage))]
+        + [int(stage.converged), stage.sweeps]
+        for stage in stages
+    ]
     return write_csv(
         outdir / "theta_table.csv",
         ["theta", "u_sup", "du_sup", "lambda2_sup", "semiconcavity", "converged", "sweeps"],

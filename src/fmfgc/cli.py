@@ -49,19 +49,18 @@ from .measures import GridMeasure, coordinate_marginals, wasserstein_1d
 from .particles import empirical_measure, holder_wasserstein_check, simulate_sde
 from .validation import AcceptanceContext, run_all
 
-_THREAD_HINTS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 #: where a failed run stops: the attributes a package error may carry
 _FAILURE_FIELDS = ("sweep_index", "time_index", "required_steps")
 
 
 def _apply_thread_hint(threads: int | None) -> None:
-    # Sizes the BLAS/FFT pools and the particle pool (OMP_NUM_THREADS caps
-    # it); results never depend on them.
+    # Caps the particle pool, which reads OMP_NUM_THREADS at call time.  BLAS
+    # has sized its pool from the environment the process started with, as
+    # numpy is loaded by now; results depend on neither.
     if threads is not None:
         if threads < 1:
             raise FmfgcError(f"--threads must be at least 1, got {threads}")
-        for var in _THREAD_HINTS:
-            os.environ[var] = str(threads)
+        os.environ["OMP_NUM_THREADS"] = str(threads)
 
 
 def _load_manifest(args) -> RunManifest:
@@ -130,7 +129,7 @@ def _cmd_solve(args) -> int:
         with _iterations_stream(outdir) as stream:
             if mf.theta == 0.0:
                 MetricsWriter(stream)  # the base runs no sweep: a header only
-                sol = analytic_base(model, m0, u_t, tg)
+                sol = analytic_base(m0, u_t, tg)
             else:
                 sol = solve_equilibrium(
                     model, m0, u_t, tg, theta_target=mf.theta, cfg=mf.loop_config(),

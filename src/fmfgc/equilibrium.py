@@ -114,11 +114,10 @@ class EquilibriumSolution:
         return self.u_sol.time_grid
 
 
-def analytic_base(model, m0: GridMeasure, u_terminal: np.ndarray,
-                  tg: TimeGrid) -> EquilibriumSolution:
+def analytic_base(m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid) -> EquilibriumSolution:
     """The scaling-zero solution: u = 0, m = fractional heat flow, alpha = 0.
 
-    Every model gives this solution at zero scaling, so ``model`` is not read.
+    Every model gives this solution at zero scaling, so it takes no model.
     The heat flow is one batched semigroup call, checked as a density path;
     that checked copy is the one density path the base holds, and every
     other path is a view.
@@ -264,7 +263,7 @@ def solve_equilibrium(
         raise ValueError(f"theta_target must lie in (0, 1], got {theta_target}")
     sink = MetricsWriter(metrics_stream) if metrics_stream is not None else None
     if warm_start is None:
-        warm_start = analytic_base(model, m0, u_terminal, time_grid)
+        warm_start = analytic_base(m0, u_terminal, time_grid)
     return _run_stage(warm_start, theta_target, model, cfg, sink)
 
 
@@ -286,7 +285,7 @@ def sweep_theta(
     cfg = cfg or LoopConfig()
     schedule = cfg.theta_schedule
     sink = MetricsWriter(metrics_stream) if metrics_stream is not None else None
-    state = analytic_base(model, m0, u_terminal, time_grid)
+    state = analytic_base(m0, u_terminal, time_grid)
     stages = [state] if schedule[0] == 0.0 else []  # a zero entry is the base itself
     for theta in schedule[len(stages):]:
         state = _run_stage(state, theta, model, cfg, sink)

@@ -124,12 +124,11 @@ class RunManifest:
             dim=self.dim,
         )
 
-    def initial_measure(self, grid: SpectralGrid | None = None) -> GridMeasure:
-        return initial_density(grid or self.spatial_grid(), self.density)
+    def initial_measure(self, grid: SpectralGrid) -> GridMeasure:
+        return initial_density(grid, self.density)
 
-    def terminal_condition(self, grid: SpectralGrid | None = None) -> np.ndarray:
+    def terminal_condition(self, grid: SpectralGrid) -> np.ndarray:
         """Terminal value: amplitude times a product of one-period cosines."""
-        grid = grid or self.spatial_grid()
         nodes = grid.nodes()
         out = np.full(grid.shape, self.terminal_amplitude)
         for axis in range(grid.dim):

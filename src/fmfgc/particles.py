@@ -62,31 +62,6 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 @dataclass(frozen=True)
-class ParticleEnsemble:
-    """Positions of one ensemble snapshot."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.positions, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"positions must be (N, dim) with N >= 1, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("positions contain non-finite entries")
-        if pts.min() < 0.0 or pts.max() >= 1.0:
-            raise ValueError("positions must lie in [0, 1)^d")
-        object.__setattr__(self, "positions", pts)
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
-
-@dataclass(frozen=True)
 class ParticlePath:
     """Time-indexed ensemble produced by the SDE stepper.
 
@@ -103,15 +78,9 @@ class ParticlePath:
     def n_particles(self) -> int:
         return self.positions.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[2]
-
-    def ensemble(self, j: int) -> ParticleEnsemble:
-        return ParticleEnsemble(self.positions[j])
-
-    def terminal(self) -> ParticleEnsemble:
-        return self.ensemble(len(self.times) - 1)
+    def terminal(self) -> np.ndarray:
+        """The (N, dim) positions at the last stored time."""
+        return self.positions[-1]
 
 
 def sample_stable_increment(
@@ -119,7 +88,7 @@ def sample_stable_increment(
     dt: float,
     dim: int,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ) -> np.ndarray:
     """Increments of the isotropic 2s-stable process over a step of length dt.
 
@@ -127,7 +96,7 @@ def sample_stable_increment(
     s-stable scaled so E[exp(-lam S)] = exp(-dt lam^s).  Then
     E[exp(i xi . J)] = E[exp(-S |xi|^2)] = exp(-dt |xi|^(2s)), which at
     xi = 2 pi k is exactly the semigroup multiplier of the spectral grid.
-    Returns shape (dim,) for size None, else (size, dim).
+    Returns shape (size, dim).
     """
     if not 0.5 < s < 1.0:
         raise ValueError(f"stable order requires s in (1/2, 1), got {s}")
@@ -135,14 +104,13 @@ def sample_stable_increment(
         raise ValueError(f"dt must be positive, got {dt}")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    count = 1 if size is None else int(size)
-    if count < 1:
+    if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
-    u = rng.random(count)
-    w = rng.standard_exponential(count)
-    z = rng.standard_normal((count, dim))
-    _cms_block(u, w, z, s, dt, np.empty((3, count)))
-    return z[0] if size is None else z
+    u = rng.random(size)
+    w = rng.standard_exponential(size)
+    z = rng.standard_normal((size, dim))
+    _cms_block(u, w, z, s, dt, np.empty((3, size)))
+    return z
 
 
 def _cms_block(u, w, z, s: float, dt: float, work) -> None:
@@ -378,13 +346,17 @@ def simulate_sde(
     return ParticlePath(times=times, positions=positions, grid=grid)
 
 
-def empirical_measure(ensemble: ParticleEnsemble | np.ndarray, grid: SpectralGrid) -> GridMeasure:
-    """Cloud-in-cell deposition of an ensemble onto the grid, unit mass."""
-    pts = ensemble.positions if isinstance(ensemble, ParticleEnsemble) else np.asarray(ensemble, dtype=float)
+def empirical_measure(positions: np.ndarray, grid: SpectralGrid) -> GridMeasure:
+    """Cloud-in-cell deposition of (N, dim) positions onto the grid, unit mass.
+
+    Coordinates outside [0, 1) wrap onto the torus."""
+    pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ValueError(f"positions must be (N, {grid.dim}), got {pts.shape}")
     if pts.shape[0] < 1:
         raise ValueError("need at least one particle")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("positions contain non-finite entries")
     corners = _Stencil(grid, pts.shape[0]).corners(pts)
     index, weight = (np.concatenate(part) for part in zip(*corners))
     # bincount adds in input order, corner after corner, so the sums are

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import stage_envelope
 from .equilibrium import (
     EquilibriumSolution,
     LoopConfig,
@@ -30,12 +31,10 @@ from .equilibrium import (
     sweep_theta,
 )
 from .fokker_planck import solve_forward
-from .hjb import hjb_diagnostics
 from .manifest import default_manifest
 from .measures import (
     GridMeasure,
     JointControlMeasure,
-    lambda_q,
     monotonicity_pairing,
     wasserstein_1d,
 )
@@ -290,16 +289,10 @@ def _criterion_uniqueness(ctx: AcceptanceContext):
 
 def _criterion_theta_envelopes(ctx: AcceptanceContext):
     by_theta = {stage.theta: stage for stage in ctx.stages}
-
-    def stats(stage):
-        diag = hjb_diagnostics(stage.u_sol)
-        lam = float(np.max(lambda_q(stage.mu_path, 2.0)))
-        return np.array([diag.sup_u, diag.sup_du, lam, diag.semiconcavity])
-
-    ref = stats(by_theta[1.0])
+    ref = np.array(stage_envelope(by_theta[1.0]))
     worst = 0.0
     for theta in (0.25, 0.5, 1.0):
-        ratios = stats(by_theta[theta]) / (ref * theta)
+        ratios = np.array(stage_envelope(by_theta[theta])) / (ref * theta)
         worst = max(worst, float(np.max(ratios)))
     return worst <= 1.5, f"worst statistic / (theta * reference) = {worst:.3f} (max 1.5)"
 

@@ -260,20 +260,14 @@ def test_threads_hint_validated(tiny_config, capsys):
 
 
 def test_threads_hint_sets_env(tiny_config, tmp_path, capsys, monkeypatch):
-    for var in cli._THREAD_HINTS:
-        monkeypatch.delenv(var, raising=False)
-    assert main(
-        [
-            "solve",
-            "--config",
-            str(tiny_config),
-            "--out",
-            str(tmp_path / "run"),
-            "--threads",
-            "2",
-        ]
-    ) == 0
-    assert all(os.environ[var] == "2" for var in cli._THREAD_HINTS)
+    # the particle pool reads OMP_NUM_THREADS at call time, so --threads
+    # caps it below the CPUs the process may use
+    monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert particles._worker_count() == 4
+    args = ["solve", "--config", str(tiny_config), "--out", str(tmp_path / "run")]
+    assert main(args + ["--threads", "1"]) == 0
+    assert particles._worker_count() == 1
 
 
 def test_simulate_bytes_independent_of_threads(tmp_path, capsys, monkeypatch):
@@ -287,8 +281,7 @@ def test_simulate_bytes_independent_of_threads(tmp_path, capsys, monkeypatch):
     names = ("positions.bin", "sample_times.bin", "holder.csv", "holder_summary.csv")
     written = {}
     for threads in ("1", "2"):
-        for var in cli._THREAD_HINTS:
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         args = ["simulate", "--config", str(config), "--out", str(outdir), "--threads", threads]
         assert main(args) == 0
         written[threads] = [(outdir / name).read_bytes() for name in names]

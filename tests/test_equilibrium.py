@@ -92,7 +92,7 @@ def test_no_sweep_runs_at_theta_zero():
     # direct solve, needs a scaling in (0, 1]
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
-    base = analytic_base(model, m0, u_t, tg)
+    base = analytic_base(m0, u_t, tg)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         picard_iterate(base, model, LoopConfig())
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
@@ -101,8 +101,7 @@ def test_no_sweep_runs_at_theta_zero():
 
 def test_theta_zero_base_is_fixed_point():
     grid, tg, m0, u_t = small_scenario()
-    model = QuadraticModel(coupling_beta=0.3)
-    base = analytic_base(model, m0, u_t, tg)
+    base = analytic_base(m0, u_t, tg)
     assert np.all(base.u_sol.u == 0.0)
     assert all(np.all(mu.alpha == 0.0) for mu in base.mu_path)
     exact = grid.semigroup_apply(m0.values, tg.horizon)
@@ -116,7 +115,7 @@ def test_theta_zero_base_holds_one_density_path():
     # the checked heat flow is the one path with memory behind it; the
     # control path views it, and every zero path is a read-only broadcast
     grid, tg, m0, u_t = small_scenario()
-    base = analytic_base(QuadraticModel(coupling_beta=0.3), m0, u_t, tg)
+    base = analytic_base(m0, u_t, tg)
     assert np.shares_memory(base.mu_path.density, base.m_sol.m)
     assert not base.m_sol.m.flags.writeable
     zeros = (base.u_sol.u, base.u_sol.hamiltonian, base.u_sol.du, base.u_sol.drift,
@@ -176,7 +175,7 @@ def test_duck_typed_model_with_three_forms():
     assert sol.converged
     cert = equilibrium_certificate(sol, model)
     assert cert.duality < 1e-2 and cert.moments_ok and cert.monotone_ok
-    assert growth_check(model, grid, n_samples=200).violations(model.C0) == 0
+    assert growth_check(model, grid).violations(model.C0) == 0
 
 
 def test_benchmark_converges(benchmark_solution):
@@ -320,7 +319,7 @@ def test_sweep_reads_each_path_quantity_once(theta, monkeypatch):
     monkeypatch.setattr(QuadraticModel, "hamiltonian_at", counted_at)
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
-    base = replace(analytic_base(model, m0, u_t, tg), theta=theta)
+    base = replace(analytic_base(m0, u_t, tg), theta=theta)
     state = picard_iterate(base, model, LoopConfig())
     assert sorted(calls) == [("grad_p", 3), ("mean", 2), ("potential", 2)]
     assert np.isfinite(state.history[-1].duality)
@@ -388,7 +387,7 @@ def test_certificate_pairing_minimum_covers_every_row(benchmark_solution, monkey
 def test_certificate_theta_zero_trivial():
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
-    base = analytic_base(model, m0, u_t, tg)
+    base = analytic_base(m0, u_t, tg)
     cert = equilibrium_certificate(base, model)
     assert cert.duality == 0.0
     assert cert.exploitability == 0.0

@@ -477,11 +477,10 @@ def frozen_path(grid, tg, m):
 def test_duality_theta_zero_exact(grid):
     # the theta = 0 value (the analytic base's: u, H and the drift zero)
     # against the march of m0 at zero drift
-    model = QuadraticModel(coupling_beta=0.3)
     tg = TimeGrid(horizon=0.5, n_steps=40)
     m0 = initial_density(grid, "vonmises")
     u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
-    u_sol = analytic_base(model, m0, u_t, tg).u_sol
+    u_sol = analytic_base(m0, u_t, tg).u_sol
     m_sol = solve_forward(np.zeros((41, 1, grid.n)), m0, tg)
     assert duality_residual(u_sol, m_sol) == 0.0
 

@@ -143,10 +143,9 @@ def test_solve_terminal_exact(grid):
 
 def test_solve_theta_zero_identically_zero(grid):
     # the theta = 0 value is the analytic base's, zero at every level
-    model = QuadraticModel(coupling_beta=0.3)
     tg = TimeGrid(horizon=1.0, n_steps=50)
     u_t = 0.3 * np.cos(2 * np.pi * grid.nodes()[0])
-    sol = analytic_base(model, GridMeasure.uniform(grid), u_t, tg).u_sol
+    sol = analytic_base(GridMeasure.uniform(grid), u_t, tg).u_sol
     assert np.all(sol.u == 0.0)
     diag = hjb_diagnostics(sol)
     assert diag.sup_u == 0.0

@@ -229,7 +229,7 @@ def test_terminal_condition_product_form():
 
 def test_initial_measure_is_normalized():
     mf = parse_config("[grid]\nn = 32\n")
-    m0 = mf.initial_measure()
+    m0 = mf.initial_measure(mf.spatial_grid())
     assert abs(m0.mass - 1.0) < 1e-12
 
 

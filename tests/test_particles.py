@@ -15,7 +15,6 @@ from fmfgc.measures import GridMeasure, wasserstein_1d
 from fmfgc.models import QuadraticModel
 from fmfgc.particles import (
     HolderReport,
-    ParticleEnsemble,
     ParticlePath,
     empirical_measure,
     holder_wasserstein_check,
@@ -36,21 +35,19 @@ def vonmises_setup(n=64, s=0.75):
 def test_increment_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_stable_increment(0.4, 0.1, 1, rng)
+        sample_stable_increment(0.4, 0.1, 1, rng, size=1)
     with pytest.raises(ValueError):
-        sample_stable_increment(1.0, 0.1, 1, rng)
+        sample_stable_increment(1.0, 0.1, 1, rng, size=1)
     with pytest.raises(ValueError):
-        sample_stable_increment(0.75, 0.0, 1, rng)
+        sample_stable_increment(0.75, 0.0, 1, rng, size=1)
     with pytest.raises(ValueError):
-        sample_stable_increment(0.75, 0.1, 0, rng)
+        sample_stable_increment(0.75, 0.1, 0, rng, size=1)
     with pytest.raises(ValueError):
         sample_stable_increment(0.75, 0.1, 1, rng, size=0)
 
 
 def test_increment_shapes():
     rng = np.random.default_rng(1)
-    single = sample_stable_increment(0.75, 0.1, 2, rng)
-    assert single.shape == (2,)
     batch = sample_stable_increment(0.6, 0.1, 3, rng, size=7)
     assert batch.shape == (7, 3)
     assert np.all(np.isfinite(batch))
@@ -292,7 +289,7 @@ def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch
         path = simulate_sde(b, m0, 1000, tg, seed=4, jumps=jumps, store_stride=store_stride)
         increments = [
             sample_stable_increment(0.7, 0.01, dim, np.random.default_rng(8), size=size)
-            for size in (None, 1000)
+            for size in (1, 1000)
         ]
         runs.append([path.positions] + increments)
     for other in runs[1:]:
@@ -356,18 +353,18 @@ def test_wrap_matches_remainder():
     assert got.min() >= 0.0 and got.max() < 1.0
 
 
-def test_ensemble_validation_and_lineage():
-    with pytest.raises(ValueError):
-        ParticleEnsemble(np.array([[1.5]]))
-    with pytest.raises(ValueError):
-        ParticleEnsemble(np.zeros((0, 1)))
-    with pytest.raises(ValueError):
-        ParticleEnsemble(np.array([[np.nan]]))
+def test_empirical_measure_validation_and_terminal():
     grid, m0 = vonmises_setup(n=32)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_measure(np.array([[0.5], [bad]]), grid)
+    with pytest.raises(ValueError):
+        empirical_measure(np.zeros((5, 2)), grid)
+    with pytest.raises(ValueError):
+        empirical_measure(np.zeros((0, 1)), grid)
     path = simulate_sde(None, m0, 10, TimeGrid(horizon=0.1, n_steps=4), seed=3)
-    ens = path.ensemble(2)
-    assert ens.count == 10
-    assert ens.dim == 1
+    assert path.terminal().shape == (10, 1)
+    assert np.array_equal(path.terminal(), path.positions[-1])
 
 
 def test_empirical_spike_at_node():
