@@ -1,8 +1,11 @@
 """Command line front end: solve, simulate, validate, sweep-theta.
 
-Every command reads one config file, resolves it to a manifest, and
-echoes that manifest into the output directory so the run is
-reproducible from its artifacts alone.  Failures exit nonzero with a
+``solve``, ``simulate`` and ``sweep-theta`` read one config file, resolve
+it to a manifest, and echo that manifest into the output directory so the
+run is reproducible from its artifacts alone; ``simulate`` first checks
+that the grid, model, initial and loop settings are those of the solve
+echoed there.  Each command takes only the flags of the settings it
+reads: ``validate`` reads no config.  Failures exit nonzero with a
 JSON summary on stderr; successful runs print a JSON summary on stdout.
 A package error's summary is a typed failure record: it also carries the
 error's sweep index, time level and required step count where it has
@@ -44,7 +47,7 @@ from .equilibrium import (
     sweep_theta,
 )
 from .errors import FmfgcError
-from .manifest import RunManifest, default_manifest, parse_config
+from .manifest import FIELDS, RunManifest, parse_config
 from .measures import GridMeasure, coordinate_marginals, wasserstein_1d
 from .particles import empirical_measure, holder_wasserstein_check, simulate_sde
 from .validation import AcceptanceContext, run_all
@@ -63,12 +66,27 @@ def _apply_thread_hint(threads: int | None) -> None:
         os.environ["OMP_NUM_THREADS"] = str(threads)
 
 
-def _load_manifest(args) -> RunManifest:
-    if args.config is not None:
-        manifest = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        manifest = default_manifest()
-    return manifest.with_overrides(outdir=args.out, seed=args.seed, theta=args.theta)
+def _load_manifest(args, **overrides) -> RunManifest:
+    """The manifest of the config (the defaults without one), with --out and
+    the command's other flags in place of the settings they override."""
+    text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    return parse_config(text, outdir=args.out, **overrides)
+
+
+def _check_solved_with(mf: RunManifest, outdir: Path) -> None:
+    """Refuse grid, model, initial or loop settings other than those of the
+    solve whose manifest is echoed in outdir."""
+    stored = parse_config((outdir / "manifest.cfg").read_text(encoding="utf-8"))
+    differ = [
+        f"{f.section}.{f.key}" for f in FIELDS
+        if f.section in ("grid", "model", "initial", "loop")
+        and getattr(mf, f.field) != getattr(stored, f.field)
+    ]
+    if differ:
+        raise FmfgcError(
+            f"{', '.join(differ)} differ from the solve stored in {outdir}; "
+            f"run solve with this config first"
+        )
 
 
 def _problem(mf: RunManifest):
@@ -120,7 +138,7 @@ def _iterations_stream(outdir: Path):
 
 
 def _cmd_solve(args) -> int:
-    mf = _load_manifest(args)
+    mf = _load_manifest(args, theta=args.theta)
     outdir = Path(mf.outdir)
     clock = time.perf_counter
     t0 = clock()
@@ -154,8 +172,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    mf = _load_manifest(args)
+    _apply_thread_hint(args.threads)
+    mf = _load_manifest(args, seed=args.seed)
     outdir = Path(mf.outdir)
+    _check_solved_with(mf, outdir)
     grid = mf.spatial_grid()
     tg = mf.time_grid()
     m0 = mf.initial_measure(grid)
@@ -210,6 +230,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    _apply_thread_hint(args.threads)
     ctx = AcceptanceContext()
     t0 = time.perf_counter()
     results = run_all(ctx, stream=sys.stdout)
@@ -267,11 +288,25 @@ def _cmd_sweep_theta(args) -> int:
     return _finish(payload, all_converged)
 
 
+_FLAGS = {
+    "--config": dict(type=Path, help="config file path"),
+    "--out": dict(help="output directory override"),
+    "--seed": dict(type=int, help="particle seed override"),
+    "--threads": dict(type=int, help="particle thread-pool hint"),
+    "--theta": dict(type=float, help="target theta override"),
+}
+
+#: name -> (command, its flags, help): a command takes the flags of the
+#: settings it reads, and no other
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "simulate": _cmd_simulate,
-    "validate": _cmd_validate,
-    "sweep-theta": _cmd_sweep_theta,
+    "solve": (_cmd_solve, "--config --out --theta",
+              "compute the equilibrium triple for a config and write artifacts"),
+    "simulate": (_cmd_simulate, "--config --out --seed --threads",
+                 "run the particle validator against stored solve artifacts"),
+    "validate": (_cmd_validate, "--out --threads",
+                 "execute the acceptance criteria; nonzero exit on any failure"),
+    "sweep-theta": (_cmd_sweep_theta, "--config --out",
+                    "run the homotopy schedule and emit the scaling table"),
 }
 
 
@@ -284,27 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "solve": "compute the equilibrium triple for a config and write artifacts",
-        "simulate": "run the particle validator against stored solve artifacts",
-        "validate": "execute the acceptance criteria; nonzero exit on any failure",
-        "sweep-theta": "run the homotopy schedule and emit the scaling table",
-    }
-    for name, help_text in helps.items():
+    for name, (_, flags, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, default=None, help="config file path")
-        cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
-        cmd.add_argument("--threads", type=int, default=None, help="thread-pool hint")
-        cmd.add_argument("--theta", type=float, default=None, help="target theta override")
+        for flag in flags.split():
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_hint(args.threads)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (FmfgcError, OSError) as exc:
         _summary(_failure(args.command, exc), ok=False)
         return 1

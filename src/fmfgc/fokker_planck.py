@@ -62,16 +62,36 @@ CLIP_MASS_TOL = 1e-10
 
 @dataclass
 class FpSolution:
+    """A density path with the per-step traces of its march; the traces
+    that are reductions of the path itself are derived on demand."""
+
     time_grid: TimeGrid
     grid: SpectralGrid
     m: np.ndarray = field(repr=False)  # (n_steps + 1, *grid.shape), read-only
-    mass_trace: np.ndarray = field(repr=False)
-    min_trace: np.ndarray = field(repr=False)
     preclip_min_trace: np.ndarray = field(repr=False)
     advect_drift_trace: np.ndarray = field(repr=False)
-    sup_trace: np.ndarray = field(repr=False)
-    sup_bound: float
     drift_div_neg: float
+
+    def __post_init__(self):
+        self.m.setflags(write=False)
+
+    @property
+    def mass_trace(self) -> np.ndarray:
+        return self.grid.integrate(self.m)
+
+    @property
+    def min_trace(self) -> np.ndarray:
+        return np.min(self.m.reshape(len(self.m), -1), axis=1)
+
+    @property
+    def sup_trace(self) -> np.ndarray:
+        return np.max(self.m.reshape(len(self.m), -1), axis=1)
+
+    @property
+    def sup_bound(self) -> float:
+        """The comparison bound sup m0 e^{K T}, K = drift_div_neg."""
+        growth = np.exp(self.drift_div_neg * self.time_grid.horizon)
+        return float(np.max(self.m[0])) * float(growth)
 
     def __getitem__(self, j: int) -> GridMeasure:
         return GridMeasure.view(self.grid, self.m[j])
@@ -208,32 +228,6 @@ def _step(
     return preclip, drift
 
 
-def _solution(
-    m: np.ndarray,
-    m0: GridMeasure,
-    time_grid: TimeGrid,
-    preclip: np.ndarray,
-    advect_drift: np.ndarray,
-    div_neg: float,
-) -> FpSolution:
-    """Package a density path and its per-step traces."""
-    grid = m0.grid
-    m.setflags(write=False)
-    rows = m.reshape(len(m), -1)
-    return FpSolution(
-        time_grid=time_grid,
-        grid=grid,
-        m=m,
-        mass_trace=grid.integrate(m),
-        min_trace=np.min(rows, axis=1),
-        preclip_min_trace=preclip,
-        advect_drift_trace=advect_drift,
-        sup_trace=np.max(rows, axis=1),
-        sup_bound=float(np.max(m0.values)) * float(np.exp(div_neg * time_grid.horizon)),
-        drift_div_neg=div_neg,
-    )
-
-
 def heat_flow(m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     """The zero-drift solution: m(t_j) = T(t_j) m0, the exact fractional heat
     flow, from one transform of m0 over the stack of heat multipliers.
@@ -244,8 +238,8 @@ def heat_flow(m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     MeasurePath does)."""
     m = m0.grid.semigroup_apply(m0.values, time_grid.times())
     m[0] = m0.values  # T(0) is the identity; the transform pair is not, to the bit
-    rows = m.reshape(len(m), -1)
-    return _solution(m, m0, time_grid, np.min(rows, axis=1), np.zeros(len(m)), 0.0)
+    preclip = np.min(m.reshape(len(m), -1), axis=1)
+    return FpSolution(time_grid, m0.grid, m, preclip, np.zeros(len(m)), 0.0)
 
 
 def checked_drift_path(b_path, time_grid: TimeGrid, grid: SpectralGrid) -> np.ndarray:
@@ -296,7 +290,7 @@ def solve_forward(
                 m[j], pos_j, neg_j, rate, heat, grid, m[j + 1], mass
             )
             mass = 1.0
-    return _solution(m, m0, time_grid, preclip, advect_drift, compression)
+    return FpSolution(time_grid, grid, m, preclip, advect_drift, compression)
 
 
 DENSITY_PRESETS = ("uniform", "vonmises", "twobump")

@@ -1,9 +1,11 @@
 """Run configuration: parsing, validation, and the resolved manifest.
 
-Configs are sectioned INI-style text, read and echoed through one field
-table.  Parsing is strict: unknown sections or keys are errors, duplicates
-are errors, and every range violation names the offending key; each range
-is checked by the object it guards.  Every key is a setting of the run:
+Configs are sectioned INI-style text.  Each field of ``RunManifest``
+declares its config key (section, key, parser, text default), and configs
+are read and echoed through the table of those keys.  Parsing is strict:
+unknown sections or keys are errors, duplicates are errors, and every
+range violation names the offending key; each range is checked by the
+object it guards.  Every key is a setting of the run:
 what the model derives from them (its structure constant C0, its growth
 q) is no key.  A parsed manifest is fully resolved (all defaults filled
 in) and serializes back to text losslessly, so the copy echoed into an
@@ -16,7 +18,7 @@ import configparser
 import io
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -52,62 +54,39 @@ def _echo(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-class ConfigKey(NamedTuple):
-    section: str
-    key: str
-    field: str
-    parse: Callable[[str], object]
-    default: str
-
-
-#: Every config key, in echo order; the text defaults are the benchmark scenario.
-FIELDS = (
-    ConfigKey("scenario", "name", "name", str, "benchmark"),
-    ConfigKey("scenario", "outdir", "outdir", str, "runs/benchmark"),
-    ConfigKey("scenario", "seed", "seed", int, "1234"),
-    ConfigKey("grid", "dim", "dim", int, "1"),
-    ConfigKey("grid", "n", "n", int, "128"),
-    ConfigKey("grid", "n_t", "n_t", int, "200"),
-    ConfigKey("grid", "s", "s", float, "0.75"),
-    ConfigKey("grid", "horizon", "horizon", float, "1.0"),
-    ConfigKey("model", "coupling_beta", "coupling_beta", float, "0.3"),
-    ConfigKey("model", "kernel_decay", "kernel_decay", float, "1.0"),
-    ConfigKey("initial", "density", "density", str, "vonmises"),
-    ConfigKey("initial", "terminal_amplitude", "terminal_amplitude", float, "0.15"),
-    ConfigKey("particles", "count", "particle_count", int, "100000"),
-    ConfigKey("particles", "store_stride", "store_stride", int, "0"),
-    ConfigKey("loop", "tolerance", "tolerance", float, "1e-6"),
-    ConfigKey("loop", "max_sweeps", "max_sweeps", int, "80"),
-    ConfigKey("loop", "theta", "theta", float, "1.0"),
-    ConfigKey("loop", "theta_schedule", "theta_schedule", _floats, "0.0, 0.25, 0.5, 0.75, 1.0"),
-)
-
-#: Constructor parameter -> config key, to name the key in a builder's error.
-_KEY_OF = {f.field: f"{f.section}.{f.key}" for f in FIELDS} | {"n_steps": "grid.n_t"}
+def _key(section: str, key: str, parse: Callable[[str], object], default: str):
+    """A manifest field read from config key section.key by parse, with the
+    text default used when the config leaves the key out."""
+    return field(metadata={"section": section, "key": key, "parse": parse, "default": default})
 
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Fully resolved run description; every field validated on creation."""
+    """Fully resolved run description; every field validated on creation.
 
-    name: str
-    outdir: str
-    seed: int
-    dim: int
-    n: int
-    n_t: int
-    s: float
-    horizon: float
-    coupling_beta: float
-    kernel_decay: float
-    density: str
-    terminal_amplitude: float
-    particle_count: int
-    store_stride: int
-    tolerance: float
-    max_sweeps: int
-    theta: float
-    theta_schedule: tuple[float, ...]
+    Each field is one config key, in echo order; the text defaults are the
+    benchmark scenario."""
+
+    name: str = _key("scenario", "name", str, "benchmark")
+    outdir: str = _key("scenario", "outdir", str, "runs/benchmark")
+    seed: int = _key("scenario", "seed", int, "1234")
+    dim: int = _key("grid", "dim", int, "1")
+    n: int = _key("grid", "n", int, "128")
+    n_t: int = _key("grid", "n_t", int, "200")
+    s: float = _key("grid", "s", float, "0.75")
+    horizon: float = _key("grid", "horizon", float, "1.0")
+    coupling_beta: float = _key("model", "coupling_beta", float, "0.3")
+    kernel_decay: float = _key("model", "kernel_decay", float, "1.0")
+    density: str = _key("initial", "density", str, "vonmises")
+    terminal_amplitude: float = _key("initial", "terminal_amplitude", float, "0.15")
+    particle_count: int = _key("particles", "count", int, "100000")
+    store_stride: int = _key("particles", "store_stride", int, "0")
+    tolerance: float = _key("loop", "tolerance", float, "1e-6")
+    max_sweeps: int = _key("loop", "max_sweeps", int, "80")
+    theta: float = _key("loop", "theta", float, "1.0")
+    theta_schedule: tuple[float, ...] = _key(
+        "loop", "theta_schedule", _floats, "0.0, 0.25, 0.5, 0.75, 1.0"
+    )
 
     # -- builders -------------------------------------------------------
 
@@ -151,21 +130,6 @@ class RunManifest:
                 return stride
         return 1
 
-    def with_overrides(
-        self,
-        outdir: str | None = None,
-        seed: int | None = None,
-        theta: float | None = None,
-    ) -> "RunManifest":
-        updated = replace(
-            self,
-            outdir=self.outdir if outdir is None else outdir,
-            seed=self.seed if seed is None else seed,
-            theta=self.theta if theta is None else theta,
-        )
-        _check_overridable(updated)
-        return updated
-
     # -- serialization --------------------------------------------------
 
     def to_text(self) -> str:
@@ -179,14 +143,19 @@ class RunManifest:
         return out.getvalue()
 
 
-def _check_overridable(mf: RunManifest) -> None:
-    """The checks of the fields ``with_overrides`` may change, which no built object guards."""
-    if not mf.outdir:
-        raise ConfigError("scenario.outdir must be nonempty")
-    if not 0 <= mf.seed < 2**64:
-        raise ConfigError(f"scenario.seed must fit in u64, got {mf.seed}")
-    if not 0.0 <= mf.theta <= 1.0:
-        raise ConfigError(f"loop.theta must lie in [0, 1], got {mf.theta}")
+class ConfigKey(NamedTuple):
+    section: str
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    default: str
+
+
+#: Every config key, in echo order, as the manifest's fields declare them.
+FIELDS = tuple(ConfigKey(field=f.name, **f.metadata) for f in fields(RunManifest))
+
+#: Constructor parameter -> config key, to name the key in a builder's error.
+_KEY_OF = {f.field: f"{f.section}.{f.key}" for f in FIELDS} | {"n_steps": "grid.n_t"}
 
 
 def _validate(mf: RunManifest) -> None:
@@ -203,7 +172,12 @@ def _validate(mf: RunManifest) -> None:
 
     if not mf.name:
         raise ConfigError("scenario.name must be nonempty")
-    _check_overridable(mf)
+    if not mf.outdir:
+        raise ConfigError("scenario.outdir must be nonempty")
+    if not 0 <= mf.seed < 2**64:
+        raise ConfigError(f"scenario.seed must fit in u64, got {mf.seed}")
+    if not 0.0 <= mf.theta <= 1.0:
+        raise ConfigError(f"loop.theta must lie in [0, 1], got {mf.theta}")
     if abs(mf.terminal_amplitude) > 100.0:
         raise ConfigError(
             f"initial.terminal_amplitude out of range [-100, 100], "
@@ -220,8 +194,11 @@ def _validate(mf: RunManifest) -> None:
         )
 
 
-def parse_config(text: str) -> RunManifest:
-    """Parse and fully validate a config; returns the resolved manifest."""
+def parse_config(text: str, **overrides) -> RunManifest:
+    """Parse and fully validate a config; returns the resolved manifest.
+
+    overrides replace fields by name, as a command's flags do; None leaves
+    the config's value."""
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         parser.read_string(text)
@@ -240,7 +217,7 @@ def parse_config(text: str) -> RunManifest:
         f.field: _parse(f"{f.section}.{f.key}", f.parse,
                         parser.get(f.section, f.key, fallback=f.default))
         for f in FIELDS
-    })
+    } | {name: value for name, value in overrides.items() if value is not None})
     _validate(mf)
     return mf
 

@@ -237,9 +237,11 @@ class _Stencil:
 def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw count positions from a grid density.
 
-    d = 1 inverts the piecewise-linear CDF exactly; d = 2 rejects uniform
-    candidates against the bilinear interpolant (nodal max is a valid
-    envelope for a convex combination of nodal values).
+    d = 1 inverts the CDF of the cell masses, each spread uniformly over
+    the cell [x_i - dx/2, x_i + dx/2) centred on node x_i, where m_i is the
+    density's value; d = 2 rejects uniform candidates against the bilinear
+    interpolant (nodal max is a valid envelope for a convex combination of
+    nodal values).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -255,7 +257,7 @@ def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> n
         prev = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
         width = cell_mass[idx]
         frac = np.where(width > 0.0, (draws - prev) / np.where(width > 0, width, 1.0), 0.5)
-        return _wrap(((idx + frac) * grid.dx).reshape(-1, 1))
+        return _wrap(((idx + frac - 0.5) * grid.dx).reshape(-1, 1))
     envelope = float(m0.values.max())
     density = m0.values[None]
     out = np.empty((count, grid.dim))
@@ -357,6 +359,9 @@ def empirical_measure(positions: np.ndarray, grid: SpectralGrid) -> GridMeasure:
         raise ValueError("need at least one particle")
     if not np.all(np.isfinite(pts)):
         raise ValueError("positions contain non-finite entries")
+    # the stencil wraps node indices, which a huge coordinate overflows
+    if pts.min() < 0.0 or pts.max() >= 1.0:
+        pts = _wrap(pts.copy())
     corners = _Stencil(grid, pts.shape[0]).corners(pts)
     index, weight = (np.concatenate(part) for part in zip(*corners))
     # bincount adds in input order, corner after corner, so the sums are

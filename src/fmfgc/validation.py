@@ -372,18 +372,11 @@ def _criterion_reproducibility(ctx: AcceptanceContext):
             env = dict(os.environ)
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 env[var] = str(threads)
-            for command in ("solve", "simulate"):
+            # solve's BLAS threads come from env; simulate also takes the
+            # hint that caps its particle pool
+            for command, hint in (("solve", []), ("simulate", ["--threads", str(threads)])):
                 proc = subprocess.run(
-                    [
-                        sys.executable,
-                        "-m",
-                        "fmfgc",
-                        command,
-                        "--config",
-                        str(config),
-                        "--threads",
-                        str(threads),
-                    ],
+                    [sys.executable, "-m", "fmfgc", command, "--config", str(config), *hint],
                     env=env,
                     capture_output=True,
                     text=True,

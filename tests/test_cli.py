@@ -8,6 +8,7 @@ stubbed when only the validate command's plumbing is under test.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,10 +97,50 @@ def test_solve_zero_theta_is_exact(tiny_config, tmp_path, capsys):
 
 def test_seed_override_lands_in_echo(tiny_config, tmp_path, capsys):
     outdir = tmp_path / "run"
+    assert main(["solve", "--config", str(tiny_config), "--out", str(outdir)]) == 0
     assert main(
-        ["solve", "--config", str(tiny_config), "--out", str(outdir), "--seed", "9"]
+        ["simulate", "--config", str(tiny_config), "--out", str(outdir), "--seed", "9"]
     ) == 0
     assert parse_config((outdir / "manifest.cfg").read_text()).seed == 9
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", {"--config", "--out", "--theta"}),
+        ("simulate", {"--config", "--out", "--seed", "--threads"}),
+        ("sweep-theta", {"--config", "--out"}),
+        ("validate", {"--out", "--threads"}),
+    ],
+)
+def test_each_command_takes_the_flags_of_the_settings_it_reads(command, flags, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == flags | {"--help"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve", "--seed", "9"),
+        ("solve", "--threads", "1"),
+        ("simulate", "--theta", "0.25"),
+        ("sweep-theta", "--seed", "9"),
+        ("sweep-theta", "--threads", "1"),
+        ("sweep-theta", "--theta", "0.5"),
+        ("validate", "--config", "missing.cfg"),
+        ("validate", "--seed", "3"),
+        ("validate", "--theta", "0.5"),
+    ],
+)
+def test_flag_of_a_setting_the_command_never_reads_exits_two(
+    command, flag, value, tmp_path, capsys
+):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--out", str(tmp_path), flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -159,6 +200,34 @@ def test_simulate_rejects_mismatched_grid(tiny_config, tmp_path, capsys):
     assert code == 1
     payload = summary_of(capsys, "err")
     assert "run solve with this config first" in payload["message"]
+
+
+def test_simulate_rejects_a_config_the_solve_did_not_use(tiny_config, tmp_path, capsys):
+    outdir = tmp_path / "run"
+    assert main(["solve", "--config", str(tiny_config), "--out", str(outdir)]) == 0
+    echo = (outdir / "manifest.cfg").read_text()
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CONFIG + "[model]\ncoupling_beta = 0.8\n[loop]\ntheta = 0.25\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(other), "--out", str(outdir)]) == 1
+    message = summary_of(capsys, "err")["message"]
+    assert message.startswith("model.coupling_beta, loop.theta differ from the solve")
+    assert "run solve with this config first" in message
+    # nothing was simulated, and the echo still describes the solve
+    assert (outdir / "manifest.cfg").read_text() == echo
+    assert not (outdir / "positions.bin").exists()
+
+
+def test_simulate_checks_the_stored_control_shape(tiny_config, tmp_path, capsys):
+    # the control path is external input: a file that does not fit the
+    # manifest's grid is refused even when the echo matches
+    outdir = tmp_path / "run"
+    assert main(["solve", "--config", str(tiny_config), "--out", str(outdir)]) == 0
+    write_field(outdir / "alpha.bin", read_field(outdir / "alpha.bin")[1:])
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(outdir)]) == 1
+    message = summary_of(capsys, "err")["message"]
+    assert message.startswith("stored control path has shape (32, 1, 16)")
 
 
 def test_simulate_rejects_non_finite_control(tiny_config, tmp_path, capsys):
@@ -254,7 +323,7 @@ def test_missing_config_exits_one(tmp_path, capsys):
 
 
 def test_threads_hint_validated(tiny_config, capsys):
-    code = main(["solve", "--config", str(tiny_config), "--threads", "0"])
+    code = main(["simulate", "--config", str(tiny_config), "--threads", "0"])
     assert code == 1
     assert "--threads" in summary_of(capsys, "err")["message"]
 
@@ -264,9 +333,10 @@ def test_threads_hint_sets_env(tiny_config, tmp_path, capsys, monkeypatch):
     # caps it below the CPUs the process may use
     monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    args = ["--config", str(tiny_config), "--out", str(tmp_path / "run")]
+    assert main(["solve"] + args) == 0
     assert particles._worker_count() == 4
-    args = ["solve", "--config", str(tiny_config), "--out", str(tmp_path / "run")]
-    assert main(args + ["--threads", "1"]) == 0
+    assert main(["simulate"] + args + ["--threads", "1"]) == 0
     assert particles._worker_count() == 1
 
 

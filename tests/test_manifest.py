@@ -194,12 +194,15 @@ def test_auto_stride_keeps_at_least_eight_gaps():
 
 
 def test_with_overrides_replaces_and_revalidates():
-    mf = default_manifest()
-    out = mf.with_overrides(outdir="elsewhere", seed=9, theta=0.5)
+    # parse_config's overrides are a command's flags: None is a flag not given
+    text = "[grid]\nn = 64\n[loop]\ntheta = 0.75\n"
+    mf = parse_config(text)
+    out = parse_config(text, outdir="elsewhere", seed=9, theta=0.5)
     assert (out.outdir, out.seed, out.theta) == ("elsewhere", 9, 0.5)
-    assert out.n == mf.n
+    assert out.n == mf.n == 64
+    assert parse_config(text, outdir=None, seed=None, theta=None) == mf
     with pytest.raises(ConfigError, match="loop.theta"):
-        mf.with_overrides(theta=2.0)
+        parse_config(text, theta=2.0)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +212,7 @@ def test_with_overrides_replaces_and_revalidates():
 )
 def test_with_overrides_rejection_names_key(override, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
-        default_manifest().with_overrides(**override)
+        parse_config("", **override)
 
 
 def test_terminal_condition_product_form():

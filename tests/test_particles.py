@@ -134,6 +134,18 @@ def test_initial_sampling_matches_density_1d():
     assert w1 <= 2.0 / math.sqrt(10**5) + 2.0 * grid.dx
 
 
+def test_initial_sampling_centres_cells_on_nodes_1d():
+    # m_i is the density at node x_i, so node i's cell mass is drawn around
+    # x_i: the first Fourier mode of the draws has the phase of the grid
+    # density's (cells [x_i, x_i + dx) shifted it by half a cell)
+    grid, m0 = vonmises_setup(n=32)
+    pts = sample_positions(m0, 10**6, np.random.default_rng(8))[:, 0]
+    x = grid.nodes()[0]
+    want = np.angle(np.sum(m0.values * np.exp(-2j * np.pi * x)))
+    got = np.angle(np.mean(np.exp(-2j * np.pi * pts)))
+    assert abs(got - want) / (2.0 * np.pi) < 0.1 * grid.dx
+
+
 def test_initial_sampling_rejection_2d():
     grid = SpectralGrid(dim=2, n=32, s=0.75)
     m0 = initial_density(grid, "vonmises")
@@ -365,6 +377,19 @@ def test_empirical_measure_validation_and_terminal():
     path = simulate_sde(None, m0, 10, TimeGrid(horizon=0.1, n_steps=4), seed=3)
     assert path.terminal().shape == (10, 1)
     assert np.array_equal(path.terminal(), path.positions[-1])
+
+
+def test_empirical_measure_wraps_huge_and_negative_coordinates():
+    grid = SpectralGrid(dim=1, n=16, s=0.75)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emp = empirical_measure(np.array([[1e300]]), grid)  # an integer: node 0
+    assert emp.values[0] == 16.0
+    assert np.all(emp.values[1:] == 0.0)
+    pts = np.array([[-0.25]])
+    left = empirical_measure(pts, grid)
+    assert np.array_equal(left.values, empirical_measure(np.array([[0.75]]), grid).values)
+    assert pts[0, 0] == -0.25  # the caller's array is not wrapped in place
 
 
 def test_empirical_spike_at_node():
