@@ -2,13 +2,16 @@
 
 Agents follow dX = b(X, t) dt + dJ where J is the isotropic 2s-stable
 process whose generator is the same fractional Laplacian the spectral
-modules exponentiate.  Increments come from a subordinated-Gaussian
-construction: J = sqrt(2 S) Z with S a one-sided s-stable time change
-(Chambers-Mallows-Stuck), which reproduces the torus symbol exactly with
-a single scalar draw per step.  The ensemble cross-validates the density
-pipeline: depositing particles and comparing against the PDE solution is
-the end-to-end consistency check, and the time-indexed path feeds the
-Hoelder-in-time Wasserstein certificate.
+modules exponentiate.  Increments come from the Chambers-Mallows-Stuck
+transform of one uniform and one exponential draw per particle and step.
+In d = 1 it gives the symmetric 2s-stable jump directly; in d >= 2 it
+gives a one-sided s-stable time change S and the jump is the
+subordinated Gaussian J = sqrt(2 S) Z, as the direct formula has no
+isotropic form there.  Both reproduce the torus symbol exactly.  The
+ensemble cross-validates the density pipeline: depositing particles and
+comparing against the PDE solution is the end-to-end consistency check,
+and the time-indexed path feeds the Hoelder-in-time Wasserstein
+certificate.
 
 The particles never interact, so the ensemble is cut into fixed blocks of
 MIN_BLOCK particles, a partition that depends only on the particle count.
@@ -92,11 +95,15 @@ def sample_stable_increment(
 ) -> np.ndarray:
     """Increments of the isotropic 2s-stable process over a step of length dt.
 
-    Subordination: J = sqrt(2 S) Z with Z standard Gaussian and S one-sided
-    s-stable scaled so E[exp(-lam S)] = exp(-dt lam^s).  Then
-    E[exp(i xi . J)] = E[exp(-S |xi|^2)] = exp(-dt |xi|^(2s)), which at
-    xi = 2 pi k is exactly the semigroup multiplier of the spectral grid.
-    Returns shape (size, dim).
+    Each has E[exp(i xi . J)] = exp(-dt |xi|^(2s)), which at xi = 2 pi k is
+    exactly the semigroup multiplier of the spectral grid.  Every increment
+    takes one uniform and one exponential draw from rng, and in d >= 2 also
+    d Gaussians.  d = 1 transforms the two draws into the symmetric
+    2s-stable jump (_cms_line); d >= 2 subordinates the Gaussians,
+    J = sqrt(2 S) Z with S one-sided s-stable scaled so
+    E[exp(-lam S)] = exp(-dt lam^s), so that
+    E[exp(i xi . J)] = E[exp(-S |xi|^2)] (_cms_block).  Returns shape
+    (size, dim).
     """
     if not 0.5 < s < 1.0:
         raise ValueError(f"stable order requires s in (1/2, 1), got {s}")
@@ -106,11 +113,72 @@ def sample_stable_increment(
         raise ValueError(f"dim must be at least 1, got {dim}")
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
-    u = rng.random(size)
-    w = rng.standard_exponential(size)
-    z = rng.standard_normal((size, dim))
-    _cms_block(u, w, z, s, dt, np.empty((3, size)))
+    z = np.empty((size, dim))
+    u, w, *work = np.empty((5, size))
+    _draw_increments(rng, u, w, z, s, dt, work)
     return z
+
+
+def _draw_increments(rng, u, w, z, s: float, dt: float, work) -> None:
+    """One step's increments into z (count, dim), drawn from rng in the
+    buffers u, w (count,) and work (3, count), which the call overwrites."""
+    rng.random(out=u)
+    rng.standard_exponential(out=w)
+    if z.shape[1] == 1:
+        _cms_line(u, w, z[:, 0], s, dt, work)
+    else:
+        rng.standard_normal(out=z)
+        _cms_block(u, w, z, s, dt, work)
+
+
+def _cms_line(u, w, out, s: float, dt: float, work) -> None:
+    """Chambers-Mallows-Stuck: the symmetric 2s-stable jump into out (count,).
+
+    u holds uniform [0, 1) draws and w standard exponential ones; both are
+    overwritten, as is the (3, count) scratch buffer work, so a call makes
+    no new array.  With alpha = 2s, beta = alpha - 1 and the angle
+    V = pi (u - 1/2 + 2^-54), the textbook jump
+    J = dt^(1/alpha) sin(alpha V) cos(V)^(-1/alpha) (w / cos(beta V))^(beta/alpha)
+    has E[exp(i xi J)] = exp(-dt |xi|^alpha).  Shifting u by half its 2^-53
+    spacing makes the grid of V symmetric about 0 and keeps it off +-pi/2,
+    where cos V = 0, so u = 0 gives a finite jump without rejection.  As
+    1/alpha + beta/alpha = 1, log|J| regroups into two logs of ratios,
+    log(sin(alpha |V|) / cos V) / alpha
+    + beta log(w sin(alpha |V|) / cos(beta V)) / alpha + log(dt) / alpha,
+    and J takes the sign of V.  Each sine and cosine comes from the tangent
+    of its half angle, as in _cms_block.  cos V is taken as sin(pi q) with
+    q = 1/2 - |V| / pi exact, so it keeps its relative precision as V nears
+    +-pi/2, where the jump is largest.
+    """
+    a, b, scratch = work
+    beta = 2.0 * s - 1.0
+    # u - 1/2 + 2^-54 and q = 1/2 - |u - 1/2 + 2^-54| are exact in float
+    u -= 0.5 - 2.0**-54
+    np.abs(u, out=a)
+    np.subtract(0.5, a, out=b)
+    b *= 0.5 * math.pi
+    _half_sine(np.tan(b, out=b), scratch)
+    # cos(beta V) = (1 - t^2) / (1 + t^2), t = tan(beta |V| / 2) < tan(pi/4)
+    np.multiply(a, beta * 0.5 * math.pi, out=out)
+    np.tan(out, out=out)
+    np.multiply(out, out, out=scratch)
+    np.subtract(1.0, scratch, out=out)
+    scratch += 1.0
+    out /= scratch
+    a *= s * math.pi
+    _half_sine(np.tan(a, out=a), scratch)
+    w *= a
+    w /= out
+    a /= b
+    np.log(a, out=a)
+    a *= 1.0 / (2.0 * s)
+    np.log(w, out=w)
+    w *= beta / (2.0 * s)
+    a += w
+    # w holds w sin(alpha |V|) / (2 cos(beta V)), whence beta log 2; the
+    # halves in a / b cancel
+    a += (math.log(dt) + beta * math.log(2.0)) / (2.0 * s)
+    np.copysign(np.exp(a, out=a), u, out=out)
 
 
 def _cms_block(u, w, z, s: float, dt: float, work) -> None:
@@ -295,8 +363,9 @@ def simulate_sde(
     takes the rest).  Block k draws its increments from the k-th child of
     SeedSequence(seed).spawn(n_blocks), step after step exactly as
     sample_stable_increment(s, dt, dim, default_rng(child), size=block)
-    would.  Each block marches through the whole horizon in one pool task,
-    so the result does not depend on the worker count.
+    would: one uniform and one exponential per particle and step, and in
+    d >= 2 also d Gaussians.  Each block marches through the whole horizon
+    in one pool task, so the result does not depend on the worker count.
     """
     grid = m0.grid
     n_steps = time_grid.n_steps
@@ -311,8 +380,8 @@ def simulate_sde(
     dt = time_grid.dt
 
     def march(lo: int, hi: int, stream: np.random.SeedSequence) -> None:
-        # The block owns its positions and draw buffers; it draws in the
-        # order sample_stable_increment does.
+        # The block owns its positions and draw buffers; it draws as
+        # sample_stable_increment does, through the same _draw_increments.
         rng = np.random.default_rng(stream)
         x = positions[0, lo:hi].copy()
         u, w, *work = np.empty((5, hi - lo))
@@ -324,10 +393,7 @@ def simulate_sde(
                 z *= dt
                 x += z
             if jumps:
-                rng.random(out=u)
-                rng.standard_exponential(out=w)
-                rng.standard_normal(out=z)
-                _cms_block(u, w, z, grid.s, dt, work)
+                _draw_increments(rng, u, w, z, grid.s, dt, work)
                 x += z
             _wrap(x, z)
             if (j + 1) % store_stride == 0:

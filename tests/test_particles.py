@@ -4,8 +4,10 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from fmfgc import particles
 from fmfgc.equilibrium import solve_equilibrium
@@ -67,12 +69,126 @@ def test_characteristic_function_matches_semigroup_multiplier():
 
 
 def test_increment_finite_near_s_one():
-    # At s = 0.99 the textbook CMS intermediate a^(1/(1-s)) has exponent 100
-    # and overflows for small sin(u); the increments must stay finite.
+    # At s = 0.99 the textbook CMS intermediates overflow: the subordinator's
+    # a^(1/(1-s)) has exponent 100, and the 1-D jump's cos(V)^(-1/(2s)) is
+    # unbounded near u = 0; the increments must stay finite.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         jumps = sample_stable_increment(0.99, 0.005, 1, np.random.default_rng(0), size=10**5)
     assert np.all(np.isfinite(jumps))
+
+
+#: The unit roundoff: the relative error of one rounded float64 operation.
+UNIT = 2.0**-53
+
+#: The relative error of numpy's float64 tan, log and exp: 4 ulp, the bound
+#: of the SIMD (SVML) versions it runs on AVX-512, each ulp at most 2 UNIT.
+LIBM = 8.0 * UNIT
+
+
+def _cms_line_power_form(u, w, s, dt):
+    """The symmetric 2s-stable CMS jump in its textbook power form, in
+    30-digit mpmath, at the angle _cms_line takes, V = pi (u - 1/2 + 2^-54)."""
+    with mpmath.workdps(30):
+        alpha = 2 * mpmath.mpf(s)
+        shift = mpmath.mpf(0.5) - mpmath.mpf(2) ** -54
+        scale = mpmath.mpf(dt) ** (1 / alpha)
+        jumps = []
+        for ui, wi in zip(u.tolist(), w.tolist()):
+            v = mpmath.pi * (ui - shift)
+            jumps.append(float(
+                scale * mpmath.sin(alpha * v) * mpmath.cos(v) ** (-1 / alpha)
+                * (wi / mpmath.cos((alpha - 1) * v)) ** ((alpha - 1) / alpha)
+            ))
+    return np.array(jumps)
+
+
+def _cms_line_error_bound(s, dt, w):
+    """First-order bound on _cms_line's relative error, from its operations.
+
+    Each tangent's argument is an exact number times a rounded constant, so
+    it errs by 3 UNIT (2 for cos V, as pi / 2 is pi scaled exactly).  A sine
+    or cosine then errs by that error times its condition number
+    |y f'(y) / f(y)|, plus the tangent's error times the half-angle
+    formula's gain |d log f / d log t|, plus the formula's own roundings:
+    - sin(alpha |V|), y < s pi: condition max(1, s pi |cot s pi|), gain
+      |cos y| <= 1, 3 roundings;
+    - cos V = sin(pi q), y <= pi / 2: condition and gain at most 1,
+      3 roundings;
+    - cos(beta V), y < beta pi / 2: condition y tan y, gain sin y tan y
+      <= tan y, 4 roundings, and the rounding of t^2 weighs
+      t^2 / (1 - t^2) <= sec(y) / 2 in 1 - t^2.
+    The three ratios add 1 and 2 UNIT to the two logs.  A log turns its
+    argument's relative error into the same absolute error; the logs, the
+    two scalings, the constant and the two sums add at most LIBM + 4 UNIT
+    times the magnitude of each term of the exponent, and exp adds LIBM.
+    The result rounded to float64 adds one UNIT.
+    """
+    alpha, beta = 2.0 * s, 2.0 * s - 1.0
+    y_a, y_b = s * math.pi, beta * math.pi / 2.0
+    tan_b, sec_b = math.tan(y_b), 1.0 / math.cos(y_b)
+    sin_a = 3.0 * UNIT * max(1.0, abs(y_a / math.tan(y_a))) + LIBM + 3.0 * UNIT
+    cos_v = 2.0 * UNIT + LIBM + 3.0 * UNIT
+    cos_b = 3.0 * UNIT * y_b * tan_b + LIBM * tan_b + UNIT * (sec_b / 2.0 + 4.0)
+    # |log(sin(alpha |V|) / cos V)| <= big, as both sines lie in
+    # [sin(pi 2^-54), 1]; |log(w sin(alpha |V|) / (2 cos(beta V)))| adds
+    # |log w| and log(2 sec(beta pi / 2)) to it.
+    big = -math.log(math.sin(math.pi * 2.0**-54))
+    terms = (
+        big
+        + beta * (np.abs(np.log(w)) + big + math.log(2.0 * sec_b))
+        + abs(math.log(dt))
+        + beta * math.log(2.0)
+    ) / alpha
+    return (
+        sin_a + (cos_v + UNIT) / alpha + beta * (cos_b + 2.0 * UNIT) / alpha
+        + (LIBM + 4.0 * UNIT) * terms + LIBM + UNIT
+    )
+
+
+@pytest.mark.parametrize("s", [0.51, 0.6, 0.75, 0.9, 0.99])
+def test_line_transform_matches_mpmath_power_form(s):
+    # Both ends of [0, 1), where cos V is smallest and the jump largest,
+    # the centre, where it is smallest, and 2 * 10^4 random draws for each
+    # order: 10^5 in all, as mpmath takes about 0.1 ms a jump.
+    dt, count = 0.005, 20_000
+    rng = np.random.default_rng(round(100 * s))
+    u = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], rng.random(count)])
+    w = rng.standard_exponential(u.size)
+    got = np.empty(u.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        particles._cms_line(u.copy(), w.copy(), got, s, dt, np.empty((3, u.size)))
+    want = _cms_line_power_form(u, w, s, dt)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.isfinite(want)) and np.all(want != 0.0)
+    assert np.all(np.abs(got - want) <= _cms_line_error_bound(s, dt, w) * np.abs(want))
+
+
+@pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
+def test_line_and_subordinated_jumps_share_the_1d_law(s):
+    # The first coordinate of an isotropic 2-D jump has
+    # E[exp(i xi J_1)] = exp(-dt |xi|^(2s)), the 1-D law: the direct
+    # transform and the subordinated Gaussian must agree.  A two-sample
+    # Kolmogorov-Smirnov test at level 1e-3, on 2 * 10^5 draws each, passes;
+    # it rejects the same draws once one side is 10 % wider.
+    dt, count, level = 0.05, 200_000, 1e-3
+    line = sample_stable_increment(s, dt, 1, np.random.default_rng(31), size=count)[:, 0]
+    plane = sample_stable_increment(s, dt, 2, np.random.default_rng(32), size=count)[:, 0]
+    assert ks_2samp(line, plane).pvalue > level
+    assert ks_2samp(line, 1.1 * plane).pvalue < level
+
+
+def test_characteristic_function_2d_matches_semigroup_multiplier():
+    # The d = 2 subordinated jump against exp(-dt (2 pi |k|)^(2s)), on and
+    # off the axes: nothing else ties the retained path to the multiplier.
+    s, dt, count = 0.75, 0.05, 10**6
+    jumps = sample_stable_increment(s, dt, 2, np.random.default_rng(7), size=count)
+    tol = 4.0 / math.sqrt(count)
+    for k in ((1, 0), (1, 1), (2, 1)):
+        target = math.exp(-dt * (2.0 * math.pi * math.hypot(*k)) ** (2.0 * s))
+        observed = float(np.mean(np.cos(2.0 * math.pi * (jumps @ np.array(k)))))
+        assert abs(observed - target) <= tol
 
 
 def _cms_power_form(u, w, z, s, dt):
