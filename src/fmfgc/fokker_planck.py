@@ -6,19 +6,17 @@ flux form telescopes to exact discrete mass conservation; the semigroup
 preserves the mean by construction but can ring slightly negative on sharp
 data, which is clipped and renormalized under a hard mass-drift guard.
 
-A march builds the operator of its step once
-(``SpectralGrid.value_step``) and splits the face velocities of its drift
-path into their positive and negative parts one block of levels at a time
-(``SpectralGrid.level_blocks``), so the parts of one block are live at
-once, never those of the whole path.  Each step is then one pass: the
-donor-cell shift of the density, one sum of the advected density (a
-non-finite sum is a non-finite field, a sum off the mass the step started
-from is a mass drift: m0's, which ``GridMeasure`` holds within MASS_TOL
-of 1, then the 1 that every step normalizes to), the semigroup with the
-march's operator (on a 1-D grid of at most ``DENSE_STEP_MAX_N`` nodes one
-product with the real kernel of T(dt), else one transform pair), the
-minimum, the clip and its mass guard only where that minimum is not
-positive, and the normalization written into the path.  With zero drift
+A march takes the operator of its step once (``SpectralGrid.value_step``,
+which the grid keeps for the next march of the same dt) and splits the
+face velocities of its drift path into their positive and negative parts
+one block of levels at a time (``SpectralGrid.level_blocks``), so the
+parts of one block are live at once, never those of the whole path.  Each
+step works in buffers the march allocates once (``_step``): the donor-cell
+shift, the semigroup (on a 1-D grid of at most ``DENSE_STEP_MAX_N`` nodes
+one product with the real kernel of T(dt), else one transform pair), the
+clip and the normalization written into the path.  After each block, one
+row sum and one row minimum give the guards of all its steps
+(``_check_steps``), and the first failure raises.  With zero drift
 the solution is the exact fractional heat flow, built by ``heat_flow``
 from one transform of m0 over the stack of heat multipliers at every time
 node.
@@ -125,6 +123,16 @@ def check_cfl(drift: np.ndarray, time_grid: TimeGrid, grid: SpectralGrid) -> Non
         )
 
 
+def _face_slices(axis: int, dim: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Index tuples of a field or a stack along one grid axis of dim: every
+    node but the last, every node but the first, the first and the last."""
+    rest = (slice(None),) * (dim - 1 - axis)
+    return tuple(
+        (Ellipsis, part) + rest
+        for part in (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None))
+    )
+
+
 def _face_parts(
     b: np.ndarray, grid: SpectralGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,10 +148,7 @@ def _face_parts(
     pos, neg = np.empty_like(b), np.empty_like(b)
     inflow = np.moveaxis(neg, comp, 0)[0]
     for axis, (f, v) in enumerate(zip(np.moveaxis(pos, comp, 0), np.moveaxis(b, comp, 0))):
-        head, tail, first, last = (
-            (Ellipsis, part) + (slice(None),) * (grid.dim - 1 - axis)
-            for part in (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None))
-        )
+        head, tail, first, last = _face_slices(axis, grid.dim)
         np.add(v[head], v[tail], out=f[head])
         np.add(v[last], v[first], out=f[last])
         f *= 0.5
@@ -160,72 +165,99 @@ def _face_parts(
     return np.maximum(pos, 0.0, out=pos), neg, compression
 
 
-def _roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """np.roll(a, shift, axis) for |shift| < n, as one concatenate: the same
-    array at a third of np.roll's call cost on one grid field."""
-    head = (slice(None),) * (axis % a.ndim)
-    return np.concatenate(
-        (a[head + (slice(-shift, None),)], a[head + (slice(None, -shift),)]), axis=axis
-    )
-
-
-def _advect(
-    values: np.ndarray, pos: np.ndarray, neg: np.ndarray, rate: float, grid: SpectralGrid
-) -> np.ndarray:
-    """One explicit donor-cell sweep, flux form, from the face velocity
-    parts, at rate = dt / dx."""
-    out = values
+def _sweep_scratch(grid: SpectralGrid) -> list[tuple]:
+    """What _advect works in, made once per march: per axis, the index
+    tuples of _face_slices, two field-shaped buffers, flux and shifted,
+    and the views of each under those tuples, so that a step slices only
+    the arrays it is given."""
+    flux, shifted = np.empty((2,) + grid.shape)
+    scratch = []
     for axis in range(grid.dim):
-        flux = pos[axis] * values
-        flux += neg[axis] * _roll(values, -1, axis)
-        flux -= _roll(flux, 1, axis)
-        flux *= rate
-        out = out - flux
+        faces = _face_slices(axis, grid.dim)
+        views = ([flux[f] for f in faces], [shifted[f] for f in faces])
+        scratch.append((faces, flux, shifted, *views))
+    return scratch
+
+
+def _advect(values, pos, neg, rate, scratch, out) -> np.ndarray:
+    """One explicit donor-cell sweep, flux form, from the face velocity
+    parts, at rate = dt / dx, written into out and returned; it works in
+    the _sweep_scratch of the grid and makes no new array."""
+    source = values
+    for p, q, (faces, flux, shifted, flux_at, shifted_at) in zip(pos, neg, scratch):
+        head, tail, first, last = faces
+        flux_head, flux_tail, flux_first, flux_last = flux_at
+        shifted_head, shifted_tail, shifted_first, shifted_last = shifted_at
+        np.multiply(p, values, out=flux)
+        # q_i values_{i+1}, the node across face i
+        np.multiply(q[head], values[tail], out=shifted_head)
+        np.multiply(q[last], values[first], out=shifted_last)
+        flux += shifted
+        # flux_i - flux_{i-1}, the net outflow of node i
+        np.subtract(flux_tail, flux_head, out=shifted_tail)
+        np.subtract(flux_first, flux_last, out=shifted_first)
+        shifted *= rate
+        np.subtract(source, shifted, out=out)
+        source = out
     return out
 
 
-def _step(
-    values: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    rate: float,
-    heat: np.ndarray,
-    grid: SpectralGrid,
-    out: np.ndarray,
-    mass_in: float,
-) -> tuple[float, float]:
-    """One step on arrays: writes the new density into out and returns its
-    pre-clip minimum and the advection mass drift, the advected mass less
-    mass_in, the mass of values.  The caller has checked values, the drift
-    behind the face parts pos and neg, the step's rate = dt / dx and the
-    advective restriction sum_i |b_i| dt <= dx, and built heat, the
-    value_step of dt."""
-    cell = grid.dx**grid.dim
-    advected = _advect(values, pos, neg, rate, grid)
-    # one sum: a non-finite entry makes it non-finite
-    mass = float(advected.sum()) * cell
-    if not math.isfinite(mass):
-        raise InvalidFieldError("scalar field contains non-finite values")
-    drift = abs(mass - mass_in)
-    if drift > STEP_MASS_TOL:
+def _step(values, pos, neg, rate, heat, grid, scratch, cell, advected, diffused, out) -> None:
+    """One step on arrays, with no guard: the advected density into
+    advected, the semigroup of it before the clip into diffused, and the
+    clipped density, normalized to unit mass on cells of volume cell, into
+    out.  The clip np.maximum(., 0) leaves a positive field's bits alone.
+    The caller has checked values, the drift behind the face parts pos and
+    neg, the step's rate = dt / dx and the advective restriction
+    sum_i |b_i| dt <= dx, built heat, the value_step of dt, and checks the
+    step afterwards (_check_steps)."""
+    # the block's check reads the row, whatever array _advect hands back
+    advected[...] = _advect(values, pos, neg, rate, scratch, advected)
+    grid.semigroup_value(advected, heat, diffused)
+    np.maximum(diffused, 0.0, out=out)
+    out /= out.sum() * cell
+
+
+def _check_steps(
+    advected: np.ndarray, diffused: np.ndarray, mass_in: float, cell: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The advection mass drifts and the pre-clip minima of a block of
+    steps, from their advected and pre-clip diffused densities, stacked.
+
+    One row sum and one row minimum serve every step.  The guards read
+    them step by step, in the order a step is checked in: a non-finite sum
+    is a non-finite field, a sum off the mass the step started from is a
+    mass drift (mass_in for the block's first step, m0's on the march's
+    first step and the 1 every step normalizes to after it), and a negative
+    minimum sends the step's clipped mass to its guard.  The first failure
+    raises."""
+    count = len(advected)
+    mass = advected.reshape(count, -1).sum(axis=1) * cell
+    drift = np.abs(mass - 1.0)
+    drift[0] = abs(mass[0] - mass_in)
+    diffused = diffused.reshape(count, -1)
+    preclip = diffused.min(axis=1)
+    # a NaN fails both comparisons
+    if drift.max() <= STEP_MASS_TOL and preclip.min() >= 0.0:
+        return drift, preclip
+    clipped = preclip < 0.0
+    removed = np.zeros(count)
+    if clipped.any():
+        rows = diffused[clipped]
+        removed[clipped] = (np.maximum(rows, 0.0) - rows).sum(axis=1) * cell
+    failed = ~np.isfinite(mass) | (drift > STEP_MASS_TOL) | (removed > CLIP_MASS_TOL)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if not math.isfinite(mass[k]):
+            raise InvalidFieldError("scalar field contains non-finite values")
+        if drift[k] > STEP_MASS_TOL:
+            raise ConservationError(
+                f"advection stage drifted mass to {float(mass[k])!r} (tolerance {STEP_MASS_TOL})"
+            )
         raise ConservationError(
-            f"advection stage drifted mass to {mass!r} (tolerance {STEP_MASS_TOL})"
+            f"positivity clip removed {removed[k]:.3e} mass (tolerance {CLIP_MASS_TOL})"
         )
-    diffused = grid.semigroup_value(advected, heat)
-    preclip = float(diffused.min())
-    # a positive minimum leaves nothing to clip; a zero, signed or not, is
-    # clipped as a negative value is
-    if preclip <= 0.0:
-        clipped = np.maximum(diffused, 0.0)
-        if preclip < 0.0:
-            removed = float((clipped - diffused).sum()) * cell
-            if removed > CLIP_MASS_TOL:
-                raise ConservationError(
-                    f"positivity clip removed {removed:.3e} mass (tolerance {CLIP_MASS_TOL})"
-                )
-        diffused = clipped
-    np.divide(diffused, float(diffused.sum()) * cell, out=out)
-    return preclip, drift
+    return drift, preclip
 
 
 def heat_flow(m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
@@ -274,7 +306,13 @@ def solve_forward(
     check_cfl(b_path[:-1], time_grid, grid)
 
     dt = time_grid.dt
-    heat, rate = grid.value_step(dt), dt / grid.dx
+    # a 0-d rate: with numpy 2 a ufunc takes it on a 128-node field in
+    # 0.37 us, a float in 0.63 us
+    heat, rate = grid.value_step(dt), np.array(dt / grid.dx)
+    scratch, cell = _sweep_scratch(grid), grid.dx**grid.dim
+    blocks = list(grid.level_blocks(n))
+    # the first block is the longest
+    advected, diffused = np.empty((2, blocks[0].stop) + grid.shape)
     m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)
@@ -282,14 +320,27 @@ def solve_forward(
     advect_drift = np.zeros(n + 1)
     mass = m0.mass  # each later step starts at the unit mass the last one left
     compression = 0.0
-    for block in grid.level_blocks(n):
+    for block in blocks:
         pos, neg, block_compression = _face_parts(b_path[block], grid)
         compression = max(compression, float(np.max(block_compression)))
-        for j, pos_j, neg_j in zip(range(block.start, block.stop), pos, neg):
-            preclip[j + 1], advect_drift[j + 1] = _step(
-                m[j], pos_j, neg_j, rate, heat, grid, m[j + 1], mass
+        count = block.stop - block.start
+        # a step past a failing one may overflow; the check below reports
+        # the failure, and the steps past it are dropped
+        with np.errstate(all="ignore"):
+            for values, pos_k, neg_k, advected_k, diffused_k, out in zip(
+                m[block.start : block.stop], pos, neg, advected, diffused,
+                m[block.start + 1 : block.stop + 1],
+            ):
+                _step(
+                    values, pos_k, neg_k, rate, heat, grid, scratch, cell,
+                    advected_k, diffused_k, out,
+                )
+            drift, block_preclip = _check_steps(
+                advected[:count], diffused[:count], mass, cell
             )
-            mass = 1.0
+        advect_drift[block.start + 1 : block.stop + 1] = drift
+        preclip[block.start + 1 : block.stop + 1] = block_preclip
+        mass = 1.0
     return FpSolution(time_grid, grid, m, preclip, advect_drift, compression)
 
 

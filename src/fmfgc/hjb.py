@@ -12,23 +12,26 @@ sum_i |D_{p_i} H| dt <= dx at every node.
 
 A march fixes the measure path once: ``model.hamiltonian_at(mu_path)``
 computes the measure-only parts of H and D_p H for every level in one
-batched call, and the march builds the operator of its step once
-(``SpectralGrid.gradient_step``).  Each level then evaluates H at its
-momentum, checks the result finite, and applies that operator for the new
-value and its gradient together (``SpectralGrid.semigroup_gradient``):
-one product with the stacked real kernel [T(dt); D T(dt)] on a 1-D grid
-of at most ``DENSE_STEP_MAX_N`` nodes, else one forward and one batched
-inverse real transform.  D_p H is evaluated once per march, on the
-whole gradient path, and negated into the drift in place where the
-model's array allows (``feedback_drift``); the advective restriction is
-checked on it by the rule the forward march shares
-(``fokker_planck.check_cfl``), at the largest speed over the levels the
-march stepped from, so a violation is reported ahead of any non-finite
-level below it.  The
-solution keeps H and the drift -D_p H at every level, so a sweep's
-forward march and duality pairing read them instead of evaluating the
-model again.  The march starts from the terminal value it is given: a
-caller that scales the problem by theta scales that value too.
+batched call, and the march takes the operator of its step once
+(``SpectralGrid.gradient_step``, which the grid keeps for the next march
+of the same dt).  The levels run top down, a block of levels at a time,
+in buffers the march allocates once (``_march_block``): each level
+evaluates H at its momentum, forms w = u_next - dt H and applies that
+operator for the new value and its gradient together
+(``SpectralGrid.semigroup_gradient``: one product with the stacked real
+kernel [T(dt); D T(dt)] on a 1-D grid of at most ``DENSE_STEP_MAX_N``
+nodes, else one forward and one batched inverse real transform).  One
+finiteness check per block names the highest level that blew up.  D_p H
+is evaluated once per march, on the whole gradient path, and negated into
+the drift in place where the model's array allows (``feedback_drift``);
+the advective restriction is checked on it by the rule the forward march
+shares (``fokker_planck.check_cfl``), at the largest speed over the
+levels the march stepped from, so a violation is reported ahead of any
+non-finite level below it.  The solution keeps H and the drift -D_p H at
+every level, so a sweep's forward march and duality pairing read them
+instead of evaluating the model again.  The march starts from the
+terminal value it is given: a caller that scales the problem by theta
+scales that value too.
 """
 
 from __future__ import annotations
@@ -83,25 +86,64 @@ def feedback_drift(grad_p, du: np.ndarray) -> np.ndarray:
     return -drift
 
 
-def _level(
-    grid: SpectralGrid,
-    u_next: np.ndarray,
-    h: np.ndarray,
-    dt: float,
-    heat: np.ndarray,
-    time_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One backward level: the new value and its gradient from the later
-    value and its Hamiltonian field h, with heat the gradient_step of dt;
-    the level's one finiteness check."""
-    # T is linear, so T(dt) u - dt T(dt) H is one semigroup application.
-    w = u_next - dt * h
-    if not np.isfinite(w).all():
+def _level(grid, u_next, h, dt, heat, w, out) -> None:
+    """One backward level, with no guard: w = u_next - dt h from the later
+    value and its Hamiltonian field h, and the new value and its gradient
+    stacked into out, with heat the gradient_step of dt.  T is linear, so
+    T(dt) u - dt T(dt) H is one semigroup application."""
+    np.multiply(h, dt, out=w)
+    np.subtract(u_next, w, out=w)
+    grid.semigroup_gradient(w, heat, out)
+
+
+def _blown_up(w: np.ndarray, start: int) -> int | None:
+    """The highest level of a block whose w has a non-finite entry, w
+    holding the block's levels from start up, or None."""
+    finite = np.isfinite(w.reshape(len(w), -1)).all(axis=1)
+    return None if finite.all() else start + int(np.flatnonzero(~finite)[-1])
+
+
+def _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked) -> None:
+    """Step the levels of one block, top down, into u and du.
+
+    Each level writes its w = u_next - dt H into its row of w and its value
+    and gradient into its row of stacked, whose row past the block holds
+    the level it starts from.  The levels run under np.errstate, so the
+    ones past a blow-up raise no warning, and one check over the rows of w
+    then reports the highest level with a non-finite w, the first the
+    march met: the levels above it are written into u and du, the rows at
+    and below it keep their zeros, and a BlowUpError names it."""
+    count = block.stop - block.start
+    stacked[count, 0] = u[block.stop]
+    stacked[count, 1:] = du[block.stop]
+    low = count  # the lowest row of w written
+    # level j + 1 down to level j, for j from the top of the block down
+    steps = zip(
+        range(count - 1, -1, -1),
+        stacked[count:0:-1],
+        h[block.stop : block.start : -1],
+        w[count - 1 :: -1],
+        stacked[count - 1 :: -1],
+    )
+    try:
+        with np.errstate(all="ignore"):
+            for k, later, h_later, w_k, out in steps:
+                h_later[...] = hamiltonian(later[1:], block.start + k + 1)
+                _level(grid, later[0], h_later, dt, heat, w_k, out)
+                low = k
+    except Exception:
+        # a model may fail on the non-finite momentum past a blow-up
+        if _blown_up(w[low:count], block.start + low) is None:
+            raise
+    failed = _blown_up(w[low:count], block.start + low)
+    top = block.start if failed is None else failed + 1
+    u[top : block.stop] = stacked[top - block.start : count, 0]
+    du[top : block.stop] = stacked[top - block.start : count, 1:]
+    if failed is not None:
         raise BlowUpError(
-            f"Hamiltonian step produced a non-finite value at time level {time_index}",
-            time_index=time_index,
+            f"Hamiltonian step produced a non-finite value at time level {failed}",
+            time_index=failed,
         )
-    return grid.semigroup_gradient(w, heat)
 
 
 def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSolution:
@@ -127,10 +169,13 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     du[n] = grid.gradient(u[n])
     hamiltonian, grad_p = model.hamiltonian_at(mu_path)
     heat = grid.gradient_step(dt)
+    blocks = list(grid.level_blocks(n))
+    # the first block is the longest
+    w = np.empty((blocks[0].stop,) + grid.shape)
+    stacked = np.empty((blocks[0].stop + 1, 1 + grid.dim) + grid.shape)
     try:
-        for j in range(n - 1, -1, -1):
-            h[j + 1] = hamiltonian(du[j + 1], j + 1)
-            u[j], du[j] = _level(grid, u[j + 1], h[j + 1], dt, heat, j)
+        for block in reversed(blocks):
+            _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked)
     except BlowUpError as err:
         # the levels the march passed keep their order ahead of the blow-up;
         # a gradient that overflowed on the way there is part of the blow-up.

@@ -21,7 +21,9 @@ control only, for the control fixed point, which never needs the
 potential.  The march negates ``grad_p``'s gradient-path array into the
 drift in place when that array is writable, owns its memory and shares
 none with p (``hjb.feedback_drift``), so ``grad_p`` hands out no array it
-keeps.
+keeps.  The march checks its levels a block at a time, so ``h`` may see
+the non-finite momentum of a level past a blow-up; the march drops those
+levels, and an error ``h`` raises there gives way to the blow-up's.
 
 A model is any object with the three field forms ``hamiltonian_at``,
 ``grad_p_field`` and ``lagrangian_field`` (and ``grad_alpha_field`` for
@@ -129,17 +131,29 @@ class QuadraticModel:
         return alpha + self.coupling_beta * self._broadcast_mean(mu)
 
     def hamiltonian_at(self, mu):
-        axis = -(mu.grid.dim + 1)
+        """The pair (H, D_p H) at mu, one slice or a path, as functions of
+        the momentum p, and of the level j when p is one level of a path:
+        the mean control and the potential are read here, once.  H writes
+        the component sums sum_i p_i p_i and sum_i p_i abar_i out in axis
+        order, which is what .sum over the component axis gives, to the
+        bit, with fewer temporaries."""
         abar = self._broadcast_mean(mu)
         potential = self._potential(mu.grid, mu.density)
+        # component i of a field or a stack (..., dim, *grid.shape)
+        dim = mu.grid.dim
+        first, *rest = [(Ellipsis, i) + (slice(None),) * dim for i in range(dim)]
 
         def hamiltonian(p, j=None):
             a, v = (abar, potential) if j is None else (abar[j], potential[j])
-            return (
-                0.5 * (p**2).sum(axis=axis)
-                + self.coupling_beta * (p * a).sum(axis=axis)
-                - v
-            )
+            square, dot = p[first] * p[first], p[first] * a[first]
+            for i in rest:
+                square += p[i] * p[i]
+                dot += p[i] * a[i]
+            square *= 0.5
+            dot *= self.coupling_beta
+            dot += square
+            dot -= v
+            return dot
 
         def grad_p(p, j=None):
             return p + self.coupling_beta * (abar if j is None else abar[j])

@@ -46,6 +46,13 @@ HOLDER_SLACK = 2.0
 #: An ensemble of one block runs on the calling thread.
 MIN_BLOCK = 16384
 
+#: The least exponential draw the Chambers-Mallows-Stuck kernels read: a
+#: smaller one, in practice an exact 0, which numpy's ziggurat returns with
+#: probability about 2^-53, is read as 2^-64, so the jump is finite and no
+#: log or ratio meets a zero.  P(W < 2^-64) is 5.4e-20, so the law moves by
+#: less than that in total variation.
+EXPONENTIAL_FLOOR = 2.0**-64
+
 
 def _worker_count() -> int:
     """Usable CPUs, capped by the OMP_NUM_THREADS hint that --threads sets."""
@@ -134,9 +141,12 @@ def _draw_increments(rng, u, w, z, s: float, dt: float, work) -> None:
 def _cms_line(u, w, out, s: float, dt: float, work) -> None:
     """Chambers-Mallows-Stuck: the symmetric 2s-stable jump into out (count,).
 
-    u holds uniform [0, 1) draws and w standard exponential ones; both are
-    overwritten, as is the (3, count) scratch buffer work, so a call makes
-    no new array.  With alpha = 2s, beta = alpha - 1 and the angle
+    u holds uniform [0, 1) draws and w standard exponential ones, read no
+    lower than EXPONENTIAL_FLOOR; both are overwritten, as is the
+    (3, count) scratch buffer work, so a call makes no new array.  The
+    jump scales as w^(beta/alpha), so at w = 0, where the textbook jump is
+    +-0, it is 2^(-64 beta/alpha) times the jump at w = 1.  With
+    alpha = 2s, beta = alpha - 1 and the angle
     V = pi (u - 1/2 + 2^-54), the textbook jump
     J = dt^(1/alpha) sin(alpha V) cos(V)^(-1/alpha) (w / cos(beta V))^(beta/alpha)
     has E[exp(i xi J)] = exp(-dt |xi|^alpha).  Shifting u by half its 2^-53
@@ -151,6 +161,7 @@ def _cms_line(u, w, out, s: float, dt: float, work) -> None:
     +-pi/2, where the jump is largest.
     """
     a, b, scratch = work
+    np.maximum(w, EXPONENTIAL_FLOOR, out=w)
     beta = 2.0 * s - 1.0
     # u - 1/2 + 2^-54 and q = 1/2 - |u - 1/2 + 2^-54| are exact in float
     u -= 0.5 - 2.0**-54
@@ -184,9 +195,12 @@ def _cms_line(u, w, out, s: float, dt: float, work) -> None:
 def _cms_block(u, w, z, s: float, dt: float, work) -> None:
     """Chambers-Mallows-Stuck: scales z (count, dim) in place by sqrt(2 S).
 
-    u holds uniform [0, 1) draws and w standard exponential ones; both are
-    overwritten, as is the (3, count) scratch buffer work, so a call makes
-    no new array.  With the angle v = pi (1 - u), the textbook scaling
+    u holds uniform [0, 1) draws and w standard exponential ones, read no
+    lower than EXPONENTIAL_FLOOR; both are overwritten, as is the
+    (3, count) scratch buffer work, so a call makes no new array.  S
+    scales as w^(1 - 1/s), without bound as w -> 0, so at w = 0 the factor
+    sqrt(2 S) is 2^(32 (1/s - 1)) times its value at w = 1, finite.  With
+    the angle v = pi (1 - u), the textbook scaling
     log(2 S) = log sin(s v) + (1/s - 1) log(sin((1 - s) v) / w)
     - log(sin v) / s + log(2 dt^(1/s)) is regrouped into two logs of ratios,
     log(2 S) = log(sin((1 - s) v) / (w sin v)) / s
@@ -198,6 +212,7 @@ def _cms_block(u, w, z, s: float, dt: float, work) -> None:
     the factors 2 cancel within each ratio.
     """
     a, b, scratch = work
+    np.maximum(w, EXPONENTIAL_FLOOR, out=w)
     # v / 2 in (0, pi/2]: the left endpoint would make sin(s v)/sin(v) a 0/0,
     # while float pi/2 falls short of the pole, tan(pi/2) = 1.6e16, so the
     # ratios stay finite and positive without rejection.

@@ -7,13 +7,16 @@ integer wavenumbers k in {-n/2, ..., n/2 - 1} per axis, so every operator
 here is one real FFT over the trailing grid axes, a multiplier on the half
 spectrum, and the inverse real FFT.  Every operator takes one field or a
 stack of fields over leading axes (a path, say), transformed in one call.
-A march builds its step operator once (``value_step`` or
+A march takes its step operator once (``value_step`` or
 ``gradient_step``) and hands it to the unchecked per-step transforms
-``semigroup_value`` and ``semigroup_gradient``.  On a 1-D grid of at most
+``semigroup_value`` and ``semigroup_gradient``, which write into buffers
+the march allocates once.  On a 1-D grid of at most
 ``DENSE_STEP_MAX_N`` nodes that operator is the real circulant kernel of
 the heat multiplier, built by the same transform applied to the identity,
 so a step is one matrix-vector product; on larger and 2-D grids it is the
-heat table, and a step is one transform pair.  Work over a whole path of
+heat table, and a step is one transform pair.  The grid keeps the last
+operator of each kind it built, read-only, with its time, so the marches
+of one time step build it once.  Work over a whole path of
 time levels that needs path-sized temporaries runs over the blocks of
 levels that ``SpectralGrid.level_blocks`` gives, ``BLOCK_NODES`` grid
 nodes' worth each, so no temporary spans the path.
@@ -80,6 +83,8 @@ class SpectralGrid:
         self.dx = 1.0 / n
         self.shape: tuple[int, ...] = (n,) * dim
         self._dense_steps = dim == 1 and n <= DENSE_STEP_MAX_N
+        # the last step operator of each kind, with its time
+        self._steps: dict[str, tuple[float, np.ndarray]] = {}
 
         # Multiplier tables live on the real-transform half spectrum: every
         # integer wavenumber on the leading axis, k = 0 .. n/2 on the last.
@@ -214,39 +219,63 @@ class SpectralGrid:
         unit = np.eye(self.n)[:, np.newaxis, :]
         return self._multiply(unit, mults).reshape(self.n, -1).T
 
+    def _kept(self, kind: str, t, dense) -> np.ndarray:
+        """The step operator of one kind at time t: the one this grid built
+        last, if it was built for t, else the heat table of t, or on a 1-D
+        grid of at most DENSE_STEP_MAX_N nodes dense(table), kept read-only
+        in its place."""
+        t = float(t)
+        kept = self._steps.get(kind)
+        if kept is None or kept[0] != t:
+            table = self.heat_table(t)
+            op = dense(table) if self._dense_steps else table
+            op.setflags(write=False)
+            kept = self._steps[kind] = (t, op)
+        return kept[1]
+
     def value_step(self, t) -> np.ndarray:
         """The step operator of T(t) that semigroup_value takes: the n x n
         kernel S on a 1-D grid of at most DENSE_STEP_MAX_N nodes, else the
-        heat table of t."""
-        table = self.heat_table(t)
-        return self._kernel(table[np.newaxis]) if self._dense_steps else table
+        heat table of t.  It is read-only, and the grid keeps the last one
+        it built, so the marches of one time step build it once."""
+        return self._kept("value", t, lambda table: self._kernel(table[np.newaxis]))
 
     def gradient_step(self, t) -> np.ndarray:
         """The step operator of (T(t), grad T(t)) that semigroup_gradient
         takes: the (1 + d) n x n kernel K = [T(t); D T(t)] on a 1-D grid of
-        at most DENSE_STEP_MAX_N nodes, else the heat table of t."""
-        table = self.heat_table(t)
-        if not self._dense_steps:
-            return table
-        return self._kernel(np.concatenate([table[np.newaxis], table * self._deriv]))
+        at most DENSE_STEP_MAX_N nodes, else the heat table of t; read-only
+        and kept as value_step keeps its own."""
+        return self._kept(
+            "gradient",
+            t,
+            lambda table: self._kernel(np.concatenate([table[np.newaxis], table * self._deriv])),
+        )
 
-    def semigroup_value(self, f: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """T(t) f for one field f and the value_step of t.  On a 1-D grid of
-        at most DENSE_STEP_MAX_N nodes this is one product with the kernel,
-        semigroup_apply(f, t) to rounding; elsewhere it is one transform
-        pair, semigroup_apply(f, t) to the bit.
+    def semigroup_value(
+        self, f: np.ndarray, step: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """T(t) f for one field f and the value_step of t, written into out
+        when given.  On a 1-D grid of at most DENSE_STEP_MAX_N nodes this is
+        one product with the kernel, semigroup_apply(f, t) to rounding;
+        elsewhere it is one transform pair, semigroup_apply(f, t) to the bit.
 
         Neither f nor the operator is checked here: the forward march calls
-        this once per step, with the operator it built, and checks each
-        step's input itself."""
+        this once per step, with the operator it built, and checks its
+        steps' outputs itself."""
         if self._dense_steps:
-            return step @ f
-        return self._multiply(f, step)
+            return np.matmul(step, f, out=out)
+        value = self._multiply(f, step)
+        if out is None:
+            return value
+        out[...] = value
+        return out
 
     def semigroup_gradient(
-        self, f: np.ndarray, step: np.ndarray
+        self, f: np.ndarray, step: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(T(t) f, grad T(t) f) for one field f and the gradient_step of t.
+        """(T(t) f, grad T(t) f) for one field f and the gradient_step of t,
+        as views of one (1 + dim, *shape) array: out when given, which must
+        be C-contiguous.
 
         On a 1-D grid of at most DENSE_STEP_MAX_N nodes this is one product
         with the stacked kernel.
@@ -256,16 +285,18 @@ class SpectralGrid:
         value's own spectrum.  Either way the pair matches
         (semigroup_apply(f, t), gradient of it) to rounding.  f is not
         checked here: the HJB march calls this once per time level, with
-        the operator it built, and checks each level's input itself.
+        the operator it built, and checks its levels' inputs itself.
         """
+        if out is None:
+            out = np.empty((1 + self.dim,) + self.shape)
         if self._dense_steps:
-            out = (step @ f).reshape(1 + self.dim, self.n)
-            return out[0], out[1:]
-        spec = self._forward(f)
-        both = np.empty((1 + self.dim,) + spec.shape, dtype=spec.dtype)
-        np.multiply(step, spec, out=both[0])
-        np.multiply(self._deriv, both[0], out=both[1:])
-        out = self._inverse(both)
+            np.matmul(step, f, out=out.reshape(-1))
+        else:
+            spec = self._forward(f)
+            both = np.empty((1 + self.dim,) + spec.shape, dtype=spec.dtype)
+            np.multiply(step, spec, out=both[0])
+            np.multiply(self._deriv, both[0], out=both[1:])
+            out[...] = self._inverse(both)
         return out[0], out[1:]
 
     def gradient(self, f: np.ndarray) -> np.ndarray:

@@ -626,3 +626,90 @@ def test_check_cfl_across_level_blocks_is_the_whole_path_rule(dim):
         with pytest.raises(CflError) as info:
             check_cfl(hot, tg, grid)
         assert info.value.required_steps == required
+
+
+def small_blocks(monkeypatch, grid, levels):
+    """Make a block of path work span the given number of levels."""
+    monkeypatch.setattr(spectral, "BLOCK_NODES", levels * grid.n**grid.dim)
+
+
+def failing_scenario(monkeypatch):
+    """A 20-step march on blocks of 8 levels, at 0.9 of the CFL limit."""
+    grid = SpectralGrid(dim=1, n=32, s=0.75)
+    tg = TimeGrid(horizon=20 * 2.0**-10, n_steps=20)
+    small_blocks(monkeypatch, grid, 8)
+    assert [b.start for b in grid.level_blocks(tg.n_steps)] == [0, 8, 16]
+    rng = np.random.default_rng(79)
+    b_path = 0.9 * grid.dx / tg.dt * rng.uniform(-1, 1, (tg.n_steps + 1, 1) + grid.shape)
+    return grid, tg, initial_density(grid, "twobump"), b_path
+
+
+def spoil_step(monkeypatch, spoil, step, later=None):
+    """Route the advected density of the given step, counted from 0 over
+    every march from here on, through spoil, and that of the next step but
+    one through later, if given."""
+    advect, calls = fokker_planck._advect, []
+    spoils = {step: spoil, step + 2: later or (lambda advected: advected)}
+
+    def spoiled(*args):
+        calls.append(None)
+        return spoils.get(len(calls) - 1, lambda advected: advected)(advect(*args))
+
+    monkeypatch.setattr(fokker_planck, "_advect", spoiled)
+
+
+def leak(advected):
+    """The advected density with 1e-9 more mass."""
+    return advected * (1.0 + 1e-9)
+
+
+def spike(advected):
+    """The advected mass on one node: the same sum, to the bit, which the
+    semigroup rings far below zero around."""
+    out = np.zeros_like(advected)
+    out[5] = advected.sum()
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spoil, error, match",
+    [
+        (leak, ConservationError, "advection stage drifted"),
+        (spike, ConservationError, "positivity clip removed"),
+        (lambda advected: advected * np.inf, InvalidFieldError, "non-finite"),
+    ],
+)
+def test_step_failing_mid_block_raises_the_one_step_march_error(monkeypatch, spoil, error, match):
+    # Steps are checked a block at a time.  A step in the middle of a
+    # block that leaks mass, whose clip removes more than CLIP_MASS_TOL,
+    # or whose advected density is not finite raises the error a one-step
+    # march from the same density raises, with the same figure in its
+    # message, and the steps past it in the block raise nothing, not even
+    # a warning.
+    grid, tg, m0, b_path = failing_scenario(monkeypatch)
+    clean = solve_forward(b_path, m0, tg)
+    fail = 11
+    spoil_step(monkeypatch, spoil, fail)
+    with pytest.raises(error, match=match) as info:
+        solve_forward(b_path, m0, tg)
+    spoil_step(monkeypatch, spoil, 0)
+    step = TimeGrid(horizon=tg.dt, n_steps=1)
+    assert step.dt == tg.dt
+    with pytest.raises(error) as one:
+        solve_forward(b_path[fail : fail + 2], clean[fail], step)
+    assert str(info.value) == str(one.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "first, later, match",
+    [(leak, spike, "advection stage drifted"), (spike, leak, "positivity clip removed")],
+)
+def test_first_failing_step_of_a_block_raises(monkeypatch, first, later, match):
+    # Steps 10 and 12 of the block of steps 8..15 both fail: the first
+    # failure raises, as it stops a march that checks each step.
+    grid, tg, m0, b_path = failing_scenario(monkeypatch)
+    spoil_step(monkeypatch, first, 10, later)
+    with pytest.raises(ConservationError, match=match):
+        solve_forward(b_path, m0, tg)

@@ -6,7 +6,7 @@ import pytest
 from fmfgc.equilibrium import analytic_base
 from fmfgc.errors import BlowUpError, CflError, GridMismatchError
 from fmfgc.hjb import centered_curvature, feedback_drift, hjb_diagnostics, solve_backward
-from fmfgc import measures
+from fmfgc import measures, spectral
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
 from fmfgc.models import QuadraticModel, ThetaScaledModel
 from fmfgc.spectral import SpectralGrid, TimeGrid
@@ -425,3 +425,55 @@ def test_feedback_drift_negates_in_place_only_an_array_of_its_own():
         drift = feedback_drift(same, du)
         assert drift.tobytes() == (-before).tobytes()
         assert du.tobytes() == before.tobytes()
+
+
+class BlowsUpAt(PlainH):
+    """H = |p|^2 / 2, non-finite on one level; strict, if asked, about the
+    momentum it takes, as a model that checks its input would be."""
+
+    def __init__(self, level, strict=False):
+        self.level, self.strict = level, strict
+
+    def hamiltonian_at(self, mu):
+        h, grad_p = super().hamiltonian_at(mu)
+
+        def hamiltonian(p, j=None):
+            if self.strict and not np.all(np.isfinite(p)):
+                raise ValueError("non-finite momentum")
+            return np.full(mu.grid.shape, np.inf) if j == self.level else h(p, j)
+
+        return hamiltonian, grad_p
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("levels", [8, 64])
+def test_blowup_mid_block_names_its_level(grid, monkeypatch, levels, strict):
+    # Levels are checked a block at a time.  H non-finite at level 21, in
+    # the middle of the block of levels 16..23 (or of the one block 0..39),
+    # is the step to time index 20, as a level-by-level march reports it;
+    # the levels the march steps past raise no warning, and a model that
+    # rejects their momentum changes nothing.
+    monkeypatch.setattr(spectral, "BLOCK_NODES", levels * grid.n)
+    tg = TimeGrid(horizon=0.5, n_steps=40)
+    u_t = 0.1 * np.cos(2 * np.pi * grid.nodes()[0])
+    with pytest.raises(BlowUpError) as info:
+        solve_backward(BlowsUpAt(21, strict), constant_path(tg, uniform_mu(grid)), u_t)
+    assert info.value.time_index == 20
+    assert str(info.value) == "Hamiltonian step produced a non-finite value at time level 20"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cfl_guard_at_a_blowup_mid_block_reads_only_the_levels_above(grid, monkeypatch):
+    # Blocks of levels 16..23: a violation at level 23, above the blow-up
+    # at level 21, is a CflError at its speed; one at level 18, in the
+    # block but below the blow-up, is never reached.
+    monkeypatch.setattr(spectral, "BLOCK_NODES", 8 * grid.n)
+    tg = TimeGrid(horizon=0.5, n_steps=40)
+    u_t = np.zeros(grid.shape)
+    with pytest.raises(CflError) as info:
+        solve_backward(SpeedH(), speed_path(grid, tg, {23: 2.0, 21: -1e-3, 18: 5.0}), u_t)
+    assert info.value.required_steps == int(np.ceil(2.0 * tg.horizon / grid.dx)) == 64
+    with pytest.raises(BlowUpError) as info:
+        solve_backward(SpeedH(), speed_path(grid, tg, {21: -1e-3, 18: 5.0}), u_t)
+    assert info.value.time_index == 20

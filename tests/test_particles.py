@@ -214,6 +214,39 @@ def test_log_form_transform_matches_power_form(s):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("u", [0.0, 0.5])
+@pytest.mark.parametrize("s", [0.51, 0.75, 0.99])
+def test_cms_kernels_read_a_zero_exponential_draw_as_the_floor(s, u):
+    # numpy's ziggurat returns an exponential draw of exactly 0 with
+    # probability about 2^-53.  Both kernels read it as EXPONENTIAL_FLOOR:
+    # the jump is finite, the kernels warn of nothing, and a draw of 1
+    # beside it is untouched.
+    dt = 0.005
+
+    def line(w):
+        out = np.empty(2)
+        particles._cms_line(np.full(2, u), np.array(w), out, s, dt, np.empty((3, 2)))
+        return out
+
+    def block(w):
+        z = np.ones((2, 2))
+        particles._cms_block(np.full(2, u), np.array(w), z, s, dt, np.empty((3, 2)))
+        return z
+
+    for kernel in (line, block):
+        got = kernel([0.0, 1.0])
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == kernel([particles.EXPONENTIAL_FLOOR, 1.0]).tobytes()
+        assert got[1].tobytes() == kernel([1.0, 1.0])[1].tobytes()
+    # the floor scales the jump exactly as the draw does: the 1-D jump as
+    # w^(beta/alpha), the 2-D factor sqrt(2 S) as w^((1 - 1/s) / 2)
+    ratio = line([0.0, 1.0])
+    assert ratio[0] / ratio[1] == pytest.approx(2.0 ** (-64 * (2 * s - 1) / (2 * s)), rel=1e-12)
+    ratio = block([0.0, 1.0])[:, 0]
+    assert ratio[0] / ratio[1] == pytest.approx(2.0 ** (32 * (1 / s - 1)), rel=1e-12)
+
+
 def test_increment_median_scaling():
     # |J| shrinks like dt^(1/2s); the log-log slope of the sample median
     # over two decades pins the subordinator's dt scaling.

@@ -159,6 +159,7 @@ def test_dropped_grid_is_freed():
     # A grid keeps no reference to itself through its tables.
     g = SpectralGrid(2, 32, 0.75)
     g.semigroup_apply(np.ones(g.shape), 0.1)
+    g.value_step(0.1), g.gradient_step(0.1)
     ref = weakref.ref(g)
     del g
     gc.collect()
@@ -374,3 +375,45 @@ def test_large_and_2d_steps_keep_the_transform(dim, n):
     value, grad = g.semigroup_gradient(f, g.gradient_step(dt))
     assert value.tobytes() == exact.tobytes()
     assert np.max(np.abs(grad - g.gradient(exact))) <= 1e-13 * np.max(np.abs(grad))
+
+
+def test_step_operators_are_built_once_per_time_step(monkeypatch):
+    # The grid keeps the last step operator of each kind: two marches of
+    # one time step build each kernel once, a new time step builds it again,
+    # and what the grid hands out cannot be written to.
+    from fmfgc.fokker_planck import initial_density, solve_forward
+    from fmfgc.hjb import solve_backward
+    from fmfgc.measures import MeasurePath
+    from fmfgc.models import QuadraticModel
+
+    built = []
+    kernel = SpectralGrid._kernel
+
+    def counted(self, mults):
+        built.append(len(mults))
+        return kernel(self, mults)
+
+    monkeypatch.setattr(SpectralGrid, "_kernel", counted)
+    g = SpectralGrid(1, 32, 0.75)
+    m0 = initial_density(g)
+    for n_steps in (10, 10, 20):
+        tg = TimeGrid(horizon=0.1, n_steps=n_steps)
+        density = np.broadcast_to(m0.values, (n_steps + 1,) + g.shape)
+        path = MeasurePath(tg, g, density, np.zeros((n_steps + 1, 1) + g.shape))
+        u = solve_backward(QuadraticModel(0.3), path, 0.1 * np.cos(2 * np.pi * g.nodes()[0]))
+        for _ in range(2):
+            solve_forward(u.drift, m0, tg)
+    # one value kernel and one stacked [T; D T] kernel per time step
+    assert built == [2, 1, 2, 1]
+    for dt in (0.01, 0.005):
+        for step in (g.value_step(dt), g.gradient_step(dt)):
+            assert not step.flags.writeable
+            with pytest.raises(ValueError):
+                step[0, 0] = 0.0
+    assert g.value_step(0.005) is g.value_step(0.005)
+    # on a grid that steps by transforms the operator is the heat table, kept too
+    plane = SpectralGrid(2, 16, 0.75)
+    table = plane.value_step(0.01)
+    assert table is plane.value_step(0.01) and not table.flags.writeable
+    assert np.array_equal(table, plane.heat_table(0.01))
+    assert plane.value_step(0.02) is not table
