@@ -13,11 +13,12 @@ sum_i |D_{p_i} H| dt <= dx at every node.
 A march fixes the measure path once: ``model.hamiltonian_at(mu_path)``
 computes the measure-only parts of H and D_p H for every level in one
 batched call, and the march takes the operator of its step once
-(``SpectralGrid.gradient_step``, which the grid keeps for the next march
-of the same dt).  The levels run top down, a block of levels at a time,
-in buffers the march allocates once (``_march_block``): each level
-evaluates H at its momentum, forms w = u_next - dt H and applies that
-operator for the new value and its gradient together
+(``SpectralGrid.gradient_step``, the one operator the grid keeps for the
+next march of the same dt).  The levels run top down, a block of levels
+at a time, in buffers the march allocates once; each level, written in
+the loop of ``_march_block``, evaluates H at its momentum, forms
+w = u_next - dt H and applies that operator for the new value and its
+gradient together
 (``SpectralGrid.semigroup_gradient``: one product with the stacked real
 kernel [T(dt); D T(dt)] on a 1-D grid of at most ``DENSE_STEP_MAX_N``
 nodes, else one forward and one batched inverse real transform).  One
@@ -86,16 +87,6 @@ def feedback_drift(grad_p, du: np.ndarray) -> np.ndarray:
     return -drift
 
 
-def _level(grid, u_next, h, dt, heat, w, out) -> None:
-    """One backward level, with no guard: w = u_next - dt h from the later
-    value and its Hamiltonian field h, and the new value and its gradient
-    stacked into out, with heat the gradient_step of dt.  T is linear, so
-    T(dt) u - dt T(dt) H is one semigroup application."""
-    np.multiply(h, dt, out=w)
-    np.subtract(u_next, w, out=w)
-    grid.semigroup_gradient(w, heat, out)
-
-
 def _blown_up(w: np.ndarray, start: int) -> int | None:
     """The highest level of a block whose w has a non-finite entry, w
     holding the block's levels from start up, or None."""
@@ -106,9 +97,11 @@ def _blown_up(w: np.ndarray, start: int) -> int | None:
 def _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked) -> None:
     """Step the levels of one block, top down, into u and du.
 
-    Each level writes its w = u_next - dt H into its row of w and its value
-    and gradient into its row of stacked, whose row past the block holds
-    the level it starts from.  The levels run under np.errstate, so the
+    Each level writes its Hamiltonian field into h, its w = u_next - dt H
+    into its row of w and its value and gradient, the gradient_step heat
+    applied to w, into its row of stacked, whose row past the block holds
+    the level it starts from; T is linear, so T(dt) u - dt T(dt) H is one
+    semigroup application.  The levels run under np.errstate, so the
     ones past a blow-up raise no warning, and one check over the rows of w
     then reports the highest level with a non-finite w, the first the
     march met: the levels above it are written into u and du, the rows at
@@ -129,7 +122,9 @@ def _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked) -> No
         with np.errstate(all="ignore"):
             for k, later, h_later, w_k, out in steps:
                 h_later[...] = hamiltonian(later[1:], block.start + k + 1)
-                _level(grid, later[0], h_later, dt, heat, w_k, out)
+                np.multiply(h_later, dt, out=w_k)
+                np.subtract(later[0], w_k, out=w_k)
+                grid.semigroup_gradient(w_k, heat, out)
                 low = k
     except Exception:
         # a model may fail on the non-finite momentum past a blow-up

@@ -98,9 +98,13 @@ def test_step_mass_drift_error(grid, monkeypatch):
     tg = TimeGrid(horizon=0.01, n_steps=1)
     b_path = np.zeros((2, 1, grid.n))
     for leak in (1e-9, 1e-13):
-        monkeypatch.setattr(
-            fokker_planck, "_advect", lambda *args, leak=leak: advect(*args) * (1.0 + leak)
-        )
+
+        def leaky(*args, leak=leak):
+            advect(*args)
+            out = args[-1]
+            out *= 1.0 + leak
+
+        monkeypatch.setattr(fokker_planck, "_advect", leaky)
         if leak > STEP_MASS_TOL:
             with pytest.raises(ConservationError, match="advection stage drifted mass"):
                 solve_forward(b_path, m, tg)
@@ -653,7 +657,9 @@ def spoil_step(monkeypatch, spoil, step, later=None):
 
     def spoiled(*args):
         calls.append(None)
-        return spoils.get(len(calls) - 1, lambda advected: advected)(advect(*args))
+        advect(*args)
+        out = args[-1]
+        out[...] = spoils.get(len(calls) - 1, lambda advected: advected)(out)
 
     monkeypatch.setattr(fokker_planck, "_advect", spoiled)
 

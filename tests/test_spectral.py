@@ -123,7 +123,9 @@ def test_march_steps_obey_the_group_law(shape, s, t1, t2, seed):
     dim, n = shape
     g = SpectralGrid(dim, n, s)
     f = np.random.default_rng(seed).standard_normal(g.shape)
-    twice = g.semigroup_value(g.semigroup_value(f, g.value_step(t1)), g.value_step(t2))
+    once_t1, twice = np.empty((2,) + g.shape)
+    g.semigroup_value(f, g.value_step(t1), once_t1)
+    g.semigroup_value(once_t1, g.value_step(t2), twice)
     once = g.semigroup_apply(f, t1 + t2)
     assert np.max(np.abs(twice - once)) <= 1e-14 * np.max(np.abs(f))
 
@@ -147,8 +149,9 @@ def test_semigroup_gradient_pair(dim):
     rng = np.random.default_rng(13)
     g = SpectralGrid(dim, 32 if dim == 1 else 16, 0.75)
     f = rng.standard_normal(g.shape)
-    value, grad = g.semigroup_gradient(f, g.gradient_step(0.05))
-    assert value.shape == g.shape and grad.shape == (dim,) + g.shape
+    out = np.empty((1 + dim,) + g.shape)
+    g.semigroup_gradient(f, g.gradient_step(0.05), out)
+    value, grad = out[0], out[1:]
     # in d = 1 the value is the product with the real kernel, in d = 2 the
     # transform pair of semigroup_apply
     assert value.tobytes() == step_semigroup(g, f, 0.05).tobytes()
@@ -348,14 +351,15 @@ def test_small_1d_steps_are_the_real_kernel(n, s):
         assert kernel.shape == (n, n) and stacked.shape == (2 * n, n)
         exact = g.semigroup_apply(f, dt)
         scale = np.max(np.abs(exact))
-        assert np.max(np.abs(g.semigroup_value(f, kernel) - exact)) <= 1e-14 * scale
-        value, grad = g.semigroup_gradient(f, stacked)
-        assert grad.shape == (1, n)
+        value, grad = pair = np.empty((2, n))
+        g.semigroup_value(f, kernel, value)
+        assert np.max(np.abs(value - exact)) <= 1e-14 * scale
+        g.semigroup_gradient(f, stacked, pair)
         assert np.max(np.abs(value - exact)) <= 1e-14 * scale
         fine_value, fine_grad = extended_heat_pair(g, f, dt)
         assert np.max(np.abs(value - fine_value)) <= 1e-14 * scale
         grad_scale = np.max(np.abs(fine_grad))
-        assert np.max(np.abs(grad[0] - fine_grad)) <= 1e-14 * grad_scale
+        assert np.max(np.abs(grad - fine_grad)) <= 1e-14 * grad_scale
         # T(dt) preserves the mean, so each column, the image of a unit
         # field, sums to 1
         assert np.max(np.abs(kernel.sum(axis=0) - 1.0)) <= 1e-14
@@ -368,19 +372,48 @@ def test_large_and_2d_steps_keep_the_transform(dim, n):
     g = SpectralGrid(dim, n, 0.75)
     f = rng.standard_normal(g.shape)
     dt = 5e-3
+    # one operator, the heat table, serves both kinds of step
+    assert g.value_step(dt) is g.gradient_step(dt)
     assert np.array_equal(g.value_step(dt), g.heat_table(dt))
-    assert np.array_equal(g.gradient_step(dt), g.heat_table(dt))
     exact = g.semigroup_apply(f, dt)
-    assert g.semigroup_value(f, g.value_step(dt)).tobytes() == exact.tobytes()
-    value, grad = g.semigroup_gradient(f, g.gradient_step(dt))
+    value = np.empty(g.shape)
+    g.semigroup_value(f, g.value_step(dt), value)
+    assert value.tobytes() == exact.tobytes()
+    out = np.empty((1 + dim,) + g.shape)
+    g.semigroup_gradient(f, g.gradient_step(dt), out)
+    value, grad = out[0], out[1:]
     assert value.tobytes() == exact.tobytes()
     assert np.max(np.abs(grad - g.gradient(exact))) <= 1e-13 * np.max(np.abs(grad))
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.95])
+def test_value_step_is_the_value_rows_of_the_gradient_step(n, s):
+    # On a 1-D grid of at most DENSE_STEP_MAX_N nodes the value step is
+    # the first n rows of the stacked kernel [T; D T], a strided view: the
+    # bits of the value kernel built on its own, and a product through it
+    # gives the bytes of a product through that kernel.
+    assert n <= DENSE_STEP_MAX_N
+    g = SpectralGrid(1, n, s)
+    rng = np.random.default_rng(23)
+    through_view, through_kernel = np.empty((2, n))
+    for dt in (1e-4, 1e-3, 5e-3, 0.05):
+        step = g.value_step(dt)
+        kernel = g._kernel(g.heat_table(dt)[np.newaxis])
+        assert np.shares_memory(step, g.gradient_step(dt))
+        assert step.tobytes() == kernel.tobytes()
+        for _ in range(20):
+            f = rng.standard_normal(n)
+            g.semigroup_value(f, step, through_view)
+            np.matmul(kernel, f, out=through_kernel)
+            assert through_view.tobytes() == through_kernel.tobytes()
+
+
 def test_step_operators_are_built_once_per_time_step(monkeypatch):
-    # The grid keeps the last step operator of each kind: two marches of
-    # one time step build each kernel once, a new time step builds it again,
-    # and what the grid hands out cannot be written to.
+    # The grid keeps the one step operator it built last: an HJB march and
+    # two forward marches of one time step build one stacked kernel, a new
+    # time step builds it again, and what the grid hands out cannot be
+    # written to.
     from fmfgc.fokker_planck import initial_density, solve_forward
     from fmfgc.hjb import solve_backward
     from fmfgc.measures import MeasurePath
@@ -403,14 +436,14 @@ def test_step_operators_are_built_once_per_time_step(monkeypatch):
         u = solve_backward(QuadraticModel(0.3), path, 0.1 * np.cos(2 * np.pi * g.nodes()[0]))
         for _ in range(2):
             solve_forward(u.drift, m0, tg)
-    # one value kernel and one stacked [T; D T] kernel per time step
-    assert built == [2, 1, 2, 1]
+    # one stacked [T; D T] kernel per time step, whose rows serve the value
+    assert built == [2, 2]
     for dt in (0.01, 0.005):
         for step in (g.value_step(dt), g.gradient_step(dt)):
             assert not step.flags.writeable
             with pytest.raises(ValueError):
                 step[0, 0] = 0.0
-    assert g.value_step(0.005) is g.value_step(0.005)
+    assert g.gradient_step(0.005) is g.gradient_step(0.005)
     # on a grid that steps by transforms the operator is the heat table, kept too
     plane = SpectralGrid(2, 16, 0.75)
     table = plane.value_step(0.01)
