@@ -57,9 +57,10 @@ _FAILURE_FIELDS = ("sweep_index", "time_index", "required_steps")
 
 
 def _apply_thread_hint(threads: int | None) -> None:
-    # Caps the particle pool, which reads OMP_NUM_THREADS at call time.  BLAS
-    # has sized its pool from the environment the process started with, as
-    # numpy is loaded by now; results depend on neither.
+    # Caps the processes that march the particles, a count read from
+    # OMP_NUM_THREADS at call time.  BLAS has sized its thread pool from the
+    # environment the process started with, as numpy is loaded by now;
+    # results depend on neither.
     if threads is not None:
         if threads < 1:
             raise FmfgcError(f"--threads must be at least 1, got {threads}")
@@ -216,6 +217,7 @@ def _cmd_simulate(args) -> int:
         "command": "simulate",
         "outdir": mf.outdir,
         "particles": mf.particle_count,
+        "workers": path.workers,
         "w1_terminal": w1,
         "holder_passed": None if report is None else report.passed,
         "holder_exponent": exponent,
@@ -292,7 +294,7 @@ _FLAGS = {
     "--config": dict(type=Path, help="config file path"),
     "--out": dict(help="output directory override"),
     "--seed": dict(type=int, help="particle seed override"),
-    "--threads": dict(type=int, help="particle thread-pool hint"),
+    "--threads": dict(type=int, help="cap on the processes that march the particles"),
     "--theta": dict(type=float, help="target theta override"),
 }
 

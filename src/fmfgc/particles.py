@@ -13,24 +13,38 @@ comparing against the PDE solution is the end-to-end consistency check,
 and the time-indexed path feeds the Hoelder-in-time Wasserstein
 certificate.
 
-The particles never interact, so the ensemble is cut into fixed blocks of
-MIN_BLOCK particles, a partition that depends only on the particle count.
-Each block draws from its own child stream, spawned from the run's seed,
-and one pool task marches it through the whole horizon in buffers it
-allocates once, so positions are the same bits at any worker count.
+The particles never interact, so the ensemble is cut into fixed blocks
+of MIN_BLOCK particles, a partition that depends only on the particle
+count.  Each block draws from its own child stream, spawned from the
+run's seed, and is marched through the whole horizon in buffers
+allocated once, so positions are the same bits at any worker count.
+With more than one worker, the blocks are split into that many
+contiguous shares: the caller marches the first, and one child made by
+os.fork marches each other share and stores its levels in one shared
+anonymous mapping, which the caller copies out once the children are
+reaped.  Threads would hand the GIL to each other between numpy calls;
+processes do not share one.  The drift path and the initial positions
+reach the children by fork inheritance, so nothing is pickled, and a
+child runs only numpy ufuncs and its own Generator on buffers it
+allocates after the fork, never BLAS.  Forking is POSIX-only: without
+os.fork the march is serial.  Python 3.12 and later warn
+(DeprecationWarning) when os.fork runs while another thread exists, such
+as numpy's BLAS thread pool.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FmfgcError
 from .fokker_planck import checked_drift_path
 from .measures import GridMeasure, coordinate_marginals, wasserstein_1d
 from .spectral import SpectralGrid, TimeGrid
@@ -43,7 +57,7 @@ NOISE_FLOOR_SCALE = 2.0
 HOLDER_SLACK = 2.0
 
 #: Particles per block: the unit of work and of random streams in the march.
-#: An ensemble of one block runs on the calling thread.
+#: An ensemble of one block is marched by the caller alone.
 MIN_BLOCK = 16384
 
 #: The least exponential draw the Chambers-Mallows-Stuck kernels read: a
@@ -64,11 +78,63 @@ def _worker_count() -> int:
     return max(1, min(cpus, int(hint))) if hint.isdigit() else cpus
 
 
-@functools.lru_cache(maxsize=1)
-def _pool(workers: int) -> ThreadPoolExecutor:
-    # One pool at a time; a new worker count drops the old pool, whose idle
-    # threads exit once it is collected.
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fmfgc-particles")
+def _march_shares(march, shares: list) -> None:
+    """Run march(lo, hi, stream) on every block of two or more shares.
+
+    The caller marches shares[0]; each later share is marched by a forked
+    child of its own, which leaves with os._exit(0), or with os._exit(1)
+    after printing its traceback.  Every child is reaped before this
+    returns or raises.  An exception in the caller's share, a child that
+    exits non-zero and one killed by a signal each raise one FmfgcError
+    that names every failed share, chained to the caller's exception.
+    """
+    def name(k: int) -> str:
+        return f"share {k} of {len(shares)} (particles {shares[k][0][0]}-{shares[k][-1][1]})"
+
+    # a child must not write out again what the caller has buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, failed, cause = {}, [], None
+    try:
+        for k, share in enumerate(shares[1:], start=1):
+            pid = os.fork()
+            if pid == 0:
+                _march_child(march, share)
+            children[pid] = k
+        try:
+            for block in shares[0]:
+                march(*block)
+        except Exception as exc:
+            failed.append(f"{name(0)} raised {exc!r}")
+            cause = exc
+    finally:
+        for pid, k in children.items():
+            try:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            except ChildProcessError:  # reaped elsewhere, so its outcome is unknown
+                failed.append(f"{name(k)} left no exit status")
+                continue
+            if code > 0:
+                failed.append(f"{name(k)} exited {code}")
+            elif code < 0:
+                failed.append(f"{name(k)} was killed by signal {-code}")
+    if failed:
+        raise FmfgcError("particle march failed: " + "; ".join(failed)) from cause
+
+
+def _march_child(march, share: list) -> None:
+    """The body of a forked child: march its share and leave by os._exit,
+    so that whatever it raises, it never unwinds into the caller's frames."""
+    code = 1
+    try:
+        for block in share:
+            march(*block)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)
@@ -77,12 +143,14 @@ class ParticlePath:
 
     positions has shape (stored_steps + 1, N, dim); times holds the matching
     physical times.  The grid is the one the drift lived on, kept around so
-    deposition and the path certificate use the same resolution.
+    deposition and the path certificate use the same resolution.  workers
+    is the number of processes that marched the ensemble.
     """
 
     times: np.ndarray
     positions: np.ndarray
     grid: SpectralGrid
+    workers: int = 1
 
     @property
     def n_particles(self) -> int:
@@ -380,7 +448,15 @@ def simulate_sde(
     sample_stable_increment(s, dt, dim, default_rng(child), size=block)
     would: one uniform and one exponential per particle and step, and in
     d >= 2 also d Gaussians.  Each block marches through the whole horizon
-    in one pool task, so the result does not depend on the worker count.
+    in one process, so the result does not depend on the worker count.
+
+    The worker count is that of _worker_count, at most the block count, and
+    1 without os.fork.  With w > 1 workers, block k goes to share j when
+    cuts[j] <= k < cuts[j + 1], cuts[j] = j n_blocks // w; the caller
+    marches share 0 and a forked child each other share.  The children
+    store their levels in a shared anonymous mapping, copied into the
+    returned positions once every child is reaped; a failed share raises
+    FmfgcError then (see _march_shares).
     """
     grid = m0.grid
     n_steps = time_grid.n_steps
@@ -390,14 +466,29 @@ def simulate_sde(
         )
     if b_path is not None:
         b_path = checked_drift_path(b_path, time_grid, grid)
-    positions = np.empty((n_steps // store_stride + 1, n_particles, grid.dim))
+    bounds = list(range(0, n_particles, MIN_BLOCK)) + [n_particles]
+    blocks = list(zip(bounds, bounds[1:], np.random.SeedSequence(seed).spawn(len(bounds) - 1)))
+    workers = min(_worker_count(), len(blocks)) if hasattr(os, "fork") else 1
+    cuts = [k * len(blocks) // workers for k in range(workers + 1)]
+    shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    shape = (n_steps // store_stride + 1, n_particles, grid.dim)
+    positions = np.empty(shape)
     positions[0] = sample_positions(m0, n_particles, np.random.default_rng(seed))
+    offset, forked = n_particles, None
+    if workers > 1:
+        # the children store the particles from offset on in a shared
+        # anonymous mapping, copied into positions once they are reaped
+        offset = shares[1][0][0]
+        forked_shape = (shape[0], n_particles - offset, grid.dim)
+        mapping = mmap.mmap(-1, math.prod(forked_shape) * np.dtype(float).itemsize)
+        forked = np.frombuffer(mapping, dtype=float).reshape(forked_shape)
     dt = time_grid.dt
 
     def march(lo: int, hi: int, stream: np.random.SeedSequence) -> None:
         # The block owns its positions and draw buffers; it draws as
         # sample_stable_increment does, through the same _draw_increments.
         rng = np.random.default_rng(stream)
+        stored = positions[:, lo:hi] if lo < offset else forked[:, lo - offset : hi - offset]
         x = positions[0, lo:hi].copy()
         u, w, *work = np.empty((5, hi - lo))
         z = np.empty(x.shape)  # the drift step, then the jump, then floor(x)
@@ -412,21 +503,16 @@ def simulate_sde(
                 x += z
             _wrap(x, z)
             if (j + 1) % store_stride == 0:
-                positions[(j + 1) // store_stride, lo:hi] = x
+                stored[(j + 1) // store_stride] = x
 
-    bounds = list(range(0, n_particles, MIN_BLOCK)) + [n_particles]
-    blocks = list(zip(bounds, bounds[1:], np.random.SeedSequence(seed).spawn(len(bounds) - 1)))
-    workers = _worker_count()
-    if workers < 2 or len(blocks) < 2:
+    if workers > 1:
+        _march_shares(march, shares)
+        positions[1:, offset:] = forked[1:]
+    else:
         for block in blocks:
             march(*block)
-    else:
-        futures = [_pool(workers).submit(march, *block) for block in blocks]
-        wait(futures)  # no block may still write when an error propagates
-        for future in futures:
-            future.result()
     times = time_grid.times()[::store_stride]
-    return ParticlePath(times=times, positions=positions, grid=grid)
+    return ParticlePath(times=times, positions=positions, grid=grid, workers=workers)
 
 
 def empirical_measure(positions: np.ndarray, grid: SpectralGrid) -> GridMeasure:

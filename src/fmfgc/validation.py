@@ -10,6 +10,7 @@ reruns are deterministic.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -358,12 +359,13 @@ n_t = 100
 count = {count}
 """
 
-#: Four particle blocks, the last one short, so simulate runs the pool.
+#: Four particle blocks, the last one short, so simulate marches them in
+#: forked processes whenever --threads and the CPUs allow two or more.
 _REPRO_PARTICLES = 3 * MIN_BLOCK + MIN_BLOCK // 2
 
 
 def _criterion_reproducibility(ctx: AcceptanceContext):
-    digests = []
+    digests, workers = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for threads in (1, 2, 8):
             outdir = Path(tmp) / f"run-t{threads}"
@@ -373,7 +375,7 @@ def _criterion_reproducibility(ctx: AcceptanceContext):
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 env[var] = str(threads)
             # solve's BLAS threads come from env; simulate also takes the
-            # hint that caps its particle pool
+            # hint that caps the processes marching its particles
             for command, hint in (("solve", []), ("simulate", ["--threads", str(threads)])):
                 proc = subprocess.run(
                     [sys.executable, "-m", "fmfgc", command, "--config", str(config), *hint],
@@ -386,6 +388,7 @@ def _criterion_reproducibility(ctx: AcceptanceContext):
                         f"{command} exited {proc.returncode} at {threads} threads: "
                         f"{proc.stderr.strip()[-200:]}"
                     )
+            workers.append(str(json.loads(proc.stdout)["workers"]))
             digests.append(
                 tuple(
                     (outdir / name).read_bytes()
@@ -393,10 +396,11 @@ def _criterion_reproducibility(ctx: AcceptanceContext):
                 )
             )
     identical = all(d == digests[0] for d in digests[1:])
+    marched = f"simulate marched on {'/'.join(workers)} processes"
     return identical, (
-        "solve and simulate artifacts bit-identical at 1/2/8 threads"
+        f"solve and simulate artifacts bit-identical at 1/2/8 threads; {marched}"
         if identical
-        else "artifacts differ across thread counts"
+        else f"artifacts differ across thread counts; {marched}"
     )
 
 

@@ -77,8 +77,9 @@ def test_traced_solve_reaches_every_solver_layer(monkeypatch):
 
 
 def test_traced_simulation_spans_stay_on_the_main_thread(monkeypatch):
-    # The particle march runs its blocks on worker threads; the tracer
-    # keeps one span stack, so no wrapped name may run on a worker.
+    # The particle march runs its blocks in forked children as well as in
+    # the caller; the tracer keeps one span stack in the caller, so every
+    # wrapped name it records must run on the caller's thread.
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 

@@ -155,6 +155,7 @@ def test_simulate_after_solve(dim, tmp_path, capsys):
     payload = summary_of(capsys)
     assert payload["command"] == "simulate"
     assert payload["particles"] == 200
+    assert payload["workers"] == 1  # one block
     # 200 particles on 16 cells: W1 noise ~ N^{-1/2}, just sanity-bound it
     assert payload["w1_terminal"] < 0.2
     assert payload["holder_passed"] is True
@@ -329,8 +330,8 @@ def test_threads_hint_validated(tiny_config, capsys):
 
 
 def test_threads_hint_sets_env(tiny_config, tmp_path, capsys, monkeypatch):
-    # the particle pool reads OMP_NUM_THREADS at call time, so --threads
-    # caps it below the CPUs the process may use
+    # the particle march reads OMP_NUM_THREADS at call time, so --threads
+    # caps its processes below the CPUs the process may use
     monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     args = ["--config", str(tiny_config), "--out", str(tmp_path / "run")]
@@ -341,8 +342,9 @@ def test_threads_hint_sets_env(tiny_config, tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_bytes_independent_of_threads(tmp_path, capsys, monkeypatch):
-    # Two particle blocks, so --threads 2 marches them on two workers
-    # (given two usable CPUs) while --threads 1 runs them inline.
+    # Two particle blocks, so --threads 2 marches the second in a forked
+    # child (given two usable CPUs) while --threads 1 marches both inline.
+    monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0, 1})
     config = tmp_path / "blocks.cfg"
     count = 2 * particles.MIN_BLOCK
     config.write_text(TINY_CONFIG.replace("count = 200", f"count = {count}"))
@@ -354,6 +356,7 @@ def test_simulate_bytes_independent_of_threads(tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         args = ["simulate", "--config", str(config), "--out", str(outdir), "--threads", threads]
         assert main(args) == 0
+        assert summary_of(capsys)["workers"] == int(threads)
         written[threads] = [(outdir / name).read_bytes() for name in names]
     assert written["1"] == written["2"]
 

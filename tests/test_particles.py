@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import signal
 import warnings
 
 import mpmath
@@ -11,7 +13,7 @@ from scipy.stats import ks_2samp
 
 from fmfgc import particles
 from fmfgc.equilibrium import solve_equilibrium
-from fmfgc.errors import InvalidFieldError
+from fmfgc.errors import FmfgcError, InvalidFieldError
 from fmfgc.fokker_planck import initial_density
 from fmfgc.measures import GridMeasure, wasserstein_1d
 from fmfgc.models import QuadraticModel
@@ -434,12 +436,31 @@ def test_same_seed_is_bitwise_identical():
     assert not np.array_equal(first.positions, other.positions)
 
 
+def _counting_forks(monkeypatch) -> list:
+    """Wrap os.fork so each call in this process appends the caller's pid."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(particles.os, "fork", counted)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize(
     "dim, jumps, store_stride", [(1, True, 1), (1, False, 2), (2, True, 2), (2, False, 1)]
 )
 def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch):
-    # Ten blocks of 100 particles, marched on one, two or three workers.
+    # Ten blocks of 100 particles, marched by one, two or three processes:
+    # the caller and one forked child per further share.
     monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    forks = _counting_forks(monkeypatch)
     grid = SpectralGrid(dim=dim, n=16, s=0.7)
     m0 = initial_density(grid, "vonmises")
     tg = TimeGrid(horizon=0.2, n_steps=6)
@@ -447,7 +468,9 @@ def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(particles, "_worker_count", lambda w=workers: w)
+        forks.clear()
         path = simulate_sde(b, m0, 1000, tg, seed=4, jumps=jumps, store_stride=store_stride)
+        assert len(forks) == workers - 1 and path.workers == workers
         increments = [
             sample_stable_increment(0.7, 0.01, dim, np.random.default_rng(8), size=size)
             for size in (1, 1000)
@@ -456,6 +479,113 @@ def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch
     for other in runs[1:]:
         for want, got in zip(runs[0], other):
             assert np.array_equal(want.view(np.int64), got.view(np.int64))
+
+
+@pytest.mark.parametrize("workers, blocks, sizes", [
+    (2, 7, [3, 4]), (3, 7, [2, 2, 3]), (8, 3, [1, 1, 1]),
+])
+def test_shares_are_contiguous_and_every_child_is_reaped(workers, blocks, sizes, monkeypatch):
+    # Block k goes to share j when j n / w <= k < (j + 1) n / w; the caller
+    # marches the first share, and a worker count above the block count
+    # is cut to one block per process.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: workers)
+    forks = _counting_forks(monkeypatch)
+    marched = []
+    real = particles._march_shares
+
+    def spy(march, shares):
+        marched.extend([lo for lo, _, _ in share] for share in shares)
+        real(march, shares)
+
+    monkeypatch.setattr(particles, "_march_shares", spy)
+    grid, m0 = vonmises_setup(n=16)
+    path = simulate_sde(None, m0, 100 * blocks - 50, TimeGrid(horizon=0.1, n_steps=4), seed=3)
+    assert [len(share) for share in marched] == sizes
+    assert sum(marched, []) == list(range(0, 100 * blocks, 100))
+    assert path.workers == len(sizes) and len(forks) == len(sizes) - 1
+    assert set(forks) == {os.getpid()}
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raise", "kill"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_child_raises_and_is_reaped(workers, failure, monkeypatch, capfd):
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: workers)
+    caller, draw = os.getpid(), particles._draw_increments
+
+    def failing(*args):
+        if os.getpid() != caller:
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("kernel failed in a child")
+        draw(*args)
+
+    monkeypatch.setattr(particles, "_draw_increments", failing)
+    grid, m0 = vonmises_setup(n=16)
+    with pytest.raises(FmfgcError) as caught:
+        simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4), seed=3)
+    _assert_no_child_left()
+    # shares are numbered from 0, the caller's, which did not fail
+    message = str(caught.value)
+    assert "share 0 of" not in message
+    outcome = f"killed by signal {int(signal.SIGKILL)}" if failure == "kill" else "exited 1"
+    for k in range(1, workers):
+        assert f"share {k} of {workers} (particles {k * 600 // workers // 100 * 100}-" in message
+    assert message.count(outcome) == workers - 1
+    if failure == "raise":
+        err = capfd.readouterr().err
+        assert err.count("RuntimeError: kernel failed in a child") == workers - 1
+
+
+def test_a_failed_caller_share_raises_and_reaps_every_child(monkeypatch):
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 3)
+    caller, draw = os.getpid(), particles._draw_increments
+
+    def failing(*args):
+        if os.getpid() == caller:
+            raise RuntimeError("kernel failed in the caller")
+        draw(*args)
+
+    monkeypatch.setattr(particles, "_draw_increments", failing)
+    grid, m0 = vonmises_setup(n=16)
+    with pytest.raises(FmfgcError, match=r"share 0 of 3 \(particles 0-200\) raised") as caught:
+        simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4), seed=3)
+    _assert_no_child_left()
+    assert "share 1" not in str(caught.value) and "share 2" not in str(caught.value)
+    assert isinstance(caught.value.__cause__, RuntimeError)
+
+
+def test_a_child_reaped_elsewhere_is_a_failure(monkeypatch):
+    # With SIGCHLD ignored the kernel reaps the children itself, so the
+    # march cannot know that their shares were stored.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 2)
+    grid, m0 = vonmises_setup(n=16)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with pytest.raises(FmfgcError, match=r"share 1 of 2 \(particles 300-600\) left no exit"):
+            simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4), seed=3)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    _assert_no_child_left()
+
+
+def test_one_worker_marches_in_the_caller(monkeypatch):
+    # No fork at one worker, nor where os.fork is missing.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    forks = _counting_forks(monkeypatch)
+    grid, m0 = vonmises_setup(n=16)
+    tg = TimeGrid(horizon=0.1, n_steps=4)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 1)
+    want = simulate_sde(None, m0, 600, tg, seed=3)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 2)
+    monkeypatch.delattr(particles.os, "fork")
+    got = simulate_sde(None, m0, 600, tg, seed=3)
+    assert forks == [] and want.workers == got.workers == 1
+    assert np.array_equal(want.positions.view(np.int64), got.positions.view(np.int64))
 
 
 def _reference_simulation(b, m0, count, tg, seed, jumps, store_stride, block):
