@@ -101,8 +101,20 @@ DIAGNOSTICS_HEADER = [
 
 
 def _row_sup(path: np.ndarray) -> np.ndarray:
-    """sup |f| of every time row of a path, in one reduction."""
+    """sup |f| of every time row of a path or of a block of its rows."""
     return np.max(np.abs(path.reshape(len(path), -1)), axis=1)
+
+
+def _level_columns(solution) -> list[np.ndarray]:
+    """sup |u|, sup |Du|, sup |alpha| and lambda_2 of every time level of a
+    solution, a block of levels at a time (``SpectralGrid.level_blocks``)."""
+    u, du, mu_path = solution.u_sol.u, solution.u_sol.du, solution.mu_path
+    blocks = [
+        (_row_sup(u[b]), _row_sup(du[b]), _row_sup(mu_path.alpha[b]),
+         lambda_q(mu_path.levels(b), 2.0))
+        for b in solution.grid.level_blocks(len(u))
+    ]
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
@@ -117,11 +129,10 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     tg = solution.time_grid
     times = tg.times()
 
-    alpha = solution.mu_path.alpha
     paths = {
         "u": write_field(outdir / "u.bin", solution.u_sol.u),
         "m": write_field(outdir / "m.bin", solution.m_sol.m),
-        "alpha": write_field(outdir / "alpha.bin", alpha),
+        "alpha": write_field(outdir / "alpha.bin", solution.mu_path.alpha),
     }
 
     fp = solution.m_sol
@@ -131,10 +142,7 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
         fp.min_trace,
         fp.sup_trace,
         fp.advect_drift_trace,
-        _row_sup(solution.u_sol.u),
-        _row_sup(solution.u_sol.du),
-        _row_sup(alpha),
-        lambda_q(solution.mu_path, 2.0),
+        *_level_columns(solution),
     )
     rows = [
         [j] + [repr(value) for value in row]

@@ -17,16 +17,31 @@ the control path, evaluates H and the drift -D_p H there on the new value
 gradient and keeps both on its solution; the CFL guard, the forward march
 and the duality pairing all read those arrays.
 
-The working set is whole paths, so none is held twice.  The analytic
-base holds one density path, the heat flow checked once as a density
-path; its zero value, H, gradient, drift and control paths are read-only
-broadcast views with no memory behind them, and its control path, which
-a stage keeps as the certificate's baseline, is a view of that density.
-Path work that needs path-sized temporaries (the CFL rule, the forward
-march's face velocities, the duality pairing and the certificate's
-monotonicity pairing) runs one block of levels at a time
-(``SpectralGrid.level_blocks``), with every level's arithmetic the one a
-whole-path pass gives.
+The working set is whole paths, so none is held twice, and between
+sweeps a stage holds only what the next sweep reads: the value, its
+gradient, the density and the controls that warm start the next control
+fixed point, paired with that density.  A sweep reads the gradient and
+the controls in the control fixed point only and lets go of them there,
+and the packaging lets go of the previous controls once the new path
+exists and of the Hamiltonian's closures, which hold the potential path,
+before its density march; a stage hands each of them its only reference
+to the state, so what they let go of is freed, while what a caller holds
+(a warm start, an earlier stage of ``sweep_theta``) is left as it is.
+The analytic base holds one density path, the heat flow checked once as
+a density path; its zero value, H, gradient, drift and control paths are
+read-only broadcast views with no memory behind them, and its control
+path, which a stage keeps as the certificate's baseline, is a view of
+that density.  Path work that needs path-sized temporaries (the control
+fixed point, the CFL rule, the forward march's face velocities, the
+duality pairing, the d = 2 loop metric and the certificate's
+exploitability, moments and monotonicity pairing) runs one block of
+levels at a time (``SpectralGrid.level_blocks``), with every level's
+arithmetic the one a whole-path pass gives.
+
+The loop's density change bounds the true W1 change from above: exact
+W1 per level in d = 1, and in d = 2 sqrt(2)/2 times the total variation
+1/2 ||m_new - m_old||_1 per level, as no two points of the unit 2-torus
+lie farther apart than sqrt(2)/2.
 """
 
 from __future__ import annotations
@@ -44,7 +59,6 @@ from .measures import (
     GridMeasure,
     MeasurePath,
     checked_density_path,
-    coordinate_marginals,
     monotonicity_pairing,
     wasserstein_1d,
 )
@@ -147,15 +161,41 @@ def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> Measur
     return solve_mu(start, state.u_sol.du, scaled, cfg.mu_config)
 
 
+def _density_change(grid, m_old: np.ndarray, m_new: np.ndarray) -> float:
+    """The largest change of the density over the levels of two paths, an
+    upper bound on their W1 at each level: exact W1 in d = 1, one
+    ``wasserstein_1d`` call; in d = 2, sqrt(2)/2 times the total variation,
+    a block of levels at a time."""
+    if grid.dim == 1:
+        return float(np.max(wasserstein_1d(
+            GridMeasure.view(grid, m_old), GridMeasure.view(grid, m_new)
+        )))
+    l1 = [
+        np.max(grid.integrate(np.abs(m_new[block] - m_old[block])))
+        for block in grid.level_blocks(len(m_new))
+    ]
+    diameter = np.sqrt(2.0) / 2.0
+    return float(diameter * 0.5 * np.max(l1))
+
+
 def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
     """One sweep at the state's theta in (0, 1]: controls, backward value,
-    forward density."""
+    forward density.
+
+    Past the control fixed point the sweep reads only the state's value and
+    density, so it lets go of the state there: given the only reference to
+    it, as a stage gives, the state's gradient and controls are freed
+    before the marches run.  The new state pairs the new controls with the
+    new density, so it holds no older density."""
     scaled = coerce_theta(model, state.theta)
+    tg, grid = state.time_grid, state.grid
     try:
         mu_path = _control_path(state, scaled, cfg)
+        u_old, m_old = state.u_sol.u, state.m_sol.m
+        state = replace(state, u_sol=None, m_sol=None, mu_path=None)
         u_new = solve_backward(scaled, mu_path, state.theta * state.u_terminal)
         # mu_path holds the iterate's density, so its slice 0 is m0
-        m_new = solve_forward(u_new.drift, mu_path[0].m, state.time_grid)
+        m_new = solve_forward(u_new.drift, mu_path[0].m, tg)
     except FmfgcError as err:
         err.sweep_index = state.sweeps
         raise
@@ -164,24 +204,19 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
     # the next sweep marches again, so a state between sweeps keeps u and
     # Du only: the march's H and drift go as soon as the pairing has read them
     u_new = replace(u_new, hamiltonian=None, drift=None)
-    u_change = float(np.max(np.abs(u_new.u - state.u_sol.u)))
-    m_change = float(np.max(wasserstein_1d(
-        coordinate_marginals(GridMeasure.view(state.grid, state.m_sol.m)),
-        coordinate_marginals(GridMeasure.view(state.grid, m_new.m)),
-    )))
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,
         delta=1.0,
-        u_change=u_change,
-        m_change=m_change,
+        u_change=float(np.max(np.abs(u_new.u - u_old))),
+        m_change=_density_change(grid, m_old, m_new.m),
         duality=duality,
     )
     return replace(
         state,
         u_sol=u_new,
         m_sol=m_new,
-        mu_path=mu_path,
+        mu_path=MeasurePath.view(tg, grid, m_new.m, mu_path.alpha),
         history=state.history + [metrics],
         converged=metrics.defect <= cfg.tolerance,
     )
@@ -209,36 +244,45 @@ class MetricsWriter:
 
 
 def _run_stage(
-    state: EquilibriumSolution,
+    start: EquilibriumSolution,
     theta: float,
     model,
     cfg: LoopConfig,
     sink: MetricsWriter | None,
 ) -> EquilibriumSolution:
-    """Run one scaling stage from ``state``: iterate at ``theta`` to tolerance
-    or sweep budget, then package; the start's controls are the baseline."""
-    state = replace(state, theta=theta, converged=False, baseline_mu=state.mu_path)
+    """Run one scaling stage from ``start``: iterate at ``theta`` to tolerance
+    or sweep budget, then package; the start's controls are the baseline.
+
+    The stage keeps its state in a one-slot list and pops it into each
+    sweep and into the packaging, so theirs is the only reference and what
+    they let go of is freed; ``start`` is the caller's and stays as it is."""
+    held = [replace(start, theta=theta, converged=False, baseline_mu=start.mu_path)]
     for _ in range(cfg.max_sweeps):
-        state = picard_iterate(state, model, cfg)
+        held.append(picard_iterate(held.pop(), model, cfg))
         if sink is not None:
-            sink.write(state.history[-1])
-        if state.converged:
+            sink.write(held[0].history[-1])
+        if held[0].converged:
             break
-    return _package(state, model, cfg)
+    return _package(held.pop(), model, cfg)
 
 
 def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
     """Re-solve the control path against the final value gradient so the
     packaged triple satisfies the slice fixed point to the mu tolerance;
     the value solution then carries H and the drift at the packaged path,
-    the drift that the density march and a particle simulation advect by."""
+    the drift that the density march and a particle simulation advect by.
+
+    The state's previous controls go once the new path exists, and the
+    Hamiltonian's closures, which hold the potential path, before the
+    density march."""
     scaled = coerce_theta(model, state.theta)
-    mu_path = _control_path(state, scaled, cfg)
-    hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
+    state = replace(state, mu_path=_control_path(state, scaled, cfg))
+    hamiltonian, grad_p = scaled.hamiltonian_at(state.mu_path)
     du = state.u_sol.du
     u_sol = replace(state.u_sol, hamiltonian=hamiltonian(du), drift=feedback_drift(grad_p, du))
-    m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid)
-    return replace(state, u_sol=u_sol, mu_path=mu_path, m_sol=m_sol)
+    del hamiltonian, grad_p
+    m_sol = solve_forward(u_sol.drift, state.mu_path[0].m, state.time_grid)
+    return replace(state, u_sol=u_sol, m_sol=m_sol)
 
 
 def solve_equilibrium(
@@ -312,14 +356,18 @@ def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCerti
     """Post-solve checks: duality defect, control fixed-point residual,
     monotonicity pairings against the stage's starting path, moments.
 
-    The moment bounds read ``C0``, ``q`` and ``q_tilde``, which scaling
-    leaves alone, from ``model`` itself; the scaled model is built for the
-    pairing of a stage at theta > 0 only, so the analytic base at theta = 0
-    is certified too."""
+    Each check reads the paths a block of levels at a time.  The moment
+    bounds read ``C0``, ``q`` and ``q_tilde``, which scaling leaves alone,
+    from ``model`` itself; the scaled model is built for the pairing of a
+    stage at theta > 0 only, so the analytic base at theta = 0 is
+    certified too."""
     duality = duality_residual(sol.u_sol, sol.m_sol)
 
-    defect = sol.mu_path.alpha - sol.u_sol.drift
-    exploit = float(np.max(np.abs(defect)))
+    alpha, drift = sol.mu_path.alpha, sol.u_sol.drift
+    exploit = float(np.max([
+        np.max(np.abs(alpha[block] - drift[block]))
+        for block in sol.grid.level_blocks(len(alpha))
+    ]))
     moments = moment_certificate(sol.mu_path, sol.u_sol.du, model)
 
     mono_min = 0.0

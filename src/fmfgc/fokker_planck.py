@@ -10,8 +10,9 @@ A march takes the operator of its step once (``SpectralGrid.value_step``,
 a view of the one operator the grid keeps for the next march of the same
 dt) and splits the face velocities of its drift path into their positive
 and negative parts one block of levels at a time
-(``SpectralGrid.level_blocks``), so the parts of one block are live at
-once, never those of the whole path.  Each step, written in the block
+(``SpectralGrid.level_blocks``), into two buffers the march allocates
+once, so the parts of one block are live at once, never those of the
+whole path or of two blocks.  Each step, written in the block
 loop of ``solve_forward``, works in buffers the march allocates once: the
 donor-cell shift (``_advect``), the semigroup (on a 1-D grid of at most
 ``DENSE_STEP_MAX_N`` nodes one product with the real kernel of T(dt),
@@ -136,18 +137,18 @@ def _face_slices(axis: int, dim: int) -> tuple[tuple, tuple, tuple, tuple]:
 
 
 def _face_parts(
-    b: np.ndarray, grid: SpectralGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive and negative parts of the face-averaged velocity, per axis,
-    for one drift field or a path, shaped like b, and per field the
-    compression K = max(-div_h f)^+ of the face velocities f.
+    b: np.ndarray, grid: SpectralGrid, pos: np.ndarray, neg: np.ndarray
+) -> np.ndarray:
+    """The positive and negative parts of the face-averaged velocity, per
+    axis, for one drift field or a path, written into pos and neg, shaped
+    like b; returns per field the compression K = max(-div_h f)^+ of the
+    face velocities f.
 
     Face i of an axis sits between nodes i and i + 1, and the wrap-around
-    face is its own slice, so nothing is rolled; the two outputs are the
-    only new arrays (fresh pages are costly to touch), with the negative
-    part's buffer holding -dx div_h f until it is filled."""
+    face is its own slice, so nothing is rolled; the buffers are the
+    caller's (fresh pages are costly to touch), with the negative part's
+    holding -dx div_h f until it is filled."""
     comp = -(grid.dim + 1)
-    pos, neg = np.empty_like(b), np.empty_like(b)
     inflow = np.moveaxis(neg, comp, 0)[0]
     for axis, (f, v) in enumerate(zip(np.moveaxis(pos, comp, 0), np.moveaxis(b, comp, 0))):
         head, tail, first, last = _face_slices(axis, grid.dim)
@@ -164,7 +165,8 @@ def _face_parts(
     rows = inflow.reshape(inflow.shape[: inflow.ndim - grid.dim] + (-1,))
     compression = np.maximum(np.max(rows, axis=-1) / grid.dx, 0.0)
     np.minimum(pos, 0.0, out=neg)
-    return np.maximum(pos, 0.0, out=pos), neg, compression
+    np.maximum(pos, 0.0, out=pos)
+    return compression
 
 
 def _sweep_scratch(grid: SpectralGrid) -> list[tuple]:
@@ -297,6 +299,7 @@ def solve_forward(
     blocks = list(grid.level_blocks(n))
     # the first block is the longest
     advected, diffused = np.empty((2, blocks[0].stop) + grid.shape)
+    parts = np.empty((2, blocks[0].stop, grid.dim) + grid.shape)
     m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)
@@ -305,9 +308,10 @@ def solve_forward(
     mass = m0.mass  # each later step starts at the unit mass the last one left
     compression = 0.0
     for block in blocks:
-        pos, neg, block_compression = _face_parts(b_path[block], grid)
-        compression = max(compression, float(np.max(block_compression)))
         count = block.stop - block.start
+        pos, neg = parts[:, :count]
+        block_compression = _face_parts(b_path[block], grid, pos, neg)
+        compression = max(compression, float(np.max(block_compression)))
         # each step writes its advected density, its semigroup before the
         # clip and the clipped density normalized to unit mass; the clip
         # leaves a positive field's bits alone.  A step past a failing one

@@ -5,9 +5,15 @@ equilibrium control solves alpha = -D_p H(x, Du(x), mu) with mu the joint
 measure (m, alpha) itself.  A Picard iteration from alpha = 0
 contracts whenever the Hamiltonian's measure dependence is (its modulus
 for the quadratic model is exactly the coupling strength).  The slices of
-a path are independent, so a MeasurePath is solved in one stacked loop.
-Every model is iterated: the zero control of the decoupled theta = 0
-problem is part of ``equilibrium.analytic_base``, which needs no solve.
+a path are independent, so a MeasurePath is solved in one stacked loop
+that runs a block of levels at a time (``SpectralGrid.level_blocks``):
+each block's defect goes into one buffer that every block and iteration
+reuse, and the block's unconverged slices step at once, in the one
+control path the solve owns, so no iteration makes a path-sized
+temporary.  The moment certificate reads a path a block of levels at a
+time too.  Every model is iterated: the zero control of the decoupled
+theta = 0 problem is part of ``equilibrium.analytic_base``, which needs
+no solve.
 """
 
 from __future__ import annotations
@@ -60,11 +66,14 @@ def solve_mu_detailed(
 
     m is one slice or a MeasurePath.  A GridMeasure slice starts from the
     zero control; a JointControlMeasure or a MeasurePath starts from its
-    own controls.  A slice stops once it meets the tolerance, so each ends
+    own controls, which the solve reads and never writes: its first step
+    copies them.  A slice stops once it meets the tolerance, so each ends
     where its own solve would; ``iterations`` is the largest per-slice
-    count.  NonContractionError is raised once the measured update ratio
-    stops shrinking the update, or predicts more than
-    ``config.max_iterations`` iterations to the tolerance."""
+    count.  A slice's defect reads its own level only, so a block of
+    levels steps as soon as its defect is known, and an iteration that
+    meets the tolerance steps no slice.  NonContractionError is raised
+    once the measured update ratio stops shrinking the update, or predicts
+    more than ``config.max_iterations`` iterations to the tolerance."""
     config = config or MuSolveConfig()
     grid = m.grid
     mu = m
@@ -73,14 +82,35 @@ def solve_mu_detailed(
     du = np.asarray(du, dtype=float)
     if du.shape != mu.alpha.shape:
         raise GridMismatchError(f"gradient shape {du.shape} does not match {mu.alpha.shape}")
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(mu.alpha))):
+    # a NaN or an infinity reaches the extremes
+    if not all(np.isfinite(f(a)) for a in (du, mu.alpha) for f in (np.max, np.min)):
         raise InvalidFieldError("gradient or starting control contains non-finite values")
 
+    # (levels, rows of the defect buffer) per block; one slice is one block
+    if isinstance(mu, MeasurePath):
+        blocks = [(b, slice(b.stop - b.start)) for b in grid.level_blocks(len(mu))]
+    else:
+        blocks = [(Ellipsis, Ellipsis)]
     lead = du.shape[: du.ndim - grid.dim - 1]
+    per_slice = np.empty(lead)
+    defect, magnitude = np.empty((2,) + du[blocks[0][0]].shape)
+    alpha = None  # the control path the solve steps, once it has stepped
     updates: list[float] = []
     for it in range(config.max_iterations):
-        defect = mu.alpha + model.grad_p_field(du, mu)
-        per_slice = np.max(np.abs(defect).reshape(lead + (-1,)), axis=-1)
+        for levels, rows in blocks:
+            part = mu if levels is Ellipsis else mu.levels(levels)
+            step = defect[rows]
+            np.add(part.alpha, model.grad_p_field(du[levels], part), out=step)
+            size = np.abs(step, out=magnitude[rows])
+            worst = np.max(size.reshape(size.shape[: size.ndim - grid.dim - 1] + (-1,)), axis=-1)
+            per_slice[levels] = worst
+            active = worst > config.tolerance
+            if np.any(active):
+                if alpha is None:
+                    alpha = np.array(mu.alpha)
+                    mu = mu.with_alpha_view(alpha)
+                where = active.reshape(active.shape + (1,) * (grid.dim + 1))
+                np.subtract(alpha[levels], step, out=alpha[levels], where=where)
         residual = float(np.max(per_slice))
         if residual <= config.tolerance:
             return MuSolveResult(
@@ -89,8 +119,6 @@ def solve_mu_detailed(
         updates.append(residual)
         if _predicted_iterations(updates, config.tolerance) > config.max_iterations:
             break
-        active = (per_slice > config.tolerance).reshape(lead + (1,) * (grid.dim + 1))
-        mu = mu.with_alpha_view(np.where(active, mu.alpha - defect, mu.alpha))
 
     ratio = updates[-1] / updates[-2] if len(updates) > 1 else float("nan")
     raise NonContractionError(
@@ -159,11 +187,23 @@ class MomentCertificate:
 def moment_certificate(
     mu: JointControlMeasure | MeasurePath, du: np.ndarray, model
 ) -> MomentCertificate:
-    """Evaluate the moment bounds of a solved joint measure, per slice of a path."""
-    grid = mu.grid
-    du = grid.check_vector(du)
+    """Evaluate the moment bounds of a solved joint measure, per slice of a
+    path; a path is read a block of levels at a time, each field the
+    concatenation of its blocks' values."""
+    du = np.asarray(du, dtype=float)
     if du.shape != mu.alpha.shape:
         raise GridMismatchError(f"gradient shape {du.shape} does not match {mu.alpha.shape}")
+    if not isinstance(mu, MeasurePath):
+        return MomentCertificate(*_moments(mu, du, model), _qt=model.q_tilde)
+    parts = [_moments(mu.levels(b), du[b], model) for b in mu.grid.level_blocks(len(mu))]
+    return MomentCertificate(*map(np.concatenate, zip(*parts)), _qt=model.q_tilde)
+
+
+def _moments(mu: JointControlMeasure | MeasurePath, du: np.ndarray, model) -> tuple:
+    """The MomentCertificate fields of one slice or of a block of levels, in
+    order, for a gradient of the controls' shape."""
+    grid = mu.grid
+    du = grid.check_vector(du)
     q, qt, c0 = model.q, model.q_tilde, model.C0
     du_mag = np.sqrt(np.sum(du**2, axis=-(grid.dim + 1)))
     du_sup = np.max(du_mag, axis=tuple(range(-grid.dim, 0)))
@@ -172,12 +212,4 @@ def moment_certificate(
     lam_inf = lambda_inf(mu)
     bound_q = 4.0 * c0**2 + qt ** (q - 1.0) * (2.0 * c0) ** q / q * du_lq**q
     bound_inf = c0 * (1.0 + du_sup + lam_qt)
-    return MomentCertificate(
-        lambda_qt=lam_qt,
-        lambda_inf=lam_inf,
-        bound_q=bound_q,
-        bound_inf=bound_inf,
-        du_sup=du_sup,
-        du_lq=du_lq,
-        _qt=qt,
-    )
+    return lam_qt, lam_inf, bound_q, bound_inf, du_sup, du_lq

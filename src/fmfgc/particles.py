@@ -368,6 +368,15 @@ class _Stencil:
             out.append((index, weight))
         return out
 
+    def corner_stacks(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every corner's index and weight, flat in the order of corners():
+        the buffers that corners() fills hold them so already, (2, N, 1) in
+        d = 1 and (2^d, N) otherwise, so these are views, not copies."""
+        self.corners(positions)
+        if self.grid.dim == 1:
+            return self._nodes.reshape(-1), self._axis_weights.reshape(-1)
+        return self._index.reshape(-1), self._weight.reshape(-1)
+
     def interpolate(self, field: np.ndarray, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Multilinear periodic interpolation of a (ncomp, *shape) field into
         out (N, ncomp), gathered from the flattened field."""
@@ -529,8 +538,7 @@ def empirical_measure(positions: np.ndarray, grid: SpectralGrid) -> GridMeasure:
     # the stencil wraps node indices, which a huge coordinate overflows
     if pts.min() < 0.0 or pts.max() >= 1.0:
         pts = _wrap(pts.copy())
-    corners = _Stencil(grid, pts.shape[0]).corners(pts)
-    index, weight = (np.concatenate(part) for part in zip(*corners))
+    index, weight = _Stencil(grid, pts.shape[0]).corner_stacks(pts)
     # bincount adds in input order, corner after corner, so the sums are
     # those of an in-order scatter-add
     weights = np.bincount(index, weight, minlength=grid.n**grid.dim).reshape(grid.shape)

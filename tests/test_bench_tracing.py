@@ -63,17 +63,17 @@ def test_traced_solve_reaches_every_solver_layer(monkeypatch):
             "fokker_planck.solve_forward",
             "fokker_planck.duality_residual",
             "models.grad_p_field",
-            "measures.w1",
         ):
             assert calls.get(name, 0) > 0, (dim, name)
         # The solver derives its measures from checked stacks and builds
-        # none per slice, and the loop metric is one W1 call per sweep, on
-        # the stacked coordinate marginals in d = 2.
+        # none per slice, and the loop metric is one W1 call per sweep in
+        # d = 1; in d = 2 it is the total-variation bound, with no W1 call.
         counts = tracer.per_trace()[0]["counts"]
         assert counts.get("measures.joint_measure_inits", 0) == 0, dim
         assert counts.get("measures.grid_measure_inits", 0) == 0, dim
         sweeps = counts["equilibrium.sweeps"]
-        assert sweeps > 0 and calls["measures.w1"] == sweeps, dim
+        assert sweeps > 0, dim
+        assert calls.get("measures.w1", 0) == (sweeps if dim == 1 else 0), dim
 
 
 def test_traced_simulation_spans_stay_on_the_main_thread(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fmfgc.equilibrium as equilibrium
-from fmfgc import measures
+from fmfgc import measures, spectral
 from fmfgc.equilibrium import (
     EquilibriumSolution,
     LoopConfig,
@@ -127,20 +127,31 @@ def test_theta_zero_base_holds_one_density_path():
     assert base.mu_path.alpha.shape == base.u_sol.du.shape == (tg.n_steps + 1, 1) + grid.shape
 
 
-def test_solve_and_certificate_working_set_stays_under_twelve_vector_paths():
-    # A certified 2-D solve whose 25 levels span 7 blocks of path work
-    # (4 levels a block at n = 64).  What a solve must hold is about ten
-    # vector paths: the analytic base's density, the last state and the
-    # sweep's new one (value, gradient, H, drift, control and density
-    # paths); path-wide temporaries and copies of the base took it to 14.
+@pytest.mark.parametrize("n_steps", [24, 48])
+def test_solve_and_certificate_hold_twelve_scalar_paths_and_block_scratch(n_steps):
+    # A certified 2-D solve at n = 64, where a block of path work is 4
+    # levels.  What a sweep holds at its peak, in scalar paths (a vector
+    # path is two in d = 2): the analytic base's density, which the stage
+    # keeps as its baseline (1); the last iterate's value and density, for
+    # the changes (2); the new controls (2); the backward march's value,
+    # gradient and H (4) and drift (2); and the new density, or in the
+    # backward march the potential path its Hamiltonian holds (1).  That
+    # is 12; the packaging holds 11 and the certificate reads blocks.  On
+    # top come the marches' block buffers and temporaries, in arrays of
+    # BLOCK_NODES floats: in the forward march one block's face-velocity
+    # parts (4 in d = 2), its advected and diffused levels (2), the
+    # compression's copy (1) and the transforms'; in the backward march
+    # its w and stacked levels (5) and the CFL guard's sums (2): fewer
+    # than 12 at once.  The last gradient and controls, held past the
+    # control fixed point, and the density the last controls were solved
+    # on would add 5 paths.
     grid = SpectralGrid(dim=2, n=64, s=0.75)
-    tg = TimeGrid(horizon=0.25, n_steps=24)
-    assert len(list(grid.level_blocks(tg.n_steps + 1))) == 7
+    assert spectral.BLOCK_NODES // grid.n**grid.dim == 4
+    tg = TimeGrid(horizon=n_steps / 96, n_steps=n_steps)
     model = QuadraticModel(coupling_beta=0.3, dim=2)
     m0 = initial_density(grid, "vonmises")
     x, y = grid.nodes()
     u_t = 0.15 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    vector_path = (tg.n_steps + 1) * grid.dim * grid.n**grid.dim * 8
     tracemalloc.start()
     try:
         sol = solve_equilibrium(model, m0, u_t, tg)
@@ -149,7 +160,57 @@ def test_solve_and_certificate_working_set_stays_under_twelve_vector_paths():
     finally:
         tracemalloc.stop()
     assert sol.converged and cert.moments_ok and cert.monotone_ok
-    assert peak < 12 * vector_path, f"traced peak {peak / vector_path:.2f} vector paths"
+    scalar_path = (tg.n_steps + 1) * grid.n**grid.dim * 8
+    block = spectral.BLOCK_NODES * 8
+    assert peak < 12 * scalar_path + 12 * block, (
+        f"traced peak {peak / scalar_path:.2f} scalar paths"
+    )
+
+
+def _path_arrays(sol):
+    """Every array a solution holds, by name."""
+    arrays = {
+        "u": sol.u_sol.u, "du": sol.u_sol.du, "hamiltonian": sol.u_sol.hamiltonian,
+        "drift": sol.u_sol.drift, "m": sol.m_sol.m, "mu.density": sol.mu_path.density,
+        "mu.alpha": sol.mu_path.alpha, "u_terminal": sol.u_terminal,
+    }
+    if sol.baseline_mu is not None:
+        arrays.update({"baseline.density": sol.baseline_mu.density,
+                       "baseline.alpha": sol.baseline_mu.alpha})
+    return arrays
+
+
+def test_a_solve_frees_and_writes_nothing_a_caller_holds(monkeypatch):
+    # A stage lets go of what its sweeps no longer read, but never of what
+    # its caller holds: each stage of sweep_theta, the start of the next,
+    # and a warm start keep every array, bit for bit.
+    grid, tg, m0, u_t = small_scenario()
+    model = QuadraticModel(coupling_beta=0.3)
+    made = []
+    run_stage = equilibrium._run_stage
+
+    def recorded(*args, **kwargs):
+        stage = run_stage(*args, **kwargs)
+        made.append((stage, {k: v.copy() for k, v in _path_arrays(stage).items()}))
+        return stage
+
+    monkeypatch.setattr(equilibrium, "_run_stage", recorded)
+    stages = sweep_theta(model, m0, u_t, tg)
+    assert len(made) == len(stages) - 1 == 4
+    for stage, (kept, copies) in zip(stages[1:], made):
+        assert stage is kept
+        for name, array in _path_arrays(stage).items():
+            assert np.array_equal(array, copies[name]), (stage.theta, name)
+
+    warm = stages[2]
+    copies = {k: v.copy() for k, v in _path_arrays(warm).items()}
+    held = (warm.u_sol, warm.m_sol, warm.mu_path, warm.baseline_mu, warm.history)
+    sol = solve_equilibrium(model, m0, u_t, tg, theta_target=1.0, warm_start=warm)
+    assert sol.converged
+    assert all(a is b for a, b in zip(held, (warm.u_sol, warm.m_sol, warm.mu_path,
+                                             warm.baseline_mu, warm.history)))
+    for name, array in _path_arrays(warm).items():
+        assert np.array_equal(array, copies[name]), name
 
 
 def test_decoupled_model_control_is_minus_gradient():
