@@ -20,16 +20,20 @@ run's seed, and is marched through the whole horizon in buffers
 allocated once, so positions are the same bits at any worker count.
 With more than one worker, the blocks are split into that many
 contiguous shares: the caller marches the first, and one child made by
-os.fork marches each other share and stores its levels in one shared
-anonymous mapping, which the caller copies out once the children are
-reaped.  Threads would hand the GIL to each other between numpy calls;
-processes do not share one.  The drift path and the initial positions
-reach the children by fork inheritance, so nothing is pickled, and a
-child runs only numpy ufuncs and its own Generator on buffers it
-allocates after the fork, never BLAS.  Forking is POSIX-only: without
+os.fork marches each other share.  Every share stores its levels in one
+shared anonymous mapping, which the returned positions view, so the
+positions are held once and nothing is copied out once the children
+are reaped.  Threads would hand the GIL to each other between numpy
+calls; processes do not share one.  The drift path and the mapping,
+initial positions included, reach the children by fork inheritance, so
+nothing is pickled, and a child runs only numpy ufuncs and its own
+Generator on buffers it allocates after the fork, never BLAS.  Forking is POSIX-only: without
 os.fork the march is serial.  Python 3.12 and later warn
 (DeprecationWarning) when os.fork runs while another thread exists, such
 as numpy's BLAS thread pool.
+
+Deposition and the d = 1 initial draw work MIN_BLOCK positions at a
+time, so neither makes a temporary that grows with the ensemble.
 """
 
 from __future__ import annotations
@@ -324,21 +328,26 @@ def _wrap(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 
 
 class _Stencil:
-    """Cloud-in-cell stencil for `count` positions on a grid, in buffers it owns.
+    """Cloud-in-cell stencil for up to `count` positions on a grid, in
+    buffers it owns.
 
     A march keeps one per block, so its steps make no new arrays: a block's
     arrays are 128 KiB (16,384 floats), glibc's default mmap threshold, and
     at that size fresh arrays on every step cost more in page faults than
-    the stencil's arithmetic.
+    the stencil's arithmetic.  A deposit keeps one per call and runs it
+    over one block of positions after another, the last one shorter: each
+    buffer is flat, and a shorter block works in its head.
     """
 
     def __init__(self, grid: SpectralGrid, count: int):
         self.grid = grid
-        dim, n_corners = grid.dim, 2**grid.dim
-        self._nodes = np.empty((2, count, dim), dtype=np.intp)
-        self._axis_weights = np.empty((2, count, dim))
-        self._index = np.empty((n_corners, count), dtype=np.intp)
-        self._weight = np.empty((n_corners, count))
+        dim = grid.dim
+        # in d = 1 the corners are views of the per-axis buffers
+        n_corners = 2**dim if dim > 1 else 0
+        self._nodes = np.empty(2 * count * dim, dtype=np.intp)
+        self._axis_weights = np.empty(2 * count * dim)
+        self._index = np.empty(n_corners * count, dtype=np.intp)
+        self._weight = np.empty(n_corners * count)
         self._sample = np.empty(count)
 
     def corners(self, positions: np.ndarray) -> list:
@@ -349,8 +358,11 @@ class _Stencil:
         itertools.product((0, 1), repeat=dim) order.  Per axis there is one
         floor and one fraction, and as n is a power of two, & (n - 1) wraps
         a node index onto the torus (floor(x n) = n included)."""
-        n = self.grid.n
-        (lo, hi), (w_lo, frac) = self._nodes, self._axis_weights
+        n, dim = self.grid.n, self.grid.dim
+        count = positions.shape[0]
+        nodes = self._nodes[: 2 * count * dim].reshape(2, count, dim)
+        axis_weights = self._axis_weights[: 2 * count * dim].reshape(2, count, dim)
+        (lo, hi), (w_lo, frac) = nodes, axis_weights
         np.multiply(positions, n, out=frac)
         np.floor(frac, out=lo, casting="unsafe")
         frac -= lo
@@ -358,30 +370,34 @@ class _Stencil:
         lo &= n - 1
         np.add(lo, 1, out=hi)
         hi &= n - 1
+        indices = self._index[: 2**dim * count].reshape(-1, count)
+        weights = self._weight[: 2**dim * count].reshape(-1, count)
         out = []
-        for k, corner in enumerate(itertools.product((0, 1), repeat=self.grid.dim)):
-            index, weight = self._nodes[corner[0], :, 0], self._axis_weights[corner[0], :, 0]
-            for ax in range(1, self.grid.dim):
-                index = np.multiply(index, n, out=self._index[k])
-                index += self._nodes[corner[ax], :, ax]
-                weight = np.multiply(weight, self._axis_weights[corner[ax], :, ax], out=self._weight[k])
+        for k, corner in enumerate(itertools.product((0, 1), repeat=dim)):
+            index, weight = nodes[corner[0], :, 0], axis_weights[corner[0], :, 0]
+            for ax in range(1, dim):
+                index = np.multiply(index, n, out=indices[k])
+                index += nodes[corner[ax], :, ax]
+                weight = np.multiply(weight, axis_weights[corner[ax], :, ax], out=weights[k])
             out.append((index, weight))
         return out
 
     def corner_stacks(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every corner's index and weight, flat in the order of corners():
-        the buffers that corners() fills hold them so already, (2, N, 1) in
-        d = 1 and (2^d, N) otherwise, so these are views, not copies."""
+        the heads of the buffers that corners() fills hold them so already,
+        (2, N, 1) in d = 1 and (2^d, N) otherwise, so these are views, not
+        copies."""
         self.corners(positions)
+        size = 2**self.grid.dim * positions.shape[0]
         if self.grid.dim == 1:
-            return self._nodes.reshape(-1), self._axis_weights.reshape(-1)
-        return self._index.reshape(-1), self._weight.reshape(-1)
+            return self._nodes[:size], self._axis_weights[:size]
+        return self._index[:size], self._weight[:size]
 
     def interpolate(self, field: np.ndarray, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Multilinear periodic interpolation of a (ncomp, *shape) field into
         out (N, ncomp), gathered from the flattened field."""
         corners = self.corners(positions)
-        sample = self._sample
+        sample = self._sample[: positions.shape[0]]
         for c, values in enumerate(field.reshape(field.shape[0], -1)):
             (index, weight), *rest = corners
             # the indices are in range by construction; mode "raise" would
@@ -399,9 +415,12 @@ def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> n
 
     d = 1 inverts the CDF of the cell masses, each spread uniformly over
     the cell [x_i - dx/2, x_i + dx/2) centred on node x_i, where m_i is the
-    density's value; d = 2 rejects uniform candidates against the bilinear
-    interpolant (nodal max is a valid envelope for a convex combination of
-    nodal values).
+    density's value.  It draws and places MIN_BLOCK positions at a time
+    straight into the result; the generator's uniform stream does not
+    depend on how its draws are chunked, so neither do the positions.
+    d = 2 rejects uniform candidates against the bilinear interpolant
+    (nodal max is a valid envelope for a convex combination of nodal
+    values).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -411,13 +430,18 @@ def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> n
         cum = np.cumsum(cell_mass)
         cell_mass = cell_mass / cum[-1]
         cum = cum / cum[-1]
-        draws = rng.random(count)
-        idx = np.searchsorted(cum, draws, side="right")
-        idx = np.minimum(idx, grid.n - 1)
-        prev = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        width = cell_mass[idx]
-        frac = np.where(width > 0.0, (draws - prev) / np.where(width > 0, width, 1.0), 0.5)
-        return _wrap(((idx + frac - 0.5) * grid.dx).reshape(-1, 1))
+        out = np.empty((count, 1))
+        for lo in range(0, count, MIN_BLOCK):
+            block = out[lo : lo + MIN_BLOCK, 0]
+            draws = rng.random(block.size)
+            idx = np.searchsorted(cum, draws, side="right")
+            idx = np.minimum(idx, grid.n - 1)
+            prev = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+            width = cell_mass[idx]
+            frac = np.where(width > 0.0, (draws - prev) / np.where(width > 0, width, 1.0), 0.5)
+            np.multiply(idx + frac - 0.5, grid.dx, out=block)
+            _wrap(block)
+        return out
     envelope = float(m0.values.max())
     density = m0.values[None]
     out = np.empty((count, grid.dim))
@@ -462,10 +486,11 @@ def simulate_sde(
     The worker count is that of _worker_count, at most the block count, and
     1 without os.fork.  With w > 1 workers, block k goes to share j when
     cuts[j] <= k < cuts[j + 1], cuts[j] = j n_blocks // w; the caller
-    marches share 0 and a forked child each other share.  The children
-    store their levels in a shared anonymous mapping, copied into the
-    returned positions once every child is reaped; a failed share raises
-    FmfgcError then (see _march_shares).
+    marches share 0 and a forked child each other share.  The returned
+    positions are then a view of one shared anonymous mapping, into which
+    every share stores its levels, so nothing is copied out once the
+    children are reaped; a failed share raises FmfgcError then (see
+    _march_shares).  One worker stores into a private array.
     """
     grid = m0.grid
     n_steps = time_grid.n_steps
@@ -481,24 +506,22 @@ def simulate_sde(
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     shape = (n_steps // store_stride + 1, n_particles, grid.dim)
-    positions = np.empty(shape)
-    positions[0] = sample_positions(m0, n_particles, np.random.default_rng(seed))
-    offset, forked = n_particles, None
     if workers > 1:
-        # the children store the particles from offset on in a shared
-        # anonymous mapping, copied into positions once they are reaped
-        offset = shares[1][0][0]
-        forked_shape = (shape[0], n_particles - offset, grid.dim)
-        mapping = mmap.mmap(-1, math.prod(forked_shape) * np.dtype(float).itemsize)
-        forked = np.frombuffer(mapping, dtype=float).reshape(forked_shape)
+        # every share, the caller's too, stores its levels in one shared
+        # anonymous mapping, which positions views and keeps alive
+        mapping = mmap.mmap(-1, math.prod(shape) * np.dtype(float).itemsize)
+        positions = np.frombuffer(mapping, dtype=float).reshape(shape)
+    else:
+        positions = np.empty(shape)
+    positions[0] = sample_positions(m0, n_particles, np.random.default_rng(seed))
     dt = time_grid.dt
 
     def march(lo: int, hi: int, stream: np.random.SeedSequence) -> None:
         # The block owns its positions and draw buffers; it draws as
         # sample_stable_increment does, through the same _draw_increments.
         rng = np.random.default_rng(stream)
-        stored = positions[:, lo:hi] if lo < offset else forked[:, lo - offset : hi - offset]
-        x = positions[0, lo:hi].copy()
+        stored = positions[:, lo:hi]
+        x = stored[0].copy()
         u, w, *work = np.empty((5, hi - lo))
         z = np.empty(x.shape)  # the drift step, then the jump, then floor(x)
         stencil = _Stencil(grid, hi - lo)
@@ -516,7 +539,6 @@ def simulate_sde(
 
     if workers > 1:
         _march_shares(march, shares)
-        positions[1:, offset:] = forked[1:]
     else:
         for block in blocks:
             march(*block)
@@ -527,22 +549,34 @@ def simulate_sde(
 def empirical_measure(positions: np.ndarray, grid: SpectralGrid) -> GridMeasure:
     """Cloud-in-cell deposition of (N, dim) positions onto the grid, unit mass.
 
-    Coordinates outside [0, 1) wrap onto the torus."""
+    Coordinates outside [0, 1) wrap onto the torus.  The positions are
+    checked, wrapped and deposited MIN_BLOCK at a time through one
+    stencil, so no temporary grows with N."""
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ValueError(f"positions must be (N, {grid.dim}), got {pts.shape}")
-    if pts.shape[0] < 1:
+    count = pts.shape[0]
+    if count < 1:
         raise ValueError("need at least one particle")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("positions contain non-finite entries")
-    # the stencil wraps node indices, which a huge coordinate overflows
-    if pts.min() < 0.0 or pts.max() >= 1.0:
-        pts = _wrap(pts.copy())
-    index, weight = _Stencil(grid, pts.shape[0]).corner_stacks(pts)
-    # bincount adds in input order, corner after corner, so the sums are
-    # those of an in-order scatter-add
-    weights = np.bincount(index, weight, minlength=grid.n**grid.dim).reshape(grid.shape)
-    return GridMeasure.normalized(grid, weights / (pts.shape[0] * grid.dx**grid.dim))
+    block = min(count, MIN_BLOCK)
+    stencil, wrapped = _Stencil(grid, block), np.empty((block, grid.dim))
+    sums = np.zeros(grid.n**grid.dim)
+    for lo in range(0, count, block):
+        chunk = pts[lo : lo + block]
+        least, most = chunk.min(), chunk.max()  # nan if any entry is
+        if not (math.isfinite(least) and math.isfinite(most)):
+            raise ValueError("positions contain non-finite entries")
+        # the stencil wraps node indices, which a huge coordinate overflows
+        if least < 0.0 or most >= 1.0:
+            head = wrapped[: chunk.shape[0]]
+            np.copyto(head, chunk)
+            chunk = _wrap(head)
+        index, weight = stencil.corner_stacks(chunk)
+        # bincount adds in input order, corner after corner; the blocks'
+        # sums add up in block order, so a node's total differs from a
+        # whole-array bincount's by summation roundoff only
+        sums += np.bincount(index, weight, minlength=sums.size)
+    return GridMeasure.normalized(grid, sums.reshape(grid.shape) / (count * grid.dx**grid.dim))
 
 
 @dataclass(frozen=True)

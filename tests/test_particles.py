@@ -1,9 +1,11 @@
 """Particle sampler, SDE stepper, deposition, and the path-regularity check."""
 
+import gc
 import itertools
 import math
 import os
 import signal
+import tracemalloc
 import warnings
 
 import mpmath
@@ -690,6 +692,160 @@ def test_empirical_measure_wraps_huge_and_negative_coordinates():
     left = empirical_measure(pts, grid)
     assert np.array_equal(left.values, empirical_measure(np.array([[0.75]]), grid).values)
     assert pts[0, 0] == -0.25  # the caller's array is not wrapped in place
+
+
+def _whole_array_deposit(pts, grid):
+    """The deposit in one pass: each coordinate wrapped by remainder, the
+    hat weights of every cell corner, and one bincount over all corners,
+    corner after corner, then the normalisation."""
+    x = np.remainder(pts, 1.0)
+    x[x >= 1.0] -= 1.0
+    lo = np.floor(x * grid.n).astype(np.intp)
+    frac = x * grid.n - lo
+    index, weight = [], []
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        idx, w = np.zeros(len(x), dtype=np.intp), np.ones(len(x))
+        for ax, c in enumerate(corner):
+            idx = idx * grid.n + (lo[:, ax] + c) % grid.n
+            w = w * (frac[:, ax] if c else 1.0 - frac[:, ax])
+        index.append(idx)
+        weight.append(w)
+    sums = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=grid.n**grid.dim)
+    return GridMeasure.normalized(grid, sums.reshape(grid.shape) / (len(x) * grid.dx**grid.dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("count", [1, 99, 100, 301])
+@pytest.mark.parametrize("kind", ["unit", "wild"])
+def test_deposit_across_block_edges_matches_whole_array_bincount(dim, count, kind, monkeypatch):
+    # Blocks of 100: one short block, one just short of full, one full, and
+    # three full blocks and one of a single particle.  A node's raw value is
+    # a sum of at most M = 2^d N nonnegative terms; in any order it is
+    # within gamma_M = M u / (1 - M u) of the exact sum, relatively, so the
+    # blocked and the whole-array sums differ by at most 2 gamma_M.  Each
+    # side then divides by N dx^d (u), sums its K = n^d values for the mass
+    # in the same order (the masses differ by 2 gamma_M + 2 u + 2 gamma_K)
+    # and divides by it (u): in all under (4 M + 2 K + 8) u, relatively.
+    # A node no position reaches is 0 on both sides.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    grid = SpectralGrid(dim=dim, n=16, s=0.75)
+    rng = np.random.default_rng(count + 10 * dim)
+    if kind == "unit":
+        pts = rng.random((count, dim))
+    else:
+        pts = rng.uniform(-1e6, 1e6, (count, dim))
+        pts.flat[::7] = rng.choice([1e300, -1e300, -0.25, 2.0**60 + 0.5], size=pts.flat[::7].size)
+    before = pts.copy()
+    got = empirical_measure(pts, grid).values
+    want = _whole_array_deposit(pts, grid).values
+    u = 2.0**-53
+    terms, nodes = 2**dim * count, grid.n**dim
+    assert np.all(np.abs(got - want) <= (4 * terms + 2 * nodes + 8) * u * want)
+    assert np.array_equal(pts, before)  # wrapped in a copy, never in place
+
+
+def _traced_peak(call) -> int:
+    """Bytes traced at the peak of call() above those held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_deposit_peak_holds_block_arrays_only(dim, monkeypatch):
+    # In arrays of one MIN_BLOCK of floats or indices (8 bytes each), a
+    # deposit holds its stencil (2d per-axis nodes, 2d per-axis weights,
+    # 2^d corner indices and 2^d corner weights, no corner arrays in d = 1,
+    # where the corners are the per-axis buffers, and one sample), d for
+    # the wrapped copy of a block, and at most 1 1/8 d more at once: floor(x)
+    # while a block wraps, then its mask (d/8) and the entries it picks, or
+    # numpy's buffer as it casts floor(x n) to indices.  Of n^d floats it
+    # holds the sums, a block's bincount and the three the normalisation
+    # makes.  One block more covers the interpreter's own objects.  None of
+    # this grows with N.
+    block = 4096
+    monkeypatch.setattr(particles, "MIN_BLOCK", block)
+    grid = SpectralGrid(dim=dim, n=16, s=0.75)
+    corners = 2**dim if dim > 1 else 0
+    blocks = 4 * dim + 2 * corners + 1 + dim + 1.125 * dim + 1
+    bound = 8 * (blocks * block + 5 * grid.n**dim)
+    empirical_measure(np.full((1, dim), 0.5), grid)  # numpy's first-call caches
+    rng = np.random.default_rng(7)
+    peaks = {}
+    for count in (3 * block + 1, 30 * block + 7):
+        for low, high in ((0.0, 1.0), (-2.0, 3.0)):
+            pts = rng.uniform(low, high, (count, dim))
+            peaks[count, low] = _traced_peak(lambda: empirical_measure(pts, grid))
+    assert max(peaks.values()) <= bound, (peaks, bound)
+    for low in (0.0, -2.0):
+        assert peaks[30 * block + 7, low] <= 1.01 * peaks[3 * block + 1, low]
+
+
+def test_initial_draw_peak_holds_the_result_and_block_arrays_only(monkeypatch):
+    # Beyond its (N, 1) result and four arrays of n floats (the cell masses
+    # and their sums, raw and normalised), the d = 1 sampler holds at most,
+    # in arrays of one MIN_BLOCK: draws, idx, prev and width, the mask
+    # width > 0 (1/8), draws - prev, the guarded width and their quotient,
+    # 7 1/8 at the widest, plus numpy's cast buffer for idx + frac.  One
+    # block more covers the interpreter's own objects.
+    block = 4096
+    monkeypatch.setattr(particles, "MIN_BLOCK", block)
+    grid, m0 = vonmises_setup(n=16)
+    sample_positions(m0, 1, np.random.default_rng(0))  # numpy's first-call caches
+    peaks = {}
+    for count in (3 * block + 1, 30 * block + 7):
+        rng = np.random.default_rng(count)
+        peaks[count] = _traced_peak(lambda: sample_positions(m0, count, rng)) - 8 * count
+    assert max(peaks.values()) <= 8 * (9.125 * block + 4 * grid.n), peaks
+    assert peaks[30 * block + 7] <= 1.01 * peaks[3 * block + 1]
+
+
+@pytest.mark.parametrize("count", [1, 99, 100, 301])
+def test_initial_draw_in_blocks_matches_one_shot_formula(count, monkeypatch):
+    # Blocks of 100; the reference draws all count uniforms at once.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    grid, m0 = vonmises_setup(n=32)
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = sample_positions(m0, count, got_rng)
+    cell_mass = m0.values * grid.dx
+    cum = np.cumsum(cell_mass)
+    cell_mass = cell_mass / cum[-1]
+    cum = cum / cum[-1]
+    draws = want_rng.random(count)
+    idx = np.searchsorted(cum, draws, side="right")
+    idx = np.minimum(idx, grid.n - 1)
+    prev = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+    width = cell_mass[idx]
+    frac = np.where(width > 0.0, (draws - prev) / np.where(width > 0, width, 1.0), 0.5)
+    want = ((idx + frac - 0.5) * grid.dx).reshape(-1, 1)
+    want %= 1.0
+    want[want >= 1.0] -= 1.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_rng.random() == want_rng.random()  # the same draws were taken
+
+
+def test_forked_positions_outlive_the_march(monkeypatch):
+    # A forked run's positions view the shared mapping its shares stored
+    # into: they must stay whole once the call returns and the collector
+    # runs, and a later forked run must not write into them.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    grid, m0 = vonmises_setup(n=16)
+    tg = TimeGrid(horizon=0.1, n_steps=4)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 1)
+    want = simulate_sde(None, m0, 1000, tg, seed=3).positions
+    monkeypatch.setattr(particles, "_worker_count", lambda: 3)
+    positions = simulate_sde(None, m0, 1000, tg, seed=3).positions
+    gc.collect()
+    assert np.array_equal(positions.view(np.int64), want.view(np.int64))
+    other = simulate_sde(None, m0, 1000, tg, seed=4)
+    assert other.workers == 3
+    del other
+    gc.collect()
+    assert np.array_equal(positions.view(np.int64), want.view(np.int64))
 
 
 def test_empirical_spike_at_node():
