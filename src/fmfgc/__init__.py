@@ -19,7 +19,7 @@ from .equilibrium import (
 )
 from .errors import FmfgcError
 from .fokker_planck import FpSolution, initial_density, solve_forward
-from .hjb import HjbSolution, hjb_diagnostics, solve_backward
+from .hjb import HjbSolution, solve_backward
 from .manifest import RunManifest, default_manifest, parse_config
 from .measures import (
     GridMeasure,
@@ -66,7 +66,6 @@ __all__ = [
     "default_manifest",
     "empirical_measure",
     "equilibrium_certificate",
-    "hjb_diagnostics",
     "holder_wasserstein_check",
     "initial_density",
     "lambda_inf",

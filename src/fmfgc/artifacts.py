@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .hjb import hjb_diagnostics
+from .hjb import centered_curvature
 from .measures import lambda_q
 
 MAGIC = b"FMFGC001"
@@ -75,15 +75,6 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
         writer.writerow(header)
         writer.writerows(rows)
     return path
-
-
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise FormatError(f"{path}: empty CSV")
-    return rows[0], rows[1:]
 
 
 DIAGNOSTICS_HEADER = [
@@ -156,27 +147,28 @@ def emit_artifacts(solution, manifest, outdir: str | Path) -> dict[str, Path]:
     return paths
 
 
-def stage_envelope(stage) -> tuple[float, float, float, float]:
-    """sup |u|, sup |Du|, sup lambda_2 and the semiconcavity of a stage: the
-    a priori bounds the theta table reports and criterion 9 compares."""
-    diag = hjb_diagnostics(stage.u_sol)
-    lam = float(np.max(lambda_q(stage.mu_path, 2.0)))
-    return diag.sup_u, diag.sup_du, lam, diag.semiconcavity
+def theta_row(stage) -> tuple:
+    """A stage's theta-table row: theta, the a priori bounds criterion 9
+    compares (sup |u|, sup |Du| and sup lambda_2, the maxima over levels of
+    the diagnostics.csv columns, and the semiconcavity, the largest centered
+    curvature of u, a block of levels at a time), converged and sweeps."""
+    u_sup, du_sup, _, lam = (float(np.max(column)) for column in _level_columns(stage))
+    u = stage.u_sol.u
+    semiconcavity = float(np.max([
+        np.max(centered_curvature(u[b], stage.grid)) for b in stage.grid.level_blocks(len(u))
+    ]))
+    return (stage.theta, u_sup, du_sup, lam, semiconcavity, stage.converged, stage.sweeps)
 
 
-def emit_theta_table(stages, outdir: str | Path) -> Path:
-    """Scaling table for the homotopy sweep: one row per stage."""
+def emit_theta_table(rows, outdir: str | Path) -> Path:
+    """Scaling table for the homotopy sweep from its ``theta_row`` rows,
+    one per stage."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        [repr(value) for value in (stage.theta, *stage_envelope(stage))]
-        + [int(stage.converged), stage.sweeps]
-        for stage in stages
-    ]
     return write_csv(
         outdir / "theta_table.csv",
         ["theta", "u_sup", "du_sup", "lambda2_sup", "semiconcavity", "converged", "sweeps"],
-        rows,
+        ([repr(value) for value in row[:5]] + [int(row[5]), row[6]] for row in rows),
     )
 
 

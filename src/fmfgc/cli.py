@@ -37,6 +37,7 @@ from .artifacts import (
     emit_simulation,
     emit_theta_table,
     read_field,
+    theta_row,
     write_csv,
 )
 from .equilibrium import (
@@ -269,25 +270,30 @@ def _cmd_sweep_theta(args) -> int:
         tg, model, m0, u_t = _problem(mf)
         t0 = clock()
         with _iterations_stream(outdir) as stream:
+            # each stage becomes its row as it ends; only the last is kept
+            rows = []
             stages = sweep_theta(model, m0, u_t, tg, cfg=mf.loop_config(), metrics_stream=stream)
+            for stage in stages:
+                rows.append(theta_row(stage))
         t1 = clock()
-        emit_theta_table(stages, outdir)
+        emit_theta_table(rows, outdir)
         (outdir / "manifest.cfg").write_text(mf.to_text())
         t2 = clock()
         # the last stage is the target game, or the stage the sweep stopped at
-        cert = equilibrium_certificate(stages[-1], model)
+        cert = equilibrium_certificate(stage, model)
         t3 = clock()
-    all_converged = all(stage.converged for stage in stages)
+    # the sweep stops after its first unconverged stage: the last stage
+    # converged only if every stage did
     payload = {
         "command": "sweep-theta",
         "outdir": mf.outdir,
-        "thetas": [stage.theta for stage in stages],
-        "converged": all_converged,
+        "thetas": [row[0] for row in rows],
+        "converged": stage.converged,
         "duality": cert.duality,
         "exploitability": cert.exploitability,
         "timings": {"solve_s": t1 - t0, "certificate_s": t3 - t2, "write_s": t2 - t1},
     }
-    return _finish(payload, all_converged)
+    return _finish(payload, stage.converged)
 
 
 _FLAGS = {

@@ -10,7 +10,9 @@ solution or from a given state.  At theta = 0 the problem decouples:
 ``analytic_base`` builds its solution in closed form (zero value
 function, zero control, pure fractional heat flow), and no sweep runs
 there.  The ascending scaling schedule, each stage warm starting from the
-previous one, is the homotopy of ``sweep_theta`` only.
+previous one, is the homotopy of ``sweep_theta`` only: a generator that
+yields each stage as it ends and keeps only the one the next stage starts
+from, so a caller holds no more of the continuation than it keeps.
 
 A sweep reads each measure-only quantity once: the backward march fixes
 the control path, evaluates H and the drift -D_p H there on the new value
@@ -26,7 +28,7 @@ and the packaging lets go of the previous controls once the new path
 exists and of the Hamiltonian's closures, which hold the potential path,
 before its density march; a stage hands each of them its only reference
 to the state, so what they let go of is freed, while what a caller holds
-(a warm start, an earlier stage of ``sweep_theta``) is left as it is.
+(a warm start, a stage ``sweep_theta`` has yielded) is left as it is.
 The analytic base holds one density path, the heat flow checked once as
 a density path; its zero value, H, gradient, drift and control paths are
 read-only broadcast views with no memory behind them, and its control
@@ -47,6 +49,7 @@ lie farther apart than sqrt(2)/2.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -318,25 +321,32 @@ def sweep_theta(
     time_grid: TimeGrid,
     cfg: LoopConfig | None = None,
     metrics_stream=None,
-) -> list[EquilibriumSolution]:
-    """Run the continuation through ``cfg.theta_schedule`` and keep every
-    stage's final state, each stage warm starting from the previous one.
+) -> Iterator[EquilibriumSolution]:
+    """Run the continuation through ``cfg.theta_schedule``, yielding each
+    stage's final state as the stage ends, each stage warm starting from
+    the previous one.
 
-    A zero entry keeps the analytic base as a stage.  The sweep stops at the
-    first stage that ends unconverged, so no stage starts from one that did
-    not converge; that stage comes back last, with ``converged`` false.
+    A zero entry yields the analytic base as a stage.  The sweep stops
+    after the first stage that ends unconverged, so no stage starts from
+    one that did not converge; that stage comes last, with ``converged``
+    false.  While a stage runs, the generator holds only the stage it
+    started from (with that stage's baseline, the controls of the one
+    before), so a caller that keeps only what it reads of each stage, as
+    ``fmfgc sweep-theta`` keeps its theta-table row and the last stage,
+    holds one solve's working set and one stage more, not the schedule.
     """
     cfg = cfg or LoopConfig()
     schedule = cfg.theta_schedule
     sink = MetricsWriter(metrics_stream) if metrics_stream is not None else None
     state = analytic_base(m0, u_terminal, time_grid)
-    stages = [state] if schedule[0] == 0.0 else []  # a zero entry is the base itself
-    for theta in schedule[len(stages):]:
+    if schedule[0] == 0.0:  # a zero entry is the base itself
+        yield state
+        schedule = schedule[1:]
+    for theta in schedule:
         state = _run_stage(state, theta, model, cfg, sink)
-        stages.append(state)
+        yield state
         if not state.converged:
-            break
-    return stages
+            return
 
 
 @dataclass(frozen=True)

@@ -169,38 +169,29 @@ def _face_parts(
     return compression
 
 
-def _sweep_scratch(grid: SpectralGrid) -> list[tuple]:
-    """What _advect works in, made once per march: per axis, the index
-    tuples of _face_slices, two field-shaped buffers, flux and shifted,
-    and the views of each under those tuples.  Slicing the buffers at each
-    step instead took 0-3 % more of a solve-1d op, about 1 % in the
-    median of six runs of 60 pairs in one process on 2 shared vCPUs."""
+def _sweep_scratch(grid: SpectralGrid) -> tuple:
+    """What _advect works in, made once per march: two field-shaped
+    buffers, flux and shifted, and per axis the index tuples of
+    _face_slices."""
     flux, shifted = np.empty((2,) + grid.shape)
-    scratch = []
-    for axis in range(grid.dim):
-        faces = _face_slices(axis, grid.dim)
-        views = ([flux[f] for f in faces], [shifted[f] for f in faces])
-        scratch.append((faces, flux, shifted, *views))
-    return scratch
+    return flux, shifted, [_face_slices(axis, grid.dim) for axis in range(grid.dim)]
 
 
 def _advect(values, pos, neg, rate, scratch, out) -> None:
     """One explicit donor-cell sweep, flux form, from the face velocity
     parts, at rate = dt / dx, written into out; it works in the
     _sweep_scratch of the grid and makes no new array."""
+    flux, shifted, faces = scratch
     source = values
-    for p, q, (faces, flux, shifted, flux_at, shifted_at) in zip(pos, neg, scratch):
-        head, tail, first, last = faces
-        flux_head, flux_tail, flux_first, flux_last = flux_at
-        shifted_head, shifted_tail, shifted_first, shifted_last = shifted_at
+    for p, q, (head, tail, first, last) in zip(pos, neg, faces):
         np.multiply(p, values, out=flux)
         # q_i values_{i+1}, the node across face i
-        np.multiply(q[head], values[tail], out=shifted_head)
-        np.multiply(q[last], values[first], out=shifted_last)
+        np.multiply(q[head], values[tail], out=shifted[head])
+        np.multiply(q[last], values[first], out=shifted[last])
         flux += shifted
         # flux_i - flux_{i-1}, the net outflow of node i
-        np.subtract(flux_tail, flux_head, out=shifted_tail)
-        np.subtract(flux_first, flux_last, out=shifted_first)
+        np.subtract(flux[tail], flux[head], out=shifted[tail])
+        np.subtract(flux[first], flux[last], out=shifted[first])
         shifted *= rate
         np.subtract(source, shifted, out=out)
         source = out

@@ -48,13 +48,6 @@ from .spectral import SpectralGrid, TimeGrid
 
 
 @dataclass
-class HjbDiagnostics:
-    sup_u: float
-    sup_du: float
-    semiconcavity: float
-
-
-@dataclass
 class HjbSolution:
     """The value path and its gradient; ``hamiltonian`` is H(x, Du, mu) and
     ``drift`` the feedback drift -D_p H(x, Du, mu) on every level, for the
@@ -195,12 +188,3 @@ def centered_curvature(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:
         ],
         axis=-(grid.dim + 1),
     )
-
-
-def hjb_diagnostics(sol: HjbSolution) -> HjbDiagnostics:
-    """Sup norms of the value and its gradient, and the one-scale
-    semiconcavity statistic."""
-    sup_u = float(np.max(np.abs(sol.u)))
-    sup_du = float(np.max(np.abs(sol.du)))
-    semiconcavity = float(np.max(centered_curvature(sol.u, sol.grid)))
-    return HjbDiagnostics(sup_u=sup_u, sup_du=sup_du, semiconcavity=semiconcavity)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from fmfgc.spectral import DENSE_STEP_MAX_N
@@ -67,3 +69,10 @@ def periodic_delta(x, y):
     """Componentwise periodic distance |x - y| on the unit torus."""
     d = np.abs(x - y) % 1.0
     return np.minimum(d, 1.0 - d)
+
+
+def read_csv(path):
+    """The header and the rows of a CSV file, as strings."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]

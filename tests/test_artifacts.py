@@ -14,18 +14,23 @@ from fmfgc.artifacts import (
     emit_artifacts,
     emit_simulation,
     emit_theta_table,
-    read_csv,
     read_field,
+    theta_row,
     write_csv,
     write_field,
 )
+from fmfgc import spectral
 from fmfgc.equilibrium import LoopConfig, solve_equilibrium, sweep_theta
 from fmfgc.errors import FormatError
 from fmfgc.fokker_planck import initial_density
+from fmfgc.hjb import centered_curvature
 from fmfgc.manifest import parse_config
+from fmfgc.measures import lambda_q
 from fmfgc.models import QuadraticModel
 from fmfgc.particles import holder_wasserstein_check, simulate_sde
 from fmfgc.spectral import SpectralGrid, TimeGrid
+
+from helpers import read_csv
 
 TINY_CONFIG = "\n".join(
     [
@@ -181,13 +186,6 @@ def test_csv_round_trip(tmp_path):
     assert body == rows
 
 
-def test_read_csv_rejects_empty(tmp_path):
-    p = tmp_path / "e.csv"
-    p.write_text("")
-    with pytest.raises(FormatError, match="empty CSV"):
-        read_csv(p)
-
-
 def test_emit_artifacts_file_set(tmp_path, tiny_solution):
     mf, sol = tiny_solution
     paths = emit_artifacts(sol, mf, tmp_path)
@@ -222,15 +220,58 @@ def test_emit_theta_table(tmp_path):
     mf = parse_config(TINY_CONFIG)
     grid = mf.spatial_grid()
     cfg = LoopConfig(theta_schedule=(0.5, 1.0))
-    stages = sweep_theta(
+    stages = list(sweep_theta(
         mf.model(), mf.initial_measure(grid), mf.terminal_condition(grid),
         mf.time_grid(), cfg=cfg,
-    )
-    path = emit_theta_table(stages, tmp_path)
+    ))
+    path = emit_theta_table([theta_row(stage) for stage in stages], tmp_path)
     header, rows = read_csv(path)
     assert header[:2] == ["theta", "u_sup"]
     assert [float(r[0]) for r in rows] == [0.5, 1.0]
     assert all(r[5] == "1" for r in rows)
+    assert [r[6] for r in rows] == [str(stage.sweeps) for stage in stages]
+
+
+def whole_path_row(stage):
+    """The theta-table row of a stage from whole-path passes: sup |u| and
+    sup |Du| over the path, lambda_q of the whole measure path and the
+    largest centered curvature of the whole value path."""
+    u, du = stage.u_sol.u, stage.u_sol.du
+    return (
+        stage.theta,
+        float(np.max(np.abs(u))),
+        float(np.max(np.abs(du))),
+        float(np.max(lambda_q(stage.mu_path, 2.0))),
+        float(np.max(centered_curvature(u, stage.grid))),
+        stage.converged,
+        stage.sweeps,
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("max_sweeps", [80, 3])
+def test_theta_rows_match_whole_path_passes(dim, max_sweeps, monkeypatch):
+    # each row is read a block of levels at a time; with 7 levels a block,
+    # over several blocks and a short last one, it equals the whole-path
+    # passes bit for bit, over a full schedule and one stopped at the
+    # first unconverged stage
+    n, n_t = (32, 50) if dim == 1 else (16, 24)
+    grid = SpectralGrid(dim=dim, n=n, s=0.75)
+    monkeypatch.setattr(spectral, "BLOCK_NODES", 7 * grid.n**dim)
+    tg = TimeGrid(horizon=0.5, n_steps=n_t)
+    x = grid.nodes()[0]
+    stages = list(sweep_theta(
+        QuadraticModel(coupling_beta=0.3, dim=dim), initial_density(grid, "vonmises"),
+        0.1 * np.cos(2 * np.pi * x) * (1.0 + 0.5 * np.sin(2 * np.pi * grid.nodes()[-1])),
+        tg, cfg=LoopConfig(max_sweeps=max_sweeps),
+    ))
+    converged = [stage.converged for stage in stages]
+    assert converged == ([True] * 5 if max_sweeps == 80 else [True, True, True, False])
+    for stage in stages:
+        row = theta_row(stage)
+        # the CSV writes each value's repr: equal reprs are equal bits
+        assert [repr(v) for v in row] == [repr(v) for v in whole_path_row(stage)]
+        assert all(type(value) is float for value in row[:5])
 
 
 def test_emit_simulation_with_report(tmp_path):

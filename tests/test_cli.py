@@ -21,11 +21,13 @@ import fmfgc.cli as cli
 import fmfgc.equilibrium as equilibrium
 import fmfgc.manifest as manifest
 import fmfgc.particles as particles
-from fmfgc.artifacts import read_csv, read_field, write_field
+from fmfgc.artifacts import read_field, write_field
 from fmfgc.cli import main
 from fmfgc.errors import CflError
 from fmfgc.manifest import parse_config
 from fmfgc.validation import CriterionResult
+
+from helpers import read_csv
 
 TINY_CONFIG = "\n".join(
     [

@@ -8,6 +8,7 @@ import pytest
 
 import fmfgc.equilibrium as equilibrium
 from fmfgc import measures, spectral
+from fmfgc.artifacts import theta_row
 from fmfgc.equilibrium import (
     EquilibriumSolution,
     LoopConfig,
@@ -70,7 +71,7 @@ def benchmark_solution():
 @pytest.fixture(scope="module")
 def benchmark_stages(benchmark_solution):
     grid, tg, model, m0, u_t, sol = benchmark_solution
-    return sweep_theta(model, m0, u_t, tg)
+    return list(sweep_theta(model, m0, u_t, tg))
 
 
 def test_loop_config_validation():
@@ -167,6 +168,42 @@ def test_solve_and_certificate_hold_twelve_scalar_paths_and_block_scratch(n_step
     )
 
 
+def test_continuation_holds_one_solve_and_the_stage_it_started_from():
+    # A 2-D continuation consumed as fmfgc sweep-theta consumes it: each
+    # stage becomes its theta-table row as it ends, and only the last
+    # stage is kept.  A stage's sweeps hold what a direct solve's do (the
+    # 12 scalar paths of the solve test above, less the analytic base's
+    # density that test counts as its baseline: 11).  On top come the
+    # stage it started from, which the generator holds, with its value (1),
+    # gradient (2), H (1), drift (2), density (1) and controls, paired with
+    # the density they were solved on (3): 10; that stage's baseline, the
+    # controls of the stage before (3); and at theta < 1, the controls
+    # pushed forward by 1/theta while the march reads their mean and
+    # potential (2).  That is 26, plus the block arrays of the solve test.
+    # Every earlier stage is gone: holding them all took 45 paths.
+    grid = SpectralGrid(dim=2, n=64, s=0.75)
+    tg = TimeGrid(horizon=0.5, n_steps=48)
+    model = QuadraticModel(coupling_beta=0.3, dim=2)
+    m0 = initial_density(grid, "vonmises")
+    x, y = grid.nodes()
+    u_t = 0.15 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    tracemalloc.start()
+    try:
+        rows = []
+        for stage in sweep_theta(model, m0, u_t, tg):
+            rows.append(theta_row(stage))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row[0] for row in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert stage.converged and stage.theta == 1.0
+    scalar_path = (tg.n_steps + 1) * grid.n**grid.dim * 8
+    block = spectral.BLOCK_NODES * 8
+    assert peak < 26 * scalar_path + 12 * block, (
+        f"traced peak {peak / scalar_path:.2f} scalar paths"
+    )
+
+
 def _path_arrays(sol):
     """Every array a solution holds, by name."""
     arrays = {
@@ -195,7 +232,7 @@ def test_a_solve_frees_and_writes_nothing_a_caller_holds(monkeypatch):
         return stage
 
     monkeypatch.setattr(equilibrium, "_run_stage", recorded)
-    stages = sweep_theta(model, m0, u_t, tg)
+    stages = list(sweep_theta(model, m0, u_t, tg))
     assert len(made) == len(stages) - 1 == 4
     for stage, (kept, copies) in zip(stages[1:], made):
         assert stage is kept
@@ -401,7 +438,7 @@ def test_metrics_stream_csv():
 def test_sweep_theta_stages():
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
-    stages = sweep_theta(model, m0, u_t, tg)
+    stages = list(sweep_theta(model, m0, u_t, tg))
     assert [s.theta for s in stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert all(s.converged for s in stages)
     sups = [float(np.max(np.abs(s.u_sol.u))) for s in stages]
@@ -426,7 +463,7 @@ def test_sweep_theta_stops_at_unconverged_stage():
     model = QuadraticModel(coupling_beta=0.3)
     # three sweeps carry theta = 0.25 and 0.5 to tolerance but not 0.75,
     # so theta = 1 must not start from the unconverged 0.75 state
-    stages = sweep_theta(model, m0, u_t, tg, cfg=LoopConfig(max_sweeps=3))
+    stages = list(sweep_theta(model, m0, u_t, tg, cfg=LoopConfig(max_sweeps=3)))
     assert [s.theta for s in stages] == [0.0, 0.25, 0.5, 0.75]
     assert [s.converged for s in stages] == [True, True, True, False]
     assert stages[-1].sweeps == 9

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fmfgc.equilibrium import analytic_base
+from fmfgc.artifacts import theta_row
+from fmfgc.equilibrium import EquilibriumSolution, analytic_base
 from fmfgc.errors import BlowUpError, CflError, GridMismatchError
-from fmfgc.hjb import centered_curvature, feedback_drift, hjb_diagnostics, solve_backward
+from fmfgc.hjb import centered_curvature, feedback_drift, solve_backward
 from fmfgc import measures, spectral
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
 from fmfgc.models import QuadraticModel, ThetaScaledModel
@@ -65,6 +66,16 @@ def constant_path(time_grid, mu):
         time_grid, mu.grid, np.broadcast_to(mu.density, (n,) + mu.grid.shape),
         np.broadcast_to(mu.alpha, (n,) + mu.alpha.shape),
     )
+
+
+def value_bounds(sol, mu_path):
+    """sup |u|, sup |Du| and the semiconcavity of a value solution paired
+    with mu_path, as the theta table reports them for a stage holding it."""
+    stage = EquilibriumSolution(
+        theta=1.0, u_sol=sol, m_sol=None, mu_path=mu_path, u_terminal=sol.u[-1], history=[]
+    )
+    _, sup_u, sup_du, _, semiconcavity, _, _ = theta_row(stage)
+    return sup_u, sup_du, semiconcavity
 
 
 @pytest.fixture
@@ -145,12 +156,10 @@ def test_solve_theta_zero_identically_zero(grid):
     # the theta = 0 value is the analytic base's, zero at every level
     tg = TimeGrid(horizon=1.0, n_steps=50)
     u_t = 0.3 * np.cos(2 * np.pi * grid.nodes()[0])
-    sol = analytic_base(GridMeasure.uniform(grid), u_t, tg).u_sol
-    assert np.all(sol.u == 0.0)
-    diag = hjb_diagnostics(sol)
-    assert diag.sup_u == 0.0
-    assert diag.sup_du == 0.0
-    assert diag.semiconcavity == 0.0
+    base = analytic_base(GridMeasure.uniform(grid), u_t, tg)
+    assert np.all(base.u_sol.u == 0.0)
+    # its theta-table row: sup |u|, sup |Du|, lambda_2 and semiconcavity zero
+    assert theta_row(base) == (0.0, 0.0, 0.0, 0.0, 0.0, True, 0)
 
 
 def test_solve_self_convergence_first_order():
@@ -381,17 +390,18 @@ def test_diagnostics_zero_h_solution(grid):
     u_t = 0.2 * np.cos(2 * np.pi * x)
     mu = uniform_mu(grid)
     tg = TimeGrid(horizon=0.5, n_steps=40)
-    sol = solve_backward(ZeroH(), constant_path(tg, mu), u_t)
-    diag = hjb_diagnostics(sol)
-    assert diag.sup_u == pytest.approx(0.2, abs=1e-12)
-    assert diag.sup_du == pytest.approx(0.4 * np.pi, rel=1e-10)
-    assert diag.semiconcavity == pytest.approx(0.2 * 4 * np.pi**2, rel=0.02)
-    # the stacked statistics equal the per-level maxima bit for bit
-    assert diag.semiconcavity == max(
+    path = constant_path(tg, mu)
+    sol = solve_backward(ZeroH(), path, u_t)
+    sup_u, sup_du, semiconcavity = value_bounds(sol, path)
+    assert sup_u == pytest.approx(0.2, abs=1e-12)
+    assert sup_du == pytest.approx(0.4 * np.pi, rel=1e-10)
+    assert semiconcavity == pytest.approx(0.2 * 4 * np.pi**2, rel=0.02)
+    # the statistics equal the per-level maxima bit for bit
+    assert semiconcavity == max(
         float(np.max(centered_curvature(level, grid))) for level in sol.u
     )
     # each call computes the statistics afresh, to the same values
-    assert hjb_diagnostics(sol) == diag
+    assert value_bounds(sol, path) == (sup_u, sup_du, semiconcavity)
 
 
 def test_diagnostics_follow_a_replaced_value(grid):
@@ -399,12 +409,11 @@ def test_diagnostics_follow_a_replaced_value(grid):
     # statistics: nothing from the original's evaluation is carried over
     x = grid.nodes()[0]
     tg = TimeGrid(horizon=0.5, n_steps=40)
-    sol = solve_backward(ZeroH(), constant_path(tg, uniform_mu(grid)), 0.2 * np.cos(2 * np.pi * x))
-    diag = hjb_diagnostics(sol)
-    doubled = hjb_diagnostics(replace(sol, u=2.0 * sol.u, du=2.0 * sol.du))
-    assert doubled.sup_u == 2.0 * diag.sup_u
-    assert doubled.sup_du == 2.0 * diag.sup_du
-    assert doubled.semiconcavity == 2.0 * diag.semiconcavity
+    path = constant_path(tg, uniform_mu(grid))
+    sol = solve_backward(ZeroH(), path, 0.2 * np.cos(2 * np.pi * x))
+    bounds = value_bounds(sol, path)
+    doubled = value_bounds(replace(sol, u=2.0 * sol.u, du=2.0 * sol.du), path)
+    assert doubled == tuple(2.0 * value for value in bounds)
 
 
 def test_feedback_drift_negates_in_place_only_an_array_of_its_own():
