@@ -98,7 +98,11 @@ def _row_sup(path: np.ndarray) -> np.ndarray:
 
 def _level_columns(solution) -> list[np.ndarray]:
     """sup |u|, sup |Du|, sup |alpha| and lambda_2 of every time level of a
-    solution, a block of levels at a time (``SpectralGrid.level_blocks``)."""
+    solution, a block of levels at a time (``SpectralGrid.level_blocks``).
+
+    The sups of Du and alpha are maxima over components and nodes, so in
+    d = 2 they are the largest |partial_i u| and |alpha_i|, not the largest
+    Euclidean norm |Du| that the moment certificate's du_sup takes."""
     u, du, mu_path = solution.u_sol.u, solution.u_sol.du, solution.mu_path
     blocks = [
         (_row_sup(u[b]), _row_sup(du[b]), _row_sup(mu_path.alpha[b]),

@@ -96,7 +96,8 @@ class LoopConfig:
 class SweepMetrics:
     sweep: int
     theta: float
-    delta: float  # the weight of the new iterate; plain Picard, so always 1.0
+    #: the weight of the new iterate; plain Picard, so always 1.0
+    delta: ClassVar[float] = 1.0
     u_change: float
     m_change: float
     duality: float
@@ -210,7 +211,6 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,
-        delta=1.0,
         u_change=float(np.max(np.abs(u_new.u - u_old))),
         m_change=_density_change(grid, m_old, m_new.m),
         duality=duality,

@@ -18,22 +18,22 @@ of MIN_BLOCK particles, a partition that depends only on the particle
 count.  Each block draws from its own child stream, spawned from the
 run's seed, and is marched through the whole horizon in buffers
 allocated once, so positions are the same bits at any worker count.
-With more than one worker, the blocks are split into that many
-contiguous shares: the caller marches the first, and one child made by
-os.fork marches each other share.  Every share stores its levels in one
-shared anonymous mapping, which the returned positions view, so the
-positions are held once and nothing is copied out once the children
-are reaped.  Threads would hand the GIL to each other between numpy
-calls; processes do not share one.  The drift path and the mapping,
-initial positions included, reach the children by fork inheritance, so
-nothing is pickled, and a child runs only numpy ufuncs and its own
-Generator on buffers it allocates after the fork, never BLAS.  Forking is POSIX-only: without
-os.fork the march is serial.  Python 3.12 and later warn
-(DeprecationWarning) when os.fork runs while another thread exists, such
-as numpy's BLAS thread pool.
+The blocks are split into as many contiguous shares as there are
+workers: the caller marches the first, and one child made by os.fork
+marches each other share, so one worker forks nothing.  Every share
+stores its levels in one shared anonymous mapping, which the returned
+positions view, so the positions are held once and nothing is copied
+out once the children are reaped.  Threads would hand the GIL to each
+other between numpy calls; processes do not share one.  The drift path
+and the mapping, initial positions included, reach the children by fork
+inheritance, so nothing is pickled, and a child runs only numpy ufuncs
+and its own Generator on buffers it allocates after the fork, never
+BLAS.  Forking is POSIX-only: without os.fork one worker marches every
+block.  Python 3.12 and later warn (DeprecationWarning) when os.fork
+runs while another thread exists, such as numpy's BLAS thread pool.
 
-Deposition and the d = 1 initial draw work MIN_BLOCK positions at a
-time, so neither makes a temporary that grows with the ensemble.
+Deposition and the initial draw work MIN_BLOCK positions at a time, so
+neither makes a temporary that grows with the ensemble.
 """
 
 from __future__ import annotations
@@ -83,14 +83,15 @@ def _worker_count() -> int:
 
 
 def _march_shares(march, shares: list) -> None:
-    """Run march(lo, hi, stream) on every block of two or more shares.
+    """Run march(lo, hi, stream) on every block of one or more shares.
 
-    The caller marches shares[0]; each later share is marched by a forked
-    child of its own, which leaves with os._exit(0), or with os._exit(1)
-    after printing its traceback.  Every child is reaped before this
-    returns or raises.  An exception in the caller's share, a child that
-    exits non-zero and one killed by a signal each raise one FmfgcError
-    that names every failed share, chained to the caller's exception.
+    The caller marches shares[0]; each later share, if any, is marched by
+    a forked child of its own, which leaves with os._exit(0), or with
+    os._exit(1) after printing its traceback.  Every child is reaped
+    before this returns or raises.  An exception in the caller's share, a
+    child that exits non-zero and one killed by a signal each raise one
+    FmfgcError that names every failed share, chained to the caller's
+    exception.
     """
     def name(k: int) -> str:
         return f"share {k} of {len(shares)} (particles {shares[k][0][0]}-{shares[k][-1][1]})"
@@ -413,48 +414,42 @@ class _Stencil:
 def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw count positions from a grid density.
 
-    d = 1 inverts the CDF of the cell masses, each spread uniformly over
-    the cell [x_i - dx/2, x_i + dx/2) centred on node x_i, where m_i is the
-    density's value.  It draws and places MIN_BLOCK positions at a time
-    straight into the result; the generator's uniform stream does not
-    depend on how its draws are chunked, so neither do the positions.
-    d = 2 rejects uniform candidates against the bilinear interpolant
-    (nodal max is a valid envelope for a convex combination of nodal
-    values).
+    Node i's cell, [x_i - dx/2, x_i + dx/2) along every axis, receives the
+    cell mass m_i dx^d, spread uniformly over the cell, where m_i is the
+    density's value at the node.  The draw inverts the CDF of the cell
+    masses over the flattened (C-order) grid, MIN_BLOCK positions at a
+    time: a block's B x dim uniforms are drawn straight into the result,
+    the last uniform of each position picks its cell, and its place within
+    that cell's mass sets the offset along the last axis; in d = 2 the
+    first uniform sets the offset along the first axis.  The generator's
+    uniform stream does not depend on how its draws are chunked, so
+    neither do the positions.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     grid = m0.grid
-    if grid.dim == 1:
-        cell_mass = m0.values * grid.dx
-        cum = np.cumsum(cell_mass)
-        cell_mass = cell_mass / cum[-1]
-        cum = cum / cum[-1]
-        out = np.empty((count, 1))
-        for lo in range(0, count, MIN_BLOCK):
-            block = out[lo : lo + MIN_BLOCK, 0]
-            draws = rng.random(block.size)
-            idx = np.searchsorted(cum, draws, side="right")
-            idx = np.minimum(idx, grid.n - 1)
-            prev = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-            width = cell_mass[idx]
-            frac = np.where(width > 0.0, (draws - prev) / np.where(width > 0, width, 1.0), 0.5)
-            np.multiply(idx + frac - 0.5, grid.dx, out=block)
-            _wrap(block)
-        return out
-    envelope = float(m0.values.max())
-    density = m0.values[None]
+    mass = (m0.values * grid.dx**grid.dim).ravel()
+    cum = np.cumsum(mass)
+    mass = mass / cum[-1]
+    # below[i] is the mass of the cells before cell i and below[-1] = 1
+    # exactly, so a uniform u in [0, 1) picks the cell with
+    # below[cell] <= u < below[cell + 1], whose mass is positive
+    below = np.concatenate(([0.0], cum / cum[-1]))
     out = np.empty((count, grid.dim))
-    filled = 0
-    while filled < count:
-        batch = 2 * (count - filled) + 16
-        candidates = rng.random((batch, grid.dim))
-        stencil = _Stencil(grid, batch)
-        local = stencil.interpolate(density, candidates, np.empty((batch, 1)))[:, 0]
-        keep = candidates[rng.random(batch) * envelope <= local]
-        take = keep[: count - filled]
-        out[filled : filled + take.shape[0]] = take
-        filled += take.shape[0]
+    for lo in range(0, count, MIN_BLOCK):
+        block = out[lo : lo + MIN_BLOCK]
+        rng.random(out=block)
+        last = block[:, -1]
+        cell = np.searchsorted(below[1:], last, side="right")
+        last -= below[cell]
+        last /= mass[cell]
+        if grid.dim == 2:
+            first, cell = divmod(cell, grid.n)
+            block[:, 0] += first
+        last += cell
+        block -= 0.5
+        block *= grid.dx
+        _wrap(block)
     return out
 
 
@@ -484,14 +479,16 @@ def simulate_sde(
     in one process, so the result does not depend on the worker count.
 
     The worker count is that of _worker_count, at most the block count, and
-    1 without os.fork.  With w > 1 workers, block k goes to share j when
+    1 without os.fork.  With w workers, block k goes to share j when
     cuts[j] <= k < cuts[j + 1], cuts[j] = j n_blocks // w; the caller
-    marches share 0 and a forked child each other share.  The returned
-    positions are then a view of one shared anonymous mapping, into which
-    every share stores its levels, so nothing is copied out once the
-    children are reaped; a failed share raises FmfgcError then (see
-    _march_shares).  One worker stores into a private array.
+    marches share 0 and a forked child each other share, so one worker
+    forks nothing.  The returned positions are a view of one shared
+    anonymous mapping, into which every share stores its levels, so
+    nothing is copied out once the children are reaped; a failed share
+    raises FmfgcError (see _march_shares).
     """
+    if n_particles < 1:
+        raise ValueError(f"n_particles must be at least 1, got {n_particles}")
     grid = m0.grid
     n_steps = time_grid.n_steps
     if store_stride < 1 or n_steps % store_stride != 0:
@@ -506,13 +503,10 @@ def simulate_sde(
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     shape = (n_steps // store_stride + 1, n_particles, grid.dim)
-    if workers > 1:
-        # every share, the caller's too, stores its levels in one shared
-        # anonymous mapping, which positions views and keeps alive
-        mapping = mmap.mmap(-1, math.prod(shape) * np.dtype(float).itemsize)
-        positions = np.frombuffer(mapping, dtype=float).reshape(shape)
-    else:
-        positions = np.empty(shape)
+    # every share, the caller's too, stores its levels in one shared
+    # anonymous mapping, which positions views and keeps alive
+    mapping = mmap.mmap(-1, math.prod(shape) * np.dtype(float).itemsize)
+    positions = np.frombuffer(mapping, dtype=float).reshape(shape)
     positions[0] = sample_positions(m0, n_particles, np.random.default_rng(seed))
     dt = time_grid.dt
 
@@ -537,11 +531,7 @@ def simulate_sde(
             if (j + 1) % store_stride == 0:
                 stored[(j + 1) // store_stride] = x
 
-    if workers > 1:
-        _march_shares(march, shares)
-    else:
-        for block in blocks:
-            march(*block)
+    _march_shares(march, shares)
     times = time_grid.times()[::store_stride]
     return ParticlePath(times=times, positions=positions, grid=grid, workers=workers)
 

@@ -184,13 +184,10 @@ class SpectralGrid:
 
     # -- operators ---------------------------------------------------------
 
-    def frac_laplacian(self, f: np.ndarray, s: float | None = None) -> np.ndarray:
-        """Apply (-Delta)^s, the Fourier multiplier (2 pi |k|)^{2s}."""
-        f = self.check_scalar(f)
-        s = self.s if s is None else float(s)
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
-        return self._multiply(f, self._symbol(s))
+    def frac_laplacian(self, f: np.ndarray) -> np.ndarray:
+        """Apply (-Delta)^s at the grid's s, the Fourier multiplier
+        (2 pi |k|)^{2s}."""
+        return self._multiply(self.check_scalar(f), self._symbol(self.s))
 
     def semigroup_apply(self, f: np.ndarray, t, s: float | None = None) -> np.ndarray:
         """Apply the fractional heat semigroup exp(-t (-Delta)^s).

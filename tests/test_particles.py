@@ -320,7 +320,7 @@ def test_initial_sampling_centres_cells_on_nodes_1d():
     assert abs(got - want) / (2.0 * np.pi) < 0.1 * grid.dx
 
 
-def test_initial_sampling_rejection_2d():
+def test_initial_sampling_matches_marginals_2d():
     grid = SpectralGrid(dim=2, n=32, s=0.75)
     m0 = initial_density(grid, "vonmises")
     count = 5 * 10**4
@@ -335,6 +335,22 @@ def test_initial_sampling_rejection_2d():
         got = GridMeasure.normalized(line, emp.values.sum(axis=other) * grid.dx)
         want = GridMeasure.normalized(line, m0.values.sum(axis=other) * grid.dx)
         assert wasserstein_1d(got, want) <= bound
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_initial_draw_gives_each_cell_its_mass(dim):
+    # Node i's cell, [x_i - dx/2, x_i + dx/2) along every axis, receives the
+    # cell mass p_i = m_i dx^d: its count of N draws is binomial(N, p_i),
+    # so it lies within 5 standard errors sqrt(N p_i (1 - p_i)) of N p_i.
+    grid = SpectralGrid(dim=dim, n=16, s=0.75)
+    m0 = initial_density(grid, "vonmises")
+    count = 10**6
+    pts = sample_positions(m0, count, np.random.default_rng(21 + dim))
+    nodes = np.floor(pts / grid.dx + 0.5).astype(np.intp) % grid.n
+    got = np.bincount(np.ravel_multi_index(tuple(nodes.T), grid.shape), minlength=grid.n**dim)
+    p = (m0.values * grid.dx**dim).ravel()
+    p = p / p.sum()
+    assert np.all(np.abs(got - count * p) <= 5.0 * np.sqrt(count * p * (1.0 - p)))
 
 
 def test_uniform_ensemble_stays_uniform():
@@ -611,6 +627,31 @@ def test_one_worker_marches_in_the_caller(monkeypatch):
     assert np.array_equal(want.positions.view(np.int64), got.positions.view(np.int64))
 
 
+def test_one_worker_failure_names_share_0_of_1(monkeypatch):
+    # One worker marches through the same share runner: a failure is the
+    # FmfgcError that names the caller's share, chained to its cause.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 1)
+    forks = _counting_forks(monkeypatch)
+
+    def failing(*args):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(particles, "_draw_increments", failing)
+    grid, m0 = vonmises_setup(n=16)
+    with pytest.raises(FmfgcError, match=r"share 0 of 1 \(particles 0-250\) raised") as caught:
+        simulate_sde(None, m0, 250, TimeGrid(horizon=0.1, n_steps=4), seed=3)
+    assert forks == []
+    assert isinstance(caught.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_simulate_rejects_a_count_below_one(count):
+    grid, m0 = vonmises_setup(n=16)
+    with pytest.raises(ValueError, match=f"n_particles must be at least 1, got {count}"):
+        simulate_sde(None, m0, count, TimeGrid(horizon=0.1, n_steps=4))
+
+
 def _reference_simulation(b, m0, count, tg, seed, jumps, store_stride, block):
     """The march as a plain loop over steps, then blocks.
 
@@ -786,46 +827,66 @@ def test_deposit_peak_holds_block_arrays_only(dim, monkeypatch):
 
 
 def test_initial_draw_peak_holds_the_result_and_block_arrays_only(monkeypatch):
-    # Beyond its (N, 1) result and four arrays of n floats (the cell masses
-    # and their sums, raw and normalised), the d = 1 sampler holds at most,
-    # in arrays of one MIN_BLOCK: draws, idx, prev and width, the mask
-    # width > 0 (1/8), draws - prev, the guarded width and their quotient,
-    # 7 1/8 at the widest, plus numpy's cast buffer for idx + frac.  One
-    # block more covers the interpreter's own objects.
+    # Beyond its (N, d) result and four arrays of n^d floats (the cell
+    # masses, raw and normalised, their sums and the CDF, one float more),
+    # the sampler holds at most, in arrays of one MIN_BLOCK of floats or
+    # indices: a block's cell indices, in d = 2 split into their first-
+    # and last-axis parts (2 d - 1), and as the block wraps, floor(x) (d)
+    # and the mask x >= 1 (d/8); 2 d - 1 + 1 1/8 d at the widest.  One
+    # block more covers numpy's cast buffer as it adds the indices in, and
+    # one the interpreter's own objects.
     block = 4096
     monkeypatch.setattr(particles, "MIN_BLOCK", block)
-    grid, m0 = vonmises_setup(n=16)
-    sample_positions(m0, 1, np.random.default_rng(0))  # numpy's first-call caches
-    peaks = {}
-    for count in (3 * block + 1, 30 * block + 7):
-        rng = np.random.default_rng(count)
-        peaks[count] = _traced_peak(lambda: sample_positions(m0, count, rng)) - 8 * count
-    assert max(peaks.values()) <= 8 * (9.125 * block + 4 * grid.n), peaks
-    assert peaks[30 * block + 7] <= 1.01 * peaks[3 * block + 1]
+    for dim in (1, 2):
+        grid = SpectralGrid(dim=dim, n=16, s=0.75)
+        m0 = initial_density(grid, "vonmises")
+        sample_positions(m0, 1, np.random.default_rng(0))  # numpy's first-call caches
+        peaks = {}
+        for count in (3 * block + 1, 30 * block + 7):
+            rng = np.random.default_rng(count)
+            peaks[count] = _traced_peak(lambda: sample_positions(m0, count, rng)) - 8 * dim * count
+        blocks = 2 * dim - 1 + 1.125 * dim + 2
+        assert max(peaks.values()) <= 8 * (blocks * block + 4 * grid.n**dim + 1), (dim, peaks)
+        assert peaks[30 * block + 7] <= 1.01 * peaks[3 * block + 1], (dim, peaks)
+
+
+def _one_shot_draw(m0, count, rng):
+    """The initial draw in one pass: all count x d uniforms at once.  The
+    last uniform of each position picks a cell of the flattened grid by
+    the CDF of the cell masses, and its place within that cell's mass sets
+    the offset along the last axis; in d = 2 the first sets the offset
+    along the first axis."""
+    grid = m0.grid
+    cell_mass = m0.values.ravel() * grid.dx**grid.dim
+    cum = np.cumsum(cell_mass)
+    cell_mass = cell_mass / cum[-1]
+    cum = cum / cum[-1]
+    draws = rng.random((count, grid.dim))
+    idx = np.searchsorted(cum, draws[:, -1], side="right")
+    idx = np.minimum(idx, cum.size - 1)
+    prev = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+    width = cell_mass[idx]
+    frac = np.where(width > 0.0, (draws[:, -1] - prev) / np.where(width > 0, width, 1.0), 0.5)
+    offsets = [draws[:, 0], frac][-grid.dim :]
+    nodes = np.unravel_index(idx, grid.shape)
+    want = np.stack([(i + f - 0.5) * grid.dx for i, f in zip(nodes, offsets)], axis=1)
+    want %= 1.0
+    want[want >= 1.0] -= 1.0
+    return want
 
 
 @pytest.mark.parametrize("count", [1, 99, 100, 301])
 def test_initial_draw_in_blocks_matches_one_shot_formula(count, monkeypatch):
-    # Blocks of 100; the reference draws all count uniforms at once.
+    # Blocks of 100; the reference draws all count x d uniforms at once.
     monkeypatch.setattr(particles, "MIN_BLOCK", 100)
-    grid, m0 = vonmises_setup(n=32)
-    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = sample_positions(m0, count, got_rng)
-    cell_mass = m0.values * grid.dx
-    cum = np.cumsum(cell_mass)
-    cell_mass = cell_mass / cum[-1]
-    cum = cum / cum[-1]
-    draws = want_rng.random(count)
-    idx = np.searchsorted(cum, draws, side="right")
-    idx = np.minimum(idx, grid.n - 1)
-    prev = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-    width = cell_mass[idx]
-    frac = np.where(width > 0.0, (draws - prev) / np.where(width > 0, width, 1.0), 0.5)
-    want = ((idx + frac - 0.5) * grid.dx).reshape(-1, 1)
-    want %= 1.0
-    want[want >= 1.0] -= 1.0
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert got_rng.random() == want_rng.random()  # the same draws were taken
+    for dim, n in ((1, 32), (2, 16)):
+        grid = SpectralGrid(dim=dim, n=n, s=0.75)
+        m0 = initial_density(grid, "vonmises")
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = sample_positions(m0, count, got_rng)
+        want = _one_shot_draw(m0, count, want_rng)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), dim
+        assert got_rng.random() == want_rng.random()  # the same draws were taken
 
 
 def test_forked_positions_outlive_the_march(monkeypatch):

@@ -68,12 +68,14 @@ def test_frac_laplacian_single_modes():
 
 
 def test_frac_laplacian_mixture():
-    # cos(2 pi x) + cos(4 pi x) at s = 1/2 maps to 2 pi cos + 4 pi cos.
+    # cos(2 pi x) + cos(4 pi x) at s = 3/4 maps to
+    # (2 pi)^{3/2} cos(2 pi x) + (4 pi)^{3/2} cos(4 pi x).
     g = SpectralGrid(1, 64, 0.75)
     x = g.nodes()[0]
     f = np.cos(2 * np.pi * x) + np.cos(4 * np.pi * x)
-    expected = 2 * np.pi * np.cos(2 * np.pi * x) + 4 * np.pi * np.cos(4 * np.pi * x)
-    got = g.frac_laplacian(f, s=0.5)
+    expected = (2 * np.pi) ** 1.5 * np.cos(2 * np.pi * x)
+    expected += (4 * np.pi) ** 1.5 * np.cos(4 * np.pi * x)
+    got = g.frac_laplacian(f)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -211,7 +213,7 @@ def test_gradient_divergence_single_modes():
     # likewise every operator on a stack of scalar fields (..., *shape)
     rng = np.random.default_rng(19)
     scalar_ops = {
-        "frac_laplacian": lambda grid, f: grid.frac_laplacian(f, s=0.6),
+        "frac_laplacian": lambda grid, f: grid.frac_laplacian(f),
         "semigroup_apply": lambda grid, f: grid.semigroup_apply(f, 0.01),
         "gradient": lambda grid, f: grid.gradient(f),
     }
