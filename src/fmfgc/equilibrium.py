@@ -15,30 +15,37 @@ yields each stage as it ends and keeps only the one the next stage starts
 from, so a caller holds no more of the continuation than it keeps.
 
 A sweep reads each measure-only quantity once: the backward march fixes
-the control path, evaluates H and the drift -D_p H there on the new value
-gradient and keeps both on its solution; the CFL guard, the forward march
-and the duality pairing all read those arrays.
+the control path and reads its potential and mean control once, writes H
+on the new value gradient and keeps it with the ``grad_p`` of the
+model's ``hamiltonian_at``; the solution's drift -D_p H is a view that
+evaluates that ``grad_p`` on the levels it is indexed with, so no drift
+path is held, and the CFL guard, the forward march, the duality pairing
+and the certificate's exploitability each read it a block of levels at
+a time.
 
 The working set is whole paths, so none is held twice, and between
 sweeps a stage holds only what the next sweep reads: the value, its
 gradient, the density and the controls that warm start the next control
 fixed point, paired with that density.  A sweep reads the gradient and
 the controls in the control fixed point only and lets go of them there,
-and the packaging lets go of the previous controls once the new path
-exists and of the Hamiltonian's closures, which hold the potential path,
-before its density march; a stage hands each of them its only reference
-to the state, so what they let go of is freed, while what a caller holds
+and the old value once its change is taken, before the forward march;
+the packaging lets go of the previous controls once the new path exists
+and of the Hamiltonian's closure, which holds the potential path, before
+its density march.  A stage hands each of them its only reference to
+the state, so what they let go of is freed, while what a caller holds
 (a warm start, a stage ``sweep_theta`` has yielded) is left as it is.
 The analytic base holds one density path, the heat flow checked once as
-a density path; its zero value, H, gradient, drift and control paths are
-read-only broadcast views with no memory behind them, and its control
+a density path; its zero value, H, gradient and control paths are
+read-only broadcast views with no memory behind them, its drift
+evaluates to zero on the levels it is indexed with, and its control
 path, which a stage keeps as the certificate's baseline, is a view of
 that density.  Path work that needs path-sized temporaries (the control
-fixed point, the CFL rule, the forward march's face velocities, the
-duality pairing, the d = 2 loop metric and the certificate's
-exploitability, moments and monotonicity pairing) runs one block of
-levels at a time (``SpectralGrid.level_blocks``), with every level's
-arithmetic the one a whole-path pass gives.
+fixed point, the drift and its CFL rule, the forward march's face
+velocities, the duality pairing, the value and density changes, the
+packaged H and the certificate's exploitability, moments and
+monotonicity pairing) runs one block of levels at a time
+(``SpectralGrid.level_blocks``), with every level's arithmetic the one a
+whole-path pass gives.
 
 The loop's density change bounds the true W1 change from above: exact
 W1 per level in d = 1, and in d = 2 sqrt(2)/2 times the total variation
@@ -57,7 +64,7 @@ import numpy as np
 
 from .errors import FmfgcError
 from .fokker_planck import FpSolution, duality_residual, heat_flow, solve_forward
-from .hjb import HjbSolution, feedback_drift, one_field, solve_backward
+from .hjb import HjbSolution, one_field, solve_backward
 from .measures import (
     GridMeasure,
     MeasurePath,
@@ -132,6 +139,11 @@ class EquilibriumSolution:
         return self.u_sol.time_grid
 
 
+def _no_grad_p(p, j=None) -> np.ndarray:
+    """D_p H of the decoupled problem, where H = 0: zero at every momentum."""
+    return np.zeros(np.shape(p))
+
+
 def analytic_base(m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid) -> EquilibriumSolution:
     """The scaling-zero solution: u = 0, m = fractional heat flow, alpha = 0.
 
@@ -143,13 +155,13 @@ def analytic_base(m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid) -> Equi
     grid = m0.grid
     flow = heat_flow(m0, tg)
     m_sol = replace(flow, m=checked_density_path(tg, grid, flow.m))
-    # one read-only zero view per shape serves u and H, Du, the drift and
-    # the control, with no memory behind it
+    # one read-only zero view per shape serves u and H, Du and the control,
+    # with no memory behind it
     scalar = np.broadcast_to(0.0, m_sol.m.shape)
     vector = np.broadcast_to(0.0, (tg.n_steps + 1, grid.dim) + grid.shape)
     return EquilibriumSolution(
         theta=0.0,
-        u_sol=HjbSolution(tg, grid, u=scalar, du=vector, hamiltonian=scalar, drift=vector),
+        u_sol=HjbSolution(tg, grid, u=scalar, du=vector, hamiltonian=scalar, grad_p=_no_grad_p),
         m_sol=m_sol,
         mu_path=MeasurePath.view(tg, grid, m_sol.m, vector),
         u_terminal=one_field(grid, u_terminal),
@@ -167,19 +179,31 @@ def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> Measur
 
 def _density_change(grid, m_old: np.ndarray, m_new: np.ndarray) -> float:
     """The largest change of the density over the levels of two paths, an
-    upper bound on their W1 at each level: exact W1 in d = 1, one
-    ``wasserstein_1d`` call; in d = 2, sqrt(2)/2 times the total variation,
-    a block of levels at a time."""
+    upper bound on their W1 at each level: exact W1 in d = 1
+    (``wasserstein_1d``), in d = 2 sqrt(2)/2 times the total variation,
+    either a block of levels at a time."""
     if grid.dim == 1:
-        return float(np.max(wasserstein_1d(
-            GridMeasure.view(grid, m_old), GridMeasure.view(grid, m_new)
-        )))
+        return float(np.max([
+            np.max(wasserstein_1d(
+                GridMeasure.view(grid, m_old[block]), GridMeasure.view(grid, m_new[block])
+            ))
+            for block in grid.level_blocks(len(m_new))
+        ]))
     l1 = [
         np.max(grid.integrate(np.abs(m_new[block] - m_old[block])))
         for block in grid.level_blocks(len(m_new))
     ]
     diameter = np.sqrt(2.0) / 2.0
     return float(diameter * 0.5 * np.max(l1))
+
+
+def _value_change(grid, u_old: np.ndarray, u_new: np.ndarray) -> float:
+    """The largest change of the value over the nodes and levels of two
+    paths, a block of levels at a time."""
+    return float(np.max([
+        np.max(np.abs(u_new[block] - u_old[block]))
+        for block in grid.level_blocks(len(u_new))
+    ]))
 
 
 def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
@@ -189,7 +213,8 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
     Past the control fixed point the sweep reads only the state's value and
     density, so it lets go of the state there: given the only reference to
     it, as a stage gives, the state's gradient and controls are freed
-    before the marches run.  The new state pairs the new controls with the
+    before the marches run, and its value once the backward march has
+    given the value change.  The new state pairs the new controls with the
     new density, so it holds no older density."""
     scaled = coerce_theta(model, state.theta)
     tg, grid = state.time_grid, state.grid
@@ -198,6 +223,8 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
         u_old, m_old = state.u_sol.u, state.m_sol.m
         state = replace(state, u_sol=None, m_sol=None, mu_path=None)
         u_new = solve_backward(scaled, mu_path, state.theta * state.u_terminal)
+        u_change = _value_change(grid, u_old, u_new.u)
+        del u_old
         # mu_path holds the iterate's density, so its slice 0 is m0
         m_new = solve_forward(u_new.drift, mu_path[0].m, tg)
     except FmfgcError as err:
@@ -206,12 +233,12 @@ def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> Equili
 
     duality = duality_residual(u_new, m_new)
     # the next sweep marches again, so a state between sweeps keeps u and
-    # Du only: the march's H and drift go as soon as the pairing has read them
-    u_new = replace(u_new, hamiltonian=None, drift=None)
+    # Du only: the march's H and grad_p go as soon as the pairing has read them
+    u_new = replace(u_new, hamiltonian=None, grad_p=None)
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,
-        u_change=float(np.max(np.abs(u_new.u - u_old))),
+        u_change=u_change,
         m_change=_density_change(grid, m_old, m_new.m),
         duality=duality,
     )
@@ -272,18 +299,22 @@ def _run_stage(
 def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
     """Re-solve the control path against the final value gradient so the
     packaged triple satisfies the slice fixed point to the mu tolerance;
-    the value solution then carries H and the drift at the packaged path,
-    the drift that the density march and a particle simulation advect by.
+    the value solution then carries H, written a block of levels at a
+    time, and the grad_p of the packaged path, whose drift the density
+    march and a particle simulation advect by.
 
     The state's previous controls go once the new path exists, and the
-    Hamiltonian's closures, which hold the potential path, before the
+    Hamiltonian's closure, which holds the potential path, before the
     density march."""
     scaled = coerce_theta(model, state.theta)
     state = replace(state, mu_path=_control_path(state, scaled, cfg))
     hamiltonian, grad_p = scaled.hamiltonian_at(state.mu_path)
     du = state.u_sol.du
-    u_sol = replace(state.u_sol, hamiltonian=hamiltonian(du), drift=feedback_drift(grad_p, du))
-    del hamiltonian, grad_p
+    h = np.empty(state.u_sol.u.shape)
+    for block in state.grid.level_blocks(len(h)):
+        h[block] = hamiltonian(du[block], block)
+    del hamiltonian
+    u_sol = replace(state.u_sol, hamiltonian=h, grad_p=grad_p)
     m_sol = solve_forward(u_sol.drift, state.mu_path[0].m, state.time_grid)
     return replace(state, u_sol=u_sol, m_sol=m_sol)
 

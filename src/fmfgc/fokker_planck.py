@@ -21,8 +21,8 @@ path.  After each block, one
 row sum and one row minimum give the guards of all its steps
 (``_check_steps``), and the first failure raises.  With zero drift
 the solution is the exact fractional heat flow, built by ``heat_flow``
-from one transform of m0 over the stack of heat multipliers at every time
-node.
+from one transform of m0 and the heat multipliers of each block of time
+nodes in turn.
 
 The comparison bound comes from the same face velocities, with no
 transform.  The donor-cell coefficients of a step sum to 1 - dt div_h f
@@ -38,10 +38,14 @@ loses mass through both faces, receives none and goes nonpositive.  The
 semigroup, the clip and the renormalization leave the sup alone up to
 the semigroup's discrete ringing and roundoff.
 
-A drift path is checked once, by ``checked_drift_path`` (shape and
-finiteness), the check the particle march makes too; the CFL rule then
-reads the levels 0..n-1 that the steps read.  The CFL rule and the
-duality pairing also read their paths a block of levels at a time.
+The march reads its drift path only a block of levels at a time, as
+``b_path[block]``, so an array and a value solution's ``FeedbackDrift``
+view, which evaluates -D_p H on the levels it is indexed with, take the
+same code path.  Before the first step it checks the shape, then every
+level finite (the check ``checked_drift_path`` makes on the particle
+march's whole path) and the CFL rule over the levels 0..n-1 that the
+steps read, so a non-finite level is reported ahead of a violation.
+The duality pairing also reads its paths a block of levels at a time.
 Every level's arithmetic is the one the whole path would get, so the
 results do not depend on the block size, to the bit.
 """
@@ -101,21 +105,22 @@ class FpSolution:
         return self[-1]
 
 
-def check_cfl(drift: np.ndarray, time_grid: TimeGrid, grid: SpectralGrid) -> None:
+def check_cfl(drift_blocks, time_grid: TimeGrid, grid: SpectralGrid) -> None:
     """The advective restriction sum_i |b_i| dt <= dx at every node of
-    ``drift``, a stack of finite drift fields (..., dim, *grid.shape): the
-    levels a march steps from.  The summed speed is what keeps a donor-cell
-    node's own coefficient nonnegative; in d = 1 it is |b|.  A violation
-    reports the step count that satisfies it at the largest summed speed.
-    Both marches call it at the levels they step from: the forward march
-    on levels 0..n-1 of its drift path, the backward march on -D_p H at
-    levels 1..n."""
-    levels = drift.reshape((-1, grid.dim) + grid.shape)
+    ``drift_blocks``, an iterable of stacks of finite drift fields
+    (..., dim, *grid.shape): the levels a march steps from, a block at a
+    time (an array of levels is taken a level at a time).  The summed speed
+    is what keeps a donor-cell node's own coefficient nonnegative; in d = 1
+    it is |b|.  A violation reports the step count that satisfies it at
+    the largest summed speed.  Both marches hand it their blocks: the
+    forward march levels 0..n-1 of its drift path, the backward march
+    -D_p H at levels 1..n."""
     speed = 0.0
-    for block in grid.level_blocks(len(levels)):
-        summed = np.abs(levels[block, 0])
+    for drift in drift_blocks:
+        levels = drift.reshape((-1, grid.dim) + grid.shape)
+        summed = np.abs(levels[:, 0])
         for axis in range(1, grid.dim):
-            summed += np.abs(levels[block, axis])
+            summed += np.abs(levels[:, axis])
         speed = max(speed, float(np.max(summed)))
     if speed * time_grid.dt > grid.dx * (1.0 + 1e-12):
         required = int(np.ceil(speed * time_grid.horizon / grid.dx))
@@ -241,7 +246,8 @@ def _check_steps(
 
 def heat_flow(m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     """The zero-drift solution: m(t_j) = T(t_j) m0, the exact fractional heat
-    flow, from one transform of m0 over the stack of heat multipliers.
+    flow, from one transform of m0 and the heat multipliers of each block
+    of time nodes (``SpectralGrid.semigroup_apply``).
 
     Nothing is clipped; the traces come from the stack, so the pre-clip
     minimum is the minimum and the advection drift is zero.  The flow is
@@ -253,45 +259,62 @@ def heat_flow(m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     return FpSolution(time_grid, m0.grid, m, preclip, np.zeros(len(m)), 0.0)
 
 
+def _check_drift_shape(shape, time_grid: TimeGrid, grid: SpectralGrid) -> None:
+    expected = (time_grid.n_steps + 1, grid.dim) + grid.shape
+    if tuple(shape) != expected:
+        raise ValueError(f"drift path shape {tuple(shape)}, expected {expected}")
+
+
+def _finite_drift(b) -> np.ndarray:
+    """b, drift fields, as a float array once every value is checked finite."""
+    b = np.asarray(b, dtype=float)
+    # a NaN or an infinity reaches the extremes
+    if not (np.isfinite(np.max(b)) and np.isfinite(np.min(b))):
+        raise InvalidFieldError("drift path contains non-finite values")
+    return b
+
+
 def checked_drift_path(b_path, time_grid: TimeGrid, grid: SpectralGrid) -> np.ndarray:
     """b_path as a float array, once it is checked to have the shape
     (n_steps + 1, dim, *grid.shape) and only finite values; the drift path
-    that the density march and the particle march step through."""
+    that the particle march steps through."""
     b_path = np.asarray(b_path, dtype=float)
-    expected = (time_grid.n_steps + 1, grid.dim) + grid.shape
-    if b_path.shape != expected:
-        raise ValueError(f"drift path shape {b_path.shape}, expected {expected}")
-    # a NaN or an infinity reaches the extremes
-    if not (np.isfinite(np.max(b_path)) and np.isfinite(np.min(b_path))):
-        raise InvalidFieldError("drift path contains non-finite values")
-    return b_path
+    _check_drift_shape(b_path.shape, time_grid, grid)
+    return _finite_drift(b_path)
 
 
-def solve_forward(
-    b_path: np.ndarray, m0: GridMeasure, time_grid: TimeGrid
-) -> FpSolution:
+def solve_forward(b_path, m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     """March m0 forward through the drift path b(t^j).
 
-    b_path has shape (n_steps + 1, dim, *grid.shape); the step from t^j
-    uses b at t^j.  Traces and the comparison bound sup m <= sup m0 e^{KT}
-    are recorded for diagnostics, with K = max(-div_h f)^+ over the face
-    velocities f of the n slices that step (see the module docstring).
+    b_path has shape (n_steps + 1, dim, *grid.shape): an array, or a view
+    such as a value solution's ``drift`` that evaluates the levels it is
+    indexed with; it is read only as ``b_path[block]``, a block of levels
+    at a time, and gives the same bytes either way.  The step from t^j uses
+    b at t^j.  Before the first step, every level is checked finite, then
+    the CFL rule is checked over the levels 0..n-1 that step.  Traces and
+    the comparison bound sup m <= sup m0 e^{KT} are recorded for
+    diagnostics, with K = max(-div_h f)^+ over the face velocities f of the
+    n slices that step (see the module docstring).
     """
     grid = m0.grid
     n = time_grid.n_steps
-    b_path = checked_drift_path(b_path, time_grid, grid)
-    # the finiteness check comes first, because a NaN speed passes the CFL
-    # comparison; level n is checked finite but steps nowhere
-    check_cfl(b_path[:-1], time_grid, grid)
+    _check_drift_shape(np.shape(b_path), time_grid, grid)
+    blocks = list(grid.level_blocks(n))
+    # every level is checked finite ahead of the CFL rule, because a NaN
+    # speed passes its comparison; level n is checked but steps nowhere
+    _finite_drift(b_path[n:])
+    check_cfl((_finite_drift(b_path[block]) for block in blocks), time_grid, grid)
 
+    # the path comes before the block buffers, so that they do not split
+    # the room a path freed earlier leaves it: the other way round, a 2-D
+    # solve's heap grew past its live arrays and its peak RSS with it
+    m = np.empty((n + 1,) + grid.shape)
     dt = time_grid.dt
     heat, rate = grid.value_step(dt), dt / grid.dx
     scratch, cell = _sweep_scratch(grid), grid.dx**grid.dim
-    blocks = list(grid.level_blocks(n))
     # the first block is the longest
     advected, diffused = np.empty((2, blocks[0].stop) + grid.shape)
     parts = np.empty((2, blocks[0].stop, grid.dim) + grid.shape)
-    m = np.empty((n + 1,) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)
     preclip[0] = float(np.min(m0.values))
@@ -301,7 +324,8 @@ def solve_forward(
     for block in blocks:
         count = block.stop - block.start
         pos, neg = parts[:, :count]
-        block_compression = _face_parts(b_path[block], grid, pos, neg)
+        b = np.asarray(b_path[block], dtype=float)
+        block_compression = _face_parts(b, grid, pos, neg)
         compression = max(compression, float(np.max(block_compression)))
         # each step writes its advected density, its semigroup before the
         # clip and the clipped density normalized to unit mass; the clip
@@ -354,7 +378,8 @@ def duality_residual(u_sol, m_sol: FpSolution) -> float:
     with u(T) = theta u_T as stored; trapezoidal in time.  Zero for the
     exact continuum pair, so its size measures joint discretization error.
     H and D_p H = -drift are the ones u_sol carries, at the measure path it
-    is paired with: the march's own, or a packaged equilibrium's.
+    is paired with: the march's own, or a packaged equilibrium's.  Every
+    path, the drift view too, is read a block of levels at a time.
     """
     grid = m_sol.grid
     if u_sol.grid is not grid:
@@ -365,9 +390,10 @@ def duality_residual(u_sol, m_sol: FpSolution) -> float:
     if u_sol.hamiltonian is None or u_sol.drift is None:
         raise ValueError("duality pairing needs H and the drift on the value solution")
     running = np.empty(tg.n_steps + 1)
+    drift = u_sol.drift
     for block in grid.level_blocks(len(running)):
         # Du . D_p H - H, with D_p H = -drift
-        integrand = -np.sum(u_sol.du[block] * u_sol.drift[block], axis=1)
+        integrand = -np.sum(u_sol.du[block] * drift[block], axis=1)
         integrand -= u_sol.hamiltonian[block]
         running[block] = grid.integrate(integrand * m_sol.m[block])
     time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))

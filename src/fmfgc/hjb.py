@@ -22,17 +22,20 @@ gradient together
 (``SpectralGrid.semigroup_gradient``: one product with the stacked real
 kernel [T(dt); D T(dt)] on a 1-D grid of at most ``DENSE_STEP_MAX_N``
 nodes, else one forward and one batched inverse real transform).  One
-finiteness check per block names the highest level that blew up.  D_p H
-is evaluated once per march, on the whole gradient path, and negated into
-the drift in place where the model's array allows (``feedback_drift``);
-the advective restriction is checked on it by the rule the forward march
-shares (``fokker_planck.check_cfl``), at the largest speed over the
+finiteness check per block names the highest level that blew up.
+
+The solution keeps H at every level, which the march writes anyway, and
+the ``grad_p`` of ``hamiltonian_at`` (the quadratic model's closes over
+the mean control, not over the potential): its ``drift`` is a
+``FeedbackDrift``, a read-only view that evaluates -D_p H on the levels
+it is indexed with, so no drift path is held.  The advective restriction
+is checked on it a block of levels at a time, by the rule the forward
+march shares (``fokker_planck.check_cfl``), at the largest speed over the
 levels the march stepped from, so a violation is reported ahead of any
-non-finite level below it.  The solution keeps H and the drift -D_p H at
-every level, so a sweep's forward march and duality pairing read them
-instead of evaluating the model again.  The march starts from the
-terminal value it is given: a caller that scales the problem by theta
-scales that value too.
+non-finite level below it.  A sweep's forward march and duality pairing
+read the same view a block at a time, so the measure path is read once
+per march.  The march starts from the terminal value it is given: a
+caller that scales the problem by theta scales that value too.
 """
 
 from __future__ import annotations
@@ -47,19 +50,56 @@ from .measures import MeasurePath
 from .spectral import SpectralGrid, TimeGrid
 
 
+class FeedbackDrift:
+    """The feedback drift -D_p H(x, Du, mu) of a gradient path, evaluated
+    on the levels it is indexed with: ``drift[j]`` is level j and
+    ``drift[block]``, a slice of levels, those levels, each a new array with
+    the bits a whole-path evaluation gives them.  It holds the ``grad_p``
+    of a model's ``hamiltonian_at`` and the gradient path, and no path of
+    its own, so readers take it a block of levels at a time; ``drift[:]``
+    builds the whole path.  It cannot be written."""
+
+    def __init__(self, grad_p, du: np.ndarray):
+        self._grad_p, self._du = grad_p, du
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._du.shape
+
+    def __len__(self) -> int:
+        return len(self._du)
+
+    def __getitem__(self, levels: int | slice) -> np.ndarray:
+        if not isinstance(levels, (int, np.integer, slice)):
+            raise TypeError(f"a drift is indexed by a level or a slice of levels, got {levels!r}")
+        du = self._du[levels]
+        drift = np.asarray(self._grad_p(du, levels))
+        # negated in place when grad_p handed out an array of its own
+        if drift.flags.writeable and drift.base is None and not np.may_share_memory(drift, du):
+            return np.negative(drift, out=drift)
+        return -drift
+
+
 @dataclass
 class HjbSolution:
-    """The value path and its gradient; ``hamiltonian`` is H(x, Du, mu) and
-    ``drift`` the feedback drift -D_p H(x, Du, mu) on every level, for the
-    measure path mu the value is paired with.  Both are None on a solution
-    built by hand and on an equilibrium state between sweeps."""
+    """The value path and its gradient; ``hamiltonian`` is H(x, Du, mu) on
+    every level and ``grad_p`` the D_p H of the model's ``hamiltonian_at``
+    at the measure path mu the value is paired with, which ``drift``
+    evaluates on the gradient.  Both are None on a solution built by hand
+    and on an equilibrium state between sweeps."""
 
     time_grid: TimeGrid
     grid: SpectralGrid
     u: np.ndarray  # (n_steps + 1, *grid.shape)
     du: np.ndarray  # (n_steps + 1, dim, *grid.shape)
     hamiltonian: np.ndarray | None = field(default=None, repr=False)  # like u
-    drift: np.ndarray | None = field(default=None, repr=False)  # like du
+    grad_p: object = field(default=None, repr=False)  # grad_p(p, j) of hamiltonian_at
+
+    @property
+    def drift(self) -> FeedbackDrift | None:
+        """The feedback drift -D_p H(x, Du, mu), a read-only view shaped
+        like du, or None without grad_p."""
+        return None if self.grad_p is None else FeedbackDrift(self.grad_p, self.du)
 
 
 def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
@@ -69,15 +109,9 @@ def one_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def feedback_drift(grad_p, du: np.ndarray) -> np.ndarray:
-    """The drift -D_p H on a gradient path du, from the grad_p of a model's
-    hamiltonian_at.  The negation is written over grad_p's array when that
-    array is writable, owns its memory and shares none with du, so most
-    models' drift costs one vector path, not two."""
-    drift = np.asarray(grad_p(du))
-    if drift.flags.writeable and drift.base is None and not np.may_share_memory(drift, du):
-        return np.negative(drift, out=drift)
-    return -drift
+def _level_blocks(grid: SpectralGrid, first: int, stop: int) -> list[slice]:
+    """The level_blocks of the levels first..stop - 1."""
+    return [slice(first + b.start, first + b.stop) for b in grid.level_blocks(stop - first)]
 
 
 def _blown_up(w: np.ndarray, start: int) -> int | None:
@@ -140,8 +174,9 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     mu_path supplies the joint measure at every time node; the advective
     speed is checked against dx at every level stepped from, and a
     violation reports the number of time steps that would satisfy the
-    restriction at the largest speed.  The solution carries H and the
-    drift -D_p H at (Du, mu_path) on every level.
+    restriction at the largest speed.  The solution carries H at
+    (Du, mu_path) on every level and the grad_p its drift -D_p H is
+    evaluated with.
     """
     grid = mu_path.grid
     tg = mu_path.time_grid
@@ -150,7 +185,6 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
 
     n = tg.n_steps
     u = np.empty((n + 1,) + grid.shape)
-    # zeros: the guard reads the whole path, also below a level that blew up
     du = np.zeros((n + 1, grid.dim) + grid.shape)
     h = np.empty_like(u)
     u[n] = u_terminal
@@ -168,13 +202,13 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
         # the levels the march passed keep their order ahead of the blow-up;
         # a gradient that overflowed on the way there is part of the blow-up.
         # Level j of the path is the step from j to j - 1.
-        passed = grad_p(du)[err.time_index + 1:]
-        check_cfl(np.where(np.isfinite(passed), passed, 0.0), tg, grid)
+        passed = (grad_p(du[b], b) for b in _level_blocks(grid, err.time_index + 1, n + 1))
+        check_cfl((np.where(np.isfinite(p), p, 0.0) for p in passed), tg, grid)
         raise
-    drift = feedback_drift(grad_p, du)
-    check_cfl(drift[1:], tg, grid)
+    # |-D_p H| = |D_p H|: the guard reads grad_p without the negation
+    check_cfl((grad_p(du[b], b) for b in _level_blocks(grid, 1, n + 1)), tg, grid)
     h[0] = hamiltonian(du[0], 0)
-    return HjbSolution(time_grid=tg, grid=grid, u=u, du=du, hamiltonian=h, drift=drift)
+    return HjbSolution(time_grid=tg, grid=grid, u=u, du=du, hamiltonian=h, grad_p=grad_p)
 
 
 def centered_curvature(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:

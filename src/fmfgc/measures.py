@@ -128,6 +128,18 @@ class GridMeasure:
         return self.grid.integrate(f * self.values)
 
 
+def mean_control(grid: SpectralGrid, density: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """int alpha dmu for a density and its controls, one slice or a stack,
+    shape (dim,) per slice: one batched contraction of the controls with
+    the density over the nodes, whose value at a slice does not depend on
+    the slices stacked with it.  einsum contracts without BLAS, so the sum
+    order cannot depend on a BLAS thread count."""
+    lead = density.shape[: density.ndim - grid.dim]
+    alpha = alpha.reshape(lead + (grid.dim, -1))
+    density = density.reshape(lead + (-1,))
+    return np.einsum("...cn,...n->...c", alpha, density) * grid.dx**grid.dim
+
+
 class _JointFields:
     """What the moments and a model's field forms read of a joint measure,
     one slice or a path: grid, density, alpha, control_magnitude() and
@@ -138,14 +150,8 @@ class _JointFields:
         return np.sqrt(np.sum(self.alpha**2, axis=-(self.grid.dim + 1)))
 
     def mean_control(self) -> np.ndarray:
-        """int alpha dmu, shape (dim,) per slice: one batched contraction of
-        the controls with the density over the nodes.  einsum contracts
-        without BLAS, so the sum order cannot depend on a BLAS thread count."""
-        grid = self.grid
-        lead = self.density.shape[: self.density.ndim - grid.dim]
-        alpha = self.alpha.reshape(lead + (grid.dim, -1))
-        density = self.density.reshape(lead + (-1,))
-        return np.einsum("...cn,...n->...c", alpha, density) * grid.dx**grid.dim
+        """int alpha dmu, shape (dim,) per slice (``mean_control``)."""
+        return mean_control(self.grid, self.density, self.alpha)
 
     def with_alpha_view(self, alpha: np.ndarray):
         """The same density with a solver-built control, such as a fixed-point

@@ -12,18 +12,20 @@ The Hamiltonian is written once per model, as ``hamiltonian_at(mu)``: it
 reads the measure once (for the quadratic model, the mean control and
 the potential, batched over a path) and returns the pair ``(h, grad_p)``,
 H and D_p H as functions ``f(p, j=None)`` of the momentum.  For a path,
-``f(p, j)`` is the value at level j with p one field, and ``f(p)`` the
-whole path.  The HJB march fixes the measure path once, calls ``h`` per
-level and ``grad_p`` once on the gradient path; a sweep's drift and
-duality pairing read those same arrays, and the growth check reads
-``hamiltonian_at(mu)[0]``.  ``grad_p_field(p, mu)`` reads the mean
+``f(p, j)`` is the value at level j with p one field, or at the levels
+of j, a slice, with p those levels, and ``f(p)`` the whole path; a level
+has the same bits whichever way it is taken.  The HJB march fixes the
+measure path once and calls ``h`` per level; the value solution keeps
+``grad_p``, and its drift evaluates it a block of levels at a time for
+the CFL guard, the forward march, the duality pairing and the
+exploitability, so ``grad_p`` should not close over the potential.  The
+packaging writes H a block of levels at a time, and the growth check
+reads ``hamiltonian_at(mu)[0]``.  ``grad_p_field(p, mu)`` reads the mean
 control only, for the control fixed point, which never needs the
-potential.  The march negates ``grad_p``'s gradient-path array into the
-drift in place when that array is writable, owns its memory and shares
-none with p (``hjb.feedback_drift``), so ``grad_p`` hands out no array it
-keeps.  The march checks its levels a block at a time, so ``h`` may see
-the non-finite momentum of a level past a blow-up; the march drops those
-levels, and an error ``h`` raises there gives way to the blow-up's.
+potential.  The march checks its levels a block at a time, so ``h`` may
+see the non-finite momentum of a level past a blow-up; the march drops
+those levels, and an error ``h`` raises there gives way to the
+blow-up's.
 
 A model is any object with the three field forms ``hamiltonian_at``,
 ``grad_p_field`` and ``lagrangian_field`` (and ``grad_alpha_field`` for
@@ -42,13 +44,12 @@ closed form that ``equilibrium.analytic_base`` builds.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OptimizationError
-from .measures import GridMeasure, JointControlMeasure, lambda_q
+from .measures import GridMeasure, JointControlMeasure, lambda_q, mean_control
 from .spectral import SpectralGrid
 
 
@@ -165,6 +166,35 @@ class QuadraticModel:
         return p + self.coupling_beta * self._broadcast_mean(mu)
 
 
+class PushedForward:
+    """A joint measure mu, one slice or a path, with its control pushed
+    forward by 1/theta, as a base model reads it: mu's ``grid`` and
+    ``density``, and the controls alpha / theta.  ``mean_control()``
+    divides the controls by theta one block of levels at a time
+    (``SpectralGrid.level_blocks``), which gives the bits of the whole
+    path's division; ``alpha`` divides the whole path, for a model that
+    reads the controls themselves."""
+
+    def __init__(self, mu, theta: float):
+        self.grid, self.density = mu.grid, mu.density
+        self._mu, self._theta = mu, theta
+
+    @property
+    def alpha(self) -> np.ndarray:
+        alpha = self._mu.alpha / self._theta
+        alpha.setflags(write=False)
+        return alpha
+
+    def mean_control(self) -> np.ndarray:
+        grid, density, alpha = self.grid, self.density, self._mu.alpha
+        if density.ndim == grid.dim:
+            return mean_control(grid, density, alpha / self._theta)
+        return np.concatenate([
+            mean_control(grid, density[block], alpha[block] / self._theta)
+            for block in grid.level_blocks(len(density))
+        ])
+
+
 class ThetaScaledModel:
     """Interpolation family between the decoupled problem and a base model.
 
@@ -189,14 +219,13 @@ class ThetaScaledModel:
     def scaled_measure(self, mu):
         """mu with its control pushed forward by 1/theta; mu is one slice or a path.
 
-        Not checked again: a control finite on the support stays finite
-        there when divided by theta in (0, 1]."""
+        At theta < 1 it is a ``PushedForward`` view, whose mean control
+        divides the controls by theta a block of levels at a time, so no
+        control path is copied.  Not checked again: a control finite on the
+        support stays finite there when divided by theta in (0, 1]."""
         if self.theta == 1.0:
             return mu
-        scaled = copy.copy(mu)
-        scaled.alpha = mu.alpha / self.theta
-        scaled.alpha.setflags(write=False)
-        return scaled
+        return PushedForward(mu, self.theta)
 
     # -- field forms -----------------------------------------------------
 

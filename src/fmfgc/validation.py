@@ -334,7 +334,8 @@ def _criterion_sampler_consistency(ctx: AcceptanceContext):
 def _criterion_particle_pde_cross_check(ctx: AcceptanceContext):
     sol = ctx.benchmark
     grid, tg, m0, _ = ctx.scenario(128, 200)
-    path = simulate_sde(sol.u_sol.drift, m0, 10**5, tg, seed=77, store_stride=200)
+    # the solution's drift is a view: the particle march takes the whole path
+    path = simulate_sde(sol.u_sol.drift[:], m0, 10**5, tg, seed=77, store_stride=200)
     emp = empirical_measure(path.terminal(), grid)
     w1 = wasserstein_1d(emp, sol.m_sol.terminal())
     return w1 <= 0.05, f"W1(empirical, PDE) {w1:.2e} (tol 5e-2)"

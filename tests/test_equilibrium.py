@@ -20,7 +20,7 @@ from fmfgc.equilibrium import (
 )
 from fmfgc.fokker_planck import initial_density
 from fmfgc.hjb import HjbSolution
-from fmfgc.models import QuadraticModel, coerce_theta, growth_check
+from fmfgc.models import PushedForward, QuadraticModel, coerce_theta, growth_check
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 
@@ -114,38 +114,41 @@ def test_theta_zero_base_is_fixed_point():
 
 def test_theta_zero_base_holds_one_density_path():
     # the checked heat flow is the one path with memory behind it; the
-    # control path views it, and every zero path is a read-only broadcast
+    # control path views it, every zero path is a read-only broadcast, and
+    # the drift evaluates to zero on the levels it is indexed with
     grid, tg, m0, u_t = small_scenario()
     base = analytic_base(m0, u_t, tg)
     assert np.shares_memory(base.mu_path.density, base.m_sol.m)
     assert not base.m_sol.m.flags.writeable
-    zeros = (base.u_sol.u, base.u_sol.hamiltonian, base.u_sol.du, base.u_sol.drift,
-             base.mu_path.alpha)
+    zeros = (base.u_sol.u, base.u_sol.hamiltonian, base.u_sol.du, base.mu_path.alpha)
     for path in zeros:
         assert not path.flags.writeable
         assert set(path.strides) == {0}
+    assert base.u_sol.drift.shape == base.u_sol.du.shape
+    assert not np.any(base.u_sol.drift[:])
     assert base.u_sol.u.shape == base.m_sol.m.shape == (tg.n_steps + 1,) + grid.shape
     assert base.mu_path.alpha.shape == base.u_sol.du.shape == (tg.n_steps + 1, 1) + grid.shape
 
 
 @pytest.mark.parametrize("n_steps", [24, 48])
-def test_solve_and_certificate_hold_twelve_scalar_paths_and_block_scratch(n_steps):
+def test_solve_and_certificate_hold_ten_scalar_paths_and_block_scratch(n_steps):
     # A certified 2-D solve at n = 64, where a block of path work is 4
-    # levels.  What a sweep holds at its peak, in scalar paths (a vector
-    # path is two in d = 2): the analytic base's density, which the stage
-    # keeps as its baseline (1); the last iterate's value and density, for
-    # the changes (2); the new controls (2); the backward march's value,
-    # gradient and H (4) and drift (2); and the new density, or in the
-    # backward march the potential path its Hamiltonian holds (1).  That
-    # is 12; the packaging holds 11 and the certificate reads blocks.  On
-    # top come the marches' block buffers and temporaries, in arrays of
-    # BLOCK_NODES floats: in the forward march one block's face-velocity
-    # parts (4 in d = 2), its advected and diffused levels (2), the
-    # compression's copy (1) and the transforms'; in the backward march
-    # its w and stacked levels (5) and the CFL guard's sums (2): fewer
-    # than 12 at once.  The last gradient and controls, held past the
-    # control fixed point, and the density the last controls were solved
-    # on would add 5 paths.
+    # levels.  What a sweep holds at its peak, in the backward march, in
+    # scalar paths (a vector path is two in d = 2): the analytic base's
+    # density, which the stage keeps as its baseline (1); the last
+    # iterate's value and density, for the changes (2); the new controls
+    # (2); the march's value, gradient and H (4); and the potential path
+    # its Hamiltonian holds (1).  That is 10; the forward march holds the
+    # new density in place of the last value and the potential, 9, and the
+    # packaging and the certificate less.  No drift path is held: the CFL
+    # guard, the forward march, the duality pairing and the exploitability
+    # evaluate -D_p H a block of levels at a time, and no stacked
+    # transform makes a path-sized spectrum.  On top come the block buffers
+    # and temporaries, in arrays of BLOCK_NODES floats: in the backward
+    # march its w and stacked levels (5) and the CFL guard's drift block
+    # and sums (3); fewer than 12 at once.  The potential's block spectra
+    # come before the march's paths exist.  A drift path would add 2
+    # paths, as the solve held at 12.
     grid = SpectralGrid(dim=2, n=64, s=0.75)
     assert spectral.BLOCK_NODES // grid.n**grid.dim == 4
     tg = TimeGrid(horizon=n_steps / 96, n_steps=n_steps)
@@ -163,7 +166,7 @@ def test_solve_and_certificate_hold_twelve_scalar_paths_and_block_scratch(n_step
     assert sol.converged and cert.moments_ok and cert.monotone_ok
     scalar_path = (tg.n_steps + 1) * grid.n**grid.dim * 8
     block = spectral.BLOCK_NODES * 8
-    assert peak < 12 * scalar_path + 12 * block, (
+    assert peak < 10 * scalar_path + 12 * block, (
         f"traced peak {peak / scalar_path:.2f} scalar paths"
     )
 
@@ -172,15 +175,17 @@ def test_continuation_holds_one_solve_and_the_stage_it_started_from():
     # A 2-D continuation consumed as fmfgc sweep-theta consumes it: each
     # stage becomes its theta-table row as it ends, and only the last
     # stage is kept.  A stage's sweeps hold what a direct solve's do (the
-    # 12 scalar paths of the solve test above, less the analytic base's
-    # density that test counts as its baseline: 11).  On top come the
+    # 10 scalar paths of the solve test above, less the analytic base's
+    # density that test counts as its baseline: 9).  On top come the
     # stage it started from, which the generator holds, with its value (1),
-    # gradient (2), H (1), drift (2), density (1) and controls, paired with
-    # the density they were solved on (3): 10; that stage's baseline, the
-    # controls of the stage before (3); and at theta < 1, the controls
-    # pushed forward by 1/theta while the march reads their mean and
-    # potential (2).  That is 26, plus the block arrays of the solve test.
-    # Every earlier stage is gone: holding them all took 45 paths.
+    # gradient (2), H (1), density (1) and controls, paired with the
+    # density they were solved on (3): 8; and that stage's baseline, the
+    # controls of the stage before (3).  That is 20, plus the block arrays
+    # of the solve test.  At theta < 1 the march reads the mean of the
+    # controls pushed forward by 1/theta a block of levels at a time, with
+    # no copy of them.  Every earlier stage is gone: holding them all took
+    # 45 paths, and a drift path per solve and the pushed-forward controls
+    # 26.
     grid = SpectralGrid(dim=2, n=64, s=0.75)
     tg = TimeGrid(horizon=0.5, n_steps=48)
     model = QuadraticModel(coupling_beta=0.3, dim=2)
@@ -199,7 +204,7 @@ def test_continuation_holds_one_solve_and_the_stage_it_started_from():
     assert stage.converged and stage.theta == 1.0
     scalar_path = (tg.n_steps + 1) * grid.n**grid.dim * 8
     block = spectral.BLOCK_NODES * 8
-    assert peak < 26 * scalar_path + 12 * block, (
+    assert peak < 20 * scalar_path + 12 * block, (
         f"traced peak {peak / scalar_path:.2f} scalar paths"
     )
 
@@ -208,7 +213,7 @@ def _path_arrays(sol):
     """Every array a solution holds, by name."""
     arrays = {
         "u": sol.u_sol.u, "du": sol.u_sol.du, "hamiltonian": sol.u_sol.hamiltonian,
-        "drift": sol.u_sol.drift, "m": sol.m_sol.m, "mu.density": sol.mu_path.density,
+        "m": sol.m_sol.m, "mu.density": sol.mu_path.density,
         "mu.alpha": sol.mu_path.alpha, "u_terminal": sol.u_terminal,
     }
     if sol.baseline_mu is not None:
@@ -316,7 +321,7 @@ def test_sweeps_count_the_history_of_a_hand_built_warm_start(benchmark_solution)
     grid, tg, model, m0, u_t, sol = benchmark_solution
     start = EquilibriumSolution(
         theta=1.0,
-        u_sol=replace(sol.u_sol, hamiltonian=None, drift=None),
+        u_sol=replace(sol.u_sol, hamiltonian=None, grad_p=None),
         m_sol=sol.m_sol,
         mu_path=sol.mu_path,
         u_terminal=sol.u_terminal,
@@ -373,12 +378,16 @@ def test_nonconvergence_returns_flagged_state():
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_sweep_reads_each_path_quantity_once(theta, monkeypatch):
     # Past the control fixed point, one sweep reads the potential and the
-    # mean control once, on the whole path, and evaluates D_p H once: the
-    # CFL guard, the forward drift and the duality pairing share it.
+    # mean control once, on the whole path (at theta < 1 the mean of the
+    # controls pushed forward by 1/theta), and evaluates D_p H only on
+    # blocks of levels, never on a whole path: the CFL guard, the forward
+    # march and the duality pairing read the solution's drift a block of
+    # levels at a time.  Blocks here are 8 levels of the 51.
+    monkeypatch.setattr(spectral, "BLOCK_NODES", 8 * 32)
     calls = []
     solve_mu = equilibrium.solve_mu
     potential = QuadraticModel._potential
-    mean = measures._JointFields.mean_control
+    means = {cls: cls.mean_control for cls in (measures._JointFields, PushedForward)}
     field, at = QuadraticModel.grad_p_field, QuadraticModel.hamiltonian_at
 
     def fixed_point_then_count(*args, **kwargs):
@@ -390,36 +399,42 @@ def test_sweep_reads_each_path_quantity_once(theta, monkeypatch):
         calls.append(("potential", density.ndim))
         return potential(self, grid, density)
 
-    def counted_mean(self):
-        calls.append(("mean", self.density.ndim))
-        return mean(self)
+    def counted_mean(cls):
+        def mean(self):
+            calls.append(("mean", self.density.ndim))
+            return means[cls](self)
+
+        return mean
 
     def counted_field(self, p, mu):
-        calls.append(("grad_p", np.ndim(p)))
+        calls.append(("grad_p_field", np.ndim(p)))
         return field(self, p, mu)
 
     def counted_at(self, mu):
-        form = at(self, mu)
-        if not isinstance(form, tuple):
-            return form
-        h, grad_p = form
+        h, grad_p = at(self, mu)
 
         def counted_grad_p(p, j=None):
-            calls.append(("grad_p", np.ndim(p)))
+            # the levels of a block, or one level
+            calls.append(("grad_p", len(p) if np.ndim(p) == 3 else 1))
             return grad_p(p, j)
 
         return h, counted_grad_p
 
     monkeypatch.setattr(equilibrium, "solve_mu", fixed_point_then_count)
     monkeypatch.setattr(QuadraticModel, "_potential", counted_potential)
-    monkeypatch.setattr(measures._JointFields, "mean_control", counted_mean)
+    for cls in means:
+        monkeypatch.setattr(cls, "mean_control", counted_mean(cls))
     monkeypatch.setattr(QuadraticModel, "grad_p_field", counted_field)
     monkeypatch.setattr(QuadraticModel, "hamiltonian_at", counted_at)
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
     base = replace(analytic_base(m0, u_t, tg), theta=theta)
     state = picard_iterate(base, model, LoopConfig())
-    assert sorted(calls) == [("grad_p", 3), ("mean", 2), ("potential", 2)]
+    assert sorted(c for c in calls if c[0] != "grad_p") == [("mean", 2), ("potential", 2)]
+    levels = [count for name, count in calls if name == "grad_p"]
+    # the CFL guard, the forward march's check and march, and the pairing
+    assert len(levels) >= 4 * len(list(grid.level_blocks(tg.n_steps))) > 4
+    assert max(levels) == 8 < tg.n_steps + 1
     assert np.isfinite(state.history[-1].duality)
 
 
@@ -446,6 +461,31 @@ def test_sweep_theta_stages():
     assert all(a < b for a, b in zip(sups, sups[1:]))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_loop_changes_across_level_blocks_are_the_whole_path_values(dim, monkeypatch):
+    # The sweep's value and density changes are taken a block of levels at
+    # a time (3 levels here, so the blocks split 22 levels unevenly); each
+    # is the whole-path value to the bit: the sup of |u_new - u_old|, and
+    # the largest exact W1 per level in d = 1 or the scaled total
+    # variation in d = 2.
+    grid = SpectralGrid(dim=dim, n=16, s=0.75)
+    monkeypatch.setattr(spectral, "BLOCK_NODES", 3 * grid.n**dim)
+    rng = np.random.default_rng(61 + dim)
+    shape = (22,) + grid.shape
+    m_old, m_new = (m / grid.integrate(m)[(...,) + (None,) * dim]
+                    for m in rng.uniform(0.5, 1.5, (2,) + shape))
+    u_old, u_new = rng.standard_normal((2,) + shape)
+    if dim == 1:
+        view = measures.GridMeasure.view
+        whole = float(np.max(measures.wasserstein_1d(view(grid, m_old), view(grid, m_new))))
+    else:
+        whole = float(np.sqrt(2.0) / 2.0 * 0.5 * np.max(grid.integrate(np.abs(m_new - m_old))))
+    assert repr(equilibrium._density_change(grid, m_old, m_new)) == repr(whole)
+    assert repr(equilibrium._value_change(grid, u_old, u_new)) == repr(
+        float(np.max(np.abs(u_new - u_old)))
+    )
+
+
 def test_packaged_drift_is_feedback_drift_at_every_stage(benchmark_solution, benchmark_stages):
     # the drift a solution carries, which the particles advect by, is
     # -D_p H at the packaged control path and the value gradient, to the bit;
@@ -455,7 +495,10 @@ def test_packaged_drift_is_feedback_drift_at_every_stage(benchmark_solution, ben
     for stage in benchmark_stages[1:]:
         scaled = coerce_theta(model, stage.theta)
         want = -scaled.grad_p_field(stage.u_sol.du, stage.mu_path)
-        assert np.array_equal(stage.u_sol.drift, want)
+        drift = stage.u_sol.drift
+        assert np.array_equal(drift[:], want)
+        for block in stage.grid.level_blocks(len(drift)):
+            assert drift[block].tobytes() == want[block].tobytes()
 
 
 def test_sweep_theta_stops_at_unconverged_stage():

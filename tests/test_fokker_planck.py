@@ -15,7 +15,7 @@ from fmfgc.fokker_planck import (
     initial_density,
     solve_forward,
 )
-from fmfgc.hjb import solve_backward
+from fmfgc.hjb import FeedbackDrift, solve_backward
 from fmfgc.measures import GridMeasure, MeasurePath
 from fmfgc.models import QuadraticModel, coerce_theta
 from fmfgc.mu_solver import solve_mu
@@ -588,7 +588,7 @@ def test_solve_forward_across_level_blocks_is_the_whole_path_march_bitwise(dim, 
 def whole_path_duality(u_sol, m_sol):
     """duality_residual's formula on the whole path at once."""
     grid, tg = m_sol.grid, m_sol.time_grid
-    integrand = -np.sum(u_sol.du * u_sol.drift, axis=1)
+    integrand = -np.sum(u_sol.du * u_sol.drift[:], axis=1)
     integrand -= u_sol.hamiltonian
     running = grid.integrate(integrand * m_sol.m)
     time_integral = float(tg.dt * (running.sum() - 0.5 * (running[0] + running[-1])))
@@ -610,6 +610,43 @@ def test_duality_across_level_blocks_is_the_whole_path_sum_bitwise(dim):
     duality = duality_residual(u_sol, m_sol)
     assert duality > 0.0
     assert repr(duality) == repr(whole_path_duality(u_sol, m_sol))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_forward_reads_a_drift_view_as_its_array(dim):
+    # The march reads its drift only as b_path[block], so a value
+    # solution's drift view and the array it evaluates to give the same
+    # bytes, and raise the same errors: a non-finite level, even level n,
+    # ahead of a CFL violation, and the same step count for the violation.
+    grid, tg, m0, _ = multi_block_scenario(dim)
+    rng = np.random.default_rng(83 + dim)
+    model = coerce_theta(QuadraticModel(coupling_beta=0.3, dim=dim), 0.5)
+    density = heat_flow(m0, tg).m
+    mu_path = MeasurePath(tg, grid, density, rng.uniform(-0.5, 0.5, (len(density), dim) + grid.shape))
+    u_t = 0.1 * np.sum([np.cos(2 * np.pi * x) for x in grid.nodes()], axis=0)
+    u_sol = solve_backward(model, mu_path, u_t)
+    view = u_sol.drift
+    assert isinstance(view, FeedbackDrift)
+    by_view, by_array = solve_forward(view, m0, tg), solve_forward(view[:], m0, tg)
+    for name in ("m", "preclip_min_trace", "advect_drift_trace"):
+        assert getattr(by_view, name).tobytes() == getattr(by_array, name).tobytes()
+    assert repr(by_view.drift_div_neg) == repr(by_array.drift_div_neg)
+    du = u_sol.du.copy()
+    du[tg.n_steps // 2] *= 1e3
+    du[-1, 0, 0] = np.nan
+    spoiled = FeedbackDrift(u_sol.grad_p, du)
+    for b_path in (spoiled, spoiled[:]):
+        with pytest.raises(InvalidFieldError, match="drift path contains non-finite"):
+            solve_forward(b_path, m0, tg)
+    du[-1, 0, 0] = 0.0
+    required = []
+    for b_path in (spoiled, spoiled[:]):
+        with pytest.raises(CflError) as info:
+            solve_forward(b_path, m0, tg)
+        required.append(info.value.required_steps)
+    assert required[0] == required[1] > tg.n_steps
+    with pytest.raises(ValueError, match="drift path shape"):
+        solve_forward(FeedbackDrift(u_sol.grad_p, du[1:]), m0, tg)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -6,10 +6,10 @@ import pytest
 from fmfgc.artifacts import theta_row
 from fmfgc.equilibrium import EquilibriumSolution, analytic_base
 from fmfgc.errors import BlowUpError, CflError, GridMismatchError
-from fmfgc.hjb import centered_curvature, feedback_drift, solve_backward
+from fmfgc.hjb import FeedbackDrift, centered_curvature, solve_backward
 from fmfgc import measures, spectral
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath
-from fmfgc.models import QuadraticModel, ThetaScaledModel
+from fmfgc.models import PushedForward, QuadraticModel, ThetaScaledModel
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 from helpers import band_limited_field, smooth_density, step_semigroup
@@ -233,7 +233,10 @@ class SpeedH:
             alpha = mu.alpha if j is None else mu.alpha[j]
             return np.where(alpha[0] < 0.0, np.inf, 0.0)
 
-        return hamiltonian, lambda p, j=None: self.grad_p_field(p, mu)
+        def grad_p(p, j=None):
+            return np.broadcast_to(mu.alpha if j is None else mu.alpha[j], np.shape(p))
+
+        return hamiltonian, grad_p
 
     def grad_p_field(self, p, mu):
         return np.broadcast_to(mu.alpha, np.shape(p))
@@ -319,9 +322,10 @@ def test_march_matches_level_by_level_reference(dim, theta):
 def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
     # The potential and the mean control come from batched calls on the
     # whole path, once each: H and the advective guard's D_p H share the
-    # mean control; no level reads its slice.
+    # mean control; no level reads its slice.  At theta < 1 the mean is
+    # that of the controls pushed forward by 1/theta.
     calls = []
-    potential, mean = QuadraticModel._potential, measures._JointFields.mean_control
+    potential, mean = QuadraticModel._potential, PushedForward.mean_control
 
     def counted_potential(self, grid, density):
         calls.append(("potential", density.ndim))
@@ -332,7 +336,8 @@ def test_march_reads_the_measure_once_per_path(grid, monkeypatch):
         return mean(self)
 
     monkeypatch.setattr(QuadraticModel, "_potential", counted_potential)
-    monkeypatch.setattr(measures._JointFields, "mean_control", counted_mean)
+    monkeypatch.setattr(PushedForward, "mean_control", counted_mean)
+    monkeypatch.setattr(measures._JointFields, "mean_control", None)  # never read
     rng = np.random.default_rng(53)
     mu = JointControlMeasure(
         GridMeasure(grid, smooth_density(grid, rng)), 0.2 * band_limited_field(grid, rng)[None]
@@ -416,24 +421,46 @@ def test_diagnostics_follow_a_replaced_value(grid):
     assert doubled == tuple(2.0 * value for value in bounds)
 
 
-def test_feedback_drift_negates_in_place_only_an_array_of_its_own():
+def test_drift_view_evaluates_only_the_levels_it_is_indexed_with():
+    # The drift holds no path: each index evaluates -D_p H on its own
+    # levels, with grad_p told which, into a new array.
     rng = np.random.default_rng(5)
     du = rng.standard_normal((4, 1, 16))
     before = du.copy()
-    fresh = []
+    seen = []
 
-    def grad_p(p):
-        fresh.append(p + 0.25)
-        return fresh[-1]
+    def grad_p(p, j=None):
+        seen.append((np.shape(p), j))
+        return p + 0.25
 
-    drift = feedback_drift(grad_p, du)
-    assert drift is fresh[0]  # written over, no second path
-    assert drift.tobytes() == (-(before + 0.25)).tobytes()
-    # D_p H that is the gradient itself, a view of it, or read-only stays
-    for same in (lambda p: p, lambda p: p[:], lambda p: np.broadcast_to(p, p.shape)):
-        drift = feedback_drift(same, du)
-        assert drift.tobytes() == (-before).tobytes()
+    drift = FeedbackDrift(grad_p, du)
+    assert drift.shape == du.shape and len(drift) == 4
+    assert drift[1:3].tobytes() == (-(before[1:3] + 0.25)).tobytes()
+    assert drift[2].tobytes() == (-(before[2] + 0.25)).tobytes()
+    assert drift[:].tobytes() == (-(before + 0.25)).tobytes()
+    assert seen == [((2, 1, 16), slice(1, 3)), ((1, 16), 2), ((4, 1, 16), slice(None))]
+    # D_p H that is the gradient itself, or a read-only view of it: the
+    # drift is a new array and the gradient is left as it is
+    for same in (lambda p, j=None: p, lambda p, j=None: np.broadcast_to(p, p.shape)):
+        assert FeedbackDrift(same, du)[:].tobytes() == (-before).tobytes()
         assert du.tobytes() == before.tobytes()
+    with pytest.raises(TypeError):
+        drift[1, 0]
+    with pytest.raises(TypeError):
+        drift[0] = 0.0
+
+
+def test_solution_drift_is_minus_grad_p_on_every_level(grid):
+    # The drift of a march's solution evaluates the march's own D_p H on
+    # its gradient: a block of levels has the bits of the whole path's.
+    tg = TimeGrid(horizon=0.5, n_steps=40)
+    x = grid.nodes()[0]
+    sol = solve_backward(PlainH(), constant_path(tg, uniform_mu(grid)), 0.1 * np.cos(2 * np.pi * x))
+    whole = sol.drift[:]
+    assert whole.tobytes() == (-sol.du).tobytes()
+    for block in grid.level_blocks(len(whole)):
+        assert sol.drift[block].tobytes() == whole[block].tobytes()
+    assert replace(sol, grad_p=None).drift is None
 
 
 class BlowsUpAt(PlainH):

@@ -1004,6 +1004,7 @@ def test_equilibrium_drift_cross_check_reduced():
     u_t = 0.15 * np.cos(2.0 * np.pi * grid.nodes()[0])
     sol = solve_equilibrium(model, m0, u_t, tg, theta_target=1.0)
     assert sol.converged
-    path = simulate_sde(sol.u_sol.drift, m0, 2 * 10**4, tg, seed=77, store_stride=100)
+    # the solution's drift is a view: the particle march takes the whole path
+    path = simulate_sde(sol.u_sol.drift[:], m0, 2 * 10**4, tg, seed=77, store_stride=100)
     emp = empirical_measure(path.terminal(), grid)
     assert wasserstein_1d(emp, sol.m_sol.terminal()) <= 0.05

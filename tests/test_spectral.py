@@ -6,6 +6,7 @@ exp(-t (-Delta)^s) damps the same mode by exp(-t (2 pi |k|)^{2s}).
 """
 
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -452,3 +453,83 @@ def test_step_operators_are_built_once_per_time_step(monkeypatch):
     assert table is plane.value_step(0.01) and not table.flags.writeable
     assert np.array_equal(table, plane.heat_table(0.01))
     assert plane.value_step(0.02) is not table
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 512), (2, 64), (2, 16)]),
+    extra=st.integers(min_value=0, max_value=80),
+    flow=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_blocked_semigroup_apply_is_the_whole_stack_transform(shape, extra, flow, seed):
+    # A stack, or one field over an array of times, is transformed a block
+    # of levels at a time (32 levels at n = 512, 4 in d = 2 at n = 64, 64
+    # at n = 16); every row has the bytes of the one-call transform of the
+    # whole stack, for level counts on and across block edges.
+    dim, n = shape
+    g = SpectralGrid(dim, n, 0.75)
+    per_block = next(g.level_blocks(10**6)).stop
+    levels = 1 + extra % (3 * per_block)
+    rng = np.random.default_rng(seed)
+    s = 0.5 if seed % 2 else None
+    if flow:
+        f = rng.standard_normal(g.shape)
+        t = np.sort(rng.uniform(0.0, 0.2, levels))
+    else:
+        f = rng.standard_normal((levels,) + g.shape)
+        t = float(rng.uniform(0.0, 0.2))
+    whole = g._multiply(f, g.heat_table(t, s))
+    blocked = g.semigroup_apply(f, t, s)
+    assert blocked.shape == whole.shape
+    assert blocked.tobytes() == whole.tobytes()
+    # a stack of vector fields blocks over its first axis too
+    v = rng.standard_normal((levels, dim) + g.shape)
+    assert g.semigroup_apply(v, 0.05).tobytes() == g._multiply(v, g.heat_table(0.05)).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_2d_steps_have_the_bytes_of_rfft2_and_allocate_nothing(n):
+    # The 2-D per-level transforms run in the grid's spectrum buffer: the
+    # real transform along the last axis and the complex one along the
+    # first, the bytes of rfft2 and irfft2, with no array allocated.
+    rng = np.random.default_rng(23)
+    g = SpectralGrid(2, n, 0.75)
+    f = rng.standard_normal(g.shape)
+    step = g.gradient_step(5e-3)
+    spec = step * np.fft.rfft2(f)
+    want_value = np.fft.irfft2(spec, s=g.shape)
+    want_pair = np.fft.irfft2(np.concatenate([spec[None], g._deriv * spec]), s=g.shape)
+    value, pair = np.empty(g.shape), np.empty((3,) + g.shape)
+    g.semigroup_value(f, g.value_step(5e-3), value)
+    g.semigroup_gradient(f, step, pair)
+    assert value.tobytes() == want_value.tobytes()
+    assert pair.tobytes() == want_pair.tobytes()
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            g.semigroup_value(f, step, value)
+            g.semigroup_gradient(f, step, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy's own bookkeeping takes about 1.5 KB; one spectrum is 2.3 KB at
+    # n = 16 and 33 KB at n = 64
+    assert peak < 2048 if n == 16 else peak < 4096
+    assert value.tobytes() == want_value.tobytes()
+    assert pair.tobytes() == want_pair.tobytes()
+
+
+def test_1d_transform_steps_are_unchanged():
+    # Above DENSE_STEP_MAX_N a 1-D step keeps numpy's one-call transform.
+    rng = np.random.default_rng(29)
+    g = SpectralGrid(1, 2 * DENSE_STEP_MAX_N, 0.75)
+    f = rng.standard_normal(g.shape)
+    step = g.gradient_step(5e-3)
+    spec = step * np.fft.rfft(f)
+    value, pair = np.empty(g.shape), np.empty((2,) + g.shape)
+    g.semigroup_value(f, g.value_step(5e-3), value)
+    g.semigroup_gradient(f, step, pair)
+    assert value.tobytes() == np.fft.irfft(spec, n=g.n).tobytes()
+    both = np.stack([spec, g._deriv[0] * spec])
+    assert pair.tobytes() == np.fft.irfft(both, n=g.n).tobytes()
