@@ -117,6 +117,10 @@ def check_cfl(drift_blocks, time_grid: TimeGrid, grid: SpectralGrid) -> None:
     -D_p H at levels 1..n."""
     speed = 0.0
     for drift in drift_blocks:
+        if grid.dim == 1:
+            # |b| is largest at max b or at -min b: no block-sized temporary
+            speed = max(speed, float(np.max(drift)), -float(np.min(drift)))
+            continue
         levels = drift.reshape((-1, grid.dim) + grid.shape)
         summed = np.abs(levels[:, 0])
         for axis in range(1, grid.dim):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OptimizationError
-from .measures import GridMeasure, JointControlMeasure, lambda_q, mean_control
+from .measures import GridMeasure, JointControlMeasure, _JointFields, lambda_q, mean_control
 from .spectral import SpectralGrid
 
 
@@ -169,11 +169,12 @@ class QuadraticModel:
 class PushedForward:
     """A joint measure mu, one slice or a path, with its control pushed
     forward by 1/theta, as a base model reads it: mu's ``grid`` and
-    ``density``, and the controls alpha / theta.  ``mean_control()``
-    divides the controls by theta one block of levels at a time
-    (``SpectralGrid.level_blocks``), which gives the bits of the whole
-    path's division; ``alpha`` divides the whole path, for a model that
-    reads the controls themselves."""
+    ``density``, the controls alpha / theta, ``control_magnitude()`` and
+    ``mean_control()``, the field-form reads of a joint measure (so
+    ``lambda_q`` takes it too).  ``mean_control()`` divides the controls by
+    theta one block of levels at a time (``SpectralGrid.level_blocks``),
+    which gives the bits of the whole path's division; ``alpha`` divides
+    the whole path, for a model that reads the controls themselves."""
 
     def __init__(self, mu, theta: float):
         self.grid, self.density = mu.grid, mu.density
@@ -184,6 +185,8 @@ class PushedForward:
         alpha = self._mu.alpha / self._theta
         alpha.setflags(write=False)
         return alpha
+
+    control_magnitude = _JointFields.control_magnitude
 
     def mean_control(self) -> np.ndarray:
         grid, density, alpha = self.grid, self.density, self._mu.alpha

@@ -11,10 +11,7 @@ transforms a stack one block of levels at a time into its output, so no
 spectrum spans the path.  A march takes its step operator once
 (``value_step`` or ``gradient_step``) and hands it to the unchecked
 per-step transforms ``semigroup_value`` and ``semigroup_gradient``, which
-write into buffers the march allocates once; on a 2-D grid they transform
-in a spectrum buffer the grid keeps, one real transform along the last
-axis and one complex transform along the first, the bits of ``rfft2``
-and ``irfft2`` with no array allocated per call.  On a 1-D grid of at most
+write into buffers the march allocates once.  On a 1-D grid of at most
 ``DENSE_STEP_MAX_N`` nodes that operator is the real circulant kernel of
 the heat multiplier and its gradient, [T; D T], built by the same
 transform applied to the identity, so a step is one matrix-vector
@@ -91,11 +88,6 @@ class SpectralGrid:
         self._dense_steps = dim == 1 and n <= DENSE_STEP_MAX_N
         # the last step operator built, with its time
         self._operator: tuple[float, np.ndarray] | None = None
-        # the half spectra of a 2-D step's value and gradient, written by
-        # every semigroup_value and semigroup_gradient call
-        self._spectra = (
-            np.empty((1 + dim, n, n // 2 + 1), dtype=complex) if dim == 2 else None
-        )
 
         # Multiplier tables live on the real-transform half spectrum: every
         # integer wavenumber on the leading axis, k = 0 .. n/2 on the last.
@@ -186,22 +178,6 @@ class SpectralGrid:
             return np.fft.irfft(fhat, n=self.n)
         return np.fft.irfft2(fhat, s=self.shape)
 
-    def _forward_into(self, f: np.ndarray, spec: np.ndarray) -> None:
-        """rfft2 of a 2-D field or stack, written into spec: the real
-        transform along the last axis, then the complex one along the
-        first, in place, as rfft2 takes them."""
-        np.fft.rfft(f, axis=-1, out=spec)
-        np.fft.fft(spec, axis=-2, out=spec)
-
-    def _inverse_into(self, spec: np.ndarray, out: np.ndarray) -> None:
-        """The inverse of a half spectrum or a stack, written into out; in
-        2-D the complex inverse along the first axis runs in place in spec,
-        then the real one along the last, as irfft2 takes them (irfft2
-        itself drops its out argument in numpy 2.4)."""
-        if self.dim == 2:
-            np.fft.ifft(spec, axis=-2, out=spec)
-        np.fft.irfft(spec, n=self.n, axis=-1, out=out)
-
     def _multiply(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """irfft(mult * rfft(f)) over the trailing grid axes: the one
         transform behind every operator.  f is one field or a stack; mult,
@@ -251,9 +227,14 @@ class SpectralGrid:
         t = np.broadcast_to(t, lead) if flow else t
         out = np.empty(lead + self.shape)
         for block in self.level_blocks(lead[0]):
-            fhat = self._forward(f[block]) if spec is None else spec
             mult = self.heat_table(t[block], s) if flow else table
-            self._inverse_into(mult * fhat, out[block])
+            if spec is None:
+                # a block's own spectrum takes the multiplier in place
+                fhat = self._forward(f[block])
+                fhat *= mult
+            else:
+                fhat = mult * spec
+            out[block] = self._inverse(fhat)
         return out
 
     def _kernel(self, mults: np.ndarray) -> np.ndarray:
@@ -267,9 +248,7 @@ class SpectralGrid:
     def gradient_step(self, t) -> np.ndarray:
         """The step operator of (T(t), grad T(t)) that semigroup_gradient
         takes: the (1 + d) n x n kernel K = [T(t); D T(t)] on a 1-D grid of
-        at most DENSE_STEP_MAX_N nodes, else the heat table of t, held as
-        complex on a 2-D grid so that its product with a spectrum needs no
-        cast buffer (the bits are those of the real table's).  It is
+        at most DENSE_STEP_MAX_N nodes, else the heat table of t.  It is
         read-only, and the grid keeps the last one it built, so the marches
         of one time step build it once."""
         t = float(t)
@@ -277,8 +256,6 @@ class SpectralGrid:
             op = self.heat_table(t)
             if self._dense_steps:
                 op = self._kernel(np.concatenate([op[np.newaxis], op * self._deriv]))
-            elif self.dim == 2:
-                op = op.astype(complex)
             op.setflags(write=False)
             self._operator = (t, op)
         return self._operator[1]
@@ -295,22 +272,15 @@ class SpectralGrid:
         """T(t) f for one field f and the value_step of t, written into out.
         On a 1-D grid of at most DENSE_STEP_MAX_N nodes this is one product
         with the kernel, semigroup_apply(f, t) to rounding; elsewhere it is
-        one transform pair, semigroup_apply(f, t) to the bit.  On a 2-D
-        grid the pair runs in the grid's spectrum buffer and allocates no
-        array, so, like semigroup_gradient, it is not reentrant.
+        one transform pair, semigroup_apply(f, t) to the bit.
 
         Neither f nor the operator is checked here: the forward march calls
         this once per step, with the operator it built, and checks its
         steps' outputs itself."""
         if self._dense_steps:
             np.matmul(step, f, out=out)
-        elif self.dim == 1:
-            out[...] = self._multiply(f, step)
         else:
-            spec = self._spectra[0]
-            self._forward_into(f, spec)
-            np.multiply(step, spec, out=spec)
-            self._inverse_into(spec, out)
+            out[...] = self._multiply(f, step)
 
     def semigroup_gradient(self, f: np.ndarray, step: np.ndarray, out: np.ndarray) -> None:
         """(T(t) f, grad T(t) f) for one field f and the gradient_step of t,
@@ -326,28 +296,15 @@ class SpectralGrid:
         (semigroup_apply(f, t), gradient of it) to rounding.  f is not
         checked here: the HJB march calls this once per time level, with
         the operator it built, and checks its levels' inputs itself.
-
-        On a 2-D grid the spectra are written into a buffer the grid keeps,
-        with the bits of rfft2 and irfft2 and no array allocated per call.
-        That buffer makes this method and semigroup_value non-reentrant: two
-        calls on one grid must not run at once, as from two threads.
         """
         if self._dense_steps:
             np.matmul(step, f, out=out.reshape(-1))
-        elif self.dim == 1:
+        else:
             spec = self._forward(f)
             both = np.empty((1 + self.dim,) + spec.shape, dtype=spec.dtype)
             np.multiply(step, spec, out=both[0])
             np.multiply(self._deriv, both[0], out=both[1:])
             out[...] = self._inverse(both)
-        else:
-            both = self._spectra
-            self._forward_into(f, both[0])
-            np.multiply(step, both[0], out=both[0])
-            # one component at a time: a broadcast product buffers its input
-            for deriv, spec in zip(self._deriv, both[1:]):
-                np.multiply(deriv, both[0], out=spec)
-            self._inverse_into(both, out)
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """Spectral gradient, shape (..., dim, *grid.shape)."""

@@ -238,6 +238,56 @@ def test_theta_scale_expression_tree():
         )
 
 
+class MomentH:
+    """H = |p|^2 / 2 + Lambda_2(mu), L = |alpha|^2 / 2 - Lambda_2(mu): field
+    forms that read the measure through lambda_q, and so through
+    control_magnitude(), on a slice and on a path."""
+
+    C0 = q = q_tilde = 2.0
+
+    @staticmethod
+    def _moment(mu):
+        lam = np.asarray(lambda_q(mu, 2.0))
+        return lam.reshape(lam.shape + (1,) * mu.grid.dim)
+
+    def hamiltonian_at(self, mu):
+        lam, axis = self._moment(mu), -(mu.grid.dim + 1)
+
+        def hamiltonian(p, j=None):
+            return 0.5 * np.sum(p**2, axis=axis) + (lam if j is None else lam[j])
+
+        return hamiltonian, lambda p, j=None: p
+
+    def grad_p_field(self, p, mu):
+        return p
+
+    def lagrangian_field(self, alpha, mu):
+        return 0.5 * np.sum(alpha**2, axis=-(mu.grid.dim + 1)) - self._moment(mu)
+
+
+def test_theta_scaled_measure_gives_the_control_moment():
+    # At theta < 1 a base model that reads lambda_q of the scaled measure
+    # gets the moment of the controls alpha / theta, to the bit, on a slice
+    # and on a path.
+    rng = np.random.default_rng(41)
+    g = SpectralGrid(1, 32, 0.75)
+    tg = TimeGrid(1.0, 4)
+    density = np.stack([smooth_density(g, rng) for _ in range(5)])
+    alpha = rng.uniform(-1, 1, (5, 1, 32))
+    path = MeasurePath(tg, g, density, alpha)
+    halved = MeasurePath(tg, g, density, alpha / 0.5)
+    scaled = ThetaScaledModel(MomentH(), 0.5)
+    p = rng.uniform(-2, 2, (5, 1, 32))
+    assert lambda_q(scaled.scaled_measure(path), 2.0).tobytes() == lambda_q(halved, 2.0).tobytes()
+    h, want = scaled.hamiltonian_at(path)[0], MomentH().hamiltonian_at(halved)[0]
+    assert h(p).tobytes() == (0.5 * want(p)).tobytes()
+    for j in range(5):
+        assert h(p[j], j).tobytes() == (0.5 * want(p[j], j)).tobytes()
+        lag = scaled.lagrangian_field(alpha[j], path[j])
+        base = MomentH().lagrangian_field(alpha[j] / 0.5, halved[j])
+        assert lag.tobytes() == (0.5 * base).tobytes()
+
+
 def test_theta_half_constant_control():
     # alpha = a everywhere: scaling doubles the mean control inside H.
     g = SpectralGrid(1, 64, 0.75)

@@ -6,7 +6,6 @@ exp(-t (-Delta)^s) damps the same mode by exp(-t (2 pi |k|)^{2s}).
 """
 
 import gc
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -488,48 +487,22 @@ def test_blocked_semigroup_apply_is_the_whole_stack_transform(shape, extra, flow
     assert g.semigroup_apply(v, 0.05).tobytes() == g._multiply(v, g.heat_table(0.05)).tobytes()
 
 
-@pytest.mark.parametrize("n", [16, 64])
-def test_2d_steps_have_the_bytes_of_rfft2_and_allocate_nothing(n):
-    # The 2-D per-level transforms run in the grid's spectrum buffer: the
-    # real transform along the last axis and the complex one along the
-    # first, the bytes of rfft2 and irfft2, with no array allocated.
+@pytest.mark.parametrize("dim, n", [(1, 2 * DENSE_STEP_MAX_N), (2, 16), (2, 64)])
+def test_transform_steps_have_the_bytes_of_numpys_transform_pair(dim, n):
+    # Off the dense 1-D kernel, a step is numpy's one-call real transform
+    # pair of the field times the step's heat table, and of the gradient
+    # pair, to the byte.
     rng = np.random.default_rng(23)
-    g = SpectralGrid(2, n, 0.75)
+    g = SpectralGrid(dim, n, 0.75)
     f = rng.standard_normal(g.shape)
+    if dim == 1:
+        forward, inverse = np.fft.rfft, lambda z: np.fft.irfft(z, n=n)
+    else:
+        forward, inverse = np.fft.rfft2, lambda z: np.fft.irfft2(z, s=g.shape)
     step = g.gradient_step(5e-3)
-    spec = step * np.fft.rfft2(f)
-    want_value = np.fft.irfft2(spec, s=g.shape)
-    want_pair = np.fft.irfft2(np.concatenate([spec[None], g._deriv * spec]), s=g.shape)
-    value, pair = np.empty(g.shape), np.empty((3,) + g.shape)
+    spec = step * forward(f)
+    value, pair = np.empty(g.shape), np.empty((1 + dim,) + g.shape)
     g.semigroup_value(f, g.value_step(5e-3), value)
     g.semigroup_gradient(f, step, pair)
-    assert value.tobytes() == want_value.tobytes()
-    assert pair.tobytes() == want_pair.tobytes()
-    tracemalloc.start()
-    try:
-        for _ in range(3):
-            g.semigroup_value(f, step, value)
-            g.semigroup_gradient(f, step, pair)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # numpy's own bookkeeping takes about 1.5 KB; one spectrum is 2.3 KB at
-    # n = 16 and 33 KB at n = 64
-    assert peak < 2048 if n == 16 else peak < 4096
-    assert value.tobytes() == want_value.tobytes()
-    assert pair.tobytes() == want_pair.tobytes()
-
-
-def test_1d_transform_steps_are_unchanged():
-    # Above DENSE_STEP_MAX_N a 1-D step keeps numpy's one-call transform.
-    rng = np.random.default_rng(29)
-    g = SpectralGrid(1, 2 * DENSE_STEP_MAX_N, 0.75)
-    f = rng.standard_normal(g.shape)
-    step = g.gradient_step(5e-3)
-    spec = step * np.fft.rfft(f)
-    value, pair = np.empty(g.shape), np.empty((2,) + g.shape)
-    g.semigroup_value(f, g.value_step(5e-3), value)
-    g.semigroup_gradient(f, step, pair)
-    assert value.tobytes() == np.fft.irfft(spec, n=g.n).tobytes()
-    both = np.stack([spec, g._deriv[0] * spec])
-    assert pair.tobytes() == np.fft.irfft(both, n=g.n).tobytes()
+    assert value.tobytes() == inverse(spec).tobytes()
+    assert pair.tobytes() == inverse(np.concatenate([spec[None], g._deriv * spec])).tobytes()
