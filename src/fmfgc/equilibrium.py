@@ -23,22 +23,19 @@ path is held, and the CFL guard, the forward march, the duality pairing
 and the certificate's exploitability each read it a block of levels at
 a time.
 
-The working set is whole paths, so none is held twice, and between
-sweeps a stage holds only what the next sweep reads: the value, its
-gradient, the density and the controls that warm start the next control
-fixed point, paired with that density.  A sweep reads the gradient and
-the controls in the control fixed point only and lets go of them there,
-and the old value once its change is taken, before the forward march;
-the packaging lets go of the previous controls once the new path exists
-and of the Hamiltonian's closure, which holds the potential path, before
-its density march.  A stage hands each of them its only reference to
-the state, so what they let go of is freed, while what a caller holds
-(a warm start, a stage ``sweep_theta`` has yielded) is left as it is.
-The analytic base holds one density path, the heat flow checked once as
-a density path; its zero value, H, gradient and control paths are
-read-only broadcast views with no memory behind them, its drift
-evaluates to zero on the levels it is indexed with, and its control
-path, which a stage keeps as the certificate's baseline, is a view of
+A stage owns one set of paths: it copies its start once into a value,
+gradient, H, density and control path of its own, and its sweeps and its
+packaging write over them, so what a caller holds (a warm start, a stage
+``sweep_theta`` has yielded) stays as it is.  The control fixed point
+steps the controls in place, the backward march takes each level's value
+change just before it writes the level, and the forward march copies
+each block's old levels aside and takes their density change.  A march
+that raises leaves the stage's paths half-written, and nothing reads
+them again: the error names the sweep, not the state.  The analytic base
+holds one density path, the heat flow checked once; its zero value, H,
+gradient and control paths are read-only broadcast views with no memory
+behind them, its drift evaluates to zero on the levels it is indexed
+with, and its control path, the first stage's baseline, is a view of
 that density.  Path work that needs path-sized temporaries (the control
 fixed point, the drift and its CFL rule, the forward march's face
 velocities, the duality pairing, the value and density changes, the
@@ -170,83 +167,56 @@ def analytic_base(m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid) -> Equi
     )
 
 
-def _control_path(state: EquilibriumSolution, scaled, cfg: LoopConfig) -> MeasurePath:
-    """The control fixed point on the state's density path against its value
-    gradient, all slices at once, warm started from the state's controls."""
-    start = MeasurePath.view(state.time_grid, state.grid, state.m_sol.m, state.mu_path.alpha)
-    return solve_mu(start, state.u_sol.du, scaled, cfg.mu_config)
+def _own(state: EquilibriumSolution) -> tuple[HjbSolution, np.ndarray, np.ndarray]:
+    """The paths a stage owns, which its sweeps and its packaging write
+    over: copies of the state's value solution (u, du and an H to write),
+    density and controls."""
+    u = np.array(state.u_sol.u)
+    value = HjbSolution(state.time_grid, state.grid, u, np.array(state.u_sol.du), np.empty_like(u))
+    return value, np.array(state.m_sol.m), np.array(state.mu_path.alpha)
 
 
 def _density_change(grid, m_old: np.ndarray, m_new: np.ndarray) -> float:
-    """The largest change of the density over the levels of two paths, an
-    upper bound on their W1 at each level: exact W1 in d = 1
-    (``wasserstein_1d``), in d = 2 sqrt(2)/2 times the total variation,
-    either a block of levels at a time."""
+    """The largest change of the density over the levels of two stacks, an
+    upper bound on the W1 of each level's pair: exact W1 in d = 1
+    (``wasserstein_1d``), in d = 2 sqrt(2)/2 times the total variation."""
     if grid.dim == 1:
-        return float(np.max([
-            np.max(wasserstein_1d(
-                GridMeasure.view(grid, m_old[block]), GridMeasure.view(grid, m_new[block])
-            ))
-            for block in grid.level_blocks(len(m_new))
-        ]))
-    l1 = [
-        np.max(grid.integrate(np.abs(m_new[block] - m_old[block])))
-        for block in grid.level_blocks(len(m_new))
-    ]
-    diameter = np.sqrt(2.0) / 2.0
-    return float(diameter * 0.5 * np.max(l1))
+        view = GridMeasure.view
+        return float(np.max(wasserstein_1d(view(grid, m_old), view(grid, m_new))))
+    return float(np.sqrt(2.0) / 2.0 * 0.5 * np.max(grid.integrate(np.abs(m_new - m_old))))
 
 
-def _value_change(grid, u_old: np.ndarray, u_new: np.ndarray) -> float:
-    """The largest change of the value over the nodes and levels of two
-    paths, a block of levels at a time."""
-    return float(np.max([
-        np.max(np.abs(u_new[block] - u_old[block]))
-        for block in grid.level_blocks(len(u_new))
-    ]))
-
-
-def picard_iterate(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
+def picard_iterate(
+    state: EquilibriumSolution, model, cfg: LoopConfig, paths
+) -> EquilibriumSolution:
     """One sweep at the state's theta in (0, 1]: controls, backward value,
-    forward density.
-
-    Past the control fixed point the sweep reads only the state's value and
-    density, so it lets go of the state there: given the only reference to
-    it, as a stage gives, the state's gradient and controls are freed
-    before the marches run, and its value once the backward march has
-    given the value change.  The new state pairs the new controls with the
-    new density, so it holds no older density."""
+    forward density, written over ``paths``, the stage's ``_own`` paths,
+    which hold the state.  The new state pairs the new controls with the
+    new density."""
     scaled = coerce_theta(model, state.theta)
-    tg, grid = state.time_grid, state.grid
+    value, m, alpha = paths
     try:
-        mu_path = _control_path(state, scaled, cfg)
-        u_old, m_old = state.u_sol.u, state.m_sol.m
-        state = replace(state, u_sol=None, m_sol=None, mu_path=None)
-        u_new = solve_backward(scaled, mu_path, state.theta * state.u_terminal)
-        u_change = _value_change(grid, u_old, u_new.u)
-        del u_old
+        start = MeasurePath.view(state.time_grid, state.grid, m, alpha)
+        mu_path = solve_mu(start, value.du, scaled, cfg.mu_config, alpha)
+        u_sol = solve_backward(scaled, mu_path, state.theta * state.u_terminal, value)
         # mu_path holds the iterate's density, so its slice 0 is m0
-        m_new = solve_forward(u_new.drift, mu_path[0].m, tg)
+        m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid, m, _density_change)
     except FmfgcError as err:
         err.sweep_index = state.sweeps
         raise
 
-    duality = duality_residual(u_new, m_new)
-    # the next sweep marches again, so a state between sweeps keeps u and
-    # Du only: the march's H and grad_p go as soon as the pairing has read them
-    u_new = replace(u_new, hamiltonian=None, grad_p=None)
     metrics = SweepMetrics(
         sweep=state.sweeps + 1,
         theta=state.theta,
-        u_change=u_change,
-        m_change=_density_change(grid, m_old, m_new.m),
-        duality=duality,
+        u_change=u_sol.change,
+        m_change=m_sol.change,
+        duality=duality_residual(u_sol, m_sol),
     )
     return replace(
         state,
-        u_sol=u_new,
-        m_sol=m_new,
-        mu_path=MeasurePath.view(tg, grid, m_new.m, mu_path.alpha),
+        u_sol=u_sol,
+        m_sol=m_sol,
+        mu_path=mu_path,
         history=state.history + [metrics],
         converged=metrics.defect <= cfg.tolerance,
     )
@@ -282,41 +252,36 @@ def _run_stage(
 ) -> EquilibriumSolution:
     """Run one scaling stage from ``start``: iterate at ``theta`` to tolerance
     or sweep budget, then package; the start's controls are the baseline.
-
-    The stage keeps its state in a one-slot list and pops it into each
-    sweep and into the packaging, so theirs is the only reference and what
-    they let go of is freed; ``start`` is the caller's and stays as it is."""
-    held = [replace(start, theta=theta, converged=False, baseline_mu=start.mu_path)]
+    The stage's sweeps and packaging write over its own copy of ``start``."""
+    paths = _own(start)
+    state = replace(start, theta=theta, converged=False, baseline_mu=start.mu_path)
     for _ in range(cfg.max_sweeps):
-        held.append(picard_iterate(held.pop(), model, cfg))
+        state = picard_iterate(state, model, cfg, paths)
         if sink is not None:
-            sink.write(held[0].history[-1])
-        if held[0].converged:
+            sink.write(state.history[-1])
+        if state.converged:
             break
-    return _package(held.pop(), model, cfg)
+    return _package(state, paths, model, cfg)
 
 
-def _package(state: EquilibriumSolution, model, cfg: LoopConfig) -> EquilibriumSolution:
-    """Re-solve the control path against the final value gradient so the
-    packaged triple satisfies the slice fixed point to the mu tolerance;
-    the value solution then carries H, written a block of levels at a
-    time, and the grad_p of the packaged path, whose drift the density
-    march and a particle simulation advect by.
-
-    The state's previous controls go once the new path exists, and the
-    Hamiltonian's closure, which holds the potential path, before the
-    density march."""
+def _package(state: EquilibriumSolution, paths, model, cfg: LoopConfig) -> EquilibriumSolution:
+    """Re-solve the control path in place against the final value gradient,
+    so the packaged triple satisfies the slice fixed point to the mu
+    tolerance; the stage's H then holds H at that path, written a block of
+    levels at a time, and the value solution the path's grad_p, whose
+    drift the density march and a particle simulation advect by.  The
+    march writes a new density path: the controls stay paired with the
+    density they were solved on."""
     scaled = coerce_theta(model, state.theta)
-    state = replace(state, mu_path=_control_path(state, scaled, cfg))
-    hamiltonian, grad_p = scaled.hamiltonian_at(state.mu_path)
-    du = state.u_sol.du
-    h = np.empty(state.u_sol.u.shape)
-    for block in state.grid.level_blocks(len(h)):
-        h[block] = hamiltonian(du[block], block)
-    del hamiltonian
-    u_sol = replace(state.u_sol, hamiltonian=h, grad_p=grad_p)
-    m_sol = solve_forward(u_sol.drift, state.mu_path[0].m, state.time_grid)
-    return replace(state, u_sol=u_sol, m_sol=m_sol)
+    value, _, alpha = paths
+    mu_path = solve_mu(state.mu_path, value.du, scaled, cfg.mu_config, alpha)
+    hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
+    for block in state.grid.level_blocks(len(value.u)):
+        value.hamiltonian[block] = hamiltonian(value.du[block], block)
+    del hamiltonian  # its closure holds the potential path, which the march does not read
+    u_sol = replace(state.u_sol, grad_p=grad_p)
+    m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid)
+    return replace(state, u_sol=u_sol, m_sol=m_sol, mu_path=mu_path)
 
 
 def solve_equilibrium(

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CflError, ConservationError, InvalidFieldError
-from .measures import GridMeasure
+from .measures import GridMeasure, _read_only_view
 from .spectral import SpectralGrid, TimeGrid
 
 STEP_MASS_TOL = 1e-12
@@ -76,9 +76,12 @@ class FpSolution:
     preclip_min_trace: np.ndarray = field(repr=False)
     advect_drift_trace: np.ndarray = field(repr=False)
     drift_div_neg: float
+    #: the largest ``change`` the march took over its blocks, if given one
+    change: float | None = None
 
     def __post_init__(self):
-        self.m.setflags(write=False)
+        # a read-only view, so a march can write the path it was given again
+        self.m = _read_only_view(self.m)
 
     @property
     def mass_trace(self) -> np.ndarray:
@@ -287,8 +290,12 @@ def checked_drift_path(b_path, time_grid: TimeGrid, grid: SpectralGrid) -> np.nd
     return _finite_drift(b_path)
 
 
-def solve_forward(b_path, m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
-    """March m0 forward through the drift path b(t^j).
+def solve_forward(
+    b_path, m0: GridMeasure, time_grid: TimeGrid, out: np.ndarray | None = None, change=None
+) -> FpSolution:
+    """March m0 forward through the drift path b(t^j), into ``out`` when
+    given, a density path it writes over (half-written if the march
+    raises), and into a path of its own otherwise.
 
     b_path has shape (n_steps + 1, dim, *grid.shape): an array, or a view
     such as a value solution's ``drift`` that evaluates the levels it is
@@ -298,7 +305,10 @@ def solve_forward(b_path, m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     the CFL rule is checked over the levels 0..n-1 that step.  Traces and
     the comparison bound sup m <= sup m0 e^{KT} are recorded for
     diagnostics, with K = max(-div_h f)^+ over the face velocities f of the
-    n slices that step (see the module docstring).
+    n slices that step (see the module docstring).  With ``change``, the
+    march copies each block's levels aside before it writes them and takes
+    ``change(grid, old, new)``, a float, on the old and the new levels;
+    the solution keeps the largest.
     """
     grid = m0.grid
     n = time_grid.n_steps
@@ -309,15 +319,12 @@ def solve_forward(b_path, m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     _finite_drift(b_path[n:])
     check_cfl((_finite_drift(b_path[block]) for block in blocks), time_grid, grid)
 
-    # the path comes before the block buffers, so that they do not split
-    # the room a path freed earlier leaves it: the other way round, a 2-D
-    # solve's heap grew past its live arrays and its peak RSS with it
-    m = np.empty((n + 1,) + grid.shape)
+    m = np.empty((n + 1,) + grid.shape) if out is None else out
     dt = time_grid.dt
     heat, rate = grid.value_step(dt), dt / grid.dx
     scratch, cell = _sweep_scratch(grid), grid.dx**grid.dim
     # the first block is the longest
-    advected, diffused = np.empty((2, blocks[0].stop) + grid.shape)
+    advected, diffused, old = np.empty((3, blocks[0].stop) + grid.shape)
     parts = np.empty((2, blocks[0].stop, grid.dim) + grid.shape)
     m[0] = m0.values
     preclip = np.empty(n + 1)
@@ -325,8 +332,12 @@ def solve_forward(b_path, m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
     advect_drift = np.zeros(n + 1)
     mass = m0.mass  # each later step starts at the unit mass the last one left
     compression = 0.0
+    largest = None if change is None else 0.0
     for block in blocks:
         count = block.stop - block.start
+        new = m[block.start + 1 : block.stop + 1]
+        if change is not None:
+            old[:count] = new
         pos, neg = parts[:, :count]
         b = np.asarray(b_path[block], dtype=float)
         block_compression = _face_parts(b, grid, pos, neg)
@@ -337,21 +348,22 @@ def solve_forward(b_path, m0: GridMeasure, time_grid: TimeGrid) -> FpSolution:
         # may overflow; the check below reports the failure, and the steps
         # past it are dropped
         with np.errstate(all="ignore"):
-            for values, pos_k, neg_k, advected_k, diffused_k, out in zip(
-                m[block.start : block.stop], pos, neg, advected, diffused,
-                m[block.start + 1 : block.stop + 1],
+            for values, pos_k, neg_k, advected_k, diffused_k, out_k in zip(
+                m[block.start : block.stop], pos, neg, advected, diffused, new
             ):
                 _advect(values, pos_k, neg_k, rate, scratch, advected_k)
                 grid.semigroup_value(advected_k, heat, diffused_k)
-                np.maximum(diffused_k, 0.0, out=out)
-                out /= out.sum() * cell
+                np.maximum(diffused_k, 0.0, out=out_k)
+                out_k /= out_k.sum() * cell
             drift, block_preclip = _check_steps(
                 advected[:count], diffused[:count], mass, cell
             )
         advect_drift[block.start + 1 : block.stop + 1] = drift
         preclip[block.start + 1 : block.stop + 1] = block_preclip
         mass = 1.0
-    return FpSolution(time_grid, grid, m, preclip, advect_drift, compression)
+        if change is not None:
+            largest = max(largest, change(grid, old[:count], new))
+    return FpSolution(time_grid, grid, m, preclip, advect_drift, compression, largest)
 
 
 DENSITY_PRESETS = ("uniform", "vonmises", "twobump")

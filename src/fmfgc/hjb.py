@@ -85,8 +85,12 @@ class HjbSolution:
     """The value path and its gradient; ``hamiltonian`` is H(x, Du, mu) on
     every level and ``grad_p`` the D_p H of the model's ``hamiltonian_at``
     at the measure path mu the value is paired with, which ``drift``
-    evaluates on the gradient.  Both are None on a solution built by hand
-    and on an equilibrium state between sweeps."""
+    evaluates on the gradient; both are None on a solution built by hand.
+    ``change`` is the largest change of the value, over the nodes and
+    levels, from what the march wrote over (zeros when it was given no
+    paths), or None on a solution built by hand.  An equilibrium state
+    between sweeps holds its stage's paths, which the next sweep writes
+    over."""
 
     time_grid: TimeGrid
     grid: SpectralGrid
@@ -94,6 +98,7 @@ class HjbSolution:
     du: np.ndarray  # (n_steps + 1, dim, *grid.shape)
     hamiltonian: np.ndarray | None = field(default=None, repr=False)  # like u
     grad_p: object = field(default=None, repr=False)  # grad_p(p, j) of hamiltonian_at
+    change: float | None = None
 
     @property
     def drift(self) -> FeedbackDrift | None:
@@ -121,8 +126,9 @@ def _blown_up(w: np.ndarray, start: int) -> int | None:
     return None if finite.all() else start + int(np.flatnonzero(~finite)[-1])
 
 
-def _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked) -> None:
-    """Step the levels of one block, top down, into u and du.
+def _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked) -> float:
+    """Step the levels of one block, top down, into u and du; returns the
+    largest change of the value over the levels it writes.
 
     Each level writes its Hamiltonian field into h, its w = u_next - dt H
     into its row of w and its value and gradient, the gradient_step heat
@@ -132,7 +138,7 @@ def _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked) -> No
     ones past a blow-up raise no warning, and one check over the rows of w
     then reports the highest level with a non-finite w, the first the
     march met: the levels above it are written into u and du, the rows at
-    and below it keep their zeros, and a BlowUpError names it."""
+    and below it keep what they held, and a BlowUpError names it."""
     count = block.stop - block.start
     stacked[count, 0] = u[block.stop]
     stacked[count, 1:] = du[block.stop]
@@ -159,24 +165,31 @@ def _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked) -> No
             raise
     failed = _blown_up(w[low:count], block.start + low)
     top = block.start if failed is None else failed + 1
-    u[top : block.stop] = stacked[top - block.start : count, 0]
-    du[top : block.stop] = stacked[top - block.start : count, 1:]
+    new = stacked[top - block.start : count]
+    change = np.max(np.abs(new[:, 0] - u[top : block.stop]), initial=0.0)
+    u[top : block.stop] = new[:, 0]
+    du[top : block.stop] = new[:, 1:]
     if failed is not None:
         raise BlowUpError(
             f"Hamiltonian step produced a non-finite value at time level {failed}",
             time_index=failed,
         )
+    return change
 
 
-def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSolution:
+def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray, out=None) -> HjbSolution:
     """March u from the terminal value u_terminal down to t = 0.
 
     mu_path supplies the joint measure at every time node; the advective
     speed is checked against dx at every level stepped from, and a
     violation reports the number of time steps that would satisfy the
     restriction at the largest speed.  The solution carries H at
-    (Du, mu_path) on every level and the grad_p its drift -D_p H is
-    evaluated with.
+    (Du, mu_path) on every level, the grad_p its drift -D_p H is
+    evaluated with and the value's change from what its paths held.  It
+    writes over the u, du and hamiltonian of ``out`` when given, each
+    level's change taken just before the level is written, and into
+    zero paths of its own otherwise; a march that raises leaves them
+    half-written.
     """
     grid = mu_path.grid
     tg = mu_path.time_grid
@@ -184,9 +197,11 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     u_terminal = one_field(grid, u_terminal)
 
     n = tg.n_steps
-    u = np.empty((n + 1,) + grid.shape)
-    du = np.zeros((n + 1, grid.dim) + grid.shape)
-    h = np.empty_like(u)
+    if out is None:
+        u = np.zeros((n + 1,) + grid.shape)
+        out = HjbSolution(tg, grid, u, np.zeros((n + 1, grid.dim) + grid.shape), np.empty_like(u))
+    u, du, h = out.u, out.du, out.hamiltonian
+    changes = [np.max(np.abs(u_terminal - u[n]))]
     u[n] = u_terminal
     du[n] = grid.gradient(u[n])
     hamiltonian, grad_p = model.hamiltonian_at(mu_path)
@@ -197,7 +212,7 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     stacked = np.empty((blocks[0].stop + 1, 1 + grid.dim) + grid.shape)
     try:
         for block in reversed(blocks):
-            _march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked)
+            changes.append(_march_block(grid, hamiltonian, dt, heat, block, u, du, h, w, stacked))
     except BlowUpError as err:
         # the levels the march passed keep their order ahead of the blow-up;
         # a gradient that overflowed on the way there is part of the blow-up.
@@ -208,7 +223,7 @@ def solve_backward(model, mu_path: MeasurePath, u_terminal: np.ndarray) -> HjbSo
     # |-D_p H| = |D_p H|: the guard reads grad_p without the negation
     check_cfl((grad_p(du[b], b) for b in _level_blocks(grid, 1, n + 1)), tg, grid)
     h[0] = hamiltonian(du[0], 0)
-    return HjbSolution(time_grid=tg, grid=grid, u=u, du=du, hamiltonian=h, grad_p=grad_p)
+    return HjbSolution(tg, grid, u, du, h, grad_p, float(np.max(changes)))
 
 
 def centered_curvature(f: np.ndarray, grid: SpectralGrid) -> np.ndarray:

@@ -9,11 +9,11 @@ a path are independent, so a MeasurePath is solved in one stacked loop
 that runs a block of levels at a time (``SpectralGrid.level_blocks``):
 each block's defect goes into one buffer that every block and iteration
 reuse, and the block's unconverged slices step at once, in the one
-control path the solve owns, so no iteration makes a path-sized
-temporary.  The moment certificate reads a path a block of levels at a
-time too.  Every model is iterated: the zero control of the decoupled
-theta = 0 problem is part of ``equilibrium.analytic_base``, which needs
-no solve.
+control path the solve steps in, the caller's or its own, so no
+iteration makes a path-sized temporary.  The moment certificate reads a
+path a block of levels at a time too.  Every model is iterated: the
+zero control of the decoupled theta = 0 problem is part of
+``equilibrium.analytic_base``, which needs no solve.
 """
 
 from __future__ import annotations
@@ -61,19 +61,23 @@ def solve_mu_detailed(
     du: np.ndarray,
     model,
     config: MuSolveConfig | None = None,
+    out: np.ndarray | None = None,
 ) -> MuSolveResult:
     """Fixed-point solve returning the measure plus convergence data.
 
     m is one slice or a MeasurePath.  A GridMeasure slice starts from the
     zero control; a JointControlMeasure or a MeasurePath starts from its
-    own controls, which the solve reads and never writes: its first step
-    copies them.  A slice stops once it meets the tolerance, so each ends
-    where its own solve would; ``iterations`` is the largest per-slice
-    count.  A slice's defect reads its own level only, so a block of
-    levels steps as soon as its defect is known, and an iteration that
-    meets the tolerance steps no slice.  NonContractionError is raised
-    once the measured update ratio stops shrinking the update, or predicts
-    more than ``config.max_iterations`` iterations to the tolerance."""
+    own controls.  The controls step in ``out`` when given, else in a
+    control array of the solve's own, set to the starting controls first
+    (nothing to copy when ``out`` holds them), so m's are written only
+    when they are ``out``.  A slice stops once it meets the tolerance, so
+    each ends where its own solve would; ``iterations`` is the largest
+    per-slice count.  A slice's defect reads its own level only, so a
+    block of levels steps as soon as its defect is known, and an
+    iteration that meets the tolerance steps no slice.
+    NonContractionError is raised once the measured update ratio stops
+    shrinking the update, or predicts more than ``config.max_iterations``
+    iterations to the tolerance."""
     config = config or MuSolveConfig()
     grid = m.grid
     mu = m
@@ -94,7 +98,10 @@ def solve_mu_detailed(
     lead = du.shape[: du.ndim - grid.dim - 1]
     per_slice = np.empty(lead)
     defect, magnitude = np.empty((2,) + du[blocks[0][0]].shape)
-    alpha = None  # the control path the solve steps, once it has stepped
+    # the controls the solve steps in, starting from m's
+    alpha = np.empty(mu.alpha.shape) if out is None else out
+    alpha[...] = mu.alpha
+    mu = mu.with_alpha_view(alpha)
     updates: list[float] = []
     for it in range(config.max_iterations):
         for levels, rows in blocks:
@@ -106,9 +113,6 @@ def solve_mu_detailed(
             per_slice[levels] = worst
             active = worst > config.tolerance
             if np.any(active):
-                if alpha is None:
-                    alpha = np.array(mu.alpha)
-                    mu = mu.with_alpha_view(alpha)
                 where = active.reshape(active.shape + (1,) * (grid.dim + 1))
                 np.subtract(alpha[levels], step, out=alpha[levels], where=where)
         residual = float(np.max(per_slice))
@@ -146,9 +150,10 @@ def solve_mu(
     du: np.ndarray,
     model,
     config: MuSolveConfig | None = None,
+    out: np.ndarray | None = None,
 ) -> JointControlMeasure | MeasurePath:
     """The fixed-point measure itself; see solve_mu_detailed for metrics."""
-    return solve_mu_detailed(m, du, model, config).mu
+    return solve_mu_detailed(m, du, model, config, out).mu
 
 
 @dataclass

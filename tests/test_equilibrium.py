@@ -9,6 +9,7 @@ import pytest
 import fmfgc.equilibrium as equilibrium
 from fmfgc import measures, spectral
 from fmfgc.artifacts import theta_row
+from fmfgc.errors import CflError
 from fmfgc.equilibrium import (
     EquilibriumSolution,
     LoopConfig,
@@ -18,8 +19,8 @@ from fmfgc.equilibrium import (
     solve_equilibrium,
     sweep_theta,
 )
-from fmfgc.fokker_planck import initial_density
-from fmfgc.hjb import HjbSolution
+from fmfgc.fokker_planck import initial_density, solve_forward
+from fmfgc.hjb import HjbSolution, solve_backward
 from fmfgc.models import PushedForward, QuadraticModel, coerce_theta, growth_check
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
@@ -95,7 +96,7 @@ def test_no_sweep_runs_at_theta_zero():
     model = QuadraticModel(coupling_beta=0.3)
     base = analytic_base(m0, u_t, tg)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        picard_iterate(base, model, LoopConfig())
+        picard_iterate(base, model, LoopConfig(), equilibrium._own(base))
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         solve_equilibrium(model, m0, u_t, tg, theta_target=0.0)
 
@@ -133,22 +134,23 @@ def test_theta_zero_base_holds_one_density_path():
 @pytest.mark.parametrize("n_steps", [24, 48])
 def test_solve_and_certificate_hold_ten_scalar_paths_and_block_scratch(n_steps):
     # A certified 2-D solve at n = 64, where a block of path work is 4
-    # levels.  What a sweep holds at its peak, in the backward march, in
-    # scalar paths (a vector path is two in d = 2): the analytic base's
-    # density, which the stage keeps as its baseline (1); the last
-    # iterate's value and density, for the changes (2); the new controls
-    # (2); the march's value, gradient and H (4); and the potential path
-    # its Hamiltonian holds (1).  That is 10; the forward march holds the
-    # new density in place of the last value and the potential, 9, and the
-    # packaging and the certificate less.  No drift path is held: the CFL
-    # guard, the forward march, the duality pairing and the exploitability
-    # evaluate -D_p H a block of levels at a time, and no stacked
-    # transform makes a path-sized spectrum.  On top come the block buffers
-    # and temporaries, in arrays of BLOCK_NODES floats: in the backward
-    # march its w and stacked levels (5) and the CFL guard's drift block
-    # and sums (3); fewer than 12 at once.  The potential's block spectra
-    # come before the march's paths exist.  A drift path would add 2
-    # paths, as the solve held at 12.
+    # levels.  In scalar paths (a vector path is two in d = 2): the stage
+    # owns its value (1), gradient (2), H (1), density (1) and controls
+    # (2), which its sweeps and its packaging write over, and the caller
+    # holds the analytic base's density, the stage's baseline (1): 8.  The
+    # backward march adds the potential path its Hamiltonian holds (1),
+    # and the packaging's density march and the certificate the packaged
+    # density (1), which the controls are not paired with: 9 at most, 11.02
+    # and 10.02 measured with the blocks below, against 11.74 and 10.88
+    # when every sweep allocated its paths anew.  No drift path is held:
+    # the CFL guard, the forward march, the duality pairing and the
+    # exploitability evaluate -D_p H a block of levels at a time, and no
+    # stacked transform makes a path-sized spectrum.  On top come the block
+    # buffers and temporaries, in arrays of BLOCK_NODES floats: in the
+    # backward march its w and stacked levels (5) and the CFL guard's drift
+    # block and sums (3); fewer than 12 at once.  The potential's block
+    # spectra come before the march's paths exist.  A drift path would add
+    # 2 paths, as the solve held at 12.
     grid = SpectralGrid(dim=2, n=64, s=0.75)
     assert spectral.BLOCK_NODES // grid.n**grid.dim == 4
     tg = TimeGrid(horizon=n_steps / 96, n_steps=n_steps)
@@ -174,18 +176,20 @@ def test_solve_and_certificate_hold_ten_scalar_paths_and_block_scratch(n_steps):
 def test_continuation_holds_one_solve_and_the_stage_it_started_from():
     # A 2-D continuation consumed as fmfgc sweep-theta consumes it: each
     # stage becomes its theta-table row as it ends, and only the last
-    # stage is kept.  A stage's sweeps hold what a direct solve's do (the
-    # 10 scalar paths of the solve test above, less the analytic base's
-    # density that test counts as its baseline: 9).  On top come the
-    # stage it started from, which the generator holds, with its value (1),
+    # stage is kept.  A stage holds what a direct solve's does (the solve
+    # test above, less the analytic base's density that test counts as
+    # its baseline): its own 7 scalar paths, the potential in the backward
+    # march or the packaged density (1), so 8.  On top come the stage it
+    # started from, which the generator holds, with its value (1),
     # gradient (2), H (1), density (1) and controls, paired with the
     # density they were solved on (3): 8; and that stage's baseline, the
-    # controls of the stage before (3).  That is 20, plus the block arrays
-    # of the solve test.  At theta < 1 the march reads the mean of the
-    # controls pushed forward by 1/theta a block of levels at a time, with
-    # no copy of them.  Every earlier stage is gone: holding them all took
-    # 45 paths, and a drift path per solve and the pushed-forward controls
-    # 26.
+    # controls of the stage before and their density (3).  That is 19,
+    # plus the block arrays of the solve test: 20.06 measured, against
+    # 20.93 when every sweep allocated its paths anew.  At theta < 1 the
+    # march reads the mean of the controls pushed forward by 1/theta a
+    # block of levels at a time, with no copy of them.  Every earlier
+    # stage is gone: holding them all took 45 paths, and a drift path per
+    # solve and the pushed-forward controls 26.
     grid = SpectralGrid(dim=2, n=64, s=0.75)
     tg = TimeGrid(horizon=0.5, n_steps=48)
     model = QuadraticModel(coupling_beta=0.3, dim=2)
@@ -206,6 +210,46 @@ def test_continuation_holds_one_solve_and_the_stage_it_started_from():
     block = spectral.BLOCK_NODES * 8
     assert peak < 20 * scalar_path + 12 * block, (
         f"traced peak {peak / scalar_path:.2f} scalar paths"
+    )
+
+
+def test_a_sweep_writes_over_the_paths_its_stage_owns(monkeypatch):
+    # The continuation above, traced one sweep at a time: a stage copies
+    # its start into paths of its own once, and its sweeps write over
+    # them, so a sweep holds one scalar path of its own at its peak, the
+    # potential its Hamiltonian reads in the backward march, and block
+    # arrays (fewer than 12) on top of what was traced when it started:
+    # 1.86 scalar paths.  The first sweep also builds the step operators
+    # the grid keeps for the later ones.  A sweep that allocated its
+    # value, gradient, H, density and controls anew read 7.91.
+    grid = SpectralGrid(dim=2, n=64, s=0.75)
+    tg = TimeGrid(horizon=0.5, n_steps=48)
+    model = QuadraticModel(coupling_beta=0.3, dim=2)
+    m0 = initial_density(grid, "vonmises")
+    x, y = grid.nodes()
+    u_t = 0.15 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    picard = equilibrium.picard_iterate
+    above = []
+
+    def traced(*args, **kwargs):
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        state = picard(*args, **kwargs)
+        above.append(tracemalloc.get_traced_memory()[1] - start)
+        return state
+
+    monkeypatch.setattr(equilibrium, "picard_iterate", traced)
+    tracemalloc.start()
+    try:
+        for stage in sweep_theta(model, m0, u_t, tg):
+            pass
+    finally:
+        tracemalloc.stop()
+    assert stage.converged and stage.theta == 1.0 and len(above) == stage.sweeps > 4
+    scalar_path = (tg.n_steps + 1) * grid.n**grid.dim * 8
+    block = spectral.BLOCK_NODES * 8
+    assert max(above[1:]) < scalar_path + 12 * block, (
+        f"a sweep allocated {max(above[1:]) / scalar_path:.2f} scalar paths"
     )
 
 
@@ -253,6 +297,40 @@ def test_a_solve_frees_and_writes_nothing_a_caller_holds(monkeypatch):
                                              warm.baseline_mu, warm.history)))
     for name, array in _path_arrays(warm).items():
         assert np.array_equal(array, copies[name]), name
+
+
+def test_a_stage_that_raises_leaves_what_its_caller_holds(monkeypatch):
+    # A stage's second sweep writes over the stage's own paths and then
+    # raises: its half-written paths are dropped with the error, and the
+    # stage sweep_theta yielded before it, and a warm start, keep every
+    # array bit for bit.
+    grid, tg, m0, u_t = small_scenario()
+    model = QuadraticModel(coupling_beta=0.3)
+    march = equilibrium.solve_forward
+    calls = []
+
+    def second_sweep_fails(*args, **kwargs):
+        m_sol = march(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            raise CflError("injected", required_steps=99)
+        return m_sol
+
+    stages = sweep_theta(model, m0, u_t, tg)
+    next(stages)
+    held = next(stages)
+    assert held.theta == 0.25 and held.converged
+    copies = {k: v.tobytes() for k, v in _path_arrays(held).items()}
+    monkeypatch.setattr(equilibrium, "solve_forward", second_sweep_fails)
+    with pytest.raises(CflError) as raised:
+        next(stages)
+    assert raised.value.sweep_index == held.sweeps + 1
+    calls.clear()
+    with pytest.raises(CflError):
+        solve_equilibrium(model, m0, u_t, tg, theta_target=1.0, warm_start=held)
+    assert len(calls) == 2
+    for name, array in _path_arrays(held).items():
+        assert array.tobytes() == copies[name], name
 
 
 def test_decoupled_model_control_is_minus_gradient():
@@ -429,7 +507,7 @@ def test_sweep_reads_each_path_quantity_once(theta, monkeypatch):
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
     base = replace(analytic_base(m0, u_t, tg), theta=theta)
-    state = picard_iterate(base, model, LoopConfig())
+    state = picard_iterate(base, model, LoopConfig(), equilibrium._own(base))
     assert sorted(c for c in calls if c[0] != "grad_p") == [("mean", 2), ("potential", 2)]
     levels = [count for name, count in calls if name == "grad_p"]
     # the CFL guard, the forward march's check and march, and the pairing
@@ -463,27 +541,59 @@ def test_sweep_theta_stages():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_loop_changes_across_level_blocks_are_the_whole_path_values(dim, monkeypatch):
-    # The sweep's value and density changes are taken a block of levels at
-    # a time (3 levels here, so the blocks split 22 levels unevenly); each
-    # is the whole-path value to the bit: the sup of |u_new - u_old|, and
-    # the largest exact W1 per level in d = 1 or the scaled total
-    # variation in d = 2.
+    # The marches take the sweep's value and density changes as they write
+    # over the old paths, a block of levels at a time (1, 3 and 8 levels
+    # here, so the blocks split the 22 steps unevenly, and one block of
+    # all of them); each is the whole-path value to the bit: the sup of
+    # |u_new - u_old|, and the largest exact W1 per level in d = 1 or the
+    # scaled total variation in d = 2.  A march given no paths writes the
+    # same bytes into paths of its own.
     grid = SpectralGrid(dim=dim, n=16, s=0.75)
-    monkeypatch.setattr(spectral, "BLOCK_NODES", 3 * grid.n**dim)
+    tg = TimeGrid(horizon=0.2, n_steps=22)
+    model = QuadraticModel(coupling_beta=0.3, dim=dim)
     rng = np.random.default_rng(61 + dim)
-    shape = (22,) + grid.shape
-    m_old, m_new = (m / grid.integrate(m)[(...,) + (None,) * dim]
-                    for m in rng.uniform(0.5, 1.5, (2,) + shape))
-    u_old, u_new = rng.standard_normal((2,) + shape)
-    if dim == 1:
-        view = measures.GridMeasure.view
-        whole = float(np.max(measures.wasserstein_1d(view(grid, m_old), view(grid, m_new))))
-    else:
-        whole = float(np.sqrt(2.0) / 2.0 * 0.5 * np.max(grid.integrate(np.abs(m_new - m_old))))
-    assert repr(equilibrium._density_change(grid, m_old, m_new)) == repr(whole)
-    assert repr(equilibrium._value_change(grid, u_old, u_new)) == repr(
-        float(np.max(np.abs(u_new - u_old)))
-    )
+    shape = (tg.n_steps + 1,) + grid.shape
+    m_old = rng.uniform(0.5, 1.5, shape)
+    m_old /= grid.integrate(m_old)[(...,) + (None,) * dim]
+    m_old[0] = initial_density(grid, "twobump").values
+    u_old = rng.standard_normal(shape)
+    du_old = rng.standard_normal((tg.n_steps + 1, dim) + grid.shape)
+    alpha = 0.1 * rng.standard_normal(du_old.shape)
+    mu_path = measures.MeasurePath(tg, grid, m_old, alpha)
+    u_t = 0.15 * np.cos(2 * np.pi * grid.nodes()[0])
+    changes = []
+    for levels in (1, 3, 8, 22):
+        monkeypatch.setattr(spectral, "BLOCK_NODES", levels * grid.n**dim)
+        value = HjbSolution(tg, grid, u_old.copy(), du_old.copy(), np.empty(shape))
+        u_sol = solve_backward(model, mu_path, u_t, value)
+        assert u_sol.u is value.u and u_sol.hamiltonian is value.hamiltonian
+        own = solve_backward(model, mu_path, u_t)
+        assert own.u.tobytes() == u_sol.u.tobytes() and own.du.tobytes() == u_sol.du.tobytes()
+        m = m_old.copy()
+        m0 = measures.GridMeasure.view(grid, m[0])
+        m_sol = solve_forward(u_sol.drift, m0, tg, m, equilibrium._density_change)
+        assert np.shares_memory(m_sol.m, m)
+        assert solve_forward(u_sol.drift, m0, tg).m.tobytes() == m.tobytes()
+        if dim == 1:
+            view = measures.GridMeasure.view
+            w1 = measures.wasserstein_1d(view(grid, m_old), view(grid, m))
+            whole = float(np.max(w1))
+        else:
+            l1 = np.max(grid.integrate(np.abs(m - m_old)))
+            whole = float(np.sqrt(2.0) / 2.0 * 0.5 * l1)
+        assert repr(m_sol.change) == repr(whole)
+        assert repr(u_sol.change) == repr(float(np.max(np.abs(u_sol.u - u_old))))
+        changes.append((u_sol.change, m_sol.change))
+    assert len(set(changes)) == 1
+    # the value change is found on whichever level it is largest, the
+    # terminal level included
+    for level in range(tg.n_steps + 1):
+        far = u_old.copy()
+        far[level] += 100.0
+        value = HjbSolution(tg, grid, far.copy(), du_old.copy(), np.empty(shape))
+        u_sol = solve_backward(model, mu_path, u_t, value)
+        assert repr(u_sol.change) == repr(float(np.max(np.abs(u_sol.u - far))))
+        assert np.argmax(np.max(np.abs(u_sol.u - far).reshape(len(far), -1), axis=1)) == level
 
 
 def test_packaged_drift_is_feedback_drift_at_every_stage(benchmark_solution, benchmark_stages):
