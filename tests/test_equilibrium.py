@@ -267,9 +267,9 @@ def _path_arrays(sol):
 
 
 def test_a_solve_frees_and_writes_nothing_a_caller_holds(monkeypatch):
-    # A stage lets go of what its sweeps no longer read, but never of what
-    # its caller holds: each stage of sweep_theta, the start of the next,
-    # and a warm start keep every array, bit for bit.
+    # A stage's sweeps write over the stage's own copy of its start, never
+    # over what its caller holds: each stage of sweep_theta, the start of
+    # the next, and a warm start keep every array, bit for bit.
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
     made = []
