@@ -2,17 +2,21 @@
 
 Plain Picard sweeps couple the three building blocks: the control fixed
 point on the whole path, the backward value solve, and the forward
-density solve.  Each sweep repeats the same update on the last iterate,
-with no averaging, so the state holds one density path.  Paths are
-stacked arrays with time as the leading axis.  A solve runs one stage at
-the target scaling theta in (0, 1], started from the exact zero-scaling
-solution or from a given state.  At theta = 0 the problem decouples:
+density solve.  A sweep is a map on the value gradient and the density,
+(Du, m) -> (Du', m'), as in the existence proof: it re-solves the
+controls from those two (the last ones only start their fixed point),
+with no averaging.  Paths are stacked arrays with time as the leading
+axis.  A solve runs one stage at the target scaling theta in (0, 1],
+started from the exact zero-scaling solution or from a given state; the
+stage loop scales the model and the terminal value once and builds the
+stage's one solution state.  At theta = 0 the problem decouples:
 ``analytic_base`` builds its solution in closed form (zero value
 function, zero control, pure fractional heat flow), and no sweep runs
-there.  The ascending scaling schedule, each stage warm starting from the
-previous one, is the homotopy of ``sweep_theta`` only: a generator that
-yields each stage as it ends and keeps only the one the next stage starts
-from, so a caller holds no more of the continuation than it keeps.
+there.  The ascending scaling schedule, each stage warm starting from
+the previous one, is the homotopy of ``sweep_theta`` only: a generator
+that yields each stage as it ends and keeps only the one the next stage
+starts from, so a caller holds no more of the continuation than it
+keeps.
 
 A sweep reads each measure-only quantity once: the backward march fixes
 the control path and reads its potential and mean control once, writes H
@@ -25,20 +29,20 @@ a time.
 
 A stage owns one set of paths: it copies its start once into a value,
 gradient, H, density and control path of its own, and its sweeps and its
-packaging write over them, so what a caller holds (a warm start, a stage
-``sweep_theta`` has yielded) stays as it is.  The control fixed point
-steps the controls in place, the backward march takes each level's value
-change just before it writes the level, and the forward march copies
-each block's old levels aside and takes their density change.  A march
-that raises leaves the stage's paths half-written, and nothing reads
-them again: the error names the sweep, not the state.  The analytic base
-holds one density path, the heat flow checked once; its zero value, H,
-gradient and control paths are read-only broadcast views with no memory
-behind them, its drift evaluates to zero on the levels it is indexed
-with, and its control path, the first stage's baseline, is a view of
-that density.  Path work that needs path-sized temporaries (the control
-fixed point, the drift and its CFL rule, the forward march's face
-velocities, the duality pairing, the value and density changes, the
+closing re-solve write over them, so what a caller holds (a warm start,
+a stage ``sweep_theta`` has yielded) stays as it is.  The control fixed
+point steps the controls in place, the backward march takes each level's
+value change just before it writes the level, and the forward march
+copies each block's old levels aside and takes their density change.  A
+march that raises leaves the stage's paths half-written, and nothing
+reads them again: the error names the sweep, not the state.  The
+analytic base holds one density path, the heat flow checked once; its
+zero value, H, gradient and control paths are read-only broadcast views
+with no memory behind them, its drift evaluates to zero on the levels it
+is indexed with, and its control path, the first stage's baseline, is a
+view of that density.  Path work that needs path-sized temporaries (the
+control fixed point, the drift and its CFL rule, the forward march's
+face velocities, the duality pairing, the value and density changes, the
 packaged H and the certificate's exploitability, moments and
 monotonicity pairing) runs one block of levels at a time
 (``SpectralGrid.level_blocks``), with every level's arithmetic the one a
@@ -69,7 +73,7 @@ from .measures import (
     monotonicity_pairing,
     wasserstein_1d,
 )
-from .models import coerce_theta
+from .models import ThetaScaledModel
 from .mu_solver import MuSolveConfig, moment_certificate, solve_mu
 from .spectral import TimeGrid
 
@@ -168,9 +172,9 @@ def analytic_base(m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid) -> Equi
 
 
 def _own(state: EquilibriumSolution) -> tuple[HjbSolution, np.ndarray, np.ndarray]:
-    """The paths a stage owns, which its sweeps and its packaging write
-    over: copies of the state's value solution (u, du and an H to write),
-    density and controls."""
+    """The paths a stage owns, which its sweeps and its closing re-solve
+    write over: copies of the state's value solution (u, du and an H to
+    write), density and controls."""
     u = np.array(state.u_sol.u)
     value = HjbSolution(state.time_grid, state.grid, u, np.array(state.u_sol.du), np.empty_like(u))
     return value, np.array(state.m_sol.m), np.array(state.mu_path.alpha)
@@ -186,40 +190,20 @@ def _density_change(grid, m_old: np.ndarray, m_new: np.ndarray) -> float:
     return float(np.sqrt(2.0) / 2.0 * 0.5 * np.max(grid.integrate(np.abs(m_new - m_old))))
 
 
-def picard_iterate(
-    state: EquilibriumSolution, model, cfg: LoopConfig, paths
-) -> EquilibriumSolution:
-    """One sweep at the state's theta in (0, 1]: controls, backward value,
-    forward density, written over ``paths``, the stage's ``_own`` paths,
-    which hold the state.  The new state pairs the new controls with the
-    new density."""
-    scaled = coerce_theta(model, state.theta)
+def picard_iterate(model, paths, u_terminal: np.ndarray) -> tuple[float, float, float]:
+    """One sweep, the map (Du, m) -> (Du', m') written over ``paths``, a
+    stage's ``_own`` value solution, density and controls, at ``model``
+    already scaled and ``u_terminal`` its scaled terminal value.  The
+    controls are read only as the start of their fixed point, and u and H
+    not at all.  Returns the sweep's value change, density change and
+    duality residual."""
     value, m, alpha = paths
-    try:
-        start = MeasurePath.view(state.time_grid, state.grid, m, alpha)
-        mu_path = solve_mu(start, value.du, scaled, cfg.mu_config, alpha)
-        u_sol = solve_backward(scaled, mu_path, state.theta * state.u_terminal, value)
-        # mu_path holds the iterate's density, so its slice 0 is m0
-        m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid, m, _density_change)
-    except FmfgcError as err:
-        err.sweep_index = state.sweeps
-        raise
-
-    metrics = SweepMetrics(
-        sweep=state.sweeps + 1,
-        theta=state.theta,
-        u_change=u_sol.change,
-        m_change=m_sol.change,
-        duality=duality_residual(u_sol, m_sol),
-    )
-    return replace(
-        state,
-        u_sol=u_sol,
-        m_sol=m_sol,
-        mu_path=mu_path,
-        history=state.history + [metrics],
-        converged=metrics.defect <= cfg.tolerance,
-    )
+    start = MeasurePath.view(value.time_grid, value.grid, m, alpha)
+    mu_path = solve_mu(start, value.du, model, LoopConfig.mu_config, alpha)
+    u_sol = solve_backward(model, mu_path, u_terminal, value)
+    # mu_path holds the iterate's density, so its slice 0 is m0
+    m_sol = solve_forward(u_sol.drift, mu_path[0].m, value.time_grid, m, _density_change)
+    return u_sol.change, m_sol.change, duality_residual(u_sol, m_sol)
 
 
 class MetricsWriter:
@@ -250,38 +234,43 @@ def _run_stage(
     cfg: LoopConfig,
     sink: MetricsWriter | None,
 ) -> EquilibriumSolution:
-    """Run one scaling stage from ``start``: iterate at ``theta`` to tolerance
-    or sweep budget, then package; the start's controls are the baseline.
-    The stage's sweeps and packaging write over its own copy of ``start``."""
-    paths = _own(start)
-    state = replace(start, theta=theta, converged=False, baseline_mu=start.mu_path)
+    """Run one scaling stage from ``start``: sweep at ``theta`` to tolerance
+    or sweep budget on the stage's own copy of ``start``, then re-solve the
+    controls in place against the final value gradient, so the returned
+    triple satisfies the slice fixed point to the mu tolerance.  H is then
+    written at those controls a block of levels at a time, the value
+    solution keeps their grad_p, whose drift the density march and a
+    particle simulation advect by, and that march writes a new density
+    path, so the controls stay paired with the density they were solved
+    on.  The start's controls are the baseline."""
+    scaled = ThetaScaledModel(model, theta)
+    u_terminal = theta * start.u_terminal
+    paths = value, m, alpha = _own(start)
+    history, converged = list(start.history), False
     for _ in range(cfg.max_sweeps):
-        state = picard_iterate(state, model, cfg, paths)
+        try:
+            u_change, m_change, duality = picard_iterate(scaled, paths, u_terminal)
+        except FmfgcError as err:
+            err.sweep_index = len(history)
+            raise
+        history.append(SweepMetrics(len(history) + 1, theta, u_change, m_change, duality))
         if sink is not None:
-            sink.write(state.history[-1])
-        if state.converged:
+            sink.write(history[-1])
+        converged = history[-1].defect <= cfg.tolerance
+        if converged:
             break
-    return _package(state, paths, model, cfg)
 
-
-def _package(state: EquilibriumSolution, paths, model, cfg: LoopConfig) -> EquilibriumSolution:
-    """Re-solve the control path in place against the final value gradient,
-    so the packaged triple satisfies the slice fixed point to the mu
-    tolerance; the stage's H then holds H at that path, written a block of
-    levels at a time, and the value solution the path's grad_p, whose
-    drift the density march and a particle simulation advect by.  The
-    march writes a new density path: the controls stay paired with the
-    density they were solved on."""
-    scaled = coerce_theta(model, state.theta)
-    value, _, alpha = paths
-    mu_path = solve_mu(state.mu_path, value.du, scaled, cfg.mu_config, alpha)
+    tg, grid = start.time_grid, start.grid
+    mu_path = solve_mu(MeasurePath.view(tg, grid, m, alpha), value.du, scaled, cfg.mu_config, alpha)
     hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
-    for block in state.grid.level_blocks(len(value.u)):
+    for block in grid.level_blocks(len(value.u)):
         value.hamiltonian[block] = hamiltonian(value.du[block], block)
     del hamiltonian  # its closure holds the potential path, which the march does not read
-    u_sol = replace(state.u_sol, grad_p=grad_p)
-    m_sol = solve_forward(u_sol.drift, mu_path[0].m, state.time_grid)
-    return replace(state, u_sol=u_sol, m_sol=m_sol, mu_path=mu_path)
+    u_sol = replace(value, grad_p=grad_p)
+    m_sol = solve_forward(u_sol.drift, mu_path[0].m, tg)
+    return EquilibriumSolution(
+        theta, u_sol, m_sol, mu_path, start.u_terminal, history, converged, start.mu_path
+    )
 
 
 def solve_equilibrium(
@@ -378,7 +367,7 @@ def equilibrium_certificate(sol: EquilibriumSolution, model) -> EquilibriumCerti
 
     mono_min = 0.0
     if sol.baseline_mu is not None and sol.theta > 0.0:
-        scaled = coerce_theta(model, sol.theta)
+        scaled = ThetaScaledModel(model, sol.theta)
         mono_min = np.min(monotonicity_pairing(scaled, sol.mu_path, sol.baseline_mu))
 
     return EquilibriumCertificate(

@@ -88,9 +88,8 @@ class HjbSolution:
     evaluates on the gradient; both are None on a solution built by hand.
     ``change`` is the largest change of the value, over the nodes and
     levels, from what the march wrote over (zeros when it was given no
-    paths), or None on a solution built by hand.  An equilibrium state
-    between sweeps holds its stage's paths, which the next sweep writes
-    over."""
+    paths), or None on a solution built by hand, such as the value paths
+    a stage owns, which its sweeps write over and its solution keeps."""
 
     time_grid: TimeGrid
     grid: SpectralGrid

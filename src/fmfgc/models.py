@@ -213,6 +213,8 @@ class ThetaScaledModel:
     def __init__(self, base, theta: float):
         if not 0.0 < theta <= 1.0:
             raise ValueError(f"scaling parameter must lie in (0, 1], got {theta}")
+        if isinstance(base, ThetaScaledModel):
+            raise ValueError(f"model is already scaled at theta={base.theta}")
         self.base = base
         self.theta = float(theta)
         self.C0 = base.C0
@@ -255,17 +257,6 @@ class ThetaScaledModel:
         return self.theta * self.base.lagrangian_field(
             np.asarray(alpha, dtype=float) / self.theta, self.scaled_measure(mu)
         )
-
-
-def coerce_theta(model, theta: float | None = None) -> ThetaScaledModel:
-    """Accept a base model plus theta, or a model that is already scaled."""
-    if isinstance(model, ThetaScaledModel):
-        if theta is not None and theta != model.theta:
-            raise ValueError(
-                f"model is already scaled at theta={model.theta}, got theta={theta}"
-            )
-        return model
-    return ThetaScaledModel(model, 1.0 if theta is None else theta)
 
 
 # -- convex conjugacy ------------------------------------------------------

@@ -453,7 +453,8 @@ def test_failed_sweep_theta_leaves_a_typed_failure_record(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "sweep-theta"])
 def test_iterations_stream_while_solving(command, tiny_config, tmp_path, capsys, monkeypatch):
     # The second sweep raises: the first sweep's row is already on disk,
-    # next to the failure record.
+    # next to the failure record, which names the sweep that raised even
+    # when the error comes from outside a march.
     outdir = tmp_path / "run"
     picard = equilibrium.picard_iterate
     calls = []
@@ -471,7 +472,9 @@ def test_iterations_stream_while_solving(command, tiny_config, tmp_path, capsys,
     assert len(rows) == 1 and rows[0][0] == "1"
     record = json.loads((outdir / "failure.json").read_text())
     assert record == summary_of(capsys, "err")
-    assert (record["error"], record["required_steps"]) == ("CflError", 99)
+    assert (record["error"], record["required_steps"], record["sweep_index"]) == (
+        "CflError", 99, 1
+    )
 
 
 def test_streamed_iterations_are_the_emitted_file(tiny_config, tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from fmfgc.equilibrium import (
 )
 from fmfgc.fokker_planck import initial_density, solve_forward
 from fmfgc.hjb import HjbSolution, solve_backward
-from fmfgc.models import PushedForward, QuadraticModel, coerce_theta, growth_check
+from fmfgc.models import PushedForward, QuadraticModel, ThetaScaledModel, growth_check
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 
@@ -89,14 +89,20 @@ def test_loop_config_validation():
         LoopConfig(max_sweeps=0)
 
 
-def test_no_sweep_runs_at_theta_zero():
-    # the analytic base is the one theta = 0 solution: a sweep, like a
-    # direct solve, needs a scaling in (0, 1]
+def test_no_sweep_runs_at_theta_zero(monkeypatch):
+    # the analytic base is the one theta = 0 solution: a stage scales the
+    # model before its first sweep, so a stage, like a direct solve, needs
+    # a scaling in (0, 1]
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
     base = analytic_base(m0, u_t, tg)
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran at theta = 0")
+
+    monkeypatch.setattr(equilibrium, "picard_iterate", no_sweep)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        picard_iterate(base, model, LoopConfig(), equilibrium._own(base))
+        equilibrium._run_stage(base, 0.0, model, LoopConfig(), None)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         solve_equilibrium(model, m0, u_t, tg, theta_target=0.0)
 
@@ -251,6 +257,29 @@ def test_a_sweep_writes_over_the_paths_its_stage_owns(monkeypatch):
     assert max(above[1:]) < scalar_path + 12 * block, (
         f"a sweep allocated {max(above[1:]) / scalar_path:.2f} scalar paths"
     )
+
+
+def test_a_sweep_is_a_map_on_the_gradient_and_the_density(benchmark_solution, benchmark_stages):
+    # One sweep reads the value gradient and the density, and the controls
+    # only as the start of their fixed point: two copies of a stage's paths
+    # that differ only in u and H (a constant value, and NaN for H) are
+    # written to the same bits, with the same density change and duality.
+    # Only the value change, taken against what u held, differs.
+    model, stage = benchmark_solution[2], benchmark_stages[2]
+    scaled = ThetaScaledModel(model, 0.75)
+    kept, wiped = equilibrium._own(stage), equilibrium._own(stage)
+    wiped[0].u[...] = 1.0
+    wiped[0].hamiltonian[...] = np.nan
+    first = picard_iterate(scaled, kept, 0.75 * stage.u_terminal)
+    second = picard_iterate(scaled, wiped, 0.75 * stage.u_terminal)
+
+    def written(paths):
+        value, m, alpha = paths
+        return [a.tobytes() for a in (value.u, value.du, value.hamiltonian, m, alpha)]
+
+    assert written(kept) == written(wiped)
+    assert np.all(np.isfinite(wiped[0].hamiltonian))
+    assert first[1:] == second[1:] and first[0] != second[0]
 
 
 def _path_arrays(sol):
@@ -506,14 +535,15 @@ def test_sweep_reads_each_path_quantity_once(theta, monkeypatch):
     monkeypatch.setattr(QuadraticModel, "hamiltonian_at", counted_at)
     grid, tg, m0, u_t = small_scenario()
     model = QuadraticModel(coupling_beta=0.3)
-    base = replace(analytic_base(m0, u_t, tg), theta=theta)
-    state = picard_iterate(base, model, LoopConfig(), equilibrium._own(base))
+    base = analytic_base(m0, u_t, tg)
+    scaled = ThetaScaledModel(model, theta)
+    _, _, duality = picard_iterate(scaled, equilibrium._own(base), theta * base.u_terminal)
     assert sorted(c for c in calls if c[0] != "grad_p") == [("mean", 2), ("potential", 2)]
     levels = [count for name, count in calls if name == "grad_p"]
     # the CFL guard, the forward march's check and march, and the pairing
     assert len(levels) >= 4 * len(list(grid.level_blocks(tg.n_steps))) > 4
     assert max(levels) == 8 < tg.n_steps + 1
-    assert np.isfinite(state.history[-1].duality)
+    assert np.isfinite(duality)
 
 
 def test_metrics_stream_csv():
@@ -603,7 +633,7 @@ def test_packaged_drift_is_feedback_drift_at_every_stage(benchmark_solution, ben
     model = benchmark_solution[2]
     assert benchmark_stages[0].theta == 0.0
     for stage in benchmark_stages[1:]:
-        scaled = coerce_theta(model, stage.theta)
+        scaled = ThetaScaledModel(model, stage.theta)
         want = -scaled.grad_p_field(stage.u_sol.du, stage.mu_path)
         drift = stage.u_sol.drift
         assert np.array_equal(drift[:], want)

@@ -17,7 +17,7 @@ from fmfgc.fokker_planck import (
 )
 from fmfgc.hjb import FeedbackDrift, solve_backward
 from fmfgc.measures import GridMeasure, MeasurePath
-from fmfgc.models import QuadraticModel, coerce_theta
+from fmfgc.models import QuadraticModel, ThetaScaledModel
 from fmfgc.mu_solver import solve_mu
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
@@ -515,7 +515,7 @@ def test_duality_frozen_mu_smoke(grid):
         np.broadcast_to(mu.alpha, (101, 1, grid.n)),
     )
     u_sol = solve_backward(model, mu_path, u_t)
-    scaled = coerce_theta(model, 1.0)
+    scaled = ThetaScaledModel(model, 1.0)
     b_path = np.stack(
         [-scaled.grad_p_field(u_sol.du[j], mu_path[j]) for j in range(101)]
     )
@@ -601,7 +601,7 @@ def test_duality_across_level_blocks_is_the_whole_path_sum_bitwise(dim):
     grid, tg, m0, _ = multi_block_scenario(dim)
     assert len(list(grid.level_blocks(tg.n_steps + 1))) >= 3
     rng = np.random.default_rng(73 + dim)
-    model = coerce_theta(QuadraticModel(coupling_beta=0.3, dim=dim), 0.5)
+    model = ThetaScaledModel(QuadraticModel(coupling_beta=0.3, dim=dim), 0.5)
     density = heat_flow(m0, tg).m
     mu_path = MeasurePath(tg, grid, density, rng.uniform(-0.5, 0.5, (len(density), dim) + grid.shape))
     u_t = 0.1 * np.sum([np.cos(2 * np.pi * x) for x in grid.nodes()], axis=0)
@@ -620,7 +620,7 @@ def test_solve_forward_reads_a_drift_view_as_its_array(dim):
     # ahead of a CFL violation, and the same step count for the violation.
     grid, tg, m0, _ = multi_block_scenario(dim)
     rng = np.random.default_rng(83 + dim)
-    model = coerce_theta(QuadraticModel(coupling_beta=0.3, dim=dim), 0.5)
+    model = ThetaScaledModel(QuadraticModel(coupling_beta=0.3, dim=dim), 0.5)
     density = heat_flow(m0, tg).m
     mu_path = MeasurePath(tg, grid, density, rng.uniform(-0.5, 0.5, (len(density), dim) + grid.shape))
     u_t = 0.1 * np.sum([np.cos(2 * np.pi * x) for x in grid.nodes()], axis=0)

@@ -186,6 +186,10 @@ def test_theta_scale_validation_and_endpoints():
     for theta in (0.0, -0.0):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             ThetaScaledModel(model, theta)
+    # the solver scales the model it is given, so a scaled one would be
+    # scaled twice
+    with pytest.raises(ValueError, match="already scaled at theta=0.5"):
+        ThetaScaledModel(ThetaScaledModel(model, 0.5), 0.5)
     rng = np.random.default_rng(23)
     g = SpectralGrid(1, 64, 0.75)
     mu = random_mu(g, rng)
