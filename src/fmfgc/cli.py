@@ -15,9 +15,10 @@ they start.  Both stream ``iterations.csv`` into the output directory
 while they solve, one flushed row per sweep, so a run that fails or is
 killed still leaves its per-sweep trace; that stream is the file's only
 writer, and ``solve`` at theta = 0 writes its header alone.  The
-summaries of ``solve``, ``simulate`` and ``sweep-theta`` carry the wall
-time of each phase under ``timings``; ``validate``'s carries the seconds
-of each criterion and of the whole suite.
+summaries of ``solve`` and ``sweep-theta`` report the whole equilibrium
+certificate of the solution they return, and theirs and ``simulate``'s
+carry the wall time of each phase under ``timings``; ``validate``'s
+carries the seconds of each criterion and of the whole suite.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ from .validation import AcceptanceContext, run_all
 
 #: where a failed run stops: the attributes a package error may carry
 _FAILURE_FIELDS = ("sweep_index", "time_index", "required_steps")
+#: what a solve's summary reports of the equilibrium certificate
+_CERTIFICATE_FIELDS = ("duality", "exploitability", "moments_ok", "monotone_ok", "lambda_sup")
 
 
 def _apply_thread_hint(threads: int | None) -> None:
@@ -166,8 +169,7 @@ def _cmd_solve(args) -> int:
         "theta": mf.theta,
         "converged": sol.converged,
         "sweeps": sol.sweeps,
-        "duality": cert.duality,
-        "exploitability": cert.exploitability,
+        **{name: getattr(cert, name) for name in _CERTIFICATE_FIELDS},
         "timings": {"solve_s": t1 - t0, "certificate_s": t3 - t2, "write_s": t2 - t1},
     }
     return _finish(payload, sol.converged)
@@ -289,8 +291,7 @@ def _cmd_sweep_theta(args) -> int:
         "outdir": mf.outdir,
         "thetas": [row[0] for row in rows],
         "converged": stage.converged,
-        "duality": cert.duality,
-        "exploitability": cert.exploitability,
+        **{name: getattr(cert, name) for name in _CERTIFICATE_FIELDS},
         "timings": {"solve_s": t1 - t0, "certificate_s": t3 - t2, "write_s": t2 - t1},
     }
     return _finish(payload, stage.converged)

@@ -35,18 +35,19 @@ point steps the controls in place, the backward march takes each level's
 value change just before it writes the level, and the forward march
 copies each block's old levels aside and takes their density change.  A
 march that raises leaves the stage's paths half-written, and nothing
-reads them again: the error names the sweep, not the state.  The
-analytic base holds one density path, the heat flow checked once; its
-zero value, H, gradient and control paths are read-only broadcast views
-with no memory behind them, its drift evaluates to zero on the levels it
-is indexed with, and its control path, the first stage's baseline, is a
-view of that density.  Path work that needs path-sized temporaries (the
-control fixed point, the drift and its CFL rule, the forward march's
-face velocities, the duality pairing, the value and density changes, the
-packaged H and the certificate's exploitability, moments and
-monotonicity pairing) runs one block of levels at a time
-(``SpectralGrid.level_blocks``), with every level's arithmetic the one a
-whole-path pass gives.
+reads them again: the error names the sweep, not the state.  Every
+solution holds one density path, shared by its density solution and its
+measure path: a stage's is the one its last sweep wrote, which its
+controls are re-solved on, and the analytic base's the heat flow checked
+once.  The base's zero value, H, gradient and control paths are
+read-only broadcast views with no memory behind them, and its drift
+evaluates to zero on the levels it is indexed with.  Path work that
+needs path-sized temporaries (the control fixed point, the drift and its
+CFL rule, the forward march's face velocities, the duality pairing, the
+value and density changes, the closing H and the certificate's
+exploitability, moments and monotonicity pairing) runs one block of
+levels at a time (``SpectralGrid.level_blocks``), with every level's
+arithmetic the one a whole-path pass gives.
 
 The loop's density change bounds the true W1 change from above: exact
 W1 per level in d = 1, and in d = 2 sqrt(2)/2 times the total variation
@@ -173,8 +174,8 @@ def analytic_base(m0: GridMeasure, u_terminal: np.ndarray, tg: TimeGrid) -> Equi
 
 def _own(state: EquilibriumSolution) -> tuple[HjbSolution, np.ndarray, np.ndarray]:
     """The paths a stage owns, which its sweeps and its closing re-solve
-    write over: copies of the state's value solution (u, du and an H to
-    write), density and controls."""
+    write over and its solution keeps: copies of the state's value solution
+    (u, du and an H to write), density and controls."""
     u = np.array(state.u_sol.u)
     value = HjbSolution(state.time_grid, state.grid, u, np.array(state.u_sol.du), np.empty_like(u))
     return value, np.array(state.m_sol.m), np.array(state.mu_path.alpha)
@@ -190,20 +191,20 @@ def _density_change(grid, m_old: np.ndarray, m_new: np.ndarray) -> float:
     return float(np.sqrt(2.0) / 2.0 * 0.5 * np.max(grid.integrate(np.abs(m_new - m_old))))
 
 
-def picard_iterate(model, paths, u_terminal: np.ndarray) -> tuple[float, float, float]:
+def picard_iterate(model, paths, u_terminal: np.ndarray) -> tuple[HjbSolution, FpSolution, float]:
     """One sweep, the map (Du, m) -> (Du', m') written over ``paths``, a
     stage's ``_own`` value solution, density and controls, at ``model``
     already scaled and ``u_terminal`` its scaled terminal value.  The
     controls are read only as the start of their fixed point, and u and H
-    not at all.  Returns the sweep's value change, density change and
-    duality residual."""
+    not at all.  Returns the value and density solutions the sweep wrote,
+    each with its change, and the duality residual between them."""
     value, m, alpha = paths
     start = MeasurePath.view(value.time_grid, value.grid, m, alpha)
     mu_path = solve_mu(start, value.du, model, LoopConfig.mu_config, alpha)
     u_sol = solve_backward(model, mu_path, u_terminal, value)
     # mu_path holds the iterate's density, so its slice 0 is m0
     m_sol = solve_forward(u_sol.drift, mu_path[0].m, value.time_grid, m, _density_change)
-    return u_sol.change, m_sol.change, duality_residual(u_sol, m_sol)
+    return u_sol, m_sol, duality_residual(u_sol, m_sol)
 
 
 class MetricsWriter:
@@ -236,24 +237,22 @@ def _run_stage(
 ) -> EquilibriumSolution:
     """Run one scaling stage from ``start``: sweep at ``theta`` to tolerance
     or sweep budget on the stage's own copy of ``start``, then re-solve the
-    controls in place against the final value gradient, so the returned
-    triple satisfies the slice fixed point to the mu tolerance.  H is then
-    written at those controls a block of levels at a time, the value
-    solution keeps their grad_p, whose drift the density march and a
-    particle simulation advect by, and that march writes a new density
-    path, so the controls stay paired with the density they were solved
-    on.  The start's controls are the baseline."""
+    controls in place on the final value gradient and the density the last
+    sweep wrote, so the returned triple satisfies the slice fixed point to
+    the mu tolerance, and write H at them a block of levels at a time; the
+    value solution keeps their grad_p, whose drift a particle simulation
+    advects by.  The start's controls are the baseline."""
     scaled = ThetaScaledModel(model, theta)
     u_terminal = theta * start.u_terminal
     paths = value, m, alpha = _own(start)
     history, converged = list(start.history), False
     for _ in range(cfg.max_sweeps):
         try:
-            u_change, m_change, duality = picard_iterate(scaled, paths, u_terminal)
+            u_sol, m_sol, duality = picard_iterate(scaled, paths, u_terminal)
         except FmfgcError as err:
             err.sweep_index = len(history)
             raise
-        history.append(SweepMetrics(len(history) + 1, theta, u_change, m_change, duality))
+        history.append(SweepMetrics(len(history) + 1, theta, u_sol.change, m_sol.change, duality))
         if sink is not None:
             sink.write(history[-1])
         converged = history[-1].defect <= cfg.tolerance
@@ -262,12 +261,9 @@ def _run_stage(
 
     tg, grid = start.time_grid, start.grid
     mu_path = solve_mu(MeasurePath.view(tg, grid, m, alpha), value.du, scaled, cfg.mu_config, alpha)
-    hamiltonian, grad_p = scaled.hamiltonian_at(mu_path)
+    hamiltonian, u_sol.grad_p = scaled.hamiltonian_at(mu_path)
     for block in grid.level_blocks(len(value.u)):
         value.hamiltonian[block] = hamiltonian(value.du[block], block)
-    del hamiltonian  # its closure holds the potential path, which the march does not read
-    u_sol = replace(value, grad_p=grad_p)
-    m_sol = solve_forward(u_sol.drift, mu_path[0].m, tg)
     return EquilibriumSolution(
         theta, u_sol, m_sol, mu_path, start.u_terminal, history, converged, start.mu_path
     )

@@ -394,7 +394,7 @@ def duality_residual(u_sol, m_sol: FpSolution) -> float:
     with u(T) = theta u_T as stored; trapezoidal in time.  Zero for the
     exact continuum pair, so its size measures joint discretization error.
     H and D_p H = -drift are the ones u_sol carries, at the measure path it
-    is paired with: the march's own, or a packaged equilibrium's.  Every
+    is paired with: its march's, or a stage's closing controls.  Every
     path, the drift view too, is read a block of levels at a time.
     """
     grid = m_sol.grid

@@ -18,9 +18,9 @@ has the same bits whichever way it is taken.  The HJB march fixes the
 measure path once and calls ``h`` per level; the value solution keeps
 ``grad_p``, and its drift evaluates it a block of levels at a time for
 the CFL guard, the forward march, the duality pairing and the
-exploitability, so ``grad_p`` should not close over the potential.  The
-packaging writes H a block of levels at a time, and the growth check
-reads ``hamiltonian_at(mu)[0]``.  ``grad_p_field(p, mu)`` reads the mean
+exploitability, so ``grad_p`` should not close over the potential.  A
+stage's closing control re-solve writes H a block of levels at a time,
+and the growth check reads ``hamiltonian_at(mu)[0]``.  ``grad_p_field(p, mu)`` reads the mean
 control only, for the control fixed point, which never needs the
 potential.  The march checks its levels a block at a time, so ``h`` may
 see the non-finite momentum of a level past a blow-up; the march drops

@@ -82,21 +82,23 @@ def read_csv(path):
 
 class ManufacturedModel(QuadraticModel):
     """The quadratic model plus g_j . p + f_j in the level-indexed forms of
-    ``hamiltonian_at``, with g and f given on the levels of a time grid.
-    ``grad_p_field`` stays the quadratic model's, so the control fixed
-    point sees no g; the march's drift -D_p H does.  g and f do not depend
-    on the measure, so the coupling stays monotone."""
+    ``hamiltonian_at``, with g (one function for every component) and f
+    given on the levels of a time grid.  ``grad_p_field`` stays the
+    quadratic model's, so the control fixed point sees no g; the march's
+    drift -D_p H does.  g and f do not depend on the measure, so the
+    coupling stays monotone."""
 
-    def __init__(self, coupling_beta, g, f):
-        super().__init__(coupling_beta)
+    def __init__(self, coupling_beta, g, f, dim):
+        super().__init__(coupling_beta, dim=dim)
         self._g, self._f = g[:, None], f
 
     def hamiltonian_at(self, mu):
         h, grad_p = super().hamiltonian_at(mu)
+        axis = -(self.dim + 1)
 
         def hamiltonian(p, j=None):
             g, f = (self._g, self._f) if j is None else (self._g[j], self._f[j])
-            return h(p, j) + np.sum(g * p, axis=-2) + f
+            return h(p, j) + np.sum(g * p, axis=axis) + f
 
         def grad_p_with_g(p, j=None):
             return grad_p(p, j) + (self._g if j is None else self._g[j])
@@ -104,37 +106,45 @@ class ManufacturedModel(QuadraticModel):
         return hamiltonian, grad_p_with_g
 
 
-def manufactured_equilibrium(n, n_steps, s):
-    """A d = 1 game whose equilibrium is known in closed form, on the nodes
-    of an n-node grid at n_steps levels over [0, 1]:
+def manufactured_equilibrium(n, n_steps, s, dim):
+    """A game in d = 1 or d = 2 whose equilibrium is known in closed form,
+    on the nodes of a grid of n nodes per axis at n_steps levels over
+    [0, 1], with data that depend on xi = x + ... (the sum of the
+    coordinates) only:
 
-        m = 1 + a cos 2 pi x + b sin 2 pi x,   u = c cos 2 pi x + e sin 4 pi x,
+        m = 1 + a cos 2 pi xi + b sin 2 pi xi,   u = c cos 2 pi xi + e sin 4 pi xi,
 
-    a, b, c and e smooth in time, at beta = 0.3 and kernel decay 1.  The
-    drift B comes from the flux of the Fokker-Planck equation,
-    m B = -int (d_t m + (-Delta)^s m) dx; the mean control of
-    alpha = -(Du + beta abar) is abar = -int Du m dx / (1 + beta);
-    g = -B - Du - beta abar makes -D_p H equal B, and f is what the HJB
-    equation -d_t u + (-Delta)^s u + H = 0 leaves over, with the
-    potential V = 1 + e^{-1} (a cos 2 pi x + b sin 2 pi x).  Returns the
-    grid, the time grid, the model, m0, u_T and the exact u and m paths."""
-    grid, tg = SpectralGrid(dim=1, n=n, s=s), TimeGrid(horizon=1.0, n_steps=n_steps)
+    a, b, c and e smooth in time, at beta = 0.3 and kernel decay 1.  In
+    d = 2 the modes sit on the wave vectors (1, 1) and (2, 2), off the
+    axes, so (-Delta)^s multiplies them by (2 pi sqrt 2)^{2s} and
+    (4 pi sqrt 2)^{2s}.  Every component of the drift B is one function w,
+    so div(m B) = d (m w)' in xi, and m w comes from the flux of the
+    Fokker-Planck equation, d (m w)' = -(d_t m + (-Delta)^s m); every
+    component of the mean control of alpha = -(Du + beta abar) is
+    abar = -int u' m dx / (1 + beta); g = -w - u' - beta abar makes
+    -D_p H equal B, and f is what the HJB equation
+    -d_t u + (-Delta)^s u + H = 0 leaves over, with the potential
+    V = 1 + e^{-sqrt d} (a cos 2 pi xi + b sin 2 pi xi).  Returns the grid,
+    the time grid, the model, m0, u_T and the exact u and m paths."""
+    grid, tg = SpectralGrid(dim=dim, n=n, s=s), TimeGrid(horizon=1.0, n_steps=n_steps)
     beta = 0.3
-    x, t = grid.nodes()[0], tg.times()[:, None]
+    xi, t = sum(grid.nodes()), tg.times()[(slice(None),) + (None,) * dim]
     a, da = 0.3 * np.cos(t), -0.3 * np.sin(t)
     b, db = 0.2 + 0.1 * np.sin(t), 0.1 * np.cos(t)
     c, dc = 0.25 * np.cos(0.5 * t), -0.125 * np.sin(0.5 * t)
     e, de = 0.05 + 0.02 * t, 0.02
     k1, k2 = 2.0 * np.pi, 4.0 * np.pi
-    cos1, sin1, cos2, sin2 = np.cos(k1 * x), np.sin(k1 * x), np.cos(k2 * x), np.sin(k2 * x)
+    # the symbol (2 pi |k|)^{2s} on the wave vectors (1, ..., 1) and (2, ..., 2)
+    lam1, lam2 = (k1 * np.sqrt(dim)) ** (2 * s), (k2 * np.sqrt(dim)) ** (2 * s)
+    cos1, sin1, cos2, sin2 = np.cos(k1 * xi), np.sin(k1 * xi), np.cos(k2 * xi), np.sin(k2 * xi)
     m = 1.0 + a * cos1 + b * sin1
     u = c * cos1 + e * sin2
-    du = -k1 * c * sin1 + k2 * e * cos2
-    drift = ((db + k1 ** (2 * s) * b) * cos1 - (da + k1 ** (2 * s) * a) * sin1) / (k1 * m)
+    du = -k1 * c * sin1 + k2 * e * cos2  # every component of Du
+    drift = ((db + lam1 * b) * cos1 - (da + lam1 * a) * sin1) / (k1 * dim * m)
     abar = np.pi * c * b / (1.0 + beta)
     g = -drift - du - beta * abar
-    potential = 1.0 + np.exp(-1.0) * (a * cos1 + b * sin1)
-    h = 0.5 * du * du + beta * du * abar - potential + g * du
-    f = dc * cos1 + de * sin2 - (k1 ** (2 * s) * c * cos1 + k2 ** (2 * s) * e * sin2) - h
-    model = ManufacturedModel(beta, g, f)
+    potential = 1.0 + np.exp(-np.sqrt(dim)) * (a * cos1 + b * sin1)
+    h = dim * (0.5 * du * du + beta * du * abar + g * du) - potential
+    f = dc * cos1 + de * sin2 - (lam1 * c * cos1 + lam2 * e * sin2) - h
+    model = ManufacturedModel(beta, g, f, dim)
     return grid, tg, model, GridMeasure(grid, m[0]), u[-1], u, m

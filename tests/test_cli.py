@@ -398,6 +398,9 @@ def test_solve_summaries_carry_timings(command, tiny_config, tmp_path, capsys):
     assert set(timings) == {"solve_s", "certificate_s", "write_s"}
     assert all(isinstance(v, float) and v > 0.0 for v in timings.values())
     assert payload["duality"] < 1.0
+    # the certificate the command computes is reported whole
+    assert payload["moments_ok"] is True and payload["monotone_ok"] is True
+    assert isinstance(payload["lambda_sup"], float) and payload["lambda_sup"] > 0.0
     assert not (tmp_path / "run" / "failure.json").exists()
 
 
