@@ -20,12 +20,12 @@ measure path once and calls ``h`` per level; the value solution keeps
 the CFL guard, the forward march, the duality pairing and the
 exploitability, so ``grad_p`` should not close over the potential.  A
 stage's closing control re-solve writes H a block of levels at a time,
-and the growth check reads ``hamiltonian_at(mu)[0]``.  ``grad_p_field(p, mu)`` reads the mean
-control only, for the control fixed point, which never needs the
-potential.  The march checks its levels a block at a time, so ``h`` may
-see the non-finite momentum of a level past a blow-up; the march drops
-those levels, and an error ``h`` raises there gives way to the
-blow-up's.
+and the growth check reads ``hamiltonian_at(mu)[0]``.
+``grad_p_field(p, mu)`` reads the mean control only, for the control
+fixed point, which never needs the potential.  The march checks its
+levels a block at a time, so ``h`` may see the non-finite momentum of a
+level past a blow-up; the march drops those levels, and an error ``h``
+raises there gives way to the blow-up's.
 
 A model is any object with the three field forms ``hamiltonian_at``,
 ``grad_p_field`` and ``lagrangian_field`` (and ``grad_alpha_field`` for
