@@ -27,16 +27,18 @@ from .errors import GridMismatchError, InvalidFieldError, NonContractionError
 from .measures import GridMeasure, JointControlMeasure, MeasurePath, lambda_inf, lambda_q
 
 
+#: The most iterations a control fixed point may take, or be predicted to
+#: need, before it gives up.
+MAX_ITERATIONS = 1000
+
+
 @dataclass(frozen=True)
 class MuSolveConfig:
     tolerance: float = 1e-10
-    max_iterations: int = 1000
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass
@@ -76,8 +78,8 @@ def solve_mu_detailed(
     block of levels steps as soon as its defect is known, and an
     iteration that meets the tolerance steps no slice.
     NonContractionError is raised once the measured update ratio stops
-    shrinking the update, or predicts more than ``config.max_iterations``
-    iterations to the tolerance."""
+    shrinking the update, or predicts more than MAX_ITERATIONS iterations
+    to the tolerance."""
     config = config or MuSolveConfig()
     grid = m.grid
     mu = m
@@ -103,7 +105,7 @@ def solve_mu_detailed(
     alpha[...] = mu.alpha
     mu = mu.with_alpha_view(alpha)
     updates: list[float] = []
-    for it in range(config.max_iterations):
+    for it in range(MAX_ITERATIONS):
         for levels, rows in blocks:
             part = mu if levels is Ellipsis else mu.levels(levels)
             step = defect[rows]
@@ -121,13 +123,13 @@ def solve_mu_detailed(
                 mu=mu, iterations=it, residual=residual, update_norms=tuple(updates)
             )
         updates.append(residual)
-        if _predicted_iterations(updates, config.tolerance) > config.max_iterations:
+        if _predicted_iterations(updates, config.tolerance) > MAX_ITERATIONS:
             break
 
     ratio = updates[-1] / updates[-2] if len(updates) > 1 else float("nan")
     raise NonContractionError(
         f"control fixed point cannot reach tolerance {config.tolerance} within "
-        f"{config.max_iterations} iterations (update ratio {ratio:.3f} after "
+        f"{MAX_ITERATIONS} iterations (update ratio {ratio:.3f} after "
         f"{len(updates)})",
         ratio=ratio,
         residual=updates[-1],

@@ -19,18 +19,19 @@ count.  Each block draws from its own child stream, spawned from the
 run's seed, and is marched through the whole horizon in buffers
 allocated once, so positions are the same bits at any worker count.
 The blocks are split into as many contiguous shares as there are
-workers: the caller marches the first, and one child made by os.fork
-marches each other share, so one worker forks nothing.  Every share
-stores its levels in one shared anonymous mapping, which the returned
-positions view, so the positions are held once and nothing is copied
-out once the children are reaped.  Threads would hand the GIL to each
-other between numpy calls; processes do not share one.  The drift path
-and the mapping, initial positions included, reach the children by fork
-inheritance, so nothing is pickled, and a child runs only numpy ufuncs
-and its own Generator on buffers it allocates after the fork, never
-BLAS.  Forking is POSIX-only: without os.fork one worker marches every
-block.  Python 3.12 and later warn (DeprecationWarning) when os.fork
-runs while another thread exists, such as numpy's BLAS thread pool.
+workers: the caller marches the first, and one child process from
+multiprocessing's fork context marches each other share, so one worker
+forks nothing.  Every share stores its levels in one shared anonymous
+mapping, which the returned positions view, so the positions are held
+once and nothing is copied out once the children are joined.  Threads
+would hand the GIL to each other between numpy calls; processes do not
+share one.  The drift path and the mapping, initial positions included,
+reach the children by fork inheritance, so nothing is pickled, and a
+child runs only numpy ufuncs and its own Generator on buffers it
+allocates after the fork, never BLAS.  Forking is POSIX-only: without
+os.fork one worker marches every block.  Python 3.12 and later warn
+(DeprecationWarning) when os.fork, which the fork context calls, runs
+while another thread exists, such as numpy's BLAS thread pool.
 
 Deposition and the initial draw work MIN_BLOCK positions at a time, so
 neither makes a temporary that grows with the ensemble.
@@ -42,8 +43,6 @@ import itertools
 import math
 import mmap
 import os
-import sys
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,60 +85,48 @@ def _march_shares(march, shares: list) -> None:
     """Run march(lo, hi, stream) on every block of one or more shares.
 
     The caller marches shares[0]; each later share, if any, is marched by
-    a forked child of its own, which leaves with os._exit(0), or with
-    os._exit(1) after printing its traceback.  Every child is reaped
+    a child process of its own from multiprocessing's fork context, which
+    flushes the caller's stdout and stderr before it forks and prints a
+    child's traceback to stderr.  Every child that started is joined
     before this returns or raises.  An exception in the caller's share, a
-    child that exits non-zero and one killed by a signal each raise one
-    FmfgcError that names every failed share, chained to the caller's
-    exception.
+    child that exits non-zero, one killed by a signal and one reaped
+    elsewhere, whose exit status is lost, each raise one FmfgcError that
+    names every failed share, chained to the caller's exception.
     """
+    # imported here, so that `import fmfgc` does not pay its 10 ms
+    import multiprocessing
+
     def name(k: int) -> str:
         return f"share {k} of {len(shares)} (particles {shares[k][0][0]}-{shares[k][-1][1]})"
 
-    # a child must not write out again what the caller has buffered
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children, failed, cause = {}, [], None
+    def run(share: list) -> None:
+        for block in share:
+            march(*block)
+
+    fork = multiprocessing.get_context("fork")
+    children, failed, cause = [], [], None
     try:
-        for k, share in enumerate(shares[1:], start=1):
-            pid = os.fork()
-            if pid == 0:
-                _march_child(march, share)
-            children[pid] = k
+        for share in shares[1:]:
+            child = fork.Process(target=run, args=(share,))
+            child.start()
+            children.append(child)
         try:
-            for block in shares[0]:
-                march(*block)
+            run(shares[0])
         except Exception as exc:
             failed.append(f"{name(0)} raised {exc!r}")
             cause = exc
     finally:
-        for pid, k in children.items():
-            try:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            except ChildProcessError:  # reaped elsewhere, so its outcome is unknown
+        for k, child in enumerate(children, start=1):
+            child.join()
+            code = child.exitcode
+            if code is None:
                 failed.append(f"{name(k)} left no exit status")
-                continue
-            if code > 0:
+            elif code > 0:
                 failed.append(f"{name(k)} exited {code}")
             elif code < 0:
                 failed.append(f"{name(k)} was killed by signal {-code}")
     if failed:
         raise FmfgcError("particle march failed: " + "; ".join(failed)) from cause
-
-
-def _march_child(march, share: list) -> None:
-    """The body of a forked child: march its share and leave by os._exit,
-    so that whatever it raises, it never unwinds into the caller's frames."""
-    code = 1
-    try:
-        for block in share:
-            march(*block)
-        code = 0
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
 
 
 @dataclass(frozen=True)
@@ -459,16 +446,15 @@ def simulate_sde(
     n_particles: int,
     time_grid: TimeGrid,
     seed: int = 0,
-    jumps: bool = True,
     store_stride: int = 1,
 ) -> ParticlePath:
     """Euler-Maruyama with exact stable jumps: X += b(X, t) dt + J, wrapped.
 
     b_path is the nodal drift at every time level, shape
     (n_steps + 1, dim, *grid.shape); None means zero drift, and the march
-    skips the drift step.  Initial positions are drawn from m0 by
-    default_rng(seed).  store_stride keeps every k-th level (it must divide
-    n_steps) to bound memory on long runs.
+    skips the drift step.  Every step draws and adds the jumps.  Initial
+    positions are drawn from m0 by default_rng(seed).  store_stride keeps
+    every k-th level (it must divide n_steps) to bound memory on long runs.
 
     The ensemble is cut into blocks of MIN_BLOCK particles (the last one
     takes the rest).  Block k draws its increments from the k-th child of
@@ -481,10 +467,10 @@ def simulate_sde(
     The worker count is that of _worker_count, at most the block count, and
     1 without os.fork.  With w workers, block k goes to share j when
     cuts[j] <= k < cuts[j + 1], cuts[j] = j n_blocks // w; the caller
-    marches share 0 and a forked child each other share, so one worker
-    forks nothing.  The returned positions are a view of one shared
-    anonymous mapping, into which every share stores its levels, so
-    nothing is copied out once the children are reaped; a failed share
+    marches share 0 and a child of the fork context each other share, so
+    one worker forks nothing.  The returned positions are a view of one
+    shared anonymous mapping, into which every share stores its levels, so
+    nothing is copied out once the children are joined; a failed share
     raises FmfgcError (see _march_shares).
     """
     if n_particles < 1:
@@ -524,9 +510,8 @@ def simulate_sde(
                 stencil.interpolate(b_path[j], x, z)
                 z *= dt
                 x += z
-            if jumps:
-                _draw_increments(rng, u, w, z, grid.s, dt, work)
-                x += z
+            _draw_increments(rng, u, w, z, grid.s, dt, work)
+            x += z
             _wrap(x, z)
             if (j + 1) % store_stride == 0:
                 stored[(j + 1) // store_stride] = x

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fmfgc import mu_solver
 from fmfgc.errors import GridMismatchError, InvalidFieldError, NonContractionError
 from fmfgc.measures import (
     GridMeasure,
@@ -29,8 +30,6 @@ def grid():
 def test_config_validation():
     with pytest.raises(ValueError):
         MuSolveConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        MuSolveConfig(max_iterations=0)
 
 
 def test_closed_form_mean_and_pointwise(grid):
@@ -146,11 +145,12 @@ class _Expanding:
         return p + 1.5 * abar
 
 
-def test_non_contraction_error(grid):
+def test_non_contraction_error(grid, monkeypatch):
+    monkeypatch.setattr(mu_solver, "MAX_ITERATIONS", 25)
     rng = np.random.default_rng(19)
     m = GridMeasure(grid, smooth_density(grid, rng))
     du = np.stack([0.5 + 0.1 * np.cos(2 * np.pi * grid.nodes()[0])])
-    cfg = MuSolveConfig(tolerance=1e-10, max_iterations=25)
+    cfg = MuSolveConfig(tolerance=1e-10)
     with pytest.raises(NonContractionError) as info:
         solve_mu(m, du, _Expanding(), cfg)
     assert abs(info.value.ratio - 1.5) < 0.05
@@ -171,7 +171,7 @@ class _Counting:
         return self.model.grad_p_field(p, mu)
 
 
-def test_budget_follows_measured_contraction(grid):
+def test_budget_follows_measured_contraction(grid, monkeypatch):
     # beta = 0.9 from alpha = 0 needs more than 200 iterations to 1e-12:
     # the default budget lets it finish, and a budget of 100 stops it as
     # soon as the measured ratio predicts the overrun, not after 100.
@@ -180,11 +180,12 @@ def test_budget_follows_measured_contraction(grid):
     du = np.stack([0.5 + 0.1 * np.cos(2 * np.pi * grid.nodes()[0])])
     model = QuadraticModel(coupling_beta=0.9)
     result = solve_mu_detailed(m, du, model, MuSolveConfig(tolerance=1e-12))
-    assert 200 < result.iterations < MuSolveConfig().max_iterations
+    assert 200 < result.iterations < mu_solver.MAX_ITERATIONS
     assert result.residual <= 1e-12
     counting = _Counting(model)
+    monkeypatch.setattr(mu_solver, "MAX_ITERATIONS", 100)
     with pytest.raises(NonContractionError) as info:
-        solve_mu(m, du, counting, MuSolveConfig(tolerance=1e-12, max_iterations=100))
+        solve_mu(m, du, counting, MuSolveConfig(tolerance=1e-12))
     assert abs(info.value.ratio - 0.9) < 1e-6
     assert counting.calls <= 5
 

@@ -1,10 +1,14 @@
 """Particle sampler, SDE stepper, deposition, and the path-regularity check."""
 
+import errno
 import gc
 import itertools
 import math
 import os
+from pathlib import Path
 import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -37,6 +41,13 @@ from helpers import periodic_delta
 def vonmises_setup(n=64, s=0.75):
     grid = SpectralGrid(dim=1, n=n, s=s)
     return grid, initial_density(grid, "vonmises")
+
+
+def _no_jumps(rng, u, w, z, s, dt, work):
+    """Stands in for particles._draw_increments: every increment is 0.0,
+    so a march moves by its drift alone (x + 0.0 is x for every x the
+    march then wraps into [0, 1))."""
+    z[...] = 0.0
 
 
 def test_increment_validation():
@@ -362,11 +373,12 @@ def test_uniform_ensemble_stays_uniform():
     assert w1 <= 2.0 / math.sqrt(10**4) + 2.0 * grid.dx
 
 
-def test_constant_drift_translates_exactly():
+def test_constant_drift_translates_exactly(monkeypatch):
+    monkeypatch.setattr(particles, "_draw_increments", _no_jumps)
     grid, m0 = vonmises_setup()
     tg = TimeGrid(horizon=0.5, n_steps=50)
     b = np.full((51, 1, grid.n), 0.3)
-    path = simulate_sde(b, m0, 2000, tg, seed=1, jumps=False)
+    path = simulate_sde(b, m0, 2000, tg, seed=1)
     shifted = (path.positions[0] + 0.3 * 0.5) % 1.0
     assert periodic_delta(path.positions[-1], shifted).max() < 1e-12
 
@@ -406,15 +418,19 @@ def test_drift_path_shape_and_finiteness_checked():
         simulate_sde(bad, m0, 10, tg)
 
 
-def test_zero_drift_path_matches_none():
+def test_zero_drift_path_matches_none(monkeypatch):
     # None skips the drift step; an explicit zero path adds +0.0, which
-    # leaves every position in [0, 1) unchanged, so the bits agree.
+    # leaves every position in [0, 1) unchanged, so the bits agree, with
+    # the jumps drawn and with them zeroed.
     grid, m0 = vonmises_setup(n=32)
     tg = TimeGrid(horizon=0.1, n_steps=10)
     zero = np.zeros((11, 1, grid.n))
     for jumps in (True, False):
-        want = simulate_sde(zero, m0, 1000, tg, seed=5, jumps=jumps).positions
-        got = simulate_sde(None, m0, 1000, tg, seed=5, jumps=jumps).positions
+        with monkeypatch.context() as draws:
+            if not jumps:
+                draws.setattr(particles, "_draw_increments", _no_jumps)
+            want = simulate_sde(zero, m0, 1000, tg, seed=5).positions
+            got = simulate_sde(None, m0, 1000, tg, seed=5).positions
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -508,7 +524,10 @@ def test_worker_count_does_not_change_bits(dim, jumps, store_stride, monkeypatch
     for workers in (1, 2, 3):
         monkeypatch.setattr(particles, "_worker_count", lambda w=workers: w)
         forks.clear()
-        path = simulate_sde(b, m0, 1000, tg, seed=4, jumps=jumps, store_stride=store_stride)
+        with monkeypatch.context() as draws:
+            if not jumps:
+                draws.setattr(particles, "_draw_increments", _no_jumps)
+            path = simulate_sde(b, m0, 1000, tg, seed=4, store_stride=store_stride)
         assert len(forks) == workers - 1 and path.workers == workers
         increments = [
             sample_stable_increment(0.7, 0.01, dim, np.random.default_rng(8), size=size)
@@ -597,6 +616,25 @@ def test_a_failed_caller_share_raises_and_reaps_every_child(monkeypatch):
     assert isinstance(caught.value.__cause__, RuntimeError)
 
 
+def test_an_interrupt_in_the_caller_share_is_not_a_failed_share(monkeypatch):
+    # Ctrl-C during the caller's share reaches the caller as itself, not as
+    # a march failure, once the child has been joined.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 2)
+    caller, draw = os.getpid(), particles._draw_increments
+
+    def interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        draw(*args)
+
+    monkeypatch.setattr(particles, "_draw_increments", interrupted)
+    grid, m0 = vonmises_setup(n=16)
+    with pytest.raises(KeyboardInterrupt):
+        simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4), seed=3)
+    _assert_no_child_left()
+
+
 def test_a_child_reaped_elsewhere_is_a_failure(monkeypatch):
     # With SIGCHLD ignored the kernel reaps the children itself, so the
     # march cannot know that their shares were stored.
@@ -610,6 +648,51 @@ def test_a_child_reaped_elsewhere_is_a_failure(monkeypatch):
     finally:
         signal.signal(signal.SIGCHLD, previous)
     _assert_no_child_left()
+
+
+def test_a_fork_that_raises_joins_the_child_already_started(monkeypatch):
+    # The second of two forks fails, as when the process table is full: the
+    # error reaches the caller, and the first child is joined before it does.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 3)
+    calls, fork = [], os.fork
+
+    def flaky():
+        calls.append(os.getpid())
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(particles.os, "fork", flaky)
+    grid, m0 = vonmises_setup(n=16)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4), seed=3)
+    _assert_no_child_left()
+
+
+def test_text_the_caller_buffered_is_written_once(tmp_path):
+    # stdout on a pipe is block-buffered (PYTHONUNBUFFERED unset), so
+    # "marker" is still in the caller's buffer when it forks; a child that
+    # inherited the buffer unflushed would write it again as it exits.
+    script = (
+        "from fmfgc import particles\n"
+        "from fmfgc.fokker_planck import initial_density\n"
+        "from fmfgc.spectral import SpectralGrid, TimeGrid\n"
+        "particles.MIN_BLOCK = 100\n"
+        "particles._worker_count = lambda: 2\n"
+        "m0 = initial_density(SpectralGrid(dim=1, n=16, s=0.75), 'vonmises')\n"
+        "print('marker', end='')\n"
+        "path = particles.simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4))\n"
+        "assert path.workers == 2\n"
+    )
+    src = str(Path(particles.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "marker"
 
 
 def test_one_worker_marches_in_the_caller(monkeypatch):
@@ -652,7 +735,7 @@ def test_simulate_rejects_a_count_below_one(count):
         simulate_sde(None, m0, count, TimeGrid(horizon=0.1, n_steps=4))
 
 
-def _reference_simulation(b, m0, count, tg, seed, jumps, store_stride, block):
+def _reference_simulation(b, m0, count, tg, seed, store_stride, block):
     """The march as a plain loop over steps, then blocks.
 
     Block k of `block` particles (the last takes the rest) draws its
@@ -670,8 +753,7 @@ def _reference_simulation(b, m0, count, tg, seed, jumps, store_stride, block):
         for child, lo, hi in zip(children, bounds, bounds[1:]):
             xb = x[lo:hi]
             xb += interpolate(b[j], xb, grid) * tg.dt
-            if jumps:
-                xb += sample_stable_increment(grid.s, tg.dt, grid.dim, child, size=hi - lo)
+            xb += sample_stable_increment(grid.s, tg.dt, grid.dim, child, size=hi - lo)
             xb %= 1.0
             xb[xb >= 1.0] -= 1.0
         if (j + 1) % store_stride == 0:
@@ -683,15 +765,18 @@ def _reference_simulation(b, m0, count, tg, seed, jumps, store_stride, block):
 @pytest.mark.parametrize("jumps", [True, False])
 @pytest.mark.parametrize("store_stride", [1, 2])
 def test_block_streams_match_reference_loop(dim, jumps, store_stride, monkeypatch):
-    # 1050 particles in blocks of 100: ten full blocks and one of 50.
+    # 1050 particles in blocks of 100: ten full blocks and one of 50.  With
+    # the jumps zeroed, the march and the reference both draw zeros.
     monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    if not jumps:
+        monkeypatch.setattr(particles, "_draw_increments", _no_jumps)
     monkeypatch.setattr(particles, "_worker_count", lambda: 2)
     grid = SpectralGrid(dim=dim, n=16, s=0.7)
     m0 = initial_density(grid, "vonmises")
     tg = TimeGrid(horizon=0.2, n_steps=6)
     b = np.random.default_rng(3).normal(size=(7, dim) + grid.shape)
-    path = simulate_sde(b, m0, 1050, tg, seed=4, jumps=jumps, store_stride=store_stride)
-    want = _reference_simulation(b, m0, 1050, tg, 4, jumps, store_stride, 100)
+    path = simulate_sde(b, m0, 1050, tg, seed=4, store_stride=store_stride)
+    want = _reference_simulation(b, m0, 1050, tg, 4, store_stride, 100)
     assert np.array_equal(path.positions.view(np.int64), want.view(np.int64))
 
 
@@ -958,10 +1043,11 @@ def test_holder_pure_jump_exponent_near_half():
     assert report.fitted_constant > 0.0
 
 
-def test_holder_frozen_particles_trivially_pass():
+def test_holder_frozen_particles_trivially_pass(monkeypatch):
+    monkeypatch.setattr(particles, "_draw_increments", _no_jumps)
     grid, m0 = vonmises_setup()
     tg = TimeGrid(horizon=1.0, n_steps=8)
-    path = simulate_sde(None, m0, 5000, tg, seed=4, jumps=False)
+    path = simulate_sde(None, m0, 5000, tg, seed=4)
     report = holder_wasserstein_check(path, b_sup=0.0)
     assert report.passed
     assert np.all(report.distances == 0.0)
@@ -970,11 +1056,12 @@ def test_holder_frozen_particles_trivially_pass():
     assert report.exponent_points == 0
 
 
-def test_holder_drift_dominated_gaps():
+def test_holder_drift_dominated_gaps(monkeypatch):
+    monkeypatch.setattr(particles, "_draw_increments", _no_jumps)
     grid, m0 = vonmises_setup()
     tg = TimeGrid(horizon=0.02, n_steps=8)
     b = np.full((9, 1, grid.n), 1.0)
-    path = simulate_sde(b, m0, 10**5, tg, seed=3, jumps=False)
+    path = simulate_sde(b, m0, 10**5, tg, seed=3)
     report = holder_wasserstein_check(path, b_sup=1.0)
     assert report.passed
     assert np.all(report.distances <= report.drift_bound * report.gaps + report.noise_floor)
