@@ -34,7 +34,11 @@ MAX_ITERATIONS = 1000
 
 @dataclass(frozen=True)
 class MuSolveConfig:
-    tolerance: float = 1e-10
+    """The control fixed point's settings: a slice stops once its defect's
+    sup norm is at most tolerance.  Every solve of the package runs at
+    equilibrium.LoopConfig.mu_config."""
+
+    tolerance: float
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
@@ -62,10 +66,11 @@ def solve_mu_detailed(
     m: GridMeasure | JointControlMeasure | MeasurePath,
     du: np.ndarray,
     model,
-    config: MuSolveConfig | None = None,
+    config: MuSolveConfig,
     out: np.ndarray | None = None,
 ) -> MuSolveResult:
-    """Fixed-point solve returning the measure plus convergence data.
+    """Fixed-point solve returning the measure plus convergence data, to
+    config's tolerance.
 
     m is one slice or a MeasurePath.  A GridMeasure slice starts from the
     zero control; a JointControlMeasure or a MeasurePath starts from its
@@ -80,7 +85,6 @@ def solve_mu_detailed(
     NonContractionError is raised once the measured update ratio stops
     shrinking the update, or predicts more than MAX_ITERATIONS iterations
     to the tolerance."""
-    config = config or MuSolveConfig()
     grid = m.grid
     mu = m
     if isinstance(m, GridMeasure):
@@ -151,7 +155,7 @@ def solve_mu(
     m: GridMeasure | JointControlMeasure | MeasurePath,
     du: np.ndarray,
     model,
-    config: MuSolveConfig | None = None,
+    config: MuSolveConfig,
     out: np.ndarray | None = None,
 ) -> JointControlMeasure | MeasurePath:
     """The fixed-point measure itself; see solve_mu_detailed for metrics."""

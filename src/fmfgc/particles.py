@@ -169,13 +169,13 @@ def sample_stable_increment(
     2s-stable jump (_cms_line); d >= 2 subordinates the Gaussians,
     J = sqrt(2 S) Z with S one-sided s-stable scaled so
     E[exp(-lam S)] = exp(-dt lam^s), so that
-    E[exp(i xi . J)] = E[exp(-S |xi|^2)] (_cms_block).  Returns shape
-    (size, dim).
+    E[exp(i xi . J)] = E[exp(-S |xi|^2)] (_cms_block).  dt must be finite
+    and positive.  Returns shape (size, dim).
     """
     if not 0.5 < s < 1.0:
         raise ValueError(f"stable order requires s in (1/2, 1), got {s}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     if size < 1:
@@ -317,7 +317,9 @@ def _wrap(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 
 class _Stencil:
     """Cloud-in-cell stencil for up to `count` positions on a grid, in
-    buffers it owns.
+    buffers it owns.  Its corners come in one form, the (2^d, N) stacks of
+    corners(), which the drift gather (interpolate) and the deposit
+    (empirical_measure) both read.
 
     A march keeps one per block, so its steps make no new arrays: a block's
     arrays are 128 KiB (16,384 floats), glibc's default mmap threshold, and
@@ -338,14 +340,14 @@ class _Stencil:
         self._weight = np.empty(n_corners * count)
         self._sample = np.empty(count)
 
-    def corners(self, positions: np.ndarray) -> list:
-        """(index, weight) for each cell corner, as views of the buffers.
-
-        index is the (N,) flat C-order node number of the corner and weight
-        its (N,) multilinear weight, for each position; corners come in
-        itertools.product((0, 1), repeat=dim) order.  Per axis there is one
-        floor and one fraction, and as n is a power of two, & (n - 1) wraps
-        a node index onto the torus (floor(x n) = n included)."""
+    def corners(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index, weight), each (2^d, N): row k is the corner that
+        itertools.product((0, 1), repeat=dim) gives k-th, index its flat
+        C-order node number and weight its multilinear weight, for each
+        position.  Both are views of the buffers: of the per-axis ones in
+        d = 1, of the corner ones otherwise.  Per axis there is one floor
+        and one fraction, and as n is a power of two, & (n - 1) wraps a
+        node index onto the torus (floor(x n) = n included)."""
         n, dim = self.grid.n, self.grid.dim
         count = positions.shape[0]
         nodes = self._nodes[: 2 * count * dim].reshape(2, count, dim)
@@ -358,42 +360,30 @@ class _Stencil:
         lo &= n - 1
         np.add(lo, 1, out=hi)
         hi &= n - 1
+        if dim == 1:
+            return nodes[..., 0], axis_weights[..., 0]
         indices = self._index[: 2**dim * count].reshape(-1, count)
         weights = self._weight[: 2**dim * count].reshape(-1, count)
-        out = []
         for k, corner in enumerate(itertools.product((0, 1), repeat=dim)):
             index, weight = nodes[corner[0], :, 0], axis_weights[corner[0], :, 0]
             for ax in range(1, dim):
                 index = np.multiply(index, n, out=indices[k])
                 index += nodes[corner[ax], :, ax]
                 weight = np.multiply(weight, axis_weights[corner[ax], :, ax], out=weights[k])
-            out.append((index, weight))
-        return out
-
-    def corner_stacks(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every corner's index and weight, flat in the order of corners():
-        the heads of the buffers that corners() fills hold them so already,
-        (2, N, 1) in d = 1 and (2^d, N) otherwise, so these are views, not
-        copies."""
-        self.corners(positions)
-        size = 2**self.grid.dim * positions.shape[0]
-        if self.grid.dim == 1:
-            return self._nodes[:size], self._axis_weights[:size]
-        return self._index[:size], self._weight[:size]
+        return indices, weights
 
     def interpolate(self, field: np.ndarray, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Multilinear periodic interpolation of a (ncomp, *shape) field into
-        out (N, ncomp), gathered from the flattened field."""
-        corners = self.corners(positions)
+        out (N, ncomp), gathered from the flattened field corner by corner."""
+        index, weight = self.corners(positions)
         sample = self._sample[: positions.shape[0]]
         for c, values in enumerate(field.reshape(field.shape[0], -1)):
-            (index, weight), *rest = corners
             # the indices are in range by construction; mode "raise" would
             # gather through a temporary before filling out
-            np.multiply(weight, values.take(index, out=sample, mode="clip"), out=out[:, c])
-            for index, weight in rest:
-                values.take(index, out=sample, mode="clip")
-                sample *= weight
+            np.multiply(weight[0], values.take(index[0], out=sample, mode="clip"), out=out[:, c])
+            for corner_index, corner_weight in zip(index[1:], weight[1:]):
+                values.take(corner_index, out=sample, mode="clip")
+                sample *= corner_weight
                 out[:, c] += sample
         return out
 
@@ -546,11 +536,11 @@ def empirical_measure(positions: np.ndarray, grid: SpectralGrid) -> GridMeasure:
             head = wrapped[: chunk.shape[0]]
             np.copyto(head, chunk)
             chunk = _wrap(head)
-        index, weight = stencil.corner_stacks(chunk)
+        index, weight = stencil.corners(chunk)
         # bincount adds in input order, corner after corner; the blocks'
         # sums add up in block order, so a node's total differs from a
         # whole-array bincount's by summation roundoff only
-        sums += np.bincount(index, weight, minlength=sums.size)
+        sums += np.bincount(index.ravel(), weight.ravel(), minlength=sums.size)
     return GridMeasure.normalized(grid, sums.reshape(grid.shape) / (count * grid.dx**grid.dim))
 
 
@@ -583,9 +573,10 @@ def holder_wasserstein_check(path: ParticlePath, b_sup: float) -> HolderReport:
     sqrt(|t1 - t0|) + floor at every stored gap whose distance exceeds the
     Monte-Carlo noise floor 2/sqrt(N), with C fitted on the coarsest half
     of the gaps so the fine half genuinely tests the square-root scaling.
+    b_sup, the drift's sup norm, must be finite and nonnegative.
     """
-    if b_sup < 0.0:
-        raise ValueError(f"b_sup must be nonnegative, got {b_sup}")
+    if not 0.0 <= b_sup < math.inf:
+        raise ValueError(f"b_sup must be finite and nonnegative, got {b_sup}")
     n_gaps = len(path.times) - 1
     if n_gaps + 1 < 8:
         raise ValueError(f"need at least 8 time samples, got {n_gaps + 1}")

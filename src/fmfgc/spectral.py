@@ -197,10 +197,11 @@ class SpectralGrid:
         Exact in space: each mode is damped by exp(-t (2 pi |k|)^{2s}).
         The mean (k = 0) is preserved to the last bit.  At s = 1/2 this is
         the Poisson kernel, the convolution with symbol exp(-2 pi t |k|).
-        t may also be a numpy array of times, which broadcasts against the
-        leading axes of f: one field and an array of times t_j give the flow
-        T(t_j) f as a stack, all from one transform of f; row j equals
-        semigroup_apply(f, t_j) to the bit.
+        t must be finite and nonnegative; it may also be a numpy array of
+        such times, which broadcasts against the leading axes of f: one
+        field and an array of times t_j give the flow T(t_j) f as a stack,
+        all from one transform of f; row j equals semigroup_apply(f, t_j)
+        to the bit.
 
         A stack, or an array of times, is transformed one block of levels
         of the first leading axis at a time (``level_blocks``), each into
@@ -210,8 +211,8 @@ class SpectralGrid:
         """
         f = self.check_scalar(f)
         flow = isinstance(t, np.ndarray) and t.ndim > 0
-        if (np.any(t < 0.0) if flow else t < 0.0):
-            raise ValueError(f"semigroup time must be nonnegative, got {t}")
+        if not (np.all((0.0 <= t) & (t < np.inf)) if flow else 0.0 <= t < np.inf):
+            raise ValueError(f"semigroup time must be finite and nonnegative, got {t}")
         s = self.s if s is None else float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
@@ -328,14 +329,15 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, T] into ``n_steps`` steps."""
+    """Uniform partition of [0, T], T finite and positive, into ``n_steps``
+    steps."""
 
     horizon: float
     n_steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
 

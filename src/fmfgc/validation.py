@@ -194,7 +194,7 @@ def _criterion_mu_closed_form(ctx: AcceptanceContext):
     worst_ratio = 0.0
     for beta in (0.3, 0.7):
         model = QuadraticModel(coupling_beta=beta)
-        result = solve_mu_detailed(m, du, model)
+        result = solve_mu_detailed(m, du, model, LoopConfig.mu_config)
         mean_du = m.expectation(du[0])
         abar = -mean_du / (1.0 + beta)
         closed = -du[0] + beta * mean_du / (1.0 + beta)

@@ -18,7 +18,7 @@ from fmfgc.fokker_planck import (
 from fmfgc.hjb import FeedbackDrift, solve_backward
 from fmfgc.measures import GridMeasure, MeasurePath
 from fmfgc.models import QuadraticModel, ThetaScaledModel
-from fmfgc.mu_solver import solve_mu
+from fmfgc.mu_solver import MuSolveConfig, solve_mu
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 from helpers import band_limited_field, smooth_density, step_semigroup
@@ -509,7 +509,7 @@ def test_duality_frozen_mu_smoke(grid):
     x = grid.nodes()[0]
     u_t = 0.1 * np.cos(2 * np.pi * x)
     du_t = np.stack([-0.2 * np.pi * np.sin(2 * np.pi * x)])
-    mu = solve_mu(m0, du_t, model)
+    mu = solve_mu(m0, du_t, model, MuSolveConfig(tolerance=1e-10))
     mu_path = MeasurePath(
         tg, grid, np.broadcast_to(mu.density, (101, grid.n)),
         np.broadcast_to(mu.alpha, (101, 1, grid.n)),

@@ -33,6 +33,15 @@ def test_density_error_is_first_order_in_space(s):
     assert 0.8 <= np.log2(coarse / fine) <= 1.2
 
 
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.95])
+def test_solve_converges_as_space_and_time_refine_together(s):
+    # doubling n and n_t at once halves both errors; the pair (32, 200) is
+    # pre-asymptotic for m at s = 0.95, so the study starts at (64, 400)
+    coarse, fine = (np.array(true_errors(n, 400 * n // 64, s)) for n in (64, 128))
+    orders = np.log2(coarse / fine)
+    assert np.all((0.8 <= orders) & (orders <= 1.2)), orders
+
+
 def test_value_error_is_first_order_in_time_off_the_axes():
     # In d = 2 the game's modes sit on the wave vectors (1, 1) and (2, 2),
     # where |k| is not |k1| + |k2|, so a symbol built axis by axis breaks

@@ -67,7 +67,7 @@ def test_zero_gradient_zero_control(grid):
     rng = np.random.default_rng(5)
     m = GridMeasure(grid, smooth_density(grid, rng))
     du = np.zeros((1, grid.n))
-    result = solve_mu_detailed(m, du, model)
+    result = solve_mu_detailed(m, du, model, MuSolveConfig(tolerance=1e-10))
     assert result.iterations == 0
     assert np.all(result.mu.alpha == 0.0)
 

@@ -64,6 +64,14 @@ def test_increment_validation():
         sample_stable_increment(0.75, 0.1, 1, rng, size=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_increment_rejects_a_non_finite_step(bad, dim):
+    # dt = inf would give jumps of +-inf
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_stable_increment(0.75, bad, dim, np.random.default_rng(0), size=4)
+
+
 def test_increment_shapes():
     rng = np.random.default_rng(1)
     batch = sample_stable_increment(0.6, 0.1, 3, rng, size=7)
@@ -1080,6 +1088,16 @@ def test_holder_check_validation():
     warped = ParticlePath(times=path.times**2, positions=path.positions, grid=grid)
     with pytest.raises(ValueError):
         holder_wasserstein_check(warped, b_sup=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_holder_check_rejects_a_non_finite_drift_bound(bad):
+    # b_sup = inf would make the bound infinite, so the check would pass;
+    # nan would fail it with a nan fitted constant
+    _, m0 = vonmises_setup(n=32)
+    path = simulate_sde(None, m0, 100, TimeGrid(horizon=0.1, n_steps=8), seed=0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        holder_wasserstein_check(path, b_sup=bad)
 
 
 def test_equilibrium_drift_cross_check_reduced():

@@ -146,6 +146,17 @@ def test_semigroup_over_an_array_of_times(dim):
         g.semigroup_apply(f, np.array([0.1, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_semigroup_rejects_non_finite_times(bad):
+    # exp(-0 * inf) is nan, so an infinite time would wipe out every node
+    # through the mean mode; nan passes any `t < 0` test
+    g = SpectralGrid(1, 32, 0.75)
+    f = np.random.default_rng(3).standard_normal(g.shape)
+    for t in (bad, np.float64(bad), np.array(bad), np.array([0.1, bad])):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            g.semigroup_apply(f, t)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_semigroup_gradient_pair(dim):
     rng = np.random.default_rng(13)
@@ -289,6 +300,13 @@ def test_time_grid():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_time_grid_rejects_a_non_finite_horizon(bad):
+    # an infinite horizon would give dt = inf and times() = [nan, inf, ...]
+    with pytest.raises(ValueError, match="finite and positive"):
+        TimeGrid(bad, 10)
 
 
 def test_periodic_delta():
