@@ -5,9 +5,8 @@ The package computes the equilibrium triple (value function, density
 flow, joint state-control measure) for the quadratic-cost model with
 smoothing convolution coupling, and cross-checks it against a particle
 system driven by 2s-stable jumps, drawn directly in d = 1 and as
-subordinated Gaussians in d = 2.  ``fmfgc validate`` runs
-the acceptance suite; see the individual modules for the building
-blocks.
+subordinated Gaussians in d = 2 and 3.  ``fmfgc validate`` runs the
+acceptance suite; see the individual modules for the building blocks.
 """
 
 from .equilibrium import (

@@ -101,7 +101,7 @@ def _level_columns(solution) -> list[np.ndarray]:
     solution, a block of levels at a time (``SpectralGrid.level_blocks``).
 
     The sups of Du and alpha are maxima over components and nodes, so in
-    d = 2 they are the largest |partial_i u| and |alpha_i|, not the largest
+    d >= 2 they are the largest |partial_i u| and |alpha_i|, not the largest
     Euclidean norm |Du| that the moment certificate's du_sup takes."""
     u, du, mu_path = solution.u_sol.u, solution.u_sol.du, solution.mu_path
     blocks = [

@@ -50,9 +50,9 @@ levels at a time (``SpectralGrid.level_blocks``), with every level's
 arithmetic the one a whole-path pass gives.
 
 The loop's density change bounds the true W1 change from above: exact
-W1 per level in d = 1, and in d = 2 sqrt(2)/2 times the total variation
-1/2 ||m_new - m_old||_1 per level, as no two points of the unit 2-torus
-lie farther apart than sqrt(2)/2.
+W1 per level in d = 1, and in d >= 2 sqrt(d)/2 times the total variation
+1/2 ||m_new - m_old||_1 per level, as no two points of the unit d-torus
+lie farther apart than sqrt(d)/2.
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ def _own(state: EquilibriumSolution) -> tuple[HjbSolution, np.ndarray, np.ndarra
 def _density_change(grid, m_old: np.ndarray, m_new: np.ndarray) -> float:
     """The largest change of the density over the levels of two stacks, an
     upper bound on the W1 of each level's pair: exact W1 in d = 1
-    (``wasserstein_1d``), in d = 2 sqrt(2)/2 times the total variation."""
+    (``wasserstein_1d``), in d >= 2 sqrt(d)/2 times the total variation."""
     if grid.dim == 1:
         view = GridMeasure.view
         return float(np.max(wasserstein_1d(view(grid, m_old), view(grid, m_new))))
-    return float(np.sqrt(2.0) / 2.0 * 0.5 * np.max(grid.integrate(np.abs(m_new - m_old))))
+    return float(np.sqrt(grid.dim) / 2.0 * 0.5 * np.max(grid.integrate(np.abs(m_new - m_old))))
 
 
 def picard_iterate(model, paths, u_terminal: np.ndarray) -> tuple[HjbSolution, FpSolution, float]:

@@ -10,8 +10,8 @@ as read-only views that are not checked again; a view's stacks may be
 broadcasts, such as the zero controls of the analytic base.  The moments
 and W1 take one slice or a stack and return a float or one value per
 slice.  The distance is exact W1 on the circle via the
-cumulative-distribution offset formula; in d = 2 it is taken on the
-coordinate marginals, stacked so that one call covers both.  The path
+cumulative-distribution offset formula; in d >= 2 it is taken on the
+coordinate marginals, stacked so that one call covers them all.  The path
 form of the monotonicity pairing runs over blocks of levels
 (``SpectralGrid.level_blocks``), so its stacked controls and L fields
 never span the whole path; each level's value is the one a whole-path
@@ -253,14 +253,14 @@ def coordinate_marginals(m: GridMeasure) -> GridMeasure:
 
     m holds one density or a stack.  The W1 figure of two measures is the
     max of one ``wasserstein_1d`` call on their marginals: exact W1 in
-    d = 1, and in d = 2 the max over the two coordinate marginals, a lower
+    d = 1, and in d >= 2 the max over the d coordinate marginals, a lower
     bound on the true W1."""
     grid = m.grid
     if grid.dim == 1:
         return m
-    return GridMeasure.view(
-        grid.line, np.stack([np.sum(m.values, axis=-1 - axis) for axis in range(2)]) * grid.dx
-    )
+    axes = range(-grid.dim, 0)
+    rows = [np.sum(m.values, axis=tuple(a for a in axes if a != keep)) for keep in axes]
+    return GridMeasure.view(grid.line, np.stack(rows) * grid.dx ** (grid.dim - 1))
 
 
 def wasserstein_1d(m1: GridMeasure, m2: GridMeasure):

@@ -59,17 +59,12 @@ def _geometric_tail(rho: float) -> float:
 
 
 def _kernel_sums(decay: float, dim: int) -> tuple[float, float]:
-    """Upper bounds for sum_k khat(k) and sum_k 2 pi |k| khat(k) over Z^d."""
-    if dim == 1:
-        rho = np.exp(-decay)
-        s0 = 1.0 + 2.0 * _geometric_tail(rho)
-        s1 = 4.0 * np.pi * rho / (1.0 - rho) ** 2
-    else:
-        # |k| >= (|k1| + |k2|) / sqrt(2) lets both sums factorize.
-        rho = np.exp(-decay / np.sqrt(2.0))
-        line = 1.0 + 2.0 * _geometric_tail(rho)
-        s0 = line**2
-        s1 = 4.0 * np.pi * (2.0 * rho / (1.0 - rho) ** 2) * line
+    """Upper bounds for sum_k khat(k) and sum_k 2 pi |k| khat(k) over Z^d:
+    |k| >= |k|_1 / sqrt(d), an equality in d = 1, factorizes both by axes."""
+    rho = np.exp(-decay / np.sqrt(dim))
+    line = 1.0 + 2.0 * _geometric_tail(rho)
+    s0 = line**dim
+    s1 = 2.0 * dim * np.pi * (2.0 * rho / (1.0 - rho) ** 2) * line ** (dim - 1)
     return float(s0), float(s1)
 
 

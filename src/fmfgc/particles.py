@@ -91,7 +91,9 @@ def _march_shares(march, shares: list) -> None:
     before this returns or raises.  An exception in the caller's share, a
     child that exits non-zero, one killed by a signal and one reaped
     elsewhere, whose exit status is lost, each raise one FmfgcError that
-    names every failed share, chained to the caller's exception.
+    names every failed share, chained to the caller's exception.  A fork
+    that raises leaves open the two pipes CPython's fork-context Popen
+    opened before it, which nothing can close, as no Popen is kept.
     """
     # imported here, so that `import fmfgc` does not pay its 10 ms
     import multiprocessing
@@ -397,10 +399,10 @@ def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> n
     masses over the flattened (C-order) grid, MIN_BLOCK positions at a
     time: a block's B x dim uniforms are drawn straight into the result,
     the last uniform of each position picks its cell, and its place within
-    that cell's mass sets the offset along the last axis; in d = 2 the
-    first uniform sets the offset along the first axis.  The generator's
-    uniform stream does not depend on how its draws are chunked, so
-    neither do the positions.
+    that cell's mass sets the offset along the last axis; along each other
+    axis the cell's digit of the flat index and the axis's uniform place it.
+    The generator's uniform stream does not depend on how its draws are
+    chunked, so neither do the positions.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -420,9 +422,9 @@ def sample_positions(m0: GridMeasure, count: int, rng: np.random.Generator) -> n
         cell = np.searchsorted(below[1:], last, side="right")
         last -= below[cell]
         last /= mass[cell]
-        if grid.dim == 2:
-            first, cell = divmod(cell, grid.n)
-            block[:, 0] += first
+        *lead, cell = np.unravel_index(cell, grid.shape)
+        for axis, digit in enumerate(lead):
+            block[:, axis] += digit
         last += cell
         block -= 0.5
         block *= grid.dx

@@ -1,27 +1,30 @@
 """Periodic grids and Fourier-multiplier operators on the unit torus.
 
-All fields live on a uniform n^d grid over [0,1)^d with d in {1, 2} and n a
-power of two.  Spatial derivatives, the fractional Laplacian and its heat
-semigroup are diagonal in the discrete Fourier basis e^{2 pi i k.x} with
-integer wavenumbers k in {-n/2, ..., n/2 - 1} per axis, so every operator
-here is one real FFT over the trailing grid axes, a multiplier on the half
-spectrum, and the inverse real FFT.  Every operator takes one field or a
-stack of fields over leading axes (a path, say); ``semigroup_apply``
-transforms a stack one block of levels at a time into its output, so no
-spectrum spans the path.  A march takes its step operator once
-(``value_step`` or ``gradient_step``) and hands it to the unchecked
+All fields live on a uniform n^d grid over [0,1)^d with d in {1, 2, 3} and
+n a power of two; d stops at 3 because a path's memory grows as n^d.
+Spatial derivatives, the fractional Laplacian and its heat semigroup are
+diagonal in the discrete Fourier basis e^{2 pi i k.x} with integer
+wavenumbers k in {-n/2, ..., n/2 - 1} per axis, so every operator here is
+one real FFT over the trailing grid axes, a multiplier on the half
+spectrum, and the inverse real FFT, taken axis by axis in the order of
+np.fft.rfftn and irfftn, whose bits they have; the last inverse transform
+writes into the caller's buffer where there is one.  Every operator takes
+one field or a stack of fields over leading axes (a path, say);
+``semigroup_apply`` transforms a stack one block of levels at a time into
+its output, so no spectrum spans the path.  A march takes its step operator
+once (``value_step`` or ``gradient_step``) and hands it to the unchecked
 per-step transforms ``semigroup_value`` and ``semigroup_gradient``, which
 write into buffers the march allocates once.  On a 1-D grid of at most
 ``DENSE_STEP_MAX_N`` nodes that operator is the real circulant kernel of
-the heat multiplier and its gradient, [T; D T], built by the same
-transform applied to the identity, so a step is one matrix-vector
-product, and the value step takes the first n rows; on larger and 2-D
-grids it is the heat table, and a step is one transform pair.  The grid
-keeps the one operator it built last, read-only, with its time, so the
-marches of one time step build it once.  Work over a whole path of
-time levels that needs path-sized temporaries runs over the blocks of
-levels that ``SpectralGrid.level_blocks`` gives, ``BLOCK_NODES`` grid
-nodes' worth each, so no temporary spans the path.
+the heat multiplier and its gradient, [T; D T], built by the same transform
+applied to the identity, so a step is one matrix-vector product, and the
+value step takes the first n rows; on larger 1-D grids and in d >= 2 it is
+the heat table, and a step is one transform pair.  The grid keeps the one
+operator it built last, read-only, with its time, so the marches of one
+time step build it once.  Work over a whole path of time levels that needs
+path-sized temporaries runs over the blocks of levels that
+``SpectralGrid.level_blocks`` gives, ``BLOCK_NODES`` grid nodes' worth
+each, so no temporary spans the path.
 
 Conventions that matter:
 
@@ -65,7 +68,7 @@ class SpectralGrid:
     Parameters
     ----------
     dim:
-        Spatial dimension, 1 or 2.
+        Spatial dimension, 1, 2 or 3.
     n:
         Nodes per axis; a power of two, at least 8.
     s:
@@ -74,8 +77,8 @@ class SpectralGrid:
     """
 
     def __init__(self, dim: int, n: int, s: float):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        if dim not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
         if not _is_power_of_two(n) or n < 8:
             raise ValueError(f"n must be a power of two >= 8, got {n}")
         if not 0.5 < s < 1.0:
@@ -104,14 +107,8 @@ class SpectralGrid:
         )
         self._deriv.setflags(write=False)
 
-        axes = np.arange(n) * self.dx
-        if dim == 1:
-            nodes = axes[np.newaxis, :]
-        else:
-            xg, yg = np.meshgrid(axes, axes, indexing="ij")
-            nodes = np.stack([xg, yg])
-        nodes.setflags(write=False)
-        self._nodes = nodes
+        self._nodes = np.stack(np.meshgrid(*[np.arange(n) * self.dx] * dim, indexing="ij"))
+        self._nodes.setflags(write=False)
         # the grid of the coordinate marginals
         self.line = self if dim == 1 else SpectralGrid(1, n, s)
 
@@ -162,7 +159,10 @@ class SpectralGrid:
         t is one time or a numpy array of times; an array gives one table
         per time, shaped t.shape + the half spectrum, so it broadcasts
         against the transform of a stack whose leading axes match t.  A
-        march's step operator comes from the table of its step."""
+        march's step operator comes from the table of its step.  Times must
+        be finite and nonnegative: inf and nan give nan, a negative time growth."""
+        if not np.all((0.0 <= t) & (t < np.inf)):
+            raise ValueError(f"semigroup time must be finite and nonnegative, got {t}")
         s = self.s if s is None else float(s)
         if isinstance(t, np.ndarray) and t.ndim > 0:
             t = t.astype(float).reshape(t.shape + (1,) * self.dim)
@@ -171,18 +171,22 @@ class SpectralGrid:
         return np.exp(-self._symbol(s) * t)
 
     def _forward(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(f) if self.dim == 1 else np.fft.rfft2(f)
+        spec = np.fft.rfft(f)
+        for axis in range(-2, -self.dim - 1, -1):
+            spec = np.fft.fft(spec, axis=axis)
+        return spec
 
-    def _inverse(self, fhat: np.ndarray) -> np.ndarray:
-        if self.dim == 1:
-            return np.fft.irfft(fhat, n=self.n)
-        return np.fft.irfft2(fhat, s=self.shape)
+    def _inverse(self, fhat: np.ndarray, out=None) -> np.ndarray:
+        for axis in range(-self.dim, -1):
+            fhat = np.fft.ifft(fhat, axis=axis)
+        return np.fft.irfft(fhat, n=self.n, out=out)
 
-    def _multiply(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    def _multiply(self, f: np.ndarray, mult: np.ndarray, out=None) -> np.ndarray:
         """irfft(mult * rfft(f)) over the trailing grid axes: the one
-        transform behind every operator.  f is one field or a stack; mult,
-        a half-spectrum table, broadcasts against its transform."""
-        return self._inverse(mult * self._forward(f))
+        transform behind every operator, written into out if given.  f is
+        one field or a stack; mult, a half-spectrum table, broadcasts
+        against its transform."""
+        return self._inverse(mult * self._forward(f), out)
 
     # -- operators ---------------------------------------------------------
 
@@ -211,8 +215,6 @@ class SpectralGrid:
         """
         f = self.check_scalar(f)
         flow = isinstance(t, np.ndarray) and t.ndim > 0
-        if not (np.all((0.0 <= t) & (t < np.inf)) if flow else 0.0 <= t < np.inf):
-            raise ValueError(f"semigroup time must be finite and nonnegative, got {t}")
         s = self.s if s is None else float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"fractional exponent must lie in (0, 1], got {s}")
@@ -235,7 +237,7 @@ class SpectralGrid:
                 fhat *= mult
             else:
                 fhat = mult * spec
-            out[block] = self._inverse(fhat)
+            self._inverse(fhat, out[block])
         return out
 
     def _kernel(self, mults: np.ndarray) -> np.ndarray:
@@ -281,7 +283,7 @@ class SpectralGrid:
         if self._dense_steps:
             np.matmul(step, f, out=out)
         else:
-            out[...] = self._multiply(f, step)
+            self._multiply(f, step, out)
 
     def semigroup_gradient(self, f: np.ndarray, step: np.ndarray, out: np.ndarray) -> None:
         """(T(t) f, grad T(t) f) for one field f and the gradient_step of t,
@@ -305,7 +307,7 @@ class SpectralGrid:
             both = np.empty((1 + self.dim,) + spec.shape, dtype=spec.dtype)
             np.multiply(step, spec, out=both[0])
             np.multiply(self._deriv, both[0], out=both[1:])
-            out[...] = self._inverse(both)
+            self._inverse(both, out)
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """Spectral gradient, shape (..., dim, *grid.shape)."""

@@ -107,7 +107,7 @@ class ManufacturedModel(QuadraticModel):
 
 
 def manufactured_equilibrium(n, n_steps, s, dim):
-    """A game in d = 1 or d = 2 whose equilibrium is known in closed form,
+    """A game in d = 1, 2 or 3 whose equilibrium is known in closed form,
     on the nodes of a grid of n nodes per axis at n_steps levels over
     [0, 1], with data that depend on xi = x + ... (the sum of the
     coordinates) only:
@@ -115,9 +115,9 @@ def manufactured_equilibrium(n, n_steps, s, dim):
         m = 1 + a cos 2 pi xi + b sin 2 pi xi,   u = c cos 2 pi xi + e sin 4 pi xi,
 
     a, b, c and e smooth in time, at beta = 0.3 and kernel decay 1.  In
-    d = 2 the modes sit on the wave vectors (1, 1) and (2, 2), off the
-    axes, so (-Delta)^s multiplies them by (2 pi sqrt 2)^{2s} and
-    (4 pi sqrt 2)^{2s}.  Every component of the drift B is one function w,
+    d >= 2 the modes sit on the wave vectors (1, ..., 1) and (2, ..., 2),
+    off the axes, so (-Delta)^s multiplies them by (2 pi sqrt d)^{2s} and
+    (4 pi sqrt d)^{2s}.  Every component of the drift B is one function w,
     so div(m B) = d (m w)' in xi, and m w comes from the flux of the
     Fokker-Planck equation, d (m w)' = -(d_t m + (-Delta)^s m); every
     component of the mean control of alpha = -(Du + beta abar) is

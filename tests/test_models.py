@@ -9,6 +9,7 @@ from fmfgc.models import (
     QuadraticModel,
     ThetaScaledModel,
     _fd_hessian,
+    _kernel_sums,
     growth_check,
     legendre_transform,
 )
@@ -80,6 +81,24 @@ def test_potential_single_mode():
             damp = np.exp(-model.kernel_decay * np.linalg.norm(k))
             field = potential(model, GridMeasure(g, 1.0 + eps * wave))
             assert np.max(np.abs(field - (1.0 + eps * damp * wave))) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("decay", [0.7, 1.0, 2.0])
+def test_kernel_sums_bound_the_lattice_sums(dim, decay):
+    # sum_k khat(k) and sum_k 2 pi |k| khat(k) over Z^d, here over the box
+    # |k_i| <= 60, whose outside adds below roundoff, each lie below its
+    # bound, and C0 takes both; in d = 1, where |k| = |k|_1, the bounds
+    # are the sums themselves
+    k = np.arange(-60, 61)
+    norm = np.sqrt(sum(kk**2 for kk in np.meshgrid(*[k] * dim, indexing="ij", sparse=True)))
+    khat = np.exp(-decay * norm)
+    sums = np.array([np.sum(khat), np.sum(2.0 * np.pi * norm * khat)])
+    bounds = np.array(_kernel_sums(decay, dim))
+    assert np.all(bounds >= sums * (1.0 - 1e-14))
+    if dim == 1:
+        assert bounds == pytest.approx(sums, rel=1e-13)
+    assert QuadraticModel(0.3, kernel_decay=decay, dim=dim).C0 >= 1.0 + np.sum(bounds)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

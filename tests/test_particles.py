@@ -22,7 +22,7 @@ from fmfgc import particles
 from fmfgc.equilibrium import solve_equilibrium
 from fmfgc.errors import FmfgcError, InvalidFieldError
 from fmfgc.fokker_planck import initial_density
-from fmfgc.measures import GridMeasure, wasserstein_1d
+from fmfgc.measures import GridMeasure, coordinate_marginals, wasserstein_1d
 from fmfgc.models import QuadraticModel
 from fmfgc.particles import (
     HolderReport,
@@ -356,7 +356,7 @@ def test_initial_sampling_matches_marginals_2d():
         assert wasserstein_1d(got, want) <= bound
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_initial_draw_gives_each_cell_its_mass(dim):
     # Node i's cell, [x_i - dx/2, x_i + dx/2) along every axis, receives the
     # cell mass p_i = m_i dx^d: its count of N draws is binomial(N, p_i),
@@ -461,7 +461,7 @@ def interpolate(field, positions, grid):
     return particles._Stencil(grid, count).interpolate(field, positions, out)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_stencil_matches_multilinear_formula_at_edges(dim):
     # 0, exact nodes, mid-cell, the largest float below 1, and 1 itself: for
     # a power-of-two n, x n is exact, so 1 is where x n reaches n and the
@@ -676,6 +676,60 @@ def test_a_fork_that_raises_joins_the_child_already_started(monkeypatch):
     with pytest.raises(BlockingIOError, match="fork refused"):
         simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4), seed=3)
     _assert_no_child_left()
+
+
+def test_a_fork_that_raises_leaves_only_its_own_pipes_open(monkeypatch):
+    # CPython's fork-context Popen opens two pipes before os.fork and does
+    # not close them when os.fork raises (see _march_shares); nothing else
+    # of a march that fails that way stays open, the child that started
+    # included, and the next march runs as usual.
+    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
+    monkeypatch.setattr(particles, "_worker_count", lambda: 3)
+    calls, fork = [], os.fork
+
+    def flaky():
+        calls.append(os.getpid())
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    def open_descriptors():
+        gc.collect()
+        return set(os.listdir("/proc/self/fd"))
+
+    grid, m0 = vonmises_setup(n=16)
+    tg = TimeGrid(horizon=0.1, n_steps=4)
+    want = simulate_sde(None, m0, 600, tg, seed=3)
+    monkeypatch.setattr(particles.os, "fork", flaky)
+    before = open_descriptors()
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        simulate_sde(None, m0, 600, tg, seed=3)
+    assert len(open_descriptors() - before) <= 4
+    monkeypatch.setattr(particles.os, "fork", fork)
+    leaked = open_descriptors()
+    assert np.array_equal(simulate_sde(None, m0, 600, tg, seed=3).positions, want.positions)
+    assert open_descriptors() <= leaked
+    _assert_no_child_left()
+
+
+def test_lifted_three_dimensional_marginals_follow_the_one_dimensional_law():
+    # Driftless particles from the 1-D two-bump density repeated along x2
+    # and x3: the x1 marginal follows the 1-D heat flow and the other two
+    # stay uniform, each within criterion 10's W1 bound 2/sqrt(N) + 2 dx
+    # + 0.01.  The horizon is short, so the x1 law is still far from
+    # uniform.
+    line, space = SpectralGrid(dim=1, n=32, s=0.75), SpectralGrid(dim=3, n=32, s=0.75)
+    m1 = initial_density(line, "twobump")
+    m0 = GridMeasure(space, np.broadcast_to(m1.values[:, None, None], space.shape))
+    count, horizon = 10**5, 0.03
+    path = simulate_sde(None, m0, count, TimeGrid(horizon=horizon, n_steps=30), seed=42)
+    marginals = coordinate_marginals(empirical_measure(path.terminal(), space))
+    laws = [GridMeasure(line, line.semigroup_apply(m1.values, horizon))] + [
+        GridMeasure.uniform(line)
+    ] * 2
+    bound = 2.0 / math.sqrt(count) + 2.0 * space.dx + 0.01
+    for got, want in zip(marginals.values, laws):
+        assert wasserstein_1d(GridMeasure.view(line, got), want) <= bound
 
 
 def test_text_the_caller_buffered_is_written_once(tmp_path):

@@ -22,8 +22,9 @@ from helpers import band_limited_field, bessel_norm, periodic_delta, step_semigr
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        SpectralGrid(3, 64, 0.75)
+    for bad_dim in (0, 4):
+        with pytest.raises(ValueError):
+            SpectralGrid(bad_dim, 16, 0.75)
     with pytest.raises(ValueError):
         SpectralGrid(1, 48, 0.75)  # not a power of two
     with pytest.raises(ValueError):
@@ -34,6 +35,7 @@ def test_grid_validation():
     g = SpectralGrid(2, 16, 0.6)
     assert g.shape == (16, 16)
     assert g.dx == pytest.approx(1.0 / 16)
+    assert SpectralGrid(3, 8, 0.6).nodes().shape == (3, 8, 8, 8)
 
 
 def test_field_validation():
@@ -144,6 +146,20 @@ def test_semigroup_over_an_array_of_times(dim):
         assert row.tobytes() == g.semigroup_apply(f, t).tobytes()
     with pytest.raises(ValueError):
         g.semigroup_apply(f, np.array([0.1, -0.1]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1e-3])
+def test_step_operators_reject_bad_times(bad):
+    # the heat table and both step operators, on the dense 1-D kernel and
+    # on a table grid; the operator a grid keeps survives the refusal
+    for g in (SpectralGrid(1, 32, 0.75), SpectralGrid(2, 16, 0.75)):
+        kept = g.gradient_step(0.1)
+        for build in (g.heat_table, g.gradient_step, g.value_step):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                build(bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            g.heat_table(np.array([0.1, bad]))
+        assert g.gradient_step(0.1) is kept
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -505,7 +521,23 @@ def test_blocked_semigroup_apply_is_the_whole_stack_transform(shape, extra, flow
     assert g.semigroup_apply(v, 0.05).tobytes() == g._multiply(v, g.heat_table(0.05)).tobytes()
 
 
-@pytest.mark.parametrize("dim, n", [(1, 2 * DENSE_STEP_MAX_N), (2, 16), (2, 64)])
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8)])
+def test_transform_pair_has_the_bytes_of_numpys_rfftn(dim, n):
+    # The pair runs the axes in the order rfftn and irfftn do, so it has
+    # their bytes on one field and on a stack, and the inverse writes
+    # them into the buffer it is given.
+    g = SpectralGrid(dim, n, 0.75)
+    axes = tuple(range(-dim, 0))
+    f = np.random.default_rng(29).standard_normal((3,) + g.shape)
+    spec = np.fft.rfftn(f, axes=axes)
+    assert g._forward(f).tobytes() == spec.tobytes()
+    assert g._forward(f[1]).tobytes() == spec[1].tobytes()
+    out = np.empty_like(f)
+    assert g._inverse(spec, out) is out
+    assert out.tobytes() == np.fft.irfftn(spec, s=g.shape, axes=axes).tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2 * DENSE_STEP_MAX_N), (2, 16), (2, 64), (3, 16)])
 def test_transform_steps_have_the_bytes_of_numpys_transform_pair(dim, n):
     # Off the dense 1-D kernel, a step is numpy's one-call real transform
     # pair of the field times the step's heat table, and of the gradient
@@ -515,8 +547,10 @@ def test_transform_steps_have_the_bytes_of_numpys_transform_pair(dim, n):
     f = rng.standard_normal(g.shape)
     if dim == 1:
         forward, inverse = np.fft.rfft, lambda z: np.fft.irfft(z, n=n)
-    else:
+    elif dim == 2:
         forward, inverse = np.fft.rfft2, lambda z: np.fft.irfft2(z, s=g.shape)
+    else:
+        forward, inverse = np.fft.rfftn, lambda z: np.fft.irfftn(z, s=g.shape, axes=(-3, -2, -1))
     step = g.gradient_step(5e-3)
     spec = step * forward(f)
     value, pair = np.empty(g.shape), np.empty((1 + dim,) + g.shape)
