@@ -661,28 +661,9 @@ def test_a_child_reaped_elsewhere_is_a_failure(monkeypatch):
 def test_a_fork_that_raises_joins_the_child_already_started(monkeypatch):
     # The second of two forks fails, as when the process table is full: the
     # error reaches the caller, and the first child is joined before it does.
-    monkeypatch.setattr(particles, "MIN_BLOCK", 100)
-    monkeypatch.setattr(particles, "_worker_count", lambda: 3)
-    calls, fork = [], os.fork
-
-    def flaky():
-        calls.append(os.getpid())
-        if len(calls) == 2:
-            raise BlockingIOError(errno.EAGAIN, "fork refused")
-        return fork()
-
-    monkeypatch.setattr(particles.os, "fork", flaky)
-    grid, m0 = vonmises_setup(n=16)
-    with pytest.raises(BlockingIOError, match="fork refused"):
-        simulate_sde(None, m0, 600, TimeGrid(horizon=0.1, n_steps=4), seed=3)
-    _assert_no_child_left()
-
-
-def test_a_fork_that_raises_leaves_only_its_own_pipes_open(monkeypatch):
     # CPython's fork-context Popen opens two pipes before os.fork and does
     # not close them when os.fork raises (see _march_shares); nothing else
-    # of a march that fails that way stays open, the child that started
-    # included, and the next march runs as usual.
+    # of the march stays open, and the next march runs as usual.
     monkeypatch.setattr(particles, "MIN_BLOCK", 100)
     monkeypatch.setattr(particles, "_worker_count", lambda: 3)
     calls, fork = [], os.fork
@@ -704,9 +685,10 @@ def test_a_fork_that_raises_leaves_only_its_own_pipes_open(monkeypatch):
     before = open_descriptors()
     with pytest.raises(BlockingIOError, match="fork refused"):
         simulate_sde(None, m0, 600, tg, seed=3)
-    assert len(open_descriptors() - before) <= 4
-    monkeypatch.setattr(particles.os, "fork", fork)
+    _assert_no_child_left()
     leaked = open_descriptors()
+    assert len(leaked - before) <= 4
+    monkeypatch.setattr(particles.os, "fork", fork)
     assert np.array_equal(simulate_sde(None, m0, 600, tg, seed=3).positions, want.positions)
     assert open_descriptors() <= leaked
     _assert_no_child_left()
