@@ -1,37 +1,25 @@
 """Running costs, Hamiltonians, and the interpolation scaling between them.
 
-A model has one evaluation surface, the field form: controls and momenta
-are fields at the nodes of a spectral grid.  A field form takes one time
-slice (mu a JointControlMeasure, p one field or a stack of fields over
-leading axes) or a whole path (mu a MeasurePath, a leading time axis on
-p); the component axis is -(dim + 1), and mu is read through grid,
-density, alpha, mean_control().  The solvers call these forms, and the
-conjugacy and growth checks below certify the same ones.
-
-The Hamiltonian is written once per model, as ``hamiltonian_at(mu)``: it
-reads the measure once (for the quadratic model, the mean control and
-the potential, batched over a path) and returns the pair ``(h, grad_p)``,
-H and D_p H as functions ``f(p, j=None)`` of the momentum.  For a path,
-``f(p, j)`` is the value at level j with p one field, or at the levels
-of j, a slice, with p those levels, and ``f(p)`` the whole path; a level
-has the same bits whichever way it is taken.  The HJB march fixes the
-measure path once and calls ``h`` per level; the value solution keeps
-``grad_p``, and its drift evaluates it a block of levels at a time for
-the CFL guard, the forward march, the duality pairing and the
-exploitability, so ``grad_p`` should not close over the potential.  A
-stage's closing control re-solve writes H a block of levels at a time,
-and the growth check reads ``hamiltonian_at(mu)[0]``.
-``grad_p_field(p, mu)`` reads the mean control only, for the control
-fixed point, which never needs the potential.  The march checks its
-levels a block at a time, so ``h`` may see the non-finite momentum of a
-level past a blow-up; the march drops those levels, and an error ``h``
-raises there gives way to the blow-up's.
-
-A model is any object with the three field forms ``hamiltonian_at``,
-``grad_p_field`` and ``lagrangian_field`` (and ``grad_alpha_field`` for
-the numeric Legendre transform) and the attributes of its growth class:
+A model is any object, with no base class, that has the growth class
 ``C0`` (the structure constant), ``q`` (the momentum growth) and
-``q_tilde`` (its conjugate exponent q/(q-1)); there is no base class.
+``q_tilde`` (its conjugate exponent q/(q-1)) and four field forms.  A
+form takes mu one slice (a JointControlMeasure, p one field or a stack
+of fields over leading axes) or a whole path (a MeasurePath, p with a
+leading time axis), takes the component axis as -(dim + 1) and reads mu
+only through grid, density, alpha, control_magnitude() and
+mean_control():
+
+* ``hamiltonian_at(mu)`` reads the measure once and returns the pair
+  ``(h, grad_p)``, H and D_p H as functions ``f(p, j=None)`` of the
+  momentum, which keep no reference to mu.  On a path ``f(p, j)`` is
+  level j (an int, p one field) or the levels j (a slice, p those
+  levels), and ``f(p)`` the whole path;
+* ``grad_p_field(p, mu)`` is D_p H, for the control fixed point;
+* ``lagrangian_field(alpha, mu)`` and ``grad_alpha_field(alpha, mu)``
+  are L and D_alpha L.
+
+``check_model(model, grid)`` checks the rest of the contract on random
+probes; run it on a new model.
 
 The concrete model is quadratic: running cost
 |alpha + beta int gamma dmu|^2 / 2 + V(x, mu) with V a positive-definite
@@ -44,13 +32,20 @@ closed form that ``equilibrium.analytic_base`` builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OptimizationError
-from .measures import GridMeasure, JointControlMeasure, _JointFields, lambda_q, mean_control
-from .spectral import SpectralGrid
+from .measures import (
+    JointControlMeasure,
+    MeasurePath,
+    _JointFields,
+    lambda_q,
+    mean_control,
+    monotonicity_pairing,
+)
+from .spectral import SpectralGrid, TimeGrid
 
 
 def _geometric_tail(rho: float) -> float:
@@ -212,9 +207,7 @@ class ThetaScaledModel:
             raise ValueError(f"model is already scaled at theta={base.theta}")
         self.base = base
         self.theta = float(theta)
-        self.C0 = base.C0
-        self.q = base.q
-        self.q_tilde = base.q_tilde
+        self.C0, self.q, self.q_tilde = base.C0, base.q, base.q_tilde
 
     def scaled_measure(self, mu):
         """mu with its control pushed forward by 1/theta; mu is one slice or a path.
@@ -253,6 +246,13 @@ class ThetaScaledModel:
             np.asarray(alpha, dtype=float) / self.theta, self.scaled_measure(mu)
         )
 
+    def grad_alpha_field(self, alpha, mu):
+        if self.theta == 1.0:
+            return self.base.grad_alpha_field(alpha, mu)
+        return self.base.grad_alpha_field(
+            np.asarray(alpha, dtype=float) / self.theta, self.scaled_measure(mu)
+        )
+
 
 # -- convex conjugacy ------------------------------------------------------
 
@@ -282,16 +282,16 @@ LEGENDRE_MAX_HALVINGS = 60
 
 
 def legendre_transform(
-    model, p: np.ndarray, mu: JointControlMeasure
+    model, p: np.ndarray, mu: JointControlMeasure | MeasurePath
 ) -> tuple[np.ndarray, np.ndarray]:
     """H(x, p, mu) = sup_a { -p.a - L(x, a, mu) } and its maximizer at every node.
 
-    p is a momentum field on mu's grid, or a stack of them over leading
-    axes.  Damped Newton from a = 0 on the strictly concave objective,
-    with a finite-difference Hessian of grad_alpha_field; stops when the
-    stationarity defect |p + D_a L| falls below LEGENDRE_TOL at every
-    point and raises OptimizationError if some point is still above it
-    after LEGENDRE_MAX_NEWTON steps.
+    mu is one slice or a path, and p momentum fields on it, as a field
+    form takes them.  Damped Newton from a = 0 on the strictly concave
+    objective, with a finite-difference Hessian of grad_alpha_field; stops
+    when the stationarity defect |p + D_a L| falls below LEGENDRE_TOL at
+    every point and raises OptimizationError if some point is still above
+    it after LEGENDRE_MAX_NEWTON steps.
     """
     axis = -(mu.grid.dim + 1)
     p = np.asarray(p, dtype=float)
@@ -334,94 +334,122 @@ def legendre_transform(
     return value, alpha
 
 
-# -- growth diagnostics ----------------------------------------------------
+# -- the model contract ----------------------------------------------------
 
 
-@dataclass
-class GrowthReport:
-    """Smallest structure constant compatible with the sampled probes.
+@dataclass(frozen=True)
+class _ModelReport:
+    """What ``check_model`` measured, the worst of theta = 1 and 0.5.
 
-    ``c0_tilde`` is the max of the three per-inequality requirements; a
-    probe violates a candidate constant C when its requirement exceeds C.
+    ``pairing_min`` is the least Lasry-Lions pairing of the measure pairs;
+    ``h_defect`` and ``maximizer_defect`` are the largest |H - value| and
+    |D_p H + maximizer| of ``legendre_transform``, H from
+    ``hamiltonian_at`` and D_p H from ``grad_p_field``; ``c0_needed`` is
+    the smallest structure constant the growth probes need and
+    ``growth_violations`` the probes that need more than the model's
+    ``C0``; ``level_mismatches`` counts the levels of H or of D_p H whose
+    bits depend on how the level is taken; ``grad_p_defect`` is the
+    largest |grad_p - grad_p_field|; ``measure_mismatches`` names the
+    accessors that the measure handed to the base model at theta = 0.5
+    lacks or reads with other bits than a path of the controls divided by
+    theta.  ``passed`` holds at the tolerances of acceptance criteria 5
+    and 6 (pairing >= -1e-12, both defects <= 1e-8, no violation) with no
+    mismatch and grad_p equal to grad_p_field.
     """
 
-    c0_tilde: float
-    gradient_bound: float
-    value_bound: float
-    coercivity_bound: float
-    n_samples: int
-    requirements: np.ndarray = field(repr=False)
+    pairing_min: float
+    h_defect: float
+    maximizer_defect: float
+    c0_needed: float
+    growth_violations: int
+    level_mismatches: int
+    grad_p_defect: float
+    measure_mismatches: tuple[str, ...]
 
-    def violations(self, c0: float) -> int:
-        return int(np.sum(self.requirements > c0))
+    @property
+    def passed(self) -> bool:
+        return (
+            self.pairing_min >= -1e-12
+            and max(self.h_defect, self.maximizer_defect) <= 1e-8
+            and self.growth_violations == self.level_mismatches == self.grad_p_defect == 0
+            and not self.measure_mismatches
+        )
 
 
-def growth_check(model, grid: SpectralGrid) -> GrowthReport:
-    """Sample the growth inequalities and report the needed constant.
+_ACCESSORS = ("grid", "density", "alpha", "control_magnitude", "mean_control")
 
-    Checks |D_p H| <= C (1 + |p|^{q-1} + Lambda), |H| <= C (1 + |p|^q +
-    Lambda^qt) and the coercivity p . D_p H - H >= |p|^q / C - C (1 +
-    Lambda^qt) on momentum fields at the grid nodes, a stack of them per
-    sampled measure, and returns the smallest C making every sampled
-    probe pass.  Six measures, with controls of amplitude up to 2, carry
-    at least 1000 node probes in all, with momenta of scale 5, drawn from
-    default_rng(0).  Violations of a caller-chosen constant are counted,
-    not raised.
+
+def _read(mu, name):
+    """The grid of a joint measure, or the bits of another accessor."""
+    value = getattr(mu, name)
+    return value if name == "grid" else np.asarray(value() if callable(value) else value).tobytes()
+
+
+def check_model(model, grid: SpectralGrid) -> _ModelReport:
+    """Check a model against the contract of this module, and against the
+    paper's hypotheses, at theta = 1 and through ``ThetaScaledModel`` at
+    theta = 0.5, on one probe set drawn from default_rng(0).
+
+    The probes are a path of random joint measures on grid (smooth
+    densities, controls of amplitude up to 2), 101 levels or as many more
+    as make 1,024 nodes, and one momentum field per level (scale 5,
+    magnitudes varied over e^-2 to e).  Neighbouring levels make the
+    measure pairs of the pairing.  The growth probes are the inequalities
+    |D_p H| <= C (1 + |p|^{q-1} + Lambda), |H| <= C (1 + |p|^q +
+    Lambda^qt) and p . D_p H - H >= |p|^q / C - C (1 + Lambda^qt) at every
+    node, with Lambda the level's ``lambda_q``.  A level of H and of D_p H
+    is taken alone, in blocks of 7 levels and on the whole path.  A failed
+    check raises nothing: the report records it.
     """
     rng = np.random.default_rng(0)
-    dim = grid.dim
-    axis = -(dim + 1)
-    q, qt = model.q, model.q_tilde
-    n_measures, p_scale, alpha_scale = 6, 5.0, 2.0
-    # enough momentum fields per measure to reach 1000 node probes
-    depth = -(-(1000 // n_measures) // grid.n**dim)
-    reqs = []
-    grad_req = val_req = coer_req = 0.0
-    for _ in range(n_measures):
-        raw = np.exp(
-            sum(
-                rng.uniform(-1, 1) * np.cos(2 * np.pi * (k * grid.nodes()[ax] + rng.random()))
-                for k in (1, 2)
-                for ax in range(dim)
+    dim, x = grid.dim, grid.nodes()
+    levels = max(101, -(-1024 // grid.n**dim))
+    lead, comp = (levels,) + (1,) * dim, (levels, dim) + (1,) * dim
+    raw = np.exp(sum(rng.uniform(-1, 1, lead) * np.cos(2 * np.pi * (k * x[ax] + rng.random(lead)))
+                     for k in (1, 2, 3) for ax in range(dim)))
+    density = raw / grid.integrate(raw).reshape(lead)
+    alpha = rng.uniform(-1, 1, comp) * (1 + np.cos(2 * np.pi * (x + rng.random(comp))))
+    path = MeasurePath(TimeGrid(1.0, levels - 1), grid, density, alpha)
+    pairs = path.levels(slice(0, -1)), path.levels(slice(1, None))
+    p = 5.0 * rng.standard_normal((levels, dim) + grid.shape)
+    p *= np.exp(rng.uniform(-2.0, 1.0, (levels, 1) + grid.shape))  # vary magnitudes
+
+    axis, scaled = -(dim + 1), ThetaScaledModel(model, 0.5)
+    pairing, c0_needed, violations, mismatches = np.inf, 0.0, 0, 0
+    h_defect = a_defect = gp_defect = 0.0
+    for form in (model, scaled):
+        pairing = min(pairing, float(np.min(monotonicity_pairing(form, *pairs))))
+        h, grad_p = form.hamiltonian_at(path)
+        hp, dp = h(p), form.grad_p_field(p, path)
+        value, alpha_star = legendre_transform(form, p, path)
+        h_defect = max(h_defect, float(np.max(np.abs(value - hp))))
+        a_defect = max(a_defect, float(np.max(np.abs(alpha_star + dp))))
+        gp_defect = max(gp_defect, float(np.max(np.abs(grad_p(p) - dp))))
+        for f in (h, grad_p):
+            whole = f(p)
+            blocked = np.concatenate([f(p[j : j + 7], slice(j, j + 7)) for j in range(0, levels, 7)])
+            mismatches += sum(
+                not f(p[j], j).tobytes() == blocked[j].tobytes() == whole[j].tobytes()
+                for j in range(levels)
             )
-        )
-        m = GridMeasure.normalized(grid, raw)
-        alpha = alpha_scale * np.stack(
-            [
-                np.cos(2 * np.pi * (grid.nodes()[ax % dim] + rng.random()))
-                * rng.uniform(-1, 1)
-                for ax in range(dim)
-            ]
-        )
-        mu = JointControlMeasure(m, alpha)
-        lam = lambda_q(mu, qt)
-
-        p = p_scale * rng.standard_normal((depth, dim) + grid.shape)
-        p *= np.exp(rng.uniform(-2.0, 1.0, (depth, 1) + grid.shape))  # vary magnitudes
-
-        h = model.hamiltonian_at(mu)[0](p)
-        dp = model.grad_p_field(p, mu)
+        q, qt = form.q, form.q_tilde
+        lam = lambda_q(path, qt).reshape(lead)
         pnorm = np.sqrt(np.sum(p**2, axis=axis))
-        dpnorm = np.sqrt(np.sum(dp**2, axis=axis))
+        ell, bb = np.sum(p * dp, axis=axis) - hp, 1.0 + lam**qt
+        need = np.maximum.reduce([
+            np.sqrt(np.sum(dp**2, axis=axis)) / (1.0 + pnorm ** (q - 1.0) + lam),
+            np.abs(hp) / (1.0 + pnorm**q + lam**qt),
+            (-ell + np.sqrt(ell**2 + 4.0 * bb * pnorm**q)) / (2.0 * bb),
+        ])
+        c0_needed = max(c0_needed, float(need.max()))
+        violations += int(np.sum(need > form.C0))
 
-        r1 = dpnorm / (1.0 + pnorm ** (q - 1.0) + lam)
-        r2 = np.abs(h) / (1.0 + pnorm**q + lam**qt)
-        ell = np.sum(p * dp, axis=axis) - h
-        bb = 1.0 + lam**qt
-        cc = pnorm**q
-        r3 = (-ell + np.sqrt(ell**2 + 4.0 * bb * cc)) / (2.0 * bb)
-
-        grad_req = max(grad_req, float(r1.max()))
-        val_req = max(val_req, float(r2.max()))
-        coer_req = max(coer_req, float(r3.max()))
-        reqs.append(np.maximum(np.maximum(r1, r2), r3).ravel())
-
-    requirements = np.concatenate(reqs)
-    return GrowthReport(
-        c0_tilde=max(grad_req, val_req, coer_req),
-        gradient_bound=grad_req,
-        value_bound=val_req,
-        coercivity_bound=coer_req,
-        n_samples=requirements.size,
-        requirements=requirements,
+    pushed = scaled.scaled_measure(path)
+    divided = MeasurePath.view(path.time_grid, grid, density, alpha / scaled.theta)
+    return _ModelReport(
+        pairing, h_defect, a_defect, c0_needed, violations, mismatches, gp_defect,
+        tuple(
+            name for name in _ACCESSORS
+            if not hasattr(pushed, name) or _read(pushed, name) != _read(divided, name)
+        ),
     )

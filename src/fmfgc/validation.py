@@ -33,13 +33,8 @@ from .equilibrium import (
 )
 from .fokker_planck import solve_forward
 from .manifest import default_manifest
-from .measures import (
-    GridMeasure,
-    JointControlMeasure,
-    monotonicity_pairing,
-    wasserstein_1d,
-)
-from .models import QuadraticModel, growth_check, legendre_transform
+from .measures import GridMeasure, wasserstein_1d
+from .models import QuadraticModel, check_model
 from .mu_solver import solve_mu_detailed
 from .particles import (
     MIN_BLOCK,
@@ -76,6 +71,11 @@ class AcceptanceContext:
     @cached_property
     def model(self) -> QuadraticModel:
         return default_manifest().model()
+
+    @cached_property
+    def model_report(self):
+        """``check_model`` on the benchmark model, which criteria 5 and 6 read."""
+        return check_model(self.model, SpectralGrid(dim=1, n=64, s=0.75))
 
     @cached_property
     def continuation(self) -> tuple[list[tuple], EquilibriumSolution]:
@@ -213,42 +213,19 @@ def _criterion_mu_closed_form(ctx: AcceptanceContext):
 
 
 def _criterion_monotonicity(ctx: AcceptanceContext):
-    grid = SpectralGrid(dim=1, n=64, s=0.75)
-    model = ctx.model
-    rng = np.random.default_rng(50)
-    worst = np.inf
-    for _ in range(100):
-        pair = []
-        for _ in range(2):
-            m = GridMeasure.normalized(grid, np.abs(1.0 + 0.5 * rng.standard_normal(grid.n)))
-            alpha = np.stack([rng.uniform(-1.0, 1.0) * np.ones(grid.n) + 0.3 * rng.standard_normal(grid.n)])
-            pair.append(JointControlMeasure(m, alpha))
-        worst = min(worst, monotonicity_pairing(model, pair[0], pair[1]))
-    return worst >= -1e-12, f"min pairing {worst:.2e} (tol -1e-12)"
+    report = ctx.model_report
+    return report.pairing_min >= -1e-12, f"min pairing {report.pairing_min:.2e} (tol -1e-12)"
 
 
 def _criterion_legendre(ctx: AcceptanceContext):
-    grid = SpectralGrid(dim=1, n=64, s=0.75)
-    model = ctx.model
-    rng = np.random.default_rng(60)
-    m = GridMeasure.normalized(grid, np.abs(1.0 + 0.4 * rng.standard_normal(grid.n)))
-    mu = JointControlMeasure(m, np.stack([0.5 * np.sin(2.0 * np.pi * grid.nodes()[0])]))
-    # 16 momentum fields at the 64 nodes: 1024 probes of the field forms
-    p = rng.uniform(-2.0, 2.0, size=(16, 1, grid.n))
-    value, alpha_star = legendre_transform(model, p, mu)
-    closed = model.hamiltonian_at(mu)[0](p)
-    best = -model.grad_p_field(p, mu)
-    worst_h = float(np.max(np.abs(value - closed)))
-    worst_a = float(np.max(np.abs(alpha_star - best)))
     # the growth class that moment_certificate's bounds assume, probed on
     # the same field forms: C0 must leave no sampled inequality violated
-    growth = growth_check(model, grid)
-    violations = growth.violations(model.C0)
-    ok = worst_h <= 1e-8 and worst_a <= 1e-8 and violations == 0
-    return ok, (
-        f"H defect {worst_h:.2e}, maximizer defect {worst_a:.2e} (tol 1e-8), "
-        f"growth c0_tilde {growth.c0_tilde:.2f} against C0 {model.C0:.1f}, "
-        f"{violations} violations (tol 0)"
+    report, c0 = ctx.model_report, ctx.model.C0
+    ok = report.h_defect <= 1e-8 and report.maximizer_defect <= 1e-8
+    return ok and report.growth_violations == 0, (
+        f"H defect {report.h_defect:.2e}, maximizer defect {report.maximizer_defect:.2e} "
+        f"(tol 1e-8), growth needs C0 {report.c0_needed:.2f} against C0 {c0:.1f}, "
+        f"{report.growth_violations} violations (tol 0)"
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -12,26 +13,22 @@ from fmfgc.spectral import DENSE_STEP_MAX_N, SpectralGrid, TimeGrid
 
 
 def band_limited_field(grid, rng, max_mode=None, scale=1.0):
-    """Real random field with spectrum supported on |k_axis| <= max_mode."""
+    """Real random field with spectrum supported on |k_axis| <= max_mode.
+
+    Each wave vector k > 0 (lexicographically) of the box draws one
+    complex coefficient, which k and -k share as conjugates; then the mean
+    mode draws one real one."""
     if max_mode is None:
         max_mode = grid.n // 4
     coeff = np.zeros(grid.shape, dtype=complex)
     n = grid.n
-    if grid.dim == 1:
-        for k in range(1, max_mode + 1):
-            a = rng.standard_normal() + 1j * rng.standard_normal()
-            coeff[k] = a
-            coeff[-k] = np.conj(a)
-        coeff[0] = rng.standard_normal()
-    else:
-        for kx in range(-max_mode, max_mode + 1):
-            for ky in range(-max_mode, max_mode + 1):
-                if (kx, ky) <= (0, 0):
-                    continue
-                a = rng.standard_normal() + 1j * rng.standard_normal()
-                coeff[kx % n, ky % n] = a
-                coeff[(-kx) % n, (-ky) % n] = np.conj(a)
-        coeff[0, 0] = rng.standard_normal()
+    for k in itertools.product(range(-max_mode, max_mode + 1), repeat=grid.dim):
+        if k <= (0,) * grid.dim:
+            continue
+        a = rng.standard_normal() + 1j * rng.standard_normal()
+        coeff[tuple(ki % n for ki in k)] = a
+        coeff[tuple(-ki % n for ki in k)] = np.conj(a)
+    coeff[(0,) * grid.dim] = rng.standard_normal()
     f = np.fft.ifftn(coeff).real * n**grid.dim
     peak = np.max(np.abs(f))
     return f * (scale / peak) if peak > 0 else f
@@ -86,7 +83,8 @@ class ManufacturedModel(QuadraticModel):
     given on the levels of a time grid.  ``grad_p_field`` stays the
     quadratic model's, so the control fixed point sees no g; the march's
     drift -D_p H does.  g and f do not depend on the measure, so the
-    coupling stays monotone."""
+    coupling stays monotone.  Neither the running cost nor
+    ``grad_p_field`` carries them, which ``check_model`` reports."""
 
     def __init__(self, coupling_beta, g, f, dim):
         super().__init__(coupling_beta, dim=dim)

@@ -21,15 +21,17 @@ from fmfgc.equilibrium import (
 )
 from fmfgc.fokker_planck import initial_density, solve_forward
 from fmfgc.hjb import HjbSolution, solve_backward
-from fmfgc.models import PushedForward, QuadraticModel, ThetaScaledModel, growth_check
+from fmfgc.models import PushedForward, QuadraticModel, ThetaScaledModel, check_model
 from fmfgc.spectral import SpectralGrid, TimeGrid
 
 
 class NoCoupling:
     """Plain |alpha|^2/2 running cost: no mean term, no potential.  It has
-    the three field forms of a model and nothing more."""
+    the field forms of a model and nothing more."""
 
-    C0 = 2.0
+    # the coercivity of its theta = 1/2 scaling, which check_model probes,
+    # needs a constant up to 2 / theta
+    C0 = 4.0
     q = 2.0
     q_tilde = 2.0
 
@@ -48,6 +50,9 @@ class NoCoupling:
 
     def lagrangian_field(self, alpha, mu):
         return 0.5 * np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-(mu.grid.dim + 1))
+
+    def grad_alpha_field(self, alpha, mu):
+        return np.asarray(alpha, dtype=float)
 
 
 def small_scenario(n=32, n_steps=50, horizon=0.5):
@@ -436,8 +441,7 @@ def test_decoupled_model_control_is_minus_gradient():
 
 def test_duck_typed_model_with_three_forms():
     # hamiltonian_at, grad_p_field, lagrangian_field and the growth class
-    # are the whole model surface: the solve, its certificate and the
-    # growth check need nothing else
+    # are all that the solve and its certificate read
     grid, tg, m0, u_t = small_scenario()
     model = NoCoupling()
     assert not hasattr(model, "hamiltonian_field")
@@ -445,7 +449,13 @@ def test_duck_typed_model_with_three_forms():
     assert sol.converged
     cert = equilibrium_certificate(sol, model)
     assert cert.duality < 1e-2 and cert.moments_ok and cert.monotone_ok
-    assert growth_check(model, grid).violations(model.C0) == 0
+
+
+def test_duck_typed_model_passes_check_model():
+    report = check_model(NoCoupling(), small_scenario()[0])
+    assert report.passed, report
+    # L does not depend on the measure, so every pairing is 0
+    assert report.pairing_min == 0.0
 
 
 def test_benchmark_converges(benchmark_solution):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fmfgc.equilibrium import LoopConfig, solve_equilibrium
+from fmfgc.models import check_model
 
 from helpers import manufactured_equilibrium
 
@@ -57,3 +58,17 @@ def test_value_error_is_first_order_in_time_in_three_dimensions():
     # n = 8 and by 0.370 at n = 16, both with 100 steps)
     coarse, fine = (true_errors(8, n_steps, 0.75, dim=3)[0] for n_steps in (200, 400))
     assert 0.8 <= np.log2(coarse / fine) <= 1.2
+
+
+def test_check_model_flags_the_manufactured_terms():
+    # The manufactured H adds g . p + f, which neither its running cost nor
+    # grad_p_field carries, so the report must flag a Legendre gap in H
+    # and grad_p off grad_p_field, while the rest of the contract holds.
+    # check_model probes a path of 101 levels on 16 nodes, so g and f are
+    # given on 101 levels too.
+    grid, _, model, *_ = manufactured_equilibrium(16, 100, 0.75, 1)
+    report = check_model(model, grid)
+    assert report.h_defect >= 1.0 and report.grad_p_defect >= 1.0
+    assert report.pairing_min >= 0.0 and report.growth_violations == 0
+    assert report.level_mismatches == 0 and report.measure_mismatches == ()
+    assert not report.passed

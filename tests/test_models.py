@@ -1,16 +1,17 @@
-"""Model layer: closed forms, conjugacy, theta scaling, growth probes."""
+"""Model layer: closed forms, conjugacy, theta scaling, the model check."""
 
 import numpy as np
 import pytest
 
 from fmfgc.errors import OptimizationError
 from fmfgc.measures import GridMeasure, JointControlMeasure, MeasurePath, lambda_q
+from fmfgc import models
 from fmfgc.models import (
     QuadraticModel,
     ThetaScaledModel,
     _fd_hessian,
     _kernel_sums,
-    growth_check,
+    check_model,
     legendre_transform,
 )
 from fmfgc.spectral import SpectralGrid, TimeGrid
@@ -346,50 +347,88 @@ def test_theta_lagrangian_coercivity_probes():
 
 
 def test_growth_check_quadratic_feasible():
+    # c0_needed is the smallest constant the growth probes pass: the model
+    # declaring it passes them all, and one declaring a hair less does not
     g = SpectralGrid(1, 64, 0.75)
     model = QuadraticModel(0.5)
-    report = growth_check(model, g)
-    assert np.isfinite(report.c0_tilde)
-    assert report.violations(report.c0_tilde + 1e-9) == 0
-    assert report.violations(0.0) == report.n_samples
-    # the model constant itself is comfortably feasible for |p| <= 5 probes
-    assert report.c0_tilde <= 10.0 * model.C0
+    report = check_model(model, g)
+    assert 0.0 < report.c0_needed <= model.C0
+    model.C0 = report.c0_needed
+    assert check_model(model, g).growth_violations == 0
+    model.C0 = report.c0_needed * (1.0 - 1e-9)
+    assert check_model(model, g).growth_violations >= 1
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
 def test_growth_check_passes_at_model_constant(beta, dim):
     # criterion 6 asserts this for the benchmark model; C0 is the constant
-    # moment_certificate's bounds are built on
+    # moment_certificate's bounds are built on.  Every other check of the
+    # report holds too.
     model = QuadraticModel(beta, dim=dim)
-    report = growth_check(model, SpectralGrid(dim, 64 if dim == 1 else 16, 0.75))
-    assert report.violations(model.C0) == 0
+    report = check_model(model, SpectralGrid(dim, {1: 64, 2: 16, 3: 8}[dim], 0.75))
+    assert report.growth_violations == 0
+    assert report.passed, report
 
 
-class ZeroHamiltonian:
-    """H = 0 and D_p H = 0 at every momentum."""
+def test_legendre_transform_of_the_scaled_model():
+    # L^theta(a) = theta L(a / theta, S mu): its conjugate is theta H(p, S mu),
+    # reached at -theta D_p H(p, S mu)
+    rng = np.random.default_rng(43)
+    g = SpectralGrid(1, 64, 0.75)
+    model = QuadraticModel(0.4)
+    mu = random_mu(g, rng)
+    p = rng.uniform(-3, 3, (2, 1, 64))
+    mu_scaled = JointControlMeasure(mu.m, mu.alpha / 0.5)
+    value, alpha_star = legendre_transform(ThetaScaledModel(model, 0.5), p, mu)
+    assert np.max(np.abs(value - 0.5 * model.hamiltonian_at(mu_scaled)[0](p))) <= 1e-10
+    assert np.max(np.abs(alpha_star + 0.5 * model.grad_p_field(p, mu_scaled))) <= 1e-10
 
-    C0, q, q_tilde = 2.0, 2.0, 2.0
+
+class GradPOff(QuadraticModel):
+    """grad_p off by beta abar from grad_p_field."""
 
     def hamiltonian_at(self, mu):
-        axis = -(mu.grid.dim + 1)
-        return (
-            lambda p, j=None: np.zeros(np.delete(np.shape(p), axis)),
-            lambda p, j=None: np.zeros(np.shape(p)),
-        )
-
-    def grad_p_field(self, p, mu):
-        return np.zeros(np.shape(p))
+        h, grad_p = super().hamiltonian_at(mu)
+        shift = self.coupling_beta * self._broadcast_mean(mu)
+        return h, lambda p, j=None: grad_p(p, j) + (shift if j is None else shift[j])
 
 
-def test_growth_check_zero_hamiltonian():
-    # a Hamiltonian that vanishes identically: H = 0 and D_p H = 0
+class SliceReadsWholePath(QuadraticModel):
+    """D_p H on a slice of levels takes the mean control of the whole path."""
+
+    def hamiltonian_at(self, mu):
+        h, grad_p = super().hamiltonian_at(mu)
+        whole = self.coupling_beta * np.mean(self._broadcast_mean(mu), axis=0)
+        return h, lambda p, j=None: p + whole if isinstance(j, slice) else grad_p(p, j)
+
+
+class NegativeMode(QuadraticModel):
+    """The kernel of the 1-D potential with its k = +-1 modes negated."""
+
+    def _potential(self, grid, density):
+        spectrum = np.fft.rfft(density)
+        spectrum[..., np.arange(spectrum.shape[-1]) != 1] = 0.0
+        mode = np.fft.irfft(spectrum, n=grid.n)
+        return super()._potential(grid, density) - 2.0 * np.exp(-self.kernel_decay) * mode
+
+
+def test_check_model_flags_each_broken_contract(monkeypatch):
     g = SpectralGrid(1, 64, 0.75)
-    report = growth_check(ZeroHamiltonian(), g)
-    assert np.isfinite(report.c0_tilde)
-    # H = 0, D_p H = 0: only coercivity needs a constant, sqrt(|p|^q / b)
-    assert report.gradient_bound == 0.0
-    assert report.value_bound == 0.0
+    small = QuadraticModel(0.3)
+    small.C0 = 1.5
+    grad_p, levels, pairing, growth = (
+        check_model(model, g)
+        for model in (GradPOff(0.3), SliceReadsWholePath(0.3), NegativeMode(0.3), small)
+    )
+    assert grad_p.grad_p_defect >= 0.01 and not grad_p.passed
+    assert levels.level_mismatches >= 1 and not levels.passed
+    assert pairing.pairing_min < 0.0 and not pairing.passed
+    assert growth.growth_violations >= 1 and not growth.passed
+    # the measure handed to the base model must keep every accessor
+    monkeypatch.delattr(models.PushedForward, "control_magnitude")
+    report = check_model(QuadraticModel(0.3), g)
+    assert report.measure_mismatches == ("control_magnitude",) and not report.passed
 
 
 def test_coercivity_identity_centered_control():

@@ -325,6 +325,18 @@ def test_time_grid_rejects_a_non_finite_horizon(bad):
         TimeGrid(bad, 10)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 16), (3, 8)])
+def test_band_limited_field_fills_the_box_of_modes(dim, n):
+    # the spectrum is nonzero exactly on the wave vectors with
+    # max_i |k_i| <= max_mode, in every dimension
+    grid = SpectralGrid(dim, n, 0.75)
+    f = band_limited_field(grid, np.random.default_rng(3), max_mode=2)
+    assert np.isrealobj(f) and f.shape == grid.shape
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    box = np.max(np.abs(np.meshgrid(*[k] * dim, indexing="ij")), axis=0) <= 2
+    assert np.array_equal(np.abs(np.fft.fftn(f)) > 1e-12, box)
+
+
 def test_periodic_delta():
     assert periodic_delta(np.array(0.1), np.array(0.9)) == pytest.approx(0.2)
     assert periodic_delta(np.array(0.25), np.array(0.75)) == pytest.approx(0.5)
